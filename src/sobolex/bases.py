@@ -1,20 +1,30 @@
-"""Constructors for the classical polynomial families on the simplex.
+"""Constructors for the classical polynomial families on the simplex, and the
+operator whose eigenfunctions they are.
 
-Everything is generated from the weighted-form differentiation engine: shift
-the weight exponents, differentiate, divide the weight back out.  The one
-direct-summation family is the monic ("monomial") basis, whose defining
-formula is already a finite sum.
+The Rodrigues and permuted families come from the weighted-form
+differentiation engine: shift the weight exponents, differentiate, divide the
+weight back out.  The monic ("monomial") basis is a direct finite sum.
+
+`eigencheck` does not apply the operator to a polynomial.  On monomials the
+operator is upper triangular,
+
+    L x^a = -|a|(|a|+|g|+d) x^a + sum_i a_i (a_i + g_i) x^{a-e_i},
+
+so each coefficient of L f - lambda_n f is read off from at most d+1
+coefficients of f, in integers over the common denominator of f and g.
+`apply_operator` keeps the definition and serves as the reference.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NonIntegrableWeight, ZeroDenominator
 from .polynomials import Exponents, Polynomial, box_indices, monomials_of_degree
-from .scalars import Rational, as_fraction, binomial, factorial, format_rational, pochhammer, product_factorial
+from .scalars import Rational, as_fraction, factorial, format_rational, pochhammer, product_factorial
 from .weighted import ParamVector, WeightedForm
 
 
@@ -118,22 +128,40 @@ def monomial_element(gamma: ParamVector, nu: Exponents) -> Polynomial:
         raise ValueError(f"bad multi-index {nu}")
     n = sum(nu)
     s = gamma.total + d
-    den = pochhammer(s, 2 * n)
+    rise = _rising_row(s, 2 * n)
+    den = rise[2 * n]
     if den == 0:
         raise ZeroDenominator(f"({format_rational(s)})_{2 * n} vanishes")
-    top = [pochhammer(g + 1, k) for g, k in zip(gamma.entries[:-1], nu)]
+    # weights[i][m] = C(nu_i, m) (g_i+1)_{nu_i} / (g_i+1)_m
+    weights = []
+    for i in range(d):
+        row = _rising_row(gamma.entries[i] + 1, nu[i])
+        weights.append([math.comb(nu[i], m) * row[-1] / low if low else None
+                        for m, low in enumerate(row)])
+    # the first box index in product order with a vanishing (g_i+1)_{m_i}
+    # is m_i e_i for the last such i
+    for i in reversed(range(d)):
+        if None in weights[i]:
+            m = weights[i].index(None)
+            raise ZeroDenominator(
+                f"({format_rational(gamma.entries[i] + 1)})_{m} vanishes")
+    # level[k] = (-1)^{n+k} (s)_{n+k} / (s)_{2n}, shared by every |m| = k
+    level = [(-1) ** (n + k) * rise[n + k] / den for k in range(n + 1)]
     terms = {}
     for m in box_indices(nu):
-        coef = Fraction((-1) ** (n + sum(m)))
-        for i in range(d):
-            low = pochhammer(gamma.entries[i] + 1, m[i])
-            if low == 0:
-                raise ZeroDenominator(
-                    f"({format_rational(gamma.entries[i] + 1)})_{m[i]} vanishes")
-            coef *= binomial(nu[i], m[i]) * top[i] / low
-        coef *= pochhammer(s, n + sum(m)) / den
+        coef = level[sum(m)]
+        for w, mi in zip(weights, m):
+            coef *= w[mi]
         terms[m] = coef
     return Polynomial(d, terms)
+
+
+def _rising_row(a: Fraction, k: int) -> list[Fraction]:
+    """[(a)_0, (a)_1, ..., (a)_k]."""
+    row = [Fraction(1)]
+    for j in range(k):
+        row.append(row[-1] * (a + j))
+    return row
 
 
 def monomial_basis(gamma: ParamVector, n: int) -> Basis:
@@ -195,8 +223,36 @@ def eigenvalue(gamma: ParamVector, n: int) -> Fraction:
 
 
 def eigencheck(gamma: ParamVector, f: Polynomial, n: int) -> bool:
-    """True iff L f == -n(n+|g|+d) f exactly."""
-    return (apply_operator(gamma, f) - eigenvalue(gamma, n) * f).is_zero
+    """True iff L f == -n(n+|g|+d) f exactly.
+
+    With f = sum_a c_a x^a and shift = |g|+d, the coefficient of x^b in
+    L f - lambda_n f is
+
+        (n-|b|)(n+|b|+shift) c_b + sum_i (b_i+1)(b_i+1+g_i) c_{b+e_i}.
+
+    Every factor is scaled to an integer: coefficients by their common
+    denominator, parameters by D, the common denominator of the g_i.
+    """
+    d = f.dim
+    if gamma.d != d:
+        raise ValueError("dimension mismatch")
+    D = math.lcm(*(g.denominator for g in gamma.entries))
+    lows = [int((g + 1) * D) for g in gamma.entries[:-1]]   # (g_i+1) D
+    top = int((n + gamma.total + d) * D)                     # (n+shift) D
+    coef, _ = f.scaled_to_integers()
+    targets = set(coef)
+    for a in coef:
+        targets.update(a[:i] + (a[i] - 1,) + a[i + 1:] for i in range(d) if a[i])
+    for b in targets:
+        k = sum(b)
+        r = coef.get(b, 0) * (n - k) * (top + k * D)
+        for i, bi in enumerate(b):
+            up = coef.get(b[:i] + (bi + 1,) + b[i + 1:])
+            if up:
+                r += up * (bi + 1) * (bi * D + lows[i])
+        if r:
+            return False
+    return True
 
 
 # -- one-variable Jacobi families --------------------------------------------

@@ -8,7 +8,7 @@ elimination.  No tolerance parameter exists anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 from .polynomials import Exponents, Polynomial, graded_lex_key
@@ -16,19 +16,15 @@ from .polynomials import Exponents, Polynomial, graded_lex_key
 Matrix = list[list[Fraction]]
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        denom = 1
-        for v in row:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        out.append([int(v * denom) for v in row])
-    return out
+def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    denom = lcm(*(v.denominator for v in row))
+    return [v.numerator * (denom // v.denominator) for v in row], denom
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank via fraction-free Gaussian elimination."""
-    m = [r[:] for r in _integer_rows(rows)]
+    m = [_integer_row(row)[0] for row in rows]
     if not m or not m[0]:
         return 0
     nrows, ncols = len(m), len(m[0])
@@ -58,11 +54,9 @@ def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     scale = Fraction(1)
     rows = []
     for row in matrix:
-        denom = 1
-        for v in row:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
+        ints, denom = _integer_row(row)
         scale *= denom
-        rows.append([int(v * denom) for v in row])
+        rows.append(ints)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -81,8 +75,33 @@ def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    """Determinants of the leading k x k blocks, k = 1..n.
+
+    One Bareiss pass without pivoting: after k steps the pivot of the
+    integer-scaled matrix is its leading (k+1) x (k+1) minor.  A zero pivot
+    stops the pass, and the remaining sizes fall back to `determinant`.
+    """
     n = len(matrix)
-    return [determinant([row[:k] for row in matrix[:k]]) for k in range(1, n + 1)]
+    rows, scales = [], []
+    for row in matrix:
+        ints, denom = _integer_row(row)
+        rows.append(ints)
+        scales.append(denom)
+    minors: list[Fraction] = []
+    prev, scale = 1, 1
+    for k in range(n):
+        pivot = rows[k][k]
+        scale *= scales[k]
+        minors.append(Fraction(pivot, scale))
+        if not pivot:
+            minors.extend(determinant([row[:size] for row in matrix[:size]])
+                          for size in range(k + 2, n + 1))
+            break
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (pivot * rows[i][j] - rows[i][k] * rows[k][j]) // prev
+        prev = pivot
+    return minors
 
 
 def solve_combination(target: Sequence[Fraction],

@@ -9,12 +9,14 @@ face of the simplex is described.  Terms serialize in graded-lex order
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .scalars import Rational, as_fraction, format_rational, parse_rational
+from .scalars import Rational, as_fraction, format_rational
 
 Exponents = tuple[int, ...]
 
@@ -23,27 +25,47 @@ def graded_lex_key(exp: Exponents) -> tuple[int, Exponents]:
     return (sum(exp), exp)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _exact_coefficient(coef: object) -> Fraction:
+    """An int, Fraction or "p/q" string as a Fraction; anything else is a ValueError."""
+    if isinstance(coef, bool) or not isinstance(coef, (int, Fraction, str)):
+        raise ValueError(f"coefficient {coef!r} is not an exact rational")
+    return as_fraction(coef)
+
+
 class Polynomial:
     """Immutable-by-convention sparse polynomial over the rationals."""
 
     __slots__ = ("dim", "_terms")
 
     def __init__(self, dim: int, terms: Mapping[Exponents, Rational] | Iterable[tuple[Exponents, Rational]] = ()):
-        if dim < 0:
-            raise ValueError("dimension must be >= 0")
+        if not _is_int(dim) or dim < 0:
+            raise ValueError(f"dimension must be an integer >= 0, not {dim!r}")
         self.dim = dim
         acc: dict[Exponents, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coef in items:
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != dim or any(e < 0 for e in exp):
+            exp = tuple(exp)
+            if len(exp) != dim or not all(_is_int(e) and e >= 0 for e in exp):
                 raise ValueError(f"bad exponent {exp} for dimension {dim}")
-            c = acc.get(exp, Fraction(0)) + as_fraction(coef)
+            c = acc.get(exp, Fraction(0)) + _exact_coefficient(coef)
             if c:
                 acc[exp] = c
             else:
                 acc.pop(exp, None)
         self._terms = acc
+
+    @classmethod
+    def _trusted(cls, dim: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """Wrap `terms` as is: int-tuple exponents of length dim to nonzero
+        Fractions.  Only for callers that build such a dict themselves."""
+        self = object.__new__(cls)
+        self.dim = dim
+        self._terms = terms
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -89,6 +111,12 @@ class Polynomial:
     def items(self) -> Iterator[tuple[Exponents, Fraction]]:
         return iter(self._terms.items())
 
+    def scaled_to_integers(self) -> tuple[dict[Exponents, int], int]:
+        """(terms, q): the coefficients times their least common denominator
+        q, as ints."""
+        q = math.lcm(*(c.denominator for c in self._terms.values()))
+        return {e: c.numerator * (q // c.denominator) for e, c in self._terms.items()}, q
+
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         return sorted(self._terms.items(), key=lambda t: graded_lex_key(t[0]))
 
@@ -123,12 +151,21 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.dim, other)
         self._check_dim(other)
-        return Polynomial(self.dim, list(self._terms.items()) + list(other._terms.items()))
+        acc = dict(self._terms)
+        for e, c in other._terms.items():
+            old = acc.get(e)
+            if old is not None:
+                c += old
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
+        return Polynomial._trusted(self.dim, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.dim, {e: -c for e, c in self._terms.items()})
+        return Polynomial._trusted(self.dim, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial | Rational") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -141,14 +178,16 @@ class Polynomial:
     def __mul__(self, other: "Polynomial | Rational") -> "Polynomial":
         if not isinstance(other, Polynomial):
             c = as_fraction(other)
-            return Polynomial(self.dim, {e: k * c for e, k in self._terms.items()})
+            if not c:
+                return Polynomial.zero(self.dim)
+            return Polynomial._trusted(self.dim, {e: k * c for e, k in self._terms.items()})
         self._check_dim(other)
         acc: dict[Exponents, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.dim, acc)
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return Polynomial._trusted(self.dim, {e: c for e, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -170,13 +209,9 @@ class Polynomial:
         """Exact partial derivative with respect to x_axis."""
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dimension {self.dim}")
-        acc: dict[Exponents, Fraction] = {}
-        for exp, coef in self._terms.items():
-            e = exp[axis]
-            if e:
-                new = exp[:axis] + (e - 1,) + exp[axis + 1:]
-                acc[new] = acc.get(new, Fraction(0)) + coef * e
-        return Polynomial(self.dim, acc)
+        return Polynomial._trusted(self.dim, {
+            exp[:axis] + (exp[axis] - 1,) + exp[axis + 1:]: coef * exp[axis]
+            for exp, coef in self._terms.items() if exp[axis]})
 
     def partials(self, axes: Iterable[int]) -> "Polynomial":
         out = self
@@ -222,7 +257,7 @@ class Polynomial:
             for pos, e in enumerate(exp):
                 new[order[pos]] = e
             acc[tuple(new)] = coef
-        return Polynomial(self.dim, acc)
+        return Polynomial._trusted(self.dim, acc)
 
     def restrict(self, zeroed: Iterable[int]) -> "Polynomial":
         """Restrict to the face of T^d where the given coordinates vanish.
@@ -237,34 +272,21 @@ class Polynomial:
         true_zeros = sorted(zset - {self.dim})
         survivors = [i for i in range(self.dim) if i not in true_zeros]
         rdim = self.dim - len(zset)
-        if self.dim not in zset:
-            pos = {i: p for p, i in enumerate(survivors)}
-            acc: dict[Exponents, Fraction] = {}
-            for exp, coef in self._terms.items():
-                if any(exp[i] for i in true_zeros):
-                    continue
-                new = [0] * rdim
-                for i in survivors:
-                    new[pos[i]] = exp[i]
-                key = tuple(new)
-                acc[key] = acc.get(key, Fraction(0)) + coef
-            return Polynomial(rdim, acc)
-        designated = survivors[-1]
-        keep = survivors[:-1]
-        pos = {i: p for p, i in enumerate(keep)}
-        out = Polynomial.zero(rdim)
+        designated = survivors[-1] if self.dim in zset else None
+        keep = [i for i in survivors if i != designated]
+        acc: dict[Exponents, Fraction] = {}
         for exp, coef in self._terms.items():
             if any(exp[i] for i in true_zeros):
                 continue
-            new = [0] * rdim
-            for i in keep:
-                new[pos[i]] = exp[i]
-            piece = Polynomial.monomial(rdim, new, coef)
-            e = exp[designated]
-            if e:
-                piece = piece * complement_power(rdim, e)
-            out = out + piece
-        return out
+            base = tuple(exp[i] for i in keep)
+            e = exp[designated] if designated is not None else 0
+            if not e:
+                acc[base] = acc.get(base, 0) + coef
+                continue
+            for ce, cc in complement_power(rdim, e)._terms.items():
+                key = tuple(map(add, base, ce))
+                acc[key] = acc.get(key, 0) + coef * cc
+        return Polynomial._trusted(rdim, {e: c for e, c in acc.items() if c})
 
     # -- serialization -----------------------------------------------------
 
@@ -277,9 +299,15 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Polynomial":
-        dim = int(data["d"])
-        terms = [(tuple(t["exp"]), parse_rational(t["coef"])) for t in data["terms"]]
-        return cls(dim, terms)
+        """Inverse of to_json; malformed input of any shape is a ValueError."""
+        if not isinstance(data, Mapping) or not isinstance(data.get("terms"), list):
+            raise ValueError("polynomial JSON must be an object with a list of terms")
+        terms = []
+        for t in data["terms"]:
+            if not isinstance(t, Mapping) or not isinstance(t.get("exp"), list):
+                raise ValueError(f"bad polynomial term {t!r}")
+            terms.append((t["exp"], t["coef"]))
+        return cls(data["d"], terms)
 
 
 @lru_cache(maxsize=None)

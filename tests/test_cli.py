@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sobolex.cli import main
 from sobolex.polynomials import Polynomial
 
@@ -142,6 +144,23 @@ def test_usage_error_exit_code(capsys):
     code, _ = run_cli(capsys, ["basis", "--d", "2", "--n", "1",
                                "--gamma", "0,-1,0", "--family", "u"])
     assert code == 2
+
+
+MALFORMED_POLYNOMIALS = {
+    "fractional-exponent": '{"d":2,"terms":[{"exp":[1.5,0],"coef":"1"}]}',
+    "boolean-exponent": '{"d":2,"terms":[{"exp":[true,0],"coef":"1"}]}',
+    "float-coefficient": '{"d":2,"terms":[{"exp":[1,0],"coef":1.5}]}',
+    "non-object": '[{"exp":[1,0],"coef":"1"}]',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_POLYNOMIALS))
+def test_malformed_polynomial_is_a_usage_error(capsys, case):
+    good = json.dumps(Polynomial.variable(2, 0).to_json())
+    code, out = run_cli(capsys, ["inner", "--d", "2", "--gamma", "0,0,0",
+                                 "--f", MALFORMED_POLYNOMIALS[case], "--g", good])
+    assert code == 2
+    assert out == ""
 
 
 def test_math_precondition_exit_code(capsys):

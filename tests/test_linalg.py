@@ -60,6 +60,31 @@ def test_determinant_basics():
 def test_leading_principal_minors():
     m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]]
     assert leading_principal_minors(m) == [Fraction(2), Fraction(3)]
+    assert leading_principal_minors([]) == []
+
+
+def _minors_by_determinant(m):
+    return [determinant([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+
+
+def test_leading_principal_minors_match_determinants():
+    rng = random.Random(316)
+    singular_leads = 0
+    for trial in range(150):
+        n = rng.randint(1, 6)
+        m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+              for _ in range(n)] for _ in range(n)]
+        if n >= 2 and trial % 3 == 0:
+            # a singular leading block: row k repeats row 0 on its first k+1 entries
+            k = rng.randint(1, n - 1)
+            c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+            m[k][:k + 1] = [c * v for v in m[0][:k + 1]]
+        if trial % 7 == 0:
+            m[0][0] = Fraction(0)
+        got = leading_principal_minors(m)
+        assert got == _minors_by_determinant(m)
+        singular_leads += any(v == 0 for v in got[:-1])
+    assert singular_leads > 20
 
 
 def test_solve_combination():

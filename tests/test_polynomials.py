@@ -143,3 +143,86 @@ def test_face_id():
         FaceId(2, frozenset({5}))
     with pytest.raises(ValueError):
         FaceId(2, frozenset({0, 1, 2}))
+
+
+def _is_canonical(p: Polynomial) -> bool:
+    return all(type(c) is Fraction and c and len(e) == p.dim
+               and all(type(k) is int and k >= 0 for k in e)
+               for e, c in p.items())
+
+
+def test_ring_results_are_canonical():
+    # the ring operations build their results without re-validation; each
+    # must still hold int exponents and nonzero Fractions, and equal its
+    # rebuild through the validating constructor
+    rng = random.Random(13)
+    for _ in range(20):
+        f = rand_poly(rng, 3, 3)
+        g = rand_poly(rng, 3, 2)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        results = [f + g, f - f, -f, f * g, f * c, c * f, f * 0,
+                   f.partial(rng.randrange(3)), f.permute((2, 0, 1))]
+        results += [f.restrict(z) for z in ({0}, {3}, {1, 3}, {0, 1, 3}, {0, 1, 2})]
+        for r in results:
+            assert _is_canonical(r)
+            assert Polynomial(r.dim, dict(r.items())) == r
+
+
+def test_restrict_matches_evaluation_on_the_face():
+    rng = random.Random(14)
+    d = 3
+    for zeroed in ({0}, {2}, {3}, {0, 3}, {1, 3}, {0, 1, 3}):
+        survivors = [i for i in range(d) if i not in zeroed]
+        keep = survivors[:-1] if d in zeroed else survivors
+        for _ in range(5):
+            f = rand_poly(rng, d, 4)
+            r = f.restrict(zeroed)
+            pt = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in keep]
+            full = [Fraction(0)] * d
+            for i, v in zip(keep, pt):
+                full[i] = v
+            if d in zeroed:
+                full[survivors[-1]] = 1 - sum(pt)
+            assert r.evaluate(pt) == f.evaluate(full)
+
+
+@pytest.mark.parametrize("terms", [
+    {(Fraction(3, 2), 0): 1},   # fractional exponent
+    {(1.5, 0): 1},
+    {(True, 0): 1},            # boolean exponent
+    {(-1, 0): 1},
+    {(1,): 1},                 # wrong length
+    {(1, 0): 1.5},             # float coefficient
+    {(1, 0): True},
+    {(1, 0): None},
+])
+def test_constructor_rejects_inexact_terms(terms):
+    with pytest.raises(ValueError):
+        Polynomial(2, terms)
+
+
+def test_constructor_rejects_bad_dimension():
+    for dim in (-1, 1.0, True, "2"):
+        with pytest.raises(ValueError):
+            Polynomial(dim)
+
+
+@pytest.mark.parametrize("data", [
+    [1, 2], 3, "x", None,
+    {"d": 2, "terms": {"exp": [1, 0], "coef": "1"}},
+    {"d": 2, "terms": [[1, 0]]},
+    {"d": 2, "terms": [{"exp": 1, "coef": "1"}]},
+    {"d": 2, "terms": [{"exp": [1.5, 0], "coef": "1"}]},
+    {"d": 2, "terms": [{"exp": [True, 0], "coef": "1"}]},
+    {"d": 2, "terms": [{"exp": [1, 0], "coef": 1.5}]},
+    {"d": 2, "terms": [{"exp": [1, 0], "coef": "one"}]},
+    {"d": 2.0, "terms": []},
+])
+def test_from_json_rejects_malformed_input(data):
+    with pytest.raises(ValueError):
+        Polynomial.from_json(data)
+
+
+def test_from_json_accepts_integer_coefficients():
+    got = Polynomial.from_json({"d": 2, "terms": [{"exp": [1, 0], "coef": -3}]})
+    assert got == -3 * X
