@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -69,6 +68,15 @@ def _split_singular(gamma: ParamVector) -> tuple[tuple, int]:
     return tail, k
 
 
+def _vertex_lambdas(args: argparse.Namespace, k: int) -> list | None:
+    """--lambda-vertex, which only the all-singular weight (k = d+1) has."""
+    if not args.lambda_vertex:
+        return None
+    if k != args.d + 1:
+        raise ValueError("--lambda-vertex needs every --gamma entry to be -1")
+    return [parse_rational(p) for p in args.lambda_vertex.split(",")]
+
+
 def _build_basis(family: str, args: argparse.Namespace) -> Basis:
     gamma = _parse_gamma(args.gamma, args.d)
     if family == "rodrigue":
@@ -87,10 +95,7 @@ def _build_basis(family: str, args: argparse.Namespace) -> Basis:
         tail, k = _split_singular(gamma)
         if k == 0:
             raise ValueError("--family u needs a trailing block of -1 entries")
-        lams = None
-        if args.lambda_vertex:
-            lams = [parse_rational(p) for p in args.lambda_vertex.split(",")]
-        return u_space(args.d, tail, k, args.n, vertex_lambdas=lams)
+        return u_space(args.d, tail, k, args.n, vertex_lambdas=_vertex_lambdas(args, k))
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -104,10 +109,7 @@ def _build_product(args: argparse.Namespace):
         tail, k = _split_singular(gamma)
         if k == 0:
             raise ValueError("--spec sobolev needs a trailing block of -1 entries")
-        lams = None
-        if args.lambda_vertex:
-            lams = [parse_rational(p) for p in args.lambda_vertex.split(",")]
-        return SingularProduct(args.d, tail, k, lam_vertex=lams)
+        return SingularProduct(args.d, tail, k, lam_vertex=_vertex_lambdas(args, k))
     raise ValueError(f"unknown spec {args.spec!r}")
 
 
@@ -149,34 +151,24 @@ def cmd_eigen(args: argparse.Namespace) -> int:
     tail, k = _split_singular(gamma)
     if k == 0:
         raise ValueError("eigen needs a trailing block of -1 entries in --gamma")
-    product = None
-    if args.lambda_vertex:
-        lams = [parse_rational(p) for p in args.lambda_vertex.split(",")]
-        product = SingularProduct(args.d, tail, k, lam_vertex=lams)
+    lams = _vertex_lambdas(args, k)
+    product = None if lams is None else SingularProduct(args.d, tail, k, lam_vertex=lams)
     report = verify_u_space(args.d, tail, k, args.n, product)
     _emit(report, args.pretty)
     return 0 if report["ok"] else 1
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SOBOLEX_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     gammas = None
     if args.gamma:
         gammas = [_parse_gamma(text, args.d) for text in args.gamma]
-    result = run_suite(args.suite, d=args.d, n_max=args.n_max, gammas=gammas,
-                       threads=_threads())
+    result = run_suite(args.suite, d=args.d, n_max=args.n_max, gammas=gammas)
     _emit(result, args.pretty)
     return 0 if result["ok"] else 1
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    result = run_suite("all", d=args.d, n_max=args.n_max, threads=_threads())
+    result = run_suite("all", d=args.d, n_max=args.n_max)
     summary = {
         "tool": "sobolex",
         "params": result["params"],

@@ -11,10 +11,10 @@ Each weight gets one moment table.  Scaling every rising-factorial factor by
 the common denominator D of the exponents makes the numerator
 prod_i D^{a_i} (g_i + 1)_{a_i} and the denominator D^{|a|} (|g| + d + 1)_{|a|}
 integers, so a table entry is an int keyed by its integer exponent tuple, and
-the denominator depends on |a| only.  An integral is then a sum of integer
-numerators per total degree, with one Fraction per degree at the end.  The
-pairing <f, g> = sum_a c_a sum_b d_b m(a+b) is evaluated the same way,
-without building the product polynomial f*g.
+the denominator depends on |a| only and divides the one of every higher
+degree.  Pairings <f_i, g_j x^s> = sum_a c_a sum_b d_b m(a+b+s) are computed
+a matrix at a time in integers over that common denominator, without building
+any product polynomial; an integral is the pairing with 1.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .scalars import format_rational
 from .weighted import ParamVector
 
 
-class _MomentTable:
+class MomentTable:
     """Integer moment numerators and per-degree denominators of one weight."""
 
     __slots__ = ("_starts", "_step", "_rows", "_nums")
@@ -64,39 +64,62 @@ class _MomentTable:
     def denominator(self, degree: int) -> int:
         return self._rising(-1, degree)
 
-    def combine(self, by_degree: dict[int, int], scale: int) -> Fraction:
-        """sum_k by_degree[k] / (denominator(k) * scale)."""
-        total = Fraction(0)
-        for k, num in by_degree.items():
-            if num:
-                total += Fraction(num, self.denominator(k))
-        return total / scale
+    def pairings(self, rows: list[Polynomial], cols: list[Polynomial],
+                 shift: Exponents | None = None,
+                 upper: bool = False) -> list[list[Fraction]]:
+        """Matrix of the pairings of rows[i] with cols[j] times x^shift; with
+        `upper` (cols is rows) only the entries j >= i, the rest left 0."""
+        rint = [p.scaled_to_integers() for p in rows]
+        cint = rint if cols is rows else [p.scaled_to_integers() for p in cols]
+        at: dict[Exponents, int] = {}
+        for terms, _ in cint:
+            for b in terms:
+                at.setdefault(b, len(at))
+        heads = [(b, sum(b)) for b in at]
+        top = max((sum(a) for terms, _ in rint for a in terms), default=0) \
+            + max((db for _, db in heads), default=0) + sum(shift or ())
+        common = self.denominator(top)
+        lift = [common // self.denominator(k) for k in range(top + 1)]
+        numerator = self.numerator
+        lifted: dict[Exponents, list[int]] = {}
+        cvecs = [([(at[b], c) for b, c in terms.items()], q) for terms, q in cint]
+        out = []
+        for i, (terms, q) in enumerate(rint):
+            u = [0] * len(at)
+            for a, c in terms.items():
+                moments = lifted.get(a)
+                if moments is None:
+                    sa = tuple(map(add, a, shift)) if shift else a
+                    da = sum(sa)
+                    moments = lifted[a] = [numerator(tuple(map(add, sa, b))) * lift[da + db]
+                                           for b, db in heads]
+                u = [x + c * y for x, y in zip(u, moments)]
+            line = [Fraction(0)] * len(cvecs)
+            for j in range(i if upper else 0, len(cvecs)):
+                vec, r = cvecs[j]
+                line[j] = Fraction(sum(c * u[pos] for pos, c in vec), common * q * r)
+            out.append(line)
+        return out
 
 
-_TABLES: dict[tuple[Fraction, ...], _MomentTable] = {}
+_TABLES: dict[tuple[Fraction, ...], MomentTable] = {}
 
 
-def _table(gamma: ParamVector) -> _MomentTable:
+def moment_table(gamma: ParamVector) -> MomentTable:
+    """The moment table of an integrable weight, made on first use."""
     if not gamma.is_integrable:
         raise NonIntegrableWeight("weight exponents ("
                                   + ",".join(format_rational(g) for g in gamma.entries)
                                   + ") are not all > -1")
     table = _TABLES.get(gamma.entries)
     if table is None:
-        table = _TABLES[gamma.entries] = _MomentTable(gamma.entries)
+        table = _TABLES[gamma.entries] = MomentTable(gamma.entries)
     return table
-
-
-def _integer_terms(f: Polynomial) -> tuple[list[tuple[Exponents, int, int]], int]:
-    """f's terms as (exponent, degree, integer coefficient) over the common
-    denominator, which is returned alongside."""
-    terms, scale = f.scaled_to_integers()
-    return [(exp, sum(exp), c) for exp, c in terms.items()], scale
 
 
 def normalized_moment(gamma: ParamVector, a: tuple[int, ...]) -> Fraction:
     """Normalized moment of x^(a_1..a_d) (1-|x|)^(a_{d+1}) against W_gamma."""
-    table = _table(gamma)
+    table = moment_table(gamma)
     if len(a) != gamma.d + 1 or any(e < 0 for e in a):
         raise ValueError(f"bad moment index {a}")
     a = tuple(int(e) for e in a)
@@ -107,31 +130,16 @@ def integral(f: Polynomial, gamma: ParamVector) -> Fraction:
     """Normalized integral of a polynomial against W_gamma over T^d."""
     if f.dim != gamma.d:
         raise ValueError("dimension mismatch")
-    table = _table(gamma)
-    terms, scale = _integer_terms(f)
-    by_degree: dict[int, int] = {}
-    for exp, deg, c in terms:
-        by_degree[deg] = by_degree.get(deg, 0) + c * table.numerator(exp)
-    return table.combine(by_degree, scale)
+    return moment_table(gamma).pairings([f], [Polynomial.constant(f.dim, 1)])[0][0]
 
 
 def inner_product(f: Polynomial, g: Polynomial, gamma: ParamVector) -> Fraction:
-    """Normalized L^2(W_gamma) pairing of two polynomials, sum_a c_a sum_b d_b
-    m(a+b), without forming f*g."""
+    """Normalized L^2(W_gamma) pairing of two polynomials, without forming f*g."""
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if f.dim != gamma.d:
         raise ValueError("dimension mismatch")
-    table = _table(gamma)
-    fterms, fscale = _integer_terms(f)
-    gterms, gscale = _integer_terms(g)
-    numerator = table.numerator
-    by_degree: dict[int, int] = {}
-    for a, adeg, c in fterms:
-        for b, bdeg, e in gterms:
-            deg = adeg + bdeg
-            by_degree[deg] = by_degree.get(deg, 0) + c * e * numerator(tuple(map(add, a, b)))
-    return table.combine(by_degree, fscale * gscale)
+    return moment_table(gamma).pairings([f], [g])[0][0]
 
 
 def face_inner_product(f: Polynomial, g: Polynomial, face: FaceId,

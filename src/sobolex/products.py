@@ -1,4 +1,14 @@
-"""Every bilinear form in the package, plus Gram machinery.
+"""Every bilinear form in the package, as a list of terms, plus Gram machinery.
+
+A form is a sum of terms lam * <A f, A g x^s>_W.  The image A differentiates
+(a multi-index or a directional combination) and may restrict to a face of
+T^d; W is the term's base weight and x^s an optional monomial multiplier on
+the right-hand factor.  A term without a weight is a scalar product
+lam * A(f) A(g) of point values.  Each class only lists its terms; one
+evaluator computes every value and Gram matrix from them.  It maps each row
+and each column polynomial through each term once, keeps the images as
+integer coefficients over a common denominator, and pairs them by moment sums
+(`MomentTable.pairings`), so no polynomial is built per pair.
 
 Each integral term is Dirichlet-normalized against its own displayed base
 weight (the monomial factors such as x_i inside a summand belong to the
@@ -12,14 +22,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DependentInput
 from .linalg import leading_principal_minors
-from .moments import face_inner_product, inner_product, integral, vertex_eval
-from .polynomials import FaceId, Polynomial
+from .moments import MomentTable, moment_table, vertex_eval
+from .polynomials import Exponents, Polynomial
 from .scalars import Rational, as_fraction, format_rational
 from .weighted import ParamVector
+
+ONE = Fraction(1)
 
 
 def mass_ratio(params: ParamVector) -> str:
@@ -33,7 +46,74 @@ def mass_ratio(params: ParamVector) -> str:
     return f"Gamma({num})/({den})"
 
 
-class ClassicalProduct:
+class Term(NamedTuple):
+    """lam * <image(f), image(g) x^right> against `weight`, or, when weight is
+    None, lam * image(f) * image(g) for a point value."""
+
+    lam: Fraction
+    image: Callable[[Polynomial], Polynomial | Fraction]
+    weight: MomentTable | None
+    right: Exponents | None = None
+
+
+def _weight(entries: Sequence[Rational]) -> MomentTable:
+    return moment_table(ParamVector(entries))
+
+
+def _derivative(axes: Iterable[int], zeroed: Iterable[int] = ()) -> Callable:
+    """f -> the partial derivative of f along `axes`, restricted to the face
+    where the coordinates `zeroed` vanish (index d: 1-|x| = 0)."""
+    axes, zeroed = tuple(axes), frozenset(zeroed)
+    if zeroed:
+        return lambda f: f.partials(axes).restrict(zeroed)
+    return lambda f: f.partials(axes)
+
+
+def _vertex(j: int) -> Callable:
+    """f -> f at vertex e_j of T^d, e_0 the origin."""
+    return lambda f: vertex_eval(f, j)
+
+
+class _TermForm:
+    """A bilinear form given by the list `terms()`."""
+
+    dim: int
+
+    @cached_property
+    def _terms(self) -> list[Term]:
+        return [t for t in self.terms() if t.lam]
+
+    def matrix(self, rows: Sequence[Polynomial],
+               cols: Sequence[Polynomial] | None = None) -> list[list[Fraction]]:
+        """Entry (i, j) is the form at (rows[i], cols[j]); cols None means
+        cols = rows, where only j >= i is paired and the rest mirrored."""
+        same = cols is None
+        for p in itertools.chain(rows, () if same else cols):
+            if p.dim != self.dim:
+                raise ValueError(f"dimension mismatch: {p.dim} vs {self.dim}")
+        out = [[Fraction(0)] * len(rows if same else cols) for _ in rows]
+        for lam, image, weight, right in self._terms:
+            a = [image(f) for f in rows]
+            b = a if same else [image(g) for g in cols]
+            if weight is None:
+                block = [[x * y for y in b] for x in a]
+            else:
+                block = weight.pairings(a, b, right, upper=same)
+            for line, values in zip(out, block):
+                for j, v in enumerate(values):
+                    if v:
+                        line[j] += lam * v
+        if same:
+            for i, line in enumerate(out):
+                for j in range(i):
+                    line[j] = out[j][i]
+        return out
+
+    def value(self, f: Polynomial, g: Polynomial) -> Fraction:
+        return self.matrix([f], [g])[0][0]
+
+
+class ClassicalProduct(_TermForm):
     """The plain normalized pairing against an integrable simplex weight."""
 
     kind = "classical"
@@ -46,15 +126,15 @@ class ClassicalProduct:
     def is_valid(self) -> bool:
         return self.gamma.is_integrable
 
-    def value(self, f: Polynomial, g: Polynomial) -> Fraction:
-        return inner_product(f, g, self.gamma)
+    def terms(self) -> list[Term]:
+        return [Term(ONE, _derivative(()), moment_table(self.gamma))]
 
     def describe(self) -> dict:
         return {"kind": self.kind, "gamma": self.gamma.to_json(),
                 "normalization": {"main": mass_ratio(self.gamma)}}
 
 
-class DerivativeProduct:
+class DerivativeProduct(_TermForm):
     """Classical pairing plus weighted pairings of order-j mixed derivatives.
 
     For every subset S of coordinates with 1 <= |S| <= order, adds
@@ -75,24 +155,18 @@ class DerivativeProduct:
         self.lambdas = {frozenset(k): as_fraction(v)
                         for k, v in (lambdas or {}).items()}
 
-    def _lam(self, subset: frozenset[int]) -> Fraction:
-        return self.lambdas.get(subset, Fraction(1))
-
     @property
     def is_valid(self) -> bool:
         return self.gamma.is_integrable and all(v >= 0 for v in self.lambdas.values())
 
-    def value(self, f: Polynomial, g: Polynomial) -> Fraction:
-        total = inner_product(f, g, self.gamma)
+    def terms(self) -> list[Term]:
+        out = [Term(ONE, _derivative(()), moment_table(self.gamma))]
         for j in range(1, self.order + 1):
             for subset in itertools.combinations(range(self.dim), j):
-                lam = self._lam(frozenset(subset))
-                if not lam:
-                    continue
                 deltas = [1 if i in subset else 0 for i in range(self.dim)] + [j]
-                shifted = self.gamma.shifted(deltas)
-                total += lam * inner_product(f.partials(subset), g.partials(subset), shifted)
-        return total
+                out.append(Term(self.lambdas.get(frozenset(subset), ONE), _derivative(subset),
+                                moment_table(self.gamma.shifted(deltas))))
+        return out
 
     def describe(self) -> dict:
         norms = {"main": mass_ratio(self.gamma)}
@@ -107,13 +181,14 @@ class DerivativeProduct:
                 "normalization": norms}
 
 
-class SingularProduct:
+class SingularProduct(_TermForm):
     """The Sobolev pairing attached to a weight whose trailing k exponents are -1.
 
     Parameters: dim d, the leading exponents `tail` (length d+1-k, all > -1),
     and the coefficient families
       lam       -- the boundary/vertex coefficient of the final term (k <= d),
-      lam_axis  -- per-coordinate coefficients of the gradient face term,
+      lam_axis  -- per-coordinate coefficients of the gradient face term
+                   (1 < k <= d; at k = 1 the gradient term has coefficient 1),
       lam_face  -- per-subset coefficients of the intermediate face terms,
       lam_vertex -- vertex coefficients lam_{j,0}, j = 0..d (k = d+1 only).
     All default to 1.
@@ -145,9 +220,6 @@ class SingularProduct:
         if len(self.lam_vertex) != dim + 1:
             raise ValueError("lam_vertex has wrong length")
 
-    def _face_lam(self, subset: frozenset[int]) -> Fraction:
-        return self.lam_face.get(subset, Fraction(1))
-
     @property
     def full_params(self) -> ParamVector:
         return ParamVector(self.tail + (Fraction(-1),) * self.k)
@@ -165,80 +237,34 @@ class SingularProduct:
         # the trailing k-1 true-coordinate axes, zero-based
         return list(range(self.dim - self.k + 1, self.dim))
 
-    def value(self, f: Polynomial, g: Polynomial) -> Fraction:
-        if f.dim != self.dim or g.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        if self.k == 1:
-            return self._value_k1(f, g)
-        if self.k == self.dim + 1:
-            return self._value_full(f, g)
-        return self._value_mid(f, g)
-
-    def _value_k1(self, f: Polynomial, g: Polynomial) -> Fraction:
-        d = self.dim
-        grad = Polynomial.zero(d)
-        for i in range(d):
-            grad = grad + Polynomial.variable(d, i) * f.partial(i) * g.partial(i)
-        total = integral(grad, ParamVector(self.tail + (Fraction(0),)))
-        if self.lam:
-            if d == 1:
-                total += self.lam * vertex_eval(f, 1) * vertex_eval(g, 1)
-            else:
-                face = FaceId(d, frozenset({d}))
-                total += self.lam * face_inner_product(f, g, face, ParamVector(self.tail))
-        return total
-
-    def _value_mid(self, f: Polynomial, g: Polynomial) -> Fraction:
-        d, k = self.dim, self.k
-        mk = self._mk
-        total = inner_product(
-            f.partials(mk), g.partials(mk),
-            ParamVector(self.tail + (Fraction(0),) * (k - 1) + (Fraction(k - 2),)))
-        for i in range(1, k - 1):
-            for subset in itertools.combinations(mk, i):
-                lam = self._face_lam(frozenset(subset))
-                if not lam:
-                    continue
-                face = FaceId(d, frozenset(mk) - frozenset(subset))
-                fp = ParamVector(self.tail + (Fraction(0),) * i + (Fraction(i - 1),))
-                total += lam * face_inner_product(f.partials(subset), g.partials(subset), face, fp)
-        face3 = FaceId(d, frozenset(mk))
-        fd = face3.dim
-        grad = Polynomial.zero(fd)
-        for i in range(d - k + 1):
-            lam = self.lam_axis[i]
-            if not lam:
-                continue
-            grad = grad + lam * Polynomial.variable(fd, i) \
-                * face3.restrict(f.partial(i)) * face3.restrict(g.partial(i))
-        total += integral(grad, ParamVector(self.tail + (Fraction(0),)))
-        if self.lam:
-            if k == d:
-                total += self.lam * vertex_eval(f, 1) * vertex_eval(g, 1)
-            else:
-                face4 = FaceId(d, frozenset(mk) | {d})
-                total += self.lam * face_inner_product(f, g, face4, ParamVector(self.tail))
-        return total
-
-    def _value_full(self, f: Polynomial, g: Polynomial) -> Fraction:
-        d = self.dim
-        axes = list(range(d))
-        total = inner_product(
-            f.partials(axes), g.partials(axes),
-            ParamVector((Fraction(0),) * d + (Fraction(d - 1),)))
-        for i in range(1, d):
+    def _derivative_terms(self, axes: list[int]) -> list[Term]:
+        """The main term (every axis differentiated) and the face terms (a
+        nonempty proper subset S differentiated, the other axes zeroed)."""
+        tail, n = self.tail, len(axes)
+        out = [Term(ONE, _derivative(axes), _weight(tail + (0,) * n + (n - 1,)))]
+        for i in range(1, n):
             for subset in itertools.combinations(axes, i):
-                lam = self._face_lam(frozenset(subset))
-                if not lam:
-                    continue
-                face = FaceId(d, frozenset(axes) - frozenset(subset))
-                fp = ParamVector((Fraction(0),) * i + (Fraction(i - 1),))
-                total += lam * face_inner_product(f.partials(subset), g.partials(subset), face, fp)
-        for j in range(d + 1):
-            lam = self.lam_vertex[j]
-            if lam:
-                total += lam * vertex_eval(f, j) * vertex_eval(g, j)
-        return total
+                out.append(Term(self.lam_face.get(frozenset(subset), ONE),
+                                _derivative(subset, set(axes) - set(subset)),
+                                _weight(tail + (0,) * i + (i - 1,))))
+        return out
+
+    def terms(self) -> list[Term]:
+        d, k, tail = self.dim, self.k, self.tail
+        if k == d + 1:
+            return self._derivative_terms(list(range(d))) + [
+                Term(lam, _vertex(j), None) for j, lam in enumerate(self.lam_vertex)]
+        mk = self._mk
+        out = self._derivative_terms(mk) if k > 1 else []
+        # gradient term on the face where the trailing k-1 axes vanish
+        fd = d - k + 1
+        lams = self.lam_axis if k > 1 else (ONE,) * fd
+        gradient = _weight(tail + (0,))
+        out += [Term(lams[i], _derivative((i,), mk), gradient,
+                     tuple(int(j == i) for j in range(fd))) for i in range(fd)]
+        if k == d:
+            return out + [Term(self.lam, _vertex(1), None)]
+        return out + [Term(self.lam, _derivative((), mk + [d]), _weight(tail))]
 
     def _normalizations(self) -> dict[str, str]:
         d, k = self.dim, self.k
@@ -286,7 +312,7 @@ class SingularProduct:
 
 # -- named forms on the triangle ---------------------------------------------
 
-class TriangleGammaSingular:
+class TriangleGammaSingular(_TermForm):
     """d = 2 form for exponents (alpha, beta, -1): gradient term plus the
     hypotenuse integral."""
 
@@ -301,20 +327,19 @@ class TriangleGammaSingular:
     def is_valid(self) -> bool:
         return self.lam1 > 0 and self.alpha > -1 and self.beta > -1
 
-    def value(self, f: Polynomial, g: Polynomial) -> Fraction:
-        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-        grad = x * f.partial(0) * g.partial(0) + y * f.partial(1) * g.partial(1)
-        total = integral(grad, ParamVector([self.alpha, self.beta, 0]))
-        face = FaceId(2, frozenset({2}))
-        total += self.lam1 * face_inner_product(f, g, face, ParamVector([self.alpha, self.beta]))
-        return total
+    def terms(self) -> list[Term]:
+        a, b = self.alpha, self.beta
+        grad = _weight((a, b, 0))
+        return [Term(ONE, _derivative((0,)), grad, (1, 0)),
+                Term(ONE, _derivative((1,)), grad, (0, 1)),
+                Term(self.lam1, _derivative((), (2,)), _weight((a, b)))]
 
     def describe(self) -> dict:
         return {"kind": self.kind, "alpha": format_rational(self.alpha),
                 "beta": format_rational(self.beta), "lambda1": format_rational(self.lam1)}
 
 
-class TriangleBetaGammaSingular:
+class TriangleBetaGammaSingular(_TermForm):
     """d = 2 form for exponents (alpha, -1, -1)."""
 
     kind = "triangle[a,-1,-1]"
@@ -328,21 +353,18 @@ class TriangleBetaGammaSingular:
     def is_valid(self) -> bool:
         return self.lam1 > 0 and self.lam10 > 0 and self.alpha > -1
 
-    def value(self, f: Polynomial, g: Polynomial) -> Fraction:
-        total = inner_product(f.partial(1), g.partial(1), ParamVector([self.alpha, 0, 0]))
-        face = FaceId(2, frozenset({1}))
-        x1 = Polynomial.variable(1, 0)
-        edge = x1 * face.restrict(f.partial(0)) * face.restrict(g.partial(0))
-        total += self.lam1 * integral(edge, ParamVector([self.alpha, 0]))
-        total += self.lam10 * vertex_eval(f, 1) * vertex_eval(g, 1)
-        return total
+    def terms(self) -> list[Term]:
+        a = self.alpha
+        return [Term(ONE, _derivative((1,)), _weight((a, 0, 0))),
+                Term(self.lam1, _derivative((0,), (1,)), _weight((a, 0)), (1,)),
+                Term(self.lam10, _vertex(1), None)]
 
     def describe(self) -> dict:
         return {"kind": self.kind, "alpha": format_rational(self.alpha),
                 "lambda1": format_rational(self.lam1), "lambda10": format_rational(self.lam10)}
 
 
-class TriangleAllSingular:
+class TriangleAllSingular(_TermForm):
     """d = 2 form for exponents (-1, -1, -1): mixed second derivative, two
     edge integrals, three vertex terms."""
 
@@ -361,18 +383,14 @@ class TriangleAllSingular:
                 and any(v > 0 for v in (self.lam10, self.lam01, self.lam00))
                 and all(v >= 0 for v in (self.lam10, self.lam01, self.lam00)))
 
-    def value(self, f: Polynomial, g: Polynomial) -> Fraction:
-        total = inner_product(f.partials([0, 1]), g.partials([0, 1]), ParamVector([0, 0, 1]))
-        edge_y0 = FaceId(2, frozenset({1}))
-        total += self.lam1 * face_inner_product(f.partial(0), g.partial(0),
-                                                edge_y0, ParamVector([0, 0]))
-        edge_x0 = FaceId(2, frozenset({0}))
-        total += self.lam2 * face_inner_product(f.partial(1), g.partial(1),
-                                                edge_x0, ParamVector([0, 0]))
-        total += self.lam10 * vertex_eval(f, 1) * vertex_eval(g, 1)
-        total += self.lam01 * vertex_eval(f, 2) * vertex_eval(g, 2)
-        total += self.lam00 * vertex_eval(f, 0) * vertex_eval(g, 0)
-        return total
+    def terms(self) -> list[Term]:
+        edge = _weight((0, 0))
+        return [Term(ONE, _derivative((0, 1)), _weight((0, 0, 1))),
+                Term(self.lam1, _derivative((0,), (1,)), edge),
+                Term(self.lam2, _derivative((1,), (0,)), edge),
+                Term(self.lam10, _vertex(1), None),
+                Term(self.lam01, _vertex(2), None),
+                Term(self.lam00, _vertex(0), None)]
 
     def describe(self) -> dict:
         return {"kind": self.kind,
@@ -380,7 +398,7 @@ class TriangleAllSingular:
                            (self.lam1, self.lam2, self.lam10, self.lam01, self.lam00)]}
 
 
-class TriangleFirstTwoSingular:
+class TriangleFirstTwoSingular(_TermForm):
     """d = 2 form for exponents (-1, -1, gamma): the symmetric variant with a
     directional derivative and two edge integrals."""
 
@@ -399,18 +417,13 @@ class TriangleFirstTwoSingular:
                 and (self.lam1 > 0 or self.lam2 > 0)
                 and self.lam1 >= 0 and self.lam2 >= 0)
 
-    def value(self, f: Polynomial, g: Polynomial) -> Fraction:
-        df = f.partial(1) - f.partial(0)
-        dg = g.partial(1) - g.partial(0)
-        total = inner_product(df, dg, ParamVector([0, 0, self.gamma_exp]))
-        edge_y0 = FaceId(2, frozenset({1}))
-        total += self.lam1 * face_inner_product(f.partial(0), g.partial(0),
-                                                edge_y0, ParamVector([0, self.gamma_exp + 1]))
-        edge_x0 = FaceId(2, frozenset({0}))
-        total += self.lam2 * face_inner_product(f.partial(1), g.partial(1),
-                                                edge_x0, ParamVector([0, self.gamma_exp + 1]))
-        total += self.lam00 * vertex_eval(f, 0) * vertex_eval(g, 0)
-        return total
+    def terms(self) -> list[Term]:
+        c = self.gamma_exp
+        edge = _weight((0, c + 1))
+        return [Term(ONE, lambda f: f.partial(1) - f.partial(0), _weight((0, 0, c))),
+                Term(self.lam1, _derivative((0,), (1,)), edge),
+                Term(self.lam2, _derivative((1,), (0,)), edge),
+                Term(self.lam00, _vertex(0), None)]
 
     def describe(self) -> dict:
         return {"kind": self.kind, "gamma": format_rational(self.gamma_exp),
@@ -419,13 +432,16 @@ class TriangleFirstTwoSingular:
 
 # -- one-variable Sobolev forms ----------------------------------------------
 
-def _to_unit_interval(h: Polynomial) -> Polynomial:
-    """Compose a polynomial on [-1,1] with x = 2u-1."""
-    sub = Polynomial(1, {(0,): Fraction(-1), (1,): Fraction(2)})
-    return h.substitute(0, sub)
+def _interval_derivative(f: Polynomial) -> Polynomial:
+    """f' for f on [-1,1], composed with x = 2u-1 onto [0,1]."""
+    return f.partial(0).substitute(0, Polynomial(1, {(0,): Fraction(-1), (1,): Fraction(2)}))
 
 
-class JacobiSingularBeta:
+def _at(x: int) -> Callable:
+    return lambda f: f.evaluate([x])
+
+
+class JacobiSingularBeta(_TermForm):
     """[-1,1] form λ f(1)g(1) + normalized ∫ (1+x)^{β+1} f'g' dx."""
 
     kind = "jacobi[-1,b]"
@@ -439,18 +455,16 @@ class JacobiSingularBeta:
     def is_valid(self) -> bool:
         return self.lam > 0 and self.beta > -1
 
-    def value(self, f: Polynomial, g: Polynomial) -> Fraction:
-        total = self.lam * f.evaluate([1]) * g.evaluate([1])
-        prod = _to_unit_interval(f.partial(0) * g.partial(0))
-        total += integral(prod, ParamVector([self.beta + 1, 0]))
-        return total
+    def terms(self) -> list[Term]:
+        return [Term(self.lam, _at(1), None),
+                Term(ONE, _interval_derivative, _weight((self.beta + 1, 0)))]
 
     def describe(self) -> dict:
         return {"kind": self.kind, "beta": format_rational(self.beta),
                 "lambda": format_rational(self.lam)}
 
 
-class JacobiSingularBoth:
+class JacobiSingularBoth(_TermForm):
     """[-1,1] form λ1 f(1)g(1) + λ2 f(-1)g(-1) + normalized ∫ f'g' dx."""
 
     kind = "jacobi[-1,-1]"
@@ -464,12 +478,9 @@ class JacobiSingularBoth:
         return (self.lam1 >= 0 and self.lam2 >= 0
                 and (self.lam1 > 0 or self.lam2 > 0))
 
-    def value(self, f: Polynomial, g: Polynomial) -> Fraction:
-        total = self.lam1 * f.evaluate([1]) * g.evaluate([1])
-        total += self.lam2 * f.evaluate([-1]) * g.evaluate([-1])
-        prod = _to_unit_interval(f.partial(0) * g.partial(0))
-        total += integral(prod, ParamVector([0, 0]))
-        return total
+    def terms(self) -> list[Term]:
+        return [Term(self.lam1, _at(1), None), Term(self.lam2, _at(-1), None),
+                Term(ONE, _interval_derivative, _weight((0, 0)))]
 
     def describe(self) -> dict:
         return {"kind": self.kind,
@@ -528,23 +539,15 @@ class GramReport:
         }
 
 
-def gram(product, rows: Sequence[tuple[str, Polynomial]],
+def gram(product: _TermForm, rows: Sequence[tuple[str, Polynomial]],
          cols: Sequence[tuple[str, Polynomial]] | None = None) -> GramReport:
     """Exact Gram matrix of labeled polynomials under any product object."""
     rows = list(rows)
-    cols = rows if cols is None else list(cols)
-    same = cols is rows
-    matrix: list[list[Fraction]] = []
-    for i, (_, f) in enumerate(rows):
-        line = []
-        for j, (_, g) in enumerate(cols):
-            if same and j < i:
-                line.append(matrix[j][i])
-            else:
-                line.append(product.value(f, g))
-        matrix.append(line)
+    cols = None if cols is None else list(cols)
+    matrix = product.matrix([p for _, p in rows],
+                            None if cols is None else [p for _, p in cols])
     return GramReport(product.describe(), [lab for lab, _ in rows],
-                      [lab for lab, _ in cols], matrix)
+                      [lab for lab, _ in (rows if cols is None else cols)], matrix)
 
 
 def labeled(polys: Sequence[Polynomial], prefix: str = "p") -> list[tuple[str, Polynomial]]:

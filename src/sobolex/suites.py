@@ -16,7 +16,7 @@ from .bases import (all_orders, biorthogonal_constant, eigencheck,
                     monomial_basis, monomial_element, permuted_basis,
                     permuted_element, rodrigues_basis, rodrigues_element)
 from .linalg import in_span, poly_rank, spans_equal
-from .moments import inner_product, integral
+from .moments import integral
 from .polynomials import Polynomial, complement, monomials_of_degree, monomials_up_to
 from .products import (ClassicalProduct, DerivativeProduct, JacobiSingularBeta,
                        JacobiSingularBoth, SingularProduct, TriangleAllSingular,
@@ -71,6 +71,11 @@ def _scaled(mult: Polynomial, polys: list[Polynomial]) -> list[Polynomial]:
     return [mult * p for p in polys]
 
 
+def _orthogonal(product, polys: list[Polynomial], others: list[Polynomial]) -> bool:
+    """Every polynomial in `polys` pairs to zero with every one in `others`."""
+    return gram(product, labeled(polys), labeled(others)).all_zero
+
+
 # ---------------------------------------------------------------------------
 # one-variable families
 # ---------------------------------------------------------------------------
@@ -102,10 +107,9 @@ def suite_jacobi(n_max: int = 5) -> dict:
                 want = jacobi_norm(n, a, b) if n == m else Fraction(0)
                 ortho_ok = ortho_ok and val == want
         _add(checks, f"orthogonality+norm[{tag}]", ortho_ok)
+        shifted = [jacobi_shifted(n, a, b) for n in range(n_max + 1)]
         _add(checks, f"shifted-orthogonality[{tag}]",
-             all(inner_product(jacobi_shifted(n, a, b), jacobi_shifted(m, a, b),
-                               shifted_params) == 0
-                 for n in range(n_max + 1) for m in range(n)))
+             gram(ClassicalProduct(shifted_params), labeled(shifted)).diagonal)
     for b in (Fraction(0), HALF, Fraction(2)):
         fam = [jacobi_negative_one_beta(n, b) for n in range(n_max + 1)]
         tag = f"b={format_rational(b)}"
@@ -183,19 +187,18 @@ def suite_rodrigue(d: int = 2, n_max: int = 4,
     orders = all_orders(d)
     for gamma in gammas:
         tag = _gamma_tag(gamma)
+        classical = ClassicalProduct(gamma)
         eig_ok = ortho_ok = True
         for n in range(n_max + 1):
             families = [rodrigues_basis(gamma, n), monomial_basis(gamma, n)]
             families += [permuted_basis(gamma, order, n) for order in orders]
             lower = _monomial_polys(d, n - 1)
             for fam in families:
-                for _, p in fam.elements:
-                    eig_ok = eig_ok and eigencheck(gamma, p, n)
-                    ortho_ok = ortho_ok and all(
-                        inner_product(p, q, gamma) == 0 for q in lower)
+                eig_ok = eig_ok and all(eigencheck(gamma, p, n) for p in fam.polys())
+                ortho_ok = ortho_ok and _orthogonal(classical, fam.polys(), lower)
         _add(checks, f"eigenfunctions[{tag}]", eig_ok)
         _add(checks, f"orthogonal-to-lower-degree[{tag}]", ortho_ok)
-        rep = gram(ClassicalProduct(gamma), labeled(_monomial_polys(d, n_max), "m"))
+        rep = gram(classical, labeled(_monomial_polys(d, n_max), "m"))
         _add(checks, f"gram-positive-definite[{tag}]", bool(rep.positive_definite))
     zeros = tuple(Fraction(0) for _ in range(d))
     halves = tuple(HALF for _ in range(d))
@@ -207,11 +210,10 @@ def suite_rodrigue(d: int = 2, n_max: int = 4,
             gamma_sing = ParamVector(list(lead) + [-1] * m_len)
             gamma_zero = ParamVector(list(lead) + [0] * m_len)
             for n in range(m_len + 1, n_max + 1):
-                lower = _monomial_polys(d, n - m_len - 1)
-                for nu in monomials_of_degree(d, n):
-                    p = rodrigues_element(gamma_sing, nu)
-                    ok = ok and all(inner_product(p, q, gamma_zero) == 0
-                                    for q in lower)
+                elems = [rodrigues_element(gamma_sing, nu)
+                         for nu in monomials_of_degree(d, n)]
+                ok = ok and _orthogonal(ClassicalProduct(gamma_zero), elems,
+                                        _monomial_polys(d, n - m_len - 1))
         _add(checks, f"partial-orthogonality[{label}]", ok)
     return _result("rodrigue", {"d": d, "n_max": n_max,
                                 "gammas": [_gamma_tag(g) for g in gammas]}, checks)
@@ -241,19 +243,18 @@ def suite_monomial(d: int = 2, n_max: int = 4,
         _add(checks, f"derivative-identity[{tag}]", diff_ok)
         bi_ok = True
         for n in range(min(n_max, 3) + 1):
-            for nu, p in rodrigues_basis(gamma, n).elements:
-                for mu in monomials_of_degree(d, n):
-                    want = biorthogonal_constant(gamma, nu) if mu == nu else Fraction(0)
-                    bi_ok = bi_ok and inner_product(
-                        p, monomial_element(gamma, mu), gamma) == want
+            basis = rodrigues_basis(gamma, n)
+            mus = monomials_of_degree(d, n)
+            rep = gram(ClassicalProduct(gamma), labeled(basis.polys()),
+                       labeled([monomial_element(gamma, mu) for mu in mus]))
+            bi_ok = bi_ok and all(
+                v == (biorthogonal_constant(gamma, nu) if mu == nu else 0)
+                for (nu, _), line in zip(basis.elements, rep.matrix)
+                for mu, v in zip(mus, line))
         _add(checks, f"biorthogonality[{tag}]", bi_ok)
         for order in range(1, d + 1):
             product = DerivativeProduct(gamma, order)
-            epd_ok = all(
-                product.value(monomial_element(gamma, nu), q) == 0
-                for n in range(1, n_max + 1)
-                for nu in monomials_of_degree(d, n)
-                for q in _monomial_polys(d, n - 1))
+            epd_ok = all(_monic_orthogonal(product, gamma, n) for n in range(1, n_max + 1))
             _add(checks, f"derivative-product-orthogonality[{tag},m={order}]", epd_ok)
     lead = tuple(HALF for _ in range(d)) if d == 1 else tuple(Fraction(0) for _ in range(d))
     sing = ParamVector(list(lead) + [-1])
@@ -263,14 +264,16 @@ def suite_monomial(d: int = 2, n_max: int = 4,
             v = monomial_element(sing, nu)
             sing_ok = sing_ok and v.coefficient(nu) == 1 and eigencheck(sing, v, n)
     spro = SingularProduct(d, lead, 1)
-    sob_ok = all(
-        spro.value(monomial_element(sing, nu), q) == 0
-        for n in range(1, n_max + 1)
-        for nu in monomials_of_degree(d, n)
-        for q in _monomial_polys(d, n - 1))
+    sob_ok = all(_monic_orthogonal(spro, sing, n) for n in range(1, n_max + 1))
     _add(checks, f"last-exponent-singular[{_gamma_tag(sing)}]", sing_ok and sob_ok)
     return _result("monomial", {"d": d, "n_max": n_max,
                                 "gammas": [_gamma_tag(g) for g in gammas]}, checks)
+
+
+def _monic_orthogonal(product, gamma: ParamVector, n: int) -> bool:
+    """Every degree-n monic element is orthogonal to the lower-degree monomials."""
+    monic = [monomial_element(gamma, nu) for nu in monomials_of_degree(gamma.d, n)]
+    return _orthogonal(product, monic, _monomial_polys(gamma.d, n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -494,21 +497,23 @@ def suite_thm31(n_max: int = 4) -> dict:
             ok = ok and poly_rank(elems) == n + 1 == len(elems)
     _add(checks, "permuted-singular-pair", ok)
 
-    probes = _monomial_polys(2, 3)
+    probes = labeled(_monomial_polys(2, 3), "m")
+
+    def same_gram(named, general, general_probes=probes) -> bool:
+        return gram(named, probes).matrix == gram(general, general_probes).matrix
+
     ok = True
     for a, b in samples:
         named = TriangleGammaSingular(a, b, Fraction(2))
         general = SingularProduct(2, (a, b), 1, lam=Fraction(2))
-        ok = ok and all(named.value(f, g) == general.value(f, g)
-                        for f in probes for g in probes)
+        ok = ok and same_gram(named, general)
     _add(checks, "named-vs-general-k1", ok)
 
     ok = True
     for a in (Fraction(0), HALF):
         named = TriangleBetaGammaSingular(a, Fraction(2), Fraction(3))
         general = SingularProduct(2, (a,), 2, lam=Fraction(3), lam_axis=(Fraction(2),))
-        ok = ok and all(named.value(f, g) == general.value(f, g)
-                        for f in probes for g in probes)
+        ok = ok and same_gram(named, general)
     _add(checks, "named-vs-general-k2", ok)
 
     named = TriangleAllSingular(Fraction(2), Fraction(3), Fraction(5),
@@ -517,21 +522,17 @@ def suite_thm31(n_max: int = 4) -> dict:
                               lam_face={frozenset({0}): Fraction(2),
                                         frozenset({1}): Fraction(3)},
                               lam_vertex=(Fraction(11), Fraction(5), Fraction(7)))
-    _add(checks, "named-vs-general-k3",
-         all(named.value(f, g) == general.value(f, g)
-             for f in probes for g in probes))
+    _add(checks, "named-vs-general-k3", same_gram(named, general))
 
     # The named edge term integrates against (1-y)^{c+1} while the general
     # construction integrates u * (...) against u^c; the two per-term masses
     # differ by (c+2)/(c+1), absorbed into the free coefficient.
+    reflected = [(label, _reflect_params(f)) for label, f in probes]
     ok = True
     for c in (Fraction(0), HALF):
         named = TriangleFirstTwoSingular(c, 0, 2 * (c + 1) / (c + 2), Fraction(3))
         general = SingularProduct(2, (c,), 2, lam=Fraction(3), lam_axis=(Fraction(2),))
-        for f in probes:
-            for g in probes:
-                ok = ok and named.value(f, g) \
-                    == general.value(_reflect_params(f), _reflect_params(g))
+        ok = ok and same_gram(named, general, reflected)
     _add(checks, "named-vs-general-symmetric-variant", ok)
 
     ok = True
@@ -544,17 +545,15 @@ def suite_thm31(n_max: int = 4) -> dict:
                 elems = _scaled(x * y, rodrigues_basis(ParamVector([1, 1, c]), n - 2).polys())
                 elems += [x * rodrigues_element(ParamVector([1, 0, c]), (n - 1, 0))]
                 elems += [y * rodrigues_element(ParamVector([0, 1, c]), (0, n - 1))]
-                ok = ok and all(form.value(p, q) == 0 for p in elems
-                                for q in _monomial_polys(2, n - 1))
+                ok = ok and _orthogonal(form, elems, _monomial_polys(2, n - 1))
     _add(checks, "symmetric-variant-orthogonality", ok)
 
     ok = True
     for a, b in samples:
         named = TriangleGammaSingular(a, b, Fraction(1))
         for n in range(n_max + 1):
-            for p in u_space(2, (a, b), 1, n).polys():
-                ok = ok and all(named.value(p, q) == 0
-                                for q in _monomial_polys(2, n - 1))
+            ok = ok and _orthogonal(named, u_space(2, (a, b), 1, n).polys(),
+                                    _monomial_polys(2, n - 1))
     _add(checks, "named-k1-orthogonality", ok)
     return _result("thm31", {"n_max": n_max}, checks)
 
@@ -595,9 +594,8 @@ def suite_thm34(d: int = 2, n_max: int = 4,
             dprime = d - len(zset)
             restr_ok = restr_ok and poly_rank(restricted) \
                 == comb(n + dprime - 1, n) == len(restricted)
-            restr_ok = restr_ok and all(
-                inner_product(r, Polynomial.monomial(dprime, e), fparams) == 0
-                for r in restricted for e in monomials_up_to(dprime, n - 1))
+            restr_ok = restr_ok and _orthogonal(ClassicalProduct(fparams), restricted,
+                                                _monomial_polys(dprime, n - 1))
     _add(checks, "face-restriction-law", restr_ok)
 
     indep_ok = True
@@ -650,8 +648,7 @@ def suite_thm36(d: int = 2, n_max: int = 4,
         core = _scaled(complement(d),
                        rodrigues_basis(ParamVector(list(tail0) + [1]), n - 1).polys())
         top = h_space(ParamVector(list(tail0) + [0]), [d], n).polys()
-        block_ok = block_ok and all(product.value(p, q) == 0
-                                    for p in core for q in top)
+        block_ok = block_ok and _orthogonal(product, core, top)
     _add(checks, "k1-block-orthogonality", block_ok)
     if d >= 2:
         lams = tuple(Fraction(j + 1, 2) for j in range(d + 1))
@@ -668,10 +665,13 @@ def suite_thm36(d: int = 2, n_max: int = 4,
 
 SUITE_NAMES = ("jacobi", "triangle", "rodrigue", "monomial", "lemmas4",
                "thm31", "thm34", "thm36", "all")
+GAMMA_SUITES = ("triangle", "rodrigue", "monomial", "lemmas4")
 
 
 def run_suite(name: str, d: int = 2, n_max: int = 3,
-              gammas: list[ParamVector] | None = None, threads: int = 1) -> dict:
+              gammas: list[ParamVector] | None = None) -> dict:
+    if gammas is not None and name not in GAMMA_SUITES:
+        raise ValueError(f"suite {name!r} does not take --gamma")
     if name == "jacobi":
         return suite_jacobi(n_max=max(n_max, 5))
     if name == "triangle":
@@ -689,19 +689,14 @@ def run_suite(name: str, d: int = 2, n_max: int = 3,
     if name == "thm36":
         return suite_thm36(d=d, n_max=n_max)
     if name == "all":
-        return run_all(d=d, n_max=n_max, threads=threads)
+        return run_all(d=d, n_max=n_max)
     raise ValueError(f"unknown suite {name!r}")
 
 
-def run_all(d: int = 2, n_max: int = 3, threads: int = 1) -> dict:
+def run_all(d: int = 2, n_max: int = 3) -> dict:
     names = ["jacobi", "rodrigue", "monomial", "lemmas4", "thm34", "thm36"]
     if d == 2:
         names[1:1] = ["triangle", "thm31"]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda nm: run_suite(nm, d=d, n_max=n_max), names))
-    else:
-        results = [run_suite(nm, d=d, n_max=n_max) for nm in names]
+    results = [run_suite(nm, d=d, n_max=n_max) for nm in names]
     return {"suite": "all", "params": {"d": d, "n_max": n_max},
             "ok": all(r["ok"] for r in results), "suites": results}

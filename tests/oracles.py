@@ -5,19 +5,23 @@ the one-variable integral expands (1-t)^q binomially, and the simplex
 integral reduces one variable at a time.  The other oracles are the plain
 definitions that the library's fast kernels replace: apply the operator and
 subtract, multiply and then integrate, and sum the monic basis formula one
-Pochhammer symbol at a time.
+Pochhammer symbol at a time.  `oracle_value` is every bilinear form written
+out term by term, pairing each pair of polynomials on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import comb
 
+from sobolex import products as P
 from sobolex.bases import apply_operator, eigenvalue
 from sobolex.errors import ZeroDenominator
-from sobolex.moments import integral
-from sobolex.polynomials import Polynomial, box_indices
+from sobolex.moments import normalized_moment, vertex_eval
+from sobolex.polynomials import FaceId, Polynomial, box_indices
 from sobolex.scalars import binomial, format_rational, pochhammer
+from sobolex.weighted import ParamVector
 
 
 def interval_integral(p: int, q: int) -> Fraction:
@@ -50,9 +54,14 @@ def oracle_eigencheck(gamma, f: Polynomial, n: int) -> bool:
     return (apply_operator(gamma, f) - eigenvalue(gamma, n) * f).is_zero
 
 
+def oracle_integral(f: Polynomial, gamma) -> Fraction:
+    """The integral as a sum of single normalized moments, one per term."""
+    return sum((c * normalized_moment(gamma, e + (0,)) for e, c in f.items()), Fraction(0))
+
+
 def oracle_inner_product(f: Polynomial, g: Polynomial, gamma) -> Fraction:
     """The pairing by forming the product polynomial and integrating it."""
-    return integral(f * g, gamma)
+    return oracle_integral(f * g, gamma)
 
 
 def oracle_monomial_element(gamma, nu: tuple[int, ...]) -> Polynomial:
@@ -76,3 +85,137 @@ def oracle_monomial_element(gamma, nu: tuple[int, ...]) -> Polynomial:
         coef *= pochhammer(s, n + sum(m)) / den
         terms[m] = coef
     return Polynomial(d, terms)
+
+
+# -- bilinear forms, each pair on its own --------------------------------------
+
+def _face_pair(f: Polynomial, g: Polynomial, face: FaceId, weight) -> Fraction:
+    return oracle_inner_product(face.restrict(f), face.restrict(g), weight)
+
+
+def _singular_k1(p, f, g):
+    d = p.dim
+    grad = Polynomial.zero(d)
+    for i in range(d):
+        grad = grad + Polynomial.variable(d, i) * f.partial(i) * g.partial(i)
+    total = oracle_integral(grad, ParamVector(p.tail + (Fraction(0),)))
+    if p.lam:
+        if d == 1:
+            total += p.lam * vertex_eval(f, 1) * vertex_eval(g, 1)
+        else:
+            total += p.lam * _face_pair(f, g, FaceId(d, frozenset({d})),
+                                        ParamVector(p.tail))
+    return total
+
+
+def _singular_mid(p, f, g):
+    d, k = p.dim, p.k
+    mk = list(range(d - k + 1, d))
+    total = oracle_inner_product(
+        f.partials(mk), g.partials(mk),
+        ParamVector(p.tail + (Fraction(0),) * (k - 1) + (Fraction(k - 2),)))
+    for i in range(1, k - 1):
+        for subset in itertools.combinations(mk, i):
+            lam = p.lam_face.get(frozenset(subset), Fraction(1))
+            face = FaceId(d, frozenset(mk) - frozenset(subset))
+            fp = ParamVector(p.tail + (Fraction(0),) * i + (Fraction(i - 1),))
+            total += lam * _face_pair(f.partials(subset), g.partials(subset), face, fp)
+    face3 = FaceId(d, frozenset(mk))
+    fd = face3.dim
+    grad = Polynomial.zero(fd)
+    for i in range(d - k + 1):
+        grad = grad + p.lam_axis[i] * Polynomial.variable(fd, i) \
+            * face3.restrict(f.partial(i)) * face3.restrict(g.partial(i))
+    total += oracle_integral(grad, ParamVector(p.tail + (Fraction(0),)))
+    if k == d:
+        total += p.lam * vertex_eval(f, 1) * vertex_eval(g, 1)
+    else:
+        total += p.lam * _face_pair(f, g, FaceId(d, frozenset(mk) | {d}),
+                                    ParamVector(p.tail))
+    return total
+
+
+def _singular_full(p, f, g):
+    d = p.dim
+    axes = list(range(d))
+    total = oracle_inner_product(f.partials(axes), g.partials(axes),
+                                 ParamVector((Fraction(0),) * d + (Fraction(d - 1),)))
+    for i in range(1, d):
+        for subset in itertools.combinations(axes, i):
+            lam = p.lam_face.get(frozenset(subset), Fraction(1))
+            face = FaceId(d, frozenset(axes) - frozenset(subset))
+            fp = ParamVector((Fraction(0),) * i + (Fraction(i - 1),))
+            total += lam * _face_pair(f.partials(subset), g.partials(subset), face, fp)
+    for j in range(d + 1):
+        total += p.lam_vertex[j] * vertex_eval(f, j) * vertex_eval(g, j)
+    return total
+
+
+def _to_unit_interval(h: Polynomial) -> Polynomial:
+    return h.substitute(0, Polynomial(1, {(0,): Fraction(-1), (1,): Fraction(2)}))
+
+
+def oracle_value(p, f: Polynomial, g: Polynomial) -> Fraction:
+    """The value of any product of `sobolex.products` at (f, g), summed term
+    by term from the defining formulas: products of polynomials integrated,
+    restrictions and derivatives taken for this pair alone."""
+    if f.dim != p.dim or g.dim != p.dim:
+        raise ValueError("dimension mismatch")
+    if isinstance(p, P.ClassicalProduct):
+        return oracle_inner_product(f, g, p.gamma)
+    if isinstance(p, P.DerivativeProduct):
+        total = oracle_inner_product(f, g, p.gamma)
+        for j in range(1, p.order + 1):
+            for subset in itertools.combinations(range(p.dim), j):
+                lam = p.lambdas.get(frozenset(subset), Fraction(1))
+                deltas = [1 if i in subset else 0 for i in range(p.dim)] + [j]
+                total += lam * oracle_inner_product(
+                    f.partials(subset), g.partials(subset), p.gamma.shifted(deltas))
+        return total
+    if isinstance(p, P.SingularProduct):
+        if p.k == 1:
+            return _singular_k1(p, f, g)
+        if p.k == p.dim + 1:
+            return _singular_full(p, f, g)
+        return _singular_mid(p, f, g)
+    if isinstance(p, P.TriangleGammaSingular):
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        grad = x * f.partial(0) * g.partial(0) + y * f.partial(1) * g.partial(1)
+        return oracle_integral(grad, ParamVector([p.alpha, p.beta, 0])) \
+            + p.lam1 * _face_pair(f, g, FaceId(2, frozenset({2})),
+                                  ParamVector([p.alpha, p.beta]))
+    if isinstance(p, P.TriangleBetaGammaSingular):
+        face = FaceId(2, frozenset({1}))
+        edge = Polynomial.variable(1, 0) * face.restrict(f.partial(0)) \
+            * face.restrict(g.partial(0))
+        return oracle_inner_product(f.partial(1), g.partial(1), ParamVector([p.alpha, 0, 0])) \
+            + p.lam1 * oracle_integral(edge, ParamVector([p.alpha, 0])) \
+            + p.lam10 * vertex_eval(f, 1) * vertex_eval(g, 1)
+    if isinstance(p, P.TriangleAllSingular):
+        return oracle_inner_product(f.partials([0, 1]), g.partials([0, 1]),
+                                    ParamVector([0, 0, 1])) \
+            + p.lam1 * _face_pair(f.partial(0), g.partial(0), FaceId(2, frozenset({1})),
+                                  ParamVector([0, 0])) \
+            + p.lam2 * _face_pair(f.partial(1), g.partial(1), FaceId(2, frozenset({0})),
+                                  ParamVector([0, 0])) \
+            + p.lam10 * vertex_eval(f, 1) * vertex_eval(g, 1) \
+            + p.lam01 * vertex_eval(f, 2) * vertex_eval(g, 2) \
+            + p.lam00 * vertex_eval(f, 0) * vertex_eval(g, 0)
+    if isinstance(p, P.TriangleFirstTwoSingular):
+        c = p.gamma_exp
+        df, dg = f.partial(1) - f.partial(0), g.partial(1) - g.partial(0)
+        return oracle_inner_product(df, dg, ParamVector([0, 0, c])) \
+            + p.lam1 * _face_pair(f.partial(0), g.partial(0), FaceId(2, frozenset({1})),
+                                  ParamVector([0, c + 1])) \
+            + p.lam2 * _face_pair(f.partial(1), g.partial(1), FaceId(2, frozenset({0})),
+                                  ParamVector([0, c + 1])) \
+            + p.lam00 * vertex_eval(f, 0) * vertex_eval(g, 0)
+    if isinstance(p, P.JacobiSingularBeta):
+        return p.lam * f.evaluate([1]) * g.evaluate([1]) \
+            + oracle_integral(_to_unit_interval(f.partial(0) * g.partial(0)),
+                       ParamVector([p.beta + 1, 0]))
+    if isinstance(p, P.JacobiSingularBoth):
+        return p.lam1 * f.evaluate([1]) * g.evaluate([1]) \
+            + p.lam2 * f.evaluate([-1]) * g.evaluate([-1]) \
+            + oracle_integral(_to_unit_interval(f.partial(0) * g.partial(0)), ParamVector([0, 0]))
+    raise TypeError(f"no oracle for {type(p).__name__}")

@@ -113,18 +113,15 @@ def test_eigen_report(capsys):
     assert data["ok"] and data["rank"] == 4
 
 
-def test_verify_deterministic_output(capsys, monkeypatch):
+def test_verify_deterministic_output(capsys):
     argv = ["verify", "--suite", "triangle", "--d", "2", "--n-max", "2"]
     code1, out1 = run_cli(capsys, argv)
     code2, out2 = run_cli(capsys, argv)
     assert code1 == code2 == 0
     assert out1 == out2
-    monkeypatch.setenv("SOBOLEX_THREADS", "3")
-    code3, out3 = run_cli(capsys, ["verify", "--suite", "all", "--d", "1",
-                                   "--n-max", "1"])
-    monkeypatch.setenv("SOBOLEX_THREADS", "1")
-    code4, out4 = run_cli(capsys, ["verify", "--suite", "all", "--d", "1",
-                                   "--n-max", "1"])
+    argv = ["verify", "--suite", "all", "--d", "1", "--n-max", "1"]
+    code3, out3 = run_cli(capsys, argv)
+    code4, out4 = run_cli(capsys, argv)
     assert code3 == code4 == 0 and out3 == out4
 
 
@@ -159,6 +156,31 @@ def test_malformed_polynomial_is_a_usage_error(capsys, case):
     good = json.dumps(Polynomial.variable(2, 0).to_json())
     code, out = run_cli(capsys, ["inner", "--d", "2", "--gamma", "0,0,0",
                                  "--f", MALFORMED_POLYNOMIALS[case], "--g", good])
+    assert code == 2
+    assert out == ""
+
+
+_X = json.dumps(Polynomial.variable(2, 0).to_json())
+
+# flags that the command would otherwise drop without a word
+IGNORED_FLAGS = {
+    **{f"gamma-{suite}": ["verify", "--suite", suite, "--d", "2", "--n-max", "1",
+                          "--gamma", "0,0,0"]
+       for suite in ("jacobi", "thm31", "thm34", "thm36", "all")},
+    "lambda-vertex-basis-u": ["basis", "--d", "2", "--n", "1", "--gamma", "0,-1,-1",
+                              "--family", "u", "--lambda-vertex", "1,1,1"],
+    "lambda-vertex-inner": ["inner", "--d", "2", "--gamma", "0,0,-1", "--spec", "sobolev",
+                            "--lambda-vertex", "1,1,1", "--f", _X, "--g", _X],
+    "lambda-vertex-gram": ["gram", "--d", "2", "--n", "2", "--gamma", "1/2,-1,-1",
+                           "--spec", "sobolev", "--lambda-vertex", "1,1,1"],
+    "lambda-vertex-eigen": ["eigen", "--d", "2", "--n", "2", "--gamma", "1/2,-1,-1",
+                            "--lambda-vertex", "1,1,1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_FLAGS))
+def test_ignored_flag_is_a_usage_error(capsys, case):
+    code, out = run_cli(capsys, IGNORED_FLAGS[case])
     assert code == 2
     assert out == ""
 

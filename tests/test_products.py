@@ -1,17 +1,23 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from sobolex import spaces
 from sobolex.bases import monomial_element, rodrigues_basis
 from sobolex.errors import DependentInput
 from sobolex.moments import inner_product
 from sobolex.polynomials import Polynomial, complement, monomials_up_to
 from sobolex.products import (ClassicalProduct, DerivativeProduct,
                               JacobiSingularBeta, JacobiSingularBoth,
-                              SingularProduct, gram, labeled, orthogonalize)
+                              SingularProduct, TriangleAllSingular,
+                              TriangleBetaGammaSingular, TriangleFirstTwoSingular,
+                              TriangleGammaSingular, gram, labeled, orthogonalize)
 from sobolex.spaces import h_space, u_space
 from sobolex.weighted import ParamVector
+
+from oracles import oracle_value
 
 H = Fraction(1, 2)
 X = Polynomial.variable(2, 0)
@@ -145,3 +151,83 @@ def test_block_orthogonality_k1():
                 for p in rodrigues_basis(ParamVector([0, 0, 1]), n - 1).polys()]
         top = h_space(ParamVector([0, 0, 0]), [2], n).polys()
         assert all(spec.value(p, q) == 0 for p in core for q in top)
+
+
+# -- the term evaluator against the pair-by-pair oracle -----------------------
+
+def _random_poly(rng, d, degree=3, terms=4):
+    return Polynomial(d, {tuple(rng.randint(0, degree) for _ in range(d)):
+                          Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                          for _ in range(terms)})
+
+
+def _every_form():
+    """Each product class; d = 1..3, k = 1..d+1; non-unit lambdas, and a zero
+    entry in lam_axis, lam_face and lam_vertex wherever the form has one."""
+    out = []
+    for d in (1, 2, 3):
+        gamma = ParamVector([Fraction(j, 3) for j in range(d + 1)])
+        out.append(ClassicalProduct(gamma))
+        for order in range(1, d + 1):
+            out.append(DerivativeProduct(gamma, order, {frozenset({0}): Fraction(5, 2),
+                                                        frozenset({d - 1, 0}): 0}))
+        for k in range(1, d + 2):
+            tail = tuple(Fraction(j + 1, 3) for j in range(d + 1 - k))
+            out.append(SingularProduct(d, tail, k))
+            lam_axis = [Fraction(i + 2, 3) for i in range(d - k + 1)]
+            if k > 1 and lam_axis:
+                lam_axis[0] = 0
+            lam_face = {frozenset({d - 1}): 0, frozenset({max(d - 2, 0)}): Fraction(7, 3)}
+            lam_vertex = [Fraction(j, 2) for j in range(d + 1)]
+            out.append(SingularProduct(d, tail, k, lam=Fraction(5, 2), lam_axis=lam_axis,
+                                       lam_face=lam_face, lam_vertex=lam_vertex))
+    out += [TriangleGammaSingular(H, Fraction(1, 3), Fraction(3)),
+            TriangleBetaGammaSingular(H, Fraction(2), Fraction(0)),
+            TriangleAllSingular(Fraction(2), Fraction(3), Fraction(5), Fraction(7), 0),
+            TriangleFirstTwoSingular(H, Fraction(2), 0, Fraction(3)),
+            JacobiSingularBeta(H, Fraction(2)),
+            JacobiSingularBoth(Fraction(2), Fraction(0))]
+    return out
+
+
+@pytest.mark.parametrize("form", _every_form(), ids=lambda p: json.dumps(p.describe()))
+def test_value_and_gram_match_oracle(form):
+    rng = random.Random(json.dumps(form.describe()))
+    d = form.dim
+    rows = [_random_poly(rng, d) for _ in range(3)] + [Polynomial.constant(d, 2),
+                                                       Polynomial.zero(d)]
+    cols = [_random_poly(rng, d) for _ in range(3)] + [Polynomial.variable(d, d - 1)]
+    rep = gram(form, labeled(rows), labeled(cols))
+    assert rep.matrix == [[oracle_value(form, f, g) for g in cols] for f in rows]
+    for f, g in zip(rows, cols):
+        assert form.value(f, g) == oracle_value(form, f, g)
+    # the symmetric path (upper triangle, mirrored) against the general one
+    assert gram(form, labeled(rows)).matrix == gram(form, labeled(rows), labeled(rows)).matrix
+
+
+def test_evaluator_checks_dimensions():
+    spec = SingularProduct(2, (H,), 2)
+    with pytest.raises(ValueError):
+        spec.value(X, Polynomial.variable(3, 0))
+    with pytest.raises(ValueError):
+        gram(spec, labeled([X]), labeled([Polynomial.variable(1, 0)]))
+
+
+def test_tampered_u_space_element_is_the_gram_witness(monkeypatch):
+    real = spaces.u_space
+    tampered = {}
+
+    def u_space_with_one_bad_element(*args, **kwargs):
+        basis = real(*args, **kwargs)
+        key, p = basis.elements[1]
+        exp, _ = p.sorted_terms()[0]
+        basis.elements[1] = (key, p + Polynomial.monomial(p.dim, exp, 1))
+        tampered.update(key=str(key), poly=basis.elements[1][1].to_json())
+        return basis
+
+    monkeypatch.setattr(spaces, "u_space", u_space_with_one_bad_element)
+    report = spaces.verify_u_space(2, (H,), 2, 3)
+    assert not report["ok"] and not report["orthogonal_to_lower_degree"]
+    witnesses = [f for f in report["failures"] if f["check"] == "gram-vs-lower-degree"]
+    assert witnesses == [{"check": "gram-vs-lower-degree", "element": tampered["key"],
+                          "counterexample": tampered["poly"]}]
