@@ -1,9 +1,21 @@
 """Constructors for the classical polynomial families on the simplex, and the
 operator whose eigenfunctions they are.
 
-The Rodrigues and permuted families come from the weighted-form
-differentiation engine: shift the weight exponents, differentiate, divide the
-weight back out.  The monic ("monomial") basis is a direct finite sum.
+The Rodrigues and permuted families are closed-form Leibniz sums.  Write
+y_j = x_j for j < d and y_d = 1-|x|.  A permuted element lists d of the d+1
+coordinates in slots (coordinate o_s in slot s) and leaves out one index c;
+the Rodrigues element is the order (0..d-1) with c = d.  The slot operator of
+slot s sends y_{o_s} to 1, y_c to -1 and every other y to 0, so applying
+slot s nu_s times to the shifted weight and dividing the weight back out gives
+
+    U_nu = sum_{m <= nu} (-1)^{|m|} (g_c+|nu|-|m|+1)_{|m|}
+               prod_s C(nu_s, m_s) (g_{o_s}+m_s+1)_{nu_s-m_s}
+               * prod_s y_{o_s}^{m_s} * y_c^{|nu|-|m|}.
+
+Every term carries Pochhammer symbols of total length |nu|, so with the
+parameters scaled by D, the common denominator of the g_i, the sum runs in
+integers and is divided by D^{|nu|} once.  The monic ("monomial") basis is a
+direct finite sum.
 
 `eigencheck` does not apply the operator to a polynomial.  On monomials the
 operator is upper triangular,
@@ -21,11 +33,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .errors import NonIntegrableWeight, ZeroDenominator
-from .polynomials import Exponents, Polynomial, box_indices, monomials_of_degree
+from .polynomials import (Exponents, Polynomial, box_indices, complement_power,
+                          monomials_of_degree)
 from .scalars import Rational, as_fraction, factorial, format_rational, pochhammer, product_factorial
-from .weighted import ParamVector, WeightedForm
+from .weighted import ParamVector
 
 
 @dataclass
@@ -60,17 +74,11 @@ def _json_key(key: tuple) -> list:
 # -- Rodrigues-type constructions ------------------------------------------
 
 def rodrigues_element(gamma: ParamVector, nu: Exponents) -> Polynomial:
-    """Differentiate the nu-shifted weight and divide the weight back out."""
+    """x^{-g} (1-|x|)^{-g_{d+1}} d^nu [x^{g+nu} (1-|x|)^{g_{d+1}+|nu|}]."""
     d = gamma.d
     if len(nu) != d or any(n < 0 for n in nu):
         raise ValueError(f"bad multi-index {nu}")
-    n = sum(nu)
-    alpha = [g + k for g, k in zip(gamma.entries[:-1], nu)]
-    form = WeightedForm.single(d, 1, alpha, gamma.last + n)
-    for axis, times in enumerate(nu):
-        for _ in range(times):
-            form = form.derivative(axis)
-    return form.divide_by_weight(gamma)
+    return _leibniz_element(gamma, tuple(range(d)), d, nu)
 
 
 def permuted_element(gamma: ParamVector, order: tuple[int, ...], nu: Exponents) -> Polynomial:
@@ -87,23 +95,50 @@ def permuted_element(gamma: ParamVector, order: tuple[int, ...], nu: Exponents) 
     if len(nu) != d or any(k < 0 for k in nu):
         raise ValueError(f"bad multi-index {nu}")
     (excluded,) = set(range(d + 1)) - set(order)
+    return _leibniz_element(gamma, order, excluded, nu)
+
+
+def _leibniz_element(gamma: ParamVector, order: tuple[int, ...], c: int,
+                     nu: Exponents) -> Polynomial:
+    """The Leibniz sum of the module docstring, in integers times D^{|nu|}."""
+    d = gamma.d
     n = sum(nu)
-    shift = [Fraction(0)] * (d + 1)
-    for slot, s in enumerate(order):
-        shift[s] += nu[slot]
-    shift[excluded] += n
-    exps = [g + s for g, s in zip(gamma.entries, shift)]
-    form = WeightedForm.single(d, 1, exps[:-1], exps[-1])
-    for slot, s in enumerate(order):
-        if excluded == d:
-            op = [(s, 1)]
-        elif s == d:
-            op = [(excluded, -1)]
-        else:
-            op = [(s, 1), (excluded, -1)]
-        for _ in range(nu[slot]):
-            form = form.directional(op)
-    return form.divide_by_weight(gamma)
+    D = math.lcm(*(g.denominator for g in gamma.entries))
+    scaled = [g.numerator * (D // g.denominator) for g in gamma.entries]  # D g_j
+
+    def rising(j: int, start: int, k: int) -> int:
+        """D^k (g_j + start)_k."""
+        out = 1
+        for i in range(start, start + k):
+            out *= scaled[j] + i * D
+        return out
+
+    # slot s: y_{o_s} differentiated nu_s - m_s times, in C(nu_s, m_s) ways
+    slot_rows = [[math.comb(k, m) * rising(o, m + 1, k - m) for m in range(k + 1)]
+                 for o, k in zip(order, nu)]
+    # y_c differentiated by the remaining |m| slot operators, each giving -1
+    c_row = [(-1) ** k * rising(c, n - k + 1, k) for k in range(n + 1)]
+    expansions: dict[int, list[tuple[Exponents, int]]] = {}
+    acc: dict[Exponents, int] = {}
+    for m in box_indices(nu):
+        k = sum(m)
+        coef = c_row[k]
+        for row, ms in zip(slot_rows, m):
+            coef *= row[ms]
+        if not coef:
+            continue
+        y = [0] * (d + 1)
+        for o, ms in zip(order, m):
+            y[o] = ms
+        y[c] = n - k
+        j = y.pop()  # the power of y_d = 1-|x|
+        if j not in expansions:
+            expansions[j] = list(complement_power(d, j).scaled_to_integers()[0].items())
+        for e, cc in expansions[j]:
+            key = tuple(map(add, y, e))
+            acc[key] = acc.get(key, 0) + coef * cc
+    den = D ** n
+    return Polynomial._trusted(d, {e: Fraction(v, den) for e, v in acc.items() if v})
 
 
 def rodrigues_basis(gamma: ParamVector, n: int) -> Basis:
@@ -313,22 +348,6 @@ def jacobi_ode_residual(f: Polynomial, n: int, alpha: Rational, beta: Rational) 
     return ((1 - x * x) * fp.partial(0)
             + (b - a - (a + b + 2) * x) * fp
             + n * (a + b + n + 1) * f)
-
-
-# -- permuted-family closed forms used by the d = 2 suites -------------------
-
-def triangle_q(k: int, n: int, gamma: ParamVector) -> Polynomial:
-    """The swapped-variable family on the triangle: order (y, x)."""
-    if gamma.d != 2:
-        raise ValueError("triangle family needs d = 2")
-    return permuted_element(gamma, (1, 0), (k, n - k))
-
-
-def triangle_r(k: int, n: int, gamma: ParamVector) -> Polynomial:
-    """The reflected family on the triangle: order (1-x-y, y)."""
-    if gamma.d != 2:
-        raise ValueError("triangle family needs d = 2")
-    return permuted_element(gamma, (2, 1), (k, n - k))
 
 
 def all_orders(d: int) -> list[tuple[int, ...]]:

@@ -77,6 +77,13 @@ def _vertex_lambdas(args: argparse.Namespace, k: int) -> list | None:
     return [parse_rational(p) for p in args.lambda_vertex.split(",")]
 
 
+def _check_lambda_vertex(args: argparse.Namespace, used: bool) -> None:
+    """--lambda-vertex reaches only the u family and the sobolev spec."""
+    if args.lambda_vertex and not used:
+        raise ValueError("--lambda-vertex applies only to the u family and "
+                         "the sobolev spec")
+
+
 def _build_basis(family: str, args: argparse.Namespace) -> Basis:
     gamma = _parse_gamma(args.gamma, args.d)
     if family == "rodrigue":
@@ -114,12 +121,14 @@ def _build_product(args: argparse.Namespace):
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
+    _check_lambda_vertex(args, args.family == "u")
     basis = _build_basis(args.family, args)
     _emit(basis.to_json(), args.pretty)
     return 0
 
 
 def cmd_inner(args: argparse.Namespace) -> int:
+    _check_lambda_vertex(args, args.spec == "sobolev")
     product = _build_product(args)
     f = Polynomial.from_json(json.loads(args.f))
     g = Polynomial.from_json(json.loads(args.g))
@@ -129,6 +138,7 @@ def cmd_inner(args: argparse.Namespace) -> int:
 
 
 def cmd_gram(args: argparse.Namespace) -> int:
+    _check_lambda_vertex(args, args.spec == "sobolev" or args.basis == "u")
     product = _build_product(args)
     if args.basis == "monomials":
         rows = labeled([Polynomial.monomial(args.d, e)

@@ -103,11 +103,6 @@ class Polynomial:
     def coefficient(self, exp: Sequence[int]) -> Fraction:
         return self._terms.get(tuple(exp), Fraction(0))
 
-    def constant_value(self) -> Fraction:
-        if self._terms and self.degree() > 0:
-            raise ValueError("polynomial is not constant")
-        return self._terms.get((0,) * self.dim, Fraction(0))
-
     def items(self) -> Iterator[tuple[Exponents, Fraction]]:
         return iter(self._terms.items())
 

@@ -188,7 +188,8 @@ class SingularProduct(_TermForm):
     and the coefficient families
       lam       -- the boundary/vertex coefficient of the final term (k <= d),
       lam_axis  -- per-coordinate coefficients of the gradient face term
-                   (1 < k <= d; at k = 1 the gradient term has coefficient 1),
+                   (1 < k <= d; at k = 1 the gradient term has coefficient 1,
+                   and a lam_axis other than all ones is a ValueError),
       lam_face  -- per-subset coefficients of the intermediate face terms,
       lam_vertex -- vertex coefficients lam_{j,0}, j = 0..d (k = d+1 only).
     All default to 1.
@@ -215,14 +216,13 @@ class SingularProduct(_TermForm):
         self.lam_axis = tuple(as_fraction(v) for v in (lam_axis or (1,) * (dim - k + 1)))
         if len(self.lam_axis) != dim - k + 1:
             raise ValueError("lam_axis has wrong length")
+        if k == 1 and any(v != 1 for v in self.lam_axis):
+            raise ValueError("at k = 1 the gradient term has coefficient 1; "
+                             "lam_axis must be all ones")
         self.lam_face = {frozenset(kk): as_fraction(v) for kk, v in (lam_face or {}).items()}
         self.lam_vertex = tuple(as_fraction(v) for v in (lam_vertex or (1,) * (dim + 1)))
         if len(self.lam_vertex) != dim + 1:
             raise ValueError("lam_vertex has wrong length")
-
-    @property
-    def full_params(self) -> ParamVector:
-        return ParamVector(self.tail + (Fraction(-1),) * self.k)
 
     @property
     def is_valid(self) -> bool:
@@ -258,9 +258,8 @@ class SingularProduct(_TermForm):
         out = self._derivative_terms(mk) if k > 1 else []
         # gradient term on the face where the trailing k-1 axes vanish
         fd = d - k + 1
-        lams = self.lam_axis if k > 1 else (ONE,) * fd
         gradient = _weight(tail + (0,))
-        out += [Term(lams[i], _derivative((i,), mk), gradient,
+        out += [Term(self.lam_axis[i], _derivative((i,), mk), gradient,
                      tuple(int(j == i) for j in range(fd))) for i in range(fd)]
         if k == d:
             return out + [Term(self.lam, _vertex(1), None)]

@@ -8,8 +8,7 @@ from sobolex.bases import (all_orders, apply_operator, biorthogonal_constant,
                            jacobi_negative_one_one, jacobi_norm,
                            jacobi_ode_residual, jacobi_p, jacobi_shifted,
                            monomial_basis, monomial_element, permuted_basis,
-                           permuted_element, rodrigues_basis, rodrigues_element,
-                           triangle_q, triangle_r)
+                           permuted_element, rodrigues_basis, rodrigues_element)
 from sobolex.errors import NonIntegrableWeight, ZeroDenominator
 from sobolex.moments import inner_product
 from sobolex.polynomials import Polynomial
@@ -92,12 +91,13 @@ def test_permuted_identity_order_is_plain():
 
 def test_permuted_closed_forms():
     g = ParamVector([0, 0, 0])
-    assert triangle_r(0, 1, g) == X - Y
-    # both displayed routes to the swapped family agree
+    # the reflected family, order (1-x-y, y)
+    assert permuted_element(g, (2, 1), (0, 1)) == X - Y
+    # both displayed routes to the swapped family, order (y, x), agree
     for n in range(4):
         for k in range(n + 1):
             lhs = rodrigues_element(ParamVector([0, 0, 0]), (k, n - k)).permute((1, 0))
-            assert lhs == triangle_q(k, n, g)
+            assert lhs == permuted_element(g, (1, 0), (k, n - k))
     assert permuted_basis(g, (2, 1), 0).polys() == [Polynomial.constant(2, 1)]
     with pytest.raises(ValueError):
         permuted_element(g, (0, 0), (1, 0))

@@ -176,6 +176,23 @@ IGNORED_FLAGS = {
     "lambda-vertex-eigen": ["eigen", "--d", "2", "--n", "2", "--gamma", "1/2,-1,-1",
                             "--lambda-vertex", "1,1,1"],
 }
+# --lambda-vertex where neither the family nor the spec has vertex terms
+_FAMILY_FLAGS = {"rodrigue": [], "monomial": [], "permuted": ["--order", "1,2"],
+                 "h": ["--zero-set", "3"]}
+IGNORED_FLAGS.update({
+    f"lambda-vertex-basis-{family}": ["basis", "--d", "2", "--n", "1", "--gamma", "0,0,0",
+                                      "--family", family, *extra, "--lambda-vertex", "1,1,1"]
+    for family, extra in _FAMILY_FLAGS.items()})
+IGNORED_FLAGS.update({
+    f"lambda-vertex-inner-{spec}": ["inner", "--d", "2", "--gamma", "0,0,0", "--spec", spec,
+                                    "--lambda-vertex", "1,1,1", "--f", _X, "--g", _X]
+    for spec in ("classical", "epd")})
+IGNORED_FLAGS.update({
+    f"lambda-vertex-gram-{spec}-{basis}": ["gram", "--d", "2", "--n", "1", "--gamma", "0,0,0",
+                                           "--spec", spec, "--basis", basis, *extra,
+                                           "--lambda-vertex", "1,1,1"]
+    for spec in ("classical", "epd")
+    for basis, extra in {**_FAMILY_FLAGS, "monomials": []}.items()})
 
 
 @pytest.mark.parametrize("case", sorted(IGNORED_FLAGS))

@@ -2,18 +2,21 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from sobolex.bases import (all_orders, eigencheck, monomial_element,
-                           permuted_element, rodrigues_element)
+from sobolex import bases
+from sobolex.bases import (all_orders, eigencheck, monomial_element, permuted_basis,
+                           permuted_element, rodrigues_basis, rodrigues_element)
 from sobolex.errors import NonIntegrableWeight, ZeroDenominator
 from sobolex.moments import inner_product, integral
 from sobolex.polynomials import Polynomial, monomials_of_degree, monomials_up_to
 from sobolex.weighted import ParamVector
 
 from oracles import (oracle_eigencheck, oracle_inner_product,
-                     oracle_monomial_element, oracle_normalized_moment)
+                     oracle_monomial_element, oracle_normalized_moment,
+                     oracle_permuted_element, oracle_rodrigues_element)
 
 H = Fraction(1, 2)
 T = Fraction(1, 3)
@@ -132,3 +135,75 @@ def test_monomial_element_matches_oracle():
                     assert str(got.value) == str(exc)
                     continue
                 assert monomial_element(gamma, nu) == want
+
+
+# Weights for the construction grid: generic ones with mixed denominators, and
+# -1 entries in trailing and in non-trailing positions.
+CONSTRUCTION_GAMMAS = [
+    ParamVector([H, 2]), ParamVector([T, -1]), ParamVector([-1, Fraction(2, 5)]),
+    ParamVector([-1, -1]),
+    ParamVector([H, 1, T]), ParamVector([T, -1, -1]), ParamVector([-1, H, Fraction(3, 4)]),
+    ParamVector([Fraction(2, 3), -1, Fraction(5, 7)]), ParamVector([-1, -1, -1]),
+    ParamVector([1, H, 0, T]), ParamVector([H, T, -1, -1]),
+    ParamVector([-1, Fraction(2, 3), Fraction(1, 4), Fraction(6, 5)]),
+    ParamVector([H, -1, T, -1]),
+]
+MAX_DEGREE = {1: 6, 2: 6, 3: 4}
+
+
+@lru_cache(maxsize=None)
+def _oracle_json(gamma: ParamVector, order, nu) -> dict:
+    """The engine's element as JSON; order None is the Rodrigues element."""
+    if order is None:
+        return oracle_rodrigues_element(gamma, nu).to_json()
+    return oracle_permuted_element(gamma, order, nu).to_json()
+
+
+def _basis_json(label: str, gamma: ParamVector, order, n: int) -> dict:
+    return {"family": label, "d": gamma.d, "gamma": gamma.to_json(),
+            "elements": [{"key": list(nu), "poly": _oracle_json(gamma, order, nu)}
+                         for nu in monomials_of_degree(gamma.d, n)]}
+
+
+@pytest.mark.parametrize("gamma", CONSTRUCTION_GAMMAS, ids=repr)
+def test_construction_matches_the_weighted_form_engine(gamma):
+    d = gamma.d
+    for n in range(MAX_DEGREE[d] + 1):
+        for nu in monomials_of_degree(d, n):
+            assert rodrigues_element(gamma, nu).to_json() == _oracle_json(gamma, None, nu)
+            for order in all_orders(d):
+                assert permuted_element(gamma, order, nu).to_json() \
+                    == _oracle_json(gamma, order, nu)
+        assert rodrigues_basis(gamma, n).to_json() == _basis_json("rodrigue", gamma, None, n)
+        for order in all_orders(d):
+            label = "permuted[" + ",".join(map(str, order)) + "]"
+            assert permuted_basis(gamma, order, n).to_json() \
+                == _basis_json(label, gamma, order, n)
+
+
+def test_tampered_construction_is_caught(monkeypatch):
+    """One coefficient of the kernel's output plus 1: the engine comparison
+    sees it at every weight, and eigencheck sees it at every degree >= 1 when
+    every weight entry is > -1."""
+    rng = random.Random(31)
+    kernel = bases._leibniz_element
+
+    def tampered(gamma, order, c, nu):
+        p = kernel(gamma, order, c, nu)
+        exp = rng.choice(sorted(e for e, _ in p.items()) or [(0,) * gamma.d])
+        return p + Polynomial.monomial(gamma.d, exp, 1)
+
+    monkeypatch.setattr(bases, "_leibniz_element", tampered)
+    caught = 0
+    for gamma in CONSTRUCTION_GAMMAS:
+        for n in range(4):
+            for nu in monomials_of_degree(gamma.d, n):
+                built = [(None, rodrigues_element(gamma, nu))]
+                built += [(order, permuted_element(gamma, order, nu))
+                          for order in all_orders(gamma.d)]
+                for order, p in built:
+                    assert p.to_json() != _oracle_json(gamma, order, nu)
+                    if n and gamma.is_integrable:
+                        assert not eigencheck(gamma, p, n)
+                        caught += 1
+    assert caught > 500

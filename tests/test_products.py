@@ -32,7 +32,20 @@ def monoms(d, n):
 def test_gradient_face_product_example():
     spec = SingularProduct(2, (Fraction(0), Fraction(0)), 1)
     assert spec.value(X, Y) == Fraction(1, 6)
-    assert spec.full_params == ParamVector([0, 0, -1])
+    assert spec.tail + (-1,) * spec.k == (0, 0, -1)
+
+
+def test_lam_axis_at_k1_must_be_all_ones():
+    # at k = 1 the gradient term has coefficient 1, so no other lam_axis is taken
+    for lam_axis in ((2, 3), (1, 0), (H, 1)):
+        with pytest.raises(ValueError):
+            SingularProduct(2, (H, H), 1, lam_axis=lam_axis)
+    default = SingularProduct(2, (H, H), 1)
+    assert default.describe()["lambda_axis"] == ["1", "1"]
+    assert SingularProduct(2, (H, H), 1, lam_axis=(1, 1)).describe() == default.describe()
+    # from k = 2 on, the gradient coefficient scales its term
+    at = {a: SingularProduct(2, (H,), 2, lam_axis=(a,)).value(X, X) for a in (0, 1, 2)}
+    assert at[2] - at[1] == at[1] - at[0] != 0
 
 
 def test_vertex_product_example():
@@ -174,8 +187,9 @@ def _every_form():
         for k in range(1, d + 2):
             tail = tuple(Fraction(j + 1, 3) for j in range(d + 1 - k))
             out.append(SingularProduct(d, tail, k))
-            lam_axis = [Fraction(i + 2, 3) for i in range(d - k + 1)]
-            if k > 1 and lam_axis:
+            # at k = 1 the gradient coefficients are fixed to 1
+            lam_axis = [Fraction(i + 2, 3) for i in range(d - k + 1)] if k > 1 else None
+            if lam_axis:
                 lam_axis[0] = 0
             lam_face = {frozenset({d - 1}): 0, frozenset({max(d - 2, 0)}): Fraction(7, 3)}
             lam_vertex = [Fraction(j, 2) for j in range(d + 1)]

