@@ -18,7 +18,7 @@ from .products import (ClassicalProduct, DerivativeProduct, GramReport,
                        orthogonalize)
 from .scalars import binomial, factorial, pochhammer
 from .spaces import expected_dimension, h_space, u_space, verify_u_space
-from .weighted import ParamVector, face_params
+from .weighted import ParamVector, WeightedForm, face_params
 
 __version__ = "0.1.0"
 

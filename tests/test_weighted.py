@@ -8,9 +8,7 @@ import pytest
 
 from sobolex.errors import NonPolynomialQuotient
 from sobolex.polynomials import Polynomial
-from sobolex.weighted import ParamVector, face_params
-
-from oracles import WeightedForm
+from sobolex.weighted import ParamVector, WeightedForm, face_params
 
 H = Fraction(1, 2)
 
