@@ -191,7 +191,11 @@ class SingularProduct(_TermForm):
                    (1 < k <= d; at k = 1 the gradient term has coefficient 1,
                    and a lam_axis other than all ones is a ValueError),
       lam_face  -- per-subset coefficients of the intermediate face terms,
-      lam_vertex -- vertex coefficients lam_{j,0}, j = 0..d (k = d+1 only).
+                   keyed by proper nonempty subsets of the k-1 differentiated
+                   axes, which exist only for k >= 3 (any other key is a
+                   ValueError),
+      lam_vertex -- vertex coefficients lam_{j,0}, j = 0..d (k = d+1 only;
+                   at k <= d a lam_vertex other than all ones is a ValueError).
     All default to 1.
     """
 
@@ -220,9 +224,16 @@ class SingularProduct(_TermForm):
             raise ValueError("at k = 1 the gradient term has coefficient 1; "
                              "lam_axis must be all ones")
         self.lam_face = {frozenset(kk): as_fraction(v) for kk, v in (lam_face or {}).items()}
+        faces = {frozenset(s) for i in range(1, k - 1)
+                 for s in itertools.combinations(self._mk, i)}
+        if not self.lam_face.keys() <= faces:
+            raise ValueError("lam_face keys must be proper nonempty subsets of the "
+                             "differentiated axes, which exist only for k >= 3")
         self.lam_vertex = tuple(as_fraction(v) for v in (lam_vertex or (1,) * (dim + 1)))
         if len(self.lam_vertex) != dim + 1:
             raise ValueError("lam_vertex has wrong length")
+        if k <= dim and any(v != 1 for v in self.lam_vertex):
+            raise ValueError("only k = d+1 has vertex terms; lam_vertex must be all ones")
 
     @property
     def is_valid(self) -> bool:
@@ -234,7 +245,8 @@ class SingularProduct(_TermForm):
 
     @property
     def _mk(self) -> list[int]:
-        # the trailing k-1 true-coordinate axes, zero-based
+        # the trailing k-1 true-coordinate axes, zero-based: the main term
+        # differentiates all of them, each face term a proper nonempty subset
         return list(range(self.dim - self.k + 1, self.dim))
 
     def _derivative_terms(self, axes: list[int]) -> list[Term]:

@@ -2,15 +2,20 @@
 
 Every check is an exact rational identity; a suite returns a deterministic
 verdict tree suitable for JSON serialization.  No tolerances exist.
+
+A check is a stream of identities, one bool each, and its verdict is their
+conjunction: `_add` folds the stream with `all`, which evaluates the
+identities in order and stops at the first false one.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, prod
+from typing import Iterable
 
-from .bases import (all_orders, biorthogonal_constant, eigencheck,
+from .bases import (Basis, all_orders, biorthogonal_constant, eigencheck,
                     jacobi_negative_one_beta, jacobi_negative_one_one,
                     jacobi_norm, jacobi_ode_residual, jacobi_p, jacobi_shifted,
                     monomial_basis, monomial_element, permuted_basis,
@@ -34,8 +39,8 @@ def _result(suite: str, params: dict, checks: list[dict]) -> dict:
             "checks": checks}
 
 
-def _add(checks: list[dict], name: str, ok: bool, detail=None) -> None:
-    entry: dict = {"name": name, "ok": bool(ok)}
+def _add(checks: list[dict], name: str, identities: Iterable[bool], detail=None) -> None:
+    entry: dict = {"name": name, "ok": all(identities)}
     if detail is not None:
         entry["detail"] = detail
     checks.append(entry)
@@ -67,6 +72,11 @@ def _monomial_polys(d: int, up_to: int) -> list[Polynomial]:
     return [Polynomial.monomial(d, e) for e in monomials_up_to(d, up_to)]
 
 
+def _lower(d: int, n_max: int) -> list[list[Polynomial]]:
+    """Entry n holds the monomials of degree below n, for n = 0..n_max."""
+    return [_monomial_polys(d, n - 1) for n in range(n_max + 1)]
+
+
 def _scaled(mult: Polynomial, polys: list[Polynomial]) -> list[Polynomial]:
     return [mult * p for p in polys]
 
@@ -74,6 +84,16 @@ def _scaled(mult: Polynomial, polys: list[Polynomial]) -> list[Polynomial]:
 def _orthogonal(product, polys: list[Polynomial], others: list[Polynomial]) -> bool:
     """Every polynomial in `polys` pairs to zero with every one in `others`."""
     return gram(product, labeled(polys), labeled(others)).all_zero
+
+
+def _lowered(nu: tuple[int, ...], axes: list[int]) -> tuple[int, ...]:
+    """nu minus one along each axis in `axes` (twice for an axis listed twice)."""
+    return tuple(v - axes.count(j) for j, v in enumerate(nu))
+
+
+def _product_of_x(d: int, axes: list[int]) -> Polynomial:
+    """The product of x_i over the distinct axes i."""
+    return Polynomial.monomial(d, [int(i in axes) for i in range(d)])
 
 
 # ---------------------------------------------------------------------------
@@ -86,52 +106,51 @@ def jacobi_interval_product(f: Polynomial, g: Polynomial, alpha, beta) -> Fracti
     return integral((f * g).substitute(0, sub), ParamVector([beta, alpha]))
 
 
+def _positive_diagonal(rep) -> Iterable[bool]:
+    """The Gram matrix is diagonal, and each diagonal entry is positive."""
+    yield rep.diagonal
+    yield from (line[i] > 0 for i, line in enumerate(rep.matrix))
+
+
 def suite_jacobi(n_max: int = 5) -> dict:
     checks: list[dict] = []
+    degrees = range(n_max + 1)
     pairs = [(Fraction(0), Fraction(0)), (HALF, HALF),
              (Fraction(1), Fraction(0)), (HALF, Fraction(1, 3))]
     for a, b in pairs:
         tag = f"a={format_rational(a)},b={format_rational(b)}"
-        polys = [jacobi_p(n, a, b) for n in range(n_max + 1)]
+        polys = [jacobi_p(n, a, b) for n in degrees]
         _add(checks, f"interval-ode[{tag}]",
-             all(jacobi_ode_residual(polys[n], n, a, b).is_zero
-                 for n in range(n_max + 1)))
+             (jacobi_ode_residual(p, n, a, b).is_zero for n, p in enumerate(polys)))
         shifted_params = ParamVector([b, a])
+        shifted = [jacobi_shifted(n, a, b) for n in degrees]
         _add(checks, f"shifted-eigen[{tag}]",
-             all(eigencheck(shifted_params, jacobi_shifted(n, a, b), n)
-                 for n in range(n_max + 1)))
-        ortho_ok = True
-        for n in range(n_max + 1):
-            for m in range(n, n_max + 1):
-                val = jacobi_interval_product(polys[n], polys[m], a, b)
-                want = jacobi_norm(n, a, b) if n == m else Fraction(0)
-                ortho_ok = ortho_ok and val == want
-        _add(checks, f"orthogonality+norm[{tag}]", ortho_ok)
-        shifted = [jacobi_shifted(n, a, b) for n in range(n_max + 1)]
+             (eigencheck(shifted_params, p, n) for n, p in enumerate(shifted)))
+        _add(checks, f"orthogonality+norm[{tag}]",
+             (jacobi_interval_product(polys[n], polys[m], a, b)
+              == (jacobi_norm(n, a, b) if n == m else 0)
+              for n in degrees for m in range(n, n_max + 1)))
         _add(checks, f"shifted-orthogonality[{tag}]",
-             gram(ClassicalProduct(shifted_params), labeled(shifted)).diagonal)
+             [gram(ClassicalProduct(shifted_params), labeled(shifted)).diagonal])
     for b in (Fraction(0), HALF, Fraction(2)):
-        fam = [jacobi_negative_one_beta(n, b) for n in range(n_max + 1)]
+        fam = [jacobi_negative_one_beta(n, b) for n in degrees]
         tag = f"b={format_rational(b)}"
         _add(checks, f"neg-beta-ode[{tag}]",
-             all(jacobi_ode_residual(fam[n], n, Fraction(-1), b).is_zero
-                 for n in range(n_max + 1)))
+             (jacobi_ode_residual(p, n, Fraction(-1), b).is_zero for n, p in enumerate(fam)))
         for lam in (Fraction(1), Fraction(2), Fraction(1, 3)):
-            rep = gram(JacobiSingularBeta(b, lam), labeled(fam, "P"))
             _add(checks, f"neg-beta-sobolev[{tag},lam={format_rational(lam)}]",
-                 rep.diagonal and all(rep.matrix[i][i] > 0 for i in range(len(fam))))
+                 _positive_diagonal(gram(JacobiSingularBeta(b, lam), labeled(fam, "P"))))
+    x = Polynomial.variable(1, 0)
     for l1, l2 in ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(1)),
                    (HALF, Fraction(3))):
-        fam = [jacobi_negative_one_one(n, l1, l2) for n in range(n_max + 1)]
+        fam = [jacobi_negative_one_one(n, l1, l2) for n in degrees]
         tag = f"l1={format_rational(l1)},l2={format_rational(l2)}"
-        x = Polynomial.variable(1, 0)
-        _add(checks, f"neg-both-mu[{tag}]", fam[1] == x + (l2 - l1) / (l1 + l2))
+        _add(checks, f"neg-both-mu[{tag}]", [fam[1] == x + (l2 - l1) / (l1 + l2)])
         _add(checks, f"neg-both-ode[{tag}]",
-             all(jacobi_ode_residual(fam[n], n, Fraction(-1), Fraction(-1)).is_zero
-                 for n in range(n_max + 1)))
-        rep = gram(JacobiSingularBoth(l1, l2), labeled(fam, "P"))
+             (jacobi_ode_residual(p, n, Fraction(-1), Fraction(-1)).is_zero
+              for n, p in enumerate(fam)))
         _add(checks, f"neg-both-sobolev[{tag}]",
-             rep.diagonal and all(rep.matrix[i][i] > 0 for i in range(len(fam))))
+             _positive_diagonal(gram(JacobiSingularBoth(l1, l2), labeled(fam, "P"))))
     return _result("jacobi", {"n_max": n_max}, checks)
 
 
@@ -148,30 +167,27 @@ def suite_triangle(n_max: int = 4, gammas: list[ParamVector] | None = None) -> d
     checks: list[dict] = []
     gammas = gammas or default_gammas(2)
     one_minus_t = Polynomial(1, {(0,): Fraction(1), (1,): Fraction(-1)})
+    indices = [(k, n - k) for n in range(n_max + 1) for k in range(n + 1)]
     for gamma in gammas:
         a, b, c = gamma.entries
         tag = _gamma_tag(gamma)
+        reflected = {nu: permuted_element(gamma, (2, 1), nu) for nu in indices}
         _add(checks, f"edge-restriction-x=0[{tag}]",
-             all(rodrigues_element(gamma, (0, n)).restrict({0})
-                 == jacobi_shifted(n, c, b) for n in range(n_max + 1)))
+             (rodrigues_element(gamma, (0, n)).restrict({0})
+              == jacobi_shifted(n, c, b) for n in range(n_max + 1)))
         _add(checks, f"edge-restriction-y=0[{tag}]",
-             all(rodrigues_element(gamma, (n, 0)).restrict({1})
-                 == jacobi_shifted(n, c, a) for n in range(n_max + 1)))
+             (rodrigues_element(gamma, (n, 0)).restrict({1})
+              == jacobi_shifted(n, c, a) for n in range(n_max + 1)))
         _add(checks, f"edge-restriction-hyp[{tag}]",
-             all(permuted_element(gamma, (2, 1), (0, n)).restrict({2})
-                 == jacobi_shifted(n, a, b).substitute(0, one_minus_t)
-                 for n in range(n_max + 1)))
-        swap_ok = ref_ok = True
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                nu = (k, n - k)
-                direct_q = rodrigues_element(ParamVector([b, a, c]), nu).permute((1, 0))
-                swap_ok = swap_ok and direct_q == permuted_element(gamma, (1, 0), nu)
-                base_r = rodrigues_element(ParamVector([c, b, a]), nu)
-                ref_ok = ref_ok and _compose_reflected(base_r) \
-                    == permuted_element(gamma, (2, 1), nu)
-        _add(checks, f"swapped-closed-form[{tag}]", swap_ok)
-        _add(checks, f"reflected-closed-form[{tag}]", ref_ok)
+             (reflected[0, n].restrict({2})
+              == jacobi_shifted(n, a, b).substitute(0, one_minus_t)
+              for n in range(n_max + 1)))
+        _add(checks, f"swapped-closed-form[{tag}]",
+             (rodrigues_element(ParamVector([b, a, c]), nu).permute((1, 0))
+              == permuted_element(gamma, (1, 0), nu) for nu in indices))
+        _add(checks, f"reflected-closed-form[{tag}]",
+             (_compose_reflected(rodrigues_element(ParamVector([c, b, a]), nu)) == q
+              for nu, q in reflected.items()))
     return _result("triangle", {"n_max": n_max,
                                 "gammas": [_gamma_tag(g) for g in gammas]}, checks)
 
@@ -185,102 +201,92 @@ def suite_rodrigue(d: int = 2, n_max: int = 4,
     checks: list[dict] = []
     gammas = gammas or default_gammas(d)
     orders = all_orders(d)
+    lower = _lower(d, n_max)
     for gamma in gammas:
         tag = _gamma_tag(gamma)
         classical = ClassicalProduct(gamma)
-        eig_ok = ortho_ok = True
-        for n in range(n_max + 1):
-            families = [rodrigues_basis(gamma, n), monomial_basis(gamma, n)]
-            families += [permuted_basis(gamma, order, n) for order in orders]
-            lower = _monomial_polys(d, n - 1)
-            for fam in families:
-                eig_ok = eig_ok and all(eigencheck(gamma, p, n) for p in fam.polys())
-                ortho_ok = ortho_ok and _orthogonal(classical, fam.polys(), lower)
-        _add(checks, f"eigenfunctions[{tag}]", eig_ok)
-        _add(checks, f"orthogonal-to-lower-degree[{tag}]", ortho_ok)
+        families = [(n, family.polys()) for n in range(n_max + 1)
+                    for family in [rodrigues_basis(gamma, n), monomial_basis(gamma, n),
+                                   *(permuted_basis(gamma, order, n) for order in orders)]]
+        _add(checks, f"eigenfunctions[{tag}]",
+             (eigencheck(gamma, p, n) for n, polys in families for p in polys))
+        _add(checks, f"orthogonal-to-lower-degree[{tag}]",
+             (_orthogonal(classical, polys, lower[n]) for n, polys in families))
         rep = gram(classical, labeled(_monomial_polys(d, n_max), "m"))
-        _add(checks, f"gram-positive-definite[{tag}]", bool(rep.positive_definite))
+        _add(checks, f"gram-positive-definite[{tag}]", [rep.positive_definite])
     zeros = tuple(Fraction(0) for _ in range(d))
     halves = tuple(HALF for _ in range(d))
     for m_len, label in ((1, "m=(1)"), (2, "m=(1,1)")):
         if d + 1 - m_len < 1:
             continue
-        ok = True
-        for lead in {zeros[: d + 1 - m_len], halves[: d + 1 - m_len]}:
-            gamma_sing = ParamVector(list(lead) + [-1] * m_len)
-            gamma_zero = ParamVector(list(lead) + [0] * m_len)
-            for n in range(m_len + 1, n_max + 1):
-                elems = [rodrigues_element(gamma_sing, nu)
-                         for nu in monomials_of_degree(d, n)]
-                ok = ok and _orthogonal(ClassicalProduct(gamma_zero), elems,
-                                        _monomial_polys(d, n - m_len - 1))
-        _add(checks, f"partial-orthogonality[{label}]", ok)
+        _add(checks, f"partial-orthogonality[{label}]",
+             (_orthogonal(ClassicalProduct(ParamVector(list(lead) + [0] * m_len)),
+                          [rodrigues_element(ParamVector(list(lead) + [-1] * m_len), nu)
+                           for nu in monomials_of_degree(d, n)],
+                          lower[n - m_len])
+              for lead in {zeros[: d + 1 - m_len], halves[: d + 1 - m_len]}
+              for n in range(m_len + 1, n_max + 1)))
     return _result("rodrigue", {"d": d, "n_max": n_max,
                                 "gammas": [_gamma_tag(g) for g in gammas]}, checks)
+
+
+def _monic_partial(gamma: ParamVector, nu: tuple[int, ...], i: int) -> Polynomial:
+    """d/dx_i of the monic element V_nu by the derivative identity: nu_i times
+    V_{nu - e_i} at the weight with gamma_i and gamma_{d+1} raised by one."""
+    if nu[i] == 0:
+        return Polynomial.zero(gamma.d)
+    shifted = gamma.shifted([int(j == i) for j in range(gamma.d)] + [1])
+    return nu[i] * monomial_element(shifted, _lowered(nu, [i]))
+
+
+def _biorthogonality(gamma: ParamVector, monic: Basis, n: int) -> Iterable[bool]:
+    """<P_nu, V_mu> is biorthogonal_constant(gamma, nu) when mu = nu, else 0,
+    for the degree-n Rodrigues elements P and monic elements V."""
+    basis = rodrigues_basis(gamma, n)
+    rep = gram(ClassicalProduct(gamma), labeled(basis.polys()), labeled(monic.polys()))
+    return (v == (biorthogonal_constant(gamma, nu) if mu == nu else 0)
+            for (nu, _), line in zip(basis.elements, rep.matrix)
+            for (mu, _), v in zip(monic.elements, line))
 
 
 def suite_monomial(d: int = 2, n_max: int = 4,
                    gammas: list[ParamVector] | None = None) -> dict:
     checks: list[dict] = []
     gammas = gammas or default_gammas(d)
+    lower = _lower(d, n_max)
     for gamma in gammas:
         tag = _gamma_tag(gamma)
-        monic_ok = diff_ok = True
-        for n in range(n_max + 1):
-            for nu in monomials_of_degree(d, n):
-                v = monomial_element(gamma, nu)
-                monic_ok = monic_ok and v.coefficient(nu) == 1 and v.degree() == n
-                for i in range(d):
-                    if nu[i] == 0:
-                        want = Polynomial.zero(d)
-                    else:
-                        shifted = gamma.shifted([1 if j == i else 0
-                                                 for j in range(d)] + [1])
-                        lowered = tuple(nu[j] - (j == i) for j in range(d))
-                        want = nu[i] * monomial_element(shifted, lowered)
-                    diff_ok = diff_ok and v.partial(i) == want
-        _add(checks, f"monic-leading-term[{tag}]", monic_ok)
-        _add(checks, f"derivative-identity[{tag}]", diff_ok)
-        bi_ok = True
-        for n in range(min(n_max, 3) + 1):
-            basis = rodrigues_basis(gamma, n)
-            mus = monomials_of_degree(d, n)
-            rep = gram(ClassicalProduct(gamma), labeled(basis.polys()),
-                       labeled([monomial_element(gamma, mu) for mu in mus]))
-            bi_ok = bi_ok and all(
-                v == (biorthogonal_constant(gamma, nu) if mu == nu else 0)
-                for (nu, _), line in zip(basis.elements, rep.matrix)
-                for mu, v in zip(mus, line))
-        _add(checks, f"biorthogonality[{tag}]", bi_ok)
+        monic = [monomial_basis(gamma, n) for n in range(n_max + 1)]
+        _add(checks, f"monic-leading-term[{tag}]",
+             (v.coefficient(nu) == 1 and v.degree() == n
+              for n, basis in enumerate(monic) for nu, v in basis.elements))
+        _add(checks, f"derivative-identity[{tag}]",
+             (v.partial(i) == _monic_partial(gamma, nu, i)
+              for basis in monic for nu, v in basis.elements for i in range(d)))
+        _add(checks, f"biorthogonality[{tag}]", itertools.chain.from_iterable(
+            _biorthogonality(gamma, monic[n], n) for n in range(min(n_max, 3) + 1)))
         for order in range(1, d + 1):
             product = DerivativeProduct(gamma, order)
-            epd_ok = all(_monic_orthogonal(product, gamma, n) for n in range(1, n_max + 1))
-            _add(checks, f"derivative-product-orthogonality[{tag},m={order}]", epd_ok)
+            _add(checks, f"derivative-product-orthogonality[{tag},m={order}]",
+                 (_orthogonal(product, monic[n].polys(), lower[n])
+                  for n in range(1, n_max + 1)))
     lead = tuple(HALF for _ in range(d)) if d == 1 else tuple(Fraction(0) for _ in range(d))
     sing = ParamVector(list(lead) + [-1])
-    sing_ok = True
-    for n in range(n_max + 1):
-        for nu in monomials_of_degree(d, n):
-            v = monomial_element(sing, nu)
-            sing_ok = sing_ok and v.coefficient(nu) == 1 and eigencheck(sing, v, n)
+    monic = [monomial_basis(sing, n) for n in range(n_max + 1)]
     spro = SingularProduct(d, lead, 1)
-    sob_ok = all(_monic_orthogonal(spro, sing, n) for n in range(1, n_max + 1))
-    _add(checks, f"last-exponent-singular[{_gamma_tag(sing)}]", sing_ok and sob_ok)
+    _add(checks, f"last-exponent-singular[{_gamma_tag(sing)}]", itertools.chain(
+        (v.coefficient(nu) == 1 and eigencheck(sing, v, n)
+         for n, basis in enumerate(monic) for nu, v in basis.elements),
+        (_orthogonal(spro, monic[n].polys(), lower[n]) for n in range(1, n_max + 1))))
     return _result("monomial", {"d": d, "n_max": n_max,
                                 "gammas": [_gamma_tag(g) for g in gammas]}, checks)
-
-
-def _monic_orthogonal(product, gamma: ParamVector, n: int) -> bool:
-    """Every degree-n monic element is orthogonal to the lower-degree monomials."""
-    monic = [monomial_element(gamma, nu) for nu in monomials_of_degree(gamma.d, n)]
-    return _orthogonal(product, monic, _monomial_polys(gamma.d, n - 1))
 
 
 # ---------------------------------------------------------------------------
 # the product-rule identities behind the decompositions
 # ---------------------------------------------------------------------------
 
-def _positive_indices(d: int, n: int, axes: list[int]) -> list[tuple[int, ...]]:
+def _positive_indices(d: int, n: int, axes: Iterable[int]) -> list[tuple[int, ...]]:
     return [nu for nu in monomials_of_degree(d, n) if all(nu[i] >= 1 for i in axes)]
 
 
@@ -289,130 +295,102 @@ def suite_lemmas4(d: int = 2, n_max: int = 4,
     checks: list[dict] = []
     gammas = gammas or default_gammas(d)
     leads = sorted({g.entries[:-1] for g in gammas})
+    zero = Polynomial.zero(d)
 
-    ok = True
-    for lead in leads:
-        gamma_sing = ParamVector(list(lead) + [-1])
-        gamma_plus = ParamVector(list(lead) + [1])
-        for n in range(d, n_max + 1):
-            for nu in _positive_indices(d, n, list(range(d))):
-                rhs = Polynomial.zero(d)
-                for i in range(d):
-                    coef = Fraction(nu[i]) * (lead[i] + nu[i]) / n
-                    lowered = tuple(nu[j] - (j == i) for j in range(d))
-                    rhs = rhs + coef * rodrigues_element(gamma_plus, lowered)
-                ok = ok and rodrigues_element(gamma_sing, nu) == complement(d) * rhs
-    _add(checks, "drop-last-exponent", ok)
+    def drop_last_exponent():
+        for lead in leads:
+            gamma_sing = ParamVector(list(lead) + [-1])
+            gamma_plus = ParamVector(list(lead) + [1])
+            for n in range(d, n_max + 1):
+                for nu in _positive_indices(d, n, range(d)):
+                    rhs = sum((nu[i] * (lead[i] + nu[i]) / n
+                               * rodrigues_element(gamma_plus, _lowered(nu, [i]))
+                               for i in range(d)), zero)
+                    yield rodrigues_element(gamma_sing, nu) == complement(d) * rhs
 
-    ok = True
-    for lead in leads:
-        for i in range(d):
-            for last in (Fraction(0), HALF):
-                entries = list(lead) + [last]
-                entries[i] = Fraction(-1)
-                gamma_sing = ParamVector(entries)
-                bumped = ParamVector([e + (2 if j == i else 0)
-                                      for j, e in enumerate(entries[:-1])] + [last])
-                for n in range(1, n_max + 1):
-                    for nu in _positive_indices(d, n, [i]):
-                        lowered = tuple(nu[j] - (j == i) for j in range(d))
-                        want = (-(n + last)) * Polynomial.variable(d, i) \
-                            * rodrigues_element(bumped, lowered)
-                        ok = ok and rodrigues_element(gamma_sing, nu) == want
-    _add(checks, "drop-inner-exponent", ok)
+    def drop_inner_exponent():
+        for lead in leads:
+            for i in range(d):
+                x_i = Polynomial.variable(d, i)
+                for last in (Fraction(0), HALF):
+                    entries = list(lead) + [last]
+                    entries[i] = Fraction(-1)
+                    gamma_sing = ParamVector(entries)
+                    bumped = gamma_sing.shifted([2 * (j == i) for j in range(d + 1)])
+                    for n in range(1, n_max + 1):
+                        for nu in _positive_indices(d, n, [i]):
+                            yield rodrigues_element(gamma_sing, nu) == -(n + last) * x_i \
+                                * rodrigues_element(bumped, _lowered(nu, [i]))
 
-    ok = True
-    for k in range(2, d + 1):
-        for last in (Fraction(0), HALF):
+    def drop_inner_block():
+        for k in range(2, d + 1):
             lead = default_tails(d, k)[2]
-            entries = list(lead) + [-1] * (k - 1) + [last]
-            gamma_sing = ParamVector(entries)
-            gamma_plus = ParamVector(list(lead) + [1] * (k - 1) + [last])
             axes = list(range(d + 1 - k, d))
-            for n in range(k - 1, n_max + 1):
+            for last in (Fraction(0), HALF):
+                gamma_sing = ParamVector(list(lead) + [-1] * (k - 1) + [last])
+                gamma_plus = ParamVector(list(lead) + [1] * (k - 1) + [last])
+                for n in range(k - 1, n_max + 1):
+                    mult = (-1) ** (k - 1) * prod(n + last - j + 1 for j in range(1, k)) \
+                        * _product_of_x(d, axes)
+                    for nu in _positive_indices(d, n, axes):
+                        yield rodrigues_element(gamma_sing, nu) \
+                            == mult * rodrigues_element(gamma_plus, _lowered(nu, axes))
+
+    def sum_rule():
+        for k in range(1, d + 1):
+            lead = default_tails(d, k)[2]
+            gamma_sing = ParamVector(list(lead) + [-1] * k)
+            gamma_plus = ParamVector(list(lead) + [1] * k)
+            axes = list(range(d + 1 - k, d))
+            xk = complement(d) * _product_of_x(d, axes)
+            for n in range(k, n_max + 1):
+                scale = Fraction((-1) ** (k - 1) * prod(n - j for j in range(k - 1)), n)
                 for nu in _positive_indices(d, n, axes):
-                    factor = Fraction((-1) ** (k - 1))
-                    for j in range(1, k):
-                        factor *= n + last - j + 1
-                    mult = Polynomial.constant(d, 1)
-                    for i in axes:
-                        mult = mult * Polynomial.variable(d, i)
-                    lowered = tuple(nu[j] - (1 if j in axes else 0) for j in range(d))
-                    want = factor * mult * rodrigues_element(gamma_plus, lowered)
-                    ok = ok and rodrigues_element(gamma_sing, nu) == want
-    _add(checks, "drop-inner-block", ok)
+                    terms = [(scale * nu[i] * (nu[i] + gamma_sing.entries[i]),
+                              _lowered(nu, axes + [i])) for i in range(d)]
+                    terms = [(lam, m) for lam, m in terms if lam]
+                    yield all(min(m) >= 0 for _, m in terms) \
+                        and rodrigues_element(gamma_sing, nu) == xk * sum(
+                            (lam * rodrigues_element(gamma_plus, m) for lam, m in terms), zero)
 
-    ok = True
-    for k in range(1, d + 1):
-        lead = default_tails(d, k)[2]
-        gamma_sing = ParamVector(list(lead) + [-1] * k)
-        gamma_plus = ParamVector(list(lead) + [1] * k)
-        axes = list(range(d + 1 - k, d))
-        xk = complement(d)
-        for i in axes:
-            xk = xk * Polynomial.variable(d, i)
-        full_entries = list(lead) + [Fraction(-1)] * (k - 1)
-        for n in range(k, n_max + 1):
-            for nu in _positive_indices(d, n, axes):
-                rhs = Polynomial.zero(d)
-                valid = True
-                for i in range(d):
-                    lam = Fraction((-1) ** (k - 1)) * nu[i] * (nu[i] + full_entries[i]) / n
-                    for j in range(k - 1):
-                        lam *= n - j
-                    if lam == 0:
-                        continue
-                    lowered = [nu[j] - (1 if j in axes else 0) for j in range(d)]
-                    lowered[i] -= 1
-                    if any(v < 0 for v in lowered):
-                        valid = False
-                        break
-                    rhs = rhs + lam * rodrigues_element(gamma_plus, tuple(lowered))
-                ok = ok and valid and rodrigues_element(gamma_sing, nu) == xk * rhs
-    _add(checks, "sum-rule", ok)
+    def homogeneous_face_block():
+        xs = [Polynomial.variable(d, i) for i in range(d)]
+        for lead in leads:
+            for n in range(n_max + 1):
+                for p in h_space(ParamVector(list(lead) + [0]), [d], n).polys():
+                    grad = [p.partial(i) for i in range(d)]
+                    euler = sum((x * g for x, g in zip(xs, grad)), zero)
+                    second = sum((x * g.partial(i) + (lead[i] + 1) * g
+                                  for i, (x, g) in enumerate(zip(xs, grad))), zero)
+                    yield euler == n * p and second.is_zero
 
-    ok = True
-    mus: dict[str, list[str]] = {}
+    _add(checks, "drop-last-exponent", drop_last_exponent())
+    _add(checks, "drop-inner-exponent", drop_inner_exponent())
+    _add(checks, "drop-inner-block", drop_inner_block())
+    _add(checks, "sum-rule", sum_rule())
+
+    # every index keeps its coefficients for the sample, so nothing stops early
+    spans = []
     for k in range(1, d + 1):
         lead = default_tails(d, k)[0]
         gamma_sing = ParamVector(list(lead) + [-1] * k)
         gamma_plus = ParamVector(list(lead) + [1] * k)
         axes = list(range(d + 1 - k, d))
-        xk = complement(d)
-        for i in axes:
-            xk = xk * Polynomial.variable(d, i)
+        xk = complement(d) * _product_of_x(d, axes)
         for n in range(0, max(0, n_max - k) + 1):
             for nu in monomials_of_degree(d, n):
-                target = xk * rodrigues_element(gamma_plus, nu)
                 family = []
-                for j_rest in itertools.product(*(range(nu[i] + 1)
-                                                  for i in range(1, d))):
+                for j_rest in itertools.product(*(range(nu[i] + 1) for i in range(1, d))):
                     m = [n - sum(j_rest) + 1, *j_rest]
-                    for i in axes:
-                        m[i] += 1
-                    family.append(rodrigues_element(gamma_sing, tuple(m)))
-                coeffs = in_span(target, family)
-                ok = ok and coeffs is not None
-                if coeffs is not None and k == d and n <= 1:
-                    mus[f"k={k},nu={nu}"] = [format_rational(c) for c in coeffs]
-    _add(checks, "reverse-membership", ok, detail={"sample_mu": mus})
+                    family.append(rodrigues_element(
+                        gamma_sing, tuple(v + (i in axes) for i, v in enumerate(m))))
+                spans.append((k, nu, in_span(xk * rodrigues_element(gamma_plus, nu), family)))
+    mus = {f"k={k},nu={nu}": [format_rational(c) for c in coeffs]
+           for k, nu, coeffs in spans if coeffs is not None and k == d and sum(nu) <= 1}
+    _add(checks, "reverse-membership", (coeffs is not None for _, _, coeffs in spans),
+         detail={"sample_mu": mus})
 
-    ok = True
-    for lead in leads:
-        gamma_zero = ParamVector(list(lead) + [0])
-        for n in range(n_max + 1):
-            block = h_space(gamma_zero, [d], n)
-            for _, p in block.elements:
-                euler = Polynomial.zero(d)
-                second = Polynomial.zero(d)
-                for i in range(d):
-                    xi = Polynomial.variable(d, i)
-                    euler = euler + xi * p.partial(i)
-                    second = second + xi * p.partial(i).partial(i) \
-                        + (lead[i] + 1) * p.partial(i)
-                ok = ok and euler == n * p and second.is_zero
-    _add(checks, "homogeneous-face-block", ok)
-
+    _add(checks, "homogeneous-face-block", homogeneous_face_block())
     return _result("lemmas4", {"d": d, "n_max": n_max,
                                "leads": [",".join(map(format_rational, lead))
                                          for lead in leads]}, checks)
@@ -434,133 +412,129 @@ def suite_thm31(n_max: int = 4) -> dict:
     y = Polynomial.variable(2, 1)
     w = complement(2)
     samples = [(Fraction(0), Fraction(0)), (HALF, Fraction(1))]
+    lower = _lower(2, n_max)
 
+    k1 = {(a, b): [u_space(2, (a, b), 1, n).polys() for n in range(n_max + 1)]
+          for a, b in samples}
     for a, b in samples:
         tag = f"a={format_rational(a)},b={format_rational(b)}"
-        ok = True
-        for n in range(0, n_max + 1):
-            explicit = _scaled(w, rodrigues_basis(ParamVector([a, b, 1]), n - 1).polys())
-            explicit += [permuted_element(ParamVector([a, b, 0]), (2, 1), (0, n))]
-            ok = ok and spans_equal(u_space(2, (a, b), 1, n).polys(), explicit)
-        _add(checks, f"decomposition-k1[{tag}]", ok)
+        _add(checks, f"decomposition-k1[{tag}]",
+             (spans_equal(k1[a, b][n],
+                          _scaled(w, rodrigues_basis(ParamVector([a, b, 1]), n - 1).polys())
+                          + [permuted_element(ParamVector([a, b, 0]), (2, 1), (0, n))])
+              for n in range(n_max + 1)))
 
     for a in (Fraction(0), HALF):
         tag = f"a={format_rational(a)}"
-        ok = True
-        for n in range(1, n_max + 1):
-            explicit = _scaled(y * w, rodrigues_basis(ParamVector([a, 1, 1]), n - 2).polys())
-            explicit += [y * permuted_element(ParamVector([a, 1, 0]), (2, 1), (0, n - 1))]
-            explicit += [w * rodrigues_element(ParamVector([a, 0, 1]), (n - 1, 0))]
-            ok = ok and spans_equal(u_space(2, (a,), 2, n).polys(), explicit)
-        _add(checks, f"decomposition-k2[{tag}]", ok)
-        rec_ok = True
-        for n in range(1, n_max + 1):
-            rhs = _scaled(y, u_space(2, (a, Fraction(1)), 1, n - 1).polys())
-            rhs += [w * rodrigues_element(ParamVector([a, 0, 1]), (n - 1, 0))]
-            rec_ok = rec_ok and spans_equal(u_space(2, (a,), 2, n).polys(), rhs)
-        _add(checks, f"recursion-k2[{tag}]", rec_ok)
+        # (n, the space, its element w R_(n-1,0)), read by both checks below
+        k2 = [(n, u_space(2, (a,), 2, n).polys(),
+               w * rodrigues_element(ParamVector([a, 0, 1]), (n - 1, 0)))
+              for n in range(1, n_max + 1)]
+        _add(checks, f"decomposition-k2[{tag}]",
+             (spans_equal(space, _scaled(y * w, rodrigues_basis(ParamVector([a, 1, 1]),
+                                                                n - 2).polys())
+                          + [y * permuted_element(ParamVector([a, 1, 0]), (2, 1), (0, n - 1)),
+                             edge])
+              for n, space, edge in k2))
+        _add(checks, f"recursion-k2[{tag}]",
+             (spans_equal(space, _scaled(y, u_space(2, (a, Fraction(1)), 1, n - 1).polys())
+                          + [edge])
+              for n, space, edge in k2))
 
-    ok = True
-    for n in range(2, n_max + 1):
-        explicit = _scaled(x * y * w, rodrigues_basis(ParamVector([1, 1, 1]), n - 3).polys())
-        explicit += [x * y * permuted_element(ParamVector([1, 1, 0]), (2, 1), (0, n - 2))]
-        explicit += [x * w * rodrigues_element(ParamVector([1, 0, 1]), (n - 2, 0))]
-        explicit += [y * w * rodrigues_element(ParamVector([0, 1, 1]), (0, n - 2))]
-        ok = ok and spans_equal(u_space(2, (), 3, n).polys(), explicit)
-    _add(checks, "decomposition-k3", ok)
-
-    ok = True
-    for n in range(2, n_max + 1):
-        rhs = _scaled(x, u_space(2, (Fraction(1),), 2, n - 1).polys())
-        rhs += [y * w * rodrigues_element(ParamVector([0, 1, 1]), (0, n - 2))]
-        ok = ok and spans_equal(u_space(2, (), 3, n).polys(), rhs)
-    _add(checks, "recursion-k3", ok)
+    k3 = [(n, u_space(2, (), 3, n).polys(),
+           y * w * rodrigues_element(ParamVector([0, 1, 1]), (0, n - 2)))
+          for n in range(2, n_max + 1)]
+    _add(checks, "decomposition-k3",
+         (spans_equal(space, _scaled(x * y * w, rodrigues_basis(ParamVector([1, 1, 1]),
+                                                                n - 3).polys())
+                      + [x * y * permuted_element(ParamVector([1, 1, 0]), (2, 1), (0, n - 2)),
+                         x * w * rodrigues_element(ParamVector([1, 0, 1]), (n - 2, 0)),
+                         edge])
+          for n, space, edge in k3))
+    _add(checks, "recursion-k3",
+         (spans_equal(space, _scaled(x, u_space(2, (Fraction(1),), 2, n - 1).polys()) + [edge])
+          for n, space, edge in k3))
 
     lam_choices = [(Fraction(1), Fraction(1), Fraction(1)),
                    (Fraction(2), Fraction(1), Fraction(3)),
                    (HALF, Fraction(1, 3), Fraction(5))]
-    ok = True
-    for l00, l10, l01 in lam_choices:
-        total = l00 + l10 + l01
-        got = u_space(2, (), 3, 1, vertex_lambdas=(l00, l10, l01)).polys()
-        ok = ok and got == [x - l10 / total, y - l01 / total]
-    _add(checks, "degree-one-redefinition", ok)
+    _add(checks, "degree-one-redefinition",
+         (u_space(2, (), 3, 1, vertex_lambdas=(l00, l10, l01)).polys()
+          == [x - l10 / (l00 + l10 + l01), y - l01 / (l00 + l10 + l01)]
+          for l00, l10, l01 in lam_choices))
 
-    ok = True
-    for c in (Fraction(0), HALF):
-        for n in range(1, n_max + 1):
-            elems = _scaled(x * y, rodrigues_basis(ParamVector([1, 1, c]), n - 2).polys())
-            elems += [x * rodrigues_element(ParamVector([1, 0, c]), (n - 1, 0))]
-            elems += [y * rodrigues_element(ParamVector([0, 1, c]), (0, n - 1))]
-            gamma_sing = ParamVector([-1, -1, c])
-            ok = ok and all(eigencheck(gamma_sing, p, n) for p in elems)
-            ok = ok and poly_rank(elems) == n + 1 == len(elems)
-    _add(checks, "permuted-singular-pair", ok)
+    # the (-1,-1,c) eigenspace at degree n, keyed by (c, n)
+    pair = {(c, n): _scaled(x * y, rodrigues_basis(ParamVector([1, 1, c]), n - 2).polys())
+            + [x * rodrigues_element(ParamVector([1, 0, c]), (n - 1, 0)),
+               y * rodrigues_element(ParamVector([0, 1, c]), (0, n - 1))]
+            for c in (Fraction(0), HALF) for n in range(1, n_max + 1)}
+
+    def permuted_singular_pair():
+        for (c, n), elems in pair.items():
+            yield from (eigencheck(ParamVector([-1, -1, c]), p, n) for p in elems)
+            yield poly_rank(elems) == n + 1 == len(elems)
+
+    _add(checks, "permuted-singular-pair", permuted_singular_pair())
 
     probes = labeled(_monomial_polys(2, 3), "m")
 
     def same_gram(named, general, general_probes=probes) -> bool:
         return gram(named, probes).matrix == gram(general, general_probes).matrix
 
-    ok = True
-    for a, b in samples:
-        named = TriangleGammaSingular(a, b, Fraction(2))
-        general = SingularProduct(2, (a, b), 1, lam=Fraction(2))
-        ok = ok and same_gram(named, general)
-    _add(checks, "named-vs-general-k1", ok)
-
-    ok = True
-    for a in (Fraction(0), HALF):
-        named = TriangleBetaGammaSingular(a, Fraction(2), Fraction(3))
-        general = SingularProduct(2, (a,), 2, lam=Fraction(3), lam_axis=(Fraction(2),))
-        ok = ok and same_gram(named, general)
-    _add(checks, "named-vs-general-k2", ok)
-
+    _add(checks, "named-vs-general-k1",
+         (same_gram(TriangleGammaSingular(a, b, Fraction(2)),
+                    SingularProduct(2, (a, b), 1, lam=Fraction(2)))
+          for a, b in samples))
+    _add(checks, "named-vs-general-k2",
+         (same_gram(TriangleBetaGammaSingular(a, Fraction(2), Fraction(3)),
+                    SingularProduct(2, (a,), 2, lam=Fraction(3), lam_axis=(Fraction(2),)))
+          for a in (Fraction(0), HALF)))
     named = TriangleAllSingular(Fraction(2), Fraction(3), Fraction(5),
                                 Fraction(7), Fraction(11))
     general = SingularProduct(2, (), 3,
                               lam_face={frozenset({0}): Fraction(2),
                                         frozenset({1}): Fraction(3)},
                               lam_vertex=(Fraction(11), Fraction(5), Fraction(7)))
-    _add(checks, "named-vs-general-k3", same_gram(named, general))
+    _add(checks, "named-vs-general-k3", [same_gram(named, general)])
 
     # The named edge term integrates against (1-y)^{c+1} while the general
     # construction integrates u * (...) against u^c; the two per-term masses
     # differ by (c+2)/(c+1), absorbed into the free coefficient.
     reflected = [(label, _reflect_params(f)) for label, f in probes]
-    ok = True
-    for c in (Fraction(0), HALF):
-        named = TriangleFirstTwoSingular(c, 0, 2 * (c + 1) / (c + 2), Fraction(3))
-        general = SingularProduct(2, (c,), 2, lam=Fraction(3), lam_axis=(Fraction(2),))
-        ok = ok and same_gram(named, general, reflected)
-    _add(checks, "named-vs-general-symmetric-variant", ok)
+    _add(checks, "named-vs-general-symmetric-variant",
+         (same_gram(TriangleFirstTwoSingular(c, 0, 2 * (c + 1) / (c + 2), Fraction(3)),
+                    SingularProduct(2, (c,), 2, lam=Fraction(3), lam_axis=(Fraction(2),)),
+                    reflected)
+          for c in (Fraction(0), HALF)))
 
-    ok = True
-    for c in (Fraction(0), HALF):
-        for lams in ((Fraction(1), Fraction(1), Fraction(1)),
-                     (Fraction(2), Fraction(0), Fraction(3)),
-                     (Fraction(0), Fraction(1), HALF)):
-            form = TriangleFirstTwoSingular(c, *lams)
-            for n in range(1, n_max + 1):
-                elems = _scaled(x * y, rodrigues_basis(ParamVector([1, 1, c]), n - 2).polys())
-                elems += [x * rodrigues_element(ParamVector([1, 0, c]), (n - 1, 0))]
-                elems += [y * rodrigues_element(ParamVector([0, 1, c]), (0, n - 1))]
-                ok = ok and _orthogonal(form, elems, _monomial_polys(2, n - 1))
-    _add(checks, "symmetric-variant-orthogonality", ok)
+    forms = [(c, TriangleFirstTwoSingular(c, *lams)) for c in (Fraction(0), HALF)
+             for lams in ((Fraction(1), Fraction(1), Fraction(1)),
+                          (Fraction(2), Fraction(0), Fraction(3)),
+                          (Fraction(0), Fraction(1), HALF))]
+    _add(checks, "symmetric-variant-orthogonality",
+         (_orthogonal(form, pair[c, n], lower[n])
+          for c, form in forms for n in range(1, n_max + 1)))
 
-    ok = True
-    for a, b in samples:
-        named = TriangleGammaSingular(a, b, Fraction(1))
-        for n in range(n_max + 1):
-            ok = ok and _orthogonal(named, u_space(2, (a, b), 1, n).polys(),
-                                    _monomial_polys(2, n - 1))
-    _add(checks, "named-k1-orthogonality", ok)
+    _add(checks, "named-k1-orthogonality",
+         (_orthogonal(TriangleGammaSingular(a, b, Fraction(1)), k1[a, b][n], lower[n])
+          for a, b in samples for n in range(n_max + 1)))
     return _result("thm31", {"n_max": n_max}, checks)
 
 
 # ---------------------------------------------------------------------------
 # general dimension: eigenspace ranks and Sobolev orthogonality
 # ---------------------------------------------------------------------------
+
+def _solution_space(d: int, tail: tuple, k: int, n_max: int) -> Iterable[bool]:
+    """Each U_n has the expected dimension and full rank, and solves the
+    eigenfunction equation at the singular weight."""
+    full = ParamVector(list(tail) + [-1] * k)
+    for n in range(n_max + 1):
+        basis = u_space(d, tail, k, n)
+        yield len(basis) == expected_dimension(d, n)
+        yield poly_rank(basis.polys()) == len(basis)
+        yield from (eigencheck(full, p, n) for p in basis.polys())
+
 
 def suite_thm34(d: int = 2, n_max: int = 4,
                 tails_override: dict[int, list[tuple]] | None = None) -> dict:
@@ -569,49 +543,33 @@ def suite_thm34(d: int = 2, n_max: int = 4,
         tails = (tails_override or {}).get(k, default_tails(d, k))
         for tail in tails:
             tag = f"k={k},tail=({','.join(format_rational(t) for t in tail)})"
-            full = ParamVector(list(tail) + [-1] * k)
-            ok = True
-            for n in range(n_max + 1):
-                basis = u_space(d, tail, k, n)
-                ok = ok and len(basis) == expected_dimension(d, n)
-                ok = ok and poly_rank(basis.polys()) == len(basis)
-                ok = ok and all(eigencheck(full, p, n) for p in basis.polys())
-            _add(checks, f"solution-space[{tag}]", ok)
+            _add(checks, f"solution-space[{tag}]", _solution_space(d, tail, k, n_max))
 
     gamma0 = default_gammas(d)[1]
-    zero_sets: list[list[int]] = [[d], [0]] if d >= 2 else []
+    zero_sets: list[tuple[int, ...]] = [(d,), (0,)] if d >= 2 else []
     if d >= 3:
-        zero_sets += [[0, d], [1, 2]]
-    restr_ok = True
-    for zset in zero_sets:
-        pinned = gamma0.with_values({i: 0 for i in zset})
-        fparams = face_params(pinned, zset)
-        for n in range(min(n_max, 3) + 1):
-            block = h_space(gamma0, zset, n)
-            restricted = [p.restrict(zset) for _, p in block.elements]
-            if not restricted:
-                continue
-            dprime = d - len(zset)
-            restr_ok = restr_ok and poly_rank(restricted) \
-                == comb(n + dprime - 1, n) == len(restricted)
-            restr_ok = restr_ok and _orthogonal(ClassicalProduct(fparams), restricted,
-                                                _monomial_polys(dprime, n - 1))
-    _add(checks, "face-restriction-law", restr_ok)
+        zero_sets += [(0, d), (1, 2)]
+    blocks = {(zset, n): h_space(gamma0, zset, n)
+              for zset in zero_sets for n in range(min(n_max, 3) + 1)}
 
-    indep_ok = True
-    if d >= 2:
-        sets = [[d]] + ([[0, d]] if d >= 3 else [])
-        for zset in sets:
-            for n in range(min(n_max, 3) + 1):
-                std = h_space(gamma0, zset, n)
-                alt = _h_space_alternate(gamma0, zset, n)
-                if std.elements and alt:
-                    indep_ok = indep_ok and spans_equal(std.polys(), alt)
-    _add(checks, "face-block-convention-independence", indep_ok)
+    def face_restriction_law():
+        for (zset, n), block in blocks.items():
+            restricted = [p.restrict(zset) for p in block.polys()]
+            if restricted:
+                dprime = d - len(zset)
+                yield poly_rank(restricted) == comb(n + dprime - 1, n) == len(restricted)
+                yield _orthogonal(ClassicalProduct(face_params(block.params, zset)),
+                                  restricted, _monomial_polys(dprime, n - 1))
+
+    _add(checks, "face-restriction-law", face_restriction_law())
+    _add(checks, "face-block-convention-independence",
+         (spans_equal(block.polys(), _h_space_alternate(gamma0, zset, n))
+          for (zset, n), block in blocks.items() if d in zset and block.elements))
     return _result("thm34", {"d": d, "n_max": n_max}, checks)
 
 
-def _h_space_alternate(gamma: ParamVector, zero_axes: list[int], n: int) -> list[Polynomial]:
+def _h_space_alternate(gamma: ParamVector, zero_axes: Iterable[int],
+                       n: int) -> list[Polynomial]:
     """Same face block built with the lowest (not highest) surviving index
     excluded; confirms the span does not depend on that convention."""
     d = gamma.d
@@ -630,32 +588,30 @@ def _h_space_alternate(gamma: ParamVector, zero_axes: list[int], n: int) -> list
 def suite_thm36(d: int = 2, n_max: int = 4,
                 tails_override: dict[int, list[tuple]] | None = None) -> dict:
     checks: list[dict] = []
-    pd_degree = 3
+    probes = labeled(_monomial_polys(d, 3), "m")
     for k in range(1, d + 2):
         tails = (tails_override or {}).get(k, default_tails(d, k))
         for tail in tails:
             tag = f"k={k},tail=({','.join(format_rational(t) for t in tail)})"
             product = SingularProduct(d, tail, k)
-            ortho_ok = all(verify_u_space(d, tail, k, n, product)["ok"]
-                           for n in range(n_max + 1))
-            _add(checks, f"sobolev-orthogonality[{tag}]", ortho_ok)
-            rep = gram(product, labeled(_monomial_polys(d, pd_degree), "m"))
-            _add(checks, f"positive-definite[{tag}]", bool(rep.positive_definite))
+            _add(checks, f"sobolev-orthogonality[{tag}]",
+                 (verify_u_space(d, tail, k, n, product)["ok"] for n in range(n_max + 1)))
+            _add(checks, f"positive-definite[{tag}]",
+                 [gram(product, probes).positive_definite])
     tail0 = default_tails(d, 1)[0]
     product = SingularProduct(d, tail0, 1)
-    block_ok = True
-    for n in range(1, n_max + 1):
-        core = _scaled(complement(d),
-                       rodrigues_basis(ParamVector(list(tail0) + [1]), n - 1).polys())
-        top = h_space(ParamVector(list(tail0) + [0]), [d], n).polys()
-        block_ok = block_ok and _orthogonal(product, core, top)
-    _add(checks, "k1-block-orthogonality", block_ok)
+    _add(checks, "k1-block-orthogonality",
+         (_orthogonal(product,
+                      _scaled(complement(d),
+                              rodrigues_basis(ParamVector(list(tail0) + [1]), n - 1).polys()),
+                      h_space(ParamVector(list(tail0) + [0]), [d], n).polys())
+          for n in range(1, n_max + 1)))
     if d >= 2:
         lams = tuple(Fraction(j + 1, 2) for j in range(d + 1))
         product = SingularProduct(d, (), d + 1, lam_vertex=lams)
-        ok = all(verify_u_space(d, (), d + 1, n, product)["ok"]
-                 for n in range(min(n_max, 3) + 1))
-        _add(checks, "vertex-lambda-variation", ok)
+        _add(checks, "vertex-lambda-variation",
+             (verify_u_space(d, (), d + 1, n, product)["ok"]
+              for n in range(min(n_max, 3) + 1)))
     return _result("thm36", {"d": d, "n_max": n_max}, checks)
 
 

@@ -21,7 +21,8 @@ from sobolex.cli import main
 DIGESTS = pathlib.Path(__file__).with_name("golden") / "digests.json"
 
 # two polynomials per dimension for `inner`, in the JSON that `--f`/`--g` take
-F2 = '{"d":2,"terms":[{"exp":[2,0],"coef":"1"},{"exp":[0,1],"coef":"-1/3"},{"exp":[0,0],"coef":"2"}]}'
+F2 = ('{"d":2,"terms":[{"exp":[2,0],"coef":"1"},{"exp":[0,1],"coef":"-1/3"},'
+      '{"exp":[0,0],"coef":"2"}]}')
 G2 = '{"d":2,"terms":[{"exp":[1,1],"coef":"3/2"},{"exp":[1,0],"coef":"-1"}]}'
 F3 = '{"d":3,"terms":[{"exp":[1,1,1],"coef":"1"},{"exp":[0,0,2],"coef":"-2/3"}]}'
 G3 = '{"d":3,"terms":[{"exp":[2,0,1],"coef":"5"},{"exp":[0,1,0],"coef":"1/4"}]}'

@@ -48,6 +48,24 @@ def test_lam_axis_at_k1_must_be_all_ones():
     assert at[2] - at[1] == at[1] - at[0] != 0
 
 
+def test_lam_face_and_lam_vertex_need_their_terms():
+    # k = 1 has no face term and no vertex term, so neither may be set there
+    with pytest.raises(ValueError):
+        SingularProduct(2, (H, H), 1, lam_face={frozenset({0}): 7})
+    with pytest.raises(ValueError):
+        SingularProduct(2, (H, H), 1, lam_vertex=(5, 5, 5))
+    default = SingularProduct(2, (H, H), 1)
+    assert SingularProduct(2, (H, H), 1, lam_vertex=(1, 1, 1)).describe() == default.describe()
+    # at d = 3, k = 3 the differentiated axes are {1, 2}: {0}, {1, 2} and {} are no faces
+    for face in ({0}, {1, 2}, set()):
+        with pytest.raises(ValueError):
+            SingularProduct(3, (H,), 3, lam_face={frozenset(face): 7})
+    x1 = Polynomial.variable(3, 1)
+    at = {c: SingularProduct(3, (H,), 3, lam_face={frozenset({1}): c}).value(x1, x1)
+          for c in (0, 1, 2)}
+    assert at[2] - at[1] == at[1] - at[0] != 0
+
+
 def test_vertex_product_example():
     spec = SingularProduct(2, (), 3,
                            lam_vertex=(Fraction(5), Fraction(7), Fraction(11)))
@@ -191,8 +209,10 @@ def _every_form():
             lam_axis = [Fraction(i + 2, 3) for i in range(d - k + 1)] if k > 1 else None
             if lam_axis:
                 lam_axis[0] = 0
-            lam_face = {frozenset({d - 1}): 0, frozenset({max(d - 2, 0)}): Fraction(7, 3)}
-            lam_vertex = [Fraction(j, 2) for j in range(d + 1)]
+            # face terms exist from k = 3 on, vertex terms only at k = d+1
+            lam_face = ({frozenset({d - 1}): 0, frozenset({d - 2}): Fraction(7, 3)}
+                        if k >= 3 else None)
+            lam_vertex = [Fraction(j, 2) for j in range(d + 1)] if k == d + 1 else None
             out.append(SingularProduct(d, tail, k, lam=Fraction(5, 2), lam_axis=lam_axis,
                                        lam_face=lam_face, lam_vertex=lam_vertex))
     out += [TriangleGammaSingular(H, Fraction(1, 3), Fraction(3)),

@@ -83,7 +83,7 @@ def _args_plus_one(real):
 # derivative of the unshifted one.
 TAMPERS = {
     "gram": (_corner_negative, ["rodrigue", "thm36"]),
-    "monomial_basis": (_plus_one, ["rodrigue"]),
+    "monomial_basis": (_plus_one, ["rodrigue", "monomial"]),
     "monomial_element": (_plus_one, ["monomial"]),
     "rodrigues_element": (_plus_one, ["triangle", "lemmas4", "thm31"]),
     "permuted_element": (_plus_one, ["triangle"]),
