@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
@@ -42,14 +41,15 @@ from .scalars import Rational, as_fraction, factorial, format_rational, pochhamm
 from .weighted import ParamVector
 
 
-@dataclass
 class Basis:
     """A labeled list of polynomials keyed by multi-index (or block tag)."""
 
-    dim: int
-    params: ParamVector
-    label: str
-    elements: list[tuple[tuple, Polynomial]] = field(default_factory=list)
+    def __init__(self, dim: int, params: ParamVector, label: str,
+                 elements: list[tuple[tuple, Polynomial]] | None = None):
+        self.dim = dim
+        self.params = params
+        self.label = label
+        self.elements = [] if elements is None else elements
 
     def polys(self) -> list[Polynomial]:
         return [p for _, p in self.elements]
@@ -137,8 +137,7 @@ def _leibniz_element(gamma: ParamVector, order: tuple[int, ...], c: int,
         for e, cc in expansions[j]:
             key = tuple(map(add, y, e))
             acc[key] = acc.get(key, 0) + coef * cc
-    den = D ** n
-    return Polynomial._trusted(d, {e: Fraction(v, den) for e, v in acc.items() if v})
+    return Polynomial._from_ints(d, acc, D ** n)
 
 
 def rodrigues_basis(gamma: ParamVector, n: int) -> Basis:
@@ -272,8 +271,9 @@ def eigencheck(gamma: ParamVector, f: Polynomial, n: int) -> bool:
     if gamma.d != d:
         raise ValueError("dimension mismatch")
     D = math.lcm(*(g.denominator for g in gamma.entries))
-    lows = [int((g + 1) * D) for g in gamma.entries[:-1]]   # (g_i+1) D
-    top = int((n + gamma.total + d) * D)                     # (n+shift) D
+    scaled = [g.numerator * (D // g.denominator) for g in gamma.entries]  # D g_i
+    lows = [s + D for s in scaled[:-1]]                                 # (g_i+1) D
+    top = sum(scaled) + (n + d) * D                                     # (n+shift) D
     coef, _ = f.scaled_to_integers()
     targets = set(coef)
     for a in coef:

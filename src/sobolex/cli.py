@@ -20,7 +20,7 @@ from .products import (ClassicalProduct, DerivativeProduct, SingularProduct,
                        gram, labeled)
 from .scalars import parse_rational
 from .spaces import h_space, u_space, verify_u_space
-from .suites import SUITE_NAMES, run_suite
+from .suites import FIXED_DIMENSION, SUITE_NAMES, run_suite
 from .weighted import ParamVector
 
 USAGE_EXIT = 2
@@ -169,6 +169,11 @@ def cmd_eigen(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    fixed = FIXED_DIMENSION.get(args.suite)
+    if args.d is None:
+        args.d = fixed or 2
+    elif fixed is not None and args.d != fixed:
+        raise ValueError(f"suite {args.suite!r} runs at d = {fixed} only, not --d {args.d}")
     gammas = None
     if args.gamma:
         gammas = [_parse_gamma(text, args.d) for text in args.gamma]
@@ -252,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=list(SUITE_NAMES))
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int,
+                   help="ambient dimension (default 2; jacobi, triangle and "
+                        "thm31 run at their own d only)")
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--gamma", action="append",
                    help="override the sampled exponent vectors (repeatable)")

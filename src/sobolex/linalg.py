@@ -22,8 +22,9 @@ def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (denom // v.denominator) for v in row], denom
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank via fraction-free Gaussian elimination."""
+def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    """Exact rank via fraction-free Gaussian elimination; entries may be
+    Fractions or ints."""
     m = [_integer_row(row)[0] for row in rows]
     if not m or not m[0]:
         return 0
@@ -141,29 +142,36 @@ def solve_combination(target: Sequence[Fraction],
     return coeffs
 
 
+def _numerator_rows(polys: Sequence[Polynomial], support: Sequence[Exponents] | None = None
+                    ) -> tuple[list[list[int]], list[int], list[Exponents]]:
+    """(rows, dens, support): row i over dens[i] is the coefficient vector of
+    polys[i] over a common graded-lex support.  Scaling a row by its
+    denominator keeps the rank, so rank tests can use the rows alone."""
+    views = [p.scaled_to_integers() for p in polys]
+    if support is None:
+        support = sorted(set().union(*(terms for terms, _ in views)), key=graded_lex_key)
+    support = list(support)
+    rows = [[terms.get(exp, 0) for exp in support] for terms, _ in views]
+    return rows, [den for _, den in views], support
+
+
 def coefficient_matrix(polys: Sequence[Polynomial],
                        support: Sequence[Exponents] | None = None) -> tuple[Matrix, list[Exponents]]:
     """Stack coefficient vectors over a common graded-lex support."""
-    if support is None:
-        seen: set[Exponents] = set()
-        for p in polys:
-            seen.update(exp for exp, _ in p.items())
-        support = sorted(seen, key=graded_lex_key)
-    support = list(support)
-    rows = [[p.coefficient(exp) for exp in support] for p in polys]
-    return rows, support
+    rows, dens, support = _numerator_rows(polys, support)
+    return [[Fraction(v, den) for v in row] for row, den in zip(rows, dens)], support
 
 
 def poly_rank(polys: Sequence[Polynomial]) -> int:
     if not polys:
         return 0
-    rows, _ = coefficient_matrix(polys)
+    rows, _, _ = _numerator_rows(polys)
     return rank(rows) if rows and rows[0] else 0
 
 
 def spans_equal(left: Sequence[Polynomial], right: Sequence[Polynomial]) -> bool:
     """Exact span equality via mutual rank checks."""
-    rows, support = coefficient_matrix(list(left) + list(right))
+    rows, _, _ = _numerator_rows(list(left) + list(right))
     nl = len(left)
     rl = rank(rows[:nl]) if nl else 0
     rr = rank(rows[nl:]) if len(right) else 0

@@ -14,7 +14,9 @@ integers, so a table entry is an int keyed by its integer exponent tuple, and
 the denominator depends on |a| only and divides the one of every higher
 degree.  Pairings <f_i, g_j x^s> = sum_a c_a sum_b d_b m(a+b+s) are computed
 a matrix at a time in integers over that common denominator, without building
-any product polynomial; an integral is the pairing with 1.
+any product polynomial, and returned as int numerators with their row and
+column denominators, so that a caller summing several pairings builds one
+Fraction per entry; an integral is the pairing with 1.
 """
 
 from __future__ import annotations
@@ -66,9 +68,11 @@ class MomentTable:
 
     def pairings(self, rows: list[Polynomial], cols: list[Polynomial],
                  shift: Exponents | None = None,
-                 upper: bool = False) -> list[list[Fraction]]:
-        """Matrix of the pairings of rows[i] with cols[j] times x^shift; with
-        `upper` (cols is rows) only the entries j >= i, the rest left 0."""
+                 upper: bool = False) -> tuple[list[list[int]], list[int], list[int]]:
+        """The pairings of rows[i] with cols[j] times x^shift, as (nums,
+        row_dens, col_dens): entry (i, j) is nums[i][j] / (row_dens[i] *
+        col_dens[j]).  With `upper` (cols is rows) only the entries j >= i
+        are summed, the rest left 0."""
         rint = [p.scaled_to_integers() for p in rows]
         cint = rint if cols is rows else [p.scaled_to_integers() for p in cols]
         at: dict[Exponents, int] = {}
@@ -82,9 +86,9 @@ class MomentTable:
         lift = [common // self.denominator(k) for k in range(top + 1)]
         numerator = self.numerator
         lifted: dict[Exponents, list[int]] = {}
-        cvecs = [([(at[b], c) for b, c in terms.items()], q) for terms, q in cint]
+        cvecs = [[(at[b], c) for b, c in terms.items()] for terms, _ in cint]
         out = []
-        for i, (terms, q) in enumerate(rint):
+        for i, (terms, _) in enumerate(rint):
             u = [0] * len(at)
             for a, c in terms.items():
                 moments = lifted.get(a)
@@ -94,12 +98,11 @@ class MomentTable:
                     moments = lifted[a] = [numerator(tuple(map(add, sa, b))) * lift[da + db]
                                            for b, db in heads]
                 u = [x + c * y for x, y in zip(u, moments)]
-            line = [Fraction(0)] * len(cvecs)
+            line = [0] * len(cvecs)
             for j in range(i if upper else 0, len(cvecs)):
-                vec, r = cvecs[j]
-                line[j] = Fraction(sum(c * u[pos] for pos, c in vec), common * q * r)
+                line[j] = sum(c * u[pos] for pos, c in cvecs[j])
             out.append(line)
-        return out
+        return out, [common * q for _, q in rint], [r for _, r in cint]
 
 
 _TABLES: dict[tuple[Fraction, ...], MomentTable] = {}
@@ -126,11 +129,16 @@ def normalized_moment(gamma: ParamVector, a: tuple[int, ...]) -> Fraction:
     return Fraction(table.numerator(a), table.denominator(sum(a)))
 
 
+def _pairing(table: MomentTable, f: Polynomial, g: Polynomial) -> Fraction:
+    (num,), (rden,), (cden,) = table.pairings([f], [g])
+    return Fraction(num[0], rden * cden)
+
+
 def integral(f: Polynomial, gamma: ParamVector) -> Fraction:
     """Normalized integral of a polynomial against W_gamma over T^d."""
     if f.dim != gamma.d:
         raise ValueError("dimension mismatch")
-    return moment_table(gamma).pairings([f], [Polynomial.constant(f.dim, 1)])[0][0]
+    return _pairing(moment_table(gamma), f, Polynomial.constant(f.dim, 1))
 
 
 def inner_product(f: Polynomial, g: Polynomial, gamma: ParamVector) -> Fraction:
@@ -139,7 +147,7 @@ def inner_product(f: Polynomial, g: Polynomial, gamma: ParamVector) -> Fraction:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if f.dim != gamma.d:
         raise ValueError("dimension mismatch")
-    return moment_table(gamma).pairings([f], [g])[0][0]
+    return _pairing(moment_table(gamma), f, g)
 
 
 def face_inner_product(f: Polynomial, g: Polynomial, face: FaceId,
@@ -156,5 +164,7 @@ def vertex_eval(f: Polynomial, j: int) -> Fraction:
     """Evaluate at vertex e_j of T^d; e_0 is the origin."""
     if not 0 <= j <= f.dim:
         raise ValueError(f"vertex index {j} out of range")
-    point = [Fraction(1) if i == j - 1 else Fraction(0) for i in range(f.dim)]
-    return f.evaluate(point)
+    # the terms that survive at e_j: the constant for j = 0, else the pure
+    # powers of x_{j-1}
+    terms, den = f.scaled_to_integers()
+    return Fraction(sum(c for e, c in terms.items() if sum(e) == (e[j - 1] if j else 0)), den)

@@ -1,16 +1,25 @@
 """Sparse exact polynomials in d variables, with the face machinery of T^d.
 
-A polynomial is a mapping exponent-tuple -> Fraction.  Variables are indexed
-0..d-1; the extra index d always refers to the hyperplane 1 - |x| = 0 when a
-face of the simplex is described.  Terms serialize in graded-lex order
-(total degree first, then lexicographic on the exponent tuple).
+A polynomial stores its coefficients as integer numerators over one positive
+common denominator: a dict exponent-tuple -> nonzero int, and an int `den`
+with gcd(den, *numerators) == 1.  That form is unique (den is the least
+common denominator of the coefficients), so equality and hashing compare it
+directly.  The ring operations, derivatives, permutations and restrictions
+run in ints with one gcd reduction per result.  Coefficients become
+`fractions.Fraction`s only where they leave the class: `items`,
+`coefficient`, `evaluate`, `sorted_terms`, `to_json` and `repr`; kernels that
+sum coefficients read the integer view from `scaled_to_integers`.
+
+Variables are indexed 0..d-1; the extra index d always refers to the
+hyperplane 1 - |x| = 0 when a face of the simplex is described.  Terms
+serialize in graded-lex order (total degree first, then lexicographic on the
+exponent tuple).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -39,33 +48,41 @@ def _exact_coefficient(coef: object) -> Fraction:
 class Polynomial:
     """Immutable-by-convention sparse polynomial over the rationals."""
 
-    __slots__ = ("dim", "_terms")
+    __slots__ = ("dim", "_terms", "_den")
 
     def __init__(self, dim: int, terms: Mapping[Exponents, Rational] | Iterable[tuple[Exponents, Rational]] = ()):
         if not _is_int(dim) or dim < 0:
             raise ValueError(f"dimension must be an integer >= 0, not {dim!r}")
-        self.dim = dim
-        acc: dict[Exponents, Fraction] = {}
+        coefs = []
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coef in items:
             exp = tuple(exp)
             if len(exp) != dim or not all(_is_int(e) and e >= 0 for e in exp):
                 raise ValueError(f"bad exponent {exp} for dimension {dim}")
-            c = acc.get(exp, Fraction(0)) + _exact_coefficient(coef)
-            if c:
-                acc[exp] = c
-            else:
-                acc.pop(exp, None)
-        self._terms = acc
+            coefs.append((exp, _exact_coefficient(coef)))
+        den = math.lcm(*(c.denominator for _, c in coefs))
+        acc: dict[Exponents, int] = {}
+        for exp, c in coefs:
+            acc[exp] = acc.get(exp, 0) + c.numerator * (den // c.denominator)
+        self.dim = dim
+        self._terms, self._den = _reduced(acc, den)
 
     @classmethod
-    def _trusted(cls, dim: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
-        """Wrap `terms` as is: int-tuple exponents of length dim to nonzero
-        Fractions.  Only for callers that build such a dict themselves."""
+    def _trusted(cls, dim: int, terms: dict[Exponents, int], den: int) -> "Polynomial":
+        """Wrap `terms` over `den` as is: int-tuple exponents of length dim to
+        nonzero int numerators, den > 0 and gcd(den, *numerators) == 1.  Only
+        for callers that build such a dict themselves."""
         self = object.__new__(cls)
         self.dim = dim
         self._terms = terms
+        self._den = den
         return self
+
+    @classmethod
+    def _from_ints(cls, dim: int, acc: dict[Exponents, int], den: int) -> "Polynomial":
+        """The polynomial sum(acc[e] x^e) / den, for int values (zeros allowed)
+        and den > 0; acc may become the new polynomial's storage."""
+        return cls._trusted(dim, *_reduced(acc, den))
 
     # -- constructors ------------------------------------------------------
 
@@ -101,19 +118,20 @@ class Polynomial:
         return max(sum(e) for e in self._terms)
 
     def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exp), Fraction(0))
+        return Fraction(self._terms.get(tuple(exp), 0), self._den)
 
     def items(self) -> Iterator[tuple[Exponents, Fraction]]:
-        return iter(self._terms.items())
+        den = self._den
+        return ((e, Fraction(c, den)) for e, c in self._terms.items())
 
     def scaled_to_integers(self) -> tuple[dict[Exponents, int], int]:
         """(terms, q): the coefficients times their least common denominator
-        q, as ints."""
-        q = math.lcm(*(c.denominator for c in self._terms.values()))
-        return {e: c.numerator * (q // c.denominator) for e, c in self._terms.items()}, q
+        q, as ints.  The dict is the polynomial's own storage, not a copy:
+        do not mutate it."""
+        return self._terms, self._den
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        return sorted(self._terms.items(), key=lambda t: graded_lex_key(t[0]))
+        return sorted(self.items(), key=lambda t: graded_lex_key(t[0]))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -121,10 +139,11 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
+        return (self.dim == other.dim and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        return hash((self.dim, frozenset(self._terms.items())))
+        return hash((self.dim, self._den, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -146,21 +165,17 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.dim, other)
         self._check_dim(other)
-        acc = dict(self._terms)
+        den = math.lcm(self._den, other._den)
+        s, t = den // self._den, den // other._den
+        acc = {e: c * s for e, c in self._terms.items()} if s > 1 else dict(self._terms)
         for e, c in other._terms.items():
-            old = acc.get(e)
-            if old is not None:
-                c += old
-            if c:
-                acc[e] = c
-            else:
-                del acc[e]
-        return Polynomial._trusted(self.dim, acc)
+            acc[e] = acc.get(e, 0) + c * t
+        return Polynomial._from_ints(self.dim, acc, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.dim, {e: -c for e, c in self._terms.items()})
+        return Polynomial._trusted(self.dim, {e: -c for e, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: "Polynomial | Rational") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -173,16 +188,16 @@ class Polynomial:
     def __mul__(self, other: "Polynomial | Rational") -> "Polynomial":
         if not isinstance(other, Polynomial):
             c = as_fraction(other)
-            if not c:
-                return Polynomial.zero(self.dim)
-            return Polynomial._trusted(self.dim, {e: k * c for e, k in self._terms.items()})
+            p = c.numerator
+            return Polynomial._from_ints(self.dim, {e: k * p for e, k in self._terms.items()},
+                                         self._den * c.denominator)
         self._check_dim(other)
-        acc: dict[Exponents, Fraction] = {}
+        acc: dict[Exponents, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = tuple(map(add, e1, e2))
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return Polynomial._trusted(self.dim, {e: c for e, c in acc.items() if c})
+        return Polynomial._from_ints(self.dim, acc, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -204,9 +219,9 @@ class Polynomial:
         """Exact partial derivative with respect to x_axis."""
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dimension {self.dim}")
-        return Polynomial._trusted(self.dim, {
+        return Polynomial._from_ints(self.dim, {
             exp[:axis] + (exp[axis] - 1,) + exp[axis + 1:]: coef * exp[axis]
-            for exp, coef in self._terms.items() if exp[axis]})
+            for exp, coef in self._terms.items() if exp[axis]}, self._den)
 
     def partials(self, axes: Iterable[int]) -> "Polynomial":
         out = self
@@ -215,30 +230,35 @@ class Polynomial:
         return out
 
     def evaluate(self, point: Sequence[Rational]) -> Fraction:
+        """The value at `point`, summed in ints: with the coordinates scaled
+        by their common denominator L, each term is padded to L^degree."""
         if len(point) != self.dim:
             raise ValueError("point has wrong dimension")
         pt = [as_fraction(v) for v in point]
-        total = Fraction(0)
+        L = math.lcm(*(v.denominator for v in pt))
+        scaled = [v.numerator * (L // v.denominator) for v in pt]
+        top = max(self.degree(), 0)
+        total = 0
         for exp, coef in self._terms.items():
-            term = coef
-            for v, e in zip(pt, exp):
+            term = coef * L ** (top - sum(exp))
+            for v, e in zip(scaled, exp):
                 if e:
                     term *= v ** e
             total += term
-        return total
+        return Fraction(total, self._den * L ** top)
 
     def substitute(self, axis: int, replacement: "Polynomial") -> "Polynomial":
         """Substitute x_axis := replacement (a polynomial in the same d variables)."""
         self._check_dim(replacement)
-        groups: dict[int, list[tuple[Exponents, Fraction]]] = {}
+        groups: dict[int, dict[Exponents, int]] = {}
         for exp, coef in self._terms.items():
             rest = exp[:axis] + (0,) + exp[axis + 1:]
-            groups.setdefault(exp[axis], []).append((rest, coef))
+            groups.setdefault(exp[axis], {})[rest] = coef
         out = Polynomial.zero(self.dim)
         power = Polynomial.constant(self.dim, 1)
         for e in range(max(groups, default=0) + 1):
             if e in groups:
-                out = out + Polynomial(self.dim, groups[e]) * power
+                out = out + Polynomial._from_ints(self.dim, groups[e], self._den) * power
             power = power * replacement
         return out
 
@@ -246,13 +266,13 @@ class Polynomial:
         """Return f(x_{order[0]}, ..., x_{order[d-1]})."""
         if sorted(order) != list(range(self.dim)):
             raise ValueError(f"{order} is not a permutation of 0..{self.dim - 1}")
-        acc: dict[Exponents, Fraction] = {}
+        acc: dict[Exponents, int] = {}
         for exp, coef in self._terms.items():
             new = [0] * self.dim
             for pos, e in enumerate(exp):
                 new[order[pos]] = e
             acc[tuple(new)] = coef
-        return Polynomial._trusted(self.dim, acc)
+        return Polynomial._trusted(self.dim, acc, self._den)
 
     def restrict(self, zeroed: Iterable[int]) -> "Polynomial":
         """Restrict to the face of T^d where the given coordinates vanish.
@@ -269,7 +289,7 @@ class Polynomial:
         rdim = self.dim - len(zset)
         designated = survivors[-1] if self.dim in zset else None
         keep = [i for i in survivors if i != designated]
-        acc: dict[Exponents, Fraction] = {}
+        acc: dict[Exponents, int] = {}
         for exp, coef in self._terms.items():
             if any(exp[i] for i in true_zeros):
                 continue
@@ -278,10 +298,11 @@ class Polynomial:
             if not e:
                 acc[base] = acc.get(base, 0) + coef
                 continue
+            # (1 - |x|)^e has integer coefficients, so its den is 1
             for ce, cc in complement_power(rdim, e)._terms.items():
                 key = tuple(map(add, base, ce))
                 acc[key] = acc.get(key, 0) + coef * cc
-        return Polynomial._trusted(rdim, {e: c for e, c in acc.items() if c})
+        return Polynomial._from_ints(rdim, acc, self._den)
 
     # -- serialization -----------------------------------------------------
 
@@ -303,6 +324,19 @@ class Polynomial:
                 raise ValueError(f"bad polynomial term {t!r}")
             terms.append((t["exp"], t["coef"]))
         return cls(data["d"], terms)
+
+
+def _reduced(acc: dict[Exponents, int], den: int) -> tuple[dict[Exponents, int], int]:
+    """acc without its zero entries, and den > 0, both divided by their gcd.
+    acc itself is returned when nothing changes, so pass a dict nobody else
+    holds."""
+    if 0 in acc.values():
+        acc = {e: c for e, c in acc.items() if c}
+    g = math.gcd(den, *acc.values())
+    if g != 1:
+        acc = {e: c // g for e, c in acc.items()}
+        den //= g
+    return acc, den
 
 
 @lru_cache(maxsize=None)
@@ -351,18 +385,29 @@ def constrained_indices(dim: int, degree: int, zero_axes: Iterable[int]) -> list
     return sorted(out, key=graded_lex_key)
 
 
-@dataclass(frozen=True)
 class FaceId:
     """A face of T^d: the coordinates in `zeroed` vanish; index d means 1-|x|=0."""
 
-    ambient: int
-    zeroed: frozenset[int]
+    __slots__ = ("ambient", "zeroed")
 
-    def __post_init__(self) -> None:
-        if not self.zeroed <= set(range(self.ambient + 1)):
+    def __init__(self, ambient: int, zeroed: frozenset[int]):
+        if not zeroed <= set(range(ambient + 1)):
             raise ValueError("face indices out of range")
-        if len(self.zeroed) > self.ambient:
+        if len(zeroed) > ambient:
             raise ValueError("too many zeroed coordinates")
+        self.ambient = ambient
+        self.zeroed = zeroed
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FaceId):
+            return NotImplemented
+        return self.ambient == other.ambient and self.zeroed == other.zeroed
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.zeroed))
+
+    def __repr__(self) -> str:
+        return f"FaceId(ambient={self.ambient!r}, zeroed={self.zeroed!r})"
 
     @property
     def dim(self) -> int:

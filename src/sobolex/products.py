@@ -8,7 +8,9 @@ lam * A(f) A(g) of point values.  Each class only lists its terms; one
 evaluator computes every value and Gram matrix from them.  It maps each row
 and each column polynomial through each term once, keeps the images as
 integer coefficients over a common denominator, and pairs them by moment sums
-(`MomentTable.pairings`), so no polynomial is built per pair.
+(`MomentTable.pairings`), so no polynomial is built per pair.  Each entry is
+summed over the terms as an int numerator and denominator and becomes one
+Fraction at the end.
 
 Each integral term is Dirichlet-normalized against its own displayed base
 weight (the monomial factors such as x_i inside a summand belong to the
@@ -20,9 +22,9 @@ keeping every value rational; the describe() payload records the convention.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DependentInput
@@ -33,6 +35,7 @@ from .scalars import Rational, as_fraction, format_rational
 from .weighted import ParamVector
 
 ONE = Fraction(1)
+ZERO = Fraction(0)
 
 
 def mass_ratio(params: ParamVector) -> str:
@@ -91,22 +94,38 @@ class _TermForm:
         for p in itertools.chain(rows, () if same else cols):
             if p.dim != self.dim:
                 raise ValueError(f"dimension mismatch: {p.dim} vs {self.dim}")
-        out = [[Fraction(0)] * len(rows if same else cols) for _ in rows]
+        # entry (i, j) is summed as the int fraction nums[i][j] / dens[i][j]
+        ncols = len(rows if same else cols)
+        nums = [[0] * ncols for _ in rows]
+        dens = [[1] * ncols for _ in rows]
         for lam, image, weight, right in self._terms:
             a = [image(f) for f in rows]
             b = a if same else [image(g) for g in cols]
             if weight is None:
-                block = [[x * y for y in b] for x in a]
+                block = [[x.numerator * y.numerator for y in b] for x in a]
+                rdens = [x.denominator for x in a]
+                cdens = [y.denominator for y in b]
             else:
-                block = weight.pairings(a, b, right, upper=same)
-            for line, values in zip(out, block):
+                block, rdens, cdens = weight.pairings(a, b, right, upper=same)
+            p = lam.numerator
+            for num_line, den_line, values, r in zip(nums, dens, block, rdens):
+                r *= lam.denominator
                 for j, v in enumerate(values):
                     if v:
-                        line[j] += lam * v
-        if same:
-            for i, line in enumerate(out):
-                for j in range(i):
-                    line[j] = out[j][i]
+                        q = r * cdens[j]
+                        old = den_line[j]
+                        if old == q:
+                            num_line[j] += p * v
+                        else:
+                            common = lcm(old, q)
+                            num_line[j] = num_line[j] * (common // old) + p * v * (common // q)
+                            den_line[j] = common
+        out: list[list[Fraction]] = []
+        for i, (num_line, den_line) in enumerate(zip(nums, dens)):
+            start = i if same else 0
+            out.append([out[j][i] for j in range(start)]
+                       + [Fraction(n, q) if n else ZERO
+                          for n, q in zip(num_line[start:], den_line[start:])])
         return out
 
     def value(self, f: Polynomial, g: Polynomial) -> Fraction:
@@ -500,12 +519,13 @@ class JacobiSingularBoth(_TermForm):
 
 # -- Gram machinery -----------------------------------------------------------
 
-@dataclass
 class GramReport:
-    spec: dict
-    row_labels: list[str]
-    col_labels: list[str]
-    matrix: list[list[Fraction]]
+    def __init__(self, spec: dict, row_labels: list[str], col_labels: list[str],
+                 matrix: list[list[Fraction]]):
+        self.spec = spec
+        self.row_labels = row_labels
+        self.col_labels = col_labels
+        self.matrix = matrix
 
     @property
     def all_zero(self) -> bool:
@@ -522,9 +542,7 @@ class GramReport:
 
     @property
     def symmetric(self) -> bool:
-        return self.is_square and all(self.matrix[i][j] == self.matrix[j][i]
-                                      for i in range(len(self.matrix))
-                                      for j in range(len(self.matrix)))
+        return self.is_square and [list(col) for col in zip(*self.matrix)] == self.matrix
 
     def minors(self) -> list[Fraction]:
         if not self.is_square:

@@ -1,7 +1,9 @@
 """Exact rational scalars: rising factorials, binomials, parsing helpers.
 
-Every number in the package is a ``fractions.Fraction``; nothing here (or
-anywhere else) rounds.
+Every scalar the package hands out is a ``fractions.Fraction``; polynomial
+coefficients are stored as ints over a common denominator (see
+`polynomials`) and become Fractions when read.  Nothing here (or anywhere
+else) rounds.
 """
 
 from __future__ import annotations

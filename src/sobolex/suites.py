@@ -622,12 +622,16 @@ def suite_thm36(d: int = 2, n_max: int = 4,
 SUITE_NAMES = ("jacobi", "triangle", "rodrigue", "monomial", "lemmas4",
                "thm31", "thm34", "thm36", "all")
 GAMMA_SUITES = ("triangle", "rodrigue", "monomial", "lemmas4")
+# suites that run in one dimension only, whatever d they are given
+FIXED_DIMENSION = {"jacobi": 1, "triangle": 2, "thm31": 2}
 
 
 def run_suite(name: str, d: int = 2, n_max: int = 3,
               gammas: list[ParamVector] | None = None) -> dict:
     if gammas is not None and name not in GAMMA_SUITES:
         raise ValueError(f"suite {name!r} does not take --gamma")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, not {n_max}")
     if name == "jacobi":
         return suite_jacobi(n_max=max(n_max, 5))
     if name == "triangle":

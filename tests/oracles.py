@@ -10,6 +10,8 @@ out term by term, pairing each pair of polynomials on its own.
 The two construction oracles build the Rodrigues and permuted elements from
 their definitions with `sobolex.weighted.WeightedForm`: shift the weight,
 differentiate term by term in rational exponents, divide the weight back out.
+`FractionPolynomial` is the polynomial arithmetic that `Polynomial`'s integer
+form replaced: one reduced Fraction per coefficient, summed term by term.
 """
 
 from __future__ import annotations
@@ -88,6 +90,116 @@ def oracle_monomial_element(gamma, nu: tuple[int, ...]) -> Polynomial:
         coef *= pochhammer(s, n + sum(m)) / den
         terms[m] = coef
     return Polynomial(d, terms)
+
+
+# -- polynomials as Fraction dicts -------------------------------------------
+
+class FractionPolynomial:
+    """A polynomial as a dict exponent tuple -> nonzero Fraction.
+
+    Restriction substitutes the face's coordinates (0, or 1 minus the other
+    survivors for the hyperplane) instead of expanding cached powers of
+    1 - |x|; everything else is the term-by-term definition.
+    """
+
+    def __init__(self, dim: int, terms=()):
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for exp, coef in (terms.items() if isinstance(terms, dict) else terms):
+            acc[tuple(exp)] = acc.get(tuple(exp), Fraction(0)) + Fraction(coef)
+        self.dim = dim
+        self.terms = {e: c for e, c in acc.items() if c}
+
+    @classmethod
+    def constant(cls, dim: int, value) -> "FractionPolynomial":
+        return cls(dim, {(0,) * dim: value})
+
+    def __add__(self, other) -> "FractionPolynomial":
+        if not isinstance(other, FractionPolynomial):
+            other = FractionPolynomial.constant(self.dim, other)
+        return FractionPolynomial(self.dim, [*self.terms.items(), *other.terms.items()])
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FractionPolynomial":
+        return self * -1
+
+    def __sub__(self, other) -> "FractionPolynomial":
+        return self + (-other)
+
+    def __rsub__(self, other) -> "FractionPolynomial":
+        return FractionPolynomial.constant(self.dim, other) + (-self)
+
+    def __mul__(self, other) -> "FractionPolynomial":
+        if not isinstance(other, FractionPolynomial):
+            return FractionPolynomial(self.dim, {e: c * other for e, c in self.terms.items()})
+        return FractionPolynomial(self.dim, [
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()])
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "FractionPolynomial":
+        out = FractionPolynomial.constant(self.dim, 1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def partial(self, axis: int) -> "FractionPolynomial":
+        return FractionPolynomial(self.dim, [
+            (e[:axis] + (e[axis] - 1,) + e[axis + 1:], c * e[axis])
+            for e, c in self.terms.items() if e[axis]])
+
+    def evaluate(self, point) -> Fraction:
+        total = Fraction(0)
+        for exp, coef in self.terms.items():
+            for v, e in zip(point, exp):
+                coef *= Fraction(v) ** e
+            total += coef
+        return total
+
+    def substitute(self, axis: int, replacement: "FractionPolynomial") -> "FractionPolynomial":
+        out = FractionPolynomial(self.dim)
+        for exp, coef in self.terms.items():
+            rest = FractionPolynomial(self.dim, {exp[:axis] + (0,) + exp[axis + 1:]: coef})
+            out = out + rest * replacement ** exp[axis]
+        return out
+
+    def permute(self, order) -> "FractionPolynomial":
+        out = {}
+        for exp, coef in self.terms.items():
+            new = [0] * self.dim
+            for pos, e in enumerate(exp):
+                new[order[pos]] = e
+            out[tuple(new)] = coef
+        return FractionPolynomial(self.dim, out)
+
+    def restrict(self, zeroed) -> "FractionPolynomial":
+        d = self.dim
+        zset = frozenset(zeroed)
+        survivors = [i for i in range(d) if i not in zset]
+        designated = survivors[-1] if d in zset else None
+        keep = [i for i in survivors if i != designated]
+        rdim = len(keep)
+        one_minus = FractionPolynomial(rdim, [((0,) * rdim, 1)] + [
+            (tuple(int(j == i) for j in range(rdim)), -1) for i in range(rdim)])
+        out = FractionPolynomial(rdim)
+        for exp, coef in self.terms.items():
+            if any(exp[i] for i in zset if i < d):
+                continue
+            term = FractionPolynomial(rdim, {tuple(exp[i] for i in keep): coef})
+            if designated is not None:
+                term = term * one_minus ** exp[designated]
+            out = out + term
+        return out
+
+    def coefficient(self, exp) -> Fraction:
+        return self.terms.get(tuple(exp), Fraction(0))
+
+    def to_json(self) -> dict:
+        return {"d": self.dim,
+                "terms": [{"exp": list(e), "coef": str(c)}
+                          for e, c in sorted(self.terms.items(),
+                                             key=lambda t: (sum(t[0]), t[0]))]}
 
 
 # -- Rodrigues and permuted elements by differentiating the weight -------------

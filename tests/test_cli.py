@@ -202,6 +202,33 @@ def test_ignored_flag_is_a_usage_error(capsys, case):
     assert out == ""
 
 
+# arguments outside what the command can run: a negative degree bound, or a
+# --d other than the one dimension a suite runs in
+BAD_ARGUMENTS = {
+    "n-max-rodrigue": ["verify", "--suite", "rodrigue", "--d", "2", "--n-max", "-1"],
+    "n-max-jacobi": ["verify", "--suite", "jacobi", "--n-max", "-1"],
+    "n-max-all": ["verify", "--suite", "all", "--n-max", "-1"],
+    "n-max-report": ["report", "--n-max", "-1"],
+    "d-triangle": ["verify", "--suite", "triangle", "--d", "3", "--n-max", "1"],
+    "d-thm31": ["verify", "--suite", "thm31", "--d", "3", "--n-max", "1"],
+    "d-jacobi": ["verify", "--suite", "jacobi", "--d", "3", "--n-max", "1"],
+    "d-jacobi-2": ["verify", "--suite", "jacobi", "--d", "2", "--n-max", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_argument_is_a_usage_error(capsys, case):
+    code, out = run_cli(capsys, BAD_ARGUMENTS[case])
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("suite, d", [("jacobi", "1"), ("triangle", "2"), ("thm31", "2")])
+def test_fixed_dimension_suite_accepts_its_own_d(capsys, suite, d):
+    assert run_cli(capsys, ["verify", "--suite", suite, "--d", d, "--n-max", "1"]) \
+        == run_cli(capsys, ["verify", "--suite", suite, "--n-max", "1"])
+
+
 def test_math_precondition_exit_code(capsys):
     f = json.dumps(Polynomial.constant(1, 1).to_json())
     code, _ = run_cli(capsys, ["inner", "--d", "1", "--gamma", "-2,0",

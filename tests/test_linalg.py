@@ -105,3 +105,6 @@ def test_poly_span_helpers():
     coeffs = in_span(2 * x + 3 * y, [x, y])
     assert coeffs == [Fraction(2), Fraction(3)]
     assert in_span(x * x, [x, y]) is None
+    # rows over different denominators
+    assert in_span(x * Fraction(1, 2) + y * Fraction(1, 3), [x * Fraction(1, 4), 3 * y]) \
+        == [Fraction(2), Fraction(1, 9)]

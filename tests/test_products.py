@@ -13,7 +13,8 @@ from sobolex.products import (ClassicalProduct, DerivativeProduct,
                               JacobiSingularBeta, JacobiSingularBoth,
                               SingularProduct, TriangleAllSingular,
                               TriangleBetaGammaSingular, TriangleFirstTwoSingular,
-                              TriangleGammaSingular, gram, labeled, orthogonalize)
+                              TriangleGammaSingular, GramReport, gram, labeled,
+                              orthogonalize)
 from sobolex.spaces import h_space, u_space
 from sobolex.weighted import ParamVector
 
@@ -237,6 +238,15 @@ def test_value_and_gram_match_oracle(form):
         assert form.value(f, g) == oracle_value(form, f, g)
     # the symmetric path (upper triangle, mirrored) against the general one
     assert gram(form, labeled(rows)).matrix == gram(form, labeled(rows), labeled(rows)).matrix
+
+
+def test_gram_report_flags():
+    square = GramReport({}, ["a", "b"], ["a", "b"], [[Fraction(2), Fraction(1)],
+                                                     [Fraction(1), Fraction(2)]])
+    assert square.symmetric and square.positive_definite and not square.diagonal
+    skew = GramReport({}, ["a", "b"], ["a", "b"], [[Fraction(2), Fraction(1)],
+                                                   [Fraction(0), Fraction(2)]])
+    assert not skew.symmetric and skew.positive_definite is None
 
 
 def test_evaluator_checks_dimensions():
