@@ -2,10 +2,14 @@
 
 Each command runs in-process; the sha256 digest of its stdout and its exit
 code are compared with `golden/digests.json`.  A refactor is done only when
-every digest still matches.  To record the digests again, after a change of
-output that is intended, run
+every digest still matches.  To record the digests of commands that have none
+yet, run
 
     PYTHONPATH=src python tests/test_golden.py
+
+It never rewrites a recorded digest: when one no longer matches, it names it,
+writes nothing and exits 1.  To change a digest on purpose, after a change of
+output that is intended, delete its entry from the file by hand and run it.
 """
 
 import contextlib
@@ -13,6 +17,7 @@ import hashlib
 import io
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -21,6 +26,8 @@ from sobolex.cli import main
 DIGESTS = pathlib.Path(__file__).with_name("golden") / "digests.json"
 
 # two polynomials per dimension for `inner`, in the JSON that `--f`/`--g` take
+F1 = '{"d":1,"terms":[{"exp":[3],"coef":"2/3"},{"exp":[1],"coef":"-1"},{"exp":[0],"coef":"1/2"}]}'
+G1 = '{"d":1,"terms":[{"exp":[2],"coef":"5"},{"exp":[0],"coef":"-3/4"}]}'
 F2 = ('{"d":2,"terms":[{"exp":[2,0],"coef":"1"},{"exp":[0,1],"coef":"-1/3"},'
       '{"exp":[0,0],"coef":"2"}]}')
 G2 = '{"d":2,"terms":[{"exp":[1,1],"coef":"3/2"},{"exp":[1,0],"coef":"-1"}]}'
@@ -40,6 +47,14 @@ COMMANDS = [
      "--f", F3, "--g", G3],
     ["inner", "--d", "2", "--gamma", "-1,-1,-1", "--spec", "sobolev", "--lambda-vertex", "2,3,5",
      "--f", F2, "--g", G2],
+    ["inner", "--d", "1", "--gamma", "1/2,-1", "--spec", "sobolev", "--f", F1, "--g", G1],
+    ["inner", "--d", "2", "--gamma", "1/2,1/3,-1", "--spec", "sobolev", "--f", F2, "--g", G2],
+    *(["inner", "--d", "3", "--gamma", gamma, "--spec", "sobolev", *extra, "--f", F3, "--g", G3]
+      for gamma, extra in (("1/2,1/3,-1,-1", []), ("1/2,-1,-1,-1", []),
+                           ("-1,-1,-1,-1", ["--lambda-vertex", "1,2,3,5"]))),
+    *(["inner", "--d", "3", "--gamma", "0,1/2,1,1/3", "--spec", "epd", "--epd-order", order,
+       "--f", F3, "--g", G3]
+      for order in ("1", "3")),
     ["gram", "--d", "2", "--n", "3", "--gamma", "1/2,-1,-1", "--spec", "sobolev", "--basis", "u",
      "--against", "lower"],
     ["gram", "--d", "2", "--n", "2", "--gamma", "0,1/2,1", "--spec", "epd", "--against", "self"],
@@ -73,6 +88,42 @@ def test_stdout_matches_the_recorded_digest(argv):
     assert replay(argv) == _recorded()[" ".join(argv)]
 
 
+def test_recorder_adds_missing_digests_and_rewrites_none(tmp_path, monkeypatch):
+    import test_golden as module
+
+    cheap = [["basis", "--family", "monomial", "--d", "1", "--n", n, "--gamma", "0,0"]
+             for n in ("1", "2")]
+    first, second = (" ".join(argv) for argv in cheap)
+    monkeypatch.setattr(module, "COMMANDS", cheap)
+    monkeypatch.setattr(module, "DIGESTS", tmp_path / "digests.json")
+    module.DIGESTS.write_text(json.dumps({first: replay(cheap[0])}))
+    assert module.record() == []
+    assert module._recorded() == {first: replay(cheap[0]), second: replay(cheap[1])}
+    wrong = {first: {"exit": 0, "sha256": "0" * 64}}
+    module.DIGESTS.write_text(json.dumps(wrong))
+    assert module.record() == [first]
+    assert module._recorded() == wrong
+
+
+def record() -> list[str]:
+    """Add the digest of every command that has none; return the recorded
+    digests that no longer match, and write nothing if there are any."""
+    recorded = _recorded()
+    stale = []
+    for argv in COMMANDS:
+        key = " ".join(argv)
+        got = replay(argv)
+        if key not in recorded:
+            recorded[key] = got
+        elif recorded[key] != got:
+            stale.append(key)
+    if not stale:
+        DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    return stale
+
+
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps({" ".join(argv): replay(argv) for argv in COMMANDS},
-                                  indent=1, sort_keys=True) + "\n")
+    stale = record()
+    if stale:
+        sys.exit("recorded digest no longer matches (delete its entry to record it "
+                 "again): " + "; ".join(stale))
