@@ -287,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "n", 0) < 0:
+            raise ValueError(f"--n must be >= 0, not {args.n}")
         return COMMANDS[args.command](args)
     except SobolexError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)

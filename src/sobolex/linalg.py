@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals: rank, span tests, minors.
 
-Rank and determinants run fraction-free (Bareiss) on integer matrices after
-clearing denominators row by row; membership solves use plain Fraction
-elimination.  No tolerance parameter exists anywhere.
+Rank, determinants and membership solves share one fraction-free (Bareiss)
+elimination of integer matrices, after clearing denominators row by row;
+leading principal minors take their own pass without pivoting.  No tolerance
+parameter exists anywhere.
 """
 
 from __future__ import annotations
@@ -22,29 +23,42 @@ def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (denom // v.denominator) for v in row], denom
 
 
+def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[tuple[int, int]], int]:
+    """Bareiss elimination of the integer rows `m` in place, pivoting on the
+    first `ncols` columns and carrying later ones along; returns the pivot
+    positions (row, column) and the sign of the row swaps.  Each pivot is the
+    first nonzero entry at or below the current row, so the pivot columns are
+    the column rank profile; every entry stays an integer minor of the input,
+    so each division is exact."""
+    nrows = len(m)
+    pivots: list[tuple[int, int]] = []
+    sign, prev, r = 1, 1, 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        for i in range(r + 1, nrows):
+            for j in range(col + 1, len(m[i])):
+                m[i][j] = (m[r][col] * m[i][j] - m[i][col] * m[r][j]) // prev
+            m[i][col] = 0
+        pivots.append((r, col))
+        prev = m[r][col]
+        r += 1
+        if r == nrows:
+            break
+    return pivots, sign
+
+
 def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Exact rank via fraction-free Gaussian elimination; entries may be
     Fractions or ints."""
     m = [_integer_row(row)[0] for row in rows]
     if not m or not m[0]:
         return 0
-    nrows, ncols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(col + 1, ncols):
-                m[i][j] = (m[r][col] * m[i][j] - m[i][col] * m[r][j]) // prev
-            m[i][col] = 0
-        prev = m[r][col]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_eliminate(m, len(m[0]))[0])
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -52,27 +66,16 @@ def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(matrix)
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
+    scale = 1
     rows = []
     for row in matrix:
         ints, denom = _integer_row(row)
         scale *= denom
         rows.append(ints)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not rows[k][k]:
-            pivot = next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if pivot is None:
-                return Fraction(0)
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return Fraction(sign * rows[n - 1][n - 1], 1) / scale
+    pivots, sign = _eliminate(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * rows[n - 1][n - 1], scale)
 
 
 def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> list[Fraction]:
@@ -109,36 +112,22 @@ def solve_combination(target: Sequence[Fraction],
                       vectors: Sequence[Sequence[Fraction]]) -> list[Fraction] | None:
     """Coefficients c with sum c_i * vectors[i] == target, or None.
 
-    Free coefficients are set to zero, so the answer is deterministic.
+    Free coefficients are set to zero.  The other coefficients belong to the
+    pivot columns, which are linearly independent, so the answer is unique.
     """
     ncols = len(vectors)
     nrows = len(target)
     if any(len(v) != nrows for v in vectors):
         raise ValueError("vector lengths disagree")
-    aug = [[vectors[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][col]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None
+    aug = [_integer_row([v[i] for v in vectors] + [target[i]])[0] for i in range(nrows)]
+    pivots, _ = _eliminate(aug, ncols)
+    if any(row[ncols] for row in aug[len(pivots):]):
+        return None
     coeffs = [Fraction(0)] * ncols
-    for row, col in pivots:
-        coeffs[col] = aug[row][ncols]
+    for row, col in reversed(pivots):
+        line = aug[row]
+        rest = line[ncols] - sum(line[c] * coeffs[c] for _, c in pivots[row + 1:])
+        coeffs[col] = Fraction(rest) / line[col]
     return coeffs
 
 

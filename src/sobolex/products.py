@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DependentInput
 from .linalg import leading_principal_minors
-from .moments import MomentTable, moment_table, vertex_eval
+from .moments import moment_table, vertex_eval
 from .polynomials import Exponents, Polynomial
 from .scalars import Rational, as_fraction, format_rational
 from .weighted import ParamVector
@@ -50,17 +50,31 @@ def mass_ratio(params: ParamVector) -> str:
 
 
 class Term(NamedTuple):
-    """lam * <image(f), image(g) x^right> against `weight`, or, when weight is
-    None, lam * image(f) * image(g) for a point value."""
+    """lam * <image(f), image(g) x^right> against the base weight `weight`,
+    or, when weight is None, lam * image(f) * image(g) for a point value.
+
+    `tag` is the term's key in the normalization that describe() records:
+    the mass ratio of its weight, or "vertex" for a point value.  Terms that
+    share a weight may share a tag; a term without a tag is not listed.
+    """
 
     lam: Fraction
     image: Callable[[Polynomial], Polynomial | Fraction]
-    weight: MomentTable | None
+    weight: ParamVector | None
     right: Exponents | None = None
+    tag: str | None = None
 
 
-def _weight(entries: Sequence[Rational]) -> MomentTable:
-    return moment_table(ParamVector(entries))
+def singular_tail(dim: int, tail: Sequence[Rational], k: int) -> tuple[Fraction, ...]:
+    """The checked leading exponents of a weight whose trailing k are -1."""
+    if not 1 <= k <= dim + 1:
+        raise ValueError("k must lie in 1..d+1")
+    tail = tuple(as_fraction(t) for t in tail)
+    if len(tail) != dim + 1 - k:
+        raise ValueError(f"tail must have length {dim + 1 - k}")
+    if any(t <= -1 for t in tail):
+        raise ValueError("tail exponents must be > -1")
+    return tail
 
 
 def _derivative(axes: Iterable[int], zeroed: Iterable[int] = ()) -> Callable:
@@ -86,6 +100,11 @@ class _TermForm:
     def _terms(self) -> list[Term]:
         return [t for t in self.terms() if t.lam]
 
+    def _normalization(self) -> dict[str, str]:
+        """The rescaling of every tagged term, zero-lambda ones included."""
+        return {t.tag: "vertex" if t.weight is None else mass_ratio(t.weight)
+                for t in self.terms() if t.tag}
+
     def matrix(self, rows: Sequence[Polynomial],
                cols: Sequence[Polynomial] | None = None) -> list[list[Fraction]]:
         """Entry (i, j) is the form at (rows[i], cols[j]); cols None means
@@ -98,7 +117,7 @@ class _TermForm:
         ncols = len(rows if same else cols)
         nums = [[0] * ncols for _ in rows]
         dens = [[1] * ncols for _ in rows]
-        for lam, image, weight, right in self._terms:
+        for lam, image, weight, right, _ in self._terms:
             a = [image(f) for f in rows]
             b = a if same else [image(g) for g in cols]
             if weight is None:
@@ -106,7 +125,7 @@ class _TermForm:
                 rdens = [x.denominator for x in a]
                 cdens = [y.denominator for y in b]
             else:
-                block, rdens, cdens = weight.pairings(a, b, right, upper=same)
+                block, rdens, cdens = moment_table(weight).pairings(a, b, right, upper=same)
             p = lam.numerator
             for num_line, den_line, values, r in zip(nums, dens, block, rdens):
                 r *= lam.denominator
@@ -146,11 +165,11 @@ class ClassicalProduct(_TermForm):
         return self.gamma.is_integrable
 
     def terms(self) -> list[Term]:
-        return [Term(ONE, _derivative(()), moment_table(self.gamma))]
+        return [Term(ONE, _derivative(()), self.gamma, tag="main")]
 
     def describe(self) -> dict:
         return {"kind": self.kind, "gamma": self.gamma.to_json(),
-                "normalization": {"main": mass_ratio(self.gamma)}}
+                "normalization": self._normalization()}
 
 
 class DerivativeProduct(_TermForm):
@@ -179,25 +198,20 @@ class DerivativeProduct(_TermForm):
         return self.gamma.is_integrable and all(v >= 0 for v in self.lambdas.values())
 
     def terms(self) -> list[Term]:
-        out = [Term(ONE, _derivative(()), moment_table(self.gamma))]
+        out = [Term(ONE, _derivative(()), self.gamma, tag="main")]
         for j in range(1, self.order + 1):
             for subset in itertools.combinations(range(self.dim), j):
                 deltas = [1 if i in subset else 0 for i in range(self.dim)] + [j]
                 out.append(Term(self.lambdas.get(frozenset(subset), ONE), _derivative(subset),
-                                moment_table(self.gamma.shifted(deltas))))
+                                self.gamma.shifted(deltas),
+                                tag="d" + "".join(str(i) for i in subset)))
         return out
 
     def describe(self) -> dict:
-        norms = {"main": mass_ratio(self.gamma)}
-        for j in range(1, self.order + 1):
-            for subset in itertools.combinations(range(self.dim), j):
-                deltas = [1 if i in subset else 0 for i in range(self.dim)] + [j]
-                tag = "d" + "".join(str(i) for i in subset)
-                norms[tag] = mass_ratio(self.gamma.shifted(deltas))
         return {"kind": self.kind, "gamma": self.gamma.to_json(), "order": self.order,
                 "lambda": {"+".join(str(i) for i in sorted(k)): format_rational(v)
                            for k, v in sorted(self.lambdas.items(), key=lambda kv: sorted(kv[0]))},
-                "normalization": norms}
+                "normalization": self._normalization()}
 
 
 class SingularProduct(_TermForm):
@@ -225,16 +239,9 @@ class SingularProduct(_TermForm):
                  lam_axis: Sequence[Rational] | None = None,
                  lam_face: Mapping[frozenset[int], Rational] | None = None,
                  lam_vertex: Sequence[Rational] | None = None):
-        if not 1 <= k <= dim + 1:
-            raise ValueError("k must lie in 1..d+1")
-        tail = tuple(as_fraction(t) for t in tail)
-        if len(tail) != dim + 1 - k:
-            raise ValueError(f"tail must have length {dim + 1 - k}")
-        if any(t <= -1 for t in tail):
-            raise ValueError("tail exponents must be > -1")
         self.dim = dim
         self.k = k
-        self.tail = tail
+        self.tail = singular_tail(dim, tail, k)
         self.lam = as_fraction(lam)
         self.lam_axis = tuple(as_fraction(v) for v in (lam_axis or (1,) * (dim - k + 1)))
         if len(self.lam_axis) != dim - k + 1:
@@ -272,12 +279,14 @@ class SingularProduct(_TermForm):
         """The main term (every axis differentiated) and the face terms (a
         nonempty proper subset S differentiated, the other axes zeroed)."""
         tail, n = self.tail, len(axes)
-        out = [Term(ONE, _derivative(axes), _weight(tail + (0,) * n + (n - 1,)))]
+        out = [Term(ONE, _derivative(axes), ParamVector(tail + (0,) * n + (n - 1,)),
+                    tag="main")]
         for i in range(1, n):
             for subset in itertools.combinations(axes, i):
                 out.append(Term(self.lam_face.get(frozenset(subset), ONE),
                                 _derivative(subset, set(axes) - set(subset)),
-                                _weight(tail + (0,) * i + (i - 1,))))
+                                ParamVector(tail + (0,) * i + (i - 1,)),
+                                tag="face" + "".join(str(j) for j in subset)))
         return out
 
     def terms(self) -> list[Term]:
@@ -287,47 +296,20 @@ class SingularProduct(_TermForm):
                 Term(lam, _vertex(j), None) for j, lam in enumerate(self.lam_vertex)]
         mk = self._mk
         out = self._derivative_terms(mk) if k > 1 else []
+        # at k = 1 the gradient term is the main one, and the final term the boundary
+        gradient_tag, final_tag = ("gradient-face", "final") if k > 1 else ("main", "boundary")
         # gradient term on the face where the trailing k-1 axes vanish
         fd = d - k + 1
-        gradient = _weight(tail + (0,))
+        gradient = ParamVector(tail + (0,))
         out += [Term(self.lam_axis[i], _derivative((i,), mk), gradient,
-                     tuple(int(j == i) for j in range(fd))) for i in range(fd)]
-        if k == d:
-            return out + [Term(self.lam, _vertex(1), None)]
-        return out + [Term(self.lam, _derivative((), mk + [d]), _weight(tail))]
-
-    def _normalizations(self) -> dict[str, str]:
-        d, k = self.dim, self.k
-        if k == 1:
-            norms = {"main": mass_ratio(ParamVector(self.tail + (Fraction(0),)))}
-            norms["boundary"] = ("vertex" if d == 1
-                                 else mass_ratio(ParamVector(self.tail)))
-            return norms
-        if k == d + 1:
-            norms = {"main": mass_ratio(ParamVector((Fraction(0),) * d
-                                                    + (Fraction(d - 1),)))}
-            for i in range(1, d):
-                for subset in itertools.combinations(range(d), i):
-                    tag = "face" + "".join(str(j) for j in subset)
-                    norms[tag] = mass_ratio(
-                        ParamVector((Fraction(0),) * i + (Fraction(i - 1),)))
-            return norms
-        norms = {"main": mass_ratio(ParamVector(
-            self.tail + (Fraction(0),) * (k - 1) + (Fraction(k - 2),)))}
-        for i in range(1, k - 1):
-            for subset in itertools.combinations(self._mk, i):
-                tag = "face" + "".join(str(j) for j in subset)
-                norms[tag] = mass_ratio(ParamVector(
-                    self.tail + (Fraction(0),) * i + (Fraction(i - 1),)))
-        norms["gradient-face"] = mass_ratio(ParamVector(self.tail + (Fraction(0),)))
-        norms["final"] = ("vertex" if k == d
-                          else mass_ratio(ParamVector(self.tail)))
-        return norms
+                     tuple(int(j == i) for j in range(fd)), gradient_tag) for i in range(fd)]
+        final = (_vertex(1), None) if k == d else (_derivative((), mk + [d]), ParamVector(tail))
+        return out + [Term(self.lam, *final, tag=final_tag)]
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "d": self.dim, "k": self.k,
                "tail": [format_rational(t) for t in self.tail],
-               "normalization": self._normalizations()}
+               "normalization": self._normalization()}
         if self.k == self.dim + 1:
             out["lambda_vertex"] = [format_rational(v) for v in self.lam_vertex]
         else:
@@ -359,10 +341,10 @@ class TriangleGammaSingular(_TermForm):
 
     def terms(self) -> list[Term]:
         a, b = self.alpha, self.beta
-        grad = _weight((a, b, 0))
+        grad = ParamVector((a, b, 0))
         return [Term(ONE, _derivative((0,)), grad, (1, 0)),
                 Term(ONE, _derivative((1,)), grad, (0, 1)),
-                Term(self.lam1, _derivative((), (2,)), _weight((a, b)))]
+                Term(self.lam1, _derivative((), (2,)), ParamVector((a, b)))]
 
     def describe(self) -> dict:
         return {"kind": self.kind, "alpha": format_rational(self.alpha),
@@ -385,8 +367,8 @@ class TriangleBetaGammaSingular(_TermForm):
 
     def terms(self) -> list[Term]:
         a = self.alpha
-        return [Term(ONE, _derivative((1,)), _weight((a, 0, 0))),
-                Term(self.lam1, _derivative((0,), (1,)), _weight((a, 0)), (1,)),
+        return [Term(ONE, _derivative((1,)), ParamVector((a, 0, 0))),
+                Term(self.lam1, _derivative((0,), (1,)), ParamVector((a, 0)), (1,)),
                 Term(self.lam10, _vertex(1), None)]
 
     def describe(self) -> dict:
@@ -414,8 +396,8 @@ class TriangleAllSingular(_TermForm):
                 and all(v >= 0 for v in (self.lam10, self.lam01, self.lam00)))
 
     def terms(self) -> list[Term]:
-        edge = _weight((0, 0))
-        return [Term(ONE, _derivative((0, 1)), _weight((0, 0, 1))),
+        edge = ParamVector((0, 0))
+        return [Term(ONE, _derivative((0, 1)), ParamVector((0, 0, 1))),
                 Term(self.lam1, _derivative((0,), (1,)), edge),
                 Term(self.lam2, _derivative((1,), (0,)), edge),
                 Term(self.lam10, _vertex(1), None),
@@ -449,8 +431,8 @@ class TriangleFirstTwoSingular(_TermForm):
 
     def terms(self) -> list[Term]:
         c = self.gamma_exp
-        edge = _weight((0, c + 1))
-        return [Term(ONE, lambda f: f.partial(1) - f.partial(0), _weight((0, 0, c))),
+        edge = ParamVector((0, c + 1))
+        return [Term(ONE, lambda f: f.partial(1) - f.partial(0), ParamVector((0, 0, c))),
                 Term(self.lam1, _derivative((0,), (1,)), edge),
                 Term(self.lam2, _derivative((1,), (0,)), edge),
                 Term(self.lam00, _vertex(0), None)]
@@ -487,7 +469,7 @@ class JacobiSingularBeta(_TermForm):
 
     def terms(self) -> list[Term]:
         return [Term(self.lam, _at(1), None),
-                Term(ONE, _interval_derivative, _weight((self.beta + 1, 0)))]
+                Term(ONE, _interval_derivative, ParamVector((self.beta + 1, 0)))]
 
     def describe(self) -> dict:
         return {"kind": self.kind, "beta": format_rational(self.beta),
@@ -510,7 +492,7 @@ class JacobiSingularBoth(_TermForm):
 
     def terms(self) -> list[Term]:
         return [Term(self.lam1, _at(1), None), Term(self.lam2, _at(-1), None),
-                Term(ONE, _interval_derivative, _weight((0, 0)))]
+                Term(ONE, _interval_derivative, ParamVector((0, 0)))]
 
     def describe(self) -> dict:
         return {"kind": self.kind,

@@ -18,7 +18,7 @@ from .linalg import poly_rank
 from .moments import vertex_eval
 from .polynomials import (Polynomial, complement, constrained_indices,
                           monomials_of_degree, monomials_up_to)
-from .products import SingularProduct, gram, labeled
+from .products import SingularProduct, gram, labeled, singular_tail
 from .scalars import Rational, as_fraction
 from .weighted import ParamVector
 
@@ -69,13 +69,7 @@ def u_space(dim: int, tail: Sequence[Rational], k: int, n: int,
     of the companion inner product.
     """
     d = dim
-    if not 1 <= k <= d + 1:
-        raise ValueError("k must lie in 1..d+1")
-    tail = tuple(as_fraction(t) for t in tail)
-    if len(tail) != d + 1 - k:
-        raise ValueError(f"tail must have length {d + 1 - k}")
-    if any(t <= -1 for t in tail):
-        raise ValueError("tail exponents must be > -1")
+    tail = singular_tail(d, tail, k)
     full = ParamVector(tail + (Fraction(-1),) * k)
     basis = Basis(d, full, f"u[k={k}]")
     if n < 0:

@@ -536,12 +536,10 @@ def _solution_space(d: int, tail: tuple, k: int, n_max: int) -> Iterable[bool]:
         yield from (eigencheck(full, p, n) for p in basis.polys())
 
 
-def suite_thm34(d: int = 2, n_max: int = 4,
-                tails_override: dict[int, list[tuple]] | None = None) -> dict:
+def suite_thm34(d: int = 2, n_max: int = 4) -> dict:
     checks: list[dict] = []
     for k in range(1, d + 2):
-        tails = (tails_override or {}).get(k, default_tails(d, k))
-        for tail in tails:
+        for tail in default_tails(d, k):
             tag = f"k={k},tail=({','.join(format_rational(t) for t in tail)})"
             _add(checks, f"solution-space[{tag}]", _solution_space(d, tail, k, n_max))
 
@@ -585,13 +583,11 @@ def _h_space_alternate(gamma: ParamVector, zero_axes: Iterable[int],
             for part in monomials_of_degree(d - z, n)]
 
 
-def suite_thm36(d: int = 2, n_max: int = 4,
-                tails_override: dict[int, list[tuple]] | None = None) -> dict:
+def suite_thm36(d: int = 2, n_max: int = 4) -> dict:
     checks: list[dict] = []
     probes = labeled(_monomial_polys(d, 3), "m")
     for k in range(1, d + 2):
-        tails = (tails_override or {}).get(k, default_tails(d, k))
-        for tail in tails:
+        for tail in default_tails(d, k):
             tag = f"k={k},tail=({','.join(format_rational(t) for t in tail)})"
             product = SingularProduct(d, tail, k)
             _add(checks, f"sobolev-orthogonality[{tag}]",

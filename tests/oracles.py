@@ -12,6 +12,8 @@ their definitions with `sobolex.weighted.WeightedForm`: shift the weight,
 differentiate term by term in rational exponents, divide the weight back out.
 `FractionPolynomial` is the polynomial arithmetic that `Polynomial`'s integer
 form replaced: one reduced Fraction per coefficient, summed term by term.
+`oracle_solve_combination` is the plain Fraction Gauss-Jordan span solve that
+the fraction-free elimination of `sobolex.linalg` replaced.
 """
 
 from __future__ import annotations
@@ -374,3 +376,40 @@ def oracle_value(p, f: Polynomial, g: Polynomial) -> Fraction:
             + p.lam2 * f.evaluate([-1]) * g.evaluate([-1]) \
             + oracle_integral(_to_unit_interval(f.partial(0) * g.partial(0)), ParamVector([0, 0]))
     raise TypeError(f"no oracle for {type(p).__name__}")
+
+
+# -- span solves in plain Fractions ---------------------------------------------
+
+def oracle_solve_combination(target, vectors):
+    """Coefficients c with sum c_i * vectors[i] == target, or None, by
+    Gauss-Jordan elimination in Fractions; free coefficients are zero."""
+    ncols = len(vectors)
+    nrows = len(target)
+    if any(len(v) != nrows for v in vectors):
+        raise ValueError("vector lengths disagree")
+    aug = [[Fraction(vectors[j][i]) for j in range(ncols)] + [Fraction(target[i])]
+           for i in range(nrows)]
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if aug[i][col]), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][col]
+        aug[r] = [v / pv for v in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][col]:
+                factor = aug[i][col]
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
+        pivots.append((r, col))
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if aug[i][ncols]:
+            return None
+    coeffs = [Fraction(0)] * ncols
+    for row, col in pivots:
+        coeffs[col] = aug[row][ncols]
+    return coeffs

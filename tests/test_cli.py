@@ -202,9 +202,12 @@ def test_ignored_flag_is_a_usage_error(capsys, case):
     assert out == ""
 
 
-# arguments outside what the command can run: a negative degree bound, or a
-# --d other than the one dimension a suite runs in
+# arguments outside what the command can run: a negative degree or degree
+# bound, or a --d other than the one dimension a suite runs in
 BAD_ARGUMENTS = {
+    "n-basis": ["basis", "--d", "2", "--n", "-1", "--gamma", "0,0,0"],
+    "n-gram": ["gram", "--d", "2", "--n", "-1", "--gamma", "0,0,0"],
+    "n-eigen": ["eigen", "--d", "2", "--n", "-1", "--gamma", "1/2,1/3,-1"],
     "n-max-rodrigue": ["verify", "--suite", "rodrigue", "--d", "2", "--n-max", "-1"],
     "n-max-jacobi": ["verify", "--suite", "jacobi", "--n-max", "-1"],
     "n-max-all": ["verify", "--suite", "all", "--n-max", "-1"],
@@ -218,9 +221,13 @@ BAD_ARGUMENTS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
 def test_bad_argument_is_a_usage_error(capsys, case):
-    code, out = run_cli(capsys, BAD_ARGUMENTS[case])
+    argv = BAD_ARGUMENTS[case]
+    code = main(argv)
+    out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
+    if "--n" in argv:
+        assert "--n " in err
 
 
 @pytest.mark.parametrize("suite, d", [("jacobi", "1"), ("triangle", "2"), ("thm31", "2")])

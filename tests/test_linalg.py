@@ -5,6 +5,8 @@ from sobolex.linalg import (determinant, in_span, leading_principal_minors,
                             poly_rank, rank, solve_combination, spans_equal)
 from sobolex.polynomials import Polynomial
 
+from oracles import oracle_solve_combination
+
 
 def naive_rank(rows):
     """Plain Fraction row reduction, independent of the Bareiss path."""
@@ -94,6 +96,47 @@ def test_solve_combination():
     coeffs = solve_combination(target, [v1, v2])
     assert coeffs == [Fraction(2), Fraction(3)]
     assert solve_combination([Fraction(0), Fraction(0), Fraction(1)], [v1]) is None
+
+
+def _random_system(rng, trial):
+    """A random rational system (target, vectors): wide, tall or square, with
+    dependent columns, zero rows, and consistent and inconsistent targets."""
+    nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
+    vectors = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(nrows)]
+               for _ in range(ncols)]
+    if ncols >= 2 and trial % 3 == 0:
+        a, b = rng.sample(range(ncols), 2)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        vectors[b] = [v + c * w for v, w in zip(vectors[b], vectors[a])] if trial % 2 \
+            else [c * w for w in vectors[a]]
+    if nrows and trial % 4 == 0:
+        zero = rng.randrange(nrows)
+        for v in vectors:
+            v[zero] = Fraction(0)
+    if trial % 2:
+        # consistent: a combination of the columns
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in vectors]
+        target = [sum((c * v[i] for c, v in zip(coeffs, vectors)), Fraction(0))
+                  for i in range(nrows)]
+    else:
+        target = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(nrows)]
+    return target, vectors
+
+
+def test_solve_combination_matches_the_fraction_oracle():
+    rng = random.Random(317)
+    found = none = 0
+    for trial in range(600):
+        target, vectors = _random_system(rng, trial)
+        got = solve_combination(target, vectors)
+        assert got == oracle_solve_combination(target, vectors)
+        if got is None:
+            none += 1
+        else:
+            found += 1
+            assert [sum((c * v[i] for c, v in zip(got, vectors)), Fraction(0))
+                    for i in range(len(target))] == target
+    assert found > 200 and none > 100
 
 
 def test_poly_span_helpers():
