@@ -89,8 +89,7 @@ def test_stdout_matches_the_recorded_digest(argv):
 
 
 def test_recorder_adds_missing_digests_and_rewrites_none(tmp_path, monkeypatch):
-    import test_golden as module
-
+    module = sys.modules[__name__]
     cheap = [["basis", "--family", "monomial", "--d", "1", "--n", n, "--gamma", "0,0"]
              for n in ("1", "2")]
     first, second = (" ".join(argv) for argv in cheap)
