@@ -65,6 +65,11 @@ COMMANDS = [
     ["verify", "--suite", "lemmas4", "--d", "3", "--n-max", "4"],
     ["verify", "--suite", "thm34", "--d", "3", "--n-max", "3"],
     ["verify", "--suite", "thm36", "--d", "3", "--n-max", "3"],
+    *(["basis", "--family", "monomial", "--d", "3", "--n", "4", "--gamma", gamma]
+      for gamma in ("1/2,0,1,1/3", "1/2,1/3,2/3,-1")),
+    # (s)_{2n} < 0 here, and (-1)_2 vanishes in the next one (exit 3)
+    ["basis", "--family", "monomial", "--d", "2", "--n", "5", "--gamma", "-5/2,1/3,0"],
+    ["basis", "--family", "monomial", "--d", "2", "--n", "2", "--gamma", "0,-2,1/2"],
 ]
 
 
