@@ -14,8 +14,14 @@ slot s nu_s times to the shifted weight and dividing the weight back out gives
 
 Every term carries Pochhammer symbols of total length |nu|, so with the
 parameters scaled by D, the common denominator of the g_i, the sum runs in
-integers and is divided by D^{|nu|} once.  The monic ("monomial") basis is a
-direct finite sum.
+integers and is divided by D^{|nu|} once.  The monic ("monomial") element
+sums over the same box, with n = |nu| and s = |g|+d:
+
+    V_nu = sum_{m <= nu} (-1)^{n+|m|} (s)_{n+|m|} / (s)_{2n}
+               prod_i C(nu_i, m_i) (g_i+m_i+1)_{nu_i-m_i} * x^m.
+
+It shares the slot rows (at the identity order) and differs only in the
+level factor and the term x^m; in integers it is divided by D^{2n} (s)_{2n}.
 
 `eigencheck` does not apply the operator to a polynomial.  On monomials the
 operator is upper triangular,
@@ -33,11 +39,13 @@ import itertools
 import math
 from fractions import Fraction
 from operator import add
+from typing import Iterator, Sequence
 
 from .errors import NonIntegrableWeight, ZeroDenominator
 from .polynomials import (Exponents, Polynomial, box_indices, complement_power,
                           monomials_of_degree)
-from .scalars import Rational, as_fraction, factorial, format_rational, pochhammer, product_factorial
+from .scalars import (Rational, as_fraction, clear_denominators, factorial, format_rational,
+                      pochhammer, product_factorial)
 from .weighted import ParamVector
 
 
@@ -98,39 +106,45 @@ def permuted_element(gamma: ParamVector, order: tuple[int, ...], nu: Exponents) 
     return _leibniz_element(gamma, order, excluded, nu)
 
 
+def _rising(start: int, step: int, k: int) -> int:
+    """D^k (a)_k for start = D a and step = D: start (start+D) ... (start+(k-1)D)."""
+    out = 1
+    for i in range(k):
+        out *= start + i * step
+    return out
+
+
+def _box_terms(scaled: list[int], D: int, order: Sequence[int], nu: Exponents,
+               level: list[int]) -> Iterator[tuple[Exponents, int]]:
+    """The nonzero (m, level[|m|] prod_s C(nu_s, m_s) D^{nu_s-m_s}
+    (g_{o_s}+m_s+1)_{nu_s-m_s}) over the box m <= nu, where scaled[j] = D g_j
+    and slot s holds coordinate o_s of `order`."""
+    # slot s: y_{o_s} differentiated nu_s - m_s times, in C(nu_s, m_s) ways
+    rows = [[math.comb(k, m) * _rising(scaled[o] + (m + 1) * D, D, k - m) for m in range(k + 1)]
+            for o, k in zip(order, nu)]
+    for m in box_indices(nu):
+        coef = level[sum(m)]
+        for row, ms in zip(rows, m):
+            coef *= row[ms]
+        if coef:
+            yield m, coef
+
+
 def _leibniz_element(gamma: ParamVector, order: tuple[int, ...], c: int,
                      nu: Exponents) -> Polynomial:
     """The Leibniz sum of the module docstring, in integers times D^{|nu|}."""
     d = gamma.d
     n = sum(nu)
-    D = math.lcm(*(g.denominator for g in gamma.entries))
-    scaled = [g.numerator * (D // g.denominator) for g in gamma.entries]  # D g_j
-
-    def rising(j: int, start: int, k: int) -> int:
-        """D^k (g_j + start)_k."""
-        out = 1
-        for i in range(start, start + k):
-            out *= scaled[j] + i * D
-        return out
-
-    # slot s: y_{o_s} differentiated nu_s - m_s times, in C(nu_s, m_s) ways
-    slot_rows = [[math.comb(k, m) * rising(o, m + 1, k - m) for m in range(k + 1)]
-                 for o, k in zip(order, nu)]
+    scaled, D = clear_denominators(gamma.entries)
     # y_c differentiated by the remaining |m| slot operators, each giving -1
-    c_row = [(-1) ** k * rising(c, n - k + 1, k) for k in range(n + 1)]
+    level = [(-1) ** k * _rising(scaled[c] + (n - k + 1) * D, D, k) for k in range(n + 1)]
     expansions: dict[int, list[tuple[Exponents, int]]] = {}
     acc: dict[Exponents, int] = {}
-    for m in box_indices(nu):
-        k = sum(m)
-        coef = c_row[k]
-        for row, ms in zip(slot_rows, m):
-            coef *= row[ms]
-        if not coef:
-            continue
+    for m, coef in _box_terms(scaled, D, order, nu, level):
         y = [0] * (d + 1)
         for o, ms in zip(order, m):
             y[o] = ms
-        y[c] = n - k
+        y[c] = n - sum(m)
         j = y.pop()  # the power of y_d = 1-|x|
         if j not in expansions:
             expansions[j] = list(complement_power(d, j).scaled_to_integers()[0].items())
@@ -161,41 +175,21 @@ def monomial_element(gamma: ParamVector, nu: Exponents) -> Polynomial:
     if len(nu) != d or any(k < 0 for k in nu):
         raise ValueError(f"bad multi-index {nu}")
     n = sum(nu)
-    s = gamma.total + d
-    rise = _rising_row(s, 2 * n)
-    den = rise[2 * n]
-    if den == 0:
-        raise ZeroDenominator(f"({format_rational(s)})_{2 * n} vanishes")
-    # weights[i][m] = C(nu_i, m) (g_i+1)_{nu_i} / (g_i+1)_m
-    weights = []
-    for i in range(d):
-        row = _rising_row(gamma.entries[i] + 1, nu[i])
-        weights.append([math.comb(nu[i], m) * row[-1] / low if low else None
-                        for m, low in enumerate(row)])
-    # the first box index in product order with a vanishing (g_i+1)_{m_i}
-    # is m_i e_i for the last such i
+    scaled, D = clear_denominators(gamma.entries)
+    s = sum(scaled) + d * D  # D (|g|+d)
+    den = _rising(s, D, 2 * n)
+    if not den:
+        raise ZeroDenominator(f"({format_rational(gamma.total + d)})_{2 * n} vanishes")
+    # (g_i+1)_m vanishes when its last factor D (g_i+m) does; the first box
+    # index in product order with a vanishing (g_i+1)_{m_i} is m_i e_i for
+    # the last such i
     for i in reversed(range(d)):
-        if None in weights[i]:
-            m = weights[i].index(None)
-            raise ZeroDenominator(
-                f"({format_rational(gamma.entries[i] + 1)})_{m} vanishes")
-    # level[k] = (-1)^{n+k} (s)_{n+k} / (s)_{2n}, shared by every |m| = k
-    level = [(-1) ** (n + k) * rise[n + k] / den for k in range(n + 1)]
-    terms = {}
-    for m in box_indices(nu):
-        coef = level[sum(m)]
-        for w, mi in zip(weights, m):
-            coef *= w[mi]
-        terms[m] = coef
-    return Polynomial(d, terms)
-
-
-def _rising_row(a: Fraction, k: int) -> list[Fraction]:
-    """[(a)_0, (a)_1, ..., (a)_k]."""
-    row = [Fraction(1)]
-    for j in range(k):
-        row.append(row[-1] * (a + j))
-    return row
+        for m in range(1, nu[i] + 1):
+            if scaled[i] + m * D == 0:
+                raise ZeroDenominator(f"({format_rational(gamma.entries[i] + 1)})_{m} vanishes")
+    sign = -1 if den < 0 else 1  # _from_ints needs a positive denominator
+    level = [sign * (-1) ** (n + k) * _rising(s, D, n + k) for k in range(n + 1)]
+    return Polynomial._from_ints(d, dict(_box_terms(scaled, D, range(d), nu, level)), sign * den)
 
 
 def monomial_basis(gamma: ParamVector, n: int) -> Basis:
@@ -270,8 +264,7 @@ def eigencheck(gamma: ParamVector, f: Polynomial, n: int) -> bool:
     d = f.dim
     if gamma.d != d:
         raise ValueError("dimension mismatch")
-    D = math.lcm(*(g.denominator for g in gamma.entries))
-    scaled = [g.numerator * (D // g.denominator) for g in gamma.entries]  # D g_i
+    scaled, D = clear_denominators(gamma.entries)                       # D g_i
     lows = [s + D for s in scaled[:-1]]                                 # (g_i+1) D
     top = sum(scaled) + (n + d) * D                                     # (n+shift) D
     coef, _ = f.scaled_to_integers()

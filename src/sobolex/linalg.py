@@ -9,18 +9,12 @@ parameter exists anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .polynomials import Exponents, Polynomial, graded_lex_key
+from .scalars import clear_denominators
 
 Matrix = list[list[Fraction]]
-
-
-def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, and that lcm."""
-    denom = lcm(*(v.denominator for v in row))
-    return [v.numerator * (denom // v.denominator) for v in row], denom
 
 
 def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[tuple[int, int]], int]:
@@ -55,7 +49,7 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[tuple[int, int]], i
 def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Exact rank via fraction-free Gaussian elimination; entries may be
     Fractions or ints."""
-    m = [_integer_row(row)[0] for row in rows]
+    m = [clear_denominators(row)[0] for row in rows]
     if not m or not m[0]:
         return 0
     return len(_eliminate(m, len(m[0]))[0])
@@ -69,7 +63,7 @@ def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     scale = 1
     rows = []
     for row in matrix:
-        ints, denom = _integer_row(row)
+        ints, denom = clear_denominators(row)
         scale *= denom
         rows.append(ints)
     pivots, sign = _eliminate(rows, n)
@@ -88,7 +82,7 @@ def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> list[Fract
     n = len(matrix)
     rows, scales = [], []
     for row in matrix:
-        ints, denom = _integer_row(row)
+        ints, denom = clear_denominators(row)
         rows.append(ints)
         scales.append(denom)
     minors: list[Fraction] = []
@@ -119,7 +113,8 @@ def solve_combination(target: Sequence[Fraction],
     nrows = len(target)
     if any(len(v) != nrows for v in vectors):
         raise ValueError("vector lengths disagree")
-    aug = [_integer_row([v[i] for v in vectors] + [target[i]])[0] for i in range(nrows)]
+    aug = [clear_denominators([v[i] for v in vectors] + [target[i]])[0]
+           for i in range(nrows)]
     pivots, _ = _eliminate(aug, ncols)
     if any(row[ncols] for row in aug[len(pivots):]):
         return None
@@ -131,23 +126,20 @@ def solve_combination(target: Sequence[Fraction],
     return coeffs
 
 
-def _numerator_rows(polys: Sequence[Polynomial], support: Sequence[Exponents] | None = None
+def _numerator_rows(polys: Sequence[Polynomial]
                     ) -> tuple[list[list[int]], list[int], list[Exponents]]:
     """(rows, dens, support): row i over dens[i] is the coefficient vector of
     polys[i] over a common graded-lex support.  Scaling a row by its
     denominator keeps the rank, so rank tests can use the rows alone."""
     views = [p.scaled_to_integers() for p in polys]
-    if support is None:
-        support = sorted(set().union(*(terms for terms, _ in views)), key=graded_lex_key)
-    support = list(support)
+    support = sorted(set().union(*(terms for terms, _ in views)), key=graded_lex_key)
     rows = [[terms.get(exp, 0) for exp in support] for terms, _ in views]
     return rows, [den for _, den in views], support
 
 
-def coefficient_matrix(polys: Sequence[Polynomial],
-                       support: Sequence[Exponents] | None = None) -> tuple[Matrix, list[Exponents]]:
+def coefficient_matrix(polys: Sequence[Polynomial]) -> tuple[Matrix, list[Exponents]]:
     """Stack coefficient vectors over a common graded-lex support."""
-    rows, dens, support = _numerator_rows(polys, support)
+    rows, dens, support = _numerator_rows(polys)
     return [[Fraction(v, den) for v in row] for row, den in zip(rows, dens)], support
 
 

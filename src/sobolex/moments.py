@@ -22,12 +22,11 @@ Fraction per entry; an integral is the pairing with 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import add
 
 from .errors import NonIntegrableWeight
 from .polynomials import Exponents, FaceId, Polynomial
-from .scalars import format_rational
+from .scalars import clear_denominators, format_rational
 from .weighted import ParamVector
 
 
@@ -37,11 +36,11 @@ class MomentTable:
     __slots__ = ("_starts", "_step", "_rows", "_nums")
 
     def __init__(self, entries: tuple[Fraction, ...]):
-        step = lcm(*(g.denominator for g in entries))
+        scaled, step = clear_denominators(entries)
         self._step = step
         # scaled rising factorials: row i holds D^j (g_i+1)_j, j = 0, 1, ...
-        self._starts = [int((g + 1) * step) for g in entries]
-        self._starts.append(int((sum(entries) + len(entries)) * step))
+        self._starts = [g + step for g in scaled]
+        self._starts.append(sum(scaled) + len(entries) * step)
         self._rows = [[1] for _ in self._starts]
         self._nums: dict[Exponents, int] = {}
 

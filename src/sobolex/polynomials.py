@@ -25,7 +25,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .scalars import Rational, as_fraction, format_rational
+from .scalars import Rational, as_fraction, clear_denominators, format_rational
 
 Exponents = tuple[int, ...]
 
@@ -53,17 +53,18 @@ class Polynomial:
     def __init__(self, dim: int, terms: Mapping[Exponents, Rational] | Iterable[tuple[Exponents, Rational]] = ()):
         if not _is_int(dim) or dim < 0:
             raise ValueError(f"dimension must be an integer >= 0, not {dim!r}")
-        coefs = []
+        exps, coefs = [], []
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coef in items:
             exp = tuple(exp)
             if len(exp) != dim or not all(_is_int(e) and e >= 0 for e in exp):
                 raise ValueError(f"bad exponent {exp} for dimension {dim}")
-            coefs.append((exp, _exact_coefficient(coef)))
-        den = math.lcm(*(c.denominator for _, c in coefs))
+            exps.append(exp)
+            coefs.append(_exact_coefficient(coef))
+        nums, den = clear_denominators(coefs)
         acc: dict[Exponents, int] = {}
-        for exp, c in coefs:
-            acc[exp] = acc.get(exp, 0) + c.numerator * (den // c.denominator)
+        for exp, c in zip(exps, nums):
+            acc[exp] = acc.get(exp, 0) + c
         self.dim = dim
         self._terms, self._den = _reduced(acc, den)
 
@@ -234,9 +235,7 @@ class Polynomial:
         by their common denominator L, each term is padded to L^degree."""
         if len(point) != self.dim:
             raise ValueError("point has wrong dimension")
-        pt = [as_fraction(v) for v in point]
-        L = math.lcm(*(v.denominator for v in pt))
-        scaled = [v.numerator * (L // v.denominator) for v in pt]
+        scaled, L = clear_denominators([as_fraction(v) for v in point])
         top = max(self.degree(), 0)
         total = 0
         for exp, coef in self._terms.items():

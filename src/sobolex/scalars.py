@@ -2,15 +2,16 @@
 
 Every scalar the package hands out is a ``fractions.Fraction``; polynomial
 coefficients are stored as ints over a common denominator (see
-`polynomials`) and become Fractions when read.  Nothing here (or anywhere
-else) rounds.
+`polynomials`) and become Fractions when read; `clear_denominators` turns a
+list of rationals into ints over the lcm of their denominators for the
+integer kernels.  Nothing here (or anywhere else) rounds.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -22,7 +23,7 @@ def as_fraction(value: Rational | str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_rational(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -58,9 +59,18 @@ def product_factorial(exponents: Iterable[int]) -> Fraction:
     return out
 
 
+def clear_denominators(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """The values times L, the lcm of their denominators (1 if none), and L."""
+    L = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (L // v.denominator) for v in values], L
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p"; raises ValueError on malformed input."""
-    return Fraction(text.strip())
+    """Parse "p/q" or "p"; malformed input, a zero denominator too, is a ValueError."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value: Rational) -> str:

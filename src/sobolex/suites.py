@@ -628,6 +628,8 @@ def run_suite(name: str, d: int = 2, n_max: int = 3,
         raise ValueError(f"suite {name!r} does not take --gamma")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, not {n_max}")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, not {d}")
     if name == "jacobi":
         return suite_jacobi(n_max=max(n_max, 5))
     if name == "triangle":

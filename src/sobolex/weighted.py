@@ -24,8 +24,7 @@ class ParamVector:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[Rational | str]):
-        vals = tuple(as_fraction(v) if not isinstance(v, str) else parse_rational(v)
-                     for v in entries)
+        vals = tuple(as_fraction(v) for v in entries)
         if len(vals) < 2:
             raise ValueError("need at least two entries (d >= 1)")
         object.__setattr__(self, "entries", vals)

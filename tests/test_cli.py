@@ -148,6 +148,7 @@ MALFORMED_POLYNOMIALS = {
     "boolean-exponent": '{"d":2,"terms":[{"exp":[true,0],"coef":"1"}]}',
     "float-coefficient": '{"d":2,"terms":[{"exp":[1,0],"coef":1.5}]}',
     "non-object": '[{"exp":[1,0],"coef":"1"}]',
+    "zero-denominator": '{"d":2,"terms":[{"exp":[1,0],"coef":"1/0"}]}',
 }
 
 
@@ -216,6 +217,11 @@ BAD_ARGUMENTS = {
     "d-thm31": ["verify", "--suite", "thm31", "--d", "3", "--n-max", "1"],
     "d-jacobi": ["verify", "--suite", "jacobi", "--d", "3", "--n-max", "1"],
     "d-jacobi-2": ["verify", "--suite", "jacobi", "--d", "2", "--n-max", "1"],
+    "d-negative": ["verify", "--suite", "thm36", "--d", "-1", "--n-max", "1"],
+    "gamma-zero-denominator": ["verify", "--suite", "rodrigue", "--d", "2", "--gamma", "0,0,1/0"],
+    "lambda-vertex-zero-denominator": ["inner", "--d", "2", "--gamma", "-1,-1,-1", "--spec",
+                                       "sobolev", "--lambda-vertex", "1/0,1,1", "--f", _X,
+                                       "--g", _X],
 }
 
 
