@@ -13,15 +13,13 @@ import json
 import re
 import sys
 
-from .bases import Basis, monomial_basis, permuted_basis, rodrigues_basis
+from . import bases, polynomials, products, scalars, spaces, suites, weighted
 from .errors import SobolexError
-from .polynomials import Polynomial, monomials_up_to
-from .products import (ClassicalProduct, DerivativeProduct, SingularProduct,
-                       gram, labeled)
-from .scalars import parse_rational
-from .spaces import h_space, u_space, verify_u_space
-from .suites import FIXED_DIMENSION, SUITE_NAMES, run_suite
-from .weighted import ParamVector
+
+# here, not in `suites`, so that building the parser does not load that module
+SUITE_NAMES = ("jacobi", "triangle", "rodrigue", "monomial", "lemmas4",
+               "thm31", "thm34", "thm36", "all")
+FIXED_DIMENSION = {"jacobi": 1, "triangle": 2, "thm31": 2}  # the one d these suites run at
 
 USAGE_EXIT = 2
 MATH_EXIT = 3
@@ -35,8 +33,8 @@ def _emit(obj: dict, pretty: bool) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _parse_gamma(text: str, d: int) -> ParamVector:
-    gamma = ParamVector.parse(text)
+def _parse_gamma(text: str, d: int) -> weighted.ParamVector:
+    gamma = weighted.ParamVector.parse(text)
     if gamma.d != d:
         raise ValueError(f"--gamma needs {d + 1} entries for --d {d}")
     return gamma
@@ -53,7 +51,7 @@ def _parse_indices(text: str, d: int) -> list[int]:
     return out
 
 
-def _split_singular(gamma: ParamVector) -> tuple[tuple, int]:
+def _split_singular(gamma: weighted.ParamVector) -> tuple[tuple, int]:
     """Trailing run of -1 entries -> (tail, k); rejects -1 elsewhere."""
     entries = gamma.entries
     k = 0
@@ -74,7 +72,7 @@ def _vertex_lambdas(args: argparse.Namespace, k: int) -> list | None:
         return None
     if k != args.d + 1:
         raise ValueError("--lambda-vertex needs every --gamma entry to be -1")
-    return [parse_rational(p) for p in args.lambda_vertex.split(",")]
+    return [scalars.parse_rational(p) for p in args.lambda_vertex.split(",")]
 
 
 def _check_lambda_vertex(args: argparse.Namespace, used: bool) -> None:
@@ -84,39 +82,39 @@ def _check_lambda_vertex(args: argparse.Namespace, used: bool) -> None:
                          "the sobolev spec")
 
 
-def _build_basis(family: str, args: argparse.Namespace) -> Basis:
+def _build_basis(family: str, args: argparse.Namespace) -> bases.Basis:
     gamma = _parse_gamma(args.gamma, args.d)
     if family == "rodrigue":
-        return rodrigues_basis(gamma, args.n)
+        return bases.rodrigues_basis(gamma, args.n)
     if family == "monomial":
-        return monomial_basis(gamma, args.n)
+        return bases.monomial_basis(gamma, args.n)
     if family == "permuted":
         if not args.order:
             raise ValueError("--family permuted needs --order")
-        return permuted_basis(gamma, tuple(_parse_indices(args.order, args.d)), args.n)
+        return bases.permuted_basis(gamma, tuple(_parse_indices(args.order, args.d)), args.n)
     if family == "h":
         if not args.zero_set:
             raise ValueError("--family h needs --zero-set")
-        return h_space(gamma, _parse_indices(args.zero_set, args.d), args.n)
+        return spaces.h_space(gamma, _parse_indices(args.zero_set, args.d), args.n)
     if family == "u":
         tail, k = _split_singular(gamma)
         if k == 0:
             raise ValueError("--family u needs a trailing block of -1 entries")
-        return u_space(args.d, tail, k, args.n, vertex_lambdas=_vertex_lambdas(args, k))
+        return spaces.u_space(args.d, tail, k, args.n, vertex_lambdas=_vertex_lambdas(args, k))
     raise ValueError(f"unknown family {family!r}")
 
 
 def _build_product(args: argparse.Namespace):
     gamma = _parse_gamma(args.gamma, args.d)
     if args.spec == "classical":
-        return ClassicalProduct(gamma)
+        return products.ClassicalProduct(gamma)
     if args.spec == "epd":
-        return DerivativeProduct(gamma, args.epd_order)
+        return products.DerivativeProduct(gamma, args.epd_order)
     if args.spec == "sobolev":
         tail, k = _split_singular(gamma)
         if k == 0:
             raise ValueError("--spec sobolev needs a trailing block of -1 entries")
-        return SingularProduct(args.d, tail, k, lam_vertex=_vertex_lambdas(args, k))
+        return products.SingularProduct(args.d, tail, k, lam_vertex=_vertex_lambdas(args, k))
     raise ValueError(f"unknown spec {args.spec!r}")
 
 
@@ -130,8 +128,8 @@ def cmd_basis(args: argparse.Namespace) -> int:
 def cmd_inner(args: argparse.Namespace) -> int:
     _check_lambda_vertex(args, args.spec == "sobolev")
     product = _build_product(args)
-    f = Polynomial.from_json(json.loads(args.f))
-    g = Polynomial.from_json(json.loads(args.g))
+    f = polynomials.Polynomial.from_json(json.loads(args.f))
+    g = polynomials.Polynomial.from_json(json.loads(args.g))
     value = product.value(f, g)
     _emit({"spec": product.describe(), "value": str(value)}, args.pretty)
     return 0
@@ -141,17 +139,17 @@ def cmd_gram(args: argparse.Namespace) -> int:
     _check_lambda_vertex(args, args.spec == "sobolev" or args.basis == "u")
     product = _build_product(args)
     if args.basis == "monomials":
-        rows = labeled([Polynomial.monomial(args.d, e)
-                        for e in monomials_up_to(args.d, args.n)], "m")
+        rows = products.labeled([polynomials.Polynomial.monomial(args.d, e)
+                                 for e in polynomials.monomials_up_to(args.d, args.n)], "m")
     else:
         basis = _build_basis(args.basis, args)
         rows = [(str(key), p) for key, p in basis.elements]
     if args.against == "self":
-        report = gram(product, rows)
+        report = products.gram(product, rows)
     else:
-        lower = labeled([Polynomial.monomial(args.d, e)
-                         for e in monomials_up_to(args.d, args.n - 1)], "m")
-        report = gram(product, rows, lower)
+        lower = products.labeled([polynomials.Polynomial.monomial(args.d, e)
+                                  for e in polynomials.monomials_up_to(args.d, args.n - 1)], "m")
+        report = products.gram(product, rows, lower)
     _emit(report.to_json(), args.pretty)
     return 0
 
@@ -162,8 +160,8 @@ def cmd_eigen(args: argparse.Namespace) -> int:
     if k == 0:
         raise ValueError("eigen needs a trailing block of -1 entries in --gamma")
     lams = _vertex_lambdas(args, k)
-    product = None if lams is None else SingularProduct(args.d, tail, k, lam_vertex=lams)
-    report = verify_u_space(args.d, tail, k, args.n, product)
+    product = None if lams is None else products.SingularProduct(args.d, tail, k, lam_vertex=lams)
+    report = spaces.verify_u_space(args.d, tail, k, args.n, product)
     _emit(report, args.pretty)
     return 0 if report["ok"] else 1
 
@@ -177,13 +175,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     gammas = None
     if args.gamma:
         gammas = [_parse_gamma(text, args.d) for text in args.gamma]
-    result = run_suite(args.suite, d=args.d, n_max=args.n_max, gammas=gammas)
+    result = suites.run_suite(args.suite, d=args.d, n_max=args.n_max, gammas=gammas)
     _emit(result, args.pretty)
     return 0 if result["ok"] else 1
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    result = run_suite("all", d=args.d, n_max=args.n_max)
+    result = suites.run_suite("all", d=args.d, n_max=args.n_max)
     summary = {
         "tool": "sobolex",
         "params": result["params"],
@@ -289,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "n", 0) < 0:
             raise ValueError(f"--n must be >= 0, not {args.n}")
+        if args.d is not None and args.d < 1:
+            raise ValueError(f"--d must be >= 1, not {args.d}")
         return COMMANDS[args.command](args)
     except SobolexError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)

@@ -615,11 +615,7 @@ def suite_thm36(d: int = 2, n_max: int = 4) -> dict:
 # aggregate
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES = ("jacobi", "triangle", "rodrigue", "monomial", "lemmas4",
-               "thm31", "thm34", "thm36", "all")
 GAMMA_SUITES = ("triangle", "rodrigue", "monomial", "lemmas4")
-# suites that run in one dimension only, whatever d they are given
-FIXED_DIMENSION = {"jacobi": 1, "triangle": 2, "thm31": 2}
 
 
 def run_suite(name: str, d: int = 2, n_max: int = 3,

@@ -126,8 +126,8 @@ def test_verify_deterministic_output(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    import sobolex.cli as cli
-    monkeypatch.setattr(cli, "run_suite",
+    import sobolex.suites as suites
+    monkeypatch.setattr(suites, "run_suite",
                         lambda *a, **k: {"ok": False, "suite": "stub",
                                          "params": {}, "checks": []})
     code, out = run_cli(capsys, ["verify", "--suite", "jacobi"])
@@ -204,7 +204,7 @@ def test_ignored_flag_is_a_usage_error(capsys, case):
 
 
 # arguments outside what the command can run: a negative degree or degree
-# bound, or a --d other than the one dimension a suite runs in
+# bound, a --d below 1, or a --d other than the one dimension a suite runs in
 BAD_ARGUMENTS = {
     "n-basis": ["basis", "--d", "2", "--n", "-1", "--gamma", "0,0,0"],
     "n-gram": ["gram", "--d", "2", "--n", "-1", "--gamma", "0,0,0"],
@@ -218,6 +218,10 @@ BAD_ARGUMENTS = {
     "d-jacobi": ["verify", "--suite", "jacobi", "--d", "3", "--n-max", "1"],
     "d-jacobi-2": ["verify", "--suite", "jacobi", "--d", "2", "--n-max", "1"],
     "d-negative": ["verify", "--suite", "thm36", "--d", "-1", "--n-max", "1"],
+    "d-negative-basis": ["basis", "--d", "-1", "--n", "1", "--gamma", "0,0"],
+    "d-negative-gram": ["gram", "--d", "-1", "--n", "1", "--gamma", "0,0"],
+    "d-negative-eigen": ["eigen", "--d", "-1", "--n", "1", "--gamma", "0,-1"],
+    "d-zero-inner": ["inner", "--d", "0", "--gamma", "0", "--f", _X, "--g", _X],
     "gamma-zero-denominator": ["verify", "--suite", "rodrigue", "--d", "2", "--gamma", "0,0,1/0"],
     "lambda-vertex-zero-denominator": ["inner", "--d", "2", "--gamma", "-1,-1,-1", "--spec",
                                        "sobolev", "--lambda-vertex", "1/0,1,1", "--f", _X,
@@ -232,8 +236,10 @@ def test_bad_argument_is_a_usage_error(capsys, case):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    if "--n" in argv:
+    if case in ("n-basis", "n-gram", "n-eigen"):
         assert "--n " in err
+    if case.startswith("d-negative") or case == "d-zero-inner":
+        assert "--d must be >= 1" in err
 
 
 @pytest.mark.parametrize("suite, d", [("jacobi", "1"), ("triangle", "2"), ("thm31", "2")])

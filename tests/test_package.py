@@ -1,0 +1,113 @@
+"""The package's import surface: lazily loaded library modules and the
+public names served from them."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sobolex
+
+SRC = Path(sobolex.__file__).parent
+LIBRARY = sorted(p.stem for p in SRC.glob("*.py") if p.stem not in ("__init__", "cli"))
+
+# `python -m sobolex.cli ARGS`, then report on stderr the library modules that
+# were really loaded, not just registered, when the process exits
+PROBE = """
+import atexit, importlib.util, runpy, sys
+
+def report():
+    loaded = sorted(name[len("sobolex."):] for name, mod in sys.modules.items()
+                    if name.startswith("sobolex.")
+                    and type(mod) is not importlib.util._LazyModule)
+    sys.stderr.write("loaded: " + " ".join(loaded) + "\\n")
+
+atexit.register(report)
+runpy.run_module("sobolex.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def _loaded_by(argv: list[str], exit_code: int) -> set[str]:
+    done = _python("-c", PROBE, *argv)
+    assert done.returncode == exit_code, done.stderr
+    last = done.stderr.splitlines()[-1]
+    assert last.startswith("loaded: ")
+    return set(last[len("loaded: "):].split())
+
+
+HEAVY = {"bases", "linalg", "moments", "products", "spaces", "suites"}
+
+
+@pytest.mark.parametrize("argv, exit_code, unused", [
+    (["--help"], 0, HEAVY),
+    # a usage error that the benchmark sends as a negative control
+    (["basis", "--d", "2", "--n", "1", "--family", "u", "--gamma", "0,-1,0"], 2, HEAVY),
+    (["basis", "--d", "2", "--n", "3", "--family", "permuted", "--gamma", "1,0,1/2",
+      "--order", "3,2"], 0, {"products", "suites"}),
+], ids=["help", "usage-error", "permuted"])
+def test_cli_loads_only_the_modules_its_command_uses(argv, exit_code, unused):
+    loaded = _loaded_by(argv, exit_code)
+    assert loaded <= set(LIBRARY) | {"cli"}
+    assert not loaded & unused
+
+
+def test_import_registers_every_library_module():
+    # The benchmark's tracer imports sobolex.cli and then looks every traced
+    # module up in sys.modules; a lazily registered module is there, and the
+    # tracer's first attribute access loads it.
+    done = _python("-c", "import sys, sobolex.cli; "
+                         "print(*sorted(n for n in sys.modules if n.startswith('sobolex.')))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [f"sobolex.{name}" for name in sorted(LIBRARY + ["cli"])]
+
+
+PUBLIC_NAMES = [
+    "Basis", "ClassicalProduct", "DependentInput", "DerivativeProduct", "FaceId",
+    "GramReport", "JacobiSingularBeta", "JacobiSingularBoth", "NonIntegrableWeight",
+    "NonPolynomialQuotient", "ParamVector", "Polynomial", "SingularProduct", "SobolexError",
+    "TriangleAllSingular", "TriangleBetaGammaSingular", "TriangleFirstTwoSingular",
+    "TriangleGammaSingular", "WeightedForm", "ZeroDenominator", "apply_operator", "bases",
+    "binomial", "biorthogonal_constant", "eigencheck", "errors", "expected_dimension",
+    "face_inner_product", "face_params", "factorial", "gram", "h_space", "inner_product",
+    "integral", "jacobi_negative_one_beta", "jacobi_negative_one_one", "jacobi_norm",
+    "jacobi_p", "jacobi_shifted", "linalg", "moments", "monomial_basis", "monomial_element",
+    "monomials_of_degree", "monomials_up_to", "normalized_moment", "orthogonalize",
+    "permuted_basis", "permuted_element", "pochhammer", "polynomials", "products",
+    "rodrigues_basis", "rodrigues_element", "scalars", "spaces", "u_space", "verify_u_space",
+    "vertex_eval", "weighted",
+]
+
+
+def test_public_names_are_unchanged():
+    assert sobolex.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(sobolex))
+
+
+def test_public_name_is_its_defining_modules_object():
+    for name in PUBLIC_NAMES:
+        value = getattr(sobolex, name)
+        if name in LIBRARY:
+            assert value is sys.modules[f"sobolex.{name}"], name
+        else:
+            assert value is getattr(importlib.import_module(value.__module__), name), name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from sobolex import *", namespace)
+    assert {name: namespace[name] for name in PUBLIC_NAMES} \
+        == {name: getattr(sobolex, name) for name in PUBLIC_NAMES}
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(sobolex, "no_such_name")
