@@ -7,11 +7,11 @@ import sys
 
 # module -> the names the package serves from it
 _PUBLIC = {
-    "bases": ("Basis", "apply_operator", "biorthogonal_constant", "eigencheck",
-              "jacobi_negative_one_beta", "jacobi_negative_one_one", "jacobi_norm", "jacobi_p",
-              "jacobi_shifted", "monomial_basis", "monomial_element", "permuted_basis",
-              "permuted_element", "rodrigues_basis", "rodrigues_element"),
-    "errors": ("DependentInput", "NonIntegrableWeight", "NonPolynomialQuotient",
+    "bases": ("Basis", "biorthogonal_constant", "eigencheck", "jacobi_negative_one_beta",
+              "jacobi_negative_one_one", "jacobi_norm", "jacobi_p", "jacobi_shifted",
+              "monomial_basis", "monomial_element", "permuted_basis", "permuted_element",
+              "rodrigues_basis", "rodrigues_element"),
+    "errors": ("NonIntegrableWeight", "NonPolynomialQuotient", "NonPositiveForm",
                "SobolexError", "ZeroDenominator"),
     "linalg": (),
     "moments": ("face_inner_product", "inner_product", "integral", "normalized_moment",
@@ -20,10 +20,10 @@ _PUBLIC = {
     "products": ("ClassicalProduct", "DerivativeProduct", "GramReport", "JacobiSingularBeta",
                  "JacobiSingularBoth", "SingularProduct", "TriangleAllSingular",
                  "TriangleBetaGammaSingular", "TriangleFirstTwoSingular",
-                 "TriangleGammaSingular", "gram", "orthogonalize"),
+                 "TriangleGammaSingular", "gram"),
     "scalars": ("binomial", "factorial", "pochhammer"),
     "spaces": ("expected_dimension", "h_space", "u_space", "verify_u_space"),
-    "weighted": ("ParamVector", "WeightedForm", "face_params"),
+    "weighted": ("ParamVector", "face_params"),
 }
 _OWNER = {name: module for module, names in _PUBLIC.items() for name in names}
 

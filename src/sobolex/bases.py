@@ -30,7 +30,7 @@ operator is upper triangular,
 
 so each coefficient of L f - lambda_n f is read off from at most d+1
 coefficients of f, in integers over the common denominator of f and g.
-`apply_operator` keeps the definition and serves as the reference.
+The tests check it against the operator applied by its definition.
 """
 
 from __future__ import annotations
@@ -221,30 +221,6 @@ def biorthogonal_constant(gamma: ParamVector, nu: Exponents) -> Fraction:
 
 
 # -- the second-order operator ----------------------------------------------
-
-def apply_operator(gamma: ParamVector, f: Polynomial) -> Polynomial:
-    """Image of f under the simplex Jacobi operator
-
-        sum_i x_i(1-x_i) d_i^2 f - 2 sum_{i<j} x_i x_j d_i d_j f
-            + sum_i (g_i + 1 - (|g|+d+1) x_i) d_i f.
-
-    Polynomial in the parameters, so entries equal to -1 are allowed.
-    """
-    d = f.dim
-    if gamma.d != d:
-        raise ValueError("dimension mismatch")
-    s = gamma.total + d + 1
-    out = Polynomial.zero(d)
-    firsts = [f.partial(i) for i in range(d)]
-    for i in range(d):
-        xi = Polynomial.variable(d, i)
-        out = out + xi * (1 - xi) * firsts[i].partial(i)
-        out = out + (gamma.entries[i] + 1 - s * xi) * firsts[i]
-        for j in range(i + 1, d):
-            xj = Polynomial.variable(d, j)
-            out = out - 2 * xi * xj * firsts[i].partial(j)
-    return out
-
 
 def eigenvalue(gamma: ParamVector, n: int) -> Fraction:
     return -n * (n + gamma.total + gamma.d)

@@ -14,7 +14,7 @@ import re
 import sys
 
 from . import bases, polynomials, products, scalars, spaces, suites, weighted
-from .errors import SobolexError
+from .errors import NonPositiveForm, SobolexError
 
 # here, not in `suites`, so that building the parser does not load that module
 SUITE_NAMES = ("jacobi", "triangle", "rodrigue", "monomial", "lemmas4",
@@ -47,6 +47,8 @@ def _parse_indices(text: str, d: int) -> list[int]:
         i = int(part)
         if not 1 <= i <= d + 1:
             raise ValueError(f"index {i} out of range 1..{d + 1}")
+        if i - 1 in out:
+            raise ValueError(f"index {i} repeated")
         out.append(i - 1)
     return out
 
@@ -75,6 +77,20 @@ def _vertex_lambdas(args: argparse.Namespace, k: int) -> list | None:
     return [scalars.parse_rational(p) for p in args.lambda_vertex.split(",")]
 
 
+def _sobolev_form(gamma: weighted.ParamVector, args: argparse.Namespace,
+                  user: str) -> products.SingularProduct:
+    """The Sobolev form of `gamma` and --lambda-vertex, refused unless it is
+    positive (`SingularProduct.is_valid`); `user` names the caller in errors."""
+    tail, k = _split_singular(gamma)
+    if k == 0:
+        raise ValueError(f"{user} needs a trailing block of -1 entries in --gamma")
+    form = products.SingularProduct(args.d, tail, k, lam_vertex=_vertex_lambdas(args, k))
+    if not form.is_valid:
+        raise NonPositiveForm("the Sobolev form is not positive: --lambda-vertex "
+                              "entries must be >= 0, at least one > 0")
+    return form
+
+
 def _check_lambda_vertex(args: argparse.Namespace, used: bool) -> None:
     """--lambda-vertex reaches only the u family and the sobolev spec."""
     if args.lambda_vertex and not used:
@@ -97,10 +113,8 @@ def _build_basis(family: str, args: argparse.Namespace) -> bases.Basis:
             raise ValueError("--family h needs --zero-set")
         return spaces.h_space(gamma, _parse_indices(args.zero_set, args.d), args.n)
     if family == "u":
-        tail, k = _split_singular(gamma)
-        if k == 0:
-            raise ValueError("--family u needs a trailing block of -1 entries")
-        return spaces.u_space(args.d, tail, k, args.n, vertex_lambdas=_vertex_lambdas(args, k))
+        form = _sobolev_form(gamma, args, "--family u")
+        return spaces.u_space(args.d, form.tail, form.k, args.n, vertex_lambdas=form.lam_vertex)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -111,10 +125,7 @@ def _build_product(args: argparse.Namespace):
     if args.spec == "epd":
         return products.DerivativeProduct(gamma, args.epd_order)
     if args.spec == "sobolev":
-        tail, k = _split_singular(gamma)
-        if k == 0:
-            raise ValueError("--spec sobolev needs a trailing block of -1 entries")
-        return products.SingularProduct(args.d, tail, k, lam_vertex=_vertex_lambdas(args, k))
+        return _sobolev_form(gamma, args, "--spec sobolev")
     raise ValueError(f"unknown spec {args.spec!r}")
 
 
@@ -155,13 +166,8 @@ def cmd_gram(args: argparse.Namespace) -> int:
 
 
 def cmd_eigen(args: argparse.Namespace) -> int:
-    gamma = _parse_gamma(args.gamma, args.d)
-    tail, k = _split_singular(gamma)
-    if k == 0:
-        raise ValueError("eigen needs a trailing block of -1 entries in --gamma")
-    lams = _vertex_lambdas(args, k)
-    product = None if lams is None else products.SingularProduct(args.d, tail, k, lam_vertex=lams)
-    report = spaces.verify_u_space(args.d, tail, k, args.n, product)
+    form = _sobolev_form(_parse_gamma(args.gamma, args.d), args, "eigen")
+    report = spaces.verify_u_space(args.d, form.tail, form.k, args.n, form)
     _emit(report, args.pretty)
     return 0 if report["ok"] else 1
 

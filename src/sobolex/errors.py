@@ -17,5 +17,5 @@ class ZeroDenominator(SobolexError):
     """A shifted-factorial denominator vanished for the given parameters."""
 
 
-class DependentInput(SobolexError):
-    """Orthogonalization received linearly dependent input."""
+class NonPositiveForm(SobolexError):
+    """A Sobolev form's coefficients do not make it an inner product."""

@@ -27,7 +27,6 @@ from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import DependentInput
 from .linalg import leading_principal_minors
 from .moments import moment_table, vertex_eval
 from .polynomials import Exponents, Polynomial
@@ -160,10 +159,6 @@ class ClassicalProduct(_TermForm):
         self.gamma = gamma
         self.dim = gamma.d
 
-    @property
-    def is_valid(self) -> bool:
-        return self.gamma.is_integrable
-
     def terms(self) -> list[Term]:
         return [Term(ONE, _derivative(()), self.gamma, tag="main")]
 
@@ -192,10 +187,6 @@ class DerivativeProduct(_TermForm):
         self.order = order
         self.lambdas = {frozenset(k): as_fraction(v)
                         for k, v in (lambdas or {}).items()}
-
-    @property
-    def is_valid(self) -> bool:
-        return self.gamma.is_integrable and all(v >= 0 for v in self.lambdas.values())
 
     def terms(self) -> list[Term]:
         out = [Term(ONE, _derivative(()), self.gamma, tag="main")]
@@ -263,11 +254,14 @@ class SingularProduct(_TermForm):
 
     @property
     def is_valid(self) -> bool:
-        face_ok = all(v > 0 for v in self.lam_face.values()) if self.lam_face else True
+        """Whether the coefficients make the form positive: every face
+        coefficient > 0 and, at k = d+1, every vertex coefficient >= 0 with
+        one > 0; below k = d+1, lam and every lam_axis > 0."""
+        if not all(v > 0 for v in self.lam_face.values()):
+            return False
         if self.k == self.dim + 1:
-            return face_ok and any(v > 0 for v in self.lam_vertex) and \
-                all(v >= 0 for v in self.lam_vertex)
-        return self.lam > 0 and all(v > 0 for v in self.lam_axis) and face_ok
+            return all(v >= 0 for v in self.lam_vertex) and any(v > 0 for v in self.lam_vertex)
+        return self.lam > 0 and all(v > 0 for v in self.lam_axis)
 
     @property
     def _mk(self) -> list[int]:
@@ -335,10 +329,6 @@ class TriangleGammaSingular(_TermForm):
         self.lam1 = as_fraction(lam1)
         self.dim = 2
 
-    @property
-    def is_valid(self) -> bool:
-        return self.lam1 > 0 and self.alpha > -1 and self.beta > -1
-
     def terms(self) -> list[Term]:
         a, b = self.alpha, self.beta
         grad = ParamVector((a, b, 0))
@@ -360,10 +350,6 @@ class TriangleBetaGammaSingular(_TermForm):
         self.alpha = as_fraction(alpha)
         self.lam1, self.lam10 = as_fraction(lam1), as_fraction(lam10)
         self.dim = 2
-
-    @property
-    def is_valid(self) -> bool:
-        return self.lam1 > 0 and self.lam10 > 0 and self.alpha > -1
 
     def terms(self) -> list[Term]:
         a = self.alpha
@@ -388,12 +374,6 @@ class TriangleAllSingular(_TermForm):
         self.lam10, self.lam01, self.lam00 = (as_fraction(lam10), as_fraction(lam01),
                                               as_fraction(lam00))
         self.dim = 2
-
-    @property
-    def is_valid(self) -> bool:
-        return (self.lam1 > 0 and self.lam2 > 0
-                and any(v > 0 for v in (self.lam10, self.lam01, self.lam00))
-                and all(v >= 0 for v in (self.lam10, self.lam01, self.lam00)))
 
     def terms(self) -> list[Term]:
         edge = ParamVector((0, 0))
@@ -422,12 +402,6 @@ class TriangleFirstTwoSingular(_TermForm):
         self.lam1, self.lam2, self.lam00 = (as_fraction(lam1), as_fraction(lam2),
                                             as_fraction(lam00))
         self.dim = 2
-
-    @property
-    def is_valid(self) -> bool:
-        return (self.gamma_exp > -1 and self.lam00 > 0
-                and (self.lam1 > 0 or self.lam2 > 0)
-                and self.lam1 >= 0 and self.lam2 >= 0)
 
     def terms(self) -> list[Term]:
         c = self.gamma_exp
@@ -463,10 +437,6 @@ class JacobiSingularBeta(_TermForm):
         self.lam = as_fraction(lam)
         self.dim = 1
 
-    @property
-    def is_valid(self) -> bool:
-        return self.lam > 0 and self.beta > -1
-
     def terms(self) -> list[Term]:
         return [Term(self.lam, _at(1), None),
                 Term(ONE, _interval_derivative, ParamVector((self.beta + 1, 0)))]
@@ -484,11 +454,6 @@ class JacobiSingularBoth(_TermForm):
     def __init__(self, lam1: Rational = 1, lam2: Rational = 1):
         self.lam1, self.lam2 = as_fraction(lam1), as_fraction(lam2)
         self.dim = 1
-
-    @property
-    def is_valid(self) -> bool:
-        return (self.lam1 >= 0 and self.lam2 >= 0
-                and (self.lam1 > 0 or self.lam2 > 0))
 
     def terms(self) -> list[Term]:
         return [Term(self.lam1, _at(1), None), Term(self.lam2, _at(-1), None),
@@ -564,20 +529,3 @@ def gram(product: _TermForm, rows: Sequence[tuple[str, Polynomial]],
 def labeled(polys: Sequence[Polynomial], prefix: str = "p") -> list[tuple[str, Polynomial]]:
     return [(f"{prefix}{i}", p) for i, p in enumerate(polys)]
 
-
-def orthogonalize(product, polys: Sequence[Polynomial]) -> list[Polynomial]:
-    """Gram-Schmidt without normalization, entirely in rational arithmetic."""
-    out: list[Polynomial] = []
-    norms: list[Fraction] = []
-    for p in polys:
-        v = p
-        for q, nq in zip(out, norms):
-            v = v - (product.value(p, q) / nq) * q
-        if v.is_zero:
-            raise DependentInput("input polynomials are linearly dependent")
-        nv = product.value(v, v)
-        if nv == 0:
-            raise DependentInput("bilinear form is degenerate on the input span")
-        out.append(v)
-        norms.append(nv)
-    return out

@@ -83,7 +83,7 @@ def u_space(dim: int, tail: Sequence[Rational], k: int, n: int,
             raise ValueError("vertex_lambdas must have length d+1")
         total = sum(lams, Fraction(0))
         if total == 0:
-            raise ValueError("vertex coefficients must not all vanish")
+            raise ValueError("vertex coefficients must not sum to zero")
         for j in range(1, d + 1):
             shift = -lams[j] / total
             basis.elements.append((("linear", j),

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from sobolex.bases import (all_orders, apply_operator, biorthogonal_constant,
-                           eigencheck, jacobi_negative_one_beta,
+from sobolex.bases import (all_orders, biorthogonal_constant, eigencheck,
+                           jacobi_negative_one_beta,
                            jacobi_negative_one_one, jacobi_norm,
                            jacobi_ode_residual, jacobi_p, jacobi_shifted,
                            monomial_basis, monomial_element, permuted_basis,
@@ -14,7 +14,7 @@ from sobolex.moments import inner_product
 from sobolex.polynomials import Polynomial
 from sobolex.weighted import ParamVector
 
-from oracles import simplex_integral
+from oracles import apply_operator, simplex_integral
 
 H = Fraction(1, 2)
 X = Polynomial.variable(2, 0)

@@ -87,13 +87,13 @@ def test_gram_eigenspace_vs_lower(capsys):
 
 
 def test_gram_degenerate_spec_not_positive(capsys):
-    code, out = run_cli(capsys, ["gram", "--d", "2", "--n", "2",
-                                 "--gamma", "-1,-1,-1", "--spec", "sobolev",
-                                 "--basis", "monomials", "--against", "self",
-                                 "--lambda-vertex", "0,0,0"])
-    assert code == 0
-    data = json.loads(out)
-    assert data["positive_definite"] is False
+    code = main(["gram", "--d", "2", "--n", "2", "--gamma", "-1,-1,-1", "--spec", "sobolev",
+                 "--basis", "monomials", "--against", "self", "--lambda-vertex", "0,0,0"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == ("error: NonPositiveForm: the Sobolev form is not positive: "
+                   "--lambda-vertex entries must be >= 0, at least one > 0\n")
 
 
 def test_inner_example(capsys):
@@ -226,6 +226,10 @@ BAD_ARGUMENTS = {
     "lambda-vertex-zero-denominator": ["inner", "--d", "2", "--gamma", "-1,-1,-1", "--spec",
                                        "sobolev", "--lambda-vertex", "1/0,1,1", "--f", _X,
                                        "--g", _X],
+    "order-repeated": ["basis", "--d", "2", "--n", "2", "--family", "permuted",
+                       "--gamma", "0,0,0", "--order", "1,1"],
+    "zero-set-repeated": ["basis", "--d", "2", "--n", "2", "--family", "h",
+                          "--gamma", "0,0,0", "--zero-set", "1,1"],
 }
 
 
@@ -240,12 +244,42 @@ def test_bad_argument_is_a_usage_error(capsys, case):
         assert "--n " in err
     if case.startswith("d-negative") or case == "d-zero-inner":
         assert "--d must be >= 1" in err
+    if case.endswith("-repeated"):
+        assert "index 1 repeated" in err
 
 
 @pytest.mark.parametrize("suite, d", [("jacobi", "1"), ("triangle", "2"), ("thm31", "2")])
 def test_fixed_dimension_suite_accepts_its_own_d(capsys, suite, d):
     assert run_cli(capsys, ["verify", "--suite", suite, "--d", d, "--n-max", "1"]) \
         == run_cli(capsys, ["verify", "--suite", suite, "--n-max", "1"])
+
+
+_ONE = json.dumps(Polynomial.constant(2, 1).to_json())
+
+# Sobolev forms whose --lambda-vertex has a negative entry or no positive one:
+# they are no inner product, on every path that reads --lambda-vertex
+NOT_POSITIVE = {
+    "eigen": ["eigen", "--d", "2", "--n", "1", "--gamma", "-1,-1,-1",
+              "--lambda-vertex", "-1,0,0"],
+    "inner": ["inner", "--d", "2", "--gamma", "-1,-1,-1", "--spec", "sobolev",
+              "--lambda-vertex", "-1,0,0", "--f", _ONE, "--g", _ONE],
+    "basis-u": ["basis", "--d", "2", "--n", "1", "--gamma", "-1,-1,-1", "--family", "u",
+                "--lambda-vertex", "1,-1,0"],
+    "gram-sobolev": ["gram", "--d", "2", "--n", "1", "--gamma", "-1,-1,-1", "--spec",
+                     "sobolev", "--basis", "monomials", "--against", "self",
+                     "--lambda-vertex", "0,0,0"],
+    "gram-basis-u": ["gram", "--d", "2", "--n", "1", "--gamma", "-1,-1,-1", "--basis", "u",
+                     "--lambda-vertex", "2,-1,0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_POSITIVE))
+def test_sobolev_form_that_is_not_positive_is_refused(capsys, case):
+    code = main(NOT_POSITIVE[case])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "NonPositiveForm" in err
 
 
 def test_math_precondition_exit_code(capsys):

@@ -1,4 +1,4 @@
-"""The closed-form kernels against the slow paths they replace."""
+"""The closed-form kernels against the slow paths of `oracles` that they replace."""
 
 import random
 from fractions import Fraction

@@ -5,16 +5,14 @@ from fractions import Fraction
 import pytest
 
 from sobolex import spaces
-from sobolex.bases import monomial_element, rodrigues_basis
-from sobolex.errors import DependentInput
+from sobolex.bases import rodrigues_basis
 from sobolex.moments import inner_product
 from sobolex.polynomials import Polynomial, complement, monomials_up_to
 from sobolex.products import (ClassicalProduct, DerivativeProduct,
                               JacobiSingularBeta, JacobiSingularBoth,
                               SingularProduct, TriangleAllSingular,
                               TriangleBetaGammaSingular, TriangleFirstTwoSingular,
-                              TriangleGammaSingular, GramReport, gram, labeled,
-                              orthogonalize)
+                              TriangleGammaSingular, GramReport, gram, labeled)
 from sobolex.spaces import h_space, u_space
 from sobolex.weighted import ParamVector
 
@@ -124,35 +122,6 @@ def test_gram_single_entry():
     rep = gram(spec, labeled([ONE]))
     assert rep.matrix == [[Fraction(1)]]
     assert rep.positive_definite
-
-
-def test_orthogonalize_matches_monic_companion():
-    gamma = ParamVector([0, 0, 0])
-    spec = ClassicalProduct(gamma)
-    out = orthogonalize(spec, [ONE, X])
-    assert out == [ONE, X - Fraction(1, 3)]
-    assert out[1] == monomial_element(gamma, (1, 0))
-
-
-def test_orthogonalize_keeps_orthogonal_input():
-    gamma = ParamVector([0, 0, 0])
-    spec = ClassicalProduct(gamma)
-    basis = [ONE, monomial_element(gamma, (1, 0))]
-    assert orthogonalize(spec, basis) == basis
-
-
-def test_orthogonalize_dependent_input():
-    spec = ClassicalProduct(ParamVector([0, 0, 0]))
-    with pytest.raises(DependentInput):
-        orthogonalize(spec, [X, X])
-
-
-def test_orthogonalize_under_sobolev_product():
-    spec = SingularProduct(2, (), 3)
-    basis = u_space(2, (), 3, 3)
-    out = orthogonalize(spec, basis.polys())
-    rep = gram(spec, labeled(out))
-    assert rep.diagonal and all(rep.matrix[i][i] > 0 for i in range(len(out)))
 
 
 def test_derivative_product_lambda_weights():

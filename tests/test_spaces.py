@@ -74,6 +74,9 @@ def test_u_space_input_validation():
         u_space(2, (), 2, 1)
     with pytest.raises(ValueError):
         u_space(2, (), 4, 1)
+    # (1, -1, 0) does not vanish, but its sum does
+    with pytest.raises(ValueError, match="sum to zero"):
+        u_space(2, (), 3, 1, vertex_lambdas=(1, -1, 0))
 
 
 def test_verify_u_space_examples():
