@@ -9,7 +9,7 @@ Pochhammer symbol at a time.  `oracle_value` is every bilinear form written
 out term by term, pairing each pair of polynomials on its own.
 `apply_operator` is the second-order operator applied by its definition.
 The two construction oracles build the Rodrigues and permuted elements from
-their definitions with `WeightedForm`, the closed class of sums
+their definitions with `sobolex.weighted.WeightedForm`, the closed class of sums
 c * x^alpha * (1-|x|)^beta with rational exponents: shift the weight,
 differentiate term by term, divide the weight back out.
 `FractionPolynomial` is the polynomial arithmetic that `Polynomial`'s integer
@@ -24,15 +24,13 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from typing import Iterable, Mapping, Sequence
-
 from sobolex import products as P
 from sobolex.bases import eigenvalue
-from sobolex.errors import NonPolynomialQuotient, ZeroDenominator
+from sobolex.errors import ZeroDenominator
 from sobolex.moments import normalized_moment, vertex_eval
-from sobolex.polynomials import FaceId, Polynomial, box_indices, complement_power
-from sobolex.scalars import Rational, as_fraction, binomial, format_rational, pochhammer
-from sobolex.weighted import ParamVector
+from sobolex.polynomials import FaceId, Polynomial, box_indices
+from sobolex.scalars import binomial, format_rational, pochhammer
+from sobolex.weighted import ParamVector, WeightedForm
 
 
 def interval_integral(p: int, q: int) -> Fraction:
@@ -233,108 +231,6 @@ class FractionPolynomial:
 
 
 # -- Rodrigues and permuted elements by differentiating the weight -------------
-
-PowerKey = tuple[tuple[Fraction, ...], Fraction]
-
-
-class WeightedForm:
-    """Finite sum of terms c * x^alpha * (1-|x|)^beta, rational exponents."""
-
-    __slots__ = ("dim", "_terms")
-
-    def __init__(self, dim: int, terms: Mapping[PowerKey, Rational] | Iterable[tuple[PowerKey, Rational]] = ()):
-        self.dim = dim
-        acc: dict[PowerKey, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for (alpha, beta), coef in items:
-            alpha = tuple(as_fraction(a) for a in alpha)
-            if len(alpha) != dim:
-                raise ValueError("alpha has wrong length")
-            key = (alpha, as_fraction(beta))
-            c = acc.get(key, Fraction(0)) + as_fraction(coef)
-            if c:
-                acc[key] = c
-            else:
-                acc.pop(key, None)
-        self._terms = acc
-
-    @classmethod
-    def single(cls, dim: int, coef: Rational, alpha: Sequence[Rational], beta: Rational) -> "WeightedForm":
-        return cls(dim, {(tuple(as_fraction(a) for a in alpha), as_fraction(beta)): coef})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def items(self):
-        return iter(self._terms.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightedForm):
-            return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
-
-    def __add__(self, other: "WeightedForm") -> "WeightedForm":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return WeightedForm(self.dim, list(self._terms.items()) + list(other._terms.items()))
-
-    def scale(self, c: Rational) -> "WeightedForm":
-        c = as_fraction(c)
-        return WeightedForm(self.dim, {k: v * c for k, v in self._terms.items()})
-
-    def __neg__(self) -> "WeightedForm":
-        return self.scale(-1)
-
-    def derivative(self, axis: int) -> "WeightedForm":
-        """d/dx_axis, term by term:
-        (x^a (1-|x|)^b)' = a_i x^{a-e_i} (1-|x|)^b - b x^a (1-|x|)^{b-1}."""
-        if not 0 <= axis < self.dim:
-            raise ValueError(f"axis {axis} out of range")
-        acc: list[tuple[PowerKey, Fraction]] = []
-        for (alpha, beta), coef in self._terms.items():
-            ai = alpha[axis]
-            if ai:
-                lowered = alpha[:axis] + (ai - 1,) + alpha[axis + 1:]
-                acc.append(((lowered, beta), coef * ai))
-            if beta:
-                acc.append(((alpha, beta - 1), -coef * beta))
-        return WeightedForm(self.dim, acc)
-
-    def directional(self, operator: Sequence[tuple[int, int]]) -> "WeightedForm":
-        """Apply a signed combination of partials, e.g. [(i,1),(j,-1)] for d_i - d_j."""
-        out = WeightedForm(self.dim)
-        for axis, sign in operator:
-            out = out + self.derivative(axis).scale(sign)
-        return out
-
-    def divide_by_weight(self, gamma: ParamVector) -> Polynomial:
-        """Divide by x^g (1-|x|)^{g_{d+1}} and expand into a sparse polynomial.
-
-        Every residual exponent must be a nonnegative integer; otherwise the
-        quotient leaves the polynomial ring and NonPolynomialQuotient is raised.
-        """
-        if gamma.d != self.dim:
-            raise ValueError("parameter vector has wrong dimension")
-        out = Polynomial.zero(self.dim)
-        for (alpha, beta), coef in self._terms.items():
-            exps = []
-            for a, g in zip(alpha, gamma.entries[:-1]):
-                r = a - g
-                if r.denominator != 1 or r < 0:
-                    raise NonPolynomialQuotient(
-                        f"residual exponent {r} is not a nonnegative integer")
-                exps.append(int(r))
-            rb = beta - gamma.last
-            if rb.denominator != 1 or rb < 0:
-                raise NonPolynomialQuotient(
-                    f"residual exponent {rb} is not a nonnegative integer")
-            piece = Polynomial.monomial(self.dim, exps, coef)
-            if rb:
-                piece = piece * complement_power(self.dim, int(rb))
-            out = out + piece
-        return out
-
 
 def oracle_rodrigues_element(gamma: ParamVector, nu: tuple[int, ...]) -> Polynomial:
     """Differentiate the nu-shifted weight and divide the weight back out."""

@@ -1,5 +1,5 @@
-"""ParamVector and face_params, and the test oracles' WeightedForm engine, the
-reference construction of the Rodrigues and permuted elements."""
+"""ParamVector and face_params, and WeightedForm, the reference construction
+of the Rodrigues and permuted elements that tests/oracles.py builds on."""
 
 import random
 from fractions import Fraction
@@ -8,9 +8,7 @@ import pytest
 
 from sobolex.errors import NonPolynomialQuotient
 from sobolex.polynomials import Polynomial
-from sobolex.weighted import ParamVector, face_params
-
-from oracles import WeightedForm
+from sobolex.weighted import ParamVector, WeightedForm, face_params
 
 H = Fraction(1, 2)
 
