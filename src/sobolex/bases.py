@@ -14,8 +14,14 @@ slot s nu_s times to the shifted weight and dividing the weight back out gives
 
 Every term carries Pochhammer symbols of total length |nu|, so with the
 parameters scaled by D, the common denominator of the g_i, the sum runs in
-integers and is divided by D^{|nu|} once.  The monic ("monomial") element
-sums over the same box, with n = |nu| and s = |g|+d:
+integers and is divided by D^{|nu|} once.  It is built as a polynomial in the
+d+1 slot coordinates (slot d holding y_c) and pulled back to x by the map
+slot s -> y_{o_s}, slot d -> y_c (`Polynomial.pullback`).  That map is a
+vertex permutation of T^d, so a permuted element is the Rodrigues element of
+the permuted weight (g_{o_0}, ..., g_{o_{d-1}}, g_c) pulled back by the order.
+
+The monic ("monomial") element sums over the same box, with n = |nu| and
+s = |g|+d:
 
     V_nu = sum_{m <= nu} (-1)^{n+|m|} (s)_{n+|m|} / (s)_{2n}
                prod_i C(nu_i, m_i) (g_i+m_i+1)_{nu_i-m_i} * x^m.
@@ -38,12 +44,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add
 from typing import Iterator, Sequence
 
 from .errors import NonIntegrableWeight, ZeroDenominator
-from .polynomials import (Exponents, Polynomial, box_indices, complement_power,
-                          monomials_of_degree)
+from .polynomials import Exponents, Polynomial, box_indices, monomials_of_degree
 from .scalars import (Rational, as_fraction, clear_denominators, factorial, format_rational,
                       pochhammer, product_factorial)
 from .weighted import ParamVector
@@ -132,26 +136,15 @@ def _box_terms(scaled: list[int], D: int, order: Sequence[int], nu: Exponents,
 
 def _leibniz_element(gamma: ParamVector, order: tuple[int, ...], c: int,
                      nu: Exponents) -> Polynomial:
-    """The Leibniz sum of the module docstring, in integers times D^{|nu|}."""
-    d = gamma.d
+    """The Leibniz sum of the module docstring, in integers times D^{|nu|}:
+    a polynomial in the d+1 slot coordinates (slot d holds y_c), pulled back
+    by (*order, c)."""
     n = sum(nu)
     scaled, D = clear_denominators(gamma.entries)
     # y_c differentiated by the remaining |m| slot operators, each giving -1
     level = [(-1) ** k * _rising(scaled[c] + (n - k + 1) * D, D, k) for k in range(n + 1)]
-    expansions: dict[int, list[tuple[Exponents, int]]] = {}
-    acc: dict[Exponents, int] = {}
-    for m, coef in _box_terms(scaled, D, order, nu, level):
-        y = [0] * (d + 1)
-        for o, ms in zip(order, m):
-            y[o] = ms
-        y[c] = n - sum(m)
-        j = y.pop()  # the power of y_d = 1-|x|
-        if j not in expansions:
-            expansions[j] = list(complement_power(d, j).scaled_to_integers()[0].items())
-        for e, cc in expansions[j]:
-            key = tuple(map(add, y, e))
-            acc[key] = acc.get(key, 0) + coef * cc
-    return Polynomial._from_ints(d, acc, D ** n)
+    slots = {m + (n - sum(m),): coef for m, coef in _box_terms(scaled, D, order, nu, level)}
+    return Polynomial._from_ints(gamma.d + 1, slots, D ** n).pullback((*order, c), gamma.d)
 
 
 def rodrigues_basis(gamma: ParamVector, n: int) -> Basis:

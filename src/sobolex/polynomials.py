@@ -4,16 +4,19 @@ A polynomial stores its coefficients as integer numerators over one positive
 common denominator: a dict exponent-tuple -> nonzero int, and an int `den`
 with gcd(den, *numerators) == 1.  That form is unique (den is the least
 common denominator of the coefficients), so equality and hashing compare it
-directly.  The ring operations, derivatives, permutations and restrictions
-run in ints with one gcd reduction per result.  Coefficients become
-`fractions.Fraction`s only where they leave the class: `items`,
-`coefficient`, `evaluate`, `sorted_terms`, `to_json` and `repr`; kernels that
-sum coefficients read the integer view from `scaled_to_integers`.
+directly.  The ring operations, derivatives and pullbacks run in ints with
+one gcd reduction per result.  Coefficients become `fractions.Fraction`s
+only where they leave the class: `items`, `coefficient`, `evaluate`,
+`sorted_terms`, `to_json` and `repr`; kernels that sum coefficients read the
+integer view from `scaled_to_integers`.
 
-Variables are indexed 0..d-1; the extra index d always refers to the
-hyperplane 1 - |x| = 0 when a face of the simplex is described.  Terms
-serialize in graded-lex order (total degree first, then lexicographic on the
-exponent tuple).
+Variables are indexed 0..d-1.  The barycentric coordinates of T^d are
+y_i = x_i and y_d = 1 - |x|, so the extra index d refers to the hyperplane
+1 - |x| = 0 when a face is described.  Every vertex map of the simplex, and
+every restriction to a face, is one `pullback`: each variable goes to 0 or
+to a barycentric coordinate of the target simplex.  Terms serialize in
+graded-lex order (total degree first, then lexicographic on the exponent
+tuple).
 """
 
 from __future__ import annotations
@@ -261,47 +264,50 @@ class Polynomial:
             power = power * replacement
         return out
 
-    def permute(self, order: Sequence[int]) -> "Polynomial":
-        """Return f(x_{order[0]}, ..., x_{order[d-1]})."""
-        if sorted(order) != list(range(self.dim)):
-            raise ValueError(f"{order} is not a permutation of 0..{self.dim - 1}")
+    def pullback(self, targets: Sequence[int | None], dim: int | None = None) -> "Polynomial":
+        """Return f(u) with u_i = y_{targets[i]}, where y = (x_0, ..., x_{dim-1},
+        1-|x|) are the barycentric coordinates of T^dim (dim defaults to
+        self.dim); a None target sets u_i = 0."""
+        dim = self.dim if dim is None else dim
+        targets = tuple(targets)
+        if (not _is_int(dim) or dim < 0 or len(targets) != self.dim
+                or not all(t is None or type(t) is int and 0 <= t <= dim for t in targets)):
+            raise ValueError(f"bad targets {targets} from dimension {self.dim} to {dim}")
         acc: dict[Exponents, int] = {}
         for exp, coef in self._terms.items():
-            new = [0] * self.dim
-            for pos, e in enumerate(exp):
-                new[order[pos]] = e
-            acc[tuple(new)] = coef
-        return Polynomial._trusted(self.dim, acc, self._den)
+            y = [0] * (dim + 1)
+            for t, e in zip(targets, exp):
+                if e:
+                    if t is None:
+                        break
+                    y[t] += e
+            else:
+                j = y.pop()  # the power of y_dim = 1-|x|
+                if not j:
+                    key = tuple(y)
+                    acc[key] = acc.get(key, 0) + coef
+                    continue
+                # (1 - |x|)^j has integer coefficients, so its den is 1
+                for ce, cc in complement_power(dim, j)._terms.items():
+                    key = tuple(map(add, y, ce))
+                    acc[key] = acc.get(key, 0) + coef * cc
+        return Polynomial._from_ints(dim, acc, self._den)
 
     def restrict(self, zeroed: Iterable[int]) -> "Polynomial":
         """Restrict to the face of T^d where the given coordinates vanish.
 
-        Index self.dim stands for the hyperplane 1 - |x| = 0; imposing it
-        eliminates the highest-index surviving variable.  The result lives in
-        d - len(zeroed) variables, surviving coordinates in original order.
+        Index self.dim stands for the hyperplane 1 - |x| = 0.  This is the
+        pullback onto the face, whose barycentric coordinates are the
+        surviving ones in their order: the result lives in d - len(zeroed)
+        variables, and when the hyperplane index is zeroed the highest
+        surviving variable becomes 1 - |x|.
         """
         zset = frozenset(zeroed)
         if not zset <= set(range(self.dim + 1)) or len(zset) > self.dim:
             raise ValueError(f"bad face {sorted(zset)} for dimension {self.dim}")
-        true_zeros = sorted(zset - {self.dim})
-        survivors = [i for i in range(self.dim) if i not in true_zeros]
-        rdim = self.dim - len(zset)
-        designated = survivors[-1] if self.dim in zset else None
-        keep = [i for i in survivors if i != designated]
-        acc: dict[Exponents, int] = {}
-        for exp, coef in self._terms.items():
-            if any(exp[i] for i in true_zeros):
-                continue
-            base = tuple(exp[i] for i in keep)
-            e = exp[designated] if designated is not None else 0
-            if not e:
-                acc[base] = acc.get(base, 0) + coef
-                continue
-            # (1 - |x|)^e has integer coefficients, so its den is 1
-            for ce, cc in complement_power(rdim, e)._terms.items():
-                key = tuple(map(add, base, ce))
-                acc[key] = acc.get(key, 0) + coef * cc
-        return Polynomial._from_ints(rdim, acc, self._den)
+        survivors = [i for i in range(self.dim + 1) if i not in zset]
+        place = {i: j for j, i in enumerate(survivors)}
+        return self.pullback([place.get(i) for i in range(self.dim)], len(survivors) - 1)
 
     # -- serialization -----------------------------------------------------
 

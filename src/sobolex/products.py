@@ -467,12 +467,16 @@ class JacobiSingularBoth(_TermForm):
 # -- Gram machinery -----------------------------------------------------------
 
 class GramReport:
+    """A Gram matrix; `separate_columns` marks one taken against columns of
+    its own (the lower-degree monomials), not against its rows."""
+
     def __init__(self, spec: dict, row_labels: list[str], col_labels: list[str],
-                 matrix: list[list[Fraction]]):
+                 matrix: list[list[Fraction]], separate_columns: bool = False):
         self.spec = spec
         self.row_labels = row_labels
         self.col_labels = col_labels
         self.matrix = matrix
+        self.separate_columns = separate_columns
 
     @property
     def all_zero(self) -> bool:
@@ -503,16 +507,18 @@ class GramReport:
         return all(m > 0 for m in self.minors())
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "spec": self.spec,
             "rows": self.row_labels,
             "cols": self.col_labels,
             "matrix": [[format_rational(v) for v in row] for row in self.matrix],
             "all_zero": self.all_zero,
-            "orthogonal_to_lower_degree": self.all_zero,
             "diagonal": self.diagonal if self.is_square else None,
             "positive_definite": self.positive_definite,
         }
+        if self.separate_columns:
+            out["orthogonal_to_lower_degree"] = self.all_zero
+        return out
 
 
 def gram(product: _TermForm, rows: Sequence[tuple[str, Polynomial]],
@@ -523,7 +529,8 @@ def gram(product: _TermForm, rows: Sequence[tuple[str, Polynomial]],
     matrix = product.matrix([p for _, p in rows],
                             None if cols is None else [p for _, p in cols])
     return GramReport(product.describe(), [lab for lab, _ in rows],
-                      [lab for lab, _ in (rows if cols is None else cols)], matrix)
+                      [lab for lab, _ in (rows if cols is None else cols)], matrix,
+                      separate_columns=cols is not None)
 
 
 def labeled(polys: Sequence[Polynomial], prefix: str = "p") -> list[tuple[str, Polynomial]]:

@@ -12,12 +12,11 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .bases import (Basis, eigencheck, permuted_element, rodrigues_basis,
-                    rodrigues_element)
+from .bases import Basis, eigencheck, permuted_element, rodrigues_element
 from .linalg import poly_rank
 from .moments import vertex_eval
-from .polynomials import (Polynomial, complement, constrained_indices,
-                          monomials_of_degree, monomials_up_to)
+from .polynomials import (Polynomial, constrained_indices, monomials_of_degree,
+                          monomials_up_to)
 from .products import SingularProduct, gram, labeled, singular_tail
 from .scalars import Rational, as_fraction
 from .weighted import ParamVector
@@ -54,19 +53,16 @@ def h_space(gamma: ParamVector, zero_axes: Sequence[int], n: int) -> Basis:
     return basis
 
 
-def _pattern_params(tail: tuple[Fraction, ...], pattern: tuple[int, ...]) -> ParamVector:
-    return ParamVector(tail + tuple(Fraction(p) for p in pattern))
-
-
 def u_space(dim: int, tail: Sequence[Rational], k: int, n: int,
             vertex_lambdas: Sequence[Rational] | None = None) -> Basis:
     """The degree-n polynomial eigenspace for the weight (tail, -1, ..., -1).
 
-    Blocks, in order: the core block (all trailing slots multiplied in, core
-    indices shifted by +1), then each 0/1 arrangement with j ones for
-    j = k-1 .. 1, then the top face block.  For k = d+1 and n = 1 the span is
-    {x_j + c_j} with c_j = -lam_j / sum(lam), tied to the vertex coefficients
-    of the companion inner product.
+    One block per 0/1 arrangement on the trailing k slots, with j ones for
+    j = k .. 0: the h_space of the weight (tail, arrangement) with the 0
+    slots zeroed, in degree n - j, times the y_s of the 1 slots.  The j = k
+    block is the core block and the j = 0 block the top face block.  For
+    k = d+1 and n = 1 the span is {x_j + c_j} with c_j = -lam_j / sum(lam),
+    tied to the vertex coefficients of the companion inner product.
     """
     d = dim
     tail = singular_tail(d, tail, k)
@@ -90,36 +86,17 @@ def u_space(dim: int, tail: Sequence[Rational], k: int, n: int,
                                    Polynomial.variable(d, j - 1) + shift))
         return basis
 
-    slots = list(range(d + 1 - k, d + 1))
-
-    def multiplier(active: Sequence[int]) -> Polynomial:
-        out = Polynomial.constant(d, 1)
-        for s in active:
-            out = out * (complement(d) if s == d else Polynomial.variable(d, s))
-        return out
-
-    if n - k >= 0:
-        mult = multiplier(slots)
-        shifted = ParamVector(tail + (Fraction(1),) * k)
-        for nu, p in rodrigues_basis(shifted, n - k).elements:
-            basis.elements.append((("core", nu), mult * p))
-    for j in range(k - 1, 0, -1):
-        if n - j < 0:
-            continue
-        for ones in itertools.combinations(range(k), j):
-            pattern = tuple(1 if t in ones else 0 for t in range(k))
-            active = [slots[t] for t in ones]
-            zero_slots = [slots[t] for t in range(k) if t not in ones]
-            params = _pattern_params(tail, pattern)
-            block = h_space(params, zero_slots, n - j)
-            if not block.elements:
-                continue
-            mult = multiplier(active)
-            for nu, p in block.elements:
-                basis.elements.append((("block", pattern, nu), mult * p))
-    top = h_space(_pattern_params(tail, (0,) * k), slots, n)
-    for nu, p in top.elements:
-        basis.elements.append((("top", nu), p))
+    slots = range(d + 1 - k, d + 1)
+    for j in range(k, -1, -1):
+        for ones in itertools.combinations(slots, j):
+            pattern = tuple(int(s in ones) for s in slots)
+            # the product of y_s over the slots with a 1, where y_d = 1-|x|
+            ys = Polynomial.monomial(d + 1, (0,) * (d + 1 - k) + pattern)
+            mult = ys.pullback(range(d + 1), d)
+            zeroed = [s for s in slots if s not in ones]
+            block = h_space(ParamVector(tail + pattern), zeroed, n - j)
+            tag = ("core",) if j == k else ("top",) if j == 0 else ("block", pattern)
+            basis.elements.extend((tag + (nu,), mult * p) for nu, p in block.elements)
     return basis
 
 
@@ -181,6 +158,7 @@ def verify_u_space(dim: int, tail: Sequence[Rational], k: int, n: int,
     return {
         "d": dim, "k": k, "n": n,
         "gamma": full.to_json(),
+        "spec": product.describe(),
         "eigenvalue": str(lam),
         "count": len(basis.elements),
         "rank": rank_value,

@@ -158,15 +158,9 @@ def suite_jacobi(n_max: int = 5) -> dict:
 # the triangle: restrictions, permuted closed forms, biorthogonality
 # ---------------------------------------------------------------------------
 
-def _compose_reflected(f: Polynomial) -> Polynomial:
-    """f(u,v) -> f(1-x-y, y)."""
-    return f.substitute(0, complement(2))
-
-
 def suite_triangle(n_max: int = 4, gammas: list[ParamVector] | None = None) -> dict:
     checks: list[dict] = []
     gammas = gammas or default_gammas(2)
-    one_minus_t = Polynomial(1, {(0,): Fraction(1), (1,): Fraction(-1)})
     indices = [(k, n - k) for n in range(n_max + 1) for k in range(n + 1)]
     for gamma in gammas:
         a, b, c = gamma.entries
@@ -179,14 +173,13 @@ def suite_triangle(n_max: int = 4, gammas: list[ParamVector] | None = None) -> d
              (rodrigues_element(gamma, (n, 0)).restrict({1})
               == jacobi_shifted(n, c, a) for n in range(n_max + 1)))
         _add(checks, f"edge-restriction-hyp[{tag}]",
-             (reflected[0, n].restrict({2})
-              == jacobi_shifted(n, a, b).substitute(0, one_minus_t)
+             (reflected[0, n].restrict({2}) == jacobi_shifted(n, a, b).pullback((1,))
               for n in range(n_max + 1)))
         _add(checks, f"swapped-closed-form[{tag}]",
-             (rodrigues_element(ParamVector([b, a, c]), nu).permute((1, 0))
+             (rodrigues_element(ParamVector([b, a, c]), nu).pullback((1, 0))
               == permuted_element(gamma, (1, 0), nu) for nu in indices))
         _add(checks, f"reflected-closed-form[{tag}]",
-             (_compose_reflected(rodrigues_element(ParamVector([c, b, a]), nu)) == q
+             (rodrigues_element(ParamVector([c, b, a]), nu).pullback((2, 1)) == q
               for nu, q in reflected.items()))
     return _result("triangle", {"n_max": n_max,
                                 "gammas": [_gamma_tag(g) for g in gammas]}, checks)
@@ -400,12 +393,6 @@ def suite_lemmas4(d: int = 2, n_max: int = 4,
 # the d = 2 specializations
 # ---------------------------------------------------------------------------
 
-def _reflect_params(f: Polynomial) -> Polynomial:
-    """f -> F with F(u1,u2) = f(u2, 1-u1-u2); moves singular slots (1,2) to
-    the trailing positions of the parameter list."""
-    return f.permute((1, 0)).substitute(0, complement(2))
-
-
 def suite_thm31(n_max: int = 4) -> dict:
     checks: list[dict] = []
     x = Polynomial.variable(2, 0)
@@ -500,7 +487,9 @@ def suite_thm31(n_max: int = 4) -> dict:
     # The named edge term integrates against (1-y)^{c+1} while the general
     # construction integrates u * (...) against u^c; the two per-term masses
     # differ by (c+2)/(c+1), absorbed into the free coefficient.
-    reflected = [(label, _reflect_params(f)) for label, f in probes]
+    # F(u1,u2) = f(u2, 1-u1-u2) moves the singular slots (1,2) to the
+    # trailing positions of the parameter list
+    reflected = [(label, f.pullback((1, 2))) for label, f in probes]
     _add(checks, "named-vs-general-symmetric-variant",
          (same_gram(TriangleFirstTwoSingular(c, 0, 2 * (c + 1) / (c + 2), Fraction(3)),
                     SingularProduct(2, (c,), 2, lam=Fraction(3), lam_axis=(Fraction(2),)),

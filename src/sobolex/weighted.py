@@ -81,25 +81,12 @@ class ParamVector:
 
 
 def face_params(gamma: ParamVector, zeroed: Iterable[int]) -> ParamVector:
-    """Exponents of the weight restricted to the face where `zeroed` vanish.
-
-    Follows the same convention as Polynomial.restrict: if the hyperplane
-    index d is zeroed, the highest surviving coordinate is eliminated and its
-    exponent becomes the new (1-|x|) exponent.
-    """
-    d = gamma.d
+    """Exponents of the weight restricted to the face where `zeroed` vanish:
+    the surviving entries, in order, as in Polynomial.restrict."""
     zset = frozenset(zeroed)
-    if not zset <= set(range(d + 1)) or not 0 < len(zset) <= d - 1:
-        raise ValueError(f"bad face {sorted(zset)} for dimension {d}")
-    if d not in zset:
-        vals = [gamma.entries[i] for i in range(d) if i not in zset]
-        vals.append(gamma.entries[d])
-        return ParamVector(vals)
-    survivors = [i for i in range(d) if i not in zset]
-    designated = survivors[-1]
-    vals = [gamma.entries[i] for i in survivors[:-1]]
-    vals.append(gamma.entries[designated])
-    return ParamVector(vals)
+    if not zset <= set(range(gamma.d + 1)) or not 0 < len(zset) <= gamma.d - 1:
+        raise ValueError(f"bad face {sorted(zset)} for dimension {gamma.d}")
+    return ParamVector([g for i, g in enumerate(gamma.entries) if i not in zset])
 
 
 PowerKey = tuple[tuple[Fraction, ...], Fraction]

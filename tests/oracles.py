@@ -126,7 +126,8 @@ class FractionPolynomial:
     """A polynomial as a dict exponent tuple -> nonzero Fraction.
 
     Restriction substitutes the face's coordinates (0, or 1 minus the other
-    survivors for the hyperplane) instead of expanding cached powers of
+    survivors for the hyperplane), and a pullback substitutes 0, a variable
+    or 1 - |x| for each variable, instead of expanding cached powers of
     1 - |x|; everything else is the term-by-term definition.
     """
 
@@ -192,14 +193,18 @@ class FractionPolynomial:
             out = out + rest * replacement ** exp[axis]
         return out
 
-    def permute(self, order) -> "FractionPolynomial":
-        out = {}
+    def pullback(self, targets, dim=None) -> "FractionPolynomial":
+        dim = self.dim if dim is None else dim
+        coords = [FractionPolynomial(dim, {tuple(int(j == i) for j in range(dim)): 1})
+                  for i in range(dim)]
+        coords.append(1 - sum(coords, FractionPolynomial(dim)))
+        out = FractionPolynomial(dim)
         for exp, coef in self.terms.items():
-            new = [0] * self.dim
-            for pos, e in enumerate(exp):
-                new[order[pos]] = e
-            out[tuple(new)] = coef
-        return FractionPolynomial(self.dim, out)
+            term = FractionPolynomial.constant(dim, coef)
+            for t, e in zip(targets, exp):
+                term = term * (FractionPolynomial(dim) if t is None else coords[t]) ** e
+            out = out + term
+        return out
 
     def restrict(self, zeroed) -> "FractionPolynomial":
         d = self.dim

@@ -11,7 +11,7 @@ from sobolex.bases import (all_orders, biorthogonal_constant, eigencheck,
                            permuted_element, rodrigues_basis, rodrigues_element)
 from sobolex.errors import NonIntegrableWeight, ZeroDenominator
 from sobolex.moments import inner_product
-from sobolex.polynomials import Polynomial
+from sobolex.polynomials import Polynomial, monomials_of_degree
 from sobolex.weighted import ParamVector
 
 from oracles import apply_operator, simplex_integral
@@ -96,11 +96,28 @@ def test_permuted_closed_forms():
     # both displayed routes to the swapped family, order (y, x), agree
     for n in range(4):
         for k in range(n + 1):
-            lhs = rodrigues_element(ParamVector([0, 0, 0]), (k, n - k)).permute((1, 0))
+            lhs = rodrigues_element(ParamVector([0, 0, 0]), (k, n - k)).pullback((1, 0))
             assert lhs == permuted_element(g, (1, 0), (k, n - k))
     assert permuted_basis(g, (2, 1), 0).polys() == [Polynomial.constant(2, 1)]
     with pytest.raises(ValueError):
         permuted_element(g, (0, 0), (1, 0))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_permuted_element_is_the_pulled_back_rodrigues_element(d):
+    # R(g o s, nu) pulled back by the order is the permuted element, where
+    # g o s lists g_{o_0}, ..., g_{o_{d-1}} and then g_c, c the omitted index
+    weights = [ParamVector([0] * (d + 1)),
+               ParamVector([H, Fraction(1, 3), 2, Fraction(1, 4)][:d + 1]),
+               ParamVector([-1, Fraction(3, 5), 0, Fraction(-2, 7)][:d + 1])]
+    for gamma in weights:
+        for order in all_orders(d):
+            (c,) = set(range(d + 1)) - set(order)
+            permuted = ParamVector([gamma.entries[o] for o in (*order, c)])
+            for n in range(4):
+                for nu in monomials_of_degree(d, n):
+                    assert (rodrigues_element(permuted, nu).pullback(order)
+                            == permuted_element(gamma, order, nu))
 
 
 def test_monomial_examples():

@@ -86,6 +86,25 @@ def test_gram_eigenspace_vs_lower(capsys):
     assert data["orthogonal_to_lower_degree"] is True
 
 
+def test_gram_against_self_does_not_claim_lower_degree_orthogonality(capsys):
+    code, out = run_cli(capsys, ["gram", "--d", "2", "--n", "1", "--gamma", "-1,-1,-1",
+                                 "--spec", "sobolev", "--basis", "u", "--against", "self"])
+    assert code == 0
+    data = json.loads(out)
+    assert "orthogonal_to_lower_degree" not in data
+    assert data["all_zero"] is False
+
+
+def test_eigen_report_records_the_vertex_coefficients(capsys):
+    argv = ["eigen", "--d", "2", "--n", "1", "--gamma", "-1,-1,-1"]
+    code, plain = run_cli(capsys, argv)
+    assert code == 0
+    code, weighted = run_cli(capsys, argv + ["--lambda-vertex", "1,0,0"])
+    assert code == 0
+    assert plain != weighted
+    assert json.loads(weighted)["spec"]["lambda_vertex"] == ["1", "0", "0"]
+
+
 def test_gram_degenerate_spec_not_positive(capsys):
     code = main(["gram", "--d", "2", "--n", "2", "--gamma", "-1,-1,-1", "--spec", "sobolev",
                  "--basis", "monomials", "--against", "self", "--lambda-vertex", "0,0,0"])

@@ -70,6 +70,19 @@ COMMANDS = [
     # (s)_{2n} < 0 here, and (-1)_2 vanishes in the next one (exit 3)
     ["basis", "--family", "monomial", "--d", "2", "--n", "5", "--gamma", "-5/2,1/3,0"],
     ["basis", "--family", "monomial", "--d", "2", "--n", "2", "--gamma", "0,-2,1/2"],
+    # face blocks through the hyperplane and through the coordinate faces,
+    # a permuted basis at d = 4, and every trailing -1 block at d = 3
+    *(["basis", "--family", "h", "--d", "3", "--n", "3", "--gamma", "1/2,1/3,2,1/4",
+       "--zero-set", zset]
+      for zset in ("4", "1,4", "2")),
+    ["basis", "--family", "h", "--d", "4", "--n", "3", "--gamma", "1/2,1/3,2,1/4,0",
+     "--zero-set", "2,3,5"],
+    ["basis", "--family", "permuted", "--d", "4", "--n", "3", "--gamma", "1/2,1/3,2,1/4,0",
+     "--order", "5,2,1,3"],
+    *(["basis", "--family", "u", "--d", "3", "--n", "4", "--gamma", gamma, *extra]
+      for gamma, extra in (("1/2,1/3,2,-1", []), ("1/2,1/3,-1,-1", []),
+                           ("1/2,-1,-1,-1", []),
+                           ("-1,-1,-1,-1", ["--lambda-vertex", "1,2,3,5"]))),
 ]
 
 

@@ -1,11 +1,12 @@
 """`Polynomial`'s integer form against the Fraction-dict arithmetic it replaced.
 
 Every operation runs on random polynomials with mixed denominators, zero
-results and d = 0..3, once on `Polynomial` and once on
-`oracles.FractionPolynomial`.  The results must have the same coefficients,
-and every `Polynomial` must keep its invariant: a positive denominator,
-reduced content and no zero numerator.  A tamper that skips the reduction or
-drops a denominator scale must make some comparison fail.
+results and d = 0..3 (pullbacks to every target dimension 0..3), once on
+`Polynomial` and once on `oracles.FractionPolynomial`.  The results must
+have the same coefficients, and every `Polynomial` must keep its invariant:
+a positive denominator, reduced content and no zero numerator.  A tamper
+that skips the reduction, drops a denominator scale or expands 1 - |x|
+wrongly must make some comparison fail.
 """
 
 import itertools
@@ -84,15 +85,23 @@ def _disagreements(seed: int) -> list[str]:
             for axis in range(dim):
                 check("partial", f.partial(axis), F.partial(axis))
                 check("substitute", f.substitute(axis, g), F.substitute(axis, G))
-            order = rng.sample(range(dim), dim)
-            check("permute", f.permute(order), F.permute(order))
+            for target_dim in range(4):
+                # each variable to 0, a variable or the complement 1 - |x|
+                targets = [rng.choice([None, *range(target_dim + 1)]) for _ in range(dim)]
+                check("pullback", f.pullback(targets, target_dim),
+                      F.pullback(targets, target_dim))
+            if dim:
+                # the Leibniz kernel's map: dim slots onto the barycentric
+                # coordinates of T^(dim-1), in a random order
+                slots = rng.sample(range(dim), dim)
+                check("pullback-slots", f.pullback(slots, dim - 1), F.pullback(slots, dim - 1))
             for zset in _faces(dim):
                 check("restrict", f.restrict(zset), F.restrict(zset))
             routes = [Polynomial(dim, F.terms),
                       Polynomial(dim, [(e, str(v)) for e, v in F.terms.items()]),
                       Polynomial(dim, [(e, v / 2) for e, v in F.terms.items()] * 2),
                       Polynomial.from_json(F.to_json()),
-                      (f + g) - g, f * 1, f.permute(range(dim))]
+                      (f + g) - g, f * 1, f.pullback(range(dim))]
             check("equality", all(r == f for r in routes) and f + 1 != f, True)
             check("hash", len({hash(r) for r in routes}), 1)
     return bad
@@ -112,6 +121,7 @@ _FIRST_DENOMINATOR = types.SimpleNamespace(lcm=lambda *a: a[0] if a else 1, gcd=
 TAMPERS = {
     "unreduced-content": ("_reduced", _unreduced),
     "dropped-lcm-scale": ("math", _FIRST_DENOMINATOR),
+    "complement-power-one": ("complement_power", lambda dim, power: Polynomial.constant(dim, 1)),
 }
 
 

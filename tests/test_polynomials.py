@@ -70,16 +70,40 @@ def test_evaluation_is_ring_homomorphism():
 
 
 def test_permute():
+    # a permutation of the variables is the pullback by that permutation
     f = X * Y * Y
-    assert f.permute((1, 0)) == X * X * Y
-    assert f.permute((0, 1)) == f
+    assert f.pullback((1, 0)) == X * X * Y
+    assert f.pullback((0, 1)) == f
     rng = random.Random(10)
     for _ in range(20):
         g = rand_poly(rng, 3, 3)
         order = [0, 1, 2]
         rng.shuffle(order)
         inverse = [order.index(i) for i in range(3)]
-        assert g.permute(tuple(order)).permute(tuple(inverse)) == g
+        assert g.pullback(tuple(order)).pullback(tuple(inverse)) == g
+
+
+def test_pullback_to_barycentric_coordinates():
+    # u = (1-x-y, 0, y): the complement, a zeroed variable and a variable
+    f = Polynomial.variable(3, 0) * 2 + Polynomial.variable(3, 2) ** 2 - Polynomial.variable(3, 1)
+    assert f.pullback((2, None, 1), 2) == 2 * complement(2) + Y * Y
+    # three slot coordinates pulled back to the triangle's y = (x, y, 1-x-y)
+    assert f.pullback((0, 1, 2), 2) == 2 * X - Y + complement(2) ** 2
+    assert f.pullback((None, None, None), 0) == Polynomial.zero(0)
+    assert Polynomial.constant(1, 3).pullback((None,), 2) == Polynomial.constant(2, 3)
+
+
+@pytest.mark.parametrize("targets, dim", [
+    ((0, 1), None),          # too few targets
+    ((0, 1, 4), None),       # past the complement index
+    ((0, -1, 1), None),
+    ((0, 1.0, 2), None),
+    ((0, 1, 2), -1),
+    ((0, 1, 2), 1.0),
+])
+def test_pullback_rejects_bad_targets(targets, dim):
+    with pytest.raises(ValueError):
+        Polynomial.variable(3, 0).pullback(targets, dim)
 
 
 def test_restrict_simple_face():
@@ -161,7 +185,7 @@ def test_ring_results_are_canonical():
         g = rand_poly(rng, 3, 2)
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         results = [f + g, f - f, -f, f * g, f * c, c * f, f * 0,
-                   f.partial(rng.randrange(3)), f.permute((2, 0, 1))]
+                   f.partial(rng.randrange(3)), f.pullback((2, 0, 1))]
         results += [f.restrict(z) for z in ({0}, {3}, {1, 3}, {0, 1, 3}, {0, 1, 2})]
         for r in results:
             assert _is_canonical(r)
