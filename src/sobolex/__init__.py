@@ -17,10 +17,9 @@ _PUBLIC = {
     "moments": ("face_inner_product", "inner_product", "integral", "normalized_moment",
                 "vertex_eval"),
     "polynomials": ("FaceId", "Polynomial", "monomials_of_degree", "monomials_up_to"),
-    "products": ("ClassicalProduct", "DerivativeProduct", "GramReport", "JacobiSingularBeta",
-                 "JacobiSingularBoth", "SingularProduct", "TriangleAllSingular",
-                 "TriangleBetaGammaSingular", "TriangleFirstTwoSingular",
-                 "TriangleGammaSingular", "gram"),
+    "products": ("ClassicalProduct", "DerivativeProduct", "GramReport", "SingularProduct",
+                 "TriangleAllSingular", "TriangleBetaGammaSingular",
+                 "TriangleFirstTwoSingular", "TriangleGammaSingular", "gram"),
     "scalars": ("binomial", "factorial", "pochhammer"),
     "spaces": ("expected_dimension", "h_space", "u_space", "verify_u_space"),
     "weighted": ("ParamVector", "face_params"),

@@ -227,29 +227,26 @@ def eigencheck(gamma: ParamVector, f: Polynomial, n: int) -> bool:
 
         (n-|b|)(n+|b|+shift) c_b + sum_i (b_i+1)(b_i+1+g_i) c_{b+e_i}.
 
+    One pass over the c_a scatters each one's share into the residuals:
+    its diagonal term to x^a, and for each a_i > 0 its term to x^{a-e_i}.
     Every factor is scaled to an integer: coefficients by their common
     denominator, parameters by D, the common denominator of the g_i.
     """
-    d = f.dim
-    if gamma.d != d:
+    if gamma.d != f.dim:
         raise ValueError("dimension mismatch")
     scaled, D = clear_denominators(gamma.entries)                       # D g_i
     lows = [s + D for s in scaled[:-1]]                                 # (g_i+1) D
-    top = sum(scaled) + (n + d) * D                                     # (n+shift) D
+    top = sum(scaled) + (n + f.dim) * D                                 # (n+shift) D
     coef, _ = f.scaled_to_integers()
-    targets = set(coef)
-    for a in coef:
-        targets.update(a[:i] + (a[i] - 1,) + a[i + 1:] for i in range(d) if a[i])
-    for b in targets:
-        k = sum(b)
-        r = coef.get(b, 0) * (n - k) * (top + k * D)
-        for i, bi in enumerate(b):
-            up = coef.get(b[:i] + (bi + 1,) + b[i + 1:])
-            if up:
-                r += up * (bi + 1) * (bi * D + lows[i])
-        if r:
-            return False
-    return True
+    residual = dict.fromkeys(coef, 0)
+    for a, c in coef.items():
+        k = sum(a)
+        residual[a] += c * (n - k) * (top + k * D)
+        for i, ai in enumerate(a):
+            if ai:
+                b = a[:i] + (ai - 1,) + a[i + 1:]
+                residual[b] = residual.get(b, 0) + c * ai * ((ai - 1) * D + lows[i])
+    return not any(residual.values())
 
 
 # -- one-variable Jacobi families --------------------------------------------

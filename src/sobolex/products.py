@@ -17,6 +17,7 @@ weight (the monomial factors such as x_i inside a summand belong to the
 integrand, not the weight).  The lambda coefficients are free positive
 constants, so this rescaling never affects an orthogonality statement while
 keeping every value rational; the describe() payload records the convention.
+The one-variable forms are those at d = 1, on T^1 = [0,1].
 """
 
 from __future__ import annotations
@@ -74,6 +75,14 @@ def singular_tail(dim: int, tail: Sequence[Rational], k: int) -> tuple[Fraction,
     if any(t <= -1 for t in tail):
         raise ValueError("tail exponents must be > -1")
     return tail
+
+
+def vertex_coefficients(dim: int, k: int, lams: Sequence[Rational] | None) -> tuple[Fraction, ...]:
+    """The checked d+1 vertex coefficients lam_{j,0}, all ones by default and below k = d+1."""
+    lams = tuple(as_fraction(v) for v in (lams or (1,) * (dim + 1)))
+    if len(lams) != dim + 1 or (k <= dim and any(v != 1 for v in lams)):
+        raise ValueError("need d+1 vertex coefficients, all ones unless k = d+1")
+    return lams
 
 
 def _derivative(axes: Iterable[int], zeroed: Iterable[int] = ()) -> Callable:
@@ -246,11 +255,7 @@ class SingularProduct(_TermForm):
         if not self.lam_face.keys() <= faces:
             raise ValueError("lam_face keys must be proper nonempty subsets of the "
                              "differentiated axes, which exist only for k >= 3")
-        self.lam_vertex = tuple(as_fraction(v) for v in (lam_vertex or (1,) * (dim + 1)))
-        if len(self.lam_vertex) != dim + 1:
-            raise ValueError("lam_vertex has wrong length")
-        if k <= dim and any(v != 1 for v in self.lam_vertex):
-            raise ValueError("only k = d+1 has vertex terms; lam_vertex must be all ones")
+        self.lam_vertex = vertex_coefficients(dim, k, lam_vertex)
 
     @property
     def is_valid(self) -> bool:
@@ -414,54 +419,6 @@ class TriangleFirstTwoSingular(_TermForm):
     def describe(self) -> dict:
         return {"kind": self.kind, "gamma": format_rational(self.gamma_exp),
                 "lambda": [format_rational(v) for v in (self.lam1, self.lam2, self.lam00)]}
-
-
-# -- one-variable Sobolev forms ----------------------------------------------
-
-def _interval_derivative(f: Polynomial) -> Polynomial:
-    """f' for f on [-1,1], composed with x = 2u-1 onto [0,1]."""
-    return f.partial(0).substitute(0, Polynomial(1, {(0,): Fraction(-1), (1,): Fraction(2)}))
-
-
-def _at(x: int) -> Callable:
-    return lambda f: f.evaluate([x])
-
-
-class JacobiSingularBeta(_TermForm):
-    """[-1,1] form λ f(1)g(1) + normalized ∫ (1+x)^{β+1} f'g' dx."""
-
-    kind = "jacobi[-1,b]"
-
-    def __init__(self, beta: Rational, lam: Rational = 1):
-        self.beta = as_fraction(beta)
-        self.lam = as_fraction(lam)
-        self.dim = 1
-
-    def terms(self) -> list[Term]:
-        return [Term(self.lam, _at(1), None),
-                Term(ONE, _interval_derivative, ParamVector((self.beta + 1, 0)))]
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "beta": format_rational(self.beta),
-                "lambda": format_rational(self.lam)}
-
-
-class JacobiSingularBoth(_TermForm):
-    """[-1,1] form λ1 f(1)g(1) + λ2 f(-1)g(-1) + normalized ∫ f'g' dx."""
-
-    kind = "jacobi[-1,-1]"
-
-    def __init__(self, lam1: Rational = 1, lam2: Rational = 1):
-        self.lam1, self.lam2 = as_fraction(lam1), as_fraction(lam2)
-        self.dim = 1
-
-    def terms(self) -> list[Term]:
-        return [Term(self.lam1, _at(1), None), Term(self.lam2, _at(-1), None),
-                Term(ONE, _interval_derivative, ParamVector((0, 0)))]
-
-    def describe(self) -> dict:
-        return {"kind": self.kind,
-                "lambda": [format_rational(self.lam1), format_rational(self.lam2)]}
 
 
 # -- Gram machinery -----------------------------------------------------------

@@ -17,8 +17,8 @@ from .linalg import poly_rank
 from .moments import vertex_eval
 from .polynomials import (Polynomial, constrained_indices, monomials_of_degree,
                           monomials_up_to)
-from .products import SingularProduct, gram, labeled, singular_tail
-from .scalars import Rational, as_fraction
+from .products import SingularProduct, gram, labeled, singular_tail, vertex_coefficients
+from .scalars import Rational
 from .weighted import ParamVector
 
 
@@ -62,10 +62,11 @@ def u_space(dim: int, tail: Sequence[Rational], k: int, n: int,
     slots zeroed, in degree n - j, times the y_s of the 1 slots.  The j = k
     block is the core block and the j = 0 block the top face block.  For
     k = d+1 and n = 1 the span is {x_j + c_j} with c_j = -lam_j / sum(lam),
-    tied to the vertex coefficients of the companion inner product.
+    tied to the companion product's vertex coefficients (all ones at k <= d).
     """
     d = dim
     tail = singular_tail(d, tail, k)
+    lams = vertex_coefficients(d, k, vertex_lambdas)
     full = ParamVector(tail + (Fraction(-1),) * k)
     basis = Basis(d, full, f"u[k={k}]")
     if n < 0:
@@ -74,9 +75,6 @@ def u_space(dim: int, tail: Sequence[Rational], k: int, n: int,
         basis.elements.append((("one",), Polynomial.constant(d, 1)))
         return basis
     if k == d + 1 and n == 1:
-        lams = tuple(as_fraction(v) for v in (vertex_lambdas or (1,) * (d + 1)))
-        if len(lams) != d + 1:
-            raise ValueError("vertex_lambdas must have length d+1")
         total = sum(lams, Fraction(0))
         if total == 0:
             raise ValueError("vertex coefficients must not sum to zero")
@@ -116,8 +114,7 @@ def verify_u_space(dim: int, tail: Sequence[Rational], k: int, n: int,
     """
     if product is None:
         product = SingularProduct(dim, tuple(tail), k)
-    basis = u_space(dim, tail, k, n,
-                    vertex_lambdas=product.lam_vertex if k == dim + 1 else None)
+    basis = u_space(dim, tail, k, n, vertex_lambdas=product.lam_vertex)
     full = basis.params
     lam = -n * (n + full.total + dim)
     failures: list[dict] = []

@@ -6,6 +6,9 @@ verdict tree suitable for JSON serialization.  No tolerances exist.
 A check is a stream of identities, one bool each, and its verdict is their
 conjunction: `_add` folds the stream with `all`, which evaluates the
 identities in order and stops at the first false one.
+
+The one-variable families on [-1,1] are checked on T^1 = [0,1]: pulled back
+by x = 2u-1, they pair under the d = 1 forms of `sobolex.products`.
 """
 
 from __future__ import annotations
@@ -21,12 +24,10 @@ from .bases import (Basis, all_orders, biorthogonal_constant, eigencheck,
                     monomial_basis, monomial_element, permuted_basis,
                     permuted_element, rodrigues_basis, rodrigues_element)
 from .linalg import in_span, poly_rank, spans_equal
-from .moments import integral
 from .polynomials import Polynomial, complement, monomials_of_degree, monomials_up_to
-from .products import (ClassicalProduct, DerivativeProduct, JacobiSingularBeta,
-                       JacobiSingularBoth, SingularProduct, TriangleAllSingular,
-                       TriangleBetaGammaSingular, TriangleFirstTwoSingular,
-                       TriangleGammaSingular, gram, labeled)
+from .products import (ClassicalProduct, DerivativeProduct, SingularProduct,
+                       TriangleAllSingular, TriangleBetaGammaSingular,
+                       TriangleFirstTwoSingular, TriangleGammaSingular, gram, labeled)
 from .scalars import format_rational
 from .spaces import expected_dimension, h_space, u_space, verify_u_space
 from .weighted import ParamVector, face_params
@@ -100,10 +101,10 @@ def _product_of_x(d: int, axes: list[int]) -> Polynomial:
 # one-variable families
 # ---------------------------------------------------------------------------
 
-def jacobi_interval_product(f: Polynomial, g: Polynomial, alpha, beta) -> Fraction:
-    """Normalized pairing on [-1,1] against (1-x)^alpha (1+x)^beta."""
-    sub = Polynomial(1, {(0,): Fraction(-1), (1,): Fraction(2)})
-    return integral((f * g).substitute(0, sub), ParamVector([beta, alpha]))
+def _on_t1(polys: list[Polynomial]) -> list[Polynomial]:
+    """Each polynomial on [-1,1] pulled back to T^1 = [0,1] by x = 2u-1."""
+    x = Polynomial(1, {(0,): Fraction(-1), (1,): Fraction(2)})
+    return [p.substitute(0, x) for p in polys]
 
 
 def _positive_diagonal(rep) -> Iterable[bool]:
@@ -126,20 +127,25 @@ def suite_jacobi(n_max: int = 5) -> dict:
         shifted = [jacobi_shifted(n, a, b) for n in degrees]
         _add(checks, f"shifted-eigen[{tag}]",
              (eigencheck(shifted_params, p, n) for n, p in enumerate(shifted)))
+        norms = gram(ClassicalProduct(shifted_params), labeled(_on_t1(polys))).matrix
         _add(checks, f"orthogonality+norm[{tag}]",
-             (jacobi_interval_product(polys[n], polys[m], a, b)
-              == (jacobi_norm(n, a, b) if n == m else 0)
+             (norms[n][m] == (jacobi_norm(n, a, b) if n == m else 0)
               for n in degrees for m in range(n, n_max + 1)))
         _add(checks, f"shifted-orthogonality[{tag}]",
              [gram(ClassicalProduct(shifted_params), labeled(shifted)).diagonal])
+    # On the families pulled back to T^1, the d = 1 forms of (b, -1) and (-1, -1)
+    # are 4(b+1)/(b+2) and 4 times the forms on [-1,1]: x = 2u-1 doubles each
+    # derivative, and the T^1 gradient term has the mass of (b, 0), not (b+1, 0).
+    # Vertex e_0 is x = -1.  A positive multiple keeps every verdict.
     for b in (Fraction(0), HALF, Fraction(2)):
         fam = [jacobi_negative_one_beta(n, b) for n in degrees]
         tag = f"b={format_rational(b)}"
         _add(checks, f"neg-beta-ode[{tag}]",
              (jacobi_ode_residual(p, n, Fraction(-1), b).is_zero for n, p in enumerate(fam)))
+        c, pulled = 4 * (b + 1) / (b + 2), labeled(_on_t1(fam), "P")
         for lam in (Fraction(1), Fraction(2), Fraction(1, 3)):
             _add(checks, f"neg-beta-sobolev[{tag},lam={format_rational(lam)}]",
-                 _positive_diagonal(gram(JacobiSingularBeta(b, lam), labeled(fam, "P"))))
+                 _positive_diagonal(gram(SingularProduct(1, (b,), 1, lam=c * lam), pulled)))
     x = Polynomial.variable(1, 0)
     for l1, l2 in ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(1)),
                    (HALF, Fraction(3))):
@@ -150,7 +156,8 @@ def suite_jacobi(n_max: int = 5) -> dict:
              (jacobi_ode_residual(p, n, Fraction(-1), Fraction(-1)).is_zero
               for n, p in enumerate(fam)))
         _add(checks, f"neg-both-sobolev[{tag}]",
-             _positive_diagonal(gram(JacobiSingularBoth(l1, l2), labeled(fam, "P"))))
+             _positive_diagonal(gram(SingularProduct(1, (), 2, lam_vertex=(4 * l2, 4 * l1)),
+                                     labeled(_on_t1(fam), "P"))))
     return _result("jacobi", {"n_max": n_max}, checks)
 
 

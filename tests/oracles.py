@@ -339,8 +339,27 @@ def _singular_full(p, f, g):
     return total
 
 
-def _to_unit_interval(h: Polynomial) -> Polynomial:
+# -- the one-variable Sobolev forms on [-1,1], as the reference for the d = 1
+# forms on T^1 = [0,1] ----------------------------------------------------------
+
+def to_unit_interval(h: Polynomial) -> Polynomial:
+    """h on [-1,1] pulled back to [0,1] by x = 2u-1."""
     return h.substitute(0, Polynomial(1, {(0,): Fraction(-1), (1,): Fraction(2)}))
+
+
+def _interval_derivatives(f: Polynomial, g: Polynomial, weight) -> Fraction:
+    return oracle_integral(to_unit_interval(f.partial(0) * g.partial(0)), ParamVector(weight))
+
+
+def oracle_jacobi_beta_value(beta, lam, f: Polynomial, g: Polynomial) -> Fraction:
+    """lam f(1)g(1) + normalized integral of (1+x)^{beta+1} f'g' over [-1,1]."""
+    return lam * f.evaluate([1]) * g.evaluate([1]) + _interval_derivatives(f, g, [beta + 1, 0])
+
+
+def oracle_jacobi_both_value(lam1, lam2, f: Polynomial, g: Polynomial) -> Fraction:
+    """lam1 f(1)g(1) + lam2 f(-1)g(-1) + normalized integral of f'g' over [-1,1]."""
+    return lam1 * f.evaluate([1]) * g.evaluate([1]) \
+        + lam2 * f.evaluate([-1]) * g.evaluate([-1]) + _interval_derivatives(f, g, [0, 0])
 
 
 def oracle_value(p, f: Polynomial, g: Polynomial) -> Fraction:
@@ -398,14 +417,6 @@ def oracle_value(p, f: Polynomial, g: Polynomial) -> Fraction:
             + p.lam2 * _face_pair(f.partial(1), g.partial(1), FaceId(2, frozenset({0})),
                                   ParamVector([0, c + 1])) \
             + p.lam00 * vertex_eval(f, 0) * vertex_eval(g, 0)
-    if isinstance(p, P.JacobiSingularBeta):
-        return p.lam * f.evaluate([1]) * g.evaluate([1]) \
-            + oracle_integral(_to_unit_interval(f.partial(0) * g.partial(0)),
-                       ParamVector([p.beta + 1, 0]))
-    if isinstance(p, P.JacobiSingularBoth):
-        return p.lam1 * f.evaluate([1]) * g.evaluate([1]) \
-            + p.lam2 * f.evaluate([-1]) * g.evaluate([-1]) \
-            + oracle_integral(_to_unit_interval(f.partial(0) * g.partial(0)), ParamVector([0, 0]))
     raise TypeError(f"no oracle for {type(p).__name__}")
 
 

@@ -153,6 +153,32 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
 
 
+_X1 = json.dumps(Polynomial.variable(1, 0).to_json())
+
+# one small command per subcommand
+PRETTY_COMMANDS = {
+    "basis": ["basis", "--d", "2", "--n", "2", "--gamma", "1/2,0,1", "--family", "rodrigue"],
+    "inner": ["inner", "--d", "1", "--gamma", "1/2,-1", "--spec", "sobolev",
+              "--f", _X1, "--g", _X1],
+    "gram": ["gram", "--d", "1", "--n", "2", "--gamma", "-1,-1", "--spec", "sobolev",
+             "--basis", "monomials", "--against", "self", "--lambda-vertex", "2,3"],
+    "eigen": ["eigen", "--d", "2", "--n", "2", "--gamma", "1/2,1/3,-1"],
+    "verify": ["verify", "--suite", "thm36", "--d", "1", "--n-max", "2"],
+    "report": ["report", "--d", "1", "--n-max", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRETTY_COMMANDS))
+def test_pretty_prints_the_same_object_indented(capsys, command):
+    argv = PRETTY_COMMANDS[command]
+    code, plain = run_cli(capsys, argv)
+    pretty_code, pretty = run_cli(capsys, [*argv, "--pretty"])
+    assert pretty_code == code
+    obj = json.loads(plain)
+    assert json.loads(pretty) == obj
+    assert pretty == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def test_usage_error_exit_code(capsys):
     code, _ = run_cli(capsys, ["basis", "--d", "2", "--n", "1",
                                "--gamma", "0,0"])

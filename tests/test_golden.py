@@ -83,6 +83,14 @@ COMMANDS = [
       for gamma, extra in (("1/2,1/3,2,-1", []), ("1/2,1/3,-1,-1", []),
                            ("1/2,-1,-1,-1", []),
                            ("-1,-1,-1,-1", ["--lambda-vertex", "1,2,3,5"]))),
+    # the one-variable case: the interval families, and the d = 1 Sobolev
+    # forms on T^1 that check them
+    ["verify", "--suite", "jacobi", "--n-max", "7"],
+    ["verify", "--suite", "thm36", "--d", "1", "--n-max", "4"],
+    ["gram", "--d", "1", "--n", "4", "--gamma", "1/2,-1", "--spec", "sobolev", "--basis",
+     "monomials", "--against", "self"],
+    ["gram", "--d", "1", "--n", "4", "--gamma", "-1,-1", "--spec", "sobolev", "--basis",
+     "monomials", "--against", "self", "--lambda-vertex", "2,3"],
 ]
 
 

@@ -73,17 +73,17 @@ def test_import_registers_every_library_module():
 
 PUBLIC_NAMES = [
     "Basis", "ClassicalProduct", "DerivativeProduct", "FaceId", "GramReport",
-    "JacobiSingularBeta", "JacobiSingularBoth", "NonIntegrableWeight", "NonPolynomialQuotient",
-    "NonPositiveForm", "ParamVector", "Polynomial", "SingularProduct", "SobolexError",
-    "TriangleAllSingular", "TriangleBetaGammaSingular", "TriangleFirstTwoSingular",
-    "TriangleGammaSingular", "ZeroDenominator", "bases", "binomial", "biorthogonal_constant",
-    "eigencheck", "errors", "expected_dimension", "face_inner_product", "face_params",
-    "factorial", "gram", "h_space", "inner_product", "integral", "jacobi_negative_one_beta",
-    "jacobi_negative_one_one", "jacobi_norm", "jacobi_p", "jacobi_shifted", "linalg",
-    "moments", "monomial_basis", "monomial_element", "monomials_of_degree", "monomials_up_to",
-    "normalized_moment", "permuted_basis", "permuted_element", "pochhammer", "polynomials",
-    "products", "rodrigues_basis", "rodrigues_element", "scalars", "spaces", "u_space",
-    "verify_u_space", "vertex_eval", "weighted",
+    "NonIntegrableWeight", "NonPolynomialQuotient", "NonPositiveForm", "ParamVector",
+    "Polynomial", "SingularProduct", "SobolexError", "TriangleAllSingular",
+    "TriangleBetaGammaSingular", "TriangleFirstTwoSingular", "TriangleGammaSingular",
+    "ZeroDenominator", "bases", "binomial", "biorthogonal_constant", "eigencheck", "errors",
+    "expected_dimension", "face_inner_product", "face_params", "factorial", "gram", "h_space",
+    "inner_product", "integral", "jacobi_negative_one_beta", "jacobi_negative_one_one",
+    "jacobi_norm", "jacobi_p", "jacobi_shifted", "linalg", "moments", "monomial_basis",
+    "monomial_element", "monomials_of_degree", "monomials_up_to", "normalized_moment",
+    "permuted_basis", "permuted_element", "pochhammer", "polynomials", "products",
+    "rodrigues_basis", "rodrigues_element", "scalars", "spaces", "u_space", "verify_u_space",
+    "vertex_eval", "weighted",
 ]
 
 

@@ -1,22 +1,23 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from sobolex import spaces
-from sobolex.bases import rodrigues_basis
+from sobolex.bases import jacobi_negative_one_beta, jacobi_negative_one_one, rodrigues_basis
 from sobolex.moments import inner_product
 from sobolex.polynomials import Polynomial, complement, monomials_up_to
-from sobolex.products import (ClassicalProduct, DerivativeProduct,
-                              JacobiSingularBeta, JacobiSingularBoth,
-                              SingularProduct, TriangleAllSingular,
-                              TriangleBetaGammaSingular, TriangleFirstTwoSingular,
-                              TriangleGammaSingular, GramReport, gram, labeled)
+from sobolex.products import (ClassicalProduct, DerivativeProduct, SingularProduct,
+                              TriangleAllSingular, TriangleBetaGammaSingular,
+                              TriangleFirstTwoSingular, TriangleGammaSingular, GramReport,
+                              gram, labeled)
 from sobolex.spaces import h_space, u_space
 from sobolex.weighted import ParamVector
 
-from oracles import oracle_value
+from oracles import (oracle_jacobi_beta_value, oracle_jacobi_both_value, oracle_value,
+                     to_unit_interval)
 
 H = Fraction(1, 2)
 X = Polynomial.variable(2, 0)
@@ -134,16 +135,6 @@ def test_derivative_product_lambda_weights():
     assert spec.value(f, g) == want
 
 
-def test_one_variable_sobolev_products():
-    fam_b = JacobiSingularBeta(H, Fraction(2))
-    t = Polynomial.variable(1, 0)
-    # lam f(1)g(1) + normalized integral of (1+x)^{3/2} f'g'
-    assert fam_b.value(t, t) > 0
-    both = JacobiSingularBoth(1, 1)
-    assert both.value(t, Polynomial.constant(1, 1)) == 0
-    assert both.value(t, t) > 0
-
-
 def test_block_orthogonality_k1():
     tail = (Fraction(0), Fraction(0))
     spec = SingularProduct(2, tail, 1)
@@ -188,9 +179,7 @@ def _every_form():
     out += [TriangleGammaSingular(H, Fraction(1, 3), Fraction(3)),
             TriangleBetaGammaSingular(H, Fraction(2), Fraction(0)),
             TriangleAllSingular(Fraction(2), Fraction(3), Fraction(5), Fraction(7), 0),
-            TriangleFirstTwoSingular(H, Fraction(2), 0, Fraction(3)),
-            JacobiSingularBeta(H, Fraction(2)),
-            JacobiSingularBoth(Fraction(2), Fraction(0))]
+            TriangleFirstTwoSingular(H, Fraction(2), 0, Fraction(3))]
     return out
 
 
@@ -207,6 +196,45 @@ def test_value_and_gram_match_oracle(form):
         assert form.value(f, g) == oracle_value(form, f, g)
     # the symmetric path (upper triangle, mirrored) against the general one
     assert gram(form, labeled(rows)).matrix == gram(form, labeled(rows), labeled(rows)).matrix
+
+
+# -- the one-variable forms on [-1,1] are the d = 1 forms on T^1 --------------
+
+def _interval_cases():
+    """(beta or None, lambdas, polynomials on [-1,1]): the jacobi suite's
+    families and coefficients, then random polynomials, beta > -1, lambdas >= 0."""
+    degrees = range(6)
+    for b in (Fraction(0), H, Fraction(2)):
+        fam = [jacobi_negative_one_beta(n, b) for n in degrees]
+        for lam in (Fraction(1), Fraction(2), Fraction(1, 3)):
+            yield b, (lam,), fam
+    for l1, l2 in ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(1)), (H, Fraction(3))):
+        yield None, (l1, l2), [jacobi_negative_one_one(n, l1, l2) for n in degrees]
+    rng = random.Random(1)
+    for _ in range(20):
+        polys = [_random_poly(rng, 1, degree=5) for _ in range(3)]
+        lams = tuple(Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(2))
+        yield Fraction(rng.randint(-5, 20), rng.randint(6, 12)), lams[:1], polys
+        yield None, lams, polys
+
+
+def test_d1_singular_forms_are_the_interval_forms_scaled():
+    # x = 2u-1 doubles each derivative, and the T^1 gradient term is normalized
+    # by the mass of (b, 0) instead of (b+1, 0): the d = 1 Gram is exactly
+    # c = 4(b+1)/(b+2) times the interval one for (b, -1), and 4 times for
+    # (-1, -1), whose vertex e_0 is x = -1
+    for beta, lams, polys in _interval_cases():
+        if beta is None:
+            c = Fraction(4)
+            form = SingularProduct(1, (), 2, lam_vertex=(c * lams[1], c * lams[0]))
+            interval = partial(oracle_jacobi_both_value, *lams)
+        else:
+            c = 4 * (beta + 1) / (beta + 2)
+            form = SingularProduct(1, (beta,), 1, lam=c * lams[0])
+            interval = partial(oracle_jacobi_beta_value, beta, lams[0])
+        pulled = [to_unit_interval(p) for p in polys]
+        assert gram(form, labeled(pulled)).matrix == \
+            [[c * interval(f, g) for g in polys] for f in polys]
 
 
 def test_gram_report_flags():

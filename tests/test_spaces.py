@@ -77,6 +77,12 @@ def test_u_space_input_validation():
     # (1, -1, 0) does not vanish, but its sum does
     with pytest.raises(ValueError, match="sum to zero"):
         u_space(2, (), 3, 1, vertex_lambdas=(1, -1, 0))
+    # below k = d+1 there are no vertex terms to take coefficients
+    with pytest.raises(ValueError, match="vertex coefficients"):
+        u_space(2, (0,), 2, 1, vertex_lambdas=(5, 7, 9))
+    # the length is checked at every degree, not only at n = 1
+    with pytest.raises(ValueError, match="vertex coefficients"):
+        u_space(2, (), 3, 2, vertex_lambdas=(1, 2))
 
 
 def test_verify_u_space_examples():
