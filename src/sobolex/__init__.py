@@ -18,8 +18,7 @@ _PUBLIC = {
                 "vertex_eval"),
     "polynomials": ("FaceId", "Polynomial", "monomials_of_degree", "monomials_up_to"),
     "products": ("ClassicalProduct", "DerivativeProduct", "GramReport", "SingularProduct",
-                 "TriangleAllSingular", "TriangleBetaGammaSingular",
-                 "TriangleFirstTwoSingular", "TriangleGammaSingular", "gram"),
+                 "gram"),
     "scalars": ("binomial", "factorial", "pochhammer"),
     "spaces": ("expected_dimension", "h_space", "u_space", "verify_u_space"),
     "weighted": ("ParamVector", "face_params"),

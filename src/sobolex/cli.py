@@ -91,11 +91,18 @@ def _sobolev_form(gamma: weighted.ParamVector, args: argparse.Namespace,
     return form
 
 
-def _check_lambda_vertex(args: argparse.Namespace, used: bool) -> None:
-    """--lambda-vertex reaches only the u family and the sobolev spec."""
-    if args.lambda_vertex and not used:
-        raise ValueError("--lambda-vertex applies only to the u family and "
-                         "the sobolev spec")
+def _check_flags(args: argparse.Namespace, family: str | None = None,
+                 spec: str | None = None) -> None:
+    """A flag given where the family (or gram's --basis) and the spec do not
+    read it is a usage error."""
+    for flag, used, where in (
+            ("lambda-vertex", family == "u" or spec == "sobolev",
+             "the u family and the sobolev spec"),
+            ("order", family == "permuted", "the permuted family"),
+            ("zero-set", family == "h", "the h family"),
+            ("epd-order", spec == "epd", "the epd spec")):
+        if getattr(args, flag.replace("-", "_"), None) is not None and not used:
+            raise ValueError(f"--{flag} applies only to {where}")
 
 
 def _build_basis(family: str, args: argparse.Namespace) -> bases.Basis:
@@ -123,21 +130,21 @@ def _build_product(args: argparse.Namespace):
     if args.spec == "classical":
         return products.ClassicalProduct(gamma)
     if args.spec == "epd":
-        return products.DerivativeProduct(gamma, args.epd_order)
+        return products.DerivativeProduct(gamma, 1 if args.epd_order is None else args.epd_order)
     if args.spec == "sobolev":
         return _sobolev_form(gamma, args, "--spec sobolev")
     raise ValueError(f"unknown spec {args.spec!r}")
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    _check_lambda_vertex(args, args.family == "u")
+    _check_flags(args, family=args.family)
     basis = _build_basis(args.family, args)
     _emit(basis.to_json(), args.pretty)
     return 0
 
 
 def cmd_inner(args: argparse.Namespace) -> int:
-    _check_lambda_vertex(args, args.spec == "sobolev")
+    _check_flags(args, spec=args.spec)
     product = _build_product(args)
     f = polynomials.Polynomial.from_json(json.loads(args.f))
     g = polynomials.Polynomial.from_json(json.loads(args.g))
@@ -147,7 +154,7 @@ def cmd_inner(args: argparse.Namespace) -> int:
 
 
 def cmd_gram(args: argparse.Namespace) -> int:
-    _check_lambda_vertex(args, args.spec == "sobolev" or args.basis == "u")
+    _check_flags(args, args.basis, args.spec)
     product = _build_product(args)
     if args.basis == "monomials":
         rows = products.labeled([polynomials.Polynomial.monomial(args.d, e)
@@ -236,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", required=True)
     p.add_argument("--spec", default="classical",
                    choices=["classical", "epd", "sobolev"])
-    p.add_argument("--epd-order", type=int, default=1)
+    p.add_argument("--epd-order", type=int, help="derivative order for --spec epd (default 1)")
     p.add_argument("--lambda-vertex")
     p.add_argument("--f", required=True, help="polynomial JSON")
     p.add_argument("--g", required=True, help="polynomial JSON")
@@ -246,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "degree of the row family")
     p.add_argument("--spec", default="classical",
                    choices=["classical", "epd", "sobolev"])
-    p.add_argument("--epd-order", type=int, default=1)
+    p.add_argument("--epd-order", type=int, help="derivative order for --spec epd (default 1)")
     p.add_argument("--basis", default="monomials",
                    choices=["rodrigue", "monomial", "permuted", "h", "u",
                             "monomials"])

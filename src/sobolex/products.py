@@ -321,104 +321,17 @@ class SingularProduct(_TermForm):
         return out
 
 
-# -- named forms on the triangle ---------------------------------------------
+class TermList(_TermForm):
+    """A form written out as its list of terms; `kind` names it in describe()."""
 
-class TriangleGammaSingular(_TermForm):
-    """d = 2 form for exponents (alpha, beta, -1): gradient term plus the
-    hypotenuse integral."""
-
-    kind = "triangle[a,b,-1]"
-
-    def __init__(self, alpha: Rational, beta: Rational, lam1: Rational = 1):
-        self.alpha, self.beta = as_fraction(alpha), as_fraction(beta)
-        self.lam1 = as_fraction(lam1)
-        self.dim = 2
+    def __init__(self, dim: int, kind: str, terms: list[Term]):
+        self.dim, self.kind, self.term_list = dim, kind, terms
 
     def terms(self) -> list[Term]:
-        a, b = self.alpha, self.beta
-        grad = ParamVector((a, b, 0))
-        return [Term(ONE, _derivative((0,)), grad, (1, 0)),
-                Term(ONE, _derivative((1,)), grad, (0, 1)),
-                Term(self.lam1, _derivative((), (2,)), ParamVector((a, b)))]
+        return self.term_list
 
     def describe(self) -> dict:
-        return {"kind": self.kind, "alpha": format_rational(self.alpha),
-                "beta": format_rational(self.beta), "lambda1": format_rational(self.lam1)}
-
-
-class TriangleBetaGammaSingular(_TermForm):
-    """d = 2 form for exponents (alpha, -1, -1)."""
-
-    kind = "triangle[a,-1,-1]"
-
-    def __init__(self, alpha: Rational, lam1: Rational = 1, lam10: Rational = 1):
-        self.alpha = as_fraction(alpha)
-        self.lam1, self.lam10 = as_fraction(lam1), as_fraction(lam10)
-        self.dim = 2
-
-    def terms(self) -> list[Term]:
-        a = self.alpha
-        return [Term(ONE, _derivative((1,)), ParamVector((a, 0, 0))),
-                Term(self.lam1, _derivative((0,), (1,)), ParamVector((a, 0)), (1,)),
-                Term(self.lam10, _vertex(1), None)]
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "alpha": format_rational(self.alpha),
-                "lambda1": format_rational(self.lam1), "lambda10": format_rational(self.lam10)}
-
-
-class TriangleAllSingular(_TermForm):
-    """d = 2 form for exponents (-1, -1, -1): mixed second derivative, two
-    edge integrals, three vertex terms."""
-
-    kind = "triangle[-1,-1,-1]"
-
-    def __init__(self, lam1: Rational = 1, lam2: Rational = 1,
-                 lam10: Rational = 1, lam01: Rational = 1, lam00: Rational = 1):
-        self.lam1, self.lam2 = as_fraction(lam1), as_fraction(lam2)
-        self.lam10, self.lam01, self.lam00 = (as_fraction(lam10), as_fraction(lam01),
-                                              as_fraction(lam00))
-        self.dim = 2
-
-    def terms(self) -> list[Term]:
-        edge = ParamVector((0, 0))
-        return [Term(ONE, _derivative((0, 1)), ParamVector((0, 0, 1))),
-                Term(self.lam1, _derivative((0,), (1,)), edge),
-                Term(self.lam2, _derivative((1,), (0,)), edge),
-                Term(self.lam10, _vertex(1), None),
-                Term(self.lam01, _vertex(2), None),
-                Term(self.lam00, _vertex(0), None)]
-
-    def describe(self) -> dict:
-        return {"kind": self.kind,
-                "lambda": [format_rational(v) for v in
-                           (self.lam1, self.lam2, self.lam10, self.lam01, self.lam00)]}
-
-
-class TriangleFirstTwoSingular(_TermForm):
-    """d = 2 form for exponents (-1, -1, gamma): the symmetric variant with a
-    directional derivative and two edge integrals."""
-
-    kind = "triangle[-1,-1,g]"
-
-    def __init__(self, gamma: Rational, lam1: Rational = 1, lam2: Rational = 1,
-                 lam00: Rational = 1):
-        self.gamma_exp = as_fraction(gamma)
-        self.lam1, self.lam2, self.lam00 = (as_fraction(lam1), as_fraction(lam2),
-                                            as_fraction(lam00))
-        self.dim = 2
-
-    def terms(self) -> list[Term]:
-        c = self.gamma_exp
-        edge = ParamVector((0, c + 1))
-        return [Term(ONE, lambda f: f.partial(1) - f.partial(0), ParamVector((0, 0, c))),
-                Term(self.lam1, _derivative((0,), (1,)), edge),
-                Term(self.lam2, _derivative((1,), (0,)), edge),
-                Term(self.lam00, _vertex(0), None)]
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "gamma": format_rational(self.gamma_exp),
-                "lambda": [format_rational(v) for v in (self.lam1, self.lam2, self.lam00)]}
+        return {"kind": self.kind}
 
 
 # -- Gram machinery -----------------------------------------------------------

@@ -25,9 +25,8 @@ from .bases import (Basis, all_orders, biorthogonal_constant, eigencheck,
                     permuted_element, rodrigues_basis, rodrigues_element)
 from .linalg import in_span, poly_rank, spans_equal
 from .polynomials import Polynomial, complement, monomials_of_degree, monomials_up_to
-from .products import (ClassicalProduct, DerivativeProduct, SingularProduct,
-                       TriangleAllSingular, TriangleBetaGammaSingular,
-                       TriangleFirstTwoSingular, TriangleGammaSingular, gram, labeled)
+from .products import (ONE, ClassicalProduct, DerivativeProduct, SingularProduct, Term,
+                       TermList, _derivative, _vertex, gram, labeled)
 from .scalars import format_rational
 from .spaces import expected_dimension, h_space, u_space, verify_u_space
 from .weighted import ParamVector, face_params
@@ -400,6 +399,48 @@ def suite_lemmas4(d: int = 2, n_max: int = 4,
 # the d = 2 specializations
 # ---------------------------------------------------------------------------
 
+# The paper's d = 2 Sobolev forms, written out term by term; thm31 compares
+# each with SingularProduct (the symmetric one at lam1 = 0, reflected).
+
+def named_k1(a, b, lam1) -> TermList:
+    """Exponents (a, b, -1): the gradient term plus the hypotenuse integral."""
+    grad = ParamVector((a, b, 0))
+    return TermList(2, "triangle[a,b,-1]", [
+        Term(ONE, _derivative((0,)), grad, (1, 0)),
+        Term(ONE, _derivative((1,)), grad, (0, 1)),
+        Term(lam1, _derivative((), (2,)), ParamVector((a, b)))])
+
+
+def named_k2(a, lam1, lam10) -> TermList:
+    """Exponents (a, -1, -1): a y-derivative, the edge y = 0 and the vertex e_1."""
+    return TermList(2, "triangle[a,-1,-1]", [
+        Term(ONE, _derivative((1,)), ParamVector((a, 0, 0))),
+        Term(lam1, _derivative((0,), (1,)), ParamVector((a, 0)), (1,)),
+        Term(lam10, _vertex(1), None)])
+
+
+def named_k3(lam1, lam2, lam10, lam01, lam00) -> TermList:
+    """Exponents (-1, -1, -1): a mixed derivative, two edge integrals, three vertices."""
+    edge = ParamVector((0, 0))
+    return TermList(2, "triangle[-1,-1,-1]", [
+        Term(ONE, _derivative((0, 1)), ParamVector((0, 0, 1))),
+        Term(lam1, _derivative((0,), (1,)), edge),
+        Term(lam2, _derivative((1,), (0,)), edge),
+        Term(lam10, _vertex(1), None),
+        Term(lam01, _vertex(2), None),
+        Term(lam00, _vertex(0), None)])
+
+
+def named_symmetric(c, lam1, lam2, lam00) -> TermList:
+    """Exponents (-1, -1, c): a directional derivative and two edge integrals."""
+    edge = ParamVector((0, c + 1))
+    return TermList(2, "triangle[-1,-1,c]", [
+        Term(ONE, lambda f: f.partial(1) - f.partial(0), ParamVector((0, 0, c))),
+        Term(lam1, _derivative((0,), (1,)), edge),
+        Term(lam2, _derivative((1,), (0,)), edge),
+        Term(lam00, _vertex(0), None)])
+
+
 def suite_thm31(n_max: int = 4) -> dict:
     checks: list[dict] = []
     x = Polynomial.variable(2, 0)
@@ -476,15 +517,14 @@ def suite_thm31(n_max: int = 4) -> dict:
         return gram(named, probes).matrix == gram(general, general_probes).matrix
 
     _add(checks, "named-vs-general-k1",
-         (same_gram(TriangleGammaSingular(a, b, Fraction(2)),
+         (same_gram(named_k1(a, b, Fraction(2)),
                     SingularProduct(2, (a, b), 1, lam=Fraction(2)))
           for a, b in samples))
     _add(checks, "named-vs-general-k2",
-         (same_gram(TriangleBetaGammaSingular(a, Fraction(2), Fraction(3)),
+         (same_gram(named_k2(a, Fraction(2), Fraction(3)),
                     SingularProduct(2, (a,), 2, lam=Fraction(3), lam_axis=(Fraction(2),)))
           for a in (Fraction(0), HALF)))
-    named = TriangleAllSingular(Fraction(2), Fraction(3), Fraction(5),
-                                Fraction(7), Fraction(11))
+    named = named_k3(Fraction(2), Fraction(3), Fraction(5), Fraction(7), Fraction(11))
     general = SingularProduct(2, (), 3,
                               lam_face={frozenset({0}): Fraction(2),
                                         frozenset({1}): Fraction(3)},
@@ -498,12 +538,12 @@ def suite_thm31(n_max: int = 4) -> dict:
     # trailing positions of the parameter list
     reflected = [(label, f.pullback((1, 2))) for label, f in probes]
     _add(checks, "named-vs-general-symmetric-variant",
-         (same_gram(TriangleFirstTwoSingular(c, 0, 2 * (c + 1) / (c + 2), Fraction(3)),
+         (same_gram(named_symmetric(c, 0, 2 * (c + 1) / (c + 2), Fraction(3)),
                     SingularProduct(2, (c,), 2, lam=Fraction(3), lam_axis=(Fraction(2),)),
                     reflected)
           for c in (Fraction(0), HALF)))
 
-    forms = [(c, TriangleFirstTwoSingular(c, *lams)) for c in (Fraction(0), HALF)
+    forms = [(c, named_symmetric(c, *lams)) for c in (Fraction(0), HALF)
              for lams in ((Fraction(1), Fraction(1), Fraction(1)),
                           (Fraction(2), Fraction(0), Fraction(3)),
                           (Fraction(0), Fraction(1), HALF))]
@@ -512,7 +552,7 @@ def suite_thm31(n_max: int = 4) -> dict:
           for c, form in forms for n in range(1, n_max + 1)))
 
     _add(checks, "named-k1-orthogonality",
-         (_orthogonal(TriangleGammaSingular(a, b, Fraction(1)), k1[a, b][n], lower[n])
+         (_orthogonal(named_k1(a, b, Fraction(1)), k1[a, b][n], lower[n])
           for a, b in samples for n in range(n_max + 1)))
     return _result("thm31", {"n_max": n_max}, checks)
 

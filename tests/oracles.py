@@ -6,7 +6,8 @@ integral reduces one variable at a time.  The other oracles are the plain
 definitions that the library's fast kernels replace: apply the operator and
 subtract, multiply and then integrate, and sum the monic basis formula one
 Pochhammer symbol at a time.  `oracle_value` is every bilinear form written
-out term by term, pairing each pair of polynomials on its own.
+out term by term, pairing each pair of polynomials on its own; the
+`oracle_named_*_value` functions are the paper's four d = 2 forms.
 `apply_operator` is the second-order operator applied by its definition.
 The two construction oracles build the Rodrigues and permuted elements from
 their definitions with `sobolex.weighted.WeightedForm`, the closed class of sums
@@ -362,6 +363,59 @@ def oracle_jacobi_both_value(lam1, lam2, f: Polynomial, g: Polynomial) -> Fracti
         + lam2 * f.evaluate([-1]) * g.evaluate([-1]) + _interval_derivatives(f, g, [0, 0])
 
 
+# -- the paper's d = 2 forms, as the reference for their term lists in
+# `sobolex.suites` ---------------------------------------------------------------
+
+def _vertex_pair(f: Polynomial, g: Polynomial, j: int) -> Fraction:
+    return vertex_eval(f, j) * vertex_eval(g, j)
+
+
+def oracle_named_k1_value(a, b, lam1, f: Polynomial, g: Polynomial) -> Fraction:
+    """Exponents (a, b, -1): normalized integral of x f_x g_x + y f_y g_y
+    against (a, b, 0), plus lam1 times the hypotenuse pairing against (a, b)."""
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    grad = x * f.partial(0) * g.partial(0) + y * f.partial(1) * g.partial(1)
+    return oracle_integral(grad, ParamVector([a, b, 0])) \
+        + lam1 * _face_pair(f, g, FaceId(2, frozenset({2})), ParamVector([a, b]))
+
+
+def oracle_named_k2_value(a, lam1, lam10, f: Polynomial, g: Polynomial) -> Fraction:
+    """Exponents (a, -1, -1): <f_y, g_y> against (a, 0, 0), plus lam1 times
+    the integral of x f_x g_x on the edge y = 0 against (a, 0), plus lam10
+    times the values at e_1."""
+    face = FaceId(2, frozenset({1}))
+    edge = Polynomial.variable(1, 0) * face.restrict(f.partial(0)) \
+        * face.restrict(g.partial(0))
+    return oracle_inner_product(f.partial(1), g.partial(1), ParamVector([a, 0, 0])) \
+        + lam1 * oracle_integral(edge, ParamVector([a, 0])) + lam10 * _vertex_pair(f, g, 1)
+
+
+def oracle_named_k3_value(lam1, lam2, lam10, lam01, lam00,
+                          f: Polynomial, g: Polynomial) -> Fraction:
+    """Exponents (-1, -1, -1): <f_xy, g_xy> against (0, 0, 1), the two edge
+    pairings of f_x (on y = 0) and f_y (on x = 0), and the three vertex values."""
+    edge = ParamVector([0, 0])
+    return oracle_inner_product(f.partials([0, 1]), g.partials([0, 1]),
+                                ParamVector([0, 0, 1])) \
+        + lam1 * _face_pair(f.partial(0), g.partial(0), FaceId(2, frozenset({1})), edge) \
+        + lam2 * _face_pair(f.partial(1), g.partial(1), FaceId(2, frozenset({0})), edge) \
+        + lam10 * _vertex_pair(f, g, 1) + lam01 * _vertex_pair(f, g, 2) \
+        + lam00 * _vertex_pair(f, g, 0)
+
+
+def oracle_named_symmetric_value(c, lam1, lam2, lam00, f: Polynomial,
+                                 g: Polynomial) -> Fraction:
+    """Exponents (-1, -1, c): <f_y - f_x, g_y - g_x> against (0, 0, c), the
+    two edge pairings of f_x (on y = 0) and f_y (on x = 0) against (0, c+1),
+    and the value at the origin."""
+    edge = ParamVector([0, c + 1])
+    df, dg = f.partial(1) - f.partial(0), g.partial(1) - g.partial(0)
+    return oracle_inner_product(df, dg, ParamVector([0, 0, c])) \
+        + lam1 * _face_pair(f.partial(0), g.partial(0), FaceId(2, frozenset({1})), edge) \
+        + lam2 * _face_pair(f.partial(1), g.partial(1), FaceId(2, frozenset({0})), edge) \
+        + lam00 * _vertex_pair(f, g, 0)
+
+
 def oracle_value(p, f: Polynomial, g: Polynomial) -> Fraction:
     """The value of any product of `sobolex.products` at (f, g), summed term
     by term from the defining formulas: products of polynomials integrated,
@@ -385,38 +439,6 @@ def oracle_value(p, f: Polynomial, g: Polynomial) -> Fraction:
         if p.k == p.dim + 1:
             return _singular_full(p, f, g)
         return _singular_mid(p, f, g)
-    if isinstance(p, P.TriangleGammaSingular):
-        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-        grad = x * f.partial(0) * g.partial(0) + y * f.partial(1) * g.partial(1)
-        return oracle_integral(grad, ParamVector([p.alpha, p.beta, 0])) \
-            + p.lam1 * _face_pair(f, g, FaceId(2, frozenset({2})),
-                                  ParamVector([p.alpha, p.beta]))
-    if isinstance(p, P.TriangleBetaGammaSingular):
-        face = FaceId(2, frozenset({1}))
-        edge = Polynomial.variable(1, 0) * face.restrict(f.partial(0)) \
-            * face.restrict(g.partial(0))
-        return oracle_inner_product(f.partial(1), g.partial(1), ParamVector([p.alpha, 0, 0])) \
-            + p.lam1 * oracle_integral(edge, ParamVector([p.alpha, 0])) \
-            + p.lam10 * vertex_eval(f, 1) * vertex_eval(g, 1)
-    if isinstance(p, P.TriangleAllSingular):
-        return oracle_inner_product(f.partials([0, 1]), g.partials([0, 1]),
-                                    ParamVector([0, 0, 1])) \
-            + p.lam1 * _face_pair(f.partial(0), g.partial(0), FaceId(2, frozenset({1})),
-                                  ParamVector([0, 0])) \
-            + p.lam2 * _face_pair(f.partial(1), g.partial(1), FaceId(2, frozenset({0})),
-                                  ParamVector([0, 0])) \
-            + p.lam10 * vertex_eval(f, 1) * vertex_eval(g, 1) \
-            + p.lam01 * vertex_eval(f, 2) * vertex_eval(g, 2) \
-            + p.lam00 * vertex_eval(f, 0) * vertex_eval(g, 0)
-    if isinstance(p, P.TriangleFirstTwoSingular):
-        c = p.gamma_exp
-        df, dg = f.partial(1) - f.partial(0), g.partial(1) - g.partial(0)
-        return oracle_inner_product(df, dg, ParamVector([0, 0, c])) \
-            + p.lam1 * _face_pair(f.partial(0), g.partial(0), FaceId(2, frozenset({1})),
-                                  ParamVector([0, c + 1])) \
-            + p.lam2 * _face_pair(f.partial(1), g.partial(1), FaceId(2, frozenset({0})),
-                                  ParamVector([0, c + 1])) \
-            + p.lam00 * vertex_eval(f, 0) * vertex_eval(g, 0)
     raise TypeError(f"no oracle for {type(p).__name__}")
 
 

@@ -239,6 +239,27 @@ IGNORED_FLAGS.update({
                                            "--lambda-vertex", "1,1,1"]
     for spec in ("classical", "epd")
     for basis, extra in {**_FAMILY_FLAGS, "monomials": []}.items()})
+# --order and --zero-set where the family (or gram's --basis) is not the one
+# that reads them, and --epd-order where the spec is not epd
+_READERS = {"--order": ("permuted", "1,2"), "--zero-set": ("h", "3")}
+for flag, (reader, value) in _READERS.items():
+    for family, extra in {**_FAMILY_FLAGS, "u": []}.items():
+        if family != reader:
+            gamma, spec = ("0,-1,-1", "sobolev") if family == "u" else ("0,0,0", "classical")
+            IGNORED_FLAGS[f"{flag[2:]}-basis-{family}"] = [
+                "basis", "--d", "2", "--n", "1", "--gamma", gamma, "--family", family, *extra,
+                flag, value]
+            IGNORED_FLAGS[f"{flag[2:]}-gram-{family}"] = [
+                "gram", "--d", "2", "--n", "1", "--gamma", gamma, "--spec", spec,
+                "--basis", family, *extra, flag, value]
+    IGNORED_FLAGS[f"{flag[2:]}-gram-monomials"] = [
+        "gram", "--d", "2", "--n", "1", "--gamma", "0,0,0", flag, value]
+for spec, gamma in (("classical", "0,0,0"), ("sobolev", "0,0,-1")):
+    IGNORED_FLAGS[f"epd-order-inner-{spec}"] = [
+        "inner", "--d", "2", "--gamma", gamma, "--spec", spec, "--epd-order", "2",
+        "--f", _X, "--g", _X]
+    IGNORED_FLAGS[f"epd-order-gram-{spec}"] = [
+        "gram", "--d", "2", "--n", "1", "--gamma", gamma, "--spec", spec, "--epd-order", "5"]
 
 
 @pytest.mark.parametrize("case", sorted(IGNORED_FLAGS))
@@ -275,6 +296,8 @@ BAD_ARGUMENTS = {
                        "--gamma", "0,0,0", "--order", "1,1"],
     "zero-set-repeated": ["basis", "--d", "2", "--n", "2", "--family", "h",
                           "--gamma", "0,0,0", "--zero-set", "1,1"],
+    "epd-order-zero": ["inner", "--d", "2", "--gamma", "0,0,0", "--spec", "epd",
+                       "--epd-order", "0", "--f", _X, "--g", _X],
 }
 
 

@@ -91,6 +91,8 @@ COMMANDS = [
      "monomials", "--against", "self"],
     ["gram", "--d", "1", "--n", "4", "--gamma", "-1,-1", "--spec", "sobolev", "--basis",
      "monomials", "--against", "self", "--lambda-vertex", "2,3"],
+    # the paper's four d = 2 forms, written out term by term, against SingularProduct
+    *(["verify", "--suite", "thm31", "--n-max", n] for n in ("2", "5")),
 ]
 
 

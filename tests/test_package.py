@@ -74,9 +74,7 @@ def test_import_registers_every_library_module():
 PUBLIC_NAMES = [
     "Basis", "ClassicalProduct", "DerivativeProduct", "FaceId", "GramReport",
     "NonIntegrableWeight", "NonPolynomialQuotient", "NonPositiveForm", "ParamVector",
-    "Polynomial", "SingularProduct", "SobolexError", "TriangleAllSingular",
-    "TriangleBetaGammaSingular", "TriangleFirstTwoSingular", "TriangleGammaSingular",
-    "ZeroDenominator", "bases", "binomial", "biorthogonal_constant", "eigencheck", "errors",
+    "Polynomial", "SingularProduct", "SobolexError", "ZeroDenominator", "bases", "binomial", "biorthogonal_constant", "eigencheck", "errors",
     "expected_dimension", "face_inner_product", "face_params", "factorial", "gram", "h_space",
     "inner_product", "integral", "jacobi_negative_one_beta", "jacobi_negative_one_one",
     "jacobi_norm", "jacobi_p", "jacobi_shifted", "linalg", "moments", "monomial_basis",

@@ -5,19 +5,18 @@ from functools import partial
 
 import pytest
 
-from sobolex import spaces
+from sobolex import spaces, suites
 from sobolex.bases import jacobi_negative_one_beta, jacobi_negative_one_one, rodrigues_basis
 from sobolex.moments import inner_product
 from sobolex.polynomials import Polynomial, complement, monomials_up_to
-from sobolex.products import (ClassicalProduct, DerivativeProduct, SingularProduct,
-                              TriangleAllSingular, TriangleBetaGammaSingular,
-                              TriangleFirstTwoSingular, TriangleGammaSingular, GramReport,
+from sobolex.products import (ClassicalProduct, DerivativeProduct, SingularProduct, GramReport,
                               gram, labeled)
 from sobolex.spaces import h_space, u_space
 from sobolex.weighted import ParamVector
 
-from oracles import (oracle_jacobi_beta_value, oracle_jacobi_both_value, oracle_value,
-                     to_unit_interval)
+from oracles import (oracle_jacobi_beta_value, oracle_jacobi_both_value, oracle_named_k1_value,
+                     oracle_named_k2_value, oracle_named_k3_value,
+                     oracle_named_symmetric_value, oracle_value, to_unit_interval)
 
 H = Fraction(1, 2)
 X = Polynomial.variable(2, 0)
@@ -153,9 +152,15 @@ def _random_poly(rng, d, degree=3, terms=4):
                           for _ in range(terms)})
 
 
+def _named(form, oracle, *params):
+    """One of the paper's d = 2 forms of `sobolex.suites` and its oracle, at `params`."""
+    return form(*params), partial(oracle, *params)
+
+
 def _every_form():
-    """Each product class; d = 1..3, k = 1..d+1; non-unit lambdas, and a zero
-    entry in lam_axis, lam_face and lam_vertex wherever the form has one."""
+    """(form, its oracle value function): each product class at d = 1..3,
+    k = 1..d+1, then the paper's four d = 2 forms; non-unit lambdas, and a
+    zero entry in lam_axis, lam_face and lam_vertex wherever the form has one."""
     out = []
     for d in (1, 2, 3):
         gamma = ParamVector([Fraction(j, 3) for j in range(d + 1)])
@@ -176,24 +181,31 @@ def _every_form():
             lam_vertex = [Fraction(j, 2) for j in range(d + 1)] if k == d + 1 else None
             out.append(SingularProduct(d, tail, k, lam=Fraction(5, 2), lam_axis=lam_axis,
                                        lam_face=lam_face, lam_vertex=lam_vertex))
-    out += [TriangleGammaSingular(H, Fraction(1, 3), Fraction(3)),
-            TriangleBetaGammaSingular(H, Fraction(2), Fraction(0)),
-            TriangleAllSingular(Fraction(2), Fraction(3), Fraction(5), Fraction(7), 0),
-            TriangleFirstTwoSingular(H, Fraction(2), 0, Fraction(3))]
+    out = [(form, partial(oracle_value, form)) for form in out]
+    out += [_named(suites.named_k1, oracle_named_k1_value, H, Fraction(1, 3), Fraction(3)),
+            _named(suites.named_k2, oracle_named_k2_value, H, Fraction(2), Fraction(0)),
+            _named(suites.named_k3, oracle_named_k3_value,
+                   Fraction(2), Fraction(3), Fraction(5), Fraction(7), 0),
+            _named(suites.named_symmetric, oracle_named_symmetric_value,
+                   H, Fraction(2), 0, Fraction(3))]
     return out
 
 
-@pytest.mark.parametrize("form", _every_form(), ids=lambda p: json.dumps(p.describe()))
-def test_value_and_gram_match_oracle(form):
+FORMS = _every_form()
+
+
+@pytest.mark.parametrize("form, oracle", FORMS,
+                         ids=[json.dumps(form.describe()) for form, _ in FORMS])
+def test_value_and_gram_match_oracle(form, oracle):
     rng = random.Random(json.dumps(form.describe()))
     d = form.dim
     rows = [_random_poly(rng, d) for _ in range(3)] + [Polynomial.constant(d, 2),
                                                        Polynomial.zero(d)]
     cols = [_random_poly(rng, d) for _ in range(3)] + [Polynomial.variable(d, d - 1)]
     rep = gram(form, labeled(rows), labeled(cols))
-    assert rep.matrix == [[oracle_value(form, f, g) for g in cols] for f in rows]
+    assert rep.matrix == [[oracle(f, g) for g in cols] for f in rows]
     for f, g in zip(rows, cols):
-        assert form.value(f, g) == oracle_value(form, f, g)
+        assert form.value(f, g) == oracle(f, g)
     # the symmetric path (upper triangle, mirrored) against the general one
     assert gram(form, labeled(rows)).matrix == gram(form, labeled(rows), labeled(rows)).matrix
 

@@ -78,9 +78,9 @@ def _args_plus_one(real):
 # name bound in sobolex.suites -> (tamper, the suites it is run against).
 # named-vs-general-* and derivative-identity compare two computations of one
 # value, so they fail only under a tamper that changes one side: the general
-# form (SingularProduct), the named form (TriangleAllSingular), or the
-# shifted-weight element, which _plus_one changes in a different way than the
-# derivative of the unshifted one.
+# form (SingularProduct), the named form (named_k3), or the shifted-weight
+# element, which _plus_one changes in a different way than the derivative of
+# the unshifted one.
 TAMPERS = {
     "gram": (_corner_negative, ["rodrigue", "thm36"]),
     "monomial_basis": (_plus_one, ["rodrigue", "monomial"]),
@@ -96,7 +96,7 @@ TAMPERS = {
     "poly_rank": (_plus_one, ["thm34"]),
     "verify_u_space": (_not_ok, ["thm36"]),
     "SingularProduct": (_tail_plus_one, ["thm31"]),
-    "TriangleAllSingular": (_args_plus_one, ["thm31"]),
+    "named_k3": (_args_plus_one, ["thm31"]),
 }
 
 
