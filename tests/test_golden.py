@@ -93,6 +93,13 @@ COMMANDS = [
      "monomials", "--against", "self", "--lambda-vertex", "2,3"],
     # the paper's four d = 2 forms, written out term by term, against SingularProduct
     *(["verify", "--suite", "thm31", "--n-max", n] for n in ("2", "5")),
+    # the d = 3 positive-definite and biorthogonality paths, a d = 3 eigenspace,
+    # and a d = 3 Gram against lower-degree columns
+    *(["verify", "--suite", suite, "--d", "3", "--n-max", "3"]
+      for suite in ("rodrigue", "monomial")),
+    ["eigen", "--d", "3", "--n", "4", "--gamma", "1/2,0,1,-1"],
+    ["gram", "--d", "3", "--n", "4", "--gamma", "0,1,-1,-1", "--spec", "sobolev", "--basis", "u",
+     "--against", "lower"],
 ]
 
 
