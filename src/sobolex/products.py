@@ -1,16 +1,17 @@
-"""Every bilinear form in the package, as a list of terms, plus Gram machinery.
+"""Every bilinear form in the package, as a list of terms, plus the Gram report.
 
 A form is a sum of terms lam * <A f, A g x^s>_W.  The image A differentiates
 (a multi-index or a directional combination) and may restrict to a face of
 T^d; W is the term's base weight and x^s an optional monomial multiplier on
 the right-hand factor.  A term without a weight is a scalar product
-lam * A(f) A(g) of point values.  Each class only lists its terms; one
-evaluator computes every value and Gram matrix from them.  It maps each row
-and each column polynomial through each term once, keeps the images as
+lam * A(f) A(g) of point values.  Each class only lists its terms, built
+once per form; one evaluator, `matrix`, computes every value and Gram matrix
+from them, and every check in `suites` and `spaces` reads it.  It maps each
+row and each column polynomial through each term once, keeps the images as
 integer coefficients over a common denominator, and pairs them by moment sums
 (`MomentTable.pairings`), so no polynomial is built per pair.  Each entry is
 summed over the terms as an int numerator and denominator and becomes one
-Fraction at the end.
+Fraction at the end; `gram` labels it into the printed `GramReport`.
 
 Each integral term is Dirichlet-normalized against its own displayed base
 weight (the monomial factors such as x_i inside a summand belong to the
@@ -106,12 +107,12 @@ class _TermForm:
 
     @cached_property
     def _terms(self) -> list[Term]:
-        return [t for t in self.terms() if t.lam]
+        return self.terms()
 
     def _normalization(self) -> dict[str, str]:
         """The rescaling of every tagged term, zero-lambda ones included."""
         return {t.tag: "vertex" if t.weight is None else mass_ratio(t.weight)
-                for t in self.terms() if t.tag}
+                for t in self._terms if t.tag}
 
     def matrix(self, rows: Sequence[Polynomial],
                cols: Sequence[Polynomial] | None = None) -> list[list[Fraction]]:
@@ -125,7 +126,7 @@ class _TermForm:
         ncols = len(rows if same else cols)
         nums = [[0] * ncols for _ in rows]
         dens = [[1] * ncols for _ in rows]
-        for lam, image, weight, right, _ in self._terms:
+        for lam, image, weight, right, _ in (t for t in self._terms if t.lam):
             a = [image(f) for f in rows]
             b = a if same else [image(g) for g in cols]
             if weight is None:
@@ -338,7 +339,7 @@ class TermList(_TermForm):
 
 class GramReport:
     """A Gram matrix; `separate_columns` marks one taken against columns of
-    its own (the lower-degree monomials), not against its rows."""
+    its own (the lower-degree monomials), not against its rows; it is never square."""
 
     def __init__(self, spec: dict, row_labels: list[str], col_labels: list[str],
                  matrix: list[list[Fraction]], separate_columns: bool = False):
@@ -354,7 +355,8 @@ class GramReport:
 
     @property
     def is_square(self) -> bool:
-        return bool(self.matrix) and len(self.matrix) == len(self.matrix[0])
+        return (not self.separate_columns and bool(self.matrix)
+                and len(self.matrix) == len(self.matrix[0]))
 
     @property
     def diagonal(self) -> bool:

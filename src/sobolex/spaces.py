@@ -17,7 +17,7 @@ from .linalg import poly_rank
 from .moments import vertex_eval
 from .polynomials import (Polynomial, constrained_indices, monomials_of_degree,
                           monomials_up_to)
-from .products import SingularProduct, gram, labeled, singular_tail, vertex_coefficients
+from .products import SingularProduct, singular_tail, vertex_coefficients
 from .scalars import Rational
 from .weighted import ParamVector
 
@@ -138,12 +138,11 @@ def verify_u_space(dim: int, tail: Sequence[Rational], k: int, n: int,
     if not rank_ok:
         fail(f"rank {rank_value} of {len(basis.elements)} elements, expected {expected}")
     lower = [Polynomial.monomial(dim, e) for e in monomials_up_to(dim, n - 1)]
-    report = gram(product, [(str(key), p) for key, p in basis.elements],
-                  labeled(lower, "m"))
-    ortho_ok = report.all_zero
+    matrix = product.matrix(basis.polys(), lower)
+    ortho_ok = not any(any(row) for row in matrix)
     if not ortho_ok:
-        for i, (key, p) in enumerate(basis.elements):
-            if any(report.matrix[i]):
+        for (key, p), row in zip(basis.elements, matrix):
+            if any(row):
                 fail("gram-vs-lower-degree", key, p)
     vertices_ok = True
     if k == dim + 1 and n >= 2:

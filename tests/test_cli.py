@@ -86,6 +86,18 @@ def test_gram_eigenspace_vs_lower(capsys):
     assert data["orthogonal_to_lower_degree"] is True
 
 
+def test_gram_against_lower_has_no_diagonal_even_when_square(capsys):
+    # the three degree-2 elements meet the three monomials of degree <= 1: a
+    # square matrix, but a cross one, so neither flag has a meaning
+    code, out = run_cli(capsys, ["gram", "--d", "2", "--n", "2", "--gamma", "0,0,0",
+                                 "--basis", "rodrigue", "--against", "lower"])
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["rows"]) == len(data["cols"]) == 3
+    assert data["all_zero"] and data["orthogonal_to_lower_degree"]
+    assert data["diagonal"] is None and data["positive_definite"] is None
+
+
 def test_gram_against_self_does_not_claim_lower_degree_orthogonality(capsys):
     code, out = run_cli(capsys, ["gram", "--d", "2", "--n", "1", "--gamma", "-1,-1,-1",
                                  "--spec", "sobolev", "--basis", "u", "--against", "self"])

@@ -100,6 +100,9 @@ COMMANDS = [
     ["eigen", "--d", "3", "--n", "4", "--gamma", "1/2,0,1,-1"],
     ["gram", "--d", "3", "--n", "4", "--gamma", "0,1,-1,-1", "--spec", "sobolev", "--basis", "u",
      "--against", "lower"],
+    # a square Gram against lower-degree columns: no diagonal, no definiteness
+    ["gram", "--d", "2", "--n", "2", "--gamma", "0,0,0", "--basis", "rodrigue", "--against",
+     "lower"],
 ]
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -10,7 +11,7 @@ from sobolex.bases import jacobi_negative_one_beta, jacobi_negative_one_one, rod
 from sobolex.moments import inner_product
 from sobolex.polynomials import Polynomial, complement, monomials_up_to
 from sobolex.products import (ClassicalProduct, DerivativeProduct, SingularProduct, GramReport,
-                              gram, labeled)
+                              TermList, gram, labeled)
 from sobolex.spaces import h_space, u_space
 from sobolex.weighted import ParamVector
 
@@ -160,7 +161,8 @@ def _named(form, oracle, *params):
 def _every_form():
     """(form, its oracle value function): each product class at d = 1..3,
     k = 1..d+1, then the paper's four d = 2 forms; non-unit lambdas, and a
-    zero entry in lam_axis, lam_face and lam_vertex wherever the form has one."""
+    zero entry in lam_axis, lam_face and lam_vertex wherever the form has one,
+    next to a case of the same form where every lambda is nonzero."""
     out = []
     for d in (1, 2, 3):
         gamma = ParamVector([Fraction(j, 3) for j in range(d + 1)])
@@ -168,6 +170,7 @@ def _every_form():
         for order in range(1, d + 1):
             out.append(DerivativeProduct(gamma, order, {frozenset({0}): Fraction(5, 2),
                                                         frozenset({d - 1, 0}): 0}))
+            out.append(DerivativeProduct(gamma, order, {frozenset({d - 1}): Fraction(2, 3)}))
         for k in range(1, d + 2):
             tail = tuple(Fraction(j + 1, 3) for j in range(d + 1 - k))
             out.append(SingularProduct(d, tail, k))
@@ -187,27 +190,73 @@ def _every_form():
             _named(suites.named_k3, oracle_named_k3_value,
                    Fraction(2), Fraction(3), Fraction(5), Fraction(7), 0),
             _named(suites.named_symmetric, oracle_named_symmetric_value,
-                   H, Fraction(2), 0, Fraction(3))]
+                   H, Fraction(2), 0, Fraction(3)),
+            _named(suites.named_k2, oracle_named_k2_value, Fraction(1, 3), Fraction(2),
+                   Fraction(3)),
+            _named(suites.named_k3, oracle_named_k3_value,
+                   Fraction(2), Fraction(3), Fraction(5), Fraction(7), Fraction(11)),
+            _named(suites.named_symmetric, oracle_named_symmetric_value,
+                   Fraction(1, 3), Fraction(2), Fraction(5, 3), Fraction(3))]
     return out
 
 
 FORMS = _every_form()
 
 
-@pytest.mark.parametrize("form, oracle", FORMS,
-                         ids=[json.dumps(form.describe()) for form, _ in FORMS])
+def _ids(forms) -> list[str]:
+    """The describe() payload of each form, numbered from its second case on
+    (the paper's d = 2 forms describe only their kind)."""
+    seen = Counter()
+    out = []
+    for form, _ in forms:
+        key = json.dumps(form.describe())
+        seen[key] += 1
+        out.append(key if seen[key] == 1 else f"{key}#{seen[key]}")
+    return out
+
+
+@pytest.mark.parametrize("form, oracle", FORMS, ids=_ids(FORMS))
 def test_value_and_gram_match_oracle(form, oracle):
     rng = random.Random(json.dumps(form.describe()))
     d = form.dim
     rows = [_random_poly(rng, d) for _ in range(3)] + [Polynomial.constant(d, 2),
                                                        Polynomial.zero(d)]
     cols = [_random_poly(rng, d) for _ in range(3)] + [Polynomial.variable(d, d - 1)]
-    rep = gram(form, labeled(rows), labeled(cols))
-    assert rep.matrix == [[oracle(f, g) for g in cols] for f in rows]
+    assert form.matrix(rows, cols) == [[oracle(f, g) for g in cols] for f in rows]
     for f, g in zip(rows, cols):
         assert form.value(f, g) == oracle(f, g)
     # the symmetric path (upper triangle, mirrored) against the general one
-    assert gram(form, labeled(rows)).matrix == gram(form, labeled(rows), labeled(rows)).matrix
+    assert form.matrix(rows) == form.matrix(rows, rows)
+
+
+def test_every_term_has_a_nonzero_lambda_in_some_case():
+    # the evaluator skips a zero-lambda term, so a term reaches its oracle only
+    # in a case where its lambda is nonzero; cases of one form list their
+    # terms in the same order
+    cases: dict[tuple, list[list[Fraction]]] = {}
+    for form, _ in FORMS:
+        key = (form.kind, form.dim, getattr(form, "k", None), getattr(form, "order", None))
+        cases.setdefault(key, []).append([t.lam for t in form.terms()])
+    for key, lams in cases.items():
+        assert len({len(case) for case in lams}) == 1, key
+        assert all(any(term) for term in zip(*lams)), key
+
+
+def test_terms_are_built_once_per_form(monkeypatch):
+    calls = Counter()
+    for cls in (ClassicalProduct, DerivativeProduct, SingularProduct, TermList):
+        def counted(self, real=cls.terms):
+            calls[id(self)] += 1
+            return real(self)
+        monkeypatch.setattr(cls, "terms", counted)
+    forms = [form for form, _ in _every_form()]
+    for form in forms:
+        p = Polynomial.variable(form.dim, 0)
+        for _ in range(3):
+            form.describe()
+            form.matrix([p, p + 1])
+            form.value(p, p)
+    assert [calls[id(form)] for form in forms] == [1] * len(forms)
 
 
 # -- the one-variable forms on [-1,1] are the d = 1 forms on T^1 --------------
