@@ -103,6 +103,23 @@ COMMANDS = [
     # a square Gram against lower-degree columns: no diagonal, no definiteness
     ["gram", "--d", "2", "--n", "2", "--gamma", "0,0,0", "--basis", "rodrigue", "--against",
      "lower"],
+    # the eigenspaces and bases of more trailing -1 blocks, at d = 1, 2, 3
+    ["eigen", "--d", "1", "--n", "3", "--gamma", "1/2,-1"],
+    ["eigen", "--d", "1", "--n", "3", "--gamma", "-1,-1", "--lambda-vertex", "2,3"],
+    ["eigen", "--d", "2", "--n", "3", "--gamma", "1/2,-1,-1"],
+    *(["eigen", "--d", "3", "--n", "3", "--gamma", gamma, *extra]
+      for gamma, extra in (("1/2,1/3,-1,-1", []), ("1/2,-1,-1,-1", []),
+                           ("-1,-1,-1,-1", ["--lambda-vertex", "1,2,3,5"]))),
+    ["basis", "--family", "u", "--d", "1", "--n", "3", "--gamma", "1/2,-1"],
+    ["basis", "--family", "u", "--d", "2", "--n", "3", "--gamma", "0,-1,-1"],
+    ["gram", "--d", "2", "--n", "2", "--gamma", "1/2,-1,-1", "--spec", "sobolev", "--basis", "u",
+     "--against", "self"],
+    # the weights a singular construction refuses (exit 2), and a vertex
+    # coefficient list that leaves the form not positive (exit 3)
+    *(["basis", "--family", "u", "--d", "2", "--n", "1", "--gamma", gamma]
+      for gamma in ("0,-1,0", "0,0,-3/2")),
+    ["inner", "--d", "2", "--gamma", "0,0,0", "--spec", "sobolev", "--f", F2, "--g", G2],
+    ["eigen", "--d", "2", "--n", "2", "--gamma", "-1,-1,-1", "--lambda-vertex", "0,0,0"],
 ]
 
 
