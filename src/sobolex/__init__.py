@@ -16,7 +16,7 @@ _PUBLIC = {
     "linalg": (),
     "moments": ("face_inner_product", "inner_product", "integral", "normalized_moment",
                 "vertex_eval"),
-    "polynomials": ("FaceId", "Polynomial", "monomials_of_degree", "monomials_up_to"),
+    "polynomials": ("Polynomial", "monomials_of_degree", "monomials_up_to"),
     "products": ("ClassicalProduct", "DerivativeProduct", "GramReport", "SingularProduct",
                  "gram"),
     "scalars": ("binomial", "factorial", "pochhammer"),

@@ -53,24 +53,9 @@ def _parse_indices(text: str, d: int) -> list[int]:
     return out
 
 
-def _split_singular(gamma: weighted.ParamVector) -> tuple[tuple, int]:
-    """Trailing run of -1 entries -> (tail, k); rejects -1 elsewhere."""
-    entries = gamma.entries
-    k = 0
-    while k < len(entries) and entries[-1 - k] == -1:
-        k += 1
-    tail = entries[: len(entries) - k]
-    if any(t == -1 for t in tail):
-        raise ValueError("-1 entries must form a trailing block; permute "
-                         "coordinates via --family permuted instead")
-    if any(t < -1 for t in tail):
-        raise ValueError("exponents below -1 are not supported")
-    return tail, k
-
-
 def _vertex_lambdas(args: argparse.Namespace, k: int) -> list | None:
     """--lambda-vertex, which only the all-singular weight (k = d+1) has."""
-    if not args.lambda_vertex:
+    if args.lambda_vertex is None:
         return None
     if k != args.d + 1:
         raise ValueError("--lambda-vertex needs every --gamma entry to be -1")
@@ -81,10 +66,10 @@ def _sobolev_form(gamma: weighted.ParamVector, args: argparse.Namespace,
                   user: str) -> products.SingularProduct:
     """The Sobolev form of `gamma` and --lambda-vertex, refused unless it is
     positive (`SingularProduct.is_valid`); `user` names the caller in errors."""
-    tail, k = _split_singular(gamma)
-    if k == 0:
+    k = gamma.singular_split()[1]
+    if not k:
         raise ValueError(f"{user} needs a trailing block of -1 entries in --gamma")
-    form = products.SingularProduct(args.d, tail, k, lam_vertex=_vertex_lambdas(args, k))
+    form = products.SingularProduct(gamma, lam_vertex=_vertex_lambdas(args, k))
     if not form.is_valid:
         raise NonPositiveForm("the Sobolev form is not positive: --lambda-vertex "
                               "entries must be >= 0, at least one > 0")
@@ -121,7 +106,7 @@ def _build_basis(family: str, args: argparse.Namespace) -> bases.Basis:
         return spaces.h_space(gamma, _parse_indices(args.zero_set, args.d), args.n)
     if family == "u":
         form = _sobolev_form(gamma, args, "--family u")
-        return spaces.u_space(args.d, form.tail, form.k, args.n, vertex_lambdas=form.lam_vertex)
+        return spaces.u_space(gamma, args.n, vertex_lambdas=form.lam_vertex)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -174,7 +159,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
 
 def cmd_eigen(args: argparse.Namespace) -> int:
     form = _sobolev_form(_parse_gamma(args.gamma, args.d), args, "eigen")
-    report = spaces.verify_u_space(args.d, form.tail, form.k, args.n, form)
+    report = spaces.verify_u_space(form, args.n)
     _emit(report, args.pretty)
     return 0 if report["ok"] else 1
 

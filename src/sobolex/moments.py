@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
+from typing import Iterable
 
 from .errors import NonIntegrableWeight
-from .polynomials import Exponents, FaceId, Polynomial
+from .polynomials import Exponents, Polynomial
 from .scalars import clear_denominators, format_rational
 from .weighted import ParamVector
 
@@ -148,14 +149,15 @@ def inner_product(f: Polynomial, g: Polynomial, gamma: ParamVector) -> Fraction:
     return _pairing(moment_table(gamma), f, g)
 
 
-def face_inner_product(f: Polynomial, g: Polynomial, face: FaceId,
+def face_inner_product(f: Polynomial, g: Polynomial, zeroed: Iterable[int],
                        face_gamma: ParamVector) -> Fraction:
-    """Restrict both arguments to a face and pair them in the face's own weight."""
-    if face.dim < 1:
+    """Restrict both arguments to the face where the coordinates `zeroed`
+    vanish (index d: 1-|x| = 0) and pair them in the face's own weight
+    (`inner_product` refuses a weight of another dimension)."""
+    zeroed = frozenset(zeroed)
+    if len(zeroed) >= f.dim:
         raise ValueError("face must have dimension >= 1; use vertex_eval at points")
-    if face_gamma.d != face.dim:
-        raise ValueError("face weight has wrong dimension")
-    return inner_product(face.restrict(f), face.restrict(g), face_gamma)
+    return inner_product(f.restrict(zeroed), g.restrict(zeroed), face_gamma)
 
 
 def vertex_eval(f: Polynomial, j: int) -> Fraction:

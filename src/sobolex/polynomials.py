@@ -390,40 +390,6 @@ def constrained_indices(dim: int, degree: int, zero_axes: Iterable[int]) -> list
     return sorted(out, key=graded_lex_key)
 
 
-class FaceId:
-    """A face of T^d: the coordinates in `zeroed` vanish; index d means 1-|x|=0."""
-
-    __slots__ = ("ambient", "zeroed")
-
-    def __init__(self, ambient: int, zeroed: frozenset[int]):
-        if not zeroed <= set(range(ambient + 1)):
-            raise ValueError("face indices out of range")
-        if len(zeroed) > ambient:
-            raise ValueError("too many zeroed coordinates")
-        self.ambient = ambient
-        self.zeroed = zeroed
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FaceId):
-            return NotImplemented
-        return self.ambient == other.ambient and self.zeroed == other.zeroed
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.zeroed))
-
-    def __repr__(self) -> str:
-        return f"FaceId(ambient={self.ambient!r}, zeroed={self.zeroed!r})"
-
-    @property
-    def dim(self) -> int:
-        return self.ambient - len(self.zeroed)
-
-    def restrict(self, f: Polynomial) -> Polynomial:
-        if f.dim != self.ambient:
-            raise ValueError("polynomial dimension does not match the face")
-        return f.restrict(self.zeroed)
-
-
 def box_indices(bounds: Sequence[int]) -> Iterator[Exponents]:
     """All multi-indices m with 0 <= m_i <= bounds_i."""
     return itertools.product(*(range(b + 1) for b in bounds))

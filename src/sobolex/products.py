@@ -66,21 +66,9 @@ class Term(NamedTuple):
     tag: str | None = None
 
 
-def singular_tail(dim: int, tail: Sequence[Rational], k: int) -> tuple[Fraction, ...]:
-    """The checked leading exponents of a weight whose trailing k are -1."""
-    if not 1 <= k <= dim + 1:
-        raise ValueError("k must lie in 1..d+1")
-    tail = tuple(as_fraction(t) for t in tail)
-    if len(tail) != dim + 1 - k:
-        raise ValueError(f"tail must have length {dim + 1 - k}")
-    if any(t <= -1 for t in tail):
-        raise ValueError("tail exponents must be > -1")
-    return tail
-
-
 def vertex_coefficients(dim: int, k: int, lams: Sequence[Rational] | None) -> tuple[Fraction, ...]:
     """The checked d+1 vertex coefficients lam_{j,0}, all ones by default and below k = d+1."""
-    lams = tuple(as_fraction(v) for v in (lams or (1,) * (dim + 1)))
+    lams = tuple(as_fraction(v) for v in ((1,) * (dim + 1) if lams is None else lams))
     if len(lams) != dim + 1 or (k <= dim and any(v != 1 for v in lams)):
         raise ValueError("need d+1 vertex coefficients, all ones unless k = d+1")
     return lams
@@ -218,8 +206,9 @@ class DerivativeProduct(_TermForm):
 class SingularProduct(_TermForm):
     """The Sobolev pairing attached to a weight whose trailing k exponents are -1.
 
-    Parameters: dim d, the leading exponents `tail` (length d+1-k, all > -1),
-    and the coefficient families
+    Parameters: the weight gamma, split by `ParamVector.singular_split` into
+    its leading exponents `tail` (all > -1) and k >= 1, and the coefficient
+    families
       lam       -- the boundary/vertex coefficient of the final term (k <= d),
       lam_axis  -- per-coordinate coefficients of the gradient face term
                    (1 < k <= d; at k = 1 the gradient term has coefficient 1,
@@ -235,16 +224,18 @@ class SingularProduct(_TermForm):
 
     kind = "singular"
 
-    def __init__(self, dim: int, tail: Sequence[Rational], k: int,
-                 lam: Rational = 1,
+    def __init__(self, gamma: ParamVector, lam: Rational = 1,
                  lam_axis: Sequence[Rational] | None = None,
                  lam_face: Mapping[frozenset[int], Rational] | None = None,
                  lam_vertex: Sequence[Rational] | None = None):
-        self.dim = dim
-        self.k = k
-        self.tail = singular_tail(dim, tail, k)
+        self.tail, k = gamma.singular_split()
+        if not k:
+            raise ValueError("a singular weight needs a trailing block of -1 entries")
+        self.gamma, self.k = gamma, k
+        dim = self.dim = gamma.d
         self.lam = as_fraction(lam)
-        self.lam_axis = tuple(as_fraction(v) for v in (lam_axis or (1,) * (dim - k + 1)))
+        self.lam_axis = tuple(as_fraction(v) for v in
+                              ((1,) * (dim - k + 1) if lam_axis is None else lam_axis))
         if len(self.lam_axis) != dim - k + 1:
             raise ValueError("lam_axis has wrong length")
         if k == 1 and any(v != 1 for v in self.lam_axis):

@@ -17,7 +17,7 @@ from .linalg import poly_rank
 from .moments import vertex_eval
 from .polynomials import (Polynomial, constrained_indices, monomials_of_degree,
                           monomials_up_to)
-from .products import SingularProduct, singular_tail, vertex_coefficients
+from .products import SingularProduct, vertex_coefficients
 from .scalars import Rational
 from .weighted import ParamVector
 
@@ -53,9 +53,10 @@ def h_space(gamma: ParamVector, zero_axes: Sequence[int], n: int) -> Basis:
     return basis
 
 
-def u_space(dim: int, tail: Sequence[Rational], k: int, n: int,
+def u_space(gamma: ParamVector, n: int,
             vertex_lambdas: Sequence[Rational] | None = None) -> Basis:
-    """The degree-n polynomial eigenspace for the weight (tail, -1, ..., -1).
+    """The degree-n polynomial eigenspace for the weight gamma = (tail, -1,
+    ..., -1), split by `ParamVector.singular_split`.
 
     One block per 0/1 arrangement on the trailing k slots, with j ones for
     j = k .. 0: the h_space of the weight (tail, arrangement) with the 0
@@ -64,11 +65,12 @@ def u_space(dim: int, tail: Sequence[Rational], k: int, n: int,
     k = d+1 and n = 1 the span is {x_j + c_j} with c_j = -lam_j / sum(lam),
     tied to the companion product's vertex coefficients (all ones at k <= d).
     """
-    d = dim
-    tail = singular_tail(d, tail, k)
+    d = gamma.d
+    tail, k = gamma.singular_split()
+    if not k:
+        raise ValueError("a singular weight needs a trailing block of -1 entries")
     lams = vertex_coefficients(d, k, vertex_lambdas)
-    full = ParamVector(tail + (Fraction(-1),) * k)
-    basis = Basis(d, full, f"u[k={k}]")
+    basis = Basis(d, gamma, f"u[k={k}]")
     if n < 0:
         return basis
     if n == 0:
@@ -102,9 +104,9 @@ def expected_dimension(dim: int, n: int) -> int:
     return comb(n + dim - 1, n)
 
 
-def verify_u_space(dim: int, tail: Sequence[Rational], k: int, n: int,
-                   product: SingularProduct | None = None) -> dict:
-    """Exact verification report for one singular eigenspace.
+def verify_u_space(product: SingularProduct, n: int) -> dict:
+    """Exact verification report for the degree-n eigenspace of the weight of
+    `product`, the companion Sobolev form.
 
     Checks: every element solves the differential equation at the singular
     parameters with the stated eigenvalue; the stacked coefficient matrix has
@@ -112,10 +114,8 @@ def verify_u_space(dim: int, tail: Sequence[Rational], k: int, n: int,
     monomials under the companion product is identically zero; and, in the
     all-singular case with n >= 2, every element vanishes at every vertex.
     """
-    if product is None:
-        product = SingularProduct(dim, tuple(tail), k)
-    basis = u_space(dim, tail, k, n, vertex_lambdas=product.lam_vertex)
-    full = basis.params
+    dim, k, full = product.dim, product.k, product.gamma
+    basis = u_space(full, n, vertex_lambdas=product.lam_vertex)
     lam = -n * (n + full.total + dim)
     failures: list[dict] = []
 

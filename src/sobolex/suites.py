@@ -144,7 +144,8 @@ def suite_jacobi(n_max: int = 5) -> dict:
         c, pulled = 4 * (b + 1) / (b + 2), labeled(_on_t1(fam), "P")
         for lam in (Fraction(1), Fraction(2), Fraction(1, 3)):
             _add(checks, f"neg-beta-sobolev[{tag},lam={format_rational(lam)}]",
-                 _positive_diagonal(gram(SingularProduct(1, (b,), 1, lam=c * lam), pulled)))
+                 _positive_diagonal(gram(SingularProduct(ParamVector([b, -1]), lam=c * lam),
+                                         pulled)))
     x = Polynomial.variable(1, 0)
     for l1, l2 in ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(1)),
                    (HALF, Fraction(3))):
@@ -155,7 +156,8 @@ def suite_jacobi(n_max: int = 5) -> dict:
              (jacobi_ode_residual(p, n, Fraction(-1), Fraction(-1)).is_zero
               for n, p in enumerate(fam)))
         _add(checks, f"neg-both-sobolev[{tag}]",
-             _positive_diagonal(gram(SingularProduct(1, (), 2, lam_vertex=(4 * l2, 4 * l1)),
+             _positive_diagonal(gram(SingularProduct(ParamVector([-1, -1]),
+                                                     lam_vertex=(4 * l2, 4 * l1)),
                                      labeled(_on_t1(fam), "P"))))
     return _result("jacobi", {"n_max": n_max}, checks)
 
@@ -272,7 +274,7 @@ def suite_monomial(d: int = 2, n_max: int = 4,
     lead = tuple(HALF for _ in range(d)) if d == 1 else tuple(Fraction(0) for _ in range(d))
     sing = ParamVector(list(lead) + [-1])
     monic = [monomial_basis(sing, n) for n in range(n_max + 1)]
-    spro = SingularProduct(d, lead, 1)
+    spro = SingularProduct(sing)
     _add(checks, f"last-exponent-singular[{_gamma_tag(sing)}]", itertools.chain(
         (v.coefficient(nu) == 1 and eigencheck(sing, v, n)
          for n, basis in enumerate(monic) for nu, v in basis.elements),
@@ -449,7 +451,7 @@ def suite_thm31(n_max: int = 4) -> dict:
     samples = [(Fraction(0), Fraction(0)), (HALF, Fraction(1))]
     lower = _lower(2, n_max)
 
-    k1 = {(a, b): [u_space(2, (a, b), 1, n).polys() for n in range(n_max + 1)]
+    k1 = {(a, b): [u_space(ParamVector([a, b, -1]), n).polys() for n in range(n_max + 1)]
           for a, b in samples}
     for a, b in samples:
         tag = f"a={format_rational(a)},b={format_rational(b)}"
@@ -462,7 +464,7 @@ def suite_thm31(n_max: int = 4) -> dict:
     for a in (Fraction(0), HALF):
         tag = f"a={format_rational(a)}"
         # (n, the space, its element w R_(n-1,0)), read by both checks below
-        k2 = [(n, u_space(2, (a,), 2, n).polys(),
+        k2 = [(n, u_space(ParamVector([a, -1, -1]), n).polys(),
                w * rodrigues_element(ParamVector([a, 0, 1]), (n - 1, 0)))
               for n in range(1, n_max + 1)]
         _add(checks, f"decomposition-k2[{tag}]",
@@ -472,11 +474,11 @@ def suite_thm31(n_max: int = 4) -> dict:
                              edge])
               for n, space, edge in k2))
         _add(checks, f"recursion-k2[{tag}]",
-             (spans_equal(space, _scaled(y, u_space(2, (a, Fraction(1)), 1, n - 1).polys())
+             (spans_equal(space, _scaled(y, u_space(ParamVector([a, 1, -1]), n - 1).polys())
                           + [edge])
               for n, space, edge in k2))
 
-    k3 = [(n, u_space(2, (), 3, n).polys(),
+    k3 = [(n, u_space(ParamVector([-1, -1, -1]), n).polys(),
            y * w * rodrigues_element(ParamVector([0, 1, 1]), (0, n - 2)))
           for n in range(2, n_max + 1)]
     _add(checks, "decomposition-k3",
@@ -487,14 +489,15 @@ def suite_thm31(n_max: int = 4) -> dict:
                          edge])
           for n, space, edge in k3))
     _add(checks, "recursion-k3",
-         (spans_equal(space, _scaled(x, u_space(2, (Fraction(1),), 2, n - 1).polys()) + [edge])
+         (spans_equal(space, _scaled(x, u_space(ParamVector([1, -1, -1]), n - 1).polys())
+                      + [edge])
           for n, space, edge in k3))
 
     lam_choices = [(Fraction(1), Fraction(1), Fraction(1)),
                    (Fraction(2), Fraction(1), Fraction(3)),
                    (HALF, Fraction(1, 3), Fraction(5))]
     _add(checks, "degree-one-redefinition",
-         (u_space(2, (), 3, 1, vertex_lambdas=(l00, l10, l01)).polys()
+         (u_space(ParamVector([-1, -1, -1]), 1, vertex_lambdas=(l00, l10, l01)).polys()
           == [x - l10 / (l00 + l10 + l01), y - l01 / (l00 + l10 + l01)]
           for l00, l10, l01 in lam_choices))
 
@@ -518,14 +521,15 @@ def suite_thm31(n_max: int = 4) -> dict:
 
     _add(checks, "named-vs-general-k1",
          (same_gram(named_k1(a, b, Fraction(2)),
-                    SingularProduct(2, (a, b), 1, lam=Fraction(2)))
+                    SingularProduct(ParamVector([a, b, -1]), lam=Fraction(2)))
           for a, b in samples))
     _add(checks, "named-vs-general-k2",
          (same_gram(named_k2(a, Fraction(2), Fraction(3)),
-                    SingularProduct(2, (a,), 2, lam=Fraction(3), lam_axis=(Fraction(2),)))
+                    SingularProduct(ParamVector([a, -1, -1]), lam=Fraction(3),
+                                    lam_axis=(Fraction(2),)))
           for a in (Fraction(0), HALF)))
     named = named_k3(Fraction(2), Fraction(3), Fraction(5), Fraction(7), Fraction(11))
-    general = SingularProduct(2, (), 3,
+    general = SingularProduct(ParamVector([-1, -1, -1]),
                               lam_face={frozenset({0}): Fraction(2),
                                         frozenset({1}): Fraction(3)},
                               lam_vertex=(Fraction(11), Fraction(5), Fraction(7)))
@@ -539,7 +543,8 @@ def suite_thm31(n_max: int = 4) -> dict:
     reflected = [f.pullback((1, 2)) for f in probes]
     _add(checks, "named-vs-general-symmetric-variant",
          (same_gram(named_symmetric(c, 0, 2 * (c + 1) / (c + 2), Fraction(3)),
-                    SingularProduct(2, (c,), 2, lam=Fraction(3), lam_axis=(Fraction(2),)),
+                    SingularProduct(ParamVector([c, -1, -1]), lam=Fraction(3),
+                                    lam_axis=(Fraction(2),)),
                     reflected)
           for c in (Fraction(0), HALF)))
 
@@ -561,23 +566,29 @@ def suite_thm31(n_max: int = 4) -> dict:
 # general dimension: eigenspace ranks and Sobolev orthogonality
 # ---------------------------------------------------------------------------
 
-def _solution_space(d: int, tail: tuple, k: int, n_max: int) -> Iterable[bool]:
+def _singular_weights(d: int) -> Iterable[tuple[str, ParamVector]]:
+    """(tag, weight) for each sampled weight with a trailing block of k -1s,
+    k = 1..d+1, led by each of `default_tails(d, k)`."""
+    for k in range(1, d + 2):
+        for tail in default_tails(d, k):
+            yield (f"k={k},tail=({','.join(format_rational(t) for t in tail)})",
+                   ParamVector(list(tail) + [-1] * k))
+
+
+def _solution_space(gamma: ParamVector, n_max: int) -> Iterable[bool]:
     """Each U_n has the expected dimension and full rank, and solves the
     eigenfunction equation at the singular weight."""
-    full = ParamVector(list(tail) + [-1] * k)
     for n in range(n_max + 1):
-        basis = u_space(d, tail, k, n)
-        yield len(basis) == expected_dimension(d, n)
+        basis = u_space(gamma, n)
+        yield len(basis) == expected_dimension(gamma.d, n)
         yield poly_rank(basis.polys()) == len(basis)
-        yield from (eigencheck(full, p, n) for p in basis.polys())
+        yield from (eigencheck(gamma, p, n) for p in basis.polys())
 
 
 def suite_thm34(d: int = 2, n_max: int = 4) -> dict:
     checks: list[dict] = []
-    for k in range(1, d + 2):
-        for tail in default_tails(d, k):
-            tag = f"k={k},tail=({','.join(format_rational(t) for t in tail)})"
-            _add(checks, f"solution-space[{tag}]", _solution_space(d, tail, k, n_max))
+    for tag, gamma in _singular_weights(d):
+        _add(checks, f"solution-space[{tag}]", _solution_space(gamma, n_max))
 
     gamma0 = default_gammas(d)[1]
     zero_sets: list[tuple[int, ...]] = [(d,), (0,)] if d >= 2 else []
@@ -622,16 +633,14 @@ def _h_space_alternate(gamma: ParamVector, zero_axes: Iterable[int],
 def suite_thm36(d: int = 2, n_max: int = 4) -> dict:
     checks: list[dict] = []
     probes = labeled(_monomial_polys(d, 3), "m")
-    for k in range(1, d + 2):
-        for tail in default_tails(d, k):
-            tag = f"k={k},tail=({','.join(format_rational(t) for t in tail)})"
-            product = SingularProduct(d, tail, k)
-            _add(checks, f"sobolev-orthogonality[{tag}]",
-                 (verify_u_space(d, tail, k, n, product)["ok"] for n in range(n_max + 1)))
-            _add(checks, f"positive-definite[{tag}]",
-                 [gram(product, probes).positive_definite])
+    for tag, gamma in _singular_weights(d):
+        product = SingularProduct(gamma)
+        _add(checks, f"sobolev-orthogonality[{tag}]",
+             (verify_u_space(product, n)["ok"] for n in range(n_max + 1)))
+        _add(checks, f"positive-definite[{tag}]",
+             [gram(product, probes).positive_definite])
     tail0 = default_tails(d, 1)[0]
-    product = SingularProduct(d, tail0, 1)
+    product = SingularProduct(ParamVector(list(tail0) + [-1]))
     _add(checks, "k1-block-orthogonality",
          (_orthogonal(product,
                       _scaled(complement(d),
@@ -640,9 +649,9 @@ def suite_thm36(d: int = 2, n_max: int = 4) -> dict:
           for n in range(1, n_max + 1)))
     if d >= 2:
         lams = tuple(Fraction(j + 1, 2) for j in range(d + 1))
-        product = SingularProduct(d, (), d + 1, lam_vertex=lams)
+        product = SingularProduct(ParamVector([-1] * (d + 1)), lam_vertex=lams)
         _add(checks, "vertex-lambda-variation",
-             (verify_u_space(d, (), d + 1, n, product)["ok"]
+             (verify_u_space(product, n)["ok"]
               for n in range(min(n_max, 3) + 1)))
     return _result("thm36", {"d": d, "n_max": n_max}, checks)
 

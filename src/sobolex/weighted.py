@@ -52,6 +52,21 @@ class ParamVector:
     def is_integrable(self) -> bool:
         return all(g > -1 for g in self.entries)
 
+    def singular_split(self) -> tuple[tuple[Fraction, ...], int]:
+        """(tail, k): the entries before the trailing block of -1 entries, and
+        the size k of that block; a -1 elsewhere, or an entry below -1, is a
+        ValueError."""
+        k = 0
+        while k < len(self.entries) and self.entries[-1 - k] == -1:
+            k += 1
+        tail = self.entries[:len(self.entries) - k]
+        if -1 in tail:
+            raise ValueError("-1 entries must form a trailing block; permute "
+                             "coordinates via --family permuted instead")
+        if any(t < -1 for t in tail):
+            raise ValueError("exponents below -1 are not supported")
+        return tail, k
+
     def shifted(self, deltas: Sequence[Rational]) -> "ParamVector":
         if len(deltas) != len(self.entries):
             raise ValueError("shift has wrong length")

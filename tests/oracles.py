@@ -29,7 +29,7 @@ from sobolex import products as P
 from sobolex.bases import eigenvalue
 from sobolex.errors import ZeroDenominator
 from sobolex.moments import normalized_moment, vertex_eval
-from sobolex.polynomials import FaceId, Polynomial, box_indices
+from sobolex.polynomials import Polynomial, box_indices
 from sobolex.scalars import binomial, format_rational, pochhammer
 from sobolex.weighted import ParamVector, WeightedForm
 
@@ -278,8 +278,9 @@ def oracle_permuted_element(gamma: ParamVector, order: tuple[int, ...],
 
 # -- bilinear forms, each pair on its own --------------------------------------
 
-def _face_pair(f: Polynomial, g: Polynomial, face: FaceId, weight) -> Fraction:
-    return oracle_inner_product(face.restrict(f), face.restrict(g), weight)
+def _face_pair(f: Polynomial, g: Polynomial, zeroed, weight) -> Fraction:
+    """f and g restricted to the face where `zeroed` vanish, paired in `weight`."""
+    return oracle_inner_product(f.restrict(zeroed), g.restrict(zeroed), weight)
 
 
 def _singular_k1(p, f, g):
@@ -292,8 +293,7 @@ def _singular_k1(p, f, g):
         if d == 1:
             total += p.lam * vertex_eval(f, 1) * vertex_eval(g, 1)
         else:
-            total += p.lam * _face_pair(f, g, FaceId(d, frozenset({d})),
-                                        ParamVector(p.tail))
+            total += p.lam * _face_pair(f, g, {d}, ParamVector(p.tail))
     return total
 
 
@@ -306,21 +306,19 @@ def _singular_mid(p, f, g):
     for i in range(1, k - 1):
         for subset in itertools.combinations(mk, i):
             lam = p.lam_face.get(frozenset(subset), Fraction(1))
-            face = FaceId(d, frozenset(mk) - frozenset(subset))
+            face = set(mk) - set(subset)
             fp = ParamVector(p.tail + (Fraction(0),) * i + (Fraction(i - 1),))
             total += lam * _face_pair(f.partials(subset), g.partials(subset), face, fp)
-    face3 = FaceId(d, frozenset(mk))
-    fd = face3.dim
+    fd = d - len(mk)
     grad = Polynomial.zero(fd)
     for i in range(d - k + 1):
         grad = grad + p.lam_axis[i] * Polynomial.variable(fd, i) \
-            * face3.restrict(f.partial(i)) * face3.restrict(g.partial(i))
+            * f.partial(i).restrict(mk) * g.partial(i).restrict(mk)
     total += oracle_integral(grad, ParamVector(p.tail + (Fraction(0),)))
     if k == d:
         total += p.lam * vertex_eval(f, 1) * vertex_eval(g, 1)
     else:
-        total += p.lam * _face_pair(f, g, FaceId(d, frozenset(mk) | {d}),
-                                    ParamVector(p.tail))
+        total += p.lam * _face_pair(f, g, set(mk) | {d}, ParamVector(p.tail))
     return total
 
 
@@ -332,7 +330,7 @@ def _singular_full(p, f, g):
     for i in range(1, d):
         for subset in itertools.combinations(axes, i):
             lam = p.lam_face.get(frozenset(subset), Fraction(1))
-            face = FaceId(d, frozenset(axes) - frozenset(subset))
+            face = set(axes) - set(subset)
             fp = ParamVector((Fraction(0),) * i + (Fraction(i - 1),))
             total += lam * _face_pair(f.partials(subset), g.partials(subset), face, fp)
     for j in range(d + 1):
@@ -376,16 +374,14 @@ def oracle_named_k1_value(a, b, lam1, f: Polynomial, g: Polynomial) -> Fraction:
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     grad = x * f.partial(0) * g.partial(0) + y * f.partial(1) * g.partial(1)
     return oracle_integral(grad, ParamVector([a, b, 0])) \
-        + lam1 * _face_pair(f, g, FaceId(2, frozenset({2})), ParamVector([a, b]))
+        + lam1 * _face_pair(f, g, {2}, ParamVector([a, b]))
 
 
 def oracle_named_k2_value(a, lam1, lam10, f: Polynomial, g: Polynomial) -> Fraction:
     """Exponents (a, -1, -1): <f_y, g_y> against (a, 0, 0), plus lam1 times
     the integral of x f_x g_x on the edge y = 0 against (a, 0), plus lam10
     times the values at e_1."""
-    face = FaceId(2, frozenset({1}))
-    edge = Polynomial.variable(1, 0) * face.restrict(f.partial(0)) \
-        * face.restrict(g.partial(0))
+    edge = Polynomial.variable(1, 0) * f.partial(0).restrict({1}) * g.partial(0).restrict({1})
     return oracle_inner_product(f.partial(1), g.partial(1), ParamVector([a, 0, 0])) \
         + lam1 * oracle_integral(edge, ParamVector([a, 0])) + lam10 * _vertex_pair(f, g, 1)
 
@@ -397,8 +393,8 @@ def oracle_named_k3_value(lam1, lam2, lam10, lam01, lam00,
     edge = ParamVector([0, 0])
     return oracle_inner_product(f.partials([0, 1]), g.partials([0, 1]),
                                 ParamVector([0, 0, 1])) \
-        + lam1 * _face_pair(f.partial(0), g.partial(0), FaceId(2, frozenset({1})), edge) \
-        + lam2 * _face_pair(f.partial(1), g.partial(1), FaceId(2, frozenset({0})), edge) \
+        + lam1 * _face_pair(f.partial(0), g.partial(0), {1}, edge) \
+        + lam2 * _face_pair(f.partial(1), g.partial(1), {0}, edge) \
         + lam10 * _vertex_pair(f, g, 1) + lam01 * _vertex_pair(f, g, 2) \
         + lam00 * _vertex_pair(f, g, 0)
 
@@ -411,8 +407,8 @@ def oracle_named_symmetric_value(c, lam1, lam2, lam00, f: Polynomial,
     edge = ParamVector([0, c + 1])
     df, dg = f.partial(1) - f.partial(0), g.partial(1) - g.partial(0)
     return oracle_inner_product(df, dg, ParamVector([0, 0, c])) \
-        + lam1 * _face_pair(f.partial(0), g.partial(0), FaceId(2, frozenset({1})), edge) \
-        + lam2 * _face_pair(f.partial(1), g.partial(1), FaceId(2, frozenset({0})), edge) \
+        + lam1 * _face_pair(f.partial(0), g.partial(0), {1}, edge) \
+        + lam2 * _face_pair(f.partial(1), g.partial(1), {0}, edge) \
         + lam00 * _vertex_pair(f, g, 0)
 
 

@@ -310,6 +310,14 @@ BAD_ARGUMENTS = {
                           "--gamma", "0,0,0", "--zero-set", "1,1"],
     "epd-order-zero": ["inner", "--d", "2", "--gamma", "0,0,0", "--spec", "epd",
                        "--epd-order", "0", "--f", _X, "--g", _X],
+    # an empty --lambda-vertex is given, not absent: below k = d+1 it is
+    # refused like any other, and at k = d+1 it has no entry to read
+    "lambda-vertex-empty": ["eigen", "--d", "2", "--n", "1", "--gamma", "0,-1,-1",
+                            "--lambda-vertex="],
+    "lambda-vertex-empty-all-singular": ["eigen", "--d", "2", "--n", "1",
+                                         "--gamma", "-1,-1,-1", "--lambda-vertex="],
+    "lambda-vertex-empty-basis-u": ["basis", "--d", "2", "--n", "1", "--family", "u",
+                                    "--gamma", "-1,-1,-1", "--lambda-vertex", ""],
 }
 
 

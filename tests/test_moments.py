@@ -7,7 +7,7 @@ from sobolex.errors import NonIntegrableWeight
 from sobolex.linalg import leading_principal_minors
 from sobolex.moments import (face_inner_product, inner_product, integral,
                              normalized_moment, vertex_eval)
-from sobolex.polynomials import FaceId, Polynomial, complement, monomials_up_to
+from sobolex.polynomials import Polynomial, complement, monomials_up_to
 from sobolex.weighted import ParamVector
 
 from oracles import interval_integral, oracle_normalized_moment, simplex_integral
@@ -43,14 +43,16 @@ def test_inner_product_examples():
 
 
 def test_face_inner_product_examples():
-    face = FaceId(2, frozenset({2}))
+    face = {2}  # the hyperplane 1-|x| = 0
     fp = ParamVector([0, 0])
     assert face_inner_product(X, X, face, fp) == Fraction(1, 3)
     one = Polynomial.constant(2, 1)
     assert face_inner_product(one, one, face, fp) == 1
     assert face_inner_product(X, 1 - X, face, fp) == Fraction(1, 6)
     with pytest.raises(ValueError):
-        face_inner_product(X, X, FaceId(2, frozenset({0, 1})), fp)
+        face_inner_product(X, X, {0, 1}, fp)
+    with pytest.raises(ValueError):
+        face_inner_product(X, X, {2}, ParamVector([0, 0, 0]))
 
 
 def test_vertex_eval():

@@ -3,6 +3,7 @@ public names served from them."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,8 +72,16 @@ def test_import_registers_every_library_module():
     assert done.stdout.split() == [f"sobolex.{name}" for name in sorted(LIBRARY + ["cli"])]
 
 
+def test_readme_python_block_runs():
+    # the README's library example, as written, against the code as it is
+    readme = (SRC.parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    done = _python("-c", block)
+    assert done.returncode == 0, done.stderr
+
+
 PUBLIC_NAMES = [
-    "Basis", "ClassicalProduct", "DerivativeProduct", "FaceId", "GramReport",
+    "Basis", "ClassicalProduct", "DerivativeProduct", "GramReport",
     "NonIntegrableWeight", "NonPolynomialQuotient", "NonPositiveForm", "ParamVector",
     "Polynomial", "SingularProduct", "SobolexError", "ZeroDenominator", "bases", "binomial", "biorthogonal_constant", "eigencheck", "errors",
     "expected_dimension", "face_inner_product", "face_params", "factorial", "gram", "h_space",

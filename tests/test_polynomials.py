@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sobolex.polynomials import (FaceId, Polynomial, complement,
+from sobolex.polynomials import (Polynomial, complement,
                                  monomials_of_degree, monomials_up_to)
 
 
@@ -160,13 +160,12 @@ def test_monomial_enumeration():
     assert monomials_of_degree(0, 0) == [()]
 
 
-def test_face_id():
-    face = FaceId(2, frozenset({2}))
-    assert face.dim == 1
+def test_restrict_drops_one_variable_per_face_index():
+    assert Polynomial.variable(2, 0).restrict({2}).dim == 1
     with pytest.raises(ValueError):
-        FaceId(2, frozenset({5}))
+        Polynomial.variable(2, 0).restrict({5})
     with pytest.raises(ValueError):
-        FaceId(2, frozenset({0, 1, 2}))
+        Polynomial.variable(2, 0).restrict({0, 1, 2})
 
 
 def _is_canonical(p: Polynomial) -> bool:

@@ -23,6 +23,10 @@ H = Fraction(1, 2)
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
 ONE = Polynomial.constant(2, 1)
+# singular weights at d = 2 with k = 1, 2, 3 trailing -1 entries
+HH1 = ParamVector([H, H, -1])
+H11 = ParamVector([H, -1, -1])
+ALL3 = ParamVector([-1, -1, -1])
 
 
 def monoms(d, n):
@@ -30,53 +34,68 @@ def monoms(d, n):
 
 
 def test_gradient_face_product_example():
-    spec = SingularProduct(2, (Fraction(0), Fraction(0)), 1)
+    spec = SingularProduct(ParamVector([0, 0, -1]))
     assert spec.value(X, Y) == Fraction(1, 6)
-    assert spec.tail + (-1,) * spec.k == (0, 0, -1)
+    assert (spec.dim, spec.tail, spec.k) == (2, (0, 0), 1)
 
 
 def test_lam_axis_at_k1_must_be_all_ones():
     # at k = 1 the gradient term has coefficient 1, so no other lam_axis is taken
     for lam_axis in ((2, 3), (1, 0), (H, 1)):
         with pytest.raises(ValueError):
-            SingularProduct(2, (H, H), 1, lam_axis=lam_axis)
-    default = SingularProduct(2, (H, H), 1)
+            SingularProduct(HH1, lam_axis=lam_axis)
+    default = SingularProduct(HH1)
     assert default.describe()["lambda_axis"] == ["1", "1"]
-    assert SingularProduct(2, (H, H), 1, lam_axis=(1, 1)).describe() == default.describe()
+    assert SingularProduct(HH1, lam_axis=(1, 1)).describe() == default.describe()
     # from k = 2 on, the gradient coefficient scales its term
-    at = {a: SingularProduct(2, (H,), 2, lam_axis=(a,)).value(X, X) for a in (0, 1, 2)}
+    at = {a: SingularProduct(H11, lam_axis=(a,)).value(X, X) for a in (0, 1, 2)}
     assert at[2] - at[1] == at[1] - at[0] != 0
 
 
 def test_lam_face_and_lam_vertex_need_their_terms():
     # k = 1 has no face term and no vertex term, so neither may be set there
     with pytest.raises(ValueError):
-        SingularProduct(2, (H, H), 1, lam_face={frozenset({0}): 7})
+        SingularProduct(HH1, lam_face={frozenset({0}): 7})
     with pytest.raises(ValueError):
-        SingularProduct(2, (H, H), 1, lam_vertex=(5, 5, 5))
-    default = SingularProduct(2, (H, H), 1)
-    assert SingularProduct(2, (H, H), 1, lam_vertex=(1, 1, 1)).describe() == default.describe()
+        SingularProduct(HH1, lam_vertex=(5, 5, 5))
+    default = SingularProduct(HH1)
+    assert SingularProduct(HH1, lam_vertex=(1, 1, 1)).describe() == default.describe()
     # at d = 3, k = 3 the differentiated axes are {1, 2}: {0}, {1, 2} and {} are no faces
     for face in ({0}, {1, 2}, set()):
         with pytest.raises(ValueError):
-            SingularProduct(3, (H,), 3, lam_face={frozenset(face): 7})
+            SingularProduct(ParamVector([H, -1, -1, -1]), lam_face={frozenset(face): 7})
     x1 = Polynomial.variable(3, 1)
-    at = {c: SingularProduct(3, (H,), 3, lam_face={frozenset({1}): c}).value(x1, x1)
+    at = {c: SingularProduct(ParamVector([H, -1, -1, -1]),
+                             lam_face={frozenset({1}): c}).value(x1, x1)
           for c in (0, 1, 2)}
     assert at[2] - at[1] == at[1] - at[0] != 0
 
 
+def test_an_empty_coefficient_list_is_not_the_default():
+    # only None means "all ones"; an empty sequence has the wrong length
+    with pytest.raises(ValueError, match="lam_axis"):
+        SingularProduct(H11, lam_axis=())
+    for gamma in (HH1, ALL3):
+        with pytest.raises(ValueError, match="vertex coefficients"):
+            SingularProduct(gamma, lam_vertex=())
+
+
+def test_singular_product_needs_a_trailing_minus_one():
+    for entries in ([0, H, 0], [-1, H, 0]):
+        with pytest.raises(ValueError, match="trailing block"):
+            SingularProduct(ParamVector(entries))
+
+
 def test_vertex_product_example():
-    spec = SingularProduct(2, (), 3,
-                           lam_vertex=(Fraction(5), Fraction(7), Fraction(11)))
+    spec = SingularProduct(ALL3, lam_vertex=(Fraction(5), Fraction(7), Fraction(11)))
     assert spec.value(ONE, ONE) == 5 + 7 + 11
 
 
 def test_positive_definiteness_flags():
-    spec = SingularProduct(2, (), 3)
+    spec = SingularProduct(ALL3)
     rep = gram(spec, labeled(monoms(2, 3), "m"))
     assert rep.positive_definite
-    degenerate = SingularProduct(2, (), 3, lam_vertex=(0, 0, 0))
+    degenerate = SingularProduct(ALL3, lam_vertex=(0, 0, 0))
     rep = gram(degenerate, labeled(monoms(2, 2), "m"))
     assert rep.positive_definite is False
     assert not degenerate.is_valid
@@ -85,7 +104,7 @@ def test_positive_definiteness_flags():
 
 def test_vanishing_only_at_zero():
     # <f,f> = 0 forces f = 0 when the coefficients are positive
-    spec = SingularProduct(2, (), 3)
+    spec = SingularProduct(ALL3)
     rng = random.Random(5)
     for _ in range(20):
         f = Polynomial(2, {(rng.randint(0, 2), rng.randint(0, 2)):
@@ -96,8 +115,8 @@ def test_vanishing_only_at_zero():
 
 def test_singular_product_symmetry_bilinearity():
     rng = random.Random(6)
-    for k, tail in ((1, (H, Fraction(1))), (2, (H,)), (3, ())):
-        spec = SingularProduct(2, tail, k)
+    for gamma in (ParamVector([H, 1, -1]), H11, ALL3):
+        spec = SingularProduct(gamma)
         for _ in range(10):
             f, g, h = (Polynomial(2, {(rng.randint(0, 2), rng.randint(0, 2)):
                                       rng.randint(-4, 4) for _ in range(3)})
@@ -109,8 +128,8 @@ def test_singular_product_symmetry_bilinearity():
 
 
 def test_gram_all_zero_for_eigenspace():
-    spec = SingularProduct(2, (H,), 2)
-    basis = u_space(2, (H,), 2, 3)
+    spec = SingularProduct(H11)
+    basis = u_space(H11, 3)
     rep = gram(spec, [(str(k), p) for k, p in basis.elements],
                labeled(monoms(2, 2), "m"))
     assert rep.all_zero
@@ -136,8 +155,7 @@ def test_derivative_product_lambda_weights():
 
 
 def test_block_orthogonality_k1():
-    tail = (Fraction(0), Fraction(0))
-    spec = SingularProduct(2, tail, 1)
+    spec = SingularProduct(ParamVector([0, 0, -1]))
     for n in range(1, 4):
         core = [complement(2) * p
                 for p in rodrigues_basis(ParamVector([0, 0, 1]), n - 1).polys()]
@@ -173,7 +191,8 @@ def _every_form():
             out.append(DerivativeProduct(gamma, order, {frozenset({d - 1}): Fraction(2, 3)}))
         for k in range(1, d + 2):
             tail = tuple(Fraction(j + 1, 3) for j in range(d + 1 - k))
-            out.append(SingularProduct(d, tail, k))
+            singular = ParamVector(list(tail) + [-1] * k)
+            out.append(SingularProduct(singular))
             # at k = 1 the gradient coefficients are fixed to 1
             lam_axis = [Fraction(i + 2, 3) for i in range(d - k + 1)] if k > 1 else None
             if lam_axis:
@@ -182,7 +201,7 @@ def _every_form():
             lam_face = ({frozenset({d - 1}): 0, frozenset({d - 2}): Fraction(7, 3)}
                         if k >= 3 else None)
             lam_vertex = [Fraction(j, 2) for j in range(d + 1)] if k == d + 1 else None
-            out.append(SingularProduct(d, tail, k, lam=Fraction(5, 2), lam_axis=lam_axis,
+            out.append(SingularProduct(singular, lam=Fraction(5, 2), lam_axis=lam_axis,
                                        lam_face=lam_face, lam_vertex=lam_vertex))
     out = [(form, partial(oracle_value, form)) for form in out]
     out += [_named(suites.named_k1, oracle_named_k1_value, H, Fraction(1, 3), Fraction(3)),
@@ -287,11 +306,11 @@ def test_d1_singular_forms_are_the_interval_forms_scaled():
     for beta, lams, polys in _interval_cases():
         if beta is None:
             c = Fraction(4)
-            form = SingularProduct(1, (), 2, lam_vertex=(c * lams[1], c * lams[0]))
+            form = SingularProduct(ParamVector([-1, -1]), lam_vertex=(c * lams[1], c * lams[0]))
             interval = partial(oracle_jacobi_both_value, *lams)
         else:
             c = 4 * (beta + 1) / (beta + 2)
-            form = SingularProduct(1, (beta,), 1, lam=c * lams[0])
+            form = SingularProduct(ParamVector([beta, -1]), lam=c * lams[0])
             interval = partial(oracle_jacobi_beta_value, beta, lams[0])
         pulled = [to_unit_interval(p) for p in polys]
         assert gram(form, labeled(pulled)).matrix == \
@@ -308,7 +327,7 @@ def test_gram_report_flags():
 
 
 def test_evaluator_checks_dimensions():
-    spec = SingularProduct(2, (H,), 2)
+    spec = SingularProduct(H11)
     with pytest.raises(ValueError):
         spec.value(X, Polynomial.variable(3, 0))
     with pytest.raises(ValueError):
@@ -328,7 +347,7 @@ def test_tampered_u_space_element_is_the_gram_witness(monkeypatch):
         return basis
 
     monkeypatch.setattr(spaces, "u_space", u_space_with_one_bad_element)
-    report = spaces.verify_u_space(2, (H,), 2, 3)
+    report = spaces.verify_u_space(SingularProduct(H11), 3)
     assert not report["ok"] and not report["orthogonal_to_lower_degree"]
     witnesses = [f for f in report["failures"] if f["check"] == "gram-vs-lower-degree"]
     assert witnesses == [{"check": "gram-vs-lower-degree", "element": tampered["key"],

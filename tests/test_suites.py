@@ -14,6 +14,7 @@ import pytest
 
 from sobolex import suites
 from sobolex.bases import Basis
+from sobolex.weighted import ParamVector
 
 # (d, n_max) per suite: every dimension the suite takes, at the smallest n_max
 # at which its checks evaluate something (partial-orthogonality[m=(1,1)]
@@ -67,8 +68,9 @@ def _not_ok(real):
 
 
 def _tail_plus_one(real):
-    """A SingularProduct with every leading exponent one higher."""
-    return lambda d, tail, k, **kwargs: real(d, tuple(t + 1 for t in tail), k, **kwargs)
+    """A SingularProduct with every exponent but the -1 entries one higher."""
+    return lambda gamma, **kwargs: real(
+        ParamVector([g if g == -1 else g + 1 for g in gamma.entries]), **kwargs)
 
 
 def _args_plus_one(real):

@@ -27,6 +27,32 @@ def test_param_vector_basics():
         ParamVector([1])
 
 
+@pytest.mark.parametrize("entries, split", [
+    # a trailing block of k = 0..d+1 entries -1, at d = 1 and d = 3
+    ([H, 2], ((H, 2), 0)),
+    ([H, -1], ((H,), 1)),
+    ([-1, -1], ((), 2)),
+    ([H, 0, 2, 1], ((H, 0, 2, 1), 0)),
+    ([H, 0, 2, -1], ((H, 0, 2), 1)),
+    ([H, 0, -1, -1], ((H, 0), 2)),
+    ([H, -1, -1, -1], ((H,), 3)),
+    ([-1, -1, -1, -1], ((), 4)),
+    # a -1 outside the trailing block
+    ([0, -1, 0], "trailing block"),
+    ([-1, 0, -1], "trailing block"),
+    # an entry below -1, inside or next to a trailing block
+    ([0, 0, Fraction(-3, 2)], "below -1"),
+    ([Fraction(-3, 2), -1, -1], "below -1"),
+])
+def test_singular_split(entries, split):
+    gamma = ParamVector(entries)
+    if isinstance(split, str):
+        with pytest.raises(ValueError, match=split):
+            gamma.singular_split()
+    else:
+        assert gamma.singular_split() == split
+
+
 def test_face_params_plain():
     g = ParamVector([1, 2, 3, 4])
     assert face_params(g, {1}) == ParamVector([1, 3, 4])
