@@ -120,6 +120,9 @@ COMMANDS = [
       for gamma in ("0,-1,0", "0,0,-3/2")),
     ["inner", "--d", "2", "--gamma", "0,0,0", "--spec", "sobolev", "--f", F2, "--g", G2],
     ["eigen", "--d", "2", "--n", "2", "--gamma", "-1,-1,-1", "--lambda-vertex", "0,0,0"],
+    # which suites `all` runs, and at which d, away from d = 2
+    *(["verify", "--suite", "all", "--d", d, "--n-max", "2"] for d in ("1", "3")),
+    ["report", "--d", "1", "--n-max", "2"],
 ]
 
 
