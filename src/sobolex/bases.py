@@ -56,9 +56,8 @@ from .weighted import ParamVector
 class Basis:
     """A labeled list of polynomials keyed by multi-index (or block tag)."""
 
-    def __init__(self, dim: int, params: ParamVector, label: str,
+    def __init__(self, params: ParamVector, label: str,
                  elements: list[tuple[tuple, Polynomial]] | None = None):
-        self.dim = dim
         self.params = params
         self.label = label
         self.elements = [] if elements is None else elements
@@ -72,7 +71,7 @@ class Basis:
     def to_json(self) -> dict:
         return {
             "family": self.label,
-            "d": self.dim,
+            "d": self.params.d,
             "gamma": self.params.to_json(),
             "elements": [{"key": _json_key(key), "poly": poly.to_json()}
                          for key, poly in self.elements],
@@ -150,14 +149,14 @@ def _leibniz_element(gamma: ParamVector, order: tuple[int, ...], c: int,
 def rodrigues_basis(gamma: ParamVector, n: int) -> Basis:
     elems = [(nu, rodrigues_element(gamma, nu))
              for nu in monomials_of_degree(gamma.d, n)]
-    return Basis(gamma.d, gamma, "rodrigue", elems)
+    return Basis(gamma, "rodrigue", elems)
 
 
 def permuted_basis(gamma: ParamVector, order: tuple[int, ...], n: int) -> Basis:
     elems = [(nu, permuted_element(gamma, order, nu))
              for nu in monomials_of_degree(gamma.d, n)]
     label = "permuted[" + ",".join(str(s) for s in order) + "]"
-    return Basis(gamma.d, gamma, label, elems)
+    return Basis(gamma, label, elems)
 
 
 # -- monic (monomial) basis -------------------------------------------------
@@ -188,7 +187,7 @@ def monomial_element(gamma: ParamVector, nu: Exponents) -> Polynomial:
 def monomial_basis(gamma: ParamVector, n: int) -> Basis:
     elems = [(nu, monomial_element(gamma, nu))
              for nu in monomials_of_degree(gamma.d, n)]
-    return Basis(gamma.d, gamma, "monomial", elems)
+    return Basis(gamma, "monomial", elems)
 
 
 def biorthogonal_constant(gamma: ParamVector, nu: Exponents) -> Fraction:

@@ -16,10 +16,9 @@ import sys
 from . import bases, polynomials, products, scalars, spaces, suites, weighted
 from .errors import NonPositiveForm, SobolexError
 
-# here, not in `suites`, so that building the parser does not load that module
+# the keys of `suites.SUITES` and "all", here so that the parser does not load it
 SUITE_NAMES = ("jacobi", "triangle", "rodrigue", "monomial", "lemmas4",
                "thm31", "thm34", "thm36", "all")
-FIXED_DIMENSION = {"jacobi": 1, "triangle": 2, "thm31": 2}  # the one d these suites run at
 
 USAGE_EXIT = 2
 MATH_EXIT = 3
@@ -165,14 +164,7 @@ def cmd_eigen(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    fixed = FIXED_DIMENSION.get(args.suite)
-    if args.d is None:
-        args.d = fixed or 2
-    elif fixed is not None and args.d != fixed:
-        raise ValueError(f"suite {args.suite!r} runs at d = {fixed} only, not --d {args.d}")
-    gammas = None
-    if args.gamma:
-        gammas = [_parse_gamma(text, args.d) for text in args.gamma]
+    gammas = [weighted.ParamVector.parse(text) for text in args.gamma] if args.gamma else None
     result = suites.run_suite(args.suite, d=args.d, n_max=args.n_max, gammas=gammas)
     _emit(result, args.pretty)
     return 0 if result["ok"] else 1

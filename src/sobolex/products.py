@@ -50,6 +50,11 @@ def mass_ratio(params: ParamVector) -> str:
     return f"Gamma({num})/({den})"
 
 
+def _by_subset(lams: Mapping[frozenset[int], Rational]) -> dict[str, str]:
+    """Subset-keyed coefficients as describe() writes them: "0+2" for {0, 2}."""
+    return {"+".join(map(str, sorted(s))): format_rational(v) for s, v in lams.items()}
+
+
 class Term(NamedTuple):
     """lam * <image(f), image(g) x^right> against the base weight `weight`,
     or, when weight is None, lam * image(f) * image(g) for a point value.
@@ -198,8 +203,7 @@ class DerivativeProduct(_TermForm):
 
     def describe(self) -> dict:
         return {"kind": self.kind, "gamma": self.gamma.to_json(), "order": self.order,
-                "lambda": {"+".join(str(i) for i in sorted(k)): format_rational(v)
-                           for k, v in sorted(self.lambdas.items(), key=lambda kv: sorted(kv[0]))},
+                "lambda": _by_subset(self.lambdas),
                 "normalization": self._normalization()}
 
 
@@ -307,9 +311,7 @@ class SingularProduct(_TermForm):
             out["lambda"] = format_rational(self.lam)
             out["lambda_axis"] = [format_rational(v) for v in self.lam_axis]
         if self.lam_face:
-            out["lambda_face"] = {
-                "+".join(str(i) for i in sorted(kk)): format_rational(v)
-                for kk, v in sorted(self.lam_face.items(), key=lambda kv: sorted(kv[0]))}
+            out["lambda_face"] = _by_subset(self.lam_face)
         return out
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .bases import Basis, eigencheck, permuted_element, rodrigues_element
+from .bases import Basis, eigencheck, eigenvalue, permuted_element, rodrigues_element
 from .linalg import poly_rank
 from .moments import vertex_eval
 from .polynomials import (Polynomial, constrained_indices, monomials_of_degree,
@@ -35,7 +35,7 @@ def h_space(gamma: ParamVector, zero_axes: Sequence[int], n: int) -> Basis:
         raise ValueError(f"bad zero set {sorted(zset)}")
     label = "h[" + ",".join(str(i) for i in sorted(zset)) + "]"
     pinned = gamma.with_values({i: 0 for i in zset})
-    basis = Basis(d, pinned, label)
+    basis = Basis(pinned, label)
     if n < 0 or len(zset) >= d:
         return basis
     if d not in zset:
@@ -44,7 +44,6 @@ def h_space(gamma: ParamVector, zero_axes: Sequence[int], n: int) -> Basis:
         return basis
     true_zeros = sorted(zset - {d})
     free = [i for i in range(d) if i not in true_zeros]
-    excluded = free[-1]
     order = tuple([d] + true_zeros + free[:-1])
     z = len(zset)
     for part in monomials_of_degree(d - z, n):
@@ -70,7 +69,7 @@ def u_space(gamma: ParamVector, n: int,
     if not k:
         raise ValueError("a singular weight needs a trailing block of -1 entries")
     lams = vertex_coefficients(d, k, vertex_lambdas)
-    basis = Basis(d, gamma, f"u[k={k}]")
+    basis = Basis(gamma, f"u[k={k}]")
     if n < 0:
         return basis
     if n == 0:
@@ -116,7 +115,6 @@ def verify_u_space(product: SingularProduct, n: int) -> dict:
     """
     dim, k, full = product.dim, product.k, product.gamma
     basis = u_space(full, n, vertex_lambdas=product.lam_vertex)
-    lam = -n * (n + full.total + dim)
     failures: list[dict] = []
 
     def fail(check: str, key=None, witness: Polynomial | None = None) -> None:
@@ -155,7 +153,7 @@ def verify_u_space(product: SingularProduct, n: int) -> dict:
         "d": dim, "k": k, "n": n,
         "gamma": full.to_json(),
         "spec": product.describe(),
-        "eigenvalue": str(lam),
+        "eigenvalue": str(eigenvalue(full, n)),
         "count": len(basis.elements),
         "rank": rank_value,
         "expected_dim": expected,

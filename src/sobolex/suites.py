@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, prod
-from typing import Iterable
+from math import prod
+from typing import Iterable, NamedTuple
 
 from .bases import (Basis, all_orders, biorthogonal_constant, eigencheck,
                     jacobi_negative_one_beta, jacobi_negative_one_one,
@@ -113,6 +113,7 @@ def _positive_diagonal(rep) -> Iterable[bool]:
 
 
 def suite_jacobi(n_max: int = 5) -> dict:
+    n_max = max(n_max, 5)  # the degree used, which `params.n_max` reports
     checks: list[dict] = []
     degrees = range(n_max + 1)
     pairs = [(Fraction(0), Fraction(0)), (HALF, HALF),
@@ -602,7 +603,7 @@ def suite_thm34(d: int = 2, n_max: int = 4) -> dict:
             restricted = [p.restrict(zset) for p in block.polys()]
             if restricted:
                 dprime = d - len(zset)
-                yield poly_rank(restricted) == comb(n + dprime - 1, n) == len(restricted)
+                yield poly_rank(restricted) == expected_dimension(dprime, n) == len(restricted)
                 yield _orthogonal(ClassicalProduct(face_params(block.params, zset)),
                                   restricted, _monomial_polys(dprime, n - 1))
 
@@ -657,45 +658,52 @@ def suite_thm36(d: int = 2, n_max: int = 4) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# aggregate
+# the suite table
 # ---------------------------------------------------------------------------
 
-GAMMA_SUITES = ("triangle", "rodrigue", "monomial", "lemmas4")
+class Suite(NamedTuple):
+    d: int | None       # the one d it runs at; None: any d >= 1
+    takes_gammas: bool  # whether it takes weights (`gammas`)
+    every_all: bool     # False: only an `all` at its own d runs it
 
 
-def run_suite(name: str, d: int = 2, n_max: int = 3,
+# Every suite, in the order `all` runs them.  Suite `name` calls what is bound
+# to `suite_<name>` in this module when it runs, so that a wrapper bound there
+# (the benchmark's tracer) sees the call.
+SUITES = {
+    "jacobi": Suite(1, False, True),
+    "triangle": Suite(2, True, False),
+    "thm31": Suite(2, False, False),
+    "rodrigue": Suite(None, True, True),
+    "monomial": Suite(None, True, True),
+    "lemmas4": Suite(None, True, True),
+    "thm34": Suite(None, False, True),
+    "thm36": Suite(None, False, True),
+}
+
+
+def run_suite(name: str, d: int | None = None, n_max: int = 3,
               gammas: list[ParamVector] | None = None) -> dict:
-    if gammas is not None and name not in GAMMA_SUITES:
-        raise ValueError(f"suite {name!r} does not take --gamma")
+    """Suite `name` (a key of SUITES, or "all") at d; d=None is the suite's own
+    d, else 2.  A d, weights or a weight length its row rules out is a ValueError."""
+    row = Suite(None, False, False) if name == "all" else SUITES.get(name)
+    if row is None:
+        raise ValueError(f"unknown suite {name!r}")
+    d = (row.d or 2) if d is None else d
+    if d < 1 or row.d not in (None, d):
+        raise ValueError(f"suite {name!r} does not run at d = {d}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, not {n_max}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, not {d}")
-    if name == "jacobi":
-        return suite_jacobi(n_max=max(n_max, 5))
-    if name == "triangle":
-        return suite_triangle(n_max=n_max, gammas=gammas)
-    if name == "rodrigue":
-        return suite_rodrigue(d=d, n_max=n_max, gammas=gammas)
-    if name == "monomial":
-        return suite_monomial(d=d, n_max=n_max, gammas=gammas)
-    if name == "lemmas4":
-        return suite_lemmas4(d=d, n_max=n_max, gammas=gammas)
-    if name == "thm31":
-        return suite_thm31(n_max=n_max)
-    if name == "thm34":
-        return suite_thm34(d=d, n_max=n_max)
-    if name == "thm36":
-        return suite_thm36(d=d, n_max=n_max)
+    if gammas is not None and not row.takes_gammas:
+        raise ValueError(f"suite {name!r} takes no weights")
+    if any(gamma.d != d for gamma in gammas or ()):
+        raise ValueError(f"a weight at d = {d} has {d + 1} entries")
     if name == "all":
-        return run_all(d=d, n_max=n_max)
-    raise ValueError(f"unknown suite {name!r}")
-
-
-def run_all(d: int = 2, n_max: int = 3) -> dict:
-    names = ["jacobi", "rodrigue", "monomial", "lemmas4", "thm34", "thm36"]
-    if d == 2:
-        names[1:1] = ["triangle", "thm31"]
-    results = [run_suite(nm, d=d, n_max=n_max) for nm in names]
-    return {"suite": "all", "params": {"d": d, "n_max": n_max},
-            "ok": all(r["ok"] for r in results), "suites": results}
+        results = [run_suite(other, suite.d or d, n_max) for other, suite in SUITES.items()
+                   if suite.every_all or suite.d == d]
+        return {"suite": "all", "params": {"d": d, "n_max": n_max},
+                "ok": all(r["ok"] for r in results), "suites": results}
+    kwargs: dict = {"gammas": gammas} if row.takes_gammas else {}
+    if row.d is None:
+        kwargs["d"] = d
+    return globals()[f"suite_{name}"](n_max=n_max, **kwargs)

@@ -61,8 +61,8 @@ class ParamVector:
             k += 1
         tail = self.entries[:len(self.entries) - k]
         if -1 in tail:
-            raise ValueError("-1 entries must form a trailing block; permute "
-                             "coordinates via --family permuted instead")
+            raise ValueError("-1 entries must form a trailing block; permute the "
+                             "coordinates so that they do")
         if any(t < -1 for t in tail):
             raise ValueError("exponents below -1 are not supported")
         return tail, k

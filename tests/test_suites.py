@@ -6,8 +6,12 @@ digests cannot tell it from a working one.  Here each suite runs once as it
 is (every check must pass) and once per tamper paired with it, where a
 tamper replaces one function bound in `sobolex.suites` by a wrong one.
 Every check must fail under at least one of its suite's tampers.
+
+The last tests check that `run_suite` reads the suite table and refuses
+what it rules out.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -47,7 +51,7 @@ def _plus_one(real):
     def tampered(*args, **kwargs):
         out = real(*args, **kwargs)
         if isinstance(out, Basis):
-            return Basis(out.dim, out.params, out.label,
+            return Basis(out.params, out.label,
                          [(key, p + 1) for key, p in out.elements])
         return out + 1
     return tampered
@@ -122,3 +126,51 @@ def test_every_check_fails_under_some_tamper(suite, monkeypatch):
                     caught |= _failed(suite, d, n_max)
         uncaught = {c["name"] for c in result["checks"]} - caught
         assert uncaught == EMPTY.get((suite, d), set()), f"{suite} d={d}"
+
+
+# inputs the library refuses before running anything; each message names the
+# rule, not a CLI flag
+REFUSED = {
+    "triangle-at-d3": ("triangle", {"d": 3}, "does not run at d = 3"),
+    "thm31-at-d3": ("thm31", {"d": 3}, "does not run at d = 3"),
+    "jacobi-at-d2": ("jacobi", {"d": 2}, "does not run at d = 2"),
+    "rodrigue-long-weight": ("rodrigue", {"d": 2, "gammas": [ParamVector([0, 0, 0, 0])]},
+                             "d = 2 has 3 entries"),
+    "triangle-long-weight": ("triangle", {"gammas": [ParamVector([0, 0, 0, 0])]},
+                             "d = 2 has 3 entries"),
+    "lemmas4-short-weight": ("lemmas4", {"d": 3, "gammas": [ParamVector([0, 0, 0])]},
+                             "d = 3 has 4 entries"),
+    "thm34-weights": ("thm34", {"gammas": [ParamVector([0, 0, 0])]}, "takes no weights"),
+    "all-weights": ("all", {"gammas": [ParamVector([0, 0, 0])]}, "takes no weights"),
+    "unknown": ("thm99", {}, "unknown suite"),
+    "d-zero": ("all", {"d": 0}, "does not run at d = 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_run_suite_refuses_what_the_table_rules_out(case, monkeypatch):
+    name, kwargs, message = REFUSED[case]
+    for suite in suites.SUITES:  # a refusal must come before any suite runs
+        monkeypatch.setattr(suites, f"suite_{suite}", None)
+    with pytest.raises(ValueError, match=message):
+        suites.run_suite(name, **kwargs)
+
+
+def test_the_cli_offers_the_suites_of_the_table():
+    from sobolex import cli
+    assert set(cli.SUITE_NAMES) == {*suites.SUITES, "all"}
+
+
+@pytest.mark.parametrize("name", [*suites.SUITES, "all"])
+def test_run_suite_without_d_is_verify_without_d(name, capsys):
+    from sobolex import cli
+    assert cli.main(["verify", "--suite", name, "--n-max", "1"]) == 0
+    result = suites.run_suite(name, n_max=1)
+    assert capsys.readouterr().out \
+        == json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_run_suite_calls_what_is_bound_to_the_suite_name(monkeypatch):
+    # so a wrapper bound to suite_<name>, as the benchmark's tracer binds one, sees the call
+    monkeypatch.setattr(suites, "suite_thm36", lambda d, n_max: {"d": d, "n_max": n_max})
+    assert suites.run_suite("thm36", n_max=0) == {"d": 2, "n_max": 0}
