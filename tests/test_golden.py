@@ -123,6 +123,14 @@ COMMANDS = [
     # which suites `all` runs, and at which d, away from d = 2
     *(["verify", "--suite", "all", "--d", d, "--n-max", "2"] for d in ("1", "3")),
     ["report", "--d", "1", "--n-max", "2"],
+    # U_1 at the all -1 weight, the one place the vertex coefficients change
+    # the space, and two more refused weights: no -1 entry, and one below -1
+    *([command, *family, "--d", d, "--n", "1", "--gamma", gamma, "--lambda-vertex", lams]
+      for command, family in (("basis", ["--family", "u"]), ("eigen", []))
+      for d, gamma, lams in (("1", "-1,-1", "2,3"), ("2", "-1,-1,-1", "1,2,3"),
+                             ("3", "-1,-1,-1,-1", "1,2,3,5"))),
+    ["basis", "--family", "u", "--d", "2", "--n", "1", "--gamma", "0,0,0"],
+    ["eigen", "--d", "2", "--n", "1", "--gamma", "0,-1,-2"],
 ]
 
 
