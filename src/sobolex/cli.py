@@ -61,13 +61,12 @@ def _vertex_lambdas(args: argparse.Namespace, k: int) -> list | None:
     return [scalars.parse_rational(p) for p in args.lambda_vertex.split(",")]
 
 
-def _sobolev_form(gamma: weighted.ParamVector, args: argparse.Namespace,
-                  user: str) -> products.SingularProduct:
+def _sobolev_form(gamma: weighted.ParamVector,
+                  args: argparse.Namespace) -> products.SingularProduct:
     """The Sobolev form of `gamma` and --lambda-vertex, refused unless it is
-    positive (`SingularProduct.is_valid`); `user` names the caller in errors."""
+    positive (`SingularProduct.is_valid`).  A weight that is not singular is
+    refused by its split, before `products` loads."""
     k = gamma.singular_split()[1]
-    if not k:
-        raise ValueError(f"{user} needs a trailing block of -1 entries in --gamma")
     form = products.SingularProduct(gamma, lam_vertex=_vertex_lambdas(args, k))
     if not form.is_valid:
         raise NonPositiveForm("the Sobolev form is not positive: --lambda-vertex "
@@ -104,8 +103,9 @@ def _build_basis(family: str, args: argparse.Namespace) -> bases.Basis:
             raise ValueError("--family h needs --zero-set")
         return spaces.h_space(gamma, _parse_indices(args.zero_set, args.d), args.n)
     if family == "u":
-        form = _sobolev_form(gamma, args, "--family u")
-        return spaces.u_space(gamma, args.n, vertex_lambdas=form.lam_vertex)
+        # in its own statement, so that a refused weight does not load `spaces`
+        form = _sobolev_form(gamma, args)
+        return spaces.u_space(form, args.n)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -116,7 +116,7 @@ def _build_product(args: argparse.Namespace):
     if args.spec == "epd":
         return products.DerivativeProduct(gamma, 1 if args.epd_order is None else args.epd_order)
     if args.spec == "sobolev":
-        return _sobolev_form(gamma, args, "--spec sobolev")
+        return _sobolev_form(gamma, args)
     raise ValueError(f"unknown spec {args.spec!r}")
 
 
@@ -157,7 +157,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
 
 
 def cmd_eigen(args: argparse.Namespace) -> int:
-    form = _sobolev_form(_parse_gamma(args.gamma, args.d), args, "eigen")
+    form = _sobolev_form(_parse_gamma(args.gamma, args.d), args)
     report = spaces.verify_u_space(form, args.n)
     _emit(report, args.pretty)
     return 0 if report["ok"] else 1

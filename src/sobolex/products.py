@@ -71,14 +71,6 @@ class Term(NamedTuple):
     tag: str | None = None
 
 
-def vertex_coefficients(dim: int, k: int, lams: Sequence[Rational] | None) -> tuple[Fraction, ...]:
-    """The checked d+1 vertex coefficients lam_{j,0}, all ones by default and below k = d+1."""
-    lams = tuple(as_fraction(v) for v in ((1,) * (dim + 1) if lams is None else lams))
-    if len(lams) != dim + 1 or (k <= dim and any(v != 1 for v in lams)):
-        raise ValueError("need d+1 vertex coefficients, all ones unless k = d+1")
-    return lams
-
-
 def _derivative(axes: Iterable[int], zeroed: Iterable[int] = ()) -> Callable:
     """f -> the partial derivative of f along `axes`, restricted to the face
     where the coordinates `zeroed` vanish (index d: 1-|x| = 0)."""
@@ -210,9 +202,9 @@ class DerivativeProduct(_TermForm):
 class SingularProduct(_TermForm):
     """The Sobolev pairing attached to a weight whose trailing k exponents are -1.
 
-    Parameters: the weight gamma, split by `ParamVector.singular_split` into
-    its leading exponents `tail` (all > -1) and k >= 1, and the coefficient
-    families
+    Parameters: the weight gamma, split by `ParamVector.singular_split` (which
+    refuses any other weight) into its leading exponents `tail` (all > -1)
+    and k >= 1, and the coefficient families
       lam       -- the boundary/vertex coefficient of the final term (k <= d),
       lam_axis  -- per-coordinate coefficients of the gradient face term
                    (1 < k <= d; at k = 1 the gradient term has coefficient 1,
@@ -223,7 +215,8 @@ class SingularProduct(_TermForm):
                    ValueError),
       lam_vertex -- vertex coefficients lam_{j,0}, j = 0..d (k = d+1 only;
                    at k <= d a lam_vertex other than all ones is a ValueError).
-    All default to 1.
+    All default to 1.  The form is the one holder of the split and of the
+    checked coefficients: `spaces.u_space(form, n)` reads them off it.
     """
 
     kind = "singular"
@@ -233,8 +226,6 @@ class SingularProduct(_TermForm):
                  lam_face: Mapping[frozenset[int], Rational] | None = None,
                  lam_vertex: Sequence[Rational] | None = None):
         self.tail, k = gamma.singular_split()
-        if not k:
-            raise ValueError("a singular weight needs a trailing block of -1 entries")
         self.gamma, self.k = gamma, k
         dim = self.dim = gamma.d
         self.lam = as_fraction(lam)
@@ -251,7 +242,10 @@ class SingularProduct(_TermForm):
         if not self.lam_face.keys() <= faces:
             raise ValueError("lam_face keys must be proper nonempty subsets of the "
                              "differentiated axes, which exist only for k >= 3")
-        self.lam_vertex = vertex_coefficients(dim, k, lam_vertex)
+        self.lam_vertex = tuple(as_fraction(v) for v in
+                                ((1,) * (dim + 1) if lam_vertex is None else lam_vertex))
+        if len(self.lam_vertex) != dim + 1 or (k <= dim and any(v != 1 for v in self.lam_vertex)):
+            raise ValueError("need d+1 vertex coefficients, all ones unless k = d+1")
 
     @property
     def is_valid(self) -> bool:

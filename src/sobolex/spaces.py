@@ -10,16 +10,17 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .bases import Basis, eigencheck, eigenvalue, permuted_element, rodrigues_element
 from .linalg import poly_rank
 from .moments import vertex_eval
 from .polynomials import (Polynomial, constrained_indices, monomials_of_degree,
                           monomials_up_to)
-from .products import SingularProduct, vertex_coefficients
-from .scalars import Rational
 from .weighted import ParamVector
+
+if TYPE_CHECKING:
+    from .products import SingularProduct
 
 
 def h_space(gamma: ParamVector, zero_axes: Sequence[int], n: int) -> Basis:
@@ -52,35 +53,30 @@ def h_space(gamma: ParamVector, zero_axes: Sequence[int], n: int) -> Basis:
     return basis
 
 
-def u_space(gamma: ParamVector, n: int,
-            vertex_lambdas: Sequence[Rational] | None = None) -> Basis:
-    """The degree-n polynomial eigenspace for the weight gamma = (tail, -1,
-    ..., -1), split by `ParamVector.singular_split`.
+def u_space(form: SingularProduct, n: int) -> Basis:
+    """The degree-n polynomial eigenspace of the weight of the Sobolev form
+    `form`, gamma = (tail, -1, ..., -1), read off the form as split there.
 
     One block per 0/1 arrangement on the trailing k slots, with j ones for
     j = k .. 0: the h_space of the weight (tail, arrangement) with the 0
     slots zeroed, in degree n - j, times the y_s of the 1 slots.  The j = k
     block is the core block and the j = 0 block the top face block.  For
     k = d+1 and n = 1 the span is {x_j + c_j} with c_j = -lam_j / sum(lam),
-    tied to the companion product's vertex coefficients (all ones at k <= d).
+    tied to the form's vertex coefficients lam.
     """
-    d = gamma.d
-    tail, k = gamma.singular_split()
-    if not k:
-        raise ValueError("a singular weight needs a trailing block of -1 entries")
-    lams = vertex_coefficients(d, k, vertex_lambdas)
-    basis = Basis(gamma, f"u[k={k}]")
+    d, tail, k = form.dim, form.tail, form.k
+    basis = Basis(form.gamma, f"u[k={k}]")
     if n < 0:
         return basis
     if n == 0:
         basis.elements.append((("one",), Polynomial.constant(d, 1)))
         return basis
     if k == d + 1 and n == 1:
-        total = sum(lams, Fraction(0))
+        total = sum(form.lam_vertex, Fraction(0))
         if total == 0:
             raise ValueError("vertex coefficients must not sum to zero")
         for j in range(1, d + 1):
-            shift = -lams[j] / total
+            shift = -form.lam_vertex[j] / total
             basis.elements.append((("linear", j),
                                    Polynomial.variable(d, j - 1) + shift))
         return basis
@@ -114,7 +110,7 @@ def verify_u_space(product: SingularProduct, n: int) -> dict:
     all-singular case with n >= 2, every element vanishes at every vertex.
     """
     dim, k, full = product.dim, product.k, product.gamma
-    basis = u_space(full, n, vertex_lambdas=product.lam_vertex)
+    basis = u_space(product, n)
     failures: list[dict] = []
 
     def fail(check: str, key=None, witness: Polynomial | None = None) -> None:

@@ -452,8 +452,11 @@ def suite_thm31(n_max: int = 4) -> dict:
     samples = [(Fraction(0), Fraction(0)), (HALF, Fraction(1))]
     lower = _lower(2, n_max)
 
-    k1 = {(a, b): [u_space(ParamVector([a, b, -1]), n).polys() for n in range(n_max + 1)]
-          for a, b in samples}
+    def u(entries, n: int, **lams) -> list[Polynomial]:
+        """U_n of the singular weight `entries`, read off its Sobolev form."""
+        return u_space(SingularProduct(ParamVector(entries), **lams), n).polys()
+
+    k1 = {(a, b): [u([a, b, -1], n) for n in range(n_max + 1)] for a, b in samples}
     for a, b in samples:
         tag = f"a={format_rational(a)},b={format_rational(b)}"
         _add(checks, f"decomposition-k1[{tag}]",
@@ -465,7 +468,7 @@ def suite_thm31(n_max: int = 4) -> dict:
     for a in (Fraction(0), HALF):
         tag = f"a={format_rational(a)}"
         # (n, the space, its element w R_(n-1,0)), read by both checks below
-        k2 = [(n, u_space(ParamVector([a, -1, -1]), n).polys(),
+        k2 = [(n, u([a, -1, -1], n),
                w * rodrigues_element(ParamVector([a, 0, 1]), (n - 1, 0)))
               for n in range(1, n_max + 1)]
         _add(checks, f"decomposition-k2[{tag}]",
@@ -475,11 +478,10 @@ def suite_thm31(n_max: int = 4) -> dict:
                              edge])
               for n, space, edge in k2))
         _add(checks, f"recursion-k2[{tag}]",
-             (spans_equal(space, _scaled(y, u_space(ParamVector([a, 1, -1]), n - 1).polys())
-                          + [edge])
+             (spans_equal(space, _scaled(y, u([a, 1, -1], n - 1)) + [edge])
               for n, space, edge in k2))
 
-    k3 = [(n, u_space(ParamVector([-1, -1, -1]), n).polys(),
+    k3 = [(n, u([-1, -1, -1], n),
            y * w * rodrigues_element(ParamVector([0, 1, 1]), (0, n - 2)))
           for n in range(2, n_max + 1)]
     _add(checks, "decomposition-k3",
@@ -490,15 +492,14 @@ def suite_thm31(n_max: int = 4) -> dict:
                          edge])
           for n, space, edge in k3))
     _add(checks, "recursion-k3",
-         (spans_equal(space, _scaled(x, u_space(ParamVector([1, -1, -1]), n - 1).polys())
-                      + [edge])
+         (spans_equal(space, _scaled(x, u([1, -1, -1], n - 1)) + [edge])
           for n, space, edge in k3))
 
     lam_choices = [(Fraction(1), Fraction(1), Fraction(1)),
                    (Fraction(2), Fraction(1), Fraction(3)),
                    (HALF, Fraction(1, 3), Fraction(5))]
     _add(checks, "degree-one-redefinition",
-         (u_space(ParamVector([-1, -1, -1]), 1, vertex_lambdas=(l00, l10, l01)).polys()
+         (u([-1, -1, -1], 1, lam_vertex=(l00, l10, l01))
           == [x - l10 / (l00 + l10 + l01), y - l01 / (l00 + l10 + l01)]
           for l00, l10, l01 in lam_choices))
 
@@ -576,20 +577,20 @@ def _singular_weights(d: int) -> Iterable[tuple[str, ParamVector]]:
                    ParamVector(list(tail) + [-1] * k))
 
 
-def _solution_space(gamma: ParamVector, n_max: int) -> Iterable[bool]:
-    """Each U_n has the expected dimension and full rank, and solves the
-    eigenfunction equation at the singular weight."""
+def _solution_space(form: SingularProduct, n_max: int) -> Iterable[bool]:
+    """Each U_n of the form's weight has the expected dimension and full rank,
+    and solves the eigenfunction equation at that weight."""
     for n in range(n_max + 1):
-        basis = u_space(gamma, n)
-        yield len(basis) == expected_dimension(gamma.d, n)
+        basis = u_space(form, n)
+        yield len(basis) == expected_dimension(form.dim, n)
         yield poly_rank(basis.polys()) == len(basis)
-        yield from (eigencheck(gamma, p, n) for p in basis.polys())
+        yield from (eigencheck(form.gamma, p, n) for p in basis.polys())
 
 
 def suite_thm34(d: int = 2, n_max: int = 4) -> dict:
     checks: list[dict] = []
     for tag, gamma in _singular_weights(d):
-        _add(checks, f"solution-space[{tag}]", _solution_space(gamma, n_max))
+        _add(checks, f"solution-space[{tag}]", _solution_space(SingularProduct(gamma), n_max))
 
     gamma0 = default_gammas(d)[1]
     zero_sets: list[tuple[int, ...]] = [(d,), (0,)] if d >= 2 else []

@@ -54,8 +54,10 @@ class ParamVector:
 
     def singular_split(self) -> tuple[tuple[Fraction, ...], int]:
         """(tail, k): the entries before the trailing block of -1 entries, and
-        the size k of that block; a -1 elsewhere, or an entry below -1, is a
-        ValueError."""
+        the size k >= 1 of that block; an entry below -1, a -1 elsewhere, or
+        no -1 at all is a ValueError."""
+        if any(g < -1 for g in self.entries):
+            raise ValueError("exponents below -1 are not supported")
         k = 0
         while k < len(self.entries) and self.entries[-1 - k] == -1:
             k += 1
@@ -63,8 +65,8 @@ class ParamVector:
         if -1 in tail:
             raise ValueError("-1 entries must form a trailing block; permute the "
                              "coordinates so that they do")
-        if any(t < -1 for t in tail):
-            raise ValueError("exponents below -1 are not supported")
+        if not k:
+            raise ValueError("a singular weight needs a trailing block of -1 entries")
         return tail, k
 
     def shifted(self, deltas: Sequence[Rational]) -> "ParamVector":

@@ -4,6 +4,9 @@ import pytest
 
 from sobolex.cli import main
 from sobolex.polynomials import Polynomial
+from sobolex.products import SingularProduct
+from sobolex.spaces import u_space
+from sobolex.weighted import ParamVector
 
 
 def run_cli(capsys, argv):
@@ -334,6 +337,36 @@ def test_bad_argument_is_a_usage_error(capsys, case):
         assert "--d must be >= 1" in err
     if case.endswith("-repeated"):
         assert "index 1 repeated" in err
+
+
+NOT_SINGULAR = "a singular weight needs a trailing block of -1 entries"
+
+# every command that builds a Sobolev form, at a weight with no -1 entry
+NO_MINUS_ONE = {
+    "basis-u": ["basis", "--d", "2", "--n", "1", "--gamma", "0,0,0", "--family", "u"],
+    "eigen": ["eigen", "--d", "2", "--n", "1", "--gamma", "0,0,0"],
+    "inner": ["inner", "--d", "2", "--gamma", "0,0,0", "--spec", "sobolev",
+              "--f", _X, "--g", _X],
+    "gram": ["gram", "--d", "2", "--n", "1", "--gamma", "0,0,0", "--spec", "sobolev"],
+}
+
+
+def test_the_library_refuses_a_weight_with_no_minus_one_in_its_split():
+    # u_space takes only a form, so a form is the only way to reach it
+    gamma = ParamVector([0, 0, 0])
+    for reach in (gamma.singular_split, lambda: SingularProduct(gamma),
+                  lambda: u_space(SingularProduct(gamma), 1)):
+        with pytest.raises(ValueError, match=NOT_SINGULAR):
+            reach()
+
+
+@pytest.mark.parametrize("case", sorted(NO_MINUS_ONE))
+def test_every_command_refuses_a_weight_with_no_minus_one_alike(capsys, case):
+    code = main(NO_MINUS_ONE[case])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: {NOT_SINGULAR}\n"
 
 
 @pytest.mark.parametrize("suite, d", [("jacobi", "1"), ("triangle", "2"), ("thm31", "2")])

@@ -129,7 +129,7 @@ def test_singular_product_symmetry_bilinearity():
 
 def test_gram_all_zero_for_eigenspace():
     spec = SingularProduct(H11)
-    basis = u_space(H11, 3)
+    basis = u_space(spec, 3)
     rep = gram(spec, [(str(k), p) for k, p in basis.elements],
                labeled(monoms(2, 2), "m"))
     assert rep.all_zero

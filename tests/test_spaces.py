@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from sobolex.bases import eigencheck
+from sobolex.cli import main
 from sobolex.linalg import poly_rank, spans_equal
 from sobolex.moments import inner_product, vertex_eval
 from sobolex.polynomials import Polynomial, monomials_up_to
@@ -18,6 +20,11 @@ H = Fraction(1, 2)
 def _singular(tail, k):
     """The weight (tail, -1, ..., -1) with k trailing -1 entries."""
     return ParamVector(list(tail) + [-1] * k)
+
+
+def _form(tail, k, **lams):
+    """The Sobolev form of that weight; u_space reads the weight off it."""
+    return SingularProduct(_singular(tail, k), **lams)
 
 
 def test_h_space_dimension_formula():
@@ -61,45 +68,46 @@ def test_h_space_restriction_is_orthogonal_on_face():
 
 
 def test_u_space_block_structure():
-    basis = u_space(_singular((), 3), 3)
+    basis = u_space(_form((), 3), 3)
     tags = [key[0] for key, _ in basis.elements]
     assert tags == ["core", "block", "block", "block"]
     assert len(basis) == comb(3 + 1, 3) == 4
 
 
-def test_u_space_degree_one_vertex_constants():
-    got = u_space(_singular((), 3), 1, vertex_lambdas=(1, 1, 1)).polys()
-    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    assert got == [x - Fraction(1, 3), y - Fraction(1, 3)]
+@pytest.mark.parametrize("lams", [(2, 3), (1, 2, 3), (1, 2, 3, 5)])
+def test_u_space_degree_one_is_shifted_by_the_form_vertex_coefficients(lams, capsys):
+    # at k = d+1 the form's lam redefines U_1 as {x_j - lam_j / sum(lam)}, and
+    # `basis --family u --lambda-vertex` prints the same space
+    d = len(lams) - 1
+    basis = u_space(_form((), d + 1, lam_vertex=lams), 1)
+    assert basis.polys() == [Polynomial.variable(d, j - 1) - Fraction(lams[j], sum(lams))
+                             for j in range(1, d + 1)]
+    assert main(["basis", "--family", "u", "--d", str(d), "--n", "1",
+                 "--gamma", ",".join(["-1"] * (d + 1)),
+                 "--lambda-vertex", ",".join(map(str, lams))]) == 0
+    assert json.loads(capsys.readouterr().out) == basis.to_json()
 
 
 def test_u_space_input_validation():
-    # a weight without a trailing -1, and one with a -1 outside that block
-    with pytest.raises(ValueError, match="trailing block"):
-        u_space(ParamVector([0, 0, 0]), 1)
-    with pytest.raises(ValueError, match="trailing block"):
-        u_space(ParamVector([-1, 0, -1]), 1)
     # (1, -1, 0) does not vanish, but its sum does
     with pytest.raises(ValueError, match="sum to zero"):
-        u_space(_singular((), 3), 1, vertex_lambdas=(1, -1, 0))
-    # below k = d+1 there are no vertex terms to take coefficients
-    with pytest.raises(ValueError, match="vertex coefficients"):
-        u_space(_singular((0,), 2), 1, vertex_lambdas=(5, 7, 9))
-    # the length is checked at every degree, not only at n = 1, and an
-    # empty list is not the default
-    for lams in ((1, 2), ()):
+        u_space(_form((), 3, lam_vertex=(1, -1, 0)), 1)
+    # the form checks its vertex coefficients when it is built, whatever the
+    # degree: only ones below k = d+1, always d+1 of them, and an empty list
+    # is not the default
+    for tail, k, lams in (((0,), 2, (5, 7, 9)), ((), 3, (1, 2)), ((), 3, ())):
         with pytest.raises(ValueError, match="vertex coefficients"):
-            u_space(_singular((), 3), 2, vertex_lambdas=lams)
+            _form(tail, k, lam_vertex=lams)
 
 
 def test_verify_u_space_examples():
     for tail in ((Fraction(0), Fraction(0)), (H, Fraction(1))):
         for n in range(5):
-            assert verify_u_space(SingularProduct(_singular(tail, 1)), n)["ok"]
+            assert verify_u_space(_form(tail, 1), n)["ok"]
     for n in range(4):
-        assert verify_u_space(SingularProduct(_singular((0, 0), 2)), n)["ok"]
+        assert verify_u_space(_form((0, 0), 2), n)["ok"]
     for n in range(5):
-        rep = verify_u_space(SingularProduct(_singular((), 3)), n)
+        rep = verify_u_space(_form((), 3), n)
         assert rep["ok"]
         if n >= 2:
             assert rep["vertices_vanish"] is True
@@ -107,7 +115,7 @@ def test_verify_u_space_examples():
 
 def test_u_space_vertices_vanish_for_all_singular():
     for n in range(2, 5):
-        for p in u_space(_singular((), 3), n).polys():
+        for p in u_space(_form((), 3), n).polys():
             assert all(vertex_eval(p, j) == 0 for j in range(3))
 
 
@@ -116,7 +124,7 @@ def test_u_space_expected_dimension():
     assert expected_dimension(3, 4) == 15
     for d, k, n in ((2, 1, 4), (2, 2, 4), (3, 3, 3), (3, 4, 3)):
         tail = tuple(H for _ in range(d + 1 - k))
-        basis = u_space(_singular(tail, k), n)
+        basis = u_space(_form(tail, k), n)
         assert len(basis) == expected_dimension(d, n)
         assert poly_rank(basis.polys()) == len(basis)
 
@@ -126,7 +134,7 @@ def test_u_space_one_dimension():
     for k in (1, 2):
         tail = (H,) if k == 1 else ()
         for n in range(4):
-            rep = verify_u_space(SingularProduct(_singular(tail, k)), n)
+            rep = verify_u_space(_form(tail, k), n)
             assert rep["ok"]
 
 
@@ -147,10 +155,10 @@ def test_detectors_flag_tampered_eigenspace():
     # the eigenvalue and the orthogonality detectors
     from sobolex.products import gram, labeled
     full = ParamVector([H, -1, -1])
-    tampered = u_space(full, 3).polys()
+    spec = SingularProduct(full)
+    tampered = u_space(spec, 3).polys()
     tampered[0] = Polynomial.monomial(2, (3, 0))
     assert not all(eigencheck(full, p, 3) for p in tampered)
-    spec = SingularProduct(full)
     lower = [Polynomial.monomial(2, e) for e in monomials_up_to(2, 2)]
     rep = gram(spec, labeled(tampered), labeled(lower, "m"))
     assert not rep.all_zero
@@ -161,9 +169,9 @@ def test_scaling_beyond_default_ranges():
     for k in range(1, 6):
         tail = tuple(H for _ in range(5 - k))
         for n in range(3):
-            assert verify_u_space(SingularProduct(_singular(tail, k)), n)["ok"]
+            assert verify_u_space(_form(tail, k), n)["ok"]
     for n in (5, 6):
-        assert verify_u_space(SingularProduct(_singular((H,), 2)), n)["ok"]
+        assert verify_u_space(_form((H,), 2), n)["ok"]
 
 
 def test_eigenvalue_shift_with_k():
@@ -171,5 +179,5 @@ def test_eigenvalue_shift_with_k():
     d, n = 2, 3
     for k, tail in ((1, (H, H)), (2, (H,)), (3, ())):
         full = _singular(tail, k)
-        for p in u_space(full, n).polys():
+        for p in u_space(SingularProduct(full), n).polys():
             assert eigencheck(full, p, n)

@@ -28,21 +28,24 @@ def test_param_vector_basics():
 
 
 @pytest.mark.parametrize("entries, split", [
-    # a trailing block of k = 0..d+1 entries -1, at d = 1 and d = 3
-    ([H, 2], ((H, 2), 0)),
+    # a trailing block of k = 1..d+1 entries -1, at d = 1 and d = 3
     ([H, -1], ((H,), 1)),
     ([-1, -1], ((), 2)),
-    ([H, 0, 2, 1], ((H, 0, 2, 1), 0)),
     ([H, 0, 2, -1], ((H, 0, 2), 1)),
     ([H, 0, -1, -1], ((H, 0), 2)),
     ([H, -1, -1, -1], ((H,), 3)),
     ([-1, -1, -1, -1], ((), 4)),
+    # no -1 at all: k = 0 is not a singular weight
+    ([H, 2], "needs a trailing block of -1 entries"),
+    ([H, 0, 2, 1], "needs a trailing block of -1 entries"),
     # a -1 outside the trailing block
-    ([0, -1, 0], "trailing block"),
-    ([-1, 0, -1], "trailing block"),
-    # an entry below -1, inside or next to a trailing block
+    ([0, -1, 0], "must form a trailing block"),
+    ([-1, 0, -1], "must form a trailing block"),
+    # an entry below -1, inside or next to a trailing block, or after a -1
+    # that is not trailing: the entry below -1 is the fault named
     ([0, 0, Fraction(-3, 2)], "below -1"),
     ([Fraction(-3, 2), -1, -1], "below -1"),
+    ([0, -1, -2], "below -1"),
 ])
 def test_singular_split(entries, split):
     gamma = ParamVector(entries)
