@@ -19,7 +19,7 @@ _PUBLIC = {
     "polynomials": ("Polynomial", "monomials_of_degree", "monomials_up_to"),
     "products": ("ClassicalProduct", "DerivativeProduct", "GramReport", "SingularProduct",
                  "gram"),
-    "scalars": ("binomial", "factorial", "pochhammer"),
+    "scalars": ("factorial", "pochhammer"),
     "spaces": ("expected_dimension", "h_space", "u_space", "verify_u_space"),
     "weighted": ("ParamVector", "face_params"),
 }

@@ -144,7 +144,9 @@ def cmd_gram(args: argparse.Namespace) -> int:
         rows = products.labeled([polynomials.Polynomial.monomial(args.d, e)
                                  for e in polynomials.monomials_up_to(args.d, args.n)], "m")
     else:
-        basis = _build_basis(args.basis, args)
+        # U_n of the sobolev spec belongs to the form just built: not a second one
+        basis = (spaces.u_space(product, args.n) if (args.basis, args.spec) == ("u", "sobolev")
+                 else _build_basis(args.basis, args))
         rows = [(str(key), p) for key, p in basis.elements]
     if args.against == "self":
         report = products.gram(product, rows)

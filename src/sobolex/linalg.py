@@ -1,9 +1,9 @@
-"""Exact linear algebra over the rationals: rank, span tests, minors.
+"""Exact linear algebra over the rationals: rank, span tests, definiteness.
 
 Rank, determinants and membership solves share one fraction-free (Bareiss)
 elimination of integer matrices, after clearing denominators row by row;
-leading principal minors take their own pass without pivoting.  No tolerance
-parameter exists anywhere.
+leading principal minors take their own pass without pivoting, and
+`positive_definite` reads them.  No tolerance parameter exists anywhere.
 """
 
 from __future__ import annotations
@@ -100,6 +100,12 @@ def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> list[Fract
                 rows[i][j] = (pivot * rows[i][j] - rows[i][k] * rows[k][j]) // prev
         prev = pivot
     return minors
+
+
+def positive_definite(matrix: Sequence[Sequence[Fraction]]) -> bool:
+    """Sylvester's criterion: a symmetric matrix is positive definite exactly
+    when every leading principal minor is positive."""
+    return all(m > 0 for m in leading_principal_minors(matrix))
 
 
 def solve_combination(target: Sequence[Fraction],

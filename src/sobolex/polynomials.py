@@ -6,9 +6,9 @@ with gcd(den, *numerators) == 1.  That form is unique (den is the least
 common denominator of the coefficients), so equality and hashing compare it
 directly.  The ring operations, derivatives and pullbacks run in ints with
 one gcd reduction per result.  Coefficients become `fractions.Fraction`s
-only where they leave the class: `items`, `coefficient`, `evaluate`,
-`sorted_terms`, `to_json` and `repr`; kernels that sum coefficients read the
-integer view from `scaled_to_integers`.
+only where they leave the class: `items`, `coefficient`, `sorted_terms`,
+`to_json` and `repr`; kernels that sum coefficients read the integer view
+from `scaled_to_integers`.
 
 Variables are indexed 0..d-1.  The barycentric coordinates of T^d are
 y_i = x_i and y_d = 1 - |x|, so the extra index d refers to the hyperplane
@@ -232,22 +232,6 @@ class Polynomial:
         for axis in axes:
             out = out.partial(axis)
         return out
-
-    def evaluate(self, point: Sequence[Rational]) -> Fraction:
-        """The value at `point`, summed in ints: with the coordinates scaled
-        by their common denominator L, each term is padded to L^degree."""
-        if len(point) != self.dim:
-            raise ValueError("point has wrong dimension")
-        scaled, L = clear_denominators([as_fraction(v) for v in point])
-        top = max(self.degree(), 0)
-        total = 0
-        for exp, coef in self._terms.items():
-            term = coef * L ** (top - sum(exp))
-            for v, e in zip(scaled, exp):
-                if e:
-                    term *= v ** e
-            total += term
-        return Fraction(total, self._den * L ** top)
 
     def substitute(self, axis: int, replacement: "Polynomial") -> "Polynomial":
         """Substitute x_axis := replacement (a polynomial in the same d variables)."""

@@ -6,12 +6,13 @@ T^d; W is the term's base weight and x^s an optional monomial multiplier on
 the right-hand factor.  A term without a weight is a scalar product
 lam * A(f) A(g) of point values.  Each class only lists its terms, built
 once per form; one evaluator, `matrix`, computes every value and Gram matrix
-from them, and every check in `suites` and `spaces` reads it.  It maps each
-row and each column polynomial through each term once, keeps the images as
-integer coefficients over a common denominator, and pairs them by moment sums
-(`MomentTable.pairings`), so no polynomial is built per pair.  Each entry is
-summed over the terms as an int numerator and denominator and becomes one
-Fraction at the end; `gram` labels it into the printed `GramReport`.
+from them, and every check in `suites` and `spaces` reads it, the all-zero
+ones through `orthogonal`.  It maps each row and each column polynomial
+through each term once, keeps the images as integer coefficients over a
+common denominator, and pairs them by moment sums (`MomentTable.pairings`),
+so no polynomial is built per pair.  Each entry is summed over the terms as
+an int numerator and denominator and becomes one Fraction at the end; `gram`
+labels it into the printed `GramReport`.
 
 Each integral term is Dirichlet-normalized against its own displayed base
 weight (the monomial factors such as x_i inside a summand belong to the
@@ -29,7 +30,7 @@ from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .linalg import leading_principal_minors
+from .linalg import positive_definite
 from .moments import moment_table, vertex_eval
 from .polynomials import Exponents, Polynomial
 from .scalars import Rational, as_fraction, format_rational
@@ -143,6 +144,10 @@ class _TermForm:
 
     def value(self, f: Polynomial, g: Polynomial) -> Fraction:
         return self.matrix([f], [g])[0][0]
+
+    def orthogonal(self, rows: Sequence[Polynomial], cols: Sequence[Polynomial]) -> bool:
+        """Whether every polynomial in `rows` pairs to zero with every one in `cols`."""
+        return not any(any(line) for line in self.matrix(rows, cols))
 
 
 class ClassicalProduct(_TermForm):
@@ -354,16 +359,11 @@ class GramReport:
     def symmetric(self) -> bool:
         return self.is_square and [list(col) for col in zip(*self.matrix)] == self.matrix
 
-    def minors(self) -> list[Fraction]:
-        if not self.is_square:
-            raise ValueError("minors need a square matrix")
-        return leading_principal_minors(self.matrix)
-
     @property
     def positive_definite(self) -> bool | None:
-        if not self.is_square or not self.symmetric:
+        if not self.symmetric:
             return None
-        return all(m > 0 for m in self.minors())
+        return positive_definite(self.matrix)
 
     def to_json(self) -> dict:
         out = {

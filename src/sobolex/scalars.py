@@ -1,4 +1,4 @@
-"""Exact rational scalars: rising factorials, binomials, parsing helpers.
+"""Exact rational scalars: rising factorials, factorials, parsing helpers.
 
 Every scalar the package hands out is a ``fractions.Fraction``; polynomial
 coefficients are stored as ints over a common denominator (see
@@ -36,15 +36,6 @@ def pochhammer(a: Rational, k: int) -> Fraction:
     for j in range(k):
         out *= a + j
     return out
-
-
-def binomial(n: int, k: int) -> Fraction:
-    """Binomial coefficient with the convention binom(n, k) = 0 for k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial needs nonnegative arguments")
-    if k > n:
-        return Fraction(0)
-    return Fraction(math.comb(n, k))
 
 
 def factorial(n: int) -> Fraction:

@@ -132,10 +132,10 @@ def verify_u_space(product: SingularProduct, n: int) -> dict:
     if not rank_ok:
         fail(f"rank {rank_value} of {len(basis.elements)} elements, expected {expected}")
     lower = [Polynomial.monomial(dim, e) for e in monomials_up_to(dim, n - 1)]
-    matrix = product.matrix(basis.polys(), lower)
-    ortho_ok = not any(any(row) for row in matrix)
+    ortho_ok = product.orthogonal(basis.polys(), lower)
     if not ortho_ok:
-        for (key, p), row in zip(basis.elements, matrix):
+        # the failing elements are named from the matrix, rebuilt only here
+        for (key, p), row in zip(basis.elements, product.matrix(basis.polys(), lower)):
             if any(row):
                 fail("gram-vs-lower-degree", key, p)
     vertices_ok = True

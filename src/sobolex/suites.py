@@ -23,10 +23,10 @@ from .bases import (Basis, all_orders, biorthogonal_constant, eigencheck,
                     jacobi_norm, jacobi_ode_residual, jacobi_p, jacobi_shifted,
                     monomial_basis, monomial_element, permuted_basis,
                     permuted_element, rodrigues_basis, rodrigues_element)
-from .linalg import in_span, poly_rank, spans_equal
+from .linalg import in_span, poly_rank, positive_definite, spans_equal
 from .polynomials import Polynomial, complement, monomials_of_degree, monomials_up_to
 from .products import (ONE, ClassicalProduct, DerivativeProduct, SingularProduct, Term,
-                       TermList, _derivative, _vertex, gram, labeled)
+                       TermList, _derivative, _vertex)
 from .scalars import format_rational
 from .spaces import expected_dimension, h_space, u_space, verify_u_space
 from .weighted import ParamVector, face_params
@@ -81,11 +81,6 @@ def _scaled(mult: Polynomial, polys: list[Polynomial]) -> list[Polynomial]:
     return [mult * p for p in polys]
 
 
-def _orthogonal(product, polys: list[Polynomial], others: list[Polynomial]) -> bool:
-    """Every polynomial in `polys` pairs to zero with every one in `others`."""
-    return not any(any(row) for row in product.matrix(polys, others))
-
-
 def _lowered(nu: tuple[int, ...], axes: list[int]) -> tuple[int, ...]:
     """nu minus one along each axis in `axes` (twice for an axis listed twice)."""
     return tuple(v - axes.count(j) for j, v in enumerate(nu))
@@ -106,10 +101,10 @@ def _on_t1(polys: list[Polynomial]) -> list[Polynomial]:
     return [p.substitute(0, x) for p in polys]
 
 
-def _positive_diagonal(rep) -> Iterable[bool]:
-    """The Gram matrix is diagonal, and each diagonal entry is positive."""
-    yield rep.diagonal
-    yield from (line[i] > 0 for i, line in enumerate(rep.matrix))
+def _positive_diagonal(matrix: list[list[Fraction]]) -> Iterable[bool]:
+    """The matrix is diagonal, and each diagonal entry is positive."""
+    return (v > 0 if i == j else not v
+            for i, line in enumerate(matrix) for j, v in enumerate(line))
 
 
 def suite_jacobi(n_max: int = 5) -> dict:
@@ -132,7 +127,7 @@ def suite_jacobi(n_max: int = 5) -> dict:
              (norms[n][m] == (jacobi_norm(n, a, b) if n == m else 0)
               for n in degrees for m in range(n, n_max + 1)))
         _add(checks, f"shifted-orthogonality[{tag}]",
-             [gram(ClassicalProduct(shifted_params), labeled(shifted)).diagonal])
+             _positive_diagonal(ClassicalProduct(shifted_params).matrix(shifted)))
     # On the families pulled back to T^1, the d = 1 forms of (b, -1) and (-1, -1)
     # are 4(b+1)/(b+2) and 4 times the forms on [-1,1]: x = 2u-1 doubles each
     # derivative, and the T^1 gradient term has the mass of (b, 0), not (b+1, 0).
@@ -142,11 +137,11 @@ def suite_jacobi(n_max: int = 5) -> dict:
         tag = f"b={format_rational(b)}"
         _add(checks, f"neg-beta-ode[{tag}]",
              (jacobi_ode_residual(p, n, Fraction(-1), b).is_zero for n, p in enumerate(fam)))
-        c, pulled = 4 * (b + 1) / (b + 2), labeled(_on_t1(fam), "P")
+        c, pulled = 4 * (b + 1) / (b + 2), _on_t1(fam)
         for lam in (Fraction(1), Fraction(2), Fraction(1, 3)):
             _add(checks, f"neg-beta-sobolev[{tag},lam={format_rational(lam)}]",
-                 _positive_diagonal(gram(SingularProduct(ParamVector([b, -1]), lam=c * lam),
-                                         pulled)))
+                 _positive_diagonal(SingularProduct(ParamVector([b, -1]), lam=c * lam)
+                                    .matrix(pulled)))
     x = Polynomial.variable(1, 0)
     for l1, l2 in ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(1)),
                    (HALF, Fraction(3))):
@@ -157,9 +152,9 @@ def suite_jacobi(n_max: int = 5) -> dict:
              (jacobi_ode_residual(p, n, Fraction(-1), Fraction(-1)).is_zero
               for n, p in enumerate(fam)))
         _add(checks, f"neg-both-sobolev[{tag}]",
-             _positive_diagonal(gram(SingularProduct(ParamVector([-1, -1]),
-                                                     lam_vertex=(4 * l2, 4 * l1)),
-                                     labeled(_on_t1(fam), "P"))))
+             _positive_diagonal(SingularProduct(ParamVector([-1, -1]),
+                                                lam_vertex=(4 * l2, 4 * l1))
+                                .matrix(_on_t1(fam))))
     return _result("jacobi", {"n_max": n_max}, checks)
 
 
@@ -213,19 +208,19 @@ def suite_rodrigue(d: int = 2, n_max: int = 4,
         _add(checks, f"eigenfunctions[{tag}]",
              (eigencheck(gamma, p, n) for n, polys in families for p in polys))
         _add(checks, f"orthogonal-to-lower-degree[{tag}]",
-             (_orthogonal(classical, polys, lower[n]) for n, polys in families))
-        rep = gram(classical, labeled(_monomial_polys(d, n_max), "m"))
-        _add(checks, f"gram-positive-definite[{tag}]", [rep.positive_definite])
+             (classical.orthogonal(polys, lower[n]) for n, polys in families))
+        _add(checks, f"gram-positive-definite[{tag}]",
+             [positive_definite(classical.matrix(_monomial_polys(d, n_max)))])
     zeros = tuple(Fraction(0) for _ in range(d))
     halves = tuple(HALF for _ in range(d))
     for m_len, label in ((1, "m=(1)"), (2, "m=(1,1)")):
         if d + 1 - m_len < 1:
             continue
         _add(checks, f"partial-orthogonality[{label}]",
-             (_orthogonal(ClassicalProduct(ParamVector(list(lead) + [0] * m_len)),
-                          [rodrigues_element(ParamVector(list(lead) + [-1] * m_len), nu)
-                           for nu in monomials_of_degree(d, n)],
-                          lower[n - m_len])
+             (ClassicalProduct(ParamVector(list(lead) + [0] * m_len)).orthogonal(
+                 [rodrigues_element(ParamVector(list(lead) + [-1] * m_len), nu)
+                  for nu in monomials_of_degree(d, n)],
+                 lower[n - m_len])
               for lead in {zeros[: d + 1 - m_len], halves[: d + 1 - m_len]}
               for n in range(m_len + 1, n_max + 1)))
     return _result("rodrigue", {"d": d, "n_max": n_max,
@@ -270,7 +265,7 @@ def suite_monomial(d: int = 2, n_max: int = 4,
         for order in range(1, d + 1):
             product = DerivativeProduct(gamma, order)
             _add(checks, f"derivative-product-orthogonality[{tag},m={order}]",
-                 (_orthogonal(product, monic[n].polys(), lower[n])
+                 (product.orthogonal(monic[n].polys(), lower[n])
                   for n in range(1, n_max + 1)))
     lead = tuple(HALF for _ in range(d)) if d == 1 else tuple(Fraction(0) for _ in range(d))
     sing = ParamVector(list(lead) + [-1])
@@ -279,7 +274,7 @@ def suite_monomial(d: int = 2, n_max: int = 4,
     _add(checks, f"last-exponent-singular[{_gamma_tag(sing)}]", itertools.chain(
         (v.coefficient(nu) == 1 and eigencheck(sing, v, n)
          for n, basis in enumerate(monic) for nu, v in basis.elements),
-        (_orthogonal(spro, monic[n].polys(), lower[n]) for n in range(1, n_max + 1))))
+        (spro.orthogonal(monic[n].polys(), lower[n]) for n in range(1, n_max + 1))))
     return _result("monomial", {"d": d, "n_max": n_max,
                                 "gammas": [_gamma_tag(g) for g in gammas]}, checks)
 
@@ -555,11 +550,11 @@ def suite_thm31(n_max: int = 4) -> dict:
                           (Fraction(2), Fraction(0), Fraction(3)),
                           (Fraction(0), Fraction(1), HALF))]
     _add(checks, "symmetric-variant-orthogonality",
-         (_orthogonal(form, pair[c, n], lower[n])
+         (form.orthogonal(pair[c, n], lower[n])
           for c, form in forms for n in range(1, n_max + 1)))
 
     _add(checks, "named-k1-orthogonality",
-         (_orthogonal(named_k1(a, b, Fraction(1)), k1[a, b][n], lower[n])
+         (named_k1(a, b, Fraction(1)).orthogonal(k1[a, b][n], lower[n])
           for a, b in samples for n in range(n_max + 1)))
     return _result("thm31", {"n_max": n_max}, checks)
 
@@ -605,8 +600,8 @@ def suite_thm34(d: int = 2, n_max: int = 4) -> dict:
             if restricted:
                 dprime = d - len(zset)
                 yield poly_rank(restricted) == expected_dimension(dprime, n) == len(restricted)
-                yield _orthogonal(ClassicalProduct(face_params(block.params, zset)),
-                                  restricted, _monomial_polys(dprime, n - 1))
+                yield ClassicalProduct(face_params(block.params, zset)).orthogonal(
+                    restricted, _monomial_polys(dprime, n - 1))
 
     _add(checks, "face-restriction-law", face_restriction_law())
     _add(checks, "face-block-convention-independence",
@@ -634,20 +629,20 @@ def _h_space_alternate(gamma: ParamVector, zero_axes: Iterable[int],
 
 def suite_thm36(d: int = 2, n_max: int = 4) -> dict:
     checks: list[dict] = []
-    probes = labeled(_monomial_polys(d, 3), "m")
+    probes = _monomial_polys(d, 3)
     for tag, gamma in _singular_weights(d):
         product = SingularProduct(gamma)
         _add(checks, f"sobolev-orthogonality[{tag}]",
              (verify_u_space(product, n)["ok"] for n in range(n_max + 1)))
         _add(checks, f"positive-definite[{tag}]",
-             [gram(product, probes).positive_definite])
+             [positive_definite(product.matrix(probes))])
     tail0 = default_tails(d, 1)[0]
     product = SingularProduct(ParamVector(list(tail0) + [-1]))
     _add(checks, "k1-block-orthogonality",
-         (_orthogonal(product,
-                      _scaled(complement(d),
-                              rodrigues_basis(ParamVector(list(tail0) + [1]), n - 1).polys()),
-                      h_space(ParamVector(list(tail0) + [0]), [d], n).polys())
+         (product.orthogonal(
+             _scaled(complement(d),
+                     rodrigues_basis(ParamVector(list(tail0) + [1]), n - 1).polys()),
+             h_space(ParamVector(list(tail0) + [0]), [d], n).polys())
           for n in range(1, n_max + 1)))
     if d >= 2:
         lams = tuple(Fraction(j + 1, 2) for j in range(d + 1))

@@ -16,22 +16,38 @@ differentiate term by term, divide the weight back out.
 `FractionPolynomial` is the polynomial arithmetic that `Polynomial`'s integer
 form replaced: one reduced Fraction per coefficient, summed term by term.
 `oracle_solve_combination` is the plain Fraction Gauss-Jordan span solve that
-the fraction-free elimination of `sobolex.linalg` replaced.
+the fraction-free elimination of `sobolex.linalg` replaced.  `binomial` and
+`evaluate` (a polynomial's value at a point) are read only by the tests, so
+they live here and not in the package.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from sobolex import products as P
 from sobolex.bases import eigenvalue
 from sobolex.errors import ZeroDenominator
 from sobolex.moments import normalized_moment, vertex_eval
 from sobolex.polynomials import Polynomial, box_indices
-from sobolex.scalars import binomial, format_rational, pochhammer
+from sobolex.scalars import format_rational, pochhammer
 from sobolex.weighted import ParamVector, WeightedForm
+
+
+def binomial(n: int, k: int) -> Fraction:
+    """Binomial coefficient with the convention binom(n, k) = 0 for k > n;
+    a negative argument is a ValueError."""
+    return Fraction(comb(n, k))
+
+
+def evaluate(f: Polynomial, point) -> Fraction:
+    """The value of f at `point`, summed term by term in Fractions."""
+    if len(point) != f.dim:
+        raise ValueError("point has wrong dimension")
+    return sum((c * prod(Fraction(v) ** e for v, e in zip(point, exp))
+                for exp, c in f.items()), Fraction(0))
 
 
 def interval_integral(p: int, q: int) -> Fraction:
@@ -352,13 +368,13 @@ def _interval_derivatives(f: Polynomial, g: Polynomial, weight) -> Fraction:
 
 def oracle_jacobi_beta_value(beta, lam, f: Polynomial, g: Polynomial) -> Fraction:
     """lam f(1)g(1) + normalized integral of (1+x)^{beta+1} f'g' over [-1,1]."""
-    return lam * f.evaluate([1]) * g.evaluate([1]) + _interval_derivatives(f, g, [beta + 1, 0])
+    return lam * evaluate(f, [1]) * evaluate(g, [1]) + _interval_derivatives(f, g, [beta + 1, 0])
 
 
 def oracle_jacobi_both_value(lam1, lam2, f: Polynomial, g: Polynomial) -> Fraction:
     """lam1 f(1)g(1) + lam2 f(-1)g(-1) + normalized integral of f'g' over [-1,1]."""
-    return lam1 * f.evaluate([1]) * g.evaluate([1]) \
-        + lam2 * f.evaluate([-1]) * g.evaluate([-1]) + _interval_derivatives(f, g, [0, 0])
+    return lam1 * evaluate(f, [1]) * evaluate(g, [1]) \
+        + lam2 * evaluate(f, [-1]) * evaluate(g, [-1]) + _interval_derivatives(f, g, [0, 0])
 
 
 # -- the paper's d = 2 forms, as the reference for their term lists in

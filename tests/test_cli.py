@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sobolex import cli
 from sobolex.cli import main
 from sobolex.polynomials import Polynomial
 from sobolex.products import SingularProduct
@@ -87,6 +88,20 @@ def test_gram_eigenspace_vs_lower(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["orthogonal_to_lower_degree"] is True
+
+
+def test_gram_u_rows_belong_to_the_sobolev_form_built_once(capsys, monkeypatch):
+    # at the all -1 weight, U_1 moves with the vertex coefficients; with
+    # coefficients 2,3,5 it is orthogonal to the constants only under the
+    # form of those coefficients, not under the default one
+    real, calls = cli._sobolev_form, []
+    monkeypatch.setattr(cli, "_sobolev_form", lambda *a: calls.append(a) or real(*a))
+    code, out = run_cli(capsys, ["gram", "--d", "2", "--n", "1", "--gamma", "-1,-1,-1",
+                                 "--spec", "sobolev", "--basis", "u",
+                                 "--lambda-vertex", "2,3,5"])
+    assert code == 0
+    assert json.loads(out)["orthogonal_to_lower_degree"] is True
+    assert len(calls) == 1
 
 
 def test_gram_against_lower_has_no_diagonal_even_when_square(capsys):

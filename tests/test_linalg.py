@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 
-from sobolex.linalg import (determinant, in_span, leading_principal_minors,
-                            poly_rank, rank, solve_combination, spans_equal)
+from sobolex.linalg import (determinant, in_span, leading_principal_minors, poly_rank,
+                            positive_definite, rank, solve_combination, spans_equal)
 from sobolex.polynomials import Polynomial
 
 from oracles import oracle_solve_combination
@@ -87,6 +87,35 @@ def test_leading_principal_minors_match_determinants():
         assert got == _minors_by_determinant(m)
         singular_leads += any(v == 0 for v in got[:-1])
     assert singular_leads > 20
+
+
+def test_positive_definite_is_sylvesters_criterion():
+    # against "every leading minor by `determinant` is > 0", on symmetric
+    # matrices: Gram matrices B^T B (definite, or singular when B is), plain
+    # symmetric ones, and the edge cases first
+    cases = [
+        [],
+        [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(2)]],  # zero first pivot
+        [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]],  # zero pivot, semidefinite
+        [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]],  # negative later minor
+        [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]],  # singular semidefinite
+    ]
+    rng = random.Random(1968)
+    for trial in range(120):
+        n = rng.randint(1, 5)
+        b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)]
+        if trial % 3 == 0:
+            cases.append([[b[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+            continue
+        if trial % 3 == 2:
+            b[-1] = b[0]  # B singular (from n = 2 on), and so is B^T B
+        cases.append([[sum((r[i] * r[j] for r in b), Fraction(0)) for j in range(n)]
+                      for i in range(n)])
+    verdicts = [positive_definite(m) for m in cases]
+    assert verdicts == [all(v > 0 for v in _minors_by_determinant(m)) for m in cases]
+    assert verdicts[:5] == [True, False, False, False, False]
+    assert 30 < sum(verdicts) < len(cases) - 30
 
 
 def test_solve_combination():

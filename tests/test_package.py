@@ -83,7 +83,7 @@ def test_readme_python_block_runs():
 PUBLIC_NAMES = [
     "Basis", "ClassicalProduct", "DerivativeProduct", "GramReport",
     "NonIntegrableWeight", "NonPolynomialQuotient", "NonPositiveForm", "ParamVector",
-    "Polynomial", "SingularProduct", "SobolexError", "ZeroDenominator", "bases", "binomial", "biorthogonal_constant", "eigencheck", "errors",
+    "Polynomial", "SingularProduct", "SobolexError", "ZeroDenominator", "bases", "biorthogonal_constant", "eigencheck", "errors",
     "expected_dimension", "face_inner_product", "face_params", "factorial", "gram", "h_space",
     "inner_product", "integral", "jacobi_negative_one_beta", "jacobi_negative_one_one",
     "jacobi_norm", "jacobi_p", "jacobi_shifted", "linalg", "moments", "monomial_basis",

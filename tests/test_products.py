@@ -248,6 +248,25 @@ def test_value_and_gram_match_oracle(form, oracle):
     assert form.matrix(rows) == form.matrix(rows, rows)
 
 
+@pytest.mark.parametrize("form, oracle", FORMS, ids=_ids(FORMS))
+def test_orthogonal_is_an_all_zero_matrix(form, oracle):
+    # p has every mixed derivative nonzero, so each form pairs it with itself
+    # to a nonzero value; the zero row goes first, so that a nonzero entry
+    # in a later row must be read
+    rng = random.Random(json.dumps(form.describe()))
+    d = form.dim
+    p = Polynomial.constant(d, 1)
+    for i in range(d):
+        p = p * (Polynomial.variable(d, i) + 1)
+    zero = Polynomial.zero(d)
+    cases = [([zero], [p]), ([zero, p], [p]), ([p], [zero, zero]),
+             ([_random_poly(rng, d) for _ in range(3)], [_random_poly(rng, d) for _ in range(2)])]
+    got = [form.orthogonal(rows, cols) for rows, cols in cases]
+    assert got == [all(v == 0 for line in form.matrix(rows, cols) for v in line)
+                   for rows, cols in cases]
+    assert got[:3] == [True, False, True]
+
+
 def test_every_term_has_a_nonzero_lambda_in_some_case():
     # the evaluator skips a zero-lambda term, so a term reaches its oracle only
     # in a case where its lambda is nonzero; cases of one form list their

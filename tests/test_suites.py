@@ -58,12 +58,12 @@ def _plus_one(real):
 
 
 def _corner_negative(real):
-    """Sets entry (0, 0) of every Gram matrix to -1."""
-    def tampered(*args, **kwargs):
-        report = real(*args, **kwargs)
-        if report.matrix and report.matrix[0]:
-            report.matrix[0][0] = Fraction(-1)
-        return report
+    """Hands `real` a copy of its matrix with entry (0, 0) set to -1."""
+    def tampered(matrix):
+        matrix = [list(line) for line in matrix]
+        if matrix and matrix[0]:
+            matrix[0][0] = Fraction(-1)
+        return real(matrix)
     return tampered
 
 
@@ -90,7 +90,7 @@ def _args_plus_one(real):
 # is orthogonal to every lower degree, so adding a constant to either block
 # keeps it true; it fails when the form is taken at another weight.
 TAMPERS = {
-    "gram": (_corner_negative, ["rodrigue", "thm36"]),
+    "positive_definite": (_corner_negative, ["rodrigue", "thm36"]),
     "monomial_basis": (_plus_one, ["rodrigue", "monomial"]),
     "monomial_element": (_plus_one, ["monomial"]),
     "rodrigues_element": (_plus_one, ["triangle", "rodrigue", "lemmas4", "thm31"]),
@@ -126,6 +126,12 @@ def test_every_check_fails_under_some_tamper(suite, monkeypatch):
                     caught |= _failed(suite, d, n_max)
         uncaught = {c["name"] for c in result["checks"]} - caught
         assert uncaught == EMPTY.get((suite, d), set()), f"{suite} d={d}"
+
+
+def test_positive_diagonal_needs_every_diagonal_entry_positive():
+    assert all(suites._positive_diagonal([[Fraction(1), 0], [0, Fraction(1, 2)]]))
+    for bad in ([[1, 0], [0, 0]], [[1, 0], [0, -1]], [[1, 0], [Fraction(1, 3), 1]]):
+        assert not all(suites._positive_diagonal(bad)), bad
 
 
 # inputs the library refuses before running anything; each message names the
