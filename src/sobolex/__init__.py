@@ -14,8 +14,7 @@ _PUBLIC = {
     "errors": ("NonIntegrableWeight", "NonPolynomialQuotient", "NonPositiveForm",
                "SobolexError", "ZeroDenominator"),
     "linalg": (),
-    "moments": ("face_inner_product", "inner_product", "integral", "normalized_moment",
-                "vertex_eval"),
+    "moments": ("face_inner_product", "inner_product", "integral", "vertex_eval"),
     "polynomials": ("Polynomial", "monomials_of_degree", "monomials_up_to"),
     "products": ("ClassicalProduct", "DerivativeProduct", "GramReport", "SingularProduct",
                  "gram"),

@@ -14,7 +14,7 @@ import re
 import sys
 
 from . import bases, polynomials, products, scalars, spaces, suites, weighted
-from .errors import NonPositiveForm, SobolexError
+from .errors import SobolexError
 
 # the keys of `suites.SUITES` and "all", here so that the parser does not load it
 SUITE_NAMES = ("jacobi", "triangle", "rodrigue", "monomial", "lemmas4",
@@ -52,26 +52,16 @@ def _parse_indices(text: str, d: int) -> list[int]:
     return out
 
 
-def _vertex_lambdas(args: argparse.Namespace, k: int) -> list | None:
-    """--lambda-vertex, which only the all-singular weight (k = d+1) has."""
-    if args.lambda_vertex is None:
-        return None
-    if k != args.d + 1:
-        raise ValueError("--lambda-vertex needs every --gamma entry to be -1")
-    return [scalars.parse_rational(p) for p in args.lambda_vertex.split(",")]
-
-
 def _sobolev_form(gamma: weighted.ParamVector,
                   args: argparse.Namespace) -> products.SingularProduct:
-    """The Sobolev form of `gamma` and --lambda-vertex, refused unless it is
-    positive (`SingularProduct.is_valid`).  A weight that is not singular is
-    refused by its split, before `products` loads."""
-    k = gamma.singular_split()[1]
-    form = products.SingularProduct(gamma, lam_vertex=_vertex_lambdas(args, k))
-    if not form.is_valid:
-        raise NonPositiveForm("the Sobolev form is not positive: --lambda-vertex "
-                              "entries must be >= 0, at least one > 0")
-    return form
+    """The Sobolev form of `gamma` and --lambda-vertex.  A weight that is not
+    singular is refused by its split, before `products` loads; the form
+    itself refuses --lambda-vertex below k = d+1 (a `ValueError`) and
+    coefficients that leave it not positive (`NonPositiveForm`)."""
+    gamma.singular_split()
+    text = args.lambda_vertex
+    lams = None if text is None else [scalars.parse_rational(p) for p in text.split(",")]
+    return products.SingularProduct(gamma, lam_vertex=lams)
 
 
 def _check_flags(args: argparse.Namespace, family: str | None = None,

@@ -120,14 +120,6 @@ def moment_table(gamma: ParamVector) -> MomentTable:
     return table
 
 
-def normalized_moment(gamma: ParamVector, a: tuple[int, ...]) -> Fraction:
-    """Normalized moment of x^(a_1..a_d) (1-|x|)^(a_{d+1}) against W_gamma."""
-    table = moment_table(gamma)
-    if len(a) != gamma.d + 1 or any(type(e) is not int or e < 0 for e in a):
-        raise ValueError(f"bad moment index {a}")
-    return Fraction(table.numerator(a), table.denominator(sum(a)))
-
-
 def _pairing(table: MomentTable, f: Polynomial, g: Polynomial) -> Fraction:
     (num,), (rden,), (cden,) = table.pairings([f], [g])
     return Fraction(num[0], rden * cden)

@@ -30,6 +30,7 @@ from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
+from .errors import NonPositiveForm
 from .linalg import positive_definite
 from .moments import moment_table, vertex_eval
 from .polynomials import Exponents, Polynomial
@@ -212,35 +213,40 @@ class SingularProduct(_TermForm):
     and k >= 1, and the coefficient families
       lam       -- the boundary/vertex coefficient of the final term (k <= d),
       lam_axis  -- per-coordinate coefficients of the gradient face term
-                   (1 < k <= d; at k = 1 the gradient term has coefficient 1,
-                   and a lam_axis other than all ones is a ValueError),
+                   (1 < k <= d; at k = 1 the gradient term is the main one,
+                   with coefficient 1),
       lam_face  -- per-subset coefficients of the intermediate face terms,
                    keyed by proper nonempty subsets of the k-1 differentiated
-                   axes, which exist only for k >= 3 (any other key is a
-                   ValueError),
-      lam_vertex -- vertex coefficients lam_{j,0}, j = 0..d (k = d+1 only;
-                   at k <= d a lam_vertex other than all ones is a ValueError).
-    All default to 1.  The form is the one holder of the split and of the
-    checked coefficients: `spaces.u_space(form, n)` reads them off it.
+                   axes, which exist only for k >= 3,
+      lam_vertex -- vertex coefficients lam_{j,0}, j = 0..d (k = d+1 only).
+    None means all ones, the default; an empty list is no default.  The
+    constructor is the one judge of the coefficients, by two rules.  A family
+    that the form has no term for must be None (a ValueError, as are a wrong
+    length and a lam_face key that is no face).  A form that is not an inner
+    product is a `NonPositiveForm`: it needs every lam_face entry > 0 and, at
+    k = d+1, every vertex coefficient >= 0 with one > 0, below it lam and
+    every lam_axis entry > 0.  The form is the one holder of the split and of
+    the checked coefficients: `spaces.u_space(form, n)` reads them off it.
     """
 
     kind = "singular"
 
-    def __init__(self, gamma: ParamVector, lam: Rational = 1,
+    def __init__(self, gamma: ParamVector, lam: Rational | None = None,
                  lam_axis: Sequence[Rational] | None = None,
                  lam_face: Mapping[frozenset[int], Rational] | None = None,
                  lam_vertex: Sequence[Rational] | None = None):
         self.tail, k = gamma.singular_split()
         self.gamma, self.k = gamma, k
         dim = self.dim = gamma.d
-        self.lam = as_fraction(lam)
+        for name, given, taken in (("lam", lam, k <= dim), ("lam_axis", lam_axis, 1 < k <= dim),
+                                   ("vertex coefficients (lam_vertex)", lam_vertex, k > dim)):
+            if given is not None and not taken:
+                raise ValueError(f"the Sobolev form at k = {k}, d = {dim} takes no {name}")
+        self.lam = ONE if lam is None else as_fraction(lam)
         self.lam_axis = tuple(as_fraction(v) for v in
                               ((1,) * (dim - k + 1) if lam_axis is None else lam_axis))
         if len(self.lam_axis) != dim - k + 1:
             raise ValueError("lam_axis has wrong length")
-        if k == 1 and any(v != 1 for v in self.lam_axis):
-            raise ValueError("at k = 1 the gradient term has coefficient 1; "
-                             "lam_axis must be all ones")
         self.lam_face = {frozenset(kk): as_fraction(v) for kk, v in (lam_face or {}).items()}
         faces = {frozenset(s) for i in range(1, k - 1)
                  for s in itertools.combinations(self._mk, i)}
@@ -249,19 +255,18 @@ class SingularProduct(_TermForm):
                              "differentiated axes, which exist only for k >= 3")
         self.lam_vertex = tuple(as_fraction(v) for v in
                                 ((1,) * (dim + 1) if lam_vertex is None else lam_vertex))
-        if len(self.lam_vertex) != dim + 1 or (k <= dim and any(v != 1 for v in self.lam_vertex)):
-            raise ValueError("need d+1 vertex coefficients, all ones unless k = d+1")
-
-    @property
-    def is_valid(self) -> bool:
-        """Whether the coefficients make the form positive: every face
-        coefficient > 0 and, at k = d+1, every vertex coefficient >= 0 with
-        one > 0; below k = d+1, lam and every lam_axis > 0."""
-        if not all(v > 0 for v in self.lam_face.values()):
-            return False
-        if self.k == self.dim + 1:
-            return all(v >= 0 for v in self.lam_vertex) and any(v > 0 for v in self.lam_vertex)
-        return self.lam > 0 and all(v > 0 for v in self.lam_axis)
+        if len(self.lam_vertex) != dim + 1:
+            raise ValueError("need d+1 vertex coefficients")
+        rules = [("every lam_face entry must be > 0", all(v > 0 for v in self.lam_face.values()))]
+        if k == dim + 1:
+            rules.append(("vertex coefficients must be >= 0, at least one > 0",
+                          min(self.lam_vertex) >= 0 < max(self.lam_vertex)))
+        else:
+            rules.append(("lam and every lam_axis entry must be > 0",
+                          min(self.lam, *self.lam_axis) > 0))
+        broken = [rule for rule, held in rules if not held]
+        if broken:
+            raise NonPositiveForm("the Sobolev form is not positive: " + "; ".join(broken))
 
     @property
     def _mk(self) -> list[int]:

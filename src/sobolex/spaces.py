@@ -8,7 +8,6 @@ k slots (distinct patterns, not permutation orbits), and a top face block.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING, Sequence
 
@@ -72,9 +71,7 @@ def u_space(form: SingularProduct, n: int) -> Basis:
         basis.elements.append((("one",), Polynomial.constant(d, 1)))
         return basis
     if k == d + 1 and n == 1:
-        total = sum(form.lam_vertex, Fraction(0))
-        if total == 0:
-            raise ValueError("vertex coefficients must not sum to zero")
+        total = sum(form.lam_vertex)  # > 0, since the form is positive
         for j in range(1, d + 1):
             shift = -form.lam_vertex[j] / total
             basis.elements.append((("linear", j),

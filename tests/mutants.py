@@ -50,6 +50,39 @@ MUTANTS = [
            "spaces.u_space(product, args.n)",
            "spaces.u_space(products.SingularProduct(product.gamma), args.n)",
            ["tests/test_cli.py", "-k", "gram"]),
+    Mutant("positivity-accepts-all-zero-vertex-coefficients", "src/sobolex/products.py",
+           "min(self.lam_vertex) >= 0 < max(self.lam_vertex)",
+           "min(self.lam_vertex) >= 0 <= max(self.lam_vertex)",
+           ["tests/test_products.py", "-k", "positive_coefficients"]),
+    Mutant("positivity-accepts-a-zero-face-coefficient", "src/sobolex/products.py",
+           "all(v > 0 for v in self.lam_face.values())",
+           "all(v >= 0 for v in self.lam_face.values())",
+           ["tests/test_products.py", "-k", "positive_coefficients"]),
+    Mutant("lam-accepted-at-k-d-plus-1", "src/sobolex/products.py",
+           '("lam", lam, k <= dim)',
+           '("lam", lam, k <= dim + 1)',
+           ["tests/test_products.py", "-k", "does_not_take"]),
+    Mutant("sobolev-form-drops-lambda-vertex", "src/sobolex/cli.py",
+           "products.SingularProduct(gamma, lam_vertex=lams)",
+           "products.SingularProduct(gamma)",
+           ["tests/test_cli.py", "-k", "not_positive or vertex"]),
+    # older mutants, re-created against the code as it is
+    Mutant("empty-vertex-list-is-the-default", "src/sobolex/products.py",
+           "((1,) * (dim + 1) if lam_vertex is None else lam_vertex)",
+           "(lam_vertex or (1,) * (dim + 1))",
+           ["tests/test_products.py", "-k", "empty_coefficient"]),
+    Mutant("u-space-ignores-the-form-vertex-coefficients", "src/sobolex/spaces.py",
+           "shift = -form.lam_vertex[j] / total",
+           "shift = -total / (d + 1) / total",
+           ["tests/test_spaces.py", "-k", "degree_one"]),
+    Mutant("matrix-ignores-lambda", "src/sobolex/products.py",
+           "(t for t in self._terms if t.lam)",
+           "(t._replace(lam=ONE) for t in self._terms if t.lam)",
+           ["tests/test_products.py", "-k", "oracle"]),
+    Mutant("moment-table-recurrence-off-by-one", "src/sobolex/moments.py",
+           "self._step * (len(row) - 1)",
+           "self._step * len(row)",
+           ["tests/test_moments.py", "-k", "brute_force"]),
 ]
 
 

@@ -16,9 +16,12 @@ differentiate term by term, divide the weight back out.
 `FractionPolynomial` is the polynomial arithmetic that `Polynomial`'s integer
 form replaced: one reduced Fraction per coefficient, summed term by term.
 `oracle_solve_combination` is the plain Fraction Gauss-Jordan span solve that
-the fraction-free elimination of `sobolex.linalg` replaced.  `binomial` and
-`evaluate` (a polynomial's value at a point) are read only by the tests, so
-they live here and not in the package.
+the fraction-free elimination of `sobolex.linalg` replaced.  `oracle_positive`
+is the positivity test of a Sobolev form's coefficients, written out apart
+from the constructor that applies it.  `binomial`, `evaluate` (a polynomial's
+value at a point) and `normalized_moment` (one moment read off the library's
+moment table) are read only by the tests, so they live here and not in the
+package.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from math import comb, prod
 from sobolex import products as P
 from sobolex.bases import eigenvalue
 from sobolex.errors import ZeroDenominator
-from sobolex.moments import normalized_moment, vertex_eval
+from sobolex.moments import moment_table, vertex_eval
 from sobolex.polynomials import Polynomial, box_indices
 from sobolex.scalars import format_rational, pochhammer
 from sobolex.weighted import ParamVector, WeightedForm
@@ -67,6 +70,15 @@ def simplex_integral(exponents: tuple[int, ...]) -> Fraction:
         return Fraction(1)
     rest = sum(a[1:]) + b + len(a) - 1
     return interval_integral(a[0], rest) * simplex_integral(tuple(a[1:]) + (b,))
+
+
+def normalized_moment(gamma: ParamVector, a: tuple[int, ...]) -> Fraction:
+    """Normalized moment of x^(a_1..a_d) (1-|x|)^(a_{d+1}) against W_gamma,
+    read off the library's moment table."""
+    table = moment_table(gamma)
+    if len(a) != gamma.d + 1 or any(type(e) is not int or e < 0 for e in a):
+        raise ValueError(f"bad moment index {a}")
+    return Fraction(table.numerator(a), table.denominator(sum(a)))
 
 
 def oracle_normalized_moment(gamma: tuple[int, ...], a: tuple[int, ...]) -> Fraction:
@@ -452,6 +464,21 @@ def oracle_value(p, f: Polynomial, g: Polynomial) -> Fraction:
             return _singular_full(p, f, g)
         return _singular_mid(p, f, g)
     raise TypeError(f"no oracle for {type(p).__name__}")
+
+
+def oracle_positive(d: int, k: int, lam=None, lam_axis=None, lam_face=None,
+                    lam_vertex=None) -> bool:
+    """Whether the coefficients (None meaning all ones) make the Sobolev form
+    of a weight with k trailing -1 entries at dimension d an inner product:
+    every face coefficient > 0 and, at k = d+1, every vertex coefficient >= 0
+    with one > 0; below k = d+1, lam and every lam_axis entry > 0."""
+    if not all(v > 0 for v in (lam_face or {}).values()):
+        return False
+    if k == d + 1:
+        vertex = (1,) * (d + 1) if lam_vertex is None else lam_vertex
+        return all(v >= 0 for v in vertex) and any(v > 0 for v in vertex)
+    axis = (1,) * (d - k + 1) if lam_axis is None else lam_axis
+    return (1 if lam is None else lam) > 0 and all(v > 0 for v in axis)
 
 
 # -- span solves in plain Fractions ---------------------------------------------

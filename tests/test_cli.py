@@ -142,7 +142,7 @@ def test_gram_degenerate_spec_not_positive(capsys):
     assert code == 3
     assert out == ""
     assert err == ("error: NonPositiveForm: the Sobolev form is not positive: "
-                   "--lambda-vertex entries must be >= 0, at least one > 0\n")
+                   "vertex coefficients must be >= 0, at least one > 0\n")
 
 
 def test_inner_example(capsys):

@@ -5,12 +5,12 @@ import pytest
 
 from sobolex.errors import NonIntegrableWeight
 from sobolex.linalg import positive_definite
-from sobolex.moments import (face_inner_product, inner_product, integral,
-                             normalized_moment, vertex_eval)
+from sobolex.moments import face_inner_product, inner_product, integral, vertex_eval
 from sobolex.polynomials import Polynomial, complement, monomials_up_to
 from sobolex.weighted import ParamVector
 
-from oracles import interval_integral, oracle_normalized_moment, simplex_integral
+from oracles import (interval_integral, normalized_moment, oracle_normalized_moment,
+                     simplex_integral)
 
 H = Fraction(1, 2)
 X = Polynomial.variable(2, 0)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter
@@ -8,6 +9,8 @@ import pytest
 
 from sobolex import spaces, suites
 from sobolex.bases import jacobi_negative_one_beta, jacobi_negative_one_one, rodrigues_basis
+from sobolex.errors import NonPositiveForm
+from sobolex.linalg import positive_definite
 from sobolex.moments import inner_product
 from sobolex.polynomials import Polynomial, complement, monomials_up_to
 from sobolex.products import (ClassicalProduct, DerivativeProduct, SingularProduct, GramReport,
@@ -17,7 +20,8 @@ from sobolex.weighted import ParamVector
 
 from oracles import (oracle_jacobi_beta_value, oracle_jacobi_both_value, oracle_named_k1_value,
                      oracle_named_k2_value, oracle_named_k3_value,
-                     oracle_named_symmetric_value, oracle_value, to_unit_interval)
+                     oracle_named_symmetric_value, oracle_positive, oracle_value,
+                     to_unit_interval)
 
 H = Fraction(1, 2)
 X = Polynomial.variable(2, 0)
@@ -39,27 +43,27 @@ def test_gradient_face_product_example():
     assert (spec.dim, spec.tail, spec.k) == (2, (0, 0), 1)
 
 
-def test_lam_axis_at_k1_must_be_all_ones():
-    # at k = 1 the gradient term has coefficient 1, so no other lam_axis is taken
-    for lam_axis in ((2, 3), (1, 0), (H, 1)):
-        with pytest.raises(ValueError):
-            SingularProduct(HH1, lam_axis=lam_axis)
-    default = SingularProduct(HH1)
-    assert default.describe()["lambda_axis"] == ["1", "1"]
-    assert SingularProduct(HH1, lam_axis=(1, 1)).describe() == default.describe()
+def test_lam_axis_is_refused_where_the_form_has_no_gradient_coefficient():
+    # at k = 1 the gradient term is the main one, with coefficient 1, and at
+    # k = d+1 there is no gradient term: lam_axis must be None, even all ones
+    for gamma, lam_axis in ((HH1, (2, 3)), (HH1, (1, 1)), (HH1, (H, 1)), (ALL3, ()),
+                            (ALL3, (1, 1))):
+        with pytest.raises(ValueError, match="takes no lam_axis"):
+            SingularProduct(gamma, lam_axis=lam_axis)
+    assert SingularProduct(HH1).describe()["lambda_axis"] == ["1", "1"]
     # from k = 2 on, the gradient coefficient scales its term
-    at = {a: SingularProduct(H11, lam_axis=(a,)).value(X, X) for a in (0, 1, 2)}
-    assert at[2] - at[1] == at[1] - at[0] != 0
+    at = {a: SingularProduct(H11, lam_axis=(a,)).value(X, X) for a in (1, 2, 3)}
+    assert at[3] - at[2] == at[2] - at[1] != 0
 
 
 def test_lam_face_and_lam_vertex_need_their_terms():
-    # k = 1 has no face term and no vertex term, so neither may be set there
+    # k = 1 has no face term and no vertex term, so neither may be set there,
+    # not even to all ones
     with pytest.raises(ValueError):
         SingularProduct(HH1, lam_face={frozenset({0}): 7})
-    with pytest.raises(ValueError):
-        SingularProduct(HH1, lam_vertex=(5, 5, 5))
-    default = SingularProduct(HH1)
-    assert SingularProduct(HH1, lam_vertex=(1, 1, 1)).describe() == default.describe()
+    for lam_vertex in ((5, 5, 5), (1, 1, 1)):
+        with pytest.raises(ValueError, match="takes no vertex coefficients"):
+            SingularProduct(HH1, lam_vertex=lam_vertex)
     # at d = 3, k = 3 the differentiated axes are {1, 2}: {0}, {1, 2} and {} are no faces
     for face in ({0}, {1, 2}, set()):
         with pytest.raises(ValueError):
@@ -67,8 +71,68 @@ def test_lam_face_and_lam_vertex_need_their_terms():
     x1 = Polynomial.variable(3, 1)
     at = {c: SingularProduct(ParamVector([H, -1, -1, -1]),
                              lam_face={frozenset({1}): c}).value(x1, x1)
-          for c in (0, 1, 2)}
-    assert at[2] - at[1] == at[1] - at[0] != 0
+          for c in (1, 2, 3)}
+    assert at[3] - at[2] == at[2] - at[1] != 0
+
+
+def test_a_family_the_form_does_not_take_is_refused():
+    # lam below k = d+1, lam_axis for 1 < k <= d, lam_vertex at k = d+1 only;
+    # any other one is refused, all ones too, before its sign is judged (lam
+    # at k = d+1, even -7, was dropped without a word)
+    for d in (1, 2, 3):
+        for k in range(1, d + 2):
+            gamma = ParamVector([H] * (d + 1 - k) + [-1] * k)
+            ones = {"lam": 1, "lam_axis": (1,) * (d - k + 1), "lam_vertex": (1,) * (d + 1)}
+            others = {"lam": -7, "lam_axis": (-1,) * (d - k + 1), "lam_vertex": (-1,) * (d + 1)}
+            taken = {"lam": k <= d, "lam_axis": 1 < k <= d, "lam_vertex": k == d + 1}
+            for name in ones:
+                if taken[name]:
+                    assert SingularProduct(gamma, **{name: ones[name]}).describe() \
+                        == SingularProduct(gamma).describe()
+                    continue
+                for value in (ones[name], others[name]):
+                    with pytest.raises(ValueError, match=f"takes no .*{name}"):
+                        SingularProduct(gamma, **{name: value})
+
+
+def _vectors(n):
+    """None, then n-vectors: positive and not all ones, with a zero, with a
+    negative entry, and all zero."""
+    return [None, tuple(Fraction(j + 2, 3) for j in range(n)), (0,) + (2,) * (n - 1),
+            (2,) * (n - 1) + (-1,), (0,) * n]
+
+
+def _coefficient_grid(d, k):
+    """Keyword sets for the families that the form at (d, k) takes, every
+    combination of their candidate values."""
+    faces = [frozenset(s) for i in range(1, k - 1)
+             for s in itertools.combinations(range(d - k + 1, d), i)]
+    lams = [None, Fraction(5, 2), 0, -7] if k <= d else [None]
+    axes = _vectors(d - k + 1) if 1 < k <= d else [None]
+    face_sets = [None] + ([{f: Fraction(7, 3) for f in faces}, {faces[0]: 0}, {faces[-1]: -1}]
+                          if faces else [])
+    vertices = _vectors(d + 1) if k == d + 1 else [None]
+    for lam, lam_axis, lam_face, lam_vertex in itertools.product(lams, axes, face_sets, vertices):
+        yield {"lam": lam, "lam_axis": lam_axis, "lam_face": lam_face, "lam_vertex": lam_vertex}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_constructor_accepts_exactly_the_positive_coefficients(d):
+    # ... and every form it accepts has a positive definite Gram matrix on the
+    # monomials of degree <= 2
+    probes = monoms(d, 2)
+    verdicts = Counter()
+    for k in range(1, d + 2):
+        gamma = ParamVector([Fraction(1, 3)] * (d + 1 - k) + [-1] * k)
+        for lams in _coefficient_grid(d, k):
+            positive = oracle_positive(d, k, **lams)
+            verdicts[positive] += 1
+            if positive:
+                assert positive_definite(SingularProduct(gamma, **lams).matrix(probes)), lams
+            else:
+                with pytest.raises(NonPositiveForm, match="not positive"):
+                    SingularProduct(gamma, **lams)
+    assert verdicts[True] and verdicts[False]
 
 
 def test_an_empty_coefficient_list_is_not_the_default():
@@ -95,11 +159,9 @@ def test_positive_definiteness_flags():
     spec = SingularProduct(ALL3)
     rep = gram(spec, labeled(monoms(2, 3), "m"))
     assert rep.positive_definite
-    degenerate = SingularProduct(ALL3, lam_vertex=(0, 0, 0))
-    rep = gram(degenerate, labeled(monoms(2, 2), "m"))
-    assert rep.positive_definite is False
-    assert not degenerate.is_valid
-    assert spec.is_valid
+    # rows that are linearly dependent give a singular Gram matrix
+    rep = gram(ClassicalProduct(ParamVector([0, 0, 0])), labeled([X, Y, X + 2 * Y], "m"))
+    assert rep.symmetric and rep.positive_definite is False
 
 
 def test_vanishing_only_at_zero():
@@ -178,9 +240,10 @@ def _named(form, oracle, *params):
 
 def _every_form():
     """(form, its oracle value function): each product class at d = 1..3,
-    k = 1..d+1, then the paper's four d = 2 forms; non-unit lambdas, and a
-    zero entry in lam_axis, lam_face and lam_vertex wherever the form has one,
-    next to a case of the same form where every lambda is nonzero."""
+    k = 1..d+1, then the paper's four d = 2 forms; non-unit lambdas in every
+    family a form takes, a zero vertex coefficient at k = d+1, and a zero
+    lambda in the named forms, each next to a case of the same form where
+    every lambda is nonzero."""
     out = []
     for d in (1, 2, 3):
         gamma = ParamVector([Fraction(j, 3) for j in range(d + 1)])
@@ -193,15 +256,14 @@ def _every_form():
             tail = tuple(Fraction(j + 1, 3) for j in range(d + 1 - k))
             singular = ParamVector(list(tail) + [-1] * k)
             out.append(SingularProduct(singular))
-            # at k = 1 the gradient coefficients are fixed to 1
-            lam_axis = [Fraction(i + 2, 3) for i in range(d - k + 1)] if k > 1 else None
-            if lam_axis:
-                lam_axis[0] = 0
-            # face terms exist from k = 3 on, vertex terms only at k = d+1
-            lam_face = ({frozenset({d - 1}): 0, frozenset({d - 2}): Fraction(7, 3)}
+            # lam and lam_axis exist below k = d+1 (lam_axis from k = 2 on),
+            # face terms from k = 3 on, vertex terms only at k = d+1
+            lam = Fraction(5, 2) if k <= d else None
+            lam_axis = [Fraction(i + 2, 3) for i in range(d - k + 1)] if 1 < k <= d else None
+            lam_face = ({frozenset({d - 1}): Fraction(5, 4), frozenset({d - 2}): Fraction(7, 3)}
                         if k >= 3 else None)
             lam_vertex = [Fraction(j, 2) for j in range(d + 1)] if k == d + 1 else None
-            out.append(SingularProduct(singular, lam=Fraction(5, 2), lam_axis=lam_axis,
+            out.append(SingularProduct(singular, lam=lam, lam_axis=lam_axis,
                                        lam_face=lam_face, lam_vertex=lam_vertex))
     out = [(form, partial(oracle_value, form)) for form in out]
     out += [_named(suites.named_k1, oracle_named_k1_value, H, Fraction(1, 3), Fraction(3)),
@@ -325,12 +387,19 @@ def test_d1_singular_forms_are_the_interval_forms_scaled():
     for beta, lams, polys in _interval_cases():
         if beta is None:
             c = Fraction(4)
-            form = SingularProduct(ParamVector([-1, -1]), lam_vertex=(c * lams[1], c * lams[0]))
+            make = partial(SingularProduct, ParamVector([-1, -1]),
+                           lam_vertex=(c * lams[1], c * lams[0]))
             interval = partial(oracle_jacobi_both_value, *lams)
         else:
             c = 4 * (beta + 1) / (beta + 2)
-            form = SingularProduct(ParamVector([beta, -1]), lam=c * lams[0])
+            make = partial(SingularProduct, ParamVector([beta, -1]), lam=c * lams[0])
             interval = partial(oracle_jacobi_beta_value, beta, lams[0])
+        if not any(lams):
+            # the constants have norm 0 then, so neither form is an inner product
+            with pytest.raises(NonPositiveForm):
+                make()
+            continue
+        form = make()
         pulled = [to_unit_interval(p) for p in polys]
         assert gram(form, labeled(pulled)).matrix == \
             [[c * interval(f, g) for g in polys] for f in polys]

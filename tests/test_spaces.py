@@ -6,6 +6,7 @@ import pytest
 
 from sobolex.bases import eigencheck
 from sobolex.cli import main
+from sobolex.errors import NonPositiveForm
 from sobolex.linalg import poly_rank, spans_equal
 from sobolex.moments import inner_product, vertex_eval
 from sobolex.polynomials import Polynomial, monomials_up_to
@@ -89,12 +90,14 @@ def test_u_space_degree_one_is_shifted_by_the_form_vertex_coefficients(lams, cap
 
 
 def test_u_space_input_validation():
-    # (1, -1, 0) does not vanish, but its sum does
-    with pytest.raises(ValueError, match="sum to zero"):
-        u_space(_form((), 3, lam_vertex=(1, -1, 0)), 1)
+    # vertex coefficients that sum to zero leave U_1 undefined; they have a
+    # negative entry or no positive one, so the form refuses them itself
+    for lams in ((1, -1, 0), (0, 0, 0)):
+        with pytest.raises(NonPositiveForm, match="vertex coefficients"):
+            _form((), 3, lam_vertex=lams)
     # the form checks its vertex coefficients when it is built, whatever the
-    # degree: only ones below k = d+1, always d+1 of them, and an empty list
-    # is not the default
+    # degree: none below k = d+1, always d+1 of them, and an empty list is
+    # not the default
     for tail, k, lams in (((0,), 2, (5, 7, 9)), ((), 3, (1, 2)), ((), 3, ())):
         with pytest.raises(ValueError, match="vertex coefficients"):
             _form(tail, k, lam_vertex=lams)
