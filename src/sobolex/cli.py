@@ -275,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     except SobolexError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return MATH_EXIT
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -307,10 +307,14 @@ class Polynomial:
         """Inverse of to_json; malformed input of any shape is a ValueError."""
         if not isinstance(data, Mapping) or not isinstance(data.get("terms"), list):
             raise ValueError("polynomial JSON must be an object with a list of terms")
+        if "d" not in data:
+            raise ValueError('polynomial JSON has no "d"')
         terms = []
         for t in data["terms"]:
             if not isinstance(t, Mapping) or not isinstance(t.get("exp"), list):
                 raise ValueError(f"bad polynomial term {t!r}")
+            if "coef" not in t:
+                raise ValueError(f'polynomial term {t!r} has no "coef"')
             terms.append((t["exp"], t["coef"]))
         return cls(data["d"], terms)
 

@@ -335,8 +335,11 @@ class TermList(_TermForm):
 # -- Gram machinery -----------------------------------------------------------
 
 class GramReport:
-    """A Gram matrix; `separate_columns` marks one taken against columns of
-    its own (the lower-degree monomials), not against its rows; it is never square."""
+    """The Gram matrix of `gram`, with its labels and form spec; `separate_columns`
+    marks one against columns of its own (the lower-degree monomials).  Every
+    flag is derived in `to_json()`; `diagonal` and `positive_definite` are null
+    unless the Gram is nonempty and against its own rows (symmetric, since
+    `matrix(rows)` mirrors its upper triangle)."""
 
     def __init__(self, spec: dict, row_labels: list[str], col_labels: list[str],
                  matrix: list[list[Fraction]], separate_columns: bool = False):
@@ -346,42 +349,21 @@ class GramReport:
         self.matrix = matrix
         self.separate_columns = separate_columns
 
-    @property
-    def all_zero(self) -> bool:
-        return all(not v for row in self.matrix for v in row)
-
-    @property
-    def is_square(self) -> bool:
-        return (not self.separate_columns and bool(self.matrix)
-                and len(self.matrix) == len(self.matrix[0]))
-
-    @property
-    def diagonal(self) -> bool:
-        return self.is_square and all(not v for i, row in enumerate(self.matrix)
-                                      for j, v in enumerate(row) if i != j)
-
-    @property
-    def symmetric(self) -> bool:
-        return self.is_square and [list(col) for col in zip(*self.matrix)] == self.matrix
-
-    @property
-    def positive_definite(self) -> bool | None:
-        if not self.symmetric:
-            return None
-        return positive_definite(self.matrix)
-
     def to_json(self) -> dict:
+        all_zero = not any(any(row) for row in self.matrix)
+        own_rows = bool(self.matrix) and not self.separate_columns
         out = {
             "spec": self.spec,
             "rows": self.row_labels,
             "cols": self.col_labels,
             "matrix": [[format_rational(v) for v in row] for row in self.matrix],
-            "all_zero": self.all_zero,
-            "diagonal": self.diagonal if self.is_square else None,
-            "positive_definite": self.positive_definite,
+            "all_zero": all_zero,
+            "diagonal": all(not v for i, row in enumerate(self.matrix) for j, v in enumerate(row)
+                            if i != j) if own_rows else None,
+            "positive_definite": positive_definite(self.matrix) if own_rows else None,
         }
         if self.separate_columns:
-            out["orthogonal_to_lower_degree"] = self.all_zero
+            out["orthogonal_to_lower_degree"] = all_zero
         return out
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .bases import Basis, eigencheck, eigenvalue, permuted_element, rodrigues_element
 from .linalg import poly_rank
@@ -100,60 +100,53 @@ def verify_u_space(product: SingularProduct, n: int) -> dict:
     """Exact verification report for the degree-n eigenspace of the weight of
     `product`, the companion Sobolev form.
 
-    Checks: every element solves the differential equation at the singular
-    parameters with the stated eigenvalue; the stacked coefficient matrix has
-    full rank binom(n+d-1, n); the Gram matrix against all lower-degree
-    monomials under the companion product is identically zero; and, in the
-    all-singular case with n >= 2, every element vanishes at every vertex.
+    Checks, in this order: every element solves the differential equation at
+    the singular parameters with the stated eigenvalue; the stacked
+    coefficient matrix has full rank binom(n+d-1, n); the Gram matrix against
+    all lower-degree monomials under the companion product is identically
+    zero; and, in the all-singular case with n >= 2, every element vanishes
+    at every vertex.  `failures` is the report's one record, in that order:
+    each failing element, as its own counterexample, and a rank shortfall.
+    A check's flag says that it recorded nothing, and `ok` that none did.
     """
     dim, k, full = product.dim, product.k, product.gamma
     basis = u_space(product, n)
+    polys = basis.polys()
     failures: list[dict] = []
 
-    def fail(check: str, key=None, witness: Polynomial | None = None) -> None:
-        entry: dict = {"check": check}
-        if key is not None:
-            entry["element"] = str(key)
-        if witness is not None:
-            entry["counterexample"] = witness.to_json()
-        failures.append(entry)
+    def record(check: str, failing: Iterable[bool]) -> bool:
+        """Record each element whose bool in `failing` is True; whether none was."""
+        found = [{"check": check, "element": str(key), "counterexample": p.to_json()}
+                 for (key, p), bad in zip(basis.elements, failing) if bad]
+        failures.extend(found)
+        return not found
 
-    eigen_ok = True
-    for key, p in basis.elements:
-        if not eigencheck(full, p, n):
-            eigen_ok = False
-            fail("eigen", key, p)
+    eigen_ok = record("eigen", (not eigencheck(full, p, n) for p in polys))
     expected = expected_dimension(dim, n)
-    rank_value = poly_rank(basis.polys())
-    rank_ok = rank_value == expected == len(basis.elements)
+    rank = poly_rank(polys)
+    rank_ok = rank == expected == len(polys)
     if not rank_ok:
-        fail(f"rank {rank_value} of {len(basis.elements)} elements, expected {expected}")
+        failures.append({"check": f"rank {rank} of {len(polys)} elements, expected {expected}"})
     lower = [Polynomial.monomial(dim, e) for e in monomials_up_to(dim, n - 1)]
-    ortho_ok = product.orthogonal(basis.polys(), lower)
-    if not ortho_ok:
-        # the failing elements are named from the matrix, rebuilt only here
-        for (key, p), row in zip(basis.elements, product.matrix(basis.polys(), lower)):
-            if any(row):
-                fail("gram-vs-lower-degree", key, p)
-    vertices_ok = True
+    # the failing elements are named from the matrix, rebuilt only when some are
+    ortho_ok = (product.orthogonal(polys, lower)
+                or record("gram-vs-lower-degree", map(any, product.matrix(polys, lower))))
+    vertices_ok = None
     if k == dim + 1 and n >= 2:
-        for key, p in basis.elements:
-            if any(vertex_eval(p, j) for j in range(dim + 1)):
-                vertices_ok = False
-                fail("vertex-vanishing", key, p)
-    ok = eigen_ok and rank_ok and ortho_ok and vertices_ok
+        vertices_ok = record("vertex-vanishing", (any(vertex_eval(p, j) for j in range(dim + 1))
+                                                  for p in polys))
     return {
         "d": dim, "k": k, "n": n,
         "gamma": full.to_json(),
         "spec": product.describe(),
         "eigenvalue": str(eigenvalue(full, n)),
         "count": len(basis.elements),
-        "rank": rank_value,
+        "rank": rank,
         "expected_dim": expected,
         "eigen_ok": eigen_ok,
         "rank_ok": rank_ok,
         "orthogonal_to_lower_degree": ortho_ok,
-        "vertices_vanish": vertices_ok if (k == dim + 1 and n >= 2) else None,
+        "vertices_vanish": vertices_ok,
         "failures": failures,
-        "ok": ok,
+        "ok": not failures,
     }

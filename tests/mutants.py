@@ -8,7 +8,8 @@ is opt-in, because each one runs its subset in a fresh copy of the repository:
 
     python tests/mutants.py
 
-It exits 0 when every mutant is caught (its subset fails) and 1 otherwise.
+It exits 0 when every mutant is caught, that is, when its subset fails an
+assertion (a crash of the code under test does not count), and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -66,6 +67,22 @@ MUTANTS = [
            "products.SingularProduct(gamma, lam_vertex=lams)",
            "products.SingularProduct(gamma)",
            ["tests/test_cli.py", "-k", "not_positive or vertex"]),
+    Mutant("gram-diagonal-against-separate-columns", "src/sobolex/products.py",
+           "if i != j) if own_rows else None",
+           "if i != j) if self.matrix else None",
+           ["tests/test_products.py", "-k", "gram_report_flags"]),
+    Mutant("gram-all-zero-reads-the-first-row-only", "src/sobolex/products.py",
+           "all_zero = not any(any(row) for row in self.matrix)",
+           "all_zero = not any(any(row) for row in self.matrix[:1])",
+           ["tests/test_products.py", "-k", "gram_report_flags"]),
+    Mutant("u-space-failure-records-no-counterexample", "src/sobolex/spaces.py",
+           '{"check": check, "element": str(key), "counterexample": p.to_json()}',
+           '{"check": check, "element": str(key)}',
+           ["tests/test_spaces.py", "-k", "every_check"]),
+    Mutant("vertex-check-below-k-d-plus-1", "src/sobolex/spaces.py",
+           "if k == dim + 1 and n >= 2:",
+           "if n >= 2:",
+           ["tests/test_spaces.py", "-k", "verify_u_space_examples"]),
     # older mutants, re-created against the code as it is
     Mutant("empty-vertex-list-is-the-default", "src/sobolex/products.py",
            "((1,) * (dim + 1) if lam_vertex is None else lam_vertex)",
@@ -83,11 +100,29 @@ MUTANTS = [
            "self._step * (len(row) - 1)",
            "self._step * len(row)",
            ["tests/test_moments.py", "-k", "brute_force"]),
+    Mutant("pairings-lift-by-the-row-degree-only", "src/sobolex/moments.py",
+           "lift[da + db]",
+           "lift[da]",
+           ["tests/test_products.py", "-k", "oracle"]),
+    Mutant("leibniz-denominator-one-power-too-high", "src/sobolex/bases.py",
+           "slots, D ** n)",
+           "slots, D ** (n + 1))",
+           ["tests/test_bases.py", "-k", "rodrigues_examples"]),
+    Mutant("all-runs-every-suite-at-every-d", "src/sobolex/suites.py",
+           "if suite.every_all or suite.d == d]",
+           "if suite.every_all or suite.d]",
+           ["tests/test_suites.py", "-k", "all_runs"]),
 ]
 
 
-def run(mutant: Mutant) -> bool:
-    """Whether the mutant's test subset fails in a mutated copy of the repository."""
+# how pytest's short summary starts the reason of a failed check, as opposed
+# to an exception raised in the code under test
+ASSERTED = ("assert", "AssertionError", "Failed: DID NOT RAISE")
+
+
+def run(mutant: Mutant) -> str:
+    """"caught" when the mutant's test subset fails an assertion in a mutated
+    copy of the repository, "crashed" when it fails otherwise, else "MISSED"."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -97,11 +132,18 @@ def run(mutant: Mutant) -> bool:
         if text.count(mutant.old) != 1:
             raise ValueError(f"{mutant.name}: old text does not occur once in {mutant.file}")
         path.write_text(text.replace(mutant.old, mutant.new))
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        # a wide terminal, so that the short summary keeps each failure's reason
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1",
+                   COLUMNS="100000")
         done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                                *mutant.tests], cwd=copy, env=env, capture_output=True, text=True)
     # pytest exits 1 when tests ran and some failed; 5 (none collected) is no catch
-    return done.returncode == 1
+    if done.returncode != 1:
+        return "MISSED"
+    summary = [line for line in done.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    asserted = all(line.startswith("FAILED ") and line.partition(" - ")[2].startswith(ASSERTED)
+                   for line in summary)
+    return "caught" if summary and asserted else "crashed"
 
 
 def main() -> int:
@@ -109,11 +151,11 @@ def main() -> int:
     start = time.perf_counter()
     for mutant in MUTANTS:
         t0 = time.perf_counter()
-        caught = run(mutant)
-        print(f"{'caught' if caught else 'MISSED'}  {time.perf_counter() - t0:6.1f} s  {mutant.name}")
-        if not caught:
+        verdict = run(mutant)
+        print(f"{verdict:7}  {time.perf_counter() - t0:6.1f} s  {mutant.name}")
+        if verdict != "caught":
             missed.append(mutant.name)
-    print(f"{len(missed)} missed, {time.perf_counter() - start:.1f} s in total")
+    print(f"{len(missed)} missed or crashed, {time.perf_counter() - start:.1f} s in total")
     return 1 if missed else 0
 
 

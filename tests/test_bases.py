@@ -79,6 +79,8 @@ def test_rodrigues_examples():
     g = ParamVector([0, 0, 0])
     assert rodrigues_element(g, (1, 0)) == 1 - 2 * X - Y
     assert rodrigues_element(ParamVector([-1, 0, 0]), (1, 0)) == -X
+    # a weight with a denominator: (gamma_0 + 1)(1 - x - y) - (gamma_2 + 1) x
+    assert rodrigues_element(ParamVector([H, 0, 0]), (1, 0)) == Fraction(3, 2) * (1 - X - Y) - X
     basis = rodrigues_basis(ParamVector([H, 1, 0]), 0)
     assert basis.polys() == [Polynomial.constant(2, 1)]
 

@@ -224,6 +224,9 @@ MALFORMED_POLYNOMIALS = {
     "float-coefficient": '{"d":2,"terms":[{"exp":[1,0],"coef":1.5}]}',
     "non-object": '[{"exp":[1,0],"coef":"1"}]',
     "zero-denominator": '{"d":2,"terms":[{"exp":[1,0],"coef":"1/0"}]}',
+    "not-json": '{"d":2,',
+    "no-d": '{"terms":[]}',
+    "no-coef": '{"d":2,"terms":[{"exp":[1,0]}]}',
 }
 
 
@@ -234,6 +237,16 @@ def test_malformed_polynomial_is_a_usage_error(capsys, case):
                                  "--f", MALFORMED_POLYNOMIALS[case], "--g", good])
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("case, key", [("no-d", '"d"'), ("no-coef", '"coef"')])
+def test_a_missing_polynomial_key_is_named(capsys, case, key):
+    good = json.dumps(Polynomial.variable(2, 0).to_json())
+    code = main(["inner", "--d", "2", "--gamma", "0,0,0",
+                 "--f", MALFORMED_POLYNOMIALS[case], "--g", good])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error: ") and err.endswith(f" has no {key}\n")
 
 
 _X = json.dumps(Polynomial.variable(2, 0).to_json())

@@ -29,7 +29,10 @@ def test_moment_errors():
         normalized_moment(ParamVector([-1, 0, 0]), (1, 0, 0))
     with pytest.raises(ValueError):
         normalized_moment(ParamVector([0, 0, 0]), (1, 0))
-    # an exponent that is not an int is refused, not truncated or read as 0/1
+    # an exponent that is not an int is refused, not truncated or read as 0/1;
+    # these refusals test the oracle helper `normalized_moment`: a caller's
+    # exponents enter the library through the `Polynomial` constructor, which
+    # tests/test_polynomials.py::test_constructor_rejects_inexact_terms checks
     for bad in (1.5, 1.0, True, False, Fraction(1), "1", -1):
         with pytest.raises(ValueError):
             normalized_moment(ParamVector([0, 0, 0]), (bad, 0, 0))

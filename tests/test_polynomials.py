@@ -214,7 +214,11 @@ def test_restrict_matches_evaluation_on_the_face():
 @pytest.mark.parametrize("terms", [
     {(Fraction(3, 2), 0): 1},   # fractional exponent
     {(1.5, 0): 1},
+    {(1.0, 0): 1},             # a float equal to an int
     {(True, 0): 1},            # boolean exponent
+    {(False, 0): 1},
+    {(Fraction(1), 0): 1},     # a Fraction equal to an int
+    {("1", 0): 1},             # a string
     {(-1, 0): 1},
     {(1,): 1},                 # wrong length
     {(1, 0): 1.5},             # float coefficient
@@ -242,6 +246,8 @@ def test_constructor_rejects_bad_dimension():
     {"d": 2, "terms": [{"exp": [1, 0], "coef": 1.5}]},
     {"d": 2, "terms": [{"exp": [1, 0], "coef": "one"}]},
     {"d": 2.0, "terms": []},
+    {"terms": []},
+    {"d": 2, "terms": [{"exp": [1, 0]}]},
 ])
 def test_from_json_rejects_malformed_input(data):
     with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from sobolex.errors import NonPositiveForm
 from sobolex.linalg import positive_definite
 from sobolex.moments import inner_product
 from sobolex.polynomials import Polynomial, complement, monomials_up_to
-from sobolex.products import (ClassicalProduct, DerivativeProduct, SingularProduct, GramReport,
+from sobolex.products import (ClassicalProduct, DerivativeProduct, SingularProduct,
                               TermList, gram, labeled)
 from sobolex.spaces import h_space, u_space
 from sobolex.weighted import ParamVector
@@ -157,11 +157,10 @@ def test_vertex_product_example():
 
 def test_positive_definiteness_flags():
     spec = SingularProduct(ALL3)
-    rep = gram(spec, labeled(monoms(2, 3), "m"))
-    assert rep.positive_definite
+    assert gram(spec, labeled(monoms(2, 3), "m")).to_json()["positive_definite"] is True
     # rows that are linearly dependent give a singular Gram matrix
     rep = gram(ClassicalProduct(ParamVector([0, 0, 0])), labeled([X, Y, X + 2 * Y], "m"))
-    assert rep.symmetric and rep.positive_definite is False
+    assert rep.to_json()["positive_definite"] is False
 
 
 def test_vanishing_only_at_zero():
@@ -194,8 +193,8 @@ def test_gram_all_zero_for_eigenspace():
     basis = u_space(spec, 3)
     rep = gram(spec, [(str(k), p) for k, p in basis.elements],
                labeled(monoms(2, 2), "m"))
-    assert rep.all_zero
     data = rep.to_json()
+    assert data["all_zero"] is True
     assert data["orthogonal_to_lower_degree"] is True
 
 
@@ -203,7 +202,7 @@ def test_gram_single_entry():
     spec = ClassicalProduct(ParamVector([0, 0, 0]))
     rep = gram(spec, labeled([ONE]))
     assert rep.matrix == [[Fraction(1)]]
-    assert rep.positive_definite
+    assert rep.to_json()["positive_definite"] is True
 
 
 def test_derivative_product_lambda_weights():
@@ -306,8 +305,21 @@ def test_value_and_gram_match_oracle(form, oracle):
     assert form.matrix(rows, cols) == [[oracle(f, g) for g in cols] for f in rows]
     for f, g in zip(rows, cols):
         assert form.value(f, g) == oracle(f, g)
-    # the symmetric path (upper triangle, mirrored) against the general one
-    assert form.matrix(rows) == form.matrix(rows, rows)
+    # the symmetric path (upper triangle, mirrored) against the general one,
+    # which pairs every entry and is symmetric all the same
+    both = form.matrix(rows, rows)
+    assert form.matrix(rows) == both == [list(col) for col in zip(*both)]
+
+
+@pytest.mark.parametrize("form, oracle", FORMS, ids=_ids(FORMS))
+def test_gram_report_positive_definite_is_the_linalg_verdict(form, oracle):
+    # on independent rows, and on the same rows with a dependent one added
+    d = form.dim
+    rows = monoms(d, 2)
+    for case in (rows, rows + [rows[1] + 2 * rows[-1]]):
+        data = gram(form, labeled(case)).to_json()
+        assert data["positive_definite"] is positive_definite(form.matrix(case))
+    assert data["positive_definite"] is False
 
 
 @pytest.mark.parametrize("form, oracle", FORMS, ids=_ids(FORMS))
@@ -406,12 +418,25 @@ def test_d1_singular_forms_are_the_interval_forms_scaled():
 
 
 def test_gram_report_flags():
-    square = GramReport({}, ["a", "b"], ["a", "b"], [[Fraction(2), Fraction(1)],
-                                                     [Fraction(1), Fraction(2)]])
-    assert square.symmetric and square.positive_definite and not square.diagonal
-    skew = GramReport({}, ["a", "b"], ["a", "b"], [[Fraction(2), Fraction(1)],
-                                                   [Fraction(0), Fraction(2)]])
-    assert not skew.symmetric and skew.positive_definite is None
+    form = ClassicalProduct(ParamVector([0, 0, 0]))
+    flags = ("all_zero", "diagonal", "positive_definite")
+
+    def read(*args):
+        data = gram(form, *args).to_json()
+        return [data[f] for f in flags], data.get("orthogonal_to_lower_degree")
+
+    assert read(labeled([X, Y])) == ([False, False, True], None)
+    assert read(labeled([ONE, ONE - 2 * X - Y])) == ([False, True, True], None)
+    # diagonal and positive_definite are null for a Gram against separate
+    # columns, square or not, and for an empty row list
+    assert read(labeled([X]), labeled([Y, ONE])) == ([False, None, None], False)
+    assert read(labeled([ONE - 3 * X]), labeled([ONE])) == ([True, None, None], True)
+    assert read([]) == ([True, None, None], None)
+    assert read([], labeled([ONE])) == ([True, None, None], True)
+    # all_zero reads every row: here the first one is zero and the second is not
+    zero = Polynomial.zero(2)
+    assert read(labeled([zero, X])) == ([False, True, False], None)
+    assert read(labeled([zero, X]), labeled([ONE])) == ([False, None, None], False)
 
 
 def test_evaluator_checks_dimensions():

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from sobolex import spaces
 from sobolex.bases import eigencheck
 from sobolex.cli import main
 from sobolex.errors import NonPositiveForm
@@ -164,7 +166,36 @@ def test_detectors_flag_tampered_eigenspace():
     assert not all(eigencheck(full, p, 3) for p in tampered)
     lower = [Polynomial.monomial(2, e) for e in monomials_up_to(2, 2)]
     rep = gram(spec, labeled(tampered), labeled(lower, "m"))
-    assert not rep.all_zero
+    assert rep.to_json()["all_zero"] is False
+
+
+def test_a_report_that_fails_every_check_keeps_the_recorded_order(monkeypatch):
+    # U_3 of (-1, -1, -1) with a constant added to one element, x added to
+    # another and the first one repeated fails all four checks; the report,
+    # canonical as `sobolex eigen` prints it, is the one recorded before its
+    # flags were derived from the failure list
+    real = spaces.u_space
+
+    def tampered(form, n):
+        basis = real(form, n)
+        (k1, p1), (k2, p2) = basis.elements[1:3]
+        basis.elements[1] = (k1, p1 + 1)
+        basis.elements[2] = (k2, p2 + Polynomial.variable(2, 0))
+        basis.elements.append(basis.elements[0])
+        return basis
+
+    monkeypatch.setattr(spaces, "u_space", tampered)
+    report = verify_u_space(_form((), 3), 3)
+    one, two = "('block', (1, 1, 0), (0, 1))", "('block', (1, 0, 1), (1, 0))"
+    assert [(f["check"], f.get("element")) for f in report["failures"]] == [
+        ("eigen", one), ("eigen", two), ("rank 4 of 5 elements, expected 4", None),
+        ("gram-vs-lower-degree", one), ("gram-vs-lower-degree", two),
+        ("vertex-vanishing", one), ("vertex-vanishing", two)]
+    flags = ("eigen_ok", "rank_ok", "orthogonal_to_lower_degree", "vertices_vanish", "ok")
+    assert [report[f] for f in flags] == [False] * 5
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == "e998a322c958c6c619368f4ebf81fa0fddb3ba657c69a1e59912057be62406f2"
 
 
 def test_scaling_beyond_default_ranges():

@@ -176,6 +176,19 @@ def test_run_suite_without_d_is_verify_without_d(name, capsys):
         == json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_all_runs_the_suites_the_table_allows_at_d(d, monkeypatch):
+    # a suite of fixed d runs in `all` at its own d, or at every d when the
+    # table says so: jacobi at d = 1 always, triangle and thm31 only at d = 2
+    for name in suites.SUITES:
+        monkeypatch.setattr(suites, f"suite_{name}",
+                            lambda n_max, name=name, **kwargs: {"suite": name, "ok": True, **kwargs})
+    got = [(r["suite"], r.get("d")) for r in suites.run_suite("all", d=d, n_max=0)["suites"]]
+    fixed = [("triangle", None), ("thm31", None)] if d == 2 else []
+    assert got == [("jacobi", None), *fixed, *((name, d) for name in
+                                               ("rodrigue", "monomial", "lemmas4", "thm34", "thm36"))]
+
+
 def test_run_suite_calls_what_is_bound_to_the_suite_name(monkeypatch):
     # so a wrapper bound to suite_<name>, as the benchmark's tracer binds one, sees the call
     monkeypatch.setattr(suites, "suite_thm36", lambda d, n_max: {"d": d, "n_max": n_max})
