@@ -7,11 +7,26 @@ is (every check must pass) and once per tamper paired with it, where a
 tamper replaces one function bound in `sobolex.suites` by a wrong one.
 Every check must fail under at least one of its suite's tampers.
 
+A second gate counts the identities: each suite runs at each (d, n_max) of
+RUNS with `_add` wrapped to list each stream, and each check must evaluate
+exactly as many identities as `golden/identity_counts.json` records.  A
+rewrite that drops half of a check's samples keeps every verdict `ok`, so
+only the count can see it.  To record the counts of checks that have none
+yet, run
+
+    PYTHONPATH=src python tests/test_suites.py
+
+It never rewrites a recorded count: when one no longer matches, it names it,
+writes nothing and exits 1.  To change a count on purpose, delete its entry
+from the file by hand and run it.
+
 The last tests check that `run_suite` reads the suite table and refuses
 what it rules out.
 """
 
 import json
+import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -128,6 +143,75 @@ def test_every_check_fails_under_some_tamper(suite, monkeypatch):
         assert uncaught == EMPTY.get((suite, d), set()), f"{suite} d={d}"
 
 
+COUNTS = pathlib.Path(__file__).with_name("golden") / "identity_counts.json"
+
+
+def identity_counts(suite, d, n_max) -> dict[str, int]:
+    """"<suite> d=<d> n_max=<n_max> <check>" -> the number of identities the
+    check evaluates, for every check of the suite run as it is."""
+    counts = {}
+    real = suites._add
+
+    def counting(checks, name, identities, detail=None):
+        identities = list(identities)
+        key = f"{suite} d={d} n_max={n_max} {name}"
+        assert key not in counts, f"two checks named {key}"
+        counts[key] = len(identities)
+        real(checks, name, identities, detail)
+
+    suites._add = counting
+    try:
+        assert suites.run_suite(suite, d=d, n_max=n_max)["ok"], f"{suite} d={d} fails"
+    finally:
+        suites._add = real
+    return counts
+
+
+def _recorded_counts() -> dict[str, int]:
+    return json.loads(COUNTS.read_text())
+
+
+@pytest.mark.parametrize("suite", RUNS)
+def test_every_check_evaluates_the_recorded_number_of_identities(suite):
+    recorded = _recorded_counts()
+    for d, n_max in RUNS[suite]:
+        got = identity_counts(suite, d, n_max)
+        prefix = f"{suite} d={d} n_max={n_max} "
+        assert got == {key: n for key, n in recorded.items() if key.startswith(prefix)}
+
+
+def test_count_recorder_adds_missing_counts_and_rewrites_none(tmp_path, monkeypatch):
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "RUNS", {"jacobi": [(1, 0)]})
+    monkeypatch.setattr(module, "COUNTS", tmp_path / "identity_counts.json")
+    got = identity_counts("jacobi", 1, 0)
+    first = min(got)
+    module.COUNTS.write_text(json.dumps({first: got[first]}))
+    assert module.record() == []
+    assert module._recorded_counts() == got
+    wrong = {first: got[first] + 1}
+    module.COUNTS.write_text(json.dumps(wrong))
+    assert module.record() == [first]
+    assert module._recorded_counts() == wrong
+
+
+def record() -> list[str]:
+    """Add the count of every check of RUNS that has none; return the
+    recorded counts that no longer match, and write nothing if there are any."""
+    recorded = _recorded_counts() if COUNTS.exists() else {}
+    stale = []
+    for suite, runs in RUNS.items():
+        for d, n_max in runs:
+            for key, n in identity_counts(suite, d, n_max).items():
+                if key not in recorded:
+                    recorded[key] = n
+                elif recorded[key] != n:
+                    stale.append(key)
+    if not stale:
+        COUNTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    return stale
+
+
 def test_positive_diagonal_needs_every_diagonal_entry_positive():
     assert all(suites._positive_diagonal([[Fraction(1), 0], [0, Fraction(1, 2)]]))
     for bad in ([[1, 0], [0, 0]], [[1, 0], [0, -1]], [[1, 0], [Fraction(1, 3), 1]]):
@@ -193,3 +277,10 @@ def test_run_suite_calls_what_is_bound_to_the_suite_name(monkeypatch):
     # so a wrapper bound to suite_<name>, as the benchmark's tracer binds one, sees the call
     monkeypatch.setattr(suites, "suite_thm36", lambda d, n_max: {"d": d, "n_max": n_max})
     assert suites.run_suite("thm36", n_max=0) == {"d": 2, "n_max": 0}
+
+
+if __name__ == "__main__":
+    stale = record()
+    if stale:
+        sys.exit("recorded count no longer matches (delete its entry to record it "
+                 "again): " + "; ".join(stale))
