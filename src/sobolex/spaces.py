@@ -11,11 +11,10 @@ import itertools
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .bases import Basis, eigencheck, eigenvalue, permuted_element, rodrigues_element
+from .bases import Basis, eigencheck, eigenvalue, permuted_element
 from .linalg import poly_rank
 from .moments import vertex_eval
-from .polynomials import (Polynomial, constrained_indices, monomials_of_degree,
-                          monomials_up_to)
+from .polynomials import Polynomial, constrained_indices, monomials_up_to
 from .weighted import ParamVector
 
 if TYPE_CHECKING:
@@ -38,16 +37,15 @@ def h_space(gamma: ParamVector, zero_axes: Sequence[int], n: int) -> Basis:
     basis = Basis(pinned, label)
     if n < 0 or len(zset) >= d:
         return basis
-    if d not in zset:
-        for nu in constrained_indices(d, n, zset):
-            basis.elements.append((nu, rodrigues_element(pinned, nu)))
-        return basis
-    true_zeros = sorted(zset - {d})
-    free = [i for i in range(d) if i not in true_zeros]
-    order = tuple([d] + true_zeros + free[:-1])
-    z = len(zset)
-    for part in monomials_of_degree(d - z, n):
-        nu = (0,) * z + part
+    # a coordinate face zeroes its own slots in the identity order, where
+    # permuted_element is rodrigues_element; a face through the hyperplane
+    # puts 1-|x| and the zeroed coordinates in the first slots and zeroes those
+    order, slots = tuple(range(d)), zset
+    if d in zset:
+        true_zeros = sorted(zset - {d})
+        free = [i for i in range(d) if i not in true_zeros]
+        order, slots = tuple([d] + true_zeros + free[:-1]), range(len(zset))
+    for nu in constrained_indices(d, n, slots):
         basis.elements.append((nu, permuted_element(pinned, order, nu)))
     return basis
 

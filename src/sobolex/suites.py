@@ -287,68 +287,54 @@ def _positive_indices(d: int, n: int, axes: Iterable[int]) -> list[tuple[int, ..
     return [nu for nu in monomials_of_degree(d, n) if all(nu[i] >= 1 for i in axes)]
 
 
+def _trailing_block(lead: tuple[Fraction, ...], k: int):
+    """For the weight (lead, -1 x k): itself, (lead, 1 x k), the trailing k-1
+    true axes S and the factor (1-|x|) x^S."""
+    d = len(lead) + k - 1
+    axes = list(range(d + 1 - k, d))
+    return (ParamVector(list(lead) + [-1] * k), ParamVector(list(lead) + [1] * k), axes,
+            complement(d) * _product_of_x(d, axes))
+
+
 def suite_lemmas4(d: int = 2, n_max: int = 4,
                   gammas: list[ParamVector] | None = None) -> dict:
+    """The product-rule identities of the Rodrigues elements R(g, nu) of degree
+    n, each check from one of two generators, then the reverse membership and
+    the homogeneous face block.
+
+    dropped(entries, S): for g = entries with -1 on the true axes S and nu >= 1
+      on S, R(g, nu) = (-1)^|S| prod_{j<|S|} (n + g_{d+1} - j) x^S R(g + 2e_S, nu - e_S).
+    summed(lead, k, positive): for g = (lead, -1 x k), S its trailing k-1 true
+      axes and nu >= 1 on `positive`, R(g, nu) = (1-|x|) x^S sum_i c_i
+      R((lead, 1 x k), nu - e_S - e_i) over the c_i != 0, where c_i =
+      (-1)^(k-1) prod_{j<k-1} (n - j) nu_i (nu_i + g_i) / n.
+    """
     checks: list[dict] = []
     gammas = gammas or default_gammas(d)
     leads = sorted({g.entries[:-1] for g in gammas})
     zero = Polynomial.zero(d)
 
-    def drop_last_exponent():
-        for lead in leads:
-            gamma_sing = ParamVector(list(lead) + [-1])
-            gamma_plus = ParamVector(list(lead) + [1])
-            for n in range(d, n_max + 1):
-                for nu in _positive_indices(d, n, range(d)):
-                    rhs = sum((nu[i] * (lead[i] + nu[i]) / n
-                               * rodrigues_element(gamma_plus, _lowered(nu, [i]))
-                               for i in range(d)), zero)
-                    yield rodrigues_element(gamma_sing, nu) == complement(d) * rhs
+    def dropped(entries, axes):
+        gamma = ParamVector(entries).with_values({i: -1 for i in axes})
+        raised = gamma.shifted([2 * (j in axes) for j in range(d + 1)])
+        for n in range(len(axes), n_max + 1):
+            mult = (-1) ** len(axes) * prod(n + gamma.entries[d] - j for j in range(len(axes))) \
+                * _product_of_x(d, axes)
+            for nu in _positive_indices(d, n, axes):
+                yield rodrigues_element(gamma, nu) \
+                    == mult * rodrigues_element(raised, _lowered(nu, axes))
 
-    def drop_inner_exponent():
-        for lead in leads:
-            for i in range(d):
-                x_i = Polynomial.variable(d, i)
-                for last in (Fraction(0), HALF):
-                    entries = list(lead) + [last]
-                    entries[i] = Fraction(-1)
-                    gamma_sing = ParamVector(entries)
-                    bumped = gamma_sing.shifted([2 * (j == i) for j in range(d + 1)])
-                    for n in range(1, n_max + 1):
-                        for nu in _positive_indices(d, n, [i]):
-                            yield rodrigues_element(gamma_sing, nu) == -(n + last) * x_i \
-                                * rodrigues_element(bumped, _lowered(nu, [i]))
-
-    def drop_inner_block():
-        for k in range(2, d + 1):
-            lead = default_tails(d, k)[2]
-            axes = list(range(d + 1 - k, d))
-            for last in (Fraction(0), HALF):
-                gamma_sing = ParamVector(list(lead) + [-1] * (k - 1) + [last])
-                gamma_plus = ParamVector(list(lead) + [1] * (k - 1) + [last])
-                for n in range(k - 1, n_max + 1):
-                    mult = (-1) ** (k - 1) * prod(n + last - j + 1 for j in range(1, k)) \
-                        * _product_of_x(d, axes)
-                    for nu in _positive_indices(d, n, axes):
-                        yield rodrigues_element(gamma_sing, nu) \
-                            == mult * rodrigues_element(gamma_plus, _lowered(nu, axes))
-
-    def sum_rule():
-        for k in range(1, d + 1):
-            lead = default_tails(d, k)[2]
-            gamma_sing = ParamVector(list(lead) + [-1] * k)
-            gamma_plus = ParamVector(list(lead) + [1] * k)
-            axes = list(range(d + 1 - k, d))
-            xk = complement(d) * _product_of_x(d, axes)
-            for n in range(k, n_max + 1):
-                scale = Fraction((-1) ** (k - 1) * prod(n - j for j in range(k - 1)), n)
-                for nu in _positive_indices(d, n, axes):
-                    terms = [(scale * nu[i] * (nu[i] + gamma_sing.entries[i]),
-                              _lowered(nu, axes + [i])) for i in range(d)]
-                    terms = [(lam, m) for lam, m in terms if lam]
-                    yield all(min(m) >= 0 for _, m in terms) \
-                        and rodrigues_element(gamma_sing, nu) == xk * sum(
-                            (lam * rodrigues_element(gamma_plus, m) for lam, m in terms), zero)
+    def summed(lead, k, positive):
+        gamma, raised, axes, factor = _trailing_block(lead, k)
+        for n in range(k, n_max + 1):
+            scale = Fraction((-1) ** (k - 1) * prod(n - j for j in range(k - 1)), n)
+            for nu in _positive_indices(d, n, positive):
+                terms = [(scale * nu[i] * (nu[i] + gamma.entries[i]), _lowered(nu, axes + [i]))
+                         for i in range(d)]
+                terms = [(lam, m) for lam, m in terms if lam]
+                yield all(min(m) >= 0 for _, m in terms) \
+                    and rodrigues_element(gamma, nu) == factor * sum(
+                        (lam * rodrigues_element(raised, m) for lam, m in terms), zero)
 
     def homogeneous_face_block():
         xs = [Polynomial.variable(d, i) for i in range(d)]
@@ -361,27 +347,29 @@ def suite_lemmas4(d: int = 2, n_max: int = 4,
                                   for i, (x, g) in enumerate(zip(xs, grad))), zero)
                     yield euler == n * p and second.is_zero
 
-    _add(checks, "drop-last-exponent", drop_last_exponent())
-    _add(checks, "drop-inner-exponent", drop_inner_exponent())
-    _add(checks, "drop-inner-block", drop_inner_block())
-    _add(checks, "sum-rule", sum_rule())
+    chain = itertools.chain.from_iterable
+    _add(checks, "drop-last-exponent", chain(summed(lead, 1, range(d)) for lead in leads))
+    _add(checks, "drop-inner-exponent",
+         chain(dropped([*lead, last], [i])
+               for lead in leads for i in range(d) for last in (0, HALF)))
+    _add(checks, "drop-inner-block",
+         chain(dropped([*default_tails(d, k)[2], *[-1] * (k - 1), last], range(d + 1 - k, d))
+               for k in range(2, d + 1) for last in (0, HALF)))
+    _add(checks, "sum-rule",
+         chain(summed(default_tails(d, k)[2], k, range(d + 1 - k, d)) for k in range(1, d + 1)))
 
     # every index keeps its coefficients for the sample, so nothing stops early
     spans = []
     for k in range(1, d + 1):
-        lead = default_tails(d, k)[0]
-        gamma_sing = ParamVector(list(lead) + [-1] * k)
-        gamma_plus = ParamVector(list(lead) + [1] * k)
-        axes = list(range(d + 1 - k, d))
-        xk = complement(d) * _product_of_x(d, axes)
+        gamma, raised, axes, factor = _trailing_block(default_tails(d, k)[0], k)
         for n in range(0, max(0, n_max - k) + 1):
             for nu in monomials_of_degree(d, n):
                 family = []
                 for j_rest in itertools.product(*(range(nu[i] + 1) for i in range(1, d))):
                     m = [n - sum(j_rest) + 1, *j_rest]
                     family.append(rodrigues_element(
-                        gamma_sing, tuple(v + (i in axes) for i, v in enumerate(m))))
-                spans.append((k, nu, in_span(xk * rodrigues_element(gamma_plus, nu), family)))
+                        gamma, tuple(v + (i in axes) for i, v in enumerate(m))))
+                spans.append((k, nu, in_span(factor * rodrigues_element(raised, nu), family)))
     mus = {f"k={k},nu={nu}": [format_rational(c) for c in coeffs]
            for k, nu, coeffs in spans if coeffs is not None and k == d and sum(nu) <= 1}
     _add(checks, "reverse-membership", (coeffs is not None for _, _, coeffs in spans),
