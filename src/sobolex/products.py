@@ -173,7 +173,10 @@ class DerivativeProduct(_TermForm):
 
     For every subset S of coordinates with 1 <= |S| <= order, adds
     lambda_S <d^S f, d^S g> against the weight shifted by +1 on S and +j on
-    the complement factor.
+    the complement factor.  The constructor judges the lambdas as
+    SingularProduct does: a key that is no such S is a ValueError, and a
+    lambda < 0 a `NonPositiveForm`; 0 is allowed, the classical term keeps the
+    form positive.
     """
 
     kind = "derivative"
@@ -188,6 +191,11 @@ class DerivativeProduct(_TermForm):
         self.order = order
         self.lambdas = {frozenset(k): as_fraction(v)
                         for k, v in (lambdas or {}).items()}
+        if not all(0 < len(s) <= order and s <= set(range(d)) for s in self.lambdas):
+            raise ValueError(f"lambda keys must be nonempty subsets of 0..{d - 1} "
+                             f"with at most {order} elements")
+        if min(self.lambdas.values(), default=0) < 0:
+            raise NonPositiveForm("the derivative form is not positive: every lambda must be >= 0")
 
     def terms(self) -> list[Term]:
         out = [Term(ONE, _derivative(()), self.gamma, tag="main")]

@@ -17,10 +17,11 @@ Rational = Union[int, Fraction]
 
 
 def as_fraction(value: Rational | str) -> Fraction:
-    """Coerce an int, Fraction or "p/q" string to an exact Fraction."""
+    """Coerce an int, Fraction or "p/q" string to an exact Fraction; a bool, like
+    a float, is a TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)

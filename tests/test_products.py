@@ -215,6 +215,30 @@ def test_derivative_product_lambda_weights():
     assert spec.value(f, g) == want
 
 
+def test_derivative_product_judges_its_lambdas():
+    gamma = ParamVector([0, 0, 0])
+    # every key a term reads, with lambda 0 or more, is accepted
+    DerivativeProduct(gamma, 2, {frozenset({0}): 0, frozenset({1}): 3, frozenset({0, 1}): H})
+    # a key that no term reads: too many axes for the order, no axis, an axis
+    # out of range
+    for key in ({0, 1}, (), {7}, {2}):
+        with pytest.raises(ValueError, match="lambda keys"):
+            DerivativeProduct(gamma, 1, {frozenset(key): 5})
+    # a negative lambda makes <x, x> = -599/6 at lambda_0 = -100
+    for lam in (-100, Fraction(-1, 7)):
+        with pytest.raises(NonPositiveForm, match="not positive"):
+            DerivativeProduct(gamma, 1, {frozenset({0}): lam})
+    with pytest.raises(NonPositiveForm, match="not positive"):
+        DerivativeProduct(gamma, 2, {frozenset({1}): 1, frozenset({0, 1}): -1})
+
+
+def test_a_bool_is_no_coefficient():
+    with pytest.raises(TypeError):
+        SingularProduct(ParamVector([0, 0, -1]), lam=True)
+    with pytest.raises(TypeError):
+        DerivativeProduct(ParamVector([0, 0, 0]), 1, {frozenset({0}): False})
+
+
 def test_block_orthogonality_k1():
     spec = SingularProduct(ParamVector([0, 0, -1]))
     for n in range(1, 4):
@@ -248,8 +272,10 @@ def _every_form():
         gamma = ParamVector([Fraction(j, 3) for j in range(d + 1)])
         out.append(ClassicalProduct(gamma))
         for order in range(1, d + 1):
-            out.append(DerivativeProduct(gamma, order, {frozenset({0}): Fraction(5, 2),
-                                                        frozenset({d - 1, 0}): 0}))
+            # the two-axis key only where a term reads it (it is {0} at d = 1)
+            lams = {frozenset({0}): Fraction(5, 2), frozenset({d - 1, 0}): 0}
+            out.append(DerivativeProduct(gamma, order,
+                                         {s: v for s, v in lams.items() if len(s) <= order}))
             out.append(DerivativeProduct(gamma, order, {frozenset({d - 1}): Fraction(2, 3)}))
         for k in range(1, d + 2):
             tail = tuple(Fraction(j + 1, 3) for j in range(d + 1 - k))

@@ -45,5 +45,7 @@ def test_rational_round_trip():
 
 
 def test_as_fraction_rejects_floats():
-    with pytest.raises(TypeError):
-        as_fraction(0.5)
+    # a bool is an int to Python, but not an exact rational to the library
+    for value in (0.5, True, False):
+        with pytest.raises(TypeError):
+            as_fraction(value)

@@ -25,6 +25,8 @@ def test_param_vector_basics():
     assert g.with_values({1: 5}) == ParamVector([H, 5, 0])
     with pytest.raises(ValueError):
         ParamVector([1])
+    with pytest.raises(TypeError):  # not ParamVector(1,0,0)
+        ParamVector([True, False, 0])
 
 
 @pytest.mark.parametrize("entries, split", [
