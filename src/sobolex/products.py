@@ -173,10 +173,8 @@ class DerivativeProduct(_TermForm):
 
     For every subset S of coordinates with 1 <= |S| <= order, adds
     lambda_S <d^S f, d^S g> against the weight shifted by +1 on S and +j on
-    the complement factor.  The constructor judges the lambdas as
-    SingularProduct does: a key that is no such S is a ValueError, and a
-    lambda < 0 a `NonPositiveForm`; 0 is allowed, the classical term keeps the
-    form positive.
+    the complement factor.  A lambda key that is no such S is a ValueError, a
+    lambda < 0 a `NonPositiveForm` (0 is allowed: the classical term stays).
     """
 
     kind = "derivative"

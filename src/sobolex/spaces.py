@@ -37,14 +37,12 @@ def h_space(gamma: ParamVector, zero_axes: Sequence[int], n: int) -> Basis:
     basis = Basis(pinned, label)
     if n < 0 or len(zset) >= d:
         return basis
-    # a coordinate face zeroes its own slots in the identity order, where
-    # permuted_element is rodrigues_element; a face through the hyperplane
-    # puts 1-|x| and the zeroed coordinates in the first slots and zeroes those
+    # a coordinate face: its own slots in the identity order (rodrigues_element);
+    # through the hyperplane: the first slots, holding 1-|x| and the true zeros
     order, slots = tuple(range(d)), zset
     if d in zset:
-        true_zeros = sorted(zset - {d})
-        free = [i for i in range(d) if i not in true_zeros]
-        order, slots = tuple([d] + true_zeros + free[:-1]), range(len(zset))
+        free = [i for i in range(d) if i not in zset]
+        order, slots = (d, *sorted(zset - {d}), *free[:-1]), range(len(zset))
     for nu in constrained_indices(d, n, slots):
         basis.elements.append((nu, permuted_element(pinned, order, nu)))
     return basis

@@ -202,8 +202,7 @@ def suite_rodrigue(d: int = 2, n_max: int = 4,
     for gamma in gammas:
         tag = _gamma_tag(gamma)
         classical = ClassicalProduct(gamma)
-        # all_orders(d) holds the identity order, whose permuted basis is the
-        # Rodrigues basis element for element, so that family is built once
+        # all_orders(d) holds the identity order, whose permuted basis is the Rodrigues basis
         families = [(n, family.polys()) for n in range(n_max + 1)
                     for family in [monomial_basis(gamma, n),
                                    *(permuted_basis(gamma, order, n) for order in orders)]]
@@ -300,17 +299,12 @@ def _trailing_block(lead: tuple[Fraction, ...], k: int):
 
 def suite_lemmas4(d: int = 2, n_max: int = 4,
                   gammas: list[ParamVector] | None = None) -> dict:
-    """The product-rule identities of the Rodrigues elements R(g, nu) of degree
-    n, each check from one of two generators, then the reverse membership and
-    the homogeneous face block.
-
-    dropped(entries, S): for g = entries with -1 on the true axes S and nu >= 1
-      on S, R(g, nu) = (-1)^|S| prod_{j<|S|} (n + g_{d+1} - j) x^S R(g + 2e_S, nu - e_S).
-    summed(lead, k, positive): for g = (lead, -1 x k), S its trailing k-1 true
-      axes and nu >= 1 on `positive`, R(g, nu) = (1-|x|) x^S sum_i c_i
-      R((lead, 1 x k), nu - e_S - e_i) over the c_i != 0, where c_i =
-      (-1)^(k-1) prod_{j<k-1} (n - j) nu_i (nu_i + g_i) / n.
-    """
+    """The product-rule identities of the Rodrigues elements R(g, nu), |nu| = n:
+    dropped (g = entries, -1 on the true axes S; nu >= 1 on S) is R(g, nu) =
+      (-1)^|S| prod_{j<|S|} (n + g_{d+1} - j) x^S R(g + 2e_S, nu - e_S);
+    summed (g = (lead, -1 x k), S its trailing k-1 true axes; nu >= 1 on `positive`)
+      is R(g, nu) = (1-|x|) x^S sum_{c_i != 0} c_i R((lead, 1 x k), nu - e_S - e_i),
+      c_i = (-1)^(k-1) prod_{j<k-1} (n - j) nu_i (nu_i + g_i) / n."""
     checks: list[dict] = []
     gammas = gammas or default_gammas(d)
     leads = sorted({g.entries[:-1] for g in gammas})
@@ -331,9 +325,8 @@ def suite_lemmas4(d: int = 2, n_max: int = 4,
         for n in range(k, n_max + 1):
             scale = Fraction((-1) ** (k - 1) * prod(n - j for j in range(k - 1)), n)
             for nu in _positive_indices(d, n, positive):
-                terms = [(scale * nu[i] * (nu[i] + gamma.entries[i]), _lowered(nu, axes + [i]))
-                         for i in range(d)]
-                terms = [(lam, m) for lam, m in terms if lam]
+                terms = [(lam, _lowered(nu, axes + [i])) for i in range(d)
+                         if (lam := scale * nu[i] * (nu[i] + gamma.entries[i]))]
                 yield all(min(m) >= 0 for _, m in terms) \
                     and rodrigues_element(gamma, nu) == factor * sum(
                         (lam * rodrigues_element(raised, m) for lam, m in terms), zero)
@@ -366,11 +359,9 @@ def suite_lemmas4(d: int = 2, n_max: int = 4,
         gamma, raised, axes, factor = _trailing_block(default_tails(d, k)[0], k)
         for n in range(0, max(0, n_max - k) + 1):
             for nu in monomials_of_degree(d, n):
-                family = []
-                for j_rest in itertools.product(*(range(nu[i] + 1) for i in range(1, d))):
-                    m = [n - sum(j_rest) + 1, *j_rest]
-                    family.append(rodrigues_element(
-                        gamma, tuple(v + (i in axes) for i, v in enumerate(m))))
+                family = [rodrigues_element(gamma, tuple(v + (i in axes) for i, v in
+                                                         enumerate((n - sum(j) + 1, *j))))
+                          for j in itertools.product(*(range(v + 1) for v in nu[1:]))]
                 spans.append((k, nu, in_span(factor * rodrigues_element(raised, nu), family)))
     mus = {f"k={k},nu={nu}": [format_rational(c) for c in coeffs]
            for k, nu, coeffs in spans if coeffs is not None and k == d and sum(nu) <= 1}
