@@ -83,6 +83,27 @@ MUTANTS = [
            "if k == dim + 1 and n >= 2:",
            "if n >= 2:",
            ["tests/test_spaces.py", "-k", "verify_u_space_examples"]),
+    Mutant("dropped-sign-one-power-too-high", "src/sobolex/suites.py",
+           "mult = (-1) ** len(axes) * prod(",
+           "mult = (-1) ** (len(axes) + 1) * prod(",
+           ["tests/test_suites.py", "-k", "lemmas4"]),
+    # every identity still holds, so only the count gate sees the missing half
+    Mutant("drop-inner-exponent-samples-last-0-only", "src/sobolex/suites.py",
+           "for i in range(d) for last in (0, HALF)",
+           "for i in range(d) for last in (0,)",
+           ["tests/test_suites.py", "-k", "recorded_number and lemmas4"]),
+    Mutant("summed-starts-one-degree-later", "src/sobolex/suites.py",
+           "for n in range(k, n_max + 1):",
+           "for n in range(k + 1, n_max + 1):",
+           ["tests/test_suites.py", "-k", "recorded_number and lemmas4"]),
+    Mutant("h-space-hyperplane-slots-are-the-zero-set", "src/sobolex/spaces.py",
+           "range(len(zset))",
+           "zset",
+           ["tests/test_spaces.py"]),
+    Mutant("derivative-product-accepts-a-negative-lambda", "src/sobolex/products.py",
+           "min(self.lambdas.values(), default=0) < 0",
+           "min(self.lambdas.values(), default=0) < -1",
+           ["tests/test_products.py", "-k", "judges_its_lambdas"]),
     # older mutants, re-created against the code as it is
     Mutant("empty-vertex-list-is-the-default", "src/sobolex/products.py",
            "((1,) * (dim + 1) if lam_vertex is None else lam_vertex)",
@@ -112,6 +133,18 @@ MUTANTS = [
            "if suite.every_all or suite.d == d]",
            "if suite.every_all or suite.d]",
            ["tests/test_suites.py", "-k", "all_runs"]),
+    Mutant("eigencheck-off-diagonal-factor", "src/sobolex/bases.py",
+           "c * ai * ((ai - 1) * D + lows[i])",
+           "c * ai * (ai * D + lows[i])",
+           ["tests/test_kernels.py", "-k", "eigencheck"]),
+    Mutant("matrix-does-not-mirror", "src/sobolex/products.py",
+           "out.append([out[j][i] for j in range(start)]",
+           "out.append([ZERO for j in range(start)]",
+           ["tests/test_products.py", "-k", "oracle"]),
+    Mutant("no-jacobi-floor", "src/sobolex/suites.py",
+           "n_max = max(n_max, 5)",
+           "n_max = max(n_max, 0)",
+           ["tests/test_golden.py", "-k", "suite and all"]),
 ]
 
 
