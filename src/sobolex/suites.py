@@ -327,9 +327,9 @@ def suite_lemmas4(d: int = 2, n_max: int = 4,
             for nu in _positive_indices(d, n, positive):
                 terms = [(lam, _lowered(nu, axes + [i])) for i in range(d)
                          if (lam := scale * nu[i] * (nu[i] + gamma.entries[i]))]
-                yield all(min(m) >= 0 for _, m in terms) \
-                    and rodrigues_element(gamma, nu) == factor * sum(
-                        (lam * rodrigues_element(raised, m) for lam, m in terms), zero)
+                # nu >= 1 on S, so every index m of a nonzero c_i is >= 0
+                yield rodrigues_element(gamma, nu) == factor * sum(
+                    (lam * rodrigues_element(raised, m) for lam, m in terms), zero)
 
     def homogeneous_face_block():
         xs = [Polynomial.variable(d, i) for i in range(d)]
