@@ -327,7 +327,7 @@ def suite_lemmas4(d: int = 2, n_max: int = 4,
             for nu in _positive_indices(d, n, positive):
                 terms = [(lam, _lowered(nu, axes + [i])) for i in range(d)
                          if (lam := scale * nu[i] * (nu[i] + gamma.entries[i]))]
-                # nu >= 1 on S, so every index m of a nonzero c_i is >= 0
+                # `positive` holds S, so every index m of a nonzero c_i is >= 0
                 yield rodrigues_element(gamma, nu) == factor * sum(
                     (lam * rodrigues_element(raised, m) for lam, m in terms), zero)
 
