@@ -131,8 +131,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
     _check_flags(args, args.basis, args.spec)
     product = _build_product(args)
     if args.basis == "monomials":
-        rows = products.labeled([polynomials.Polynomial.monomial(args.d, e)
-                                 for e in polynomials.monomials_up_to(args.d, args.n)], "m")
+        rows = products.labeled(polynomials.monomial_polys(args.d, args.n), "m")
     else:
         # U_n of the sobolev spec belongs to the form just built: not a second one
         basis = (spaces.u_space(product, args.n) if (args.basis, args.spec) == ("u", "sobolev")
@@ -141,8 +140,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
     if args.against == "self":
         report = products.gram(product, rows)
     else:
-        lower = products.labeled([polynomials.Polynomial.monomial(args.d, e)
-                                  for e in polynomials.monomials_up_to(args.d, args.n - 1)], "m")
+        lower = products.labeled(polynomials.monomial_polys(args.d, args.n - 1), "m")
         report = products.gram(product, rows, lower)
     _emit(report.to_json(), args.pretty)
     return 0

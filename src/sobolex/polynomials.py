@@ -365,17 +365,11 @@ def monomials_up_to(dim: int, degree: int) -> list[Exponents]:
     return out
 
 
-def constrained_indices(dim: int, degree: int, zero_axes: Iterable[int]) -> list[Exponents]:
-    """Degree-`degree` multi-indices whose entries vanish on zero_axes."""
-    zset = set(zero_axes)
-    free = [i for i in range(dim) if i not in zset]
-    out = []
-    for part in monomials_of_degree(len(free), degree):
-        exp = [0] * dim
-        for axis, e in zip(free, part):
-            exp[axis] = e
-        out.append(tuple(exp))
-    return sorted(out, key=graded_lex_key)
+@lru_cache(maxsize=None)
+def monomial_polys(dim: int, degree: int) -> tuple[Polynomial, ...]:
+    """The monomials x^e of degree <= `degree`, in `monomials_up_to` order:
+    one cached tuple per (dim, degree), shared by every caller."""
+    return tuple(Polynomial.monomial(dim, e) for e in monomials_up_to(dim, degree))
 
 
 def box_indices(bounds: Sequence[int]) -> Iterator[Exponents]:

@@ -7,12 +7,14 @@ the right-hand factor.  A term without a weight is a scalar product
 lam * A(f) A(g) of point values.  Each class only lists its terms, built
 once per form; one evaluator, `matrix`, computes every value and Gram matrix
 from them, and every check in `suites` and `spaces` reads it, the all-zero
-ones through `orthogonal`.  It maps each row and each column polynomial
-through each term once, keeps the images as integer coefficients over a
-common denominator, and pairs them by moment sums (`MomentTable.pairings`),
-so no polynomial is built per pair.  Each entry is summed over the terms as
-an int numerator and denominator and becomes one Fraction at the end; `gram`
-labels it into the printed `GramReport`.
+ones through `orthogonal`, and those against every lower degree through
+`orthogonal_below`, the one place that turns a degree into its columns.  It
+maps each row and each column polynomial through each term once, keeps the
+images as integer coefficients over a common denominator, and pairs them by
+moment sums (`MomentTable.pairings`), so no polynomial is built per pair.
+Each entry is summed over the terms as an int numerator and denominator and
+becomes one Fraction at the end; `gram` labels it into the printed
+`GramReport`.
 
 Each integral term is Dirichlet-normalized against its own displayed base
 weight (the monomial factors such as x_i inside a summand belong to the
@@ -33,7 +35,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from .errors import NonPositiveForm
 from .linalg import positive_definite
 from .moments import moment_table, vertex_eval
-from .polynomials import Exponents, Polynomial
+from .polynomials import Exponents, Polynomial, monomial_polys
 from .scalars import Rational, as_fraction, format_rational
 from .weighted import ParamVector
 
@@ -50,6 +52,17 @@ def mass_ratio(params: ParamVector) -> str:
     num = format_rational(params.total + params.d + 1)
     den = "*".join(f"Gamma({format_rational(g + 1)})" for g in params.entries)
     return f"Gamma({num})/({den})"
+
+
+def _subset_keyed(lams: Mapping[frozenset[int], Rational] | None
+                  ) -> dict[frozenset[int], Fraction]:
+    """Subset-keyed coefficients as exact values; a key axis that is not an
+    int (a bool too: `True` would pass as axis 1) is a ValueError."""
+    out = {frozenset(s): as_fraction(v) for s, v in (lams or {}).items()}
+    bad = [i for s in out for i in s if type(i) is not int]
+    if bad:
+        raise ValueError(f"a coefficient key axis must be an int, not {bad[0]!r}")
+    return out
 
 
 def _by_subset(lams: Mapping[frozenset[int], Rational]) -> dict[str, str]:
@@ -150,6 +163,11 @@ class _TermForm:
         """Whether every polynomial in `rows` pairs to zero with every one in `cols`."""
         return not any(any(line) for line in self.matrix(rows, cols))
 
+    def orthogonal_below(self, rows: Sequence[Polynomial], n: int) -> bool:
+        """Whether every polynomial in `rows` is orthogonal to every polynomial
+        of degree below n, that is, to the monomials of degree <= n - 1."""
+        return self.orthogonal(rows, monomial_polys(self.dim, n - 1))
+
 
 class ClassicalProduct(_TermForm):
     """The plain normalized pairing against an integrable simplex weight."""
@@ -187,8 +205,7 @@ class DerivativeProduct(_TermForm):
         self.gamma = gamma
         self.dim = d
         self.order = order
-        self.lambdas = {frozenset(k): as_fraction(v)
-                        for k, v in (lambdas or {}).items()}
+        self.lambdas = _subset_keyed(lambdas)
         if not all(0 < len(s) <= order and s <= set(range(d)) for s in self.lambdas):
             raise ValueError(f"lambda keys must be nonempty subsets of 0..{d - 1} "
                              f"with at most {order} elements")
@@ -253,7 +270,7 @@ class SingularProduct(_TermForm):
                               ((1,) * (dim - k + 1) if lam_axis is None else lam_axis))
         if len(self.lam_axis) != dim - k + 1:
             raise ValueError("lam_axis has wrong length")
-        self.lam_face = {frozenset(kk): as_fraction(v) for kk, v in (lam_face or {}).items()}
+        self.lam_face = _subset_keyed(lam_face)
         faces = {frozenset(s) for i in range(1, k - 1)
                  for s in itertools.combinations(self._mk, i)}
         if not self.lam_face.keys() <= faces:

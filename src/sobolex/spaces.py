@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .bases import Basis, eigencheck, eigenvalue, permuted_element
 from .linalg import poly_rank
 from .moments import vertex_eval
-from .polynomials import Polynomial, constrained_indices, monomials_up_to
+from .polynomials import Polynomial, monomials_of_degree
 from .weighted import ParamVector
 
 if TYPE_CHECKING:
@@ -43,8 +43,8 @@ def h_space(gamma: ParamVector, zero_axes: Sequence[int], n: int) -> Basis:
     if d in zset:
         free = [i for i in range(d) if i not in zset]
         order, slots = (d, *sorted(zset - {d}), *free[:-1]), range(len(zset))
-    for nu in constrained_indices(d, n, slots):
-        basis.elements.append((nu, permuted_element(pinned, order, nu)))
+    basis.elements.extend((nu, permuted_element(pinned, order, nu))
+                          for nu in monomials_of_degree(d, n) if not any(nu[i] for i in slots))
     return basis
 
 
@@ -123,10 +123,10 @@ def verify_u_space(product: SingularProduct, n: int) -> dict:
     rank_ok = rank == expected == len(polys)
     if not rank_ok:
         failures.append({"check": f"rank {rank} of {len(polys)} elements, expected {expected}"})
-    lower = [Polynomial.monomial(dim, e) for e in monomials_up_to(dim, n - 1)]
-    # the failing elements are named from the matrix, rebuilt only when some are
-    ortho_ok = (product.orthogonal(polys, lower)
-                or record("gram-vs-lower-degree", map(any, product.matrix(polys, lower))))
+    # the failing elements are named one by one, only when some are
+    ortho_ok = (product.orthogonal_below(polys, n)
+                or record("gram-vs-lower-degree",
+                          (not product.orthogonal_below([p], n) for p in polys)))
     vertices_ok = None
     if k == dim + 1 and n >= 2:
         vertices_ok = record("vertex-vanishing", (any(vertex_eval(p, j) for j in range(dim + 1))

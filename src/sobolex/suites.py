@@ -24,7 +24,7 @@ from .bases import (Basis, all_orders, biorthogonal_constant, eigencheck,
                     monomial_basis, monomial_element, permuted_basis,
                     permuted_element, rodrigues_basis, rodrigues_element)
 from .linalg import in_span, poly_rank, positive_definite, spans_equal
-from .polynomials import Polynomial, complement, monomials_of_degree, monomials_up_to
+from .polynomials import Polynomial, complement, monomial_polys, monomials_of_degree
 from .products import (ONE, ClassicalProduct, DerivativeProduct, SingularProduct, Term,
                        TermList, _derivative, _vertex)
 from .scalars import format_rational
@@ -66,15 +66,6 @@ def default_tails(d: int, k: int) -> list[tuple[Fraction, ...]]:
 
 def _gamma_tag(gamma: ParamVector) -> str:
     return ",".join(format_rational(g) for g in gamma.entries)
-
-
-def _monomial_polys(d: int, up_to: int) -> list[Polynomial]:
-    return [Polynomial.monomial(d, e) for e in monomials_up_to(d, up_to)]
-
-
-def _lower(d: int, n_max: int) -> list[list[Polynomial]]:
-    """Entry n holds the monomials of degree below n, for n = 0..n_max."""
-    return [_monomial_polys(d, n - 1) for n in range(n_max + 1)]
 
 
 def _scaled(mult: Polynomial, polys: list[Polynomial]) -> list[Polynomial]:
@@ -147,7 +138,8 @@ def suite_jacobi(n_max: int = 5) -> dict:
                    (HALF, Fraction(3))):
         fam = [jacobi_negative_one_one(n, l1, l2) for n in degrees]
         tag = f"l1={format_rational(l1)},l2={format_rational(l2)}"
-        _add(checks, f"neg-both-mu[{tag}]", [fam[1] == x + (l2 - l1) / (l1 + l2)])
+        _add(checks, f"neg-both-mu[{tag}]",
+             [jacobi_negative_one_one(1, l1, l2) == x + (l2 - l1) / (l1 + l2)])
         _add(checks, f"neg-both-ode[{tag}]",
              (jacobi_ode_residual(p, n, Fraction(-1), Fraction(-1)).is_zero
               for n, p in enumerate(fam)))
@@ -198,7 +190,6 @@ def suite_rodrigue(d: int = 2, n_max: int = 4,
     checks: list[dict] = []
     gammas = gammas or default_gammas(d)
     orders = all_orders(d)
-    lower = _lower(d, n_max)
     for gamma in gammas:
         tag = _gamma_tag(gamma)
         classical = ClassicalProduct(gamma)
@@ -209,19 +200,19 @@ def suite_rodrigue(d: int = 2, n_max: int = 4,
         _add(checks, f"eigenfunctions[{tag}]",
              (eigencheck(gamma, p, n) for n, polys in families for p in polys))
         _add(checks, f"orthogonal-to-lower-degree[{tag}]",
-             (classical.orthogonal(polys, lower[n]) for n, polys in families))
+             (classical.orthogonal_below(polys, n) for n, polys in families))
         _add(checks, f"gram-positive-definite[{tag}]",
-             [positive_definite(classical.matrix(_monomial_polys(d, n_max)))])
+             [positive_definite(classical.matrix(monomial_polys(d, n_max)))])
     zeros = tuple(Fraction(0) for _ in range(d))
     halves = tuple(HALF for _ in range(d))
     for m_len, label in ((1, "m=(1)"), (2, "m=(1,1)")):
         if d + 1 - m_len < 1:
             continue
         _add(checks, f"partial-orthogonality[{label}]",
-             (ClassicalProduct(ParamVector(list(lead) + [0] * m_len)).orthogonal(
+             (ClassicalProduct(ParamVector(list(lead) + [0] * m_len)).orthogonal_below(
                  [rodrigues_element(ParamVector(list(lead) + [-1] * m_len), nu)
                   for nu in monomials_of_degree(d, n)],
-                 lower[n - m_len])
+                 n - m_len)
               for lead in {zeros[: d + 1 - m_len], halves[: d + 1 - m_len]}
               for n in range(m_len + 1, n_max + 1)))
     return _result("rodrigue", {"d": d, "n_max": n_max,
@@ -251,7 +242,6 @@ def suite_monomial(d: int = 2, n_max: int = 4,
                    gammas: list[ParamVector] | None = None) -> dict:
     checks: list[dict] = []
     gammas = gammas or default_gammas(d)
-    lower = _lower(d, n_max)
     for gamma in gammas:
         tag = _gamma_tag(gamma)
         monic = [monomial_basis(gamma, n) for n in range(n_max + 1)]
@@ -266,7 +256,7 @@ def suite_monomial(d: int = 2, n_max: int = 4,
         for order in range(1, d + 1):
             product = DerivativeProduct(gamma, order)
             _add(checks, f"derivative-product-orthogonality[{tag},m={order}]",
-                 (product.orthogonal(monic[n].polys(), lower[n])
+                 (product.orthogonal_below(monic[n].polys(), n)
                   for n in range(1, n_max + 1)))
     lead = tuple(HALF for _ in range(d)) if d == 1 else tuple(Fraction(0) for _ in range(d))
     sing = ParamVector(list(lead) + [-1])
@@ -275,7 +265,7 @@ def suite_monomial(d: int = 2, n_max: int = 4,
     _add(checks, f"last-exponent-singular[{_gamma_tag(sing)}]", itertools.chain(
         (v.coefficient(nu) == 1 and eigencheck(sing, v, n)
          for n, basis in enumerate(monic) for nu, v in basis.elements),
-        (spro.orthogonal(monic[n].polys(), lower[n]) for n in range(1, n_max + 1))))
+        (spro.orthogonal_below(monic[n].polys(), n) for n in range(1, n_max + 1))))
     return _result("monomial", {"d": d, "n_max": n_max,
                                 "gammas": [_gamma_tag(g) for g in gammas]}, checks)
 
@@ -426,7 +416,6 @@ def suite_thm31(n_max: int = 4) -> dict:
     y = Polynomial.variable(2, 1)
     w = complement(2)
     samples = [(Fraction(0), Fraction(0)), (HALF, Fraction(1))]
-    lower = _lower(2, n_max)
 
     def u(entries, n: int, **lams) -> list[Polynomial]:
         """U_n of the singular weight `entries`, read off its Sobolev form."""
@@ -492,7 +481,7 @@ def suite_thm31(n_max: int = 4) -> dict:
 
     _add(checks, "permuted-singular-pair", permuted_singular_pair())
 
-    probes = _monomial_polys(2, 3)
+    probes = monomial_polys(2, 3)
 
     def same_gram(named, general, general_probes=probes) -> bool:
         return named.matrix(probes) == general.matrix(general_probes)
@@ -531,11 +520,11 @@ def suite_thm31(n_max: int = 4) -> dict:
                           (Fraction(2), Fraction(0), Fraction(3)),
                           (Fraction(0), Fraction(1), HALF))]
     _add(checks, "symmetric-variant-orthogonality",
-         (form.orthogonal(pair[c, n], lower[n])
+         (form.orthogonal_below(pair[c, n], n)
           for c, form in forms for n in range(1, n_max + 1)))
 
     _add(checks, "named-k1-orthogonality",
-         (named_k1(a, b, Fraction(1)).orthogonal(k1[a, b][n], lower[n])
+         (named_k1(a, b, Fraction(1)).orthogonal_below(k1[a, b][n], n)
           for a, b in samples for n in range(n_max + 1)))
     return _result("thm31", {"n_max": n_max}, checks)
 
@@ -581,8 +570,8 @@ def suite_thm34(d: int = 2, n_max: int = 4) -> dict:
             if restricted:
                 dprime = d - len(zset)
                 yield poly_rank(restricted) == expected_dimension(dprime, n) == len(restricted)
-                yield ClassicalProduct(face_params(block.params, zset)).orthogonal(
-                    restricted, _monomial_polys(dprime, n - 1))
+                yield ClassicalProduct(face_params(block.params, zset)).orthogonal_below(
+                    restricted, n)
 
     _add(checks, "face-restriction-law", face_restriction_law())
     _add(checks, "face-block-convention-independence",
@@ -610,7 +599,7 @@ def _h_space_alternate(gamma: ParamVector, zero_axes: Iterable[int],
 
 def suite_thm36(d: int = 2, n_max: int = 4) -> dict:
     checks: list[dict] = []
-    probes = _monomial_polys(d, 3)
+    probes = monomial_polys(d, 3)
     for tag, gamma in _singular_weights(d):
         product = SingularProduct(gamma)
         _add(checks, f"sobolev-orthogonality[{tag}]",

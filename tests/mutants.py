@@ -96,10 +96,18 @@ MUTANTS = [
            "for n in range(k, n_max + 1):",
            "for n in range(k + 1, n_max + 1):",
            ["tests/test_suites.py", "-k", "recorded_number and lemmas4"]),
+    # the hyperplane's slots taken as the true zeros of the face (the zero set
+    # without index d), not as the first len(zset) slots
     Mutant("h-space-hyperplane-slots-are-the-zero-set", "src/sobolex/spaces.py",
            "range(len(zset))",
-           "zset",
+           "zset - {d}",
            ["tests/test_spaces.py"]),
+    # each check of a degree-n space then skips the degree n - 1 columns; at the
+    # smallest n_max some checks evaluate no column, so no tamper fails them
+    Mutant("orthogonal-below-skips-the-top-degree", "src/sobolex/products.py",
+           "monomial_polys(self.dim, n - 1)",
+           "monomial_polys(self.dim, n - 2)",
+           ["tests/test_suites.py", "-k", "tamper and (rodrigue or thm31)"]),
     Mutant("derivative-product-accepts-a-negative-lambda", "src/sobolex/products.py",
            "min(self.lambdas.values(), default=0) < 0",
            "min(self.lambdas.values(), default=0) < -1",

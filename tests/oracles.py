@@ -18,10 +18,12 @@ form replaced: one reduced Fraction per coefficient, summed term by term.
 `oracle_solve_combination` is the plain Fraction Gauss-Jordan span solve that
 the fraction-free elimination of `sobolex.linalg` replaced.  `oracle_positive`
 is the positivity test of a Sobolev form's coefficients, written out apart
-from the constructor that applies it.  `binomial`, `evaluate` (a polynomial's
-value at a point) and `normalized_moment` (one moment read off the library's
-moment table) are read only by the tests, so they live here and not in the
-package.
+from the constructor that applies it.  `constrained_indices` builds the
+multi-indices of a face block from the free axes up, the reference for the
+keys of `sobolex.spaces.h_space`, which filters all indices of the degree.
+`binomial`, `evaluate` (a polynomial's value at a point) and
+`normalized_moment` (one moment read off the library's moment table) are read
+only by the tests, so they live here and not in the package.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from sobolex import products as P
 from sobolex.bases import eigenvalue
 from sobolex.errors import ZeroDenominator
 from sobolex.moments import moment_table, vertex_eval
-from sobolex.polynomials import Polynomial, box_indices
+from sobolex.polynomials import Polynomial, box_indices, graded_lex_key, monomials_of_degree
 from sobolex.scalars import format_rational, pochhammer
 from sobolex.weighted import ParamVector, WeightedForm
 
@@ -85,6 +87,20 @@ def oracle_normalized_moment(gamma: tuple[int, ...], a: tuple[int, ...]) -> Frac
     """Normalized moment for integer exponents, computed the slow way."""
     shifted = tuple(g + e for g, e in zip(gamma, a))
     return simplex_integral(shifted) / simplex_integral(gamma)
+
+
+def constrained_indices(dim: int, degree: int, zero_axes) -> list[tuple[int, ...]]:
+    """Degree-`degree` multi-indices whose entries vanish on zero_axes
+    (axes outside 0..dim-1 are ignored), graded-lex sorted."""
+    zset = set(zero_axes)
+    free = [i for i in range(dim) if i not in zset]
+    out = []
+    for part in monomials_of_degree(len(free), degree):
+        exp = [0] * dim
+        for axis, e in zip(free, part):
+            exp[axis] = e
+        out.append(tuple(exp))
+    return sorted(out, key=graded_lex_key)
 
 
 def apply_operator(gamma: ParamVector, f: Polynomial) -> Polynomial:

@@ -5,10 +5,13 @@ exact identities that broke.  Nothing here carries a tolerance.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
+import sobolex
 from sobolex.suites import (suite_jacobi, suite_lemmas4, suite_monomial,
                             suite_rodrigue, suite_thm31, suite_thm34,
                             suite_thm36, suite_triangle)
@@ -121,8 +124,10 @@ def test_criterion_09_moment_oracle_cross_check():
 def test_criterion_10_cli_determinism():
     cmd = [sys.executable, "-m", "sobolex.cli", "verify", "--suite", "all",
            "--d", "2", "--n-max", "3"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    # the package under test, also where PYTHONPATH does not name it
+    env = dict(os.environ, PYTHONPATH=str(Path(sobolex.__file__).parents[1]))
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["ok"] is True

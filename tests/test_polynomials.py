@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sobolex.polynomials import (Polynomial, complement,
+from sobolex.polynomials import (Polynomial, complement, monomial_polys,
                                  monomials_of_degree, monomials_up_to)
 
 from oracles import evaluate
@@ -160,6 +160,14 @@ def test_monomial_enumeration():
     assert monomials_of_degree(2, 2) == [(0, 2), (1, 1), (2, 0)]
     assert len(monomials_up_to(3, 4)) == 35
     assert monomials_of_degree(0, 0) == [()]
+
+
+def test_monomial_polys_is_one_cached_tuple_of_the_monomials():
+    for d in range(1, 5):
+        for m in range(-1, 5):
+            got = monomial_polys(d, m)
+            assert got == tuple(Polynomial.monomial(d, e) for e in monomials_up_to(d, m))
+            assert monomial_polys(d, m) is got
 
 
 def test_restrict_drops_one_variable_per_face_index():

@@ -232,6 +232,16 @@ def test_derivative_product_judges_its_lambdas():
         DerivativeProduct(gamma, 2, {frozenset({1}): 1, frozenset({0, 1}): -1})
 
 
+def test_a_coefficient_key_axis_is_an_int():
+    # True == 1 == Fraction(1) == 1.0, so each would pass as the axis 1, and
+    # describe() would print the key as "True", "1" or "1.0"
+    for axis in (True, Fraction(1), 1.0):
+        with pytest.raises(ValueError, match="key axis must be an int"):
+            DerivativeProduct(ParamVector([0, 0, 0]), 1, {frozenset({axis}): 2})
+        with pytest.raises(ValueError, match="key axis must be an int"):
+            SingularProduct(ParamVector([0, -1, -1, -1]), lam_face={frozenset({axis}): 2})
+
+
 def test_a_bool_is_no_coefficient():
     with pytest.raises(TypeError):
         SingularProduct(ParamVector([0, 0, -1]), lam=True)
@@ -365,6 +375,23 @@ def test_orthogonal_is_an_all_zero_matrix(form, oracle):
     assert got == [all(v == 0 for line in form.matrix(rows, cols) for v in line)
                    for rows, cols in cases]
     assert got[:3] == [True, False, True]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_orthogonal_below_n_is_orthogonal_to_degree_n_minus_1_not_n(d):
+    # degree-n Rodrigues elements under the classical form, and U_n under the
+    # Sobolev form at k = 1, 2 and d+1, are orthogonal to every degree below
+    # n, and not to degree n
+    gamma = ParamVector([H] * (d + 1))
+    cases = [(ClassicalProduct(gamma), partial(rodrigues_basis, gamma))]
+    for k in sorted({1, 2, d + 1}):
+        form = SingularProduct(ParamVector([H] * (d + 1 - k) + [-1] * k))
+        cases.append((form, partial(u_space, form)))
+    for form, basis in cases:
+        for n in range(4):
+            polys = basis(n).polys()
+            assert form.orthogonal_below(polys, n), (form.describe(), n)
+            assert not form.orthogonal_below(polys, n + 1), (form.describe(), n)
 
 
 def test_every_term_has_a_nonzero_lambda_in_some_case():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 from math import comb
@@ -16,6 +17,8 @@ from sobolex.products import SingularProduct
 from sobolex.spaces import (expected_dimension, h_space, u_space,
                             verify_u_space)
 from sobolex.weighted import ParamVector, face_params
+
+from oracles import constrained_indices
 
 H = Fraction(1, 2)
 
@@ -40,6 +43,19 @@ def test_h_space_dimension_formula():
                 want = comb(n + d - z - 1, n) if z <= d - 1 else 0
                 assert len(block) == want
                 assert poly_rank(block.polys()) == want
+
+
+def test_h_space_keys_vanish_on_the_face_slots():
+    # a coordinate face zeroes its own slots of nu; a face through the
+    # hyperplane the first len(zset) slots, which hold 1-|x| and the true zeros
+    for d in (1, 2, 3):
+        gamma = ParamVector([H] * (d + 1))
+        for size in range(d + 2):
+            for zset in itertools.combinations(range(d + 1), size):
+                slots = range(size) if d in zset else zset
+                for n in range(5):
+                    want = constrained_indices(d, n, slots) if size < d else []
+                    assert [nu for nu, _ in h_space(gamma, zset, n).elements] == want, (zset, n)
 
 
 def test_h_space_triangle_hypotenuse_block():
