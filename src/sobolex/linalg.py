@@ -150,19 +150,13 @@ def coefficient_matrix(polys: Sequence[Polynomial]) -> tuple[Matrix, list[Expone
 
 
 def poly_rank(polys: Sequence[Polynomial]) -> int:
-    if not polys:
-        return 0
-    rows, _, _ = _numerator_rows(polys)
-    return rank(rows) if rows and rows[0] else 0
+    return rank(_numerator_rows(polys)[0])
 
 
 def spans_equal(left: Sequence[Polynomial], right: Sequence[Polynomial]) -> bool:
     """Exact span equality via mutual rank checks."""
     rows, _, _ = _numerator_rows(list(left) + list(right))
-    nl = len(left)
-    rl = rank(rows[:nl]) if nl else 0
-    rr = rank(rows[nl:]) if len(right) else 0
-    return rl == rr == rank(rows)
+    return rank(rows[:len(left)]) == rank(rows[len(left):]) == rank(rows)
 
 
 def in_span(target: Polynomial, basis: Sequence[Polynomial]) -> list[Fraction] | None:

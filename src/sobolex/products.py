@@ -4,10 +4,13 @@ A form is a sum of terms lam * <A f, A g x^s>_W.  The image A differentiates
 (a multi-index or a directional combination) and may restrict to a face of
 T^d; W is the term's base weight and x^s an optional monomial multiplier on
 the right-hand factor.  A term without a weight is a scalar product
-lam * A(f) A(g) of point values.  Each class only lists its terms, built
-once per form; one evaluator, `matrix`, computes every value and Gram matrix
-from them, and every check in `suites` and `spaces` reads it, the all-zero
-ones through `orthogonal`, and those against every lower degree through
+lam * A(f) A(g) of point values.  Every form is a `TermList`: its list
+`terms` and a `spec` dict, from which its one `describe()` is built.  The three
+products are subclasses whose constructors check their coefficients and build
+both; the paper's d = 2 forms in `suites` are plain term lists.  One
+evaluator, `matrix`, computes every value and Gram matrix from the terms, and
+every check in `suites` and `spaces` reads it, the all-zero ones through
+`orthogonal`, and those against every lower degree through
 `orthogonal_below`, the one place that turns a degree into its columns.  It
 maps each row and each column polynomial through each term once, keeps the
 images as integer coefficients over a common denominator, and pairs them by
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -100,19 +102,17 @@ def _vertex(j: int) -> Callable:
     return lambda f: vertex_eval(f, j)
 
 
-class _TermForm:
-    """A bilinear form given by the list `terms()`."""
+class TermList:
+    """A bilinear form given by its list of `terms`; `spec` names it in describe()."""
 
-    dim: int
+    def __init__(self, dim: int, spec: dict, terms: list[Term]):
+        self.dim, self.spec, self.terms = dim, spec, terms
 
-    @cached_property
-    def _terms(self) -> list[Term]:
-        return self.terms()
-
-    def _normalization(self) -> dict[str, str]:
-        """The rescaling of every tagged term, zero-lambda ones included."""
-        return {t.tag: "vertex" if t.weight is None else mass_ratio(t.weight)
-                for t in self._terms if t.tag}
+    def describe(self) -> dict:
+        """The spec, and the rescaling of every tagged term, zero-lambda ones included."""
+        return {**self.spec, "normalization": {
+            t.tag: "vertex" if t.weight is None else mass_ratio(t.weight)
+            for t in self.terms if t.tag}}
 
     def matrix(self, rows: Sequence[Polynomial],
                cols: Sequence[Polynomial] | None = None) -> list[list[Fraction]]:
@@ -126,7 +126,7 @@ class _TermForm:
         ncols = len(rows if same else cols)
         nums = [[0] * ncols for _ in rows]
         dens = [[1] * ncols for _ in rows]
-        for lam, image, weight, right, _ in (t for t in self._terms if t.lam):
+        for lam, image, weight, right, _ in (t for t in self.terms if t.lam):
             a = [image(f) for f in rows]
             b = a if same else [image(g) for g in cols]
             if weight is None:
@@ -169,24 +169,16 @@ class _TermForm:
         return self.orthogonal(rows, monomial_polys(self.dim, n - 1))
 
 
-class ClassicalProduct(_TermForm):
+class ClassicalProduct(TermList):
     """The plain normalized pairing against an integrable simplex weight."""
-
-    kind = "classical"
 
     def __init__(self, gamma: ParamVector):
         self.gamma = gamma
-        self.dim = gamma.d
-
-    def terms(self) -> list[Term]:
-        return [Term(ONE, _derivative(()), self.gamma, tag="main")]
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "gamma": self.gamma.to_json(),
-                "normalization": self._normalization()}
+        super().__init__(gamma.d, {"kind": "classical", "gamma": gamma.to_json()},
+                         [Term(ONE, _derivative(()), gamma, tag="main")])
 
 
-class DerivativeProduct(_TermForm):
+class DerivativeProduct(TermList):
     """Classical pairing plus weighted pairings of order-j mixed derivatives.
 
     For every subset S of coordinates with 1 <= |S| <= order, adds
@@ -195,15 +187,12 @@ class DerivativeProduct(_TermForm):
     lambda < 0 a `NonPositiveForm` (0 is allowed: the classical term stays).
     """
 
-    kind = "derivative"
-
     def __init__(self, gamma: ParamVector, order: int,
                  lambdas: Mapping[frozenset[int], Rational] | None = None):
         d = gamma.d
         if not 1 <= order <= d:
             raise ValueError("order must lie in 1..d")
         self.gamma = gamma
-        self.dim = d
         self.order = order
         self.lambdas = _subset_keyed(lambdas)
         if not all(0 < len(s) <= order and s <= set(range(d)) for s in self.lambdas):
@@ -211,24 +200,18 @@ class DerivativeProduct(_TermForm):
                              f"with at most {order} elements")
         if min(self.lambdas.values(), default=0) < 0:
             raise NonPositiveForm("the derivative form is not positive: every lambda must be >= 0")
-
-    def terms(self) -> list[Term]:
-        out = [Term(ONE, _derivative(()), self.gamma, tag="main")]
-        for j in range(1, self.order + 1):
-            for subset in itertools.combinations(range(self.dim), j):
-                deltas = [1 if i in subset else 0 for i in range(self.dim)] + [j]
-                out.append(Term(self.lambdas.get(frozenset(subset), ONE), _derivative(subset),
-                                self.gamma.shifted(deltas),
-                                tag="d" + "".join(str(i) for i in subset)))
-        return out
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "gamma": self.gamma.to_json(), "order": self.order,
-                "lambda": _by_subset(self.lambdas),
-                "normalization": self._normalization()}
+        terms = [Term(ONE, _derivative(()), gamma, tag="main")]
+        for j in range(1, order + 1):
+            for subset in itertools.combinations(range(d), j):
+                deltas = [1 if i in subset else 0 for i in range(d)] + [j]
+                terms.append(Term(self.lambdas.get(frozenset(subset), ONE), _derivative(subset),
+                                  gamma.shifted(deltas),
+                                  tag="d" + "".join(str(i) for i in subset)))
+        super().__init__(d, {"kind": "derivative", "gamma": gamma.to_json(), "order": order,
+                             "lambda": _by_subset(self.lambdas)}, terms)
 
 
-class SingularProduct(_TermForm):
+class SingularProduct(TermList):
     """The Sobolev pairing attached to a weight whose trailing k exponents are -1.
 
     Parameters: the weight gamma, split by `ParamVector.singular_split` (which
@@ -252,15 +235,13 @@ class SingularProduct(_TermForm):
     the checked coefficients: `spaces.u_space(form, n)` reads them off it.
     """
 
-    kind = "singular"
-
     def __init__(self, gamma: ParamVector, lam: Rational | None = None,
                  lam_axis: Sequence[Rational] | None = None,
                  lam_face: Mapping[frozenset[int], Rational] | None = None,
                  lam_vertex: Sequence[Rational] | None = None):
-        self.tail, k = gamma.singular_split()
-        self.gamma, self.k = gamma, k
-        dim = self.dim = gamma.d
+        tail, k = self.tail, self.k = gamma.singular_split()
+        self.gamma = gamma
+        dim = gamma.d
         for name, given, taken in (("lam", lam, k <= dim), ("lam_axis", lam_axis, 1 < k <= dim),
                                    ("vertex coefficients (lam_vertex)", lam_vertex, k > dim)):
             if given is not None and not taken:
@@ -270,10 +251,12 @@ class SingularProduct(_TermForm):
                               ((1,) * (dim - k + 1) if lam_axis is None else lam_axis))
         if len(self.lam_axis) != dim - k + 1:
             raise ValueError("lam_axis has wrong length")
+        # the trailing k-1 true-coordinate axes, zero-based: the main term
+        # differentiates all of them, each face term a proper nonempty subset
+        mk = list(range(dim - k + 1, dim))
+        faces = [s for i in range(1, k - 1) for s in itertools.combinations(mk, i)]
         self.lam_face = _subset_keyed(lam_face)
-        faces = {frozenset(s) for i in range(1, k - 1)
-                 for s in itertools.combinations(self._mk, i)}
-        if not self.lam_face.keys() <= faces:
+        if not self.lam_face.keys() <= set(map(frozenset, faces)):
             raise ValueError("lam_face keys must be proper nonempty subsets of the "
                              "differentiated axes, which exist only for k >= 3")
         self.lam_vertex = tuple(as_fraction(v) for v in
@@ -291,68 +274,32 @@ class SingularProduct(_TermForm):
         if broken:
             raise NonPositiveForm("the Sobolev form is not positive: " + "; ".join(broken))
 
-    @property
-    def _mk(self) -> list[int]:
-        # the trailing k-1 true-coordinate axes, zero-based: the main term
-        # differentiates all of them, each face term a proper nonempty subset
-        return list(range(self.dim - self.k + 1, self.dim))
-
-    def _derivative_terms(self, axes: list[int]) -> list[Term]:
-        """The main term (every axis differentiated) and the face terms (a
-        nonempty proper subset S differentiated, the other axes zeroed)."""
-        tail, n = self.tail, len(axes)
-        out = [Term(ONE, _derivative(axes), ParamVector(tail + (0,) * n + (n - 1,)),
-                    tag="main")]
-        for i in range(1, n):
-            for subset in itertools.combinations(axes, i):
-                out.append(Term(self.lam_face.get(frozenset(subset), ONE),
-                                _derivative(subset, set(axes) - set(subset)),
-                                ParamVector(tail + (0,) * i + (i - 1,)),
-                                tag="face" + "".join(str(j) for j in subset)))
-        return out
-
-    def terms(self) -> list[Term]:
-        d, k, tail = self.dim, self.k, self.tail
-        if k == d + 1:
-            return self._derivative_terms(list(range(d))) + [
-                Term(lam, _vertex(j), None) for j, lam in enumerate(self.lam_vertex)]
-        mk = self._mk
-        out = self._derivative_terms(mk) if k > 1 else []
-        # at k = 1 the gradient term is the main one, and the final term the boundary
-        gradient_tag, final_tag = ("gradient-face", "final") if k > 1 else ("main", "boundary")
-        # gradient term on the face where the trailing k-1 axes vanish
-        fd = d - k + 1
-        gradient = ParamVector(tail + (0,))
-        out += [Term(self.lam_axis[i], _derivative((i,), mk), gradient,
-                     tuple(int(j == i) for j in range(fd)), gradient_tag) for i in range(fd)]
-        final = (_vertex(1), None) if k == d else (_derivative((), mk + [d]), ParamVector(tail))
-        return out + [Term(self.lam, *final, tag=final_tag)]
-
-    def describe(self) -> dict:
-        out = {"kind": self.kind, "d": self.dim, "k": self.k,
-               "tail": [format_rational(t) for t in self.tail],
-               "normalization": self._normalization()}
-        if self.k == self.dim + 1:
-            out["lambda_vertex"] = [format_rational(v) for v in self.lam_vertex]
+        # from k = 2 on, the main term; a face term zeroes the axes of mk outside its face
+        terms = [Term(ONE, _derivative(mk), ParamVector(tail + (0,) * (k - 1) + (k - 2,)),
+                      tag="main")] if k > 1 else []
+        terms += [Term(self.lam_face.get(frozenset(s), ONE), _derivative(s, set(mk) - set(s)),
+                       ParamVector(tail + (0,) * len(s) + (len(s) - 1,)),
+                       tag="face" + "".join(str(j) for j in s)) for s in faces]
+        spec = {"kind": "singular", "d": dim, "k": k, "tail": [format_rational(t) for t in tail]}
+        if k == dim + 1:
+            terms += [Term(v, _vertex(j), None) for j, v in enumerate(self.lam_vertex)]
+            spec["lambda_vertex"] = [format_rational(v) for v in self.lam_vertex]
         else:
-            out["lambda"] = format_rational(self.lam)
-            out["lambda_axis"] = [format_rational(v) for v in self.lam_axis]
+            # at k = 1 the gradient term is the main one, and the final term the boundary
+            gradient_tag, final_tag = ("gradient-face", "final") if k > 1 else ("main", "boundary")
+            # gradient term on the face where the trailing k-1 axes vanish
+            fd = dim - k + 1
+            gradient = ParamVector(tail + (0,))
+            terms += [Term(self.lam_axis[i], _derivative((i,), mk), gradient,
+                           tuple(int(j == i) for j in range(fd)), gradient_tag) for i in range(fd)]
+            final = (_vertex(1), None) if k == dim else (_derivative((), mk + [dim]),
+                                                         ParamVector(tail))
+            terms.append(Term(self.lam, *final, tag=final_tag))
+            spec["lambda"] = format_rational(self.lam)
+            spec["lambda_axis"] = [format_rational(v) for v in self.lam_axis]
         if self.lam_face:
-            out["lambda_face"] = _by_subset(self.lam_face)
-        return out
-
-
-class TermList(_TermForm):
-    """A form written out as its list of terms; `kind` names it in describe()."""
-
-    def __init__(self, dim: int, kind: str, terms: list[Term]):
-        self.dim, self.kind, self.term_list = dim, kind, terms
-
-    def terms(self) -> list[Term]:
-        return self.term_list
-
-    def describe(self) -> dict:
-        return {"kind": self.kind}
+            spec["lambda_face"] = _by_subset(self.lam_face)
+        super().__init__(dim, spec, terms)
 
 
 # -- Gram machinery -----------------------------------------------------------
@@ -390,7 +337,7 @@ class GramReport:
         return out
 
 
-def gram(product: _TermForm, rows: Sequence[tuple[str, Polynomial]],
+def gram(product: TermList, rows: Sequence[tuple[str, Polynomial]],
          cols: Sequence[tuple[str, Polynomial]] | None = None) -> GramReport:
     """Exact Gram matrix of labeled polynomials under any product object."""
     rows = list(rows)

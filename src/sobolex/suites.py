@@ -374,7 +374,7 @@ def suite_lemmas4(d: int = 2, n_max: int = 4,
 def named_k1(a, b, lam1) -> TermList:
     """Exponents (a, b, -1): the gradient term plus the hypotenuse integral."""
     grad = ParamVector((a, b, 0))
-    return TermList(2, "triangle[a,b,-1]", [
+    return TermList(2, {"kind": "triangle[a,b,-1]"}, [
         Term(ONE, _derivative((0,)), grad, (1, 0)),
         Term(ONE, _derivative((1,)), grad, (0, 1)),
         Term(lam1, _derivative((), (2,)), ParamVector((a, b)))])
@@ -382,7 +382,7 @@ def named_k1(a, b, lam1) -> TermList:
 
 def named_k2(a, lam1, lam10) -> TermList:
     """Exponents (a, -1, -1): a y-derivative, the edge y = 0 and the vertex e_1."""
-    return TermList(2, "triangle[a,-1,-1]", [
+    return TermList(2, {"kind": "triangle[a,-1,-1]"}, [
         Term(ONE, _derivative((1,)), ParamVector((a, 0, 0))),
         Term(lam1, _derivative((0,), (1,)), ParamVector((a, 0)), (1,)),
         Term(lam10, _vertex(1), None)])
@@ -391,7 +391,7 @@ def named_k2(a, lam1, lam10) -> TermList:
 def named_k3(lam1, lam2, lam10, lam01, lam00) -> TermList:
     """Exponents (-1, -1, -1): a mixed derivative, two edge integrals, three vertices."""
     edge = ParamVector((0, 0))
-    return TermList(2, "triangle[-1,-1,-1]", [
+    return TermList(2, {"kind": "triangle[-1,-1,-1]"}, [
         Term(ONE, _derivative((0, 1)), ParamVector((0, 0, 1))),
         Term(lam1, _derivative((0,), (1,)), edge),
         Term(lam2, _derivative((1,), (0,)), edge),
@@ -403,7 +403,7 @@ def named_k3(lam1, lam2, lam10, lam01, lam00) -> TermList:
 def named_symmetric(c, lam1, lam2, lam00) -> TermList:
     """Exponents (-1, -1, c): a directional derivative and two edge integrals."""
     edge = ParamVector((0, c + 1))
-    return TermList(2, "triangle[-1,-1,c]", [
+    return TermList(2, {"kind": "triangle[-1,-1,c]"}, [
         Term(ONE, lambda f: f.partial(1) - f.partial(0), ParamVector((0, 0, c))),
         Term(lam1, _derivative((0,), (1,)), edge),
         Term(lam2, _derivative((1,), (0,)), edge),

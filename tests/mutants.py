@@ -122,9 +122,18 @@ MUTANTS = [
            "shift = -total / (d + 1) / total",
            ["tests/test_spaces.py", "-k", "degree_one"]),
     Mutant("matrix-ignores-lambda", "src/sobolex/products.py",
-           "(t for t in self._terms if t.lam)",
-           "(t._replace(lam=ONE) for t in self._terms if t.lam)",
+           "(t for t in self.terms if t.lam)",
+           "(t._replace(lam=ONE) for t in self.terms if t.lam)",
            ["tests/test_products.py", "-k", "oracle"]),
+    Mutant("describe-normalizes-the-first-term-only", "src/sobolex/products.py",
+           "for t in self.terms if t.tag}}",
+           "for t in self.terms[:1] if t.tag}}",
+           ["tests/test_golden.py"]),
+    # the CLI builds no form with lam_face, so only the describe() golden sees it
+    Mutant("singular-spec-drops-lambda-face", "src/sobolex/products.py",
+           "if self.lam_face:",
+           "if False:",
+           ["tests/test_products.py", "-k", "recorded_payload"]),
     Mutant("moment-table-recurrence-off-by-one", "src/sobolex/moments.py",
            "self._step * (len(row) - 1)",
            "self._step * len(row)",

@@ -174,6 +174,12 @@ def test_poly_span_helpers():
     assert poly_rank([x, y, x + y]) == 2
     assert spans_equal([x, y], [x + y, x - y])
     assert not spans_equal([x], [x, y])
+    # empty lists and zero polynomials span {0}
+    zero = Polynomial.zero(2)
+    assert [poly_rank(c) for c in ([], [zero], [zero, zero], [x], [x, zero])] == [0, 0, 0, 1, 1]
+    pairs = [([], []), ([], [zero]), ([zero], []), ([], [x]), ([x], []), ([zero], [x, zero]),
+             ([x, zero], [2 * x])]
+    assert [spans_equal(a, b) for a, b in pairs] == [True, True, True, False, False, False, True]
     coeffs = in_span(2 * x + 3 * y, [x, y])
     assert coeffs == [Fraction(2), Fraction(3)]
     assert in_span(x * x, [x, y]) is None

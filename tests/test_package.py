@@ -2,11 +2,14 @@
 public names served from them."""
 
 import importlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -115,24 +118,38 @@ def test_star_import_binds_every_public_name():
         == {name: getattr(sobolex, name) for name in PUBLIC_NAMES}
 
 
-# public functions and classes that no library module names: the benchmark's
-# tracer still names face_inner_product, which only the tests call
-UNUSED_PUBLIC = {"face_inner_product"}
+# public functions and classes that no library module names: only the tests
+# call them, and the benchmark's tracer still names both
+UNUSED_PUBLIC = {"face_inner_product", "integral"}
+
+
+def _used_names(sources: Iterable[str]) -> set[str]:
+    """The names that the code of `sources` reads: every NAME token but the
+    one that a def or class statement defines, so that a word in a comment or
+    a string, a docstring too, is no use."""
+    used = set()
+    for text in sources:
+        prev = None
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME and prev not in ("def", "class"):
+                used.add(tok.string)
+            prev = tok.string
+    return used
+
+
+def test_a_name_in_a_docstring_or_comment_is_no_use():
+    source = 'def f():\n    """Calls integral."""\n    # integral\n    return 1\n\n\n' \
+             'def integral():\n    return f()\n'
+    assert "integral" not in _used_names([source])
+    assert "integral" in _used_names([source + "integral()\n"])
 
 
 def test_every_public_function_or_class_is_named_in_the_library():
     # a public name that no module of the package uses beyond its own def or
-    # class line is code that only the tests call
-    lines = [line for path in SRC.glob("*.py") if path.name != "__init__.py"
-             for line in path.read_text().splitlines()]
-    unused = set()
-    for name in PUBLIC_NAMES:
-        if name in LIBRARY:
-            continue
-        word = re.compile(rf"\b{name}\b")
-        own = re.compile(rf"\s*(def|class) {name}\b")
-        if not any(word.search(line) and not own.match(line) for line in lines):
-            unused.add(name)
+    # class statement is code that only the tests call
+    used = _used_names(path.read_text() for path in SRC.glob("*.py")
+                       if path.name != "__init__.py")
+    unused = {name for name in PUBLIC_NAMES if name not in LIBRARY and name not in used}
     assert unused == UNUSED_PUBLIC
 
 
