@@ -14,14 +14,15 @@ integers, so a table entry is an int keyed by its integer exponent tuple, and
 the denominator depends on |a| only and divides the one of every higher
 degree.  Pairings <f_i, g_j x^s> = sum_a c_a sum_b d_b m(a+b+s) are computed
 a matrix at a time in integers over that common denominator, without building
-any product polynomial, and returned as int numerators with their row and
-column denominators, so that a caller summing several pairings builds one
-Fraction per entry; an integral is the pairing with 1.
+any product polynomial, and returned as int numerators over one denominator,
+so that a caller summing several blocks rescales each by one int and builds
+one Fraction per entry; an integral is the pairing with 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Iterable
 
@@ -68,11 +69,10 @@ class MomentTable:
 
     def pairings(self, rows: list[Polynomial], cols: list[Polynomial],
                  shift: Exponents | None = None,
-                 upper: bool = False) -> tuple[list[list[int]], list[int], list[int]]:
-        """The pairings of rows[i] with cols[j] times x^shift, as (nums,
-        row_dens, col_dens): entry (i, j) is nums[i][j] / (row_dens[i] *
-        col_dens[j]).  With `upper` (cols is rows) only the entries j >= i
-        are summed, the rest left 0."""
+                 upper: bool = False) -> tuple[list[list[int]], int]:
+        """The pairings of rows[i] with cols[j] times x^shift, as (nums, den):
+        entry (i, j) is nums[i][j] / den.  With `upper` (cols is rows) only
+        the entries j >= i are summed, the rest left 0."""
         rint = [p.scaled_to_integers() for p in rows]
         cint = rint if cols is rows else [p.scaled_to_integers() for p in cols]
         at: dict[Exponents, int] = {}
@@ -86,9 +86,10 @@ class MomentTable:
         lift = [common // self.denominator(k) for k in range(top + 1)]
         numerator = self.numerator
         lifted: dict[Exponents, list[int]] = {}
-        cvecs = [[(at[b], c) for b, c in terms.items()] for terms, _ in cint]
+        rden, cden = (lcm(*(q for _, q in ints)) for ints in (rint, cint))
+        cvecs = [[(at[b], c * (cden // q)) for b, c in terms.items()] for terms, q in cint]
         out = []
-        for i, (terms, _) in enumerate(rint):
+        for i, (terms, q) in enumerate(rint):
             u = [0] * len(at)
             for a, c in terms.items():
                 moments = lifted.get(a)
@@ -98,11 +99,10 @@ class MomentTable:
                     moments = lifted[a] = [numerator(tuple(map(add, sa, b))) * lift[da + db]
                                            for b, db in heads]
                 u = [x + c * y for x, y in zip(u, moments)]
-            line = [0] * len(cvecs)
-            for j in range(i if upper else 0, len(cvecs)):
-                line[j] = sum(c * u[pos] for pos, c in cvecs[j])
-            out.append(line)
-        return out, [common * q for _, q in rint], [r for _, r in cint]
+            scale, start = rden // q, i if upper else 0
+            out.append([0] * start + [scale * sum(c * u[pos] for pos, c in vec)
+                                      for vec in cvecs[start:]])
+        return out, common * rden * cden
 
 
 _TABLES: dict[tuple[Fraction, ...], MomentTable] = {}
@@ -121,8 +121,8 @@ def moment_table(gamma: ParamVector) -> MomentTable:
 
 
 def _pairing(table: MomentTable, f: Polynomial, g: Polynomial) -> Fraction:
-    (num,), (rden,), (cden,) = table.pairings([f], [g])
-    return Fraction(num[0], rden * cden)
+    ((num,),), den = table.pairings([f], [g])
+    return Fraction(num, den)
 
 
 def integral(f: Polynomial, gamma: ParamVector) -> Fraction:

@@ -15,9 +15,9 @@ every check in `suites` and `spaces` reads it, the all-zero ones through
 maps each row and each column polynomial through each term once, keeps the
 images as integer coefficients over a common denominator, and pairs them by
 moment sums (`MomentTable.pairings`), so no polynomial is built per pair.
-Each entry is summed over the terms as an int numerator and denominator and
-becomes one Fraction at the end; `gram` labels it into the printed
-`GramReport`.
+Each term's block comes as ints over one denominator and is added, rescaled
+by one int, to the form's running sum over one denominator; each entry
+becomes one Fraction at the end; `gram` labels it into the printed `GramReport`.
 
 Each integral term is Dirichlet-normalized against its own displayed base
 weight (the monomial factors such as x_i inside a summand belong to the
@@ -38,7 +38,7 @@ from .errors import NonPositiveForm
 from .linalg import positive_definite
 from .moments import moment_table, vertex_eval
 from .polynomials import Exponents, Polynomial, monomial_polys
-from .scalars import Rational, as_fraction, format_rational
+from .scalars import Rational, as_fraction, clear_denominators, format_rational
 from .weighted import ParamVector
 
 ONE = Fraction(1)
@@ -122,38 +122,27 @@ class TermList:
         for p in itertools.chain(rows, () if same else cols):
             if p.dim != self.dim:
                 raise ValueError(f"dimension mismatch: {p.dim} vs {self.dim}")
-        # entry (i, j) is summed as the int fraction nums[i][j] / dens[i][j]
-        ncols = len(rows if same else cols)
-        nums = [[0] * ncols for _ in rows]
-        dens = [[1] * ncols for _ in rows]
+        # entry (i, j) is summed as the int fraction nums[i][j] / den
+        nums, den = [[0] * len(rows if same else cols) for _ in rows], 1
         for lam, image, weight, right, _ in (t for t in self.terms if t.lam):
             a = [image(f) for f in rows]
             b = a if same else [image(g) for g in cols]
             if weight is None:
-                block = [[x.numerator * y.numerator for y in b] for x in a]
-                rdens = [x.denominator for x in a]
-                cdens = [y.denominator for y in b]
+                (xs, xden), (ys, yden) = clear_denominators(a), clear_denominators(b)
+                block, bden = [[x * y for y in ys] for x in xs], xden * yden
             else:
-                block, rdens, cdens = moment_table(weight).pairings(a, b, right, upper=same)
-            p = lam.numerator
-            for num_line, den_line, values, r in zip(nums, dens, block, rdens):
-                r *= lam.denominator
-                for j, v in enumerate(values):
-                    if v:
-                        q = r * cdens[j]
-                        old = den_line[j]
-                        if old == q:
-                            num_line[j] += p * v
-                        else:
-                            common = lcm(old, q)
-                            num_line[j] = num_line[j] * (common // old) + p * v * (common // q)
-                            den_line[j] = common
+                block, bden = moment_table(weight).pairings(a, b, right, upper=same)
+            # the running sum and the block, each rescaled by one int to their lcm
+            common = lcm(den, bden * lam.denominator)
+            s, t = common // den, lam.numerator * (common // (bden * lam.denominator))
+            nums = [[s * n + t * v for n, v in zip(line, values)]
+                    for line, values in zip(nums, block)]
+            den = common
         out: list[list[Fraction]] = []
-        for i, (num_line, den_line) in enumerate(zip(nums, dens)):
+        for i, line in enumerate(nums):
             start = i if same else 0
             out.append([out[j][i] for j in range(start)]
-                       + [Fraction(n, q) if n else ZERO
-                          for n, q in zip(num_line[start:], den_line[start:])])
+                       + [Fraction(n, den) if n else ZERO for n in line[start:]])
         return out
 
     def value(self, f: Polynomial, g: Polynomial) -> Fraction:

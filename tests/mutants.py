@@ -142,6 +142,15 @@ MUTANTS = [
            "lift[da + db]",
            "lift[da]",
            ["tests/test_products.py", "-k", "oracle"]),
+    # each term's block and the running sum meet over their lcm
+    Mutant("matrix-does-not-rescale-the-running-sum", "src/sobolex/products.py",
+           "s, t = common // den,",
+           "s, t = 1,",
+           ["tests/test_products.py", "-k", "oracle"]),
+    Mutant("pairings-drop-the-column-scale", "src/sobolex/moments.py",
+           "c * (cden // q)",
+           "c",
+           ["tests/test_products.py", "-k", "oracle"]),
     Mutant("leibniz-denominator-one-power-too-high", "src/sobolex/bases.py",
            "slots, D ** n)",
            "slots, D ** (n + 1))",

@@ -183,6 +183,28 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
 
 
+# pairs of commands that print the same bytes, because the suite reads less
+# of its input than the second command changes, and the params it reports
+SAME_STDOUT = {
+    # jacobi runs to degree max(n_max, 5)
+    "jacobi-n-max-floor": (["verify", "--suite", "jacobi", "--n-max", "2"],
+                           ["verify", "--suite", "jacobi", "--n-max", "5"],
+                           {"n_max": 5}),
+    # lemmas4 reads the leading d entries of each weight only
+    "lemmas4-reads-the-leading-entries": (["verify", "--suite", "lemmas4", "--gamma", "1,2,7"],
+                                          ["verify", "--suite", "lemmas4", "--gamma", "1,2,0"],
+                                          {"d": 2, "leads": ["1,2"], "n_max": 3}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAME_STDOUT))
+def test_a_value_the_suite_does_not_read_changes_no_byte(capsys, case):
+    *commands, params = SAME_STDOUT[case]
+    first, second = (run_cli(capsys, argv) for argv in commands)
+    assert first == second
+    assert first[0] == 0 and json.loads(first[1])["params"] == params
+
+
 _X1 = json.dumps(Polynomial.variable(1, 0).to_json())
 
 # one small command per subcommand

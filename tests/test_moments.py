@@ -5,12 +5,12 @@ import pytest
 
 from sobolex.errors import NonIntegrableWeight
 from sobolex.linalg import positive_definite
-from sobolex.moments import face_inner_product, inner_product, integral, vertex_eval
+from sobolex.moments import face_inner_product, inner_product, integral, moment_table, vertex_eval
 from sobolex.polynomials import Polynomial, complement, monomials_up_to
 from sobolex.weighted import ParamVector
 
-from oracles import (interval_integral, normalized_moment, oracle_normalized_moment,
-                     simplex_integral)
+from oracles import (interval_integral, normalized_moment, oracle_inner_product,
+                     oracle_normalized_moment, simplex_integral)
 
 H = Fraction(1, 2)
 X = Polynomial.variable(2, 0)
@@ -87,6 +87,26 @@ def test_moment_matches_brute_force_oracle():
             assert normalized_moment(ParamVector(gamma), a) == want
             if a[-1] == 0:
                 assert integral(Polynomial.monomial(d, a[:-1]), ParamVector(gamma)) == want
+
+
+def test_pairings_are_ints_over_one_denominator():
+    # pairwise coprime denominators, 3, 5, 7 on the rows and 11, 13 on the
+    # columns, so that each is a factor that only its own scale supplies
+    gamma = ParamVector([H, Fraction(1, 3), 2])
+    table = moment_table(gamma)
+    rows = [Fraction(1, 3) * (1 - 2 * X + Y * Y), Fraction(1, 5) * (X * Y - 4),
+            Fraction(2, 7) * (X ** 3 + Y)]
+    cols = [Fraction(1, 11) * (X - 3 * Y), Fraction(4, 13) * (1 + X * X)]
+    for shift in (None, (1, 2)):
+        right = Polynomial.monomial(2, shift or (0, 0))
+        nums, den = table.pairings(rows, cols, shift)
+        assert [[Fraction(n, den) for n in line] for line in nums] \
+            == [[oracle_inner_product(f, g * right, gamma) for g in cols] for f in rows]
+        # with `upper`, the entries below the diagonal are left 0
+        nums, den = table.pairings(rows, rows, shift, upper=True)
+        assert [[Fraction(n, den) for n in line] for line in nums] \
+            == [[oracle_inner_product(f, g * right, gamma) if j >= i else 0
+                 for j, g in enumerate(rows)] for i, f in enumerate(rows)]
 
 
 def test_inner_product_symmetric_bilinear():

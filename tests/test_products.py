@@ -14,7 +14,8 @@ from sobolex.errors import NonPositiveForm
 from sobolex.linalg import positive_definite
 from sobolex.moments import inner_product
 from sobolex.polynomials import Polynomial, complement, monomials_up_to
-from sobolex.products import ClassicalProduct, DerivativeProduct, SingularProduct, gram, labeled
+from sobolex.products import (ClassicalProduct, DerivativeProduct, SingularProduct, TermList,
+                              gram, labeled)
 from sobolex.spaces import h_space, u_space
 from sobolex.weighted import ParamVector
 
@@ -347,12 +348,18 @@ def test_describe_is_the_recorded_payload():
 
 @pytest.mark.parametrize("form, oracle", FORMS, ids=_ids(FORMS))
 def test_value_and_gram_match_oracle(form, oracle):
-    rng = random.Random(json.dumps(form.describe()))
+    rng = random.Random(json.dumps(form.describe(), sort_keys=True))
     d = form.dim
+    # the last rows over the pairwise coprime denominators 7, 11 and 13
     rows = [_random_poly(rng, d) for _ in range(3)] + [Polynomial.constant(d, 2),
                                                        Polynomial.zero(d)]
     cols = [_random_poly(rng, d) for _ in range(3)] + [Polynomial.variable(d, d - 1)]
-    assert form.matrix(rows, cols) == [[oracle(f, g) for g in cols] for f in rows]
+    rows += [Fraction(1, q) * _random_poly(rng, d) for q in (7, 11, 13)]
+    want = [[oracle(f, g) for g in cols] for f in rows]
+    assert form.matrix(rows, cols) == want
+    # every lambda times 17/19, a denominator that no other factor has
+    scaled = TermList(d, form.spec, [t._replace(lam=t.lam * Fraction(17, 19)) for t in form.terms])
+    assert scaled.matrix(rows, cols) == [[Fraction(17, 19) * v for v in line] for line in want]
     for f, g in zip(rows, cols):
         assert form.value(f, g) == oracle(f, g)
     # the symmetric path (upper triangle, mirrored) against the general one,
@@ -377,7 +384,7 @@ def test_orthogonal_is_an_all_zero_matrix(form, oracle):
     # p has every mixed derivative nonzero, so each form pairs it with itself
     # to a nonzero value; the zero row goes first, so that a nonzero entry
     # in a later row must be read
-    rng = random.Random(json.dumps(form.describe()))
+    rng = random.Random(json.dumps(form.describe(), sort_keys=True))
     d = form.dim
     p = Polynomial.constant(d, 1)
     for i in range(d):
