@@ -14,7 +14,7 @@ _PUBLIC = {
     "errors": ("NonIntegrableWeight", "NonPolynomialQuotient", "NonPositiveForm",
                "SobolexError", "ZeroDenominator"),
     "linalg": (),
-    "moments": ("face_inner_product", "inner_product", "integral", "vertex_eval"),
+    "moments": ("inner_product", "vertex_eval"),
     "polynomials": ("Polynomial", "monomials_of_degree", "monomials_up_to"),
     "products": ("ClassicalProduct", "DerivativeProduct", "GramReport", "SingularProduct",
                  "gram"),

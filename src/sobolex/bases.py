@@ -49,7 +49,7 @@ from typing import Iterator, Sequence
 from .errors import NonIntegrableWeight, ZeroDenominator
 from .polynomials import Exponents, Polynomial, box_indices, monomials_of_degree
 from .scalars import (Rational, as_fraction, clear_denominators, factorial, format_rational,
-                      pochhammer, product_factorial)
+                      pochhammer, product_factorial, rising)
 from .weighted import ParamVector
 
 
@@ -109,21 +109,13 @@ def permuted_element(gamma: ParamVector, order: tuple[int, ...], nu: Exponents) 
     return _leibniz_element(gamma, order, excluded, nu)
 
 
-def _rising(start: int, step: int, k: int) -> int:
-    """D^k (a)_k for start = D a and step = D: start (start+D) ... (start+(k-1)D)."""
-    out = 1
-    for i in range(k):
-        out *= start + i * step
-    return out
-
-
 def _box_terms(scaled: list[int], D: int, order: Sequence[int], nu: Exponents,
                level: list[int]) -> Iterator[tuple[Exponents, int]]:
     """The nonzero (m, level[|m|] prod_s C(nu_s, m_s) D^{nu_s-m_s}
     (g_{o_s}+m_s+1)_{nu_s-m_s}) over the box m <= nu, where scaled[j] = D g_j
     and slot s holds coordinate o_s of `order`."""
     # slot s: y_{o_s} differentiated nu_s - m_s times, in C(nu_s, m_s) ways
-    rows = [[math.comb(k, m) * _rising(scaled[o] + (m + 1) * D, D, k - m) for m in range(k + 1)]
+    rows = [[math.comb(k, m) * rising(scaled[o] + (m + 1) * D, D, k - m) for m in range(k + 1)]
             for o, k in zip(order, nu)]
     for m in box_indices(nu):
         coef = level[sum(m)]
@@ -141,7 +133,7 @@ def _leibniz_element(gamma: ParamVector, order: tuple[int, ...], c: int,
     n = sum(nu)
     scaled, D = clear_denominators(gamma.entries)
     # y_c differentiated by the remaining |m| slot operators, each giving -1
-    level = [(-1) ** k * _rising(scaled[c] + (n - k + 1) * D, D, k) for k in range(n + 1)]
+    level = [(-1) ** k * rising(scaled[c] + (n - k + 1) * D, D, k) for k in range(n + 1)]
     slots = {m + (n - sum(m),): coef for m, coef in _box_terms(scaled, D, order, nu, level)}
     return Polynomial._from_ints(gamma.d + 1, slots, D ** n).pullback((*order, c), gamma.d)
 
@@ -169,7 +161,7 @@ def monomial_element(gamma: ParamVector, nu: Exponents) -> Polynomial:
     n = sum(nu)
     scaled, D = clear_denominators(gamma.entries)
     s = sum(scaled) + d * D  # D (|g|+d)
-    den = _rising(s, D, 2 * n)
+    den = rising(s, D, 2 * n)
     if not den:
         raise ZeroDenominator(f"({format_rational(gamma.total + d)})_{2 * n} vanishes")
     # (g_i+1)_m vanishes when its last factor D (g_i+m) does; the first box
@@ -180,7 +172,7 @@ def monomial_element(gamma: ParamVector, nu: Exponents) -> Polynomial:
             if scaled[i] + m * D == 0:
                 raise ZeroDenominator(f"({format_rational(gamma.entries[i] + 1)})_{m} vanishes")
     sign = -1 if den < 0 else 1  # _from_ints needs a positive denominator
-    level = [sign * (-1) ** (n + k) * _rising(s, D, n + k) for k in range(n + 1)]
+    level = [sign * (-1) ** (n + k) * rising(s, D, n + k) for k in range(n + 1)]
     return Polynomial._from_ints(d, dict(_box_terms(scaled, D, range(d), nu, level)), sign * den)
 
 

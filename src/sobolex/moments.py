@@ -10,62 +10,54 @@ rational exponents.  The closed form used here is
 Each weight gets one moment table.  Scaling every rising-factorial factor by
 the common denominator D of the exponents makes the numerator
 prod_i D^{a_i} (g_i + 1)_{a_i} and the denominator D^{|a|} (|g| + d + 1)_{|a|}
-integers, so a table entry is an int keyed by its integer exponent tuple, and
-the denominator depends on |a| only and divides the one of every higher
-degree.  Pairings <f_i, g_j x^s> = sum_a c_a sum_b d_b m(a+b+s) are computed
-a matrix at a time in integers over that common denominator, without building
-any product polynomial, and returned as int numerators over one denominator,
-so that a caller summing several blocks rescales each by one int and builds
-one Fraction per entry; an integral is the pairing with 1.
+integers, both products of `scalars.rising`, so a table entry is an int keyed
+by its integer exponent tuple, and the denominator depends on |a| only and
+divides the one of every higher degree.  Pairings <f_i, g_j x^s> =
+sum_a c_a sum_b d_b m(a+b+s) are computed a matrix at a time in integers over
+that common denominator, without building any product polynomial, and
+returned as int numerators over one denominator, so that a caller summing
+several blocks rescales each by one int and builds one Fraction per entry; an
+integral is the pairing with 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import add
 from typing import Iterable
 
 from .errors import NonIntegrableWeight
 from .polynomials import Exponents, Polynomial
-from .scalars import clear_denominators, format_rational
+from .scalars import clear_denominators, format_rational, rising
 from .weighted import ParamVector
 
 
 class MomentTable:
     """Integer moment numerators and per-degree denominators of one weight."""
 
-    __slots__ = ("_starts", "_step", "_rows", "_nums")
+    __slots__ = ("_starts", "_step", "_nums")
 
     def __init__(self, entries: tuple[Fraction, ...]):
         scaled, step = clear_denominators(entries)
         self._step = step
-        # scaled rising factorials: row i holds D^j (g_i+1)_j, j = 0, 1, ...
+        # rising(start, D, j) is D^j (g_i+1)_j for start D (g_i+1), and the
+        # denominator D^j (|g|+d+1)_j for the last start, D (|g|+d+1)
         self._starts = [g + step for g in scaled]
         self._starts.append(sum(scaled) + len(entries) * step)
-        self._rows = [[1] for _ in self._starts]
         self._nums: dict[Exponents, int] = {}
-
-    def _rising(self, i: int, j: int) -> int:
-        row = self._rows[i]
-        while len(row) <= j:
-            row.append(row[-1] * (self._starts[i] + self._step * (len(row) - 1)))
-        return row[j]
 
     def numerator(self, a: Exponents) -> int:
         """Scaled numerator of x^a, for a of length d or d+1 (a missing last
         entry is a zero power of 1-|x|)."""
         num = self._nums.get(a)
         if num is None:
-            num = 1
-            for i, e in enumerate(a):
-                if e:
-                    num *= self._rising(i, e)
-            self._nums[a] = num
+            num = self._nums[a] = prod(rising(start, self._step, e)
+                                       for start, e in zip(self._starts, a))
         return num
 
     def denominator(self, degree: int) -> int:
-        return self._rising(-1, degree)
+        return rising(self._starts[-1], self._step, degree)
 
     def pairings(self, rows: list[Polynomial], cols: list[Polynomial],
                  shift: Exponents | None = None,

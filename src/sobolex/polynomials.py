@@ -346,16 +346,14 @@ def complement(dim: int) -> Polynomial:
 
 
 def monomials_of_degree(dim: int, degree: int) -> list[Exponents]:
-    """All exponent tuples of total degree `degree`, graded-lex sorted."""
+    """All exponent tuples of total degree `degree`, graded-lex sorted: the
+    heads ascend and each tail list is lexicographic already."""
     if degree < 0:
         return []
     if dim == 0:
         return [()] if degree == 0 else []
-    out = []
-    for head in range(degree + 1):
-        for tail in monomials_of_degree(dim - 1, degree - head):
-            out.append((head,) + tail)
-    return sorted(out, key=graded_lex_key)
+    return [(head,) + tail for head in range(degree + 1)
+            for tail in monomials_of_degree(dim - 1, degree - head)]
 
 
 def monomials_up_to(dim: int, degree: int) -> list[Exponents]:

@@ -4,7 +4,9 @@ Every scalar the package hands out is a ``fractions.Fraction``; polynomial
 coefficients are stored as ints over a common denominator (see
 `polynomials`) and become Fractions when read; `clear_denominators` turns a
 list of rationals into ints over the lcm of their denominators for the
-integer kernels.  Nothing here (or anywhere else) rounds.
+integer kernels.  `rising` is the one integer rising factorial: the moment
+table, the Leibniz sums of `bases` and `pochhammer` all read it.  Nothing
+here (or anywhere else) rounds.
 """
 
 from __future__ import annotations
@@ -28,15 +30,20 @@ def as_fraction(value: Rational | str) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def rising(start: int, step: int, k: int) -> int:
+    """D^k (a)_k for start = D a and step = D: start (start+D) ... (start+(k-1)D)."""
+    out = 1
+    for i in range(k):
+        out *= start + i * step
+    return out
+
+
 def pochhammer(a: Rational, k: int) -> Fraction:
     """Rising factorial a*(a+1)*...*(a+k-1); equals 1 when k == 0."""
     if k < 0:
         raise ValueError("pochhammer needs k >= 0")
     a = as_fraction(a)
-    out = Fraction(1)
-    for j in range(k):
-        out *= a + j
-    return out
+    return Fraction(rising(a.numerator, a.denominator, k), a.denominator ** k)
 
 
 def factorial(n: int) -> Fraction:

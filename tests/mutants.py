@@ -134,10 +134,16 @@ MUTANTS = [
            "if self.lam_face:",
            "if False:",
            ["tests/test_products.py", "-k", "recorded_payload"]),
-    Mutant("moment-table-recurrence-off-by-one", "src/sobolex/moments.py",
-           "self._step * (len(row) - 1)",
-           "self._step * len(row)",
+    # the one integer rising factorial: every moment numerator and denominator
+    # is one factor off, and so is every Leibniz coefficient
+    Mutant("rising-off-by-one", "src/sobolex/scalars.py",
+           "start + i * step",
+           "start + (i + 1) * step",
            ["tests/test_moments.py", "-k", "brute_force"]),
+    Mutant("pochhammer-scale-one-power-too-high", "src/sobolex/scalars.py",
+           "a.denominator ** k)",
+           "a.denominator ** (k + 1))",
+           ["tests/test_scalars.py", "-k", "pochhammer"]),
     Mutant("pairings-lift-by-the-row-degree-only", "src/sobolex/moments.py",
            "lift[da + db]",
            "lift[da]",

@@ -87,8 +87,8 @@ PUBLIC_NAMES = [
     "Basis", "ClassicalProduct", "DerivativeProduct", "GramReport",
     "NonIntegrableWeight", "NonPolynomialQuotient", "NonPositiveForm", "ParamVector",
     "Polynomial", "SingularProduct", "SobolexError", "ZeroDenominator", "bases", "biorthogonal_constant", "eigencheck", "errors",
-    "expected_dimension", "face_inner_product", "face_params", "factorial", "gram", "h_space",
-    "inner_product", "integral", "jacobi_negative_one_beta", "jacobi_negative_one_one",
+    "expected_dimension", "face_params", "factorial", "gram", "h_space",
+    "inner_product", "jacobi_negative_one_beta", "jacobi_negative_one_one",
     "jacobi_norm", "jacobi_p", "jacobi_shifted", "linalg", "moments", "monomial_basis",
     "monomial_element", "monomials_of_degree", "monomials_up_to",
     "permuted_basis", "permuted_element", "pochhammer", "polynomials", "products",
@@ -118,9 +118,9 @@ def test_star_import_binds_every_public_name():
         == {name: getattr(sobolex, name) for name in PUBLIC_NAMES}
 
 
-# public functions and classes that no library module names: only the tests
-# call them, and the benchmark's tracer still names both
-UNUSED_PUBLIC = {"face_inner_product", "integral"}
+# public functions and classes that no library module names, which only the
+# tests would call
+UNUSED_PUBLIC = set()
 
 
 def _used_names(sources: Iterable[str]) -> set[str]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -160,6 +161,14 @@ def test_monomial_enumeration():
     assert monomials_of_degree(2, 2) == [(0, 2), (1, 1), (2, 0)]
     assert len(monomials_up_to(3, 4)) == 35
     assert monomials_of_degree(0, 0) == [()]
+
+
+def test_monomials_of_degree_are_lexicographic():
+    # one degree, so lexicographic order is graded-lex order
+    for d in range(1, 5):
+        for n in range(-1, 6):
+            want = sorted(e for e in itertools.product(range(n + 1), repeat=d) if sum(e) == n)
+            assert monomials_of_degree(d, n) == want, (d, n)
 
 
 def test_monomial_polys_is_one_cached_tuple_of_the_monomials():

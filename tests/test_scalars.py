@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from sobolex.scalars import as_fraction, factorial, format_rational, parse_rational, pochhammer
+from sobolex.scalars import (as_fraction, factorial, format_rational, parse_rational, pochhammer,
+                             rising)
 
 from oracles import binomial
 
@@ -13,6 +14,30 @@ def test_pochhammer_values():
     assert pochhammer(3, 2) == 12
     assert pochhammer(Fraction(1, 2), 2) == Fraction(3, 4)
     assert pochhammer(-2, 3) == 0
+
+
+def test_rising_is_its_definition():
+    # a -1 weight entry gives start 0, and start + i * step crosses zero
+    for step in (1, 2, 6):
+        for start in range(-13, 14):
+            for k in range(8):
+                want = 1
+                for i in range(k):
+                    want *= start + i * step
+                assert rising(start, step, k) == want, (start, step, k)
+
+
+def test_pochhammer_is_a_fraction_product():
+    for a in (Fraction(-3, 2), Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(5, 2)):
+        for k in range(8):
+            want = Fraction(1)
+            for j in range(k):
+                want *= a + j
+            got = pochhammer(a, k)
+            assert type(got) is Fraction and got == want, (a, k)
+    assert pochhammer("1/3", 2) == Fraction(4, 9)
+    with pytest.raises(ValueError):
+        pochhammer(Fraction(1, 3), -1)
 
 
 def test_pochhammer_composition():
