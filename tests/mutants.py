@@ -36,9 +36,23 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant("positive-definite-accepts-a-zero-minor", "src/sobolex/linalg.py",
-           "return all(m > 0 for m in leading_principal_minors(matrix))",
-           "return all(m >= 0 for m in leading_principal_minors(matrix))",
+           "return all(m > 0 for m in _leading_minors(matrix))",
+           "return all(m >= 0 for m in _leading_minors(matrix))",
            ["tests/test_linalg.py", "-k", "positive_definite"]),
+    # past the first row swap, the pivot is no longer a leading minor
+    Mutant("minors-read-past-the-first-swap", "src/sobolex/linalg.py",
+           "min(swaps[:1] + [r for r, col",
+           "min([r for r, col",
+           ["tests/test_linalg.py", "-k", "leading_principal_minors"]),
+    Mutant("determinant-drops-the-swap-sign", "src/sobolex/linalg.py",
+           "Fraction((-1) ** len(swaps) * (rows[-1][-1]",
+           "Fraction((rows[-1][-1]",
+           ["tests/test_linalg.py", "-k", "determinant"]),
+    # the solve on the integer rows gives c_j for q_j b_j and q t
+    Mutant("in-span-drops-the-row-rescale", "src/sobolex/linalg.py",
+           "[c * q / dens[-1] for c, q in zip(coeffs, dens)]",
+           "coeffs",
+           ["tests/test_linalg.py", "-k", "in_span"]),
     Mutant("orthogonal-reads-the-first-row-only", "src/sobolex/products.py",
            "return not any(any(line) for line in self.matrix(rows, cols))",
            "return not any(any(line) for line in self.matrix(rows, cols)[:1])",

@@ -16,7 +16,9 @@ differentiate term by term, divide the weight back out.
 `FractionPolynomial` is the polynomial arithmetic that `Polynomial`'s integer
 form replaced: one reduced Fraction per coefficient, summed term by term.
 `oracle_solve_combination` is the plain Fraction Gauss-Jordan span solve that
-the fraction-free elimination of `sobolex.linalg` replaced.  `oracle_positive`
+the fraction-free elimination of `sobolex.linalg` replaced, and
+`oracle_determinant` the plain Fraction determinant that checks the
+elimination's determinants and leading principal minors.  `oracle_positive`
 is the positivity test of a Sobolev form's coefficients, written out apart
 from the constructor that applies it.  `constrained_indices` builds the
 multi-indices of a face block from the free axes up, the reference for the
@@ -497,7 +499,7 @@ def oracle_positive(d: int, k: int, lam=None, lam_axis=None, lam_face=None,
     return (1 if lam is None else lam) > 0 and all(v > 0 for v in axis)
 
 
-# -- span solves in plain Fractions ---------------------------------------------
+# -- span solves and determinants in plain Fractions ----------------------------
 
 def oracle_solve_combination(target, vectors):
     """Coefficients c with sum c_i * vectors[i] == target, or None, by
@@ -532,3 +534,23 @@ def oracle_solve_combination(target, vectors):
     for row, col in pivots:
         coeffs[col] = aug[row][ncols]
     return coeffs
+
+
+def oracle_determinant(matrix):
+    """The determinant by Gaussian elimination in Fractions with row pivoting:
+    the product of the pivots, negated once per row swap."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if m[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, n):
+            factor = m[i][col] / m[col][col]
+            m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
+    return det

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 
-from sobolex.linalg import (determinant, in_span, leading_principal_minors, poly_rank,
-                            positive_definite, rank, solve_combination, spans_equal)
-from sobolex.polynomials import Polynomial
+from sobolex import linalg
+from sobolex.linalg import (coefficient_matrix, determinant, in_span, leading_principal_minors,
+                            poly_rank, positive_definite, rank, solve_combination, spans_equal)
+from sobolex.polynomials import Polynomial, graded_lex_key, monomials_up_to
 
-from oracles import oracle_solve_combination
+from oracles import oracle_determinant, oracle_solve_combination
 
 
 def naive_rank(rows):
@@ -45,18 +46,23 @@ def test_rank_matches_naive_reduction():
 
 
 def test_determinant_basics():
-    assert determinant([[Fraction(2)]]) == 2
-    m = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
-    assert determinant(m) == -2
-    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert determinant(singular) == 0
+    # hand-computed values, which the oracle gives too
+    cases = [([], 1), ([[2]], 2), ([[1, 2], [3, 4]], -2), ([[1, 2], [2, 4]], 0),
+             ([[0, 1], [1, 0]], -1)]
+    for rows, want in cases:
+        m = [[Fraction(v) for v in row] for row in rows]
+        assert determinant(m) == oracle_determinant(m) == want
+    # random sparse matrices, so that many need one or more row swaps
     rng = random.Random(315)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    swapped = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        m = [[Fraction(rng.choice((0, 0, rng.randint(-3, 3))), rng.randint(1, 3))
               for _ in range(n)] for _ in range(n)]
-        t = [[m[i][j] for i in range(n)] for j in range(n)]
-        assert determinant(m) == determinant(t)
+        got = determinant(m)
+        assert got == oracle_determinant(m)
+        swapped += bool(got) and not m[0][0]
+    assert swapped > 10
 
 
 def test_leading_principal_minors():
@@ -66,7 +72,7 @@ def test_leading_principal_minors():
 
 
 def _minors_by_determinant(m):
-    return [determinant([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+    return [oracle_determinant([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
 
 
 def test_leading_principal_minors_match_determinants():
@@ -90,7 +96,7 @@ def test_leading_principal_minors_match_determinants():
 
 
 def test_positive_definite_is_sylvesters_criterion():
-    # against "every leading minor by `determinant` is > 0", on symmetric
+    # against "every leading minor by the oracle is > 0", on symmetric
     # matrices: Gram matrices B^T B (definite, or singular when B is), plain
     # symmetric ones, and the edge cases first
     cases = [
@@ -116,6 +122,23 @@ def test_positive_definite_is_sylvesters_criterion():
     assert verdicts == [all(v > 0 for v in _minors_by_determinant(m)) for m in cases]
     assert verdicts[:5] == [True, False, False, False, False]
     assert 30 < sum(verdicts) < len(cases) - 30
+
+
+def test_positive_definite_stops_at_the_first_nonpositive_minor(monkeypatch):
+    # a zero first pivot and a negative second minor each answer False
+    # before any fallback determinant of a larger block is built
+    def no_fallback(matrix):
+        raise AssertionError("positive_definite built a fallback determinant")
+
+    monkeypatch.setattr(linalg, "determinant", no_fallback)
+    zero_pivot = [[Fraction(0), Fraction(1), Fraction(2)],
+                  [Fraction(1), Fraction(2), Fraction(0)],
+                  [Fraction(2), Fraction(0), Fraction(3)]]
+    negative_second = [[Fraction(1), Fraction(2), Fraction(0)],
+                       [Fraction(2), Fraction(1), Fraction(1)],
+                       [Fraction(0), Fraction(1), Fraction(5)]]
+    assert positive_definite(zero_pivot) is False
+    assert positive_definite(negative_second) is False
 
 
 def test_solve_combination():
@@ -186,3 +209,61 @@ def test_poly_span_helpers():
     # rows over different denominators
     assert in_span(x * Fraction(1, 2) + y * Fraction(1, 3), [x * Fraction(1, 4), 3 * y]) \
         == [Fraction(2), Fraction(1, 9)]
+
+
+DENOMINATORS = (3, 5, 7, 11)
+
+
+def _random_poly(rng):
+    """A d = 2 polynomial of degree <= 2 with coefficients over 3, 5, 7 and 11."""
+    return Polynomial(2, {e: Fraction(rng.randint(-4, 4), rng.choice(DENOMINATORS))
+                          for e in monomials_up_to(2, 2) if rng.random() < 0.6})
+
+
+def _vector(p, support):
+    coeffs = dict(p.items())
+    return [coeffs.get(e, Fraction(0)) for e in support]
+
+
+def test_coefficient_matrix_rows_over_their_denominators():
+    rng = random.Random(319)
+    polys = [_random_poly(rng) for _ in range(6)] + [Polynomial.zero(2)]
+    rows, dens, support = coefficient_matrix(polys)
+    assert support == sorted({e for p in polys for e, _ in p.items()}, key=graded_lex_key)
+    assert len(rows) == len(dens) == len(polys)
+    for p, row, den in zip(polys, rows, dens):
+        assert all(type(v) is int for v in row) and type(den) is int and den > 0
+        assert [Fraction(v, den) for v in row] == _vector(p, support)
+    assert coefficient_matrix([]) == ([], [], [])
+
+
+def test_in_span_matches_the_fraction_oracle():
+    # the integer solve's coefficients, rescaled by q_j / q_target, against
+    # the Fraction solve on the coefficient vectors: dependent bases, zero
+    # targets, members and non-members
+    rng = random.Random(318)
+    zero = Polynomial.zero(2)
+    found = none = zeros = 0
+    for trial in range(400):
+        basis = [_random_poly(rng) for _ in range(rng.randint(0, 4))]
+        if len(basis) >= 2 and trial % 3 == 0:
+            c = Fraction(rng.randint(-3, 3), rng.choice(DENOMINATORS))
+            basis[-1] = c * basis[0] + (basis[1] if trial % 2 else zero)
+        if trial % 5 == 0:
+            target = zero
+        elif trial % 2:
+            target = sum((Fraction(rng.randint(-3, 3), rng.choice(DENOMINATORS)) * b
+                          for b in basis), zero)
+        else:
+            target = _random_poly(rng)
+        support = sorted({e for p in basis + [target] for e, _ in p.items()})
+        got = in_span(target, basis)
+        assert got == oracle_solve_combination(_vector(target, support),
+                                               [_vector(b, support) for b in basis])
+        if got is None:
+            none += 1
+        else:
+            found += 1
+            zeros += target.is_zero
+            assert sum((c * b for c, b in zip(got, basis)), zero) == target
+    assert found > 150 and none > 100 and zeros > 50
