@@ -290,16 +290,6 @@ def jacobi_negative_one_one(n: int, lam1: Rational = 1, lam2: Rational = 1) -> P
     return (x * x - 1) * Fraction(1, 4) * jacobi_p(n - 2, 1, 1)
 
 
-def jacobi_ode_residual(f: Polynomial, n: int, alpha: Rational, beta: Rational) -> Polynomial:
-    """(1-x^2) f'' + [b - a - (a+b+2)x] f' + n(a+b+n+1) f, on [-1,1]."""
-    a, b = as_fraction(alpha), as_fraction(beta)
-    x = Polynomial.variable(1, 0)
-    fp = f.partial(0)
-    return ((1 - x * x) * fp.partial(0)
-            + (b - a - (a + b + 2) * x) * fp
-            + n * (a + b + n + 1) * f)
-
-
 def all_orders(d: int) -> list[tuple[int, ...]]:
     """Every ordering of d indices out of {0..d}, lexicographically."""
     return sorted(itertools.permutations(range(d + 1), d))

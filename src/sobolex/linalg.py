@@ -1,17 +1,18 @@
 """Exact linear algebra over the rationals: rank, span tests, definiteness.
 
-Rank, determinants, membership solves and leading principal minors share one
+Rank, determinants, membership solves and the definiteness test share one
 fraction-free (Bareiss) elimination of integer matrices, after clearing
-denominators row by row.  Up to its first row swap or skipped column, the
-elimination's diagonal pivots are the leading principal minors, and
-`positive_definite` reads them.  No tolerance parameter exists anywhere.
+denominators row by row.  When that pass makes no row swap and skips no
+column, its k-th diagonal pivot is the leading k x k minor of the integer
+rows, so `positive_definite` reads Sylvester's criterion off the pivots of
+one pass.  No tolerance parameter exists anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .polynomials import Exponents, Polynomial, graded_lex_key
 from .scalars import clear_denominators
@@ -69,36 +70,21 @@ def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction((-1) ** len(swaps) * (rows[-1][-1] if rows else 1), prod(scales))
 
 
-def _leading_minors(matrix: Sequence[Sequence[Fraction]]) -> Iterator[Fraction]:
-    """The leading principal minors, k = 1..n, one at a time.  Before the
-    first row swap or skipped column, the k-th pivot of one `_eliminate` pass
-    is the leading k x k minor of the integer rows (Sylvester's identity), so
-    it is over the product of their scales.  The minor at the first swap or
-    skip is 0, and the larger ones fall back to `determinant`."""
-    n = len(matrix)
-    rows, scales = _integer_rows(matrix)
-    pivots, swaps = _eliminate(rows, n)
-    stop = min(swaps[:1] + [r for r, col in pivots if r != col] + [len(pivots)])
-    scale = 1
-    for k in range(stop):
-        scale *= scales[k]
-        yield Fraction(rows[k][k], scale)
-    if stop < n:
-        yield Fraction(0)
-    for size in range(stop + 2, n + 1):
-        yield determinant([row[:size] for row in matrix[:size]])
-
-
 def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     """Determinants of the leading k x k blocks, k = 1..n."""
-    return list(_leading_minors(matrix))
+    return [determinant([row[:k] for row in matrix[:k]]) for k in range(1, len(matrix) + 1)]
 
 
 def positive_definite(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    """Sylvester's criterion: a symmetric matrix is positive definite exactly
-    when every leading principal minor is positive; it stops at the first
-    that is not, before any fallback determinant."""
-    return all(m > 0 for m in _leading_minors(matrix))
+    """Sylvester's criterion on one elimination: a symmetric matrix is
+    positive definite exactly when every leading principal minor is positive.
+    Row scales are positive, so until the pass swaps or skips a column, the
+    k-th diagonal entry has the sign of the leading k x k minor.  A swap
+    means that minor is 0, and a skipped column leaves its 0 on the diagonal."""
+    n = len(matrix)
+    rows, _ = _integer_rows(matrix)
+    swaps = _eliminate(rows, n)[1]
+    return not swaps and all(rows[k][k] > 0 for k in range(n))
 
 
 def solve_combination(target: Sequence[Fraction | int],

@@ -35,15 +35,16 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
+    # a skipped column leaves a 0 on the diagonal, and only "> 0" refuses it
     Mutant("positive-definite-accepts-a-zero-minor", "src/sobolex/linalg.py",
-           "return all(m > 0 for m in _leading_minors(matrix))",
-           "return all(m >= 0 for m in _leading_minors(matrix))",
+           "all(rows[k][k] > 0 for k in range(n))",
+           "all(rows[k][k] >= 0 for k in range(n))",
            ["tests/test_linalg.py", "-k", "positive_definite"]),
-    # past the first row swap, the pivot is no longer a leading minor
-    Mutant("minors-read-past-the-first-swap", "src/sobolex/linalg.py",
-           "min(swaps[:1] + [r for r, col",
-           "min([r for r, col",
-           ["tests/test_linalg.py", "-k", "leading_principal_minors"]),
+    # past a row swap, the pivots are no longer leading minors
+    Mutant("positive-definite-ignores-a-swap", "src/sobolex/linalg.py",
+           "return not swaps and all(",
+           "return all(",
+           ["tests/test_linalg.py", "-k", "positive_definite"]),
     Mutant("determinant-drops-the-swap-sign", "src/sobolex/linalg.py",
            "Fraction((-1) ** len(swaps) * (rows[-1][-1]",
            "Fraction((rows[-1][-1]",
@@ -53,6 +54,11 @@ MUTANTS = [
            "[c * q / dens[-1] for c, q in zip(coeffs, dens)]",
            "coeffs",
            ["tests/test_linalg.py", "-k", "in_span"]),
+    # the same fault, seen by a suite: reverse-membership's mixed-tail spans
+    Mutant("in-span-drops-the-row-rescale", "src/sobolex/linalg.py",
+           "[c * q / dens[-1] for c, q in zip(coeffs, dens)]",
+           "coeffs",
+           ["tests/test_suites.py", "-k", "lemmas4"]),
     Mutant("orthogonal-reads-the-first-row-only", "src/sobolex/products.py",
            "return not any(any(line) for line in self.matrix(rows, cols))",
            "return not any(any(line) for line in self.matrix(rows, cols)[:1])",
@@ -187,6 +193,11 @@ MUTANTS = [
            "out.append([out[j][i] for j in range(start)]",
            "out.append([ZERO for j in range(start)]",
            ["tests/test_products.py", "-k", "oracle"]),
+    # the interval ODE of (a, b) is the d = 1 operator at (b, a), not at (a, b)
+    Mutant("interval-ode-at-the-unswapped-weight", "src/sobolex/suites.py",
+           "(eigencheck(shifted_params, g, n) for n, g in enumerate(pulled))",
+           "(eigencheck(ParamVector([a, b]), g, n) for n, g in enumerate(pulled))",
+           ["tests/test_suites.py", "-k", "jacobi"]),
     Mutant("no-jacobi-floor", "src/sobolex/suites.py",
            "n_max = max(n_max, 5)",
            "n_max = max(n_max, 0)",

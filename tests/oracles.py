@@ -8,7 +8,9 @@ subtract, multiply and then integrate, and sum the monic basis formula one
 Pochhammer symbol at a time.  `oracle_value` is every bilinear form written
 out term by term, pairing each pair of polynomials on its own; the
 `oracle_named_*_value` functions are the paper's four d = 2 forms.
-`apply_operator` is the second-order operator applied by its definition.
+`apply_operator` is the second-order operator applied by its definition, and
+`jacobi_ode_residual` the Jacobi ODE on [-1,1], which the library checks as
+the d = 1 operator after x = 2u-1.
 The two construction oracles build the Rodrigues and permuted elements from
 their definitions with `sobolex.weighted.WeightedForm`, the closed class of sums
 c * x^alpha * (1-|x|)^beta with rational exponents: shift the weight,
@@ -127,6 +129,16 @@ def apply_operator(gamma: ParamVector, f: Polynomial) -> Polynomial:
             xj = Polynomial.variable(d, j)
             out = out - 2 * xi * xj * firsts[i].partial(j)
     return out
+
+
+def jacobi_ode_residual(f: Polynomial, n: int, alpha, beta) -> Polynomial:
+    """(1-x^2) f'' + [b - a - (a+b+2)x] f' + n(a+b+n+1) f, on [-1,1]."""
+    a, b = Fraction(alpha), Fraction(beta)
+    x = Polynomial.variable(1, 0)
+    fp = f.partial(0)
+    return ((1 - x * x) * fp.partial(0)
+            + (b - a - (a + b + 2) * x) * fp
+            + n * (a + b + n + 1) * f)
 
 
 def oracle_eigencheck(gamma, f: Polynomial, n: int) -> bool:

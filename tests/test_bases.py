@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from sobolex.bases import (all_orders, biorthogonal_constant, eigencheck,
+from sobolex.bases import (all_orders, biorthogonal_constant, eigencheck, eigenvalue,
                            jacobi_negative_one_beta,
                            jacobi_negative_one_one, jacobi_norm,
-                           jacobi_ode_residual, jacobi_p, jacobi_shifted,
+                           jacobi_p, jacobi_shifted,
                            monomial_basis, monomial_element, permuted_basis,
                            permuted_element, rodrigues_basis, rodrigues_element)
 from sobolex.errors import NonIntegrableWeight, ZeroDenominator
@@ -14,7 +14,7 @@ from sobolex.moments import inner_product
 from sobolex.polynomials import Polynomial, monomials_of_degree
 from sobolex.weighted import ParamVector
 
-from oracles import apply_operator, evaluate, simplex_integral
+from oracles import apply_operator, evaluate, jacobi_ode_residual, simplex_integral
 
 H = Fraction(1, 2)
 X = Polynomial.variable(2, 0)
@@ -73,6 +73,34 @@ def test_jacobi_degenerate_both():
     for n in range(6):
         f = jacobi_negative_one_one(n, 2, 1)
         assert jacobi_ode_residual(f, n, Fraction(-1), Fraction(-1)).is_zero
+
+
+def _suite_jacobi_families():
+    """(alpha, beta, [P_0..P_5]) for every family that `suite_jacobi` builds."""
+    for a, b in ((0, 0), (H, H), (1, 0), (H, Fraction(1, 3))):
+        yield a, b, [jacobi_p(n, a, b) for n in range(6)]
+    for b in (0, H, 2):
+        yield -1, b, [jacobi_negative_one_beta(n, b) for n in range(6)]
+    for l1, l2 in ((1, 1), (2, 1), (H, 3)):
+        yield -1, -1, [jacobi_negative_one_one(n, l1, l2) for n in range(6)]
+
+
+def test_jacobi_ode_is_the_d1_operator_after_x_is_2u_minus_1():
+    # with gamma = (beta, alpha), (1-x^2) = 4u(1-u) and d/dx = d/du / 2 turn
+    # the Jacobi ODE of (alpha, beta) into L_gamma g - lambda_n g, g(u) = P(2u-1)
+    x = 2 * T - 1
+    rejected = 0
+    for a, b, family in _suite_jacobi_families():
+        gamma = ParamVector([b, a])
+        for n, p in enumerate(family):
+            g = p.substitute(0, x)
+            assert jacobi_ode_residual(p, n, a, b).substitute(0, x) \
+                == apply_operator(gamma, g) - eigenvalue(gamma, n) * g
+            for m in range(max(n - 1, 0), n + 2):
+                assert eigencheck(gamma, g, m) is jacobi_ode_residual(p, m, a, b).is_zero
+                rejected += not eigencheck(gamma, g, m)
+    # every m != n but (n, m) = (0, 1) and (1, 0) at (-1, -1), where lambda_0 = lambda_1
+    assert rejected == 10 * 11 - 3 * 2
 
 
 def test_rodrigues_examples():

@@ -95,16 +95,20 @@ def test_leading_principal_minors_match_determinants():
     assert singular_leads > 20
 
 
-def test_positive_definite_is_sylvesters_criterion():
+def test_positive_definite_is_sylvesters_criterion(monkeypatch):
     # against "every leading minor by the oracle is > 0", on symmetric
     # matrices: Gram matrices B^T B (definite, or singular when B is), plain
-    # symmetric ones, and the edge cases first
+    # symmetric ones, and the edge cases first.  The verdict reads the pivots
+    # of one elimination and builds no determinant.
     cases = [
         [],
         [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(2)]],  # zero first pivot
         [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]],  # zero pivot, semidefinite
         [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]],  # negative later minor
         [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]],  # singular semidefinite
+        # 3 x 3: a zero first pivot, so a row swap; a negative second minor
+        [[Fraction(v) for v in row] for row in ((0, 1, 2), (1, 2, 0), (2, 0, 3))],
+        [[Fraction(v) for v in row] for row in ((1, 2, 0), (2, 1, 1), (0, 1, 5))],
     ]
     rng = random.Random(1968)
     for trial in range(120):
@@ -118,27 +122,15 @@ def test_positive_definite_is_sylvesters_criterion():
             b[-1] = b[0]  # B singular (from n = 2 on), and so is B^T B
         cases.append([[sum((r[i] * r[j] for r in b), Fraction(0)) for j in range(n)]
                       for i in range(n)])
+
+    def no_determinant(matrix):
+        raise AssertionError("positive_definite built a determinant")
+
+    monkeypatch.setattr(linalg, "determinant", no_determinant)
     verdicts = [positive_definite(m) for m in cases]
     assert verdicts == [all(v > 0 for v in _minors_by_determinant(m)) for m in cases]
-    assert verdicts[:5] == [True, False, False, False, False]
+    assert verdicts[:7] == [True] + [False] * 6
     assert 30 < sum(verdicts) < len(cases) - 30
-
-
-def test_positive_definite_stops_at_the_first_nonpositive_minor(monkeypatch):
-    # a zero first pivot and a negative second minor each answer False
-    # before any fallback determinant of a larger block is built
-    def no_fallback(matrix):
-        raise AssertionError("positive_definite built a fallback determinant")
-
-    monkeypatch.setattr(linalg, "determinant", no_fallback)
-    zero_pivot = [[Fraction(0), Fraction(1), Fraction(2)],
-                  [Fraction(1), Fraction(2), Fraction(0)],
-                  [Fraction(2), Fraction(0), Fraction(3)]]
-    negative_second = [[Fraction(1), Fraction(2), Fraction(0)],
-                       [Fraction(2), Fraction(1), Fraction(1)],
-                       [Fraction(0), Fraction(1), Fraction(5)]]
-    assert positive_definite(zero_pivot) is False
-    assert positive_definite(negative_second) is False
 
 
 def test_solve_combination():
