@@ -19,6 +19,8 @@ d+1 slot coordinates (slot d holding y_c) and pulled back to x by the map
 slot s -> y_{o_s}, slot d -> y_c (`Polynomial.pullback`).  That map is a
 vertex permutation of T^d, so a permuted element is the Rodrigues element of
 the permuted weight (g_{o_0}, ..., g_{o_{d-1}}, g_c) pulled back by the order.
+Both families reach the sum through one kernel, `_leibniz_element`, which
+alone refuses a multi-index of the wrong length or with a negative entry.
 
 The monic ("monomial") element sums over the same box, with n = |nu| and
 s = |g|+d:
@@ -47,9 +49,9 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import NonIntegrableWeight, ZeroDenominator
-from .polynomials import Exponents, Polynomial, box_indices, monomials_of_degree
+from .polynomials import Exponents, Polynomial, monomials_of_degree
 from .scalars import (Rational, as_fraction, clear_denominators, factorial, format_rational,
-                      pochhammer, product_factorial, rising)
+                      pochhammer, rising)
 from .weighted import ParamVector
 
 
@@ -86,10 +88,7 @@ def _json_key(key: tuple) -> list:
 
 def rodrigues_element(gamma: ParamVector, nu: Exponents) -> Polynomial:
     """x^{-g} (1-|x|)^{-g_{d+1}} d^nu [x^{g+nu} (1-|x|)^{g_{d+1}+|nu|}]."""
-    d = gamma.d
-    if len(nu) != d or any(n < 0 for n in nu):
-        raise ValueError(f"bad multi-index {nu}")
-    return _leibniz_element(gamma, tuple(range(d)), d, nu)
+    return _leibniz_element(gamma, tuple(range(gamma.d)), gamma.d, nu)
 
 
 def permuted_element(gamma: ParamVector, order: tuple[int, ...], nu: Exponents) -> Polynomial:
@@ -103,8 +102,6 @@ def permuted_element(gamma: ParamVector, order: tuple[int, ...], nu: Exponents) 
     d = gamma.d
     if len(order) != d or len(set(order)) != d or not set(order) <= set(range(d + 1)):
         raise ValueError(f"bad coordinate order {order}")
-    if len(nu) != d or any(k < 0 for k in nu):
-        raise ValueError(f"bad multi-index {nu}")
     (excluded,) = set(range(d + 1)) - set(order)
     return _leibniz_element(gamma, order, excluded, nu)
 
@@ -117,7 +114,7 @@ def _box_terms(scaled: list[int], D: int, order: Sequence[int], nu: Exponents,
     # slot s: y_{o_s} differentiated nu_s - m_s times, in C(nu_s, m_s) ways
     rows = [[math.comb(k, m) * rising(scaled[o] + (m + 1) * D, D, k - m) for m in range(k + 1)]
             for o, k in zip(order, nu)]
-    for m in box_indices(nu):
+    for m in itertools.product(*(range(k + 1) for k in nu)):
         coef = level[sum(m)]
         for row, ms in zip(rows, m):
             coef *= row[ms]
@@ -130,6 +127,8 @@ def _leibniz_element(gamma: ParamVector, order: tuple[int, ...], c: int,
     """The Leibniz sum of the module docstring, in integers times D^{|nu|}:
     a polynomial in the d+1 slot coordinates (slot d holds y_c), pulled back
     by (*order, c)."""
+    if len(nu) != gamma.d or any(k < 0 for k in nu):
+        raise ValueError(f"bad multi-index {nu}")
     n = sum(nu)
     scaled, D = clear_denominators(gamma.entries)
     # y_c differentiated by the remaining |m| slot operators, each giving -1
@@ -197,7 +196,7 @@ def biorthogonal_constant(gamma: ParamVector, nu: Exponents) -> Fraction:
     """
     d = gamma.d
     n = sum(nu)
-    value = Fraction((-1) ** n) * product_factorial(nu)
+    value = Fraction((-1) ** n * math.prod(map(math.factorial, nu)))
     for g, k in zip(gamma.entries[:-1], nu):
         value *= pochhammer(g + 1, k)
     value *= pochhammer(gamma.last + 1, n)

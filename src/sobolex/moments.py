@@ -112,16 +112,9 @@ def moment_table(gamma: ParamVector) -> MomentTable:
     return table
 
 
-def _pairing(table: MomentTable, f: Polynomial, g: Polynomial) -> Fraction:
-    ((num,),), den = table.pairings([f], [g])
-    return Fraction(num, den)
-
-
 def integral(f: Polynomial, gamma: ParamVector) -> Fraction:
     """Normalized integral of a polynomial against W_gamma over T^d."""
-    if f.dim != gamma.d:
-        raise ValueError("dimension mismatch")
-    return _pairing(moment_table(gamma), f, Polynomial.constant(f.dim, 1))
+    return inner_product(f, Polynomial.constant(f.dim, 1), gamma)
 
 
 def inner_product(f: Polynomial, g: Polynomial, gamma: ParamVector) -> Fraction:
@@ -130,7 +123,8 @@ def inner_product(f: Polynomial, g: Polynomial, gamma: ParamVector) -> Fraction:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if f.dim != gamma.d:
         raise ValueError("dimension mismatch")
-    return _pairing(moment_table(gamma), f, g)
+    ((num,),), den = moment_table(gamma).pairings([f], [g])
+    return Fraction(num, den)
 
 
 def face_inner_product(f: Polynomial, g: Polynomial, zeroed: Iterable[int],

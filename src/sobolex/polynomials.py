@@ -21,7 +21,6 @@ tuple).
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -368,8 +367,3 @@ def monomial_polys(dim: int, degree: int) -> tuple[Polynomial, ...]:
     """The monomials x^e of degree <= `degree`, in `monomials_up_to` order:
     one cached tuple per (dim, degree), shared by every caller."""
     return tuple(Polynomial.monomial(dim, e) for e in monomials_up_to(dim, degree))
-
-
-def box_indices(bounds: Sequence[int]) -> Iterator[Exponents]:
-    """All multi-indices m with 0 <= m_i <= bounds_i."""
-    return itertools.product(*(range(b + 1) for b in bounds))

@@ -1,23 +1,24 @@
 """Every bilinear form in the package, as a list of terms, plus the Gram report.
 
-A form is a sum of terms lam * <A f, A g x^s>_W.  The image A differentiates
-(a multi-index or a directional combination) and may restrict to a face of
-T^d; W is the term's base weight and x^s an optional monomial multiplier on
-the right-hand factor.  A term without a weight is a scalar product
-lam * A(f) A(g) of point values.  Every form is a `TermList`: its list
-`terms` and a `spec` dict, from which its one `describe()` is built.  The three
-products are subclasses whose constructors check their coefficients and build
-both; the paper's d = 2 forms in `suites` are plain term lists.  One
-evaluator, `matrix`, computes every value and Gram matrix from the terms, and
-every check in `suites` and `spaces` reads it, the all-zero ones through
-`orthogonal`, and those against every lower degree through
-`orthogonal_below`, the one place that turns a degree into its columns.  It
-maps each row and each column polynomial through each term once, keeps the
+A form is a sum of terms lam * <A f, A g x^s>_W.  The image A differentiates (a
+multi-index or a directional combination) and may restrict to a face of T^d; W
+is the term's base weight and x^s an optional monomial multiplier on the
+right-hand factor.  A term without a weight is a scalar product lam * A(f) A(g)
+of point values.  Every form is a `TermList`: its list `terms` and a `spec`
+dict, from which its one `describe()` is built.  The three products are
+subclasses whose constructors check their coefficients and build both; the
+Sobolev form has one derivative term per nonempty subset of its differentiated
+axes, the full subset its main term.  The paper's d = 2 forms in `suites` are
+plain term lists.  One evaluator, `matrix`, computes every value and Gram
+matrix from the terms; every check in `suites` and `spaces` reads it, the
+all-zero ones through `orthogonal`, and those against every lower degree
+through `orthogonal_below`, the one place that turns a degree into its columns.
+It maps each row and each column polynomial through each term once, keeps the
 images as integer coefficients over a common denominator, and pairs them by
-moment sums (`MomentTable.pairings`), so no polynomial is built per pair.
-Each term's block comes as ints over one denominator and is added, rescaled
-by one int, to the form's running sum over one denominator; each entry
-becomes one Fraction at the end; `gram` labels it into the printed `GramReport`.
+moment sums (`MomentTable.pairings`), so no polynomial is built per pair.  Each
+term's block, ints over one denominator, is added with one int rescale to the
+form's running sum; each entry becomes one Fraction at the end; `gram` labels
+it into the printed `GramReport`.
 
 Each integral term is Dirichlet-normalized against its own displayed base
 weight (the monomial factors such as x_i inside a summand belong to the
@@ -203,16 +204,18 @@ class DerivativeProduct(TermList):
 class SingularProduct(TermList):
     """The Sobolev pairing attached to a weight whose trailing k exponents are -1.
 
+    Its derivative terms come from one family, the nonempty subsets s of the
+    k-1 differentiated axes (the trailing true coordinates): the term of s
+    differentiates s where the other differentiated axes vanish, against the
+    weight tail + (0,)*|s| + (|s|-1,).  The full subset is the main term.
+
     Parameters: the weight gamma, split by `ParamVector.singular_split` (which
     refuses any other weight) into its leading exponents `tail` (all > -1)
     and k >= 1, and the coefficient families
       lam       -- the boundary/vertex coefficient of the final term (k <= d),
       lam_axis  -- per-coordinate coefficients of the gradient face term
-                   (1 < k <= d; at k = 1 the gradient term is the main one,
-                   with coefficient 1),
-      lam_face  -- per-subset coefficients of the intermediate face terms,
-                   keyed by proper nonempty subsets of the k-1 differentiated
-                   axes, which exist only for k >= 3,
+                   (1 < k <= d; at k = 1 it is the main term, with lambda 1),
+      lam_face  -- coefficients of the face terms, the proper subsets (k >= 3),
       lam_vertex -- vertex coefficients lam_{j,0}, j = 0..d (k = d+1 only).
     None means all ones, the default; an empty list is no default.  The
     constructor is the one judge of the coefficients, by two rules.  A family
@@ -240,12 +243,10 @@ class SingularProduct(TermList):
                               ((1,) * (dim - k + 1) if lam_axis is None else lam_axis))
         if len(self.lam_axis) != dim - k + 1:
             raise ValueError("lam_axis has wrong length")
-        # the trailing k-1 true-coordinate axes, zero-based: the main term
-        # differentiates all of them, each face term a proper nonempty subset
-        mk = list(range(dim - k + 1, dim))
-        faces = [s for i in range(1, k - 1) for s in itertools.combinations(mk, i)]
+        mk = list(range(dim - k + 1, dim))  # the differentiated axes, zero-based
+        subsets = [s for i in range(1, k) for s in itertools.combinations(mk, i)]  # mk last
         self.lam_face = _subset_keyed(lam_face)
-        if not self.lam_face.keys() <= set(map(frozenset, faces)):
+        if not self.lam_face.keys() <= set(map(frozenset, subsets[:-1])):
             raise ValueError("lam_face keys must be proper nonempty subsets of the "
                              "differentiated axes, which exist only for k >= 3")
         self.lam_vertex = tuple(as_fraction(v) for v in
@@ -263,12 +264,10 @@ class SingularProduct(TermList):
         if broken:
             raise NonPositiveForm("the Sobolev form is not positive: " + "; ".join(broken))
 
-        # from k = 2 on, the main term; a face term zeroes the axes of mk outside its face
-        terms = [Term(ONE, _derivative(mk), ParamVector(tail + (0,) * (k - 1) + (k - 2,)),
-                      tag="main")] if k > 1 else []
-        terms += [Term(self.lam_face.get(frozenset(s), ONE), _derivative(s, set(mk) - set(s)),
-                       ParamVector(tail + (0,) * len(s) + (len(s) - 1,)),
-                       tag="face" + "".join(str(j) for j in s)) for s in faces]
+        terms = [Term(self.lam_face.get(frozenset(s), ONE), _derivative(s, set(mk) - set(s)),
+                      ParamVector(tail + (0,) * len(s) + (len(s) - 1,)),
+                      tag="main" if len(s) == k - 1 else "face" + "".join(map(str, s)))
+                 for s in subsets[-1:] + subsets[:-1]]  # the main term first
         spec = {"kind": "singular", "d": dim, "k": k, "tail": [format_rational(t) for t in tail]}
         if k == dim + 1:
             terms += [Term(v, _vertex(j), None) for j, v in enumerate(self.lam_vertex)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -48,14 +48,6 @@ def pochhammer(a: Rational, k: int) -> Fraction:
 
 def factorial(n: int) -> Fraction:
     return Fraction(math.factorial(n))
-
-
-def product_factorial(exponents: Iterable[int]) -> Fraction:
-    """Product of factorials over a multi-index."""
-    out = Fraction(1)
-    for e in exponents:
-        out *= math.factorial(e)
-    return out
 
 
 def clear_denominators(values: Sequence[Rational]) -> tuple[list[int], int]:

@@ -202,6 +202,31 @@ MUTANTS = [
            "n_max = max(n_max, 5)",
            "n_max = max(n_max, 0)",
            ["tests/test_golden.py", "-k", "suite and all"]),
+    # the Sobolev form's terms come from one subset family, the last subset
+    # (all of the differentiated axes) the main term's, whose lambda is 1
+    Mutant("face-key-may-name-the-main-term", "src/sobolex/products.py",
+           "set(map(frozenset, subsets[:-1]))",
+           "set(map(frozenset, subsets))",
+           ["tests/test_products.py", "-k", "lam_face"]),
+    Mutant("main-term-tagged-as-a-face", "src/sobolex/products.py",
+           '"main" if len(s) == k - 1 else',
+           '"main" if len(s) == 1 else',
+           ["tests/test_products.py", "-k", "recorded_payload"]),
+    # the one guard of both Leibniz families; without it a negative entry
+    # sums an empty box to 0 and no other test fails
+    Mutant("leibniz-element-skips-the-index-guard", "src/sobolex/bases.py",
+           "    if len(nu) != gamma.d or any(k < 0 for k in nu):\n"
+           "        raise ValueError(f\"bad multi-index {nu}\")\n",
+           "",
+           ["tests/test_bases.py", "-k", "bad_multi_index"]),
+    Mutant("integral-pairs-with-zero", "src/sobolex/moments.py",
+           "inner_product(f, Polynomial.constant(f.dim, 1), gamma)",
+           "inner_product(f, Polynomial.zero(f.dim), gamma)",
+           ["tests/test_moments.py", "-k", "brute_force"]),
+    Mutant("integral-pairs-with-zero", "src/sobolex/moments.py",
+           "inner_product(f, Polynomial.constant(f.dim, 1), gamma)",
+           "inner_product(f, Polynomial.zero(f.dim), gamma)",
+           ["tests/test_kernels.py", "-k", "integral"]),
 ]
 
 

@@ -40,7 +40,7 @@ from sobolex import products as P
 from sobolex.bases import eigenvalue
 from sobolex.errors import ZeroDenominator
 from sobolex.moments import moment_table, vertex_eval
-from sobolex.polynomials import Polynomial, box_indices, graded_lex_key, monomials_of_degree
+from sobolex.polynomials import Polynomial, graded_lex_key, monomials_of_degree
 from sobolex.scalars import format_rational, pochhammer
 from sobolex.weighted import ParamVector, WeightedForm
 
@@ -166,7 +166,7 @@ def oracle_monomial_element(gamma, nu: tuple[int, ...]) -> Polynomial:
         raise ZeroDenominator(f"({format_rational(s)})_{2 * n} vanishes")
     top = [pochhammer(g + 1, k) for g, k in zip(gamma.entries[:-1], nu)]
     terms = {}
-    for m in box_indices(nu):
+    for m in itertools.product(*(range(k + 1) for k in nu)):
         coef = Fraction((-1) ** (n + sum(m)))
         for i in range(d):
             low = pochhammer(gamma.entries[i] + 1, m[i])

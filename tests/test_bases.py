@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -148,6 +149,20 @@ def test_permuted_element_is_the_pulled_back_rodrigues_element(d):
                 for nu in monomials_of_degree(d, n):
                     assert (rodrigues_element(permuted, nu).pullback(order)
                             == permuted_element(gamma, order, nu))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_every_family_refuses_a_bad_multi_index(d):
+    # a negative entry would sum an empty box to 0, and an index of the wrong
+    # length would build some other polynomial, so each must be refused
+    gamma = ParamVector([H] * (d + 1))
+    families = [partial(rodrigues_element, gamma),
+                partial(permuted_element, gamma, tuple(range(d, 0, -1))),
+                partial(monomial_element, gamma)]
+    bad = [(-1,) + (1,) * (d - 1), (1,) * (d - 2) + (-2,), (1,) * (d - 1), (1,) * (d + 1)]
+    for build, nu in itertools.product(families, bad):
+        with pytest.raises(ValueError, match="bad multi-index"):
+            build(nu)
 
 
 def test_monomial_examples():
