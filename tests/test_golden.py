@@ -123,8 +123,7 @@ COMMANDS = [
     # which suites `all` runs, and at which d, away from d = 2
     *(["verify", "--suite", "all", "--d", d, "--n-max", "2"] for d in ("1", "3")),
     ["report", "--d", "1", "--n-max", "2"],
-    # every suite that `all` runs above d = 3, where the kernels of the
-    # largest dimensions run
+    # every suite that `all` runs at d = 4 and 5, which no other digest reaches
     *(["verify", "--suite", "all", "--d", d, "--n-max", n] for d, n in (("4", "2"), ("5", "1"))),
     # U_1 at the all -1 weight, the one place the vertex coefficients change
     # the space, and two more refused weights: no -1 entry, and one below -1
