@@ -50,8 +50,8 @@ from typing import Iterator, Sequence
 
 from .errors import NonIntegrableWeight, ZeroDenominator
 from .polynomials import Exponents, Polynomial, monomials_of_degree
-from .scalars import (Rational, as_fraction, clear_denominators, factorial, format_rational,
-                      pochhammer, rising)
+from .scalars import (Rational, as_fraction, clear_denominators, factorial, pochhammer,
+                      rising)
 from .weighted import ParamVector
 
 
@@ -122,14 +122,20 @@ def _box_terms(scaled: list[int], D: int, order: Sequence[int], nu: Exponents,
             yield m, coef
 
 
+def _degree(gamma: ParamVector, nu: Exponents) -> int:
+    """|nu|, for a multi-index nu of gamma's dimension d; any other nu is a
+    ValueError.  The one index guard of every family indexed by nu."""
+    if len(nu) != gamma.d or any(k < 0 for k in nu):
+        raise ValueError(f"bad multi-index {nu}")
+    return sum(nu)
+
+
 def _leibniz_element(gamma: ParamVector, order: tuple[int, ...], c: int,
                      nu: Exponents) -> Polynomial:
     """The Leibniz sum of the module docstring, in integers times D^{|nu|}:
     a polynomial in the d+1 slot coordinates (slot d holds y_c), pulled back
     by (*order, c)."""
-    if len(nu) != gamma.d or any(k < 0 for k in nu):
-        raise ValueError(f"bad multi-index {nu}")
-    n = sum(nu)
+    n = _degree(gamma, nu)
     scaled, D = clear_denominators(gamma.entries)
     # y_c differentiated by the remaining |m| slot operators, each giving -1
     level = [(-1) ** k * rising(scaled[c] + (n - k + 1) * D, D, k) for k in range(n + 1)]
@@ -154,22 +160,19 @@ def permuted_basis(gamma: ParamVector, order: tuple[int, ...], n: int) -> Basis:
 
 def monomial_element(gamma: ParamVector, nu: Exponents) -> Polynomial:
     """The monic orthogonal companion of x^nu: x^nu plus lower-degree terms."""
-    d = gamma.d
-    if len(nu) != d or any(k < 0 for k in nu):
-        raise ValueError(f"bad multi-index {nu}")
-    n = sum(nu)
+    d, n = gamma.d, _degree(gamma, nu)  # the index before the ZeroDenominator checks
     scaled, D = clear_denominators(gamma.entries)
     s = sum(scaled) + d * D  # D (|g|+d)
     den = rising(s, D, 2 * n)
     if not den:
-        raise ZeroDenominator(f"({format_rational(gamma.total + d)})_{2 * n} vanishes")
+        raise ZeroDenominator(f"({gamma.total + d})_{2 * n} vanishes")
     # (g_i+1)_m vanishes when its last factor D (g_i+m) does; the first box
     # index in product order with a vanishing (g_i+1)_{m_i} is m_i e_i for
     # the last such i
     for i in reversed(range(d)):
         for m in range(1, nu[i] + 1):
             if scaled[i] + m * D == 0:
-                raise ZeroDenominator(f"({format_rational(gamma.entries[i] + 1)})_{m} vanishes")
+                raise ZeroDenominator(f"({gamma.entries[i] + 1})_{m} vanishes")
     sign = -1 if den < 0 else 1  # _from_ints needs a positive denominator
     level = [sign * (-1) ** (n + k) * rising(s, D, n + k) for k in range(n + 1)]
     return Polynomial._from_ints(d, dict(_box_terms(scaled, D, range(d), nu, level)), sign * den)
@@ -194,8 +197,7 @@ def biorthogonal_constant(gamma: ParamVector, nu: Exponents) -> Fraction:
     degree because the Rodrigues construction here carries no (-1)^{|nu|}
     prefactor; off-diagonal pairings vanish identically.
     """
-    d = gamma.d
-    n = sum(nu)
+    d, n = gamma.d, _degree(gamma, nu)
     value = Fraction((-1) ** n * math.prod(map(math.factorial, nu)))
     for g, k in zip(gamma.entries[:-1], nu):
         value *= pochhammer(g + 1, k)

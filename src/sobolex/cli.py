@@ -1,9 +1,11 @@
 """Command-line front end: construct bases, evaluate products, run suites.
 
-All output is canonical JSON on stdout (stable key order, no whitespace), so
-identical inputs produce byte-identical output; --pretty switches to indented
-form.  Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 violated
-mathematical precondition.
+Each `cmd_*` returns its JSON payload, and `main` alone writes it and picks
+the exit code.  All output is canonical JSON on stdout (stable key order, no
+whitespace), so identical inputs produce byte-identical output; --pretty
+switches to indented form.  Exit codes: 0 pass, 1 verification failure (the
+printed "ok" is false; `basis`, `inner` and `gram` print no "ok"), 2 usage
+error, 3 violated mathematical precondition.
 """
 
 from __future__ import annotations
@@ -22,14 +24,6 @@ SUITE_NAMES = ("jacobi", "triangle", "rodrigue", "monomial", "lemmas4",
 
 USAGE_EXIT = 2
 MATH_EXIT = 3
-
-
-def _emit(obj: dict, pretty: bool) -> None:
-    if pretty:
-        text = json.dumps(obj, sort_keys=True, indent=2)
-    else:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write(text + "\n")
 
 
 def _parse_gamma(text: str, d: int) -> weighted.ParamVector:
@@ -110,24 +104,20 @@ def _build_product(args: argparse.Namespace):
     raise ValueError(f"unknown spec {args.spec!r}")
 
 
-def cmd_basis(args: argparse.Namespace) -> int:
+def cmd_basis(args: argparse.Namespace) -> dict:
     _check_flags(args, family=args.family)
-    basis = _build_basis(args.family, args)
-    _emit(basis.to_json(), args.pretty)
-    return 0
+    return _build_basis(args.family, args).to_json()
 
 
-def cmd_inner(args: argparse.Namespace) -> int:
+def cmd_inner(args: argparse.Namespace) -> dict:
     _check_flags(args, spec=args.spec)
     product = _build_product(args)
     f = polynomials.Polynomial.from_json(json.loads(args.f))
     g = polynomials.Polynomial.from_json(json.loads(args.g))
-    value = product.value(f, g)
-    _emit({"spec": product.describe(), "value": str(value)}, args.pretty)
-    return 0
+    return {"spec": product.describe(), "value": str(product.value(f, g))}
 
 
-def cmd_gram(args: argparse.Namespace) -> int:
+def cmd_gram(args: argparse.Namespace) -> dict:
     _check_flags(args, args.basis, args.spec)
     product = _build_product(args)
     if args.basis == "monomials":
@@ -138,39 +128,30 @@ def cmd_gram(args: argparse.Namespace) -> int:
                  else _build_basis(args.basis, args))
         rows = [(str(key), p) for key, p in basis.elements]
     if args.against == "self":
-        report = products.gram(product, rows)
-    else:
-        lower = products.labeled(polynomials.monomial_polys(args.d, args.n - 1), "m")
-        report = products.gram(product, rows, lower)
-    _emit(report.to_json(), args.pretty)
-    return 0
+        return products.gram(product, rows).to_json()
+    lower = products.labeled(polynomials.monomial_polys(args.d, args.n - 1), "m")
+    return products.gram(product, rows, lower).to_json()
 
 
-def cmd_eigen(args: argparse.Namespace) -> int:
+def cmd_eigen(args: argparse.Namespace) -> dict:
     form = _sobolev_form(_parse_gamma(args.gamma, args.d), args)
-    report = spaces.verify_u_space(form, args.n)
-    _emit(report, args.pretty)
-    return 0 if report["ok"] else 1
+    return spaces.verify_u_space(form, args.n)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> dict:
     gammas = [weighted.ParamVector.parse(text) for text in args.gamma] if args.gamma else None
-    result = suites.run_suite(args.suite, d=args.d, n_max=args.n_max, gammas=gammas)
-    _emit(result, args.pretty)
-    return 0 if result["ok"] else 1
+    return suites.run_suite(args.suite, d=args.d, n_max=args.n_max, gammas=gammas)
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> dict:
     result = suites.run_suite("all", d=args.d, n_max=args.n_max)
-    summary = {
+    return {
         "tool": "sobolex",
         "params": result["params"],
         "ok": result["ok"],
         "suite_verdicts": {s["suite"]: s["ok"] for s in result["suites"]},
         "detail": result,
     }
-    _emit(summary, args.pretty)
-    return 0 if result["ok"] else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -269,7 +250,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--n must be >= 0, not {args.n}")
         if args.d is not None and args.d < 1:
             raise ValueError(f"--d must be >= 1, not {args.d}")
-        return COMMANDS[args.command](args)
+        payload = COMMANDS[args.command](args)
+        style = {"indent": 2} if args.pretty else {"separators": (",", ":")}
+        sys.stdout.write(json.dumps(payload, sort_keys=True, **style) + "\n")
+        return 0 if payload.get("ok", True) else 1
     except SobolexError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return MATH_EXIT

@@ -29,7 +29,7 @@ from typing import Iterable
 
 from .errors import NonIntegrableWeight
 from .polynomials import Exponents, Polynomial
-from .scalars import clear_denominators, format_rational, rising
+from .scalars import clear_denominators, rising
 from .weighted import ParamVector
 
 
@@ -104,7 +104,7 @@ def moment_table(gamma: ParamVector) -> MomentTable:
     """The moment table of an integrable weight, made on first use."""
     if not gamma.is_integrable:
         raise NonIntegrableWeight("weight exponents ("
-                                  + ",".join(format_rational(g) for g in gamma.entries)
+                                  + ",".join(map(str, gamma.entries))
                                   + ") are not all > -1")
     table = _TABLES.get(gamma.entries)
     if table is None:

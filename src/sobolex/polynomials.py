@@ -27,7 +27,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .scalars import Rational, as_fraction, clear_denominators, format_rational
+from .scalars import Rational, as_fraction, clear_denominators
 
 Exponents = tuple[int, ...]
 
@@ -71,21 +71,14 @@ class Polynomial:
         self._terms, self._den = _reduced(acc, den)
 
     @classmethod
-    def _trusted(cls, dim: int, terms: dict[Exponents, int], den: int) -> "Polynomial":
-        """Wrap `terms` over `den` as is: int-tuple exponents of length dim to
-        nonzero int numerators, den > 0 and gcd(den, *numerators) == 1.  Only
-        for callers that build such a dict themselves."""
+    def _from_ints(cls, dim: int, acc: dict[Exponents, int], den: int) -> "Polynomial":
+        """The polynomial sum(acc[e] x^e) / den, for int-tuple exponents of
+        length dim, int values (zeros allowed) and den > 0; acc may become the
+        new polynomial's storage."""
         self = object.__new__(cls)
         self.dim = dim
-        self._terms = terms
-        self._den = den
+        self._terms, self._den = _reduced(acc, den)
         return self
-
-    @classmethod
-    def _from_ints(cls, dim: int, acc: dict[Exponents, int], den: int) -> "Polynomial":
-        """The polynomial sum(acc[e] x^e) / den, for int values (zeros allowed)
-        and den > 0; acc may become the new polynomial's storage."""
-        return cls._trusted(dim, *_reduced(acc, den))
 
     # -- constructors ------------------------------------------------------
 
@@ -155,7 +148,7 @@ class Polynomial:
         for exp, coef in self.sorted_terms():
             mono = "*".join(f"x{i}^{e}" if e > 1 else f"x{i}"
                             for i, e in enumerate(exp) if e)
-            bits.append(f"{format_rational(coef)}{'*' + mono if mono else ''}")
+            bits.append(f"{coef}{'*' + mono if mono else ''}")
         return "Polynomial(" + " + ".join(bits) + ")"
 
     # -- ring operations ---------------------------------------------------
@@ -178,7 +171,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.dim, {e: -c for e, c in self._terms.items()}, self._den)
+        return Polynomial._from_ints(self.dim, {e: -c for e, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: "Polynomial | Rational") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -297,7 +290,7 @@ class Polynomial:
     def to_json(self) -> dict:
         return {
             "d": self.dim,
-            "terms": [{"exp": list(exp), "coef": format_rational(coef)}
+            "terms": [{"exp": list(exp), "coef": str(coef)}
                       for exp, coef in self.sorted_terms()],
         }
 

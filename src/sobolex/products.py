@@ -39,7 +39,7 @@ from .errors import NonPositiveForm
 from .linalg import positive_definite
 from .moments import moment_table, vertex_eval
 from .polynomials import Exponents, Polynomial, monomial_polys
-from .scalars import Rational, as_fraction, clear_denominators, format_rational
+from .scalars import Rational, as_fraction, clear_denominators
 from .weighted import ParamVector
 
 ONE = Fraction(1)
@@ -52,9 +52,8 @@ def mass_ratio(params: ParamVector) -> str:
     Normalized values equal this constant times the plain integral; recording
     it keeps the rescaling of each term auditable even when it is irrational.
     """
-    num = format_rational(params.total + params.d + 1)
-    den = "*".join(f"Gamma({format_rational(g + 1)})" for g in params.entries)
-    return f"Gamma({num})/({den})"
+    den = "*".join(f"Gamma({g + 1})" for g in params.entries)
+    return f"Gamma({params.total + params.d + 1})/({den})"
 
 
 def _subset_keyed(lams: Mapping[frozenset[int], Rational] | None
@@ -70,7 +69,7 @@ def _subset_keyed(lams: Mapping[frozenset[int], Rational] | None
 
 def _by_subset(lams: Mapping[frozenset[int], Rational]) -> dict[str, str]:
     """Subset-keyed coefficients as describe() writes them: "0+2" for {0, 2}."""
-    return {"+".join(map(str, sorted(s))): format_rational(v) for s, v in lams.items()}
+    return {"+".join(map(str, sorted(s))): str(v) for s, v in lams.items()}
 
 
 class Term(NamedTuple):
@@ -268,10 +267,10 @@ class SingularProduct(TermList):
                       ParamVector(tail + (0,) * len(s) + (len(s) - 1,)),
                       tag="main" if len(s) == k - 1 else "face" + "".join(map(str, s)))
                  for s in subsets[-1:] + subsets[:-1]]  # the main term first
-        spec = {"kind": "singular", "d": dim, "k": k, "tail": [format_rational(t) for t in tail]}
+        spec = {"kind": "singular", "d": dim, "k": k, "tail": [str(t) for t in tail]}
         if k == dim + 1:
             terms += [Term(v, _vertex(j), None) for j, v in enumerate(self.lam_vertex)]
-            spec["lambda_vertex"] = [format_rational(v) for v in self.lam_vertex]
+            spec["lambda_vertex"] = [str(v) for v in self.lam_vertex]
         else:
             # at k = 1 the gradient term is the main one, and the final term the boundary
             gradient_tag, final_tag = ("gradient-face", "final") if k > 1 else ("main", "boundary")
@@ -283,8 +282,8 @@ class SingularProduct(TermList):
             final = (_vertex(1), None) if k == dim else (_derivative((), mk + [dim]),
                                                          ParamVector(tail))
             terms.append(Term(self.lam, *final, tag=final_tag))
-            spec["lambda"] = format_rational(self.lam)
-            spec["lambda_axis"] = [format_rational(v) for v in self.lam_axis]
+            spec["lambda"] = str(self.lam)
+            spec["lambda_axis"] = [str(v) for v in self.lam_axis]
         if self.lam_face:
             spec["lambda_face"] = _by_subset(self.lam_face)
         super().__init__(dim, spec, terms)
@@ -314,7 +313,7 @@ class GramReport:
             "spec": self.spec,
             "rows": self.row_labels,
             "cols": self.col_labels,
-            "matrix": [[format_rational(v) for v in row] for row in self.matrix],
+            "matrix": [[str(v) for v in row] for row in self.matrix],
             "all_zero": all_zero,
             "diagonal": all(not v for i, row in enumerate(self.matrix) for j, v in enumerate(row)
                             if i != j) if own_rows else None,

@@ -62,8 +62,3 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def format_rational(value: Rational) -> str:
-    """Render as "p/q", or "p" when the denominator is 1."""
-    return str(as_fraction(value))

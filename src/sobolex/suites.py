@@ -29,7 +29,6 @@ from .linalg import in_span, poly_rank, positive_definite, spans_equal
 from .polynomials import Polynomial, complement, monomial_polys, monomials_of_degree
 from .products import (ONE, ClassicalProduct, DerivativeProduct, SingularProduct, Term,
                        TermList, _derivative, _vertex)
-from .scalars import format_rational
 from .spaces import expected_dimension, h_space, u_space, verify_u_space
 from .weighted import ParamVector, face_params
 
@@ -67,7 +66,7 @@ def default_tails(d: int, k: int) -> list[tuple[Fraction, ...]]:
 
 
 def _gamma_tag(gamma: ParamVector) -> str:
-    return ",".join(format_rational(g) for g in gamma.entries)
+    return ",".join(map(str, gamma.entries))
 
 
 def _scaled(mult: Polynomial, polys: list[Polynomial]) -> list[Polynomial]:
@@ -107,7 +106,7 @@ def suite_jacobi(n_max: int = 5) -> dict:
     pairs = [(Fraction(0), Fraction(0)), (HALF, HALF),
              (Fraction(1), Fraction(0)), (HALF, Fraction(1, 3))]
     for a, b in pairs:
-        tag = f"a={format_rational(a)},b={format_rational(b)}"
+        tag = f"a={a},b={b}"
         shifted_params = ParamVector([b, a])
         pulled = _on_t1([jacobi_p(n, a, b) for n in degrees])
         _add(checks, f"interval-ode[{tag}]",
@@ -128,17 +127,17 @@ def suite_jacobi(n_max: int = 5) -> dict:
     for b in (Fraction(0), HALF, Fraction(2)):
         gamma, c = ParamVector([b, -1]), 4 * (b + 1) / (b + 2)
         pulled = _on_t1([jacobi_negative_one_beta(n, b) for n in degrees])
-        tag = f"b={format_rational(b)}"
+        tag = f"b={b}"
         _add(checks, f"neg-beta-ode[{tag}]",
              (eigencheck(gamma, g, n) for n, g in enumerate(pulled)))
         for lam in (Fraction(1), Fraction(2), Fraction(1, 3)):
-            _add(checks, f"neg-beta-sobolev[{tag},lam={format_rational(lam)}]",
+            _add(checks, f"neg-beta-sobolev[{tag},lam={lam}]",
                  _positive_diagonal(SingularProduct(gamma, lam=c * lam).matrix(pulled)))
     x, gamma = Polynomial.variable(1, 0), ParamVector([-1, -1])
     for l1, l2 in ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(1)),
                    (HALF, Fraction(3))):
         pulled = _on_t1([jacobi_negative_one_one(n, l1, l2) for n in degrees])
-        tag = f"l1={format_rational(l1)},l2={format_rational(l2)}"
+        tag = f"l1={l1},l2={l2}"
         _add(checks, f"neg-both-mu[{tag}]",
              [jacobi_negative_one_one(1, l1, l2) == x + (l2 - l1) / (l1 + l2)])
         _add(checks, f"neg-both-ode[{tag}]",
@@ -356,14 +355,14 @@ def suite_lemmas4(d: int = 2, n_max: int = 4,
                     coeffs = in_span(target, family)
                     spans.append((tail, k, nu, coeffs, coeffs is not None and target == sum(
                         (c * b for c, b in zip(coeffs, family)), zero)))
-    mus = {f"k={k},nu={nu}": [format_rational(c) for c in coeffs]
+    mus = {f"k={k},nu={nu}": [str(c) for c in coeffs]
            for tail, k, nu, coeffs, _ in spans
            if coeffs is not None and not any(tail) and k == d and sum(nu) <= 1}
     _add(checks, "reverse-membership", (ok for *_, ok in spans), detail={"sample_mu": mus})
 
     _add(checks, "homogeneous-face-block", homogeneous_face_block())
     return _result("lemmas4", {"d": d, "n_max": n_max,
-                               "leads": [",".join(map(format_rational, lead))
+                               "leads": [",".join(map(str, lead))
                                          for lead in leads]}, checks)
 
 
@@ -426,7 +425,7 @@ def suite_thm31(n_max: int = 4) -> dict:
 
     k1 = {(a, b): [u([a, b, -1], n) for n in range(n_max + 1)] for a, b in samples}
     for a, b in samples:
-        tag = f"a={format_rational(a)},b={format_rational(b)}"
+        tag = f"a={a},b={b}"
         _add(checks, f"decomposition-k1[{tag}]",
              (spans_equal(k1[a, b][n],
                           _scaled(w, rodrigues_basis(ParamVector([a, b, 1]), n - 1).polys())
@@ -434,7 +433,7 @@ def suite_thm31(n_max: int = 4) -> dict:
               for n in range(n_max + 1)))
 
     for a in (Fraction(0), HALF):
-        tag = f"a={format_rational(a)}"
+        tag = f"a={a}"
         # (n, the space, its element w R_(n-1,0)), read by both checks below
         k2 = [(n, u([a, -1, -1], n),
                w * rodrigues_element(ParamVector([a, 0, 1]), (n - 1, 0)))
@@ -541,7 +540,7 @@ def _singular_weights(d: int) -> Iterable[tuple[str, ParamVector]]:
     k = 1..d+1, led by each of `default_tails(d, k)`."""
     for k in range(1, d + 2):
         for tail in default_tails(d, k):
-            yield (f"k={k},tail=({','.join(format_rational(t) for t in tail)})",
+            yield (f"k={k},tail=({','.join(map(str, tail))})",
                    ParamVector(list(tail) + [-1] * k))
 
 

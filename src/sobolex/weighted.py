@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .scalars import Rational, as_fraction, format_rational, parse_rational
+from .scalars import Rational, as_fraction, parse_rational
 
 if TYPE_CHECKING:
     from .polynomials import Polynomial
@@ -91,10 +91,10 @@ class ParamVector:
         return hash(self.entries)
 
     def __repr__(self) -> str:
-        return "ParamVector(" + ",".join(format_rational(g) for g in self.entries) + ")"
+        return "ParamVector(" + ",".join(map(str, self.entries)) + ")"
 
     def to_json(self) -> list[str]:
-        return [format_rational(g) for g in self.entries]
+        return [str(g) for g in self.entries]
 
 
 def face_params(gamma: ParamVector, zeroed: Iterable[int]) -> ParamVector:

@@ -212,13 +212,33 @@ MUTANTS = [
            '"main" if len(s) == k - 1 else',
            '"main" if len(s) == 1 else',
            ["tests/test_products.py", "-k", "recorded_payload"]),
-    # the one guard of both Leibniz families; without it a negative entry
-    # sums an empty box to 0 and no other test fails
-    Mutant("leibniz-element-skips-the-index-guard", "src/sobolex/bases.py",
+    # the one index guard of every family; without it a negative entry sums
+    # an empty box to 0 and no other test fails
+    Mutant("every-family-skips-the-index-guard", "src/sobolex/bases.py",
            "    if len(nu) != gamma.d or any(k < 0 for k in nu):\n"
            "        raise ValueError(f\"bad multi-index {nu}\")\n",
            "",
            ["tests/test_bases.py", "-k", "bad_multi_index"]),
+    # the constant alone reads |nu| unchecked: zip truncates a long index
+    Mutant("biorthogonal-constant-skips-the-index-guard", "src/sobolex/bases.py",
+           "d, n = gamma.d, _degree(gamma, nu)\n    value",
+           "d, n = gamma.d, sum(nu)\n    value",
+           ["tests/test_bases.py", "-k", "bad_multi_index"]),
+    # the CLI's one verdict: 1 exactly when the printed "ok" is false
+    Mutant("a-payload-without-ok-fails", "src/sobolex/cli.py",
+           'payload.get("ok", True)',
+           'payload.get("ok", False)',
+           ["tests/test_cli.py", "-k", "printed_verdict"]),
+    Mutant("pretty-prints-canonical", "src/sobolex/cli.py",
+           '{"indent": 2} if args.pretty else',
+           '{"indent": 2} if False else',
+           ["tests/test_cli.py", "-k", "pretty"]),
+    # an unreduced result keeps zero terms and a common factor, so equal
+    # polynomials compare unequal
+    Mutant("from-ints-skips-the-reduction", "src/sobolex/polynomials.py",
+           "self._terms, self._den = _reduced(acc, den)\n        return self",
+           "self._terms, self._den = acc, den\n        return self",
+           ["tests/test_polynomial_oracle.py", "-k", "agrees"]),
     Mutant("integral-pairs-with-zero", "src/sobolex/moments.py",
            "inner_product(f, Polynomial.constant(f.dim, 1), gamma)",
            "inner_product(f, Polynomial.zero(f.dim), gamma)",

@@ -41,7 +41,7 @@ from sobolex.bases import eigenvalue
 from sobolex.errors import ZeroDenominator
 from sobolex.moments import moment_table, vertex_eval
 from sobolex.polynomials import Polynomial, graded_lex_key, monomials_of_degree
-from sobolex.scalars import format_rational, pochhammer
+from sobolex.scalars import pochhammer
 from sobolex.weighted import ParamVector, WeightedForm
 
 
@@ -163,7 +163,7 @@ def oracle_monomial_element(gamma, nu: tuple[int, ...]) -> Polynomial:
     s = gamma.total + d
     den = pochhammer(s, 2 * n)
     if den == 0:
-        raise ZeroDenominator(f"({format_rational(s)})_{2 * n} vanishes")
+        raise ZeroDenominator(f"({s})_{2 * n} vanishes")
     top = [pochhammer(g + 1, k) for g, k in zip(gamma.entries[:-1], nu)]
     terms = {}
     for m in itertools.product(*(range(k + 1) for k in nu)):
@@ -172,7 +172,7 @@ def oracle_monomial_element(gamma, nu: tuple[int, ...]) -> Polynomial:
             low = pochhammer(gamma.entries[i] + 1, m[i])
             if low == 0:
                 raise ZeroDenominator(
-                    f"({format_rational(gamma.entries[i] + 1)})_{m[i]} vanishes")
+                    f"({gamma.entries[i] + 1})_{m[i]} vanishes")
             coef *= binomial(nu[i], m[i]) * top[i] / low
         coef *= pochhammer(s, n + sum(m)) / den
         terms[m] = coef

@@ -154,11 +154,12 @@ def test_permuted_element_is_the_pulled_back_rodrigues_element(d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_every_family_refuses_a_bad_multi_index(d):
     # a negative entry would sum an empty box to 0, and an index of the wrong
-    # length would build some other polynomial, so each must be refused
+    # length would build some other polynomial (or, for the constant, zip it
+    # short), so each must be refused
     gamma = ParamVector([H] * (d + 1))
     families = [partial(rodrigues_element, gamma),
                 partial(permuted_element, gamma, tuple(range(d, 0, -1))),
-                partial(monomial_element, gamma)]
+                partial(monomial_element, gamma), partial(biorthogonal_constant, gamma)]
     bad = [(-1,) + (1,) * (d - 1), (1,) * (d - 2) + (-2,), (1,) * (d - 1), (1,) * (d + 1)]
     for build, nu in itertools.product(families, bad):
         with pytest.raises(ValueError, match="bad multi-index"):

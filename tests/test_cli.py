@@ -183,6 +183,32 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
 
 
+def _failed(*args, **kwargs):
+    return {"ok": False, "params": {}, "suites": [], "checks": []}
+
+
+# command -> (the library function it reads, patched to return "ok": false, or
+# None; its exit code): 1 exactly when the printed "ok" is false, and 0 for
+# basis, inner and gram, which print no "ok"
+VERDICTS = {
+    "eigen": ("sobolex.spaces.verify_u_space", 1),
+    "report": ("sobolex.suites.run_suite", 1),
+    "basis": (None, 0),
+    "inner": (None, 0),
+    "gram": (None, 0),
+}
+
+
+@pytest.mark.parametrize("command", sorted(VERDICTS))
+def test_exit_code_is_the_printed_verdict(capsys, monkeypatch, command):
+    target, want = VERDICTS[command]
+    if target:
+        monkeypatch.setattr(target, _failed)
+    code, out = run_cli(capsys, PRETTY_COMMANDS[command])
+    assert code == want
+    assert json.loads(out).get("ok", True) is (want == 0)
+
+
 # pairs of commands that print the same bytes, because the suite reads less
 # of its input than the second command changes, and the params it reports
 SAME_STDOUT = {

@@ -333,7 +333,7 @@ def _ids(forms) -> list[str]:
     seen = Counter()
     out = []
     for form, _ in forms:
-        key = json.dumps(form.describe())
+        key = json.dumps(form.describe(), sort_keys=True)
         seen[key] += 1
         out.append(key if seen[key] == 1 else f"{key}#{seen[key]}")
     return out

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sobolex.scalars import (as_fraction, factorial, format_rational, parse_rational, pochhammer,
-                             rising)
+from sobolex.scalars import as_fraction, factorial, parse_rational, pochhammer, rising
 
 from oracles import binomial
 
@@ -64,9 +63,8 @@ def test_factorial():
 
 def test_rational_round_trip():
     assert parse_rational("-2/4") == Fraction(-1, 2)
-    assert format_rational(Fraction(-1, 2)) == "-1/2"
-    assert format_rational(Fraction(6, 3)) == "2"
-    assert parse_rational(format_rational(Fraction(22, 7))) == Fraction(22, 7)
+    # every rational the library prints is str() of a Fraction
+    assert parse_rational(str(Fraction(-22, 7))) == Fraction(-22, 7)
 
 
 def test_as_fraction_rejects_floats():
