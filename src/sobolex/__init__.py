@@ -18,9 +18,9 @@ _PUBLIC = {
     "polynomials": ("Polynomial", "monomials_of_degree", "monomials_up_to"),
     "products": ("ClassicalProduct", "DerivativeProduct", "GramReport", "SingularProduct",
                  "gram"),
-    "scalars": ("factorial", "pochhammer"),
+    "scalars": ("ParamVector", "face_params", "factorial", "pochhammer"),
     "spaces": ("expected_dimension", "h_space", "u_space", "verify_u_space"),
-    "weighted": ("ParamVector", "face_params"),
+    "weighted": (),
 }
 _OWNER = {name: module for module, names in _PUBLIC.items() for name in names}
 

@@ -50,9 +50,8 @@ from typing import Iterator, Sequence
 
 from .errors import NonIntegrableWeight, ZeroDenominator
 from .polynomials import Exponents, Polynomial, monomials_of_degree
-from .scalars import (Rational, as_fraction, clear_denominators, factorial, pochhammer,
-                      rising)
-from .weighted import ParamVector
+from .scalars import (ParamVector, Rational, as_fraction, clear_denominators, factorial,
+                      pochhammer, rising)
 
 
 class Basis:
@@ -125,7 +124,7 @@ def _box_terms(scaled: list[int], D: int, order: Sequence[int], nu: Exponents,
 def _degree(gamma: ParamVector, nu: Exponents) -> int:
     """|nu|, for a multi-index nu of gamma's dimension d; any other nu is a
     ValueError.  The one index guard of every family indexed by nu."""
-    if len(nu) != gamma.d or any(k < 0 for k in nu):
+    if len(nu) != gamma.d or any(type(k) is not int or k < 0 for k in nu):
         raise ValueError(f"bad multi-index {nu}")
     return sum(nu)
 

@@ -15,7 +15,7 @@ import json
 import re
 import sys
 
-from . import bases, polynomials, products, scalars, spaces, suites, weighted
+from . import bases, polynomials, products, scalars, spaces, suites
 from .errors import SobolexError
 
 # the keys of `suites.SUITES` and "all", here so that the parser does not load it
@@ -26,8 +26,8 @@ USAGE_EXIT = 2
 MATH_EXIT = 3
 
 
-def _parse_gamma(text: str, d: int) -> weighted.ParamVector:
-    gamma = weighted.ParamVector.parse(text)
+def _parse_gamma(text: str, d: int) -> scalars.ParamVector:
+    gamma = scalars.ParamVector.parse(text)
     if gamma.d != d:
         raise ValueError(f"--gamma needs {d + 1} entries for --d {d}")
     return gamma
@@ -46,7 +46,7 @@ def _parse_indices(text: str, d: int) -> list[int]:
     return out
 
 
-def _sobolev_form(gamma: weighted.ParamVector,
+def _sobolev_form(gamma: scalars.ParamVector,
                   args: argparse.Namespace) -> products.SingularProduct:
     """The Sobolev form of `gamma` and --lambda-vertex.  A weight that is not
     singular is refused by its split, before `products` loads; the form
@@ -139,7 +139,7 @@ def cmd_eigen(args: argparse.Namespace) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> dict:
-    gammas = [weighted.ParamVector.parse(text) for text in args.gamma] if args.gamma else None
+    gammas = [scalars.ParamVector.parse(text) for text in args.gamma] if args.gamma else None
     return suites.run_suite(args.suite, d=args.d, n_max=args.n_max, gammas=gammas)
 
 

@@ -29,8 +29,7 @@ from typing import Iterable
 
 from .errors import NonIntegrableWeight
 from .polynomials import Exponents, Polynomial
-from .scalars import clear_denominators, rising
-from .weighted import ParamVector
+from .scalars import ParamVector, clear_denominators, rising
 
 
 class MomentTable:

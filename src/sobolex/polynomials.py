@@ -27,7 +27,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .scalars import Rational, as_fraction, clear_denominators
+from .scalars import Rational, as_fraction, clear_denominators, zero_set
 
 Exponents = tuple[int, ...]
 
@@ -278,8 +278,8 @@ class Polynomial:
         variables, and when the hyperplane index is zeroed the highest
         surviving variable becomes 1 - |x|.
         """
-        zset = frozenset(zeroed)
-        if not zset <= set(range(self.dim + 1)) or len(zset) > self.dim:
+        zset = zero_set(zeroed, self.dim)
+        if len(zset) > self.dim:
             raise ValueError(f"bad face {sorted(zset)} for dimension {self.dim}")
         survivors = [i for i in range(self.dim + 1) if i not in zset]
         place = {i: j for j, i in enumerate(survivors)}

@@ -39,8 +39,7 @@ from .errors import NonPositiveForm
 from .linalg import positive_definite
 from .moments import moment_table, vertex_eval
 from .polynomials import Exponents, Polynomial, monomial_polys
-from .scalars import Rational, as_fraction, clear_denominators
-from .weighted import ParamVector
+from .scalars import ParamVector, Rational, as_fraction, clear_denominators
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -179,7 +178,7 @@ class DerivativeProduct(TermList):
     def __init__(self, gamma: ParamVector, order: int,
                  lambdas: Mapping[frozenset[int], Rational] | None = None):
         d = gamma.d
-        if not 1 <= order <= d:
+        if type(order) is not int or not 1 <= order <= d:
             raise ValueError("order must lie in 1..d")
         self.gamma = gamma
         self.order = order

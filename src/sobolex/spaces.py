@@ -15,7 +15,7 @@ from .bases import Basis, eigencheck, eigenvalue, permuted_element
 from .linalg import poly_rank
 from .moments import vertex_eval
 from .polynomials import Polynomial, monomials_of_degree
-from .weighted import ParamVector
+from .scalars import ParamVector, zero_set
 
 if TYPE_CHECKING:
     from .products import SingularProduct
@@ -29,9 +29,7 @@ def h_space(gamma: ParamVector, zero_axes: Sequence[int], n: int) -> Basis:
     n < 0 or when d or more coordinates are zeroed.
     """
     d = gamma.d
-    zset = frozenset(zero_axes)
-    if not zset <= set(range(d + 1)):
-        raise ValueError(f"bad zero set {sorted(zset)}")
+    zset = zero_set(zero_axes, d)
     label = "h[" + ",".join(str(i) for i in sorted(zset)) + "]"
     pinned = gamma.with_values({i: 0 for i in zset})
     basis = Basis(pinned, label)

@@ -29,8 +29,8 @@ from .linalg import in_span, poly_rank, positive_definite, spans_equal
 from .polynomials import Polynomial, complement, monomial_polys, monomials_of_degree
 from .products import (ONE, ClassicalProduct, DerivativeProduct, SingularProduct, Term,
                        TermList, _derivative, _vertex)
+from .scalars import ParamVector, face_params
 from .spaces import expected_dimension, h_space, u_space, verify_u_space
-from .weighted import ParamVector, face_params
 
 HALF = Fraction(1, 2)
 

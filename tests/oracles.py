@@ -41,8 +41,8 @@ from sobolex.bases import eigenvalue
 from sobolex.errors import ZeroDenominator
 from sobolex.moments import moment_table, vertex_eval
 from sobolex.polynomials import Polynomial, graded_lex_key, monomials_of_degree
-from sobolex.scalars import pochhammer
-from sobolex.weighted import ParamVector, WeightedForm
+from sobolex.scalars import ParamVector, pochhammer
+from sobolex.weighted import WeightedForm
 
 
 def binomial(n: int, k: int) -> Fraction:

@@ -12,10 +12,10 @@ import sys
 from pathlib import Path
 
 import sobolex
+from sobolex.scalars import ParamVector
 from sobolex.suites import (suite_jacobi, suite_lemmas4, suite_monomial,
                             suite_rodrigue, suite_thm31, suite_thm34,
                             suite_thm36, suite_triangle)
-from sobolex.weighted import ParamVector
 
 from oracles import normalized_moment, oracle_normalized_moment
 

@@ -13,7 +13,7 @@ from sobolex.bases import (all_orders, biorthogonal_constant, eigencheck, eigenv
 from sobolex.errors import NonIntegrableWeight, ZeroDenominator
 from sobolex.moments import inner_product
 from sobolex.polynomials import Polynomial, monomials_of_degree
-from sobolex.weighted import ParamVector
+from sobolex.scalars import ParamVector
 
 from oracles import apply_operator, evaluate, jacobi_ode_residual, simplex_integral
 
@@ -153,14 +153,16 @@ def test_permuted_element_is_the_pulled_back_rodrigues_element(d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_every_family_refuses_a_bad_multi_index(d):
-    # a negative entry would sum an empty box to 0, and an index of the wrong
+    # a negative entry would sum an empty box to 0, an index of the wrong
     # length would build some other polynomial (or, for the constant, zip it
-    # short), so each must be refused
+    # short), True would pass as 1 and 1.0 would reach math.comb, so each
+    # must be refused
     gamma = ParamVector([H] * (d + 1))
     families = [partial(rodrigues_element, gamma),
                 partial(permuted_element, gamma, tuple(range(d, 0, -1))),
                 partial(monomial_element, gamma), partial(biorthogonal_constant, gamma)]
-    bad = [(-1,) + (1,) * (d - 1), (1,) * (d - 2) + (-2,), (1,) * (d - 1), (1,) * (d + 1)]
+    bad = [(-1,) + (1,) * (d - 1), (1,) * (d - 2) + (-2,), (1,) * (d - 1), (1,) * (d + 1),
+           (True,) + (0,) * (d - 1), (1.0,) + (0,) * (d - 1)]
     for build, nu in itertools.product(families, bad):
         with pytest.raises(ValueError, match="bad multi-index"):
             build(nu)

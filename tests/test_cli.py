@@ -6,8 +6,8 @@ from sobolex import cli
 from sobolex.cli import main
 from sobolex.polynomials import Polynomial
 from sobolex.products import SingularProduct
+from sobolex.scalars import ParamVector
 from sobolex.spaces import u_space
-from sobolex.weighted import ParamVector
 
 
 def run_cli(capsys, argv):
@@ -75,7 +75,7 @@ def test_basis_json_round_trip(capsys):
     assert code == 0
     data = json.loads(out)
     from sobolex.bases import monomial_basis
-    from sobolex.weighted import ParamVector
+    from sobolex.scalars import ParamVector
     want = monomial_basis(ParamVector.parse("1/2,0,1,1/3"), 2)
     got = [Polynomial.from_json(e["poly"]) for e in data["elements"]]
     assert got == want.polys()

@@ -12,7 +12,7 @@ from sobolex.bases import (all_orders, eigencheck, monomial_element, permuted_ba
 from sobolex.errors import NonIntegrableWeight, ZeroDenominator
 from sobolex.moments import inner_product, integral
 from sobolex.polynomials import Polynomial, monomials_of_degree, monomials_up_to
-from sobolex.weighted import ParamVector
+from sobolex.scalars import ParamVector
 
 from oracles import (oracle_eigencheck, oracle_inner_product,
                      oracle_monomial_element, oracle_normalized_moment,

@@ -7,7 +7,7 @@ from sobolex.errors import NonIntegrableWeight
 from sobolex.linalg import positive_definite
 from sobolex.moments import face_inner_product, inner_product, integral, moment_table, vertex_eval
 from sobolex.polynomials import Polynomial, complement, monomials_up_to
-from sobolex.weighted import ParamVector
+from sobolex.scalars import ParamVector
 
 from oracles import (interval_integral, normalized_moment, oracle_inner_product,
                      oracle_normalized_moment, simplex_integral)

@@ -48,7 +48,8 @@ def _loaded_by(argv: list[str], exit_code: int) -> set[str]:
     return set(last[len("loaded: "):].split())
 
 
-HEAVY = {"bases", "linalg", "moments", "products", "spaces", "suites"}
+# the mathematics, and `weighted`, the reference engine that no command uses
+HEAVY = {"bases", "linalg", "moments", "products", "spaces", "suites", "weighted"}
 
 
 @pytest.mark.parametrize("argv, exit_code, unused", [
@@ -57,8 +58,9 @@ HEAVY = {"bases", "linalg", "moments", "products", "spaces", "suites"}
     (["basis", "--d", "2", "--n", "1", "--family", "u", "--gamma", "0,-1,0"], 2,
      HEAVY | {"polynomials"}),
     (["basis", "--d", "2", "--n", "3", "--family", "permuted", "--gamma", "1,0,1/2",
-      "--order", "3,2"], 0, {"products", "suites"}),
-], ids=["help", "usage-error", "permuted"])
+      "--order", "3,2"], 0, {"products", "suites", "weighted"}),
+    (["verify", "--suite", "thm36", "--d", "2", "--n-max", "1"], 0, {"weighted"}),
+], ids=["help", "usage-error", "permuted", "thm36"])
 def test_cli_loads_only_the_modules_its_command_uses(argv, exit_code, unused):
     loaded = _loaded_by(argv, exit_code)
     assert loaded <= set(LIBRARY) | {"cli"}

@@ -185,6 +185,10 @@ def test_restrict_drops_one_variable_per_face_index():
         Polynomial.variable(2, 0).restrict({5})
     with pytest.raises(ValueError):
         Polynomial.variable(2, 0).restrict({0, 1, 2})
+    # True and 1.0 equal 1, but neither names a coordinate
+    for zeroed in ({True}, {1.0}):
+        with pytest.raises(ValueError, match="bad face index"):
+            Polynomial.variable(2, 0).restrict(zeroed)
 
 
 def _is_canonical(p: Polynomial) -> bool:

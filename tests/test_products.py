@@ -16,8 +16,8 @@ from sobolex.moments import inner_product
 from sobolex.polynomials import Polynomial, complement, monomials_up_to
 from sobolex.products import (ClassicalProduct, DerivativeProduct, SingularProduct, TermList,
                               gram, labeled)
+from sobolex.scalars import ParamVector
 from sobolex.spaces import h_space, u_space
-from sobolex.weighted import ParamVector
 
 from oracles import (oracle_jacobi_beta_value, oracle_jacobi_both_value, oracle_named_k1_value,
                      oracle_named_k2_value, oracle_named_k3_value,
@@ -242,6 +242,13 @@ def test_a_coefficient_key_axis_is_an_int():
             DerivativeProduct(ParamVector([0, 0, 0]), 1, {frozenset({axis}): 2})
         with pytest.raises(ValueError, match="key axis must be an int"):
             SingularProduct(ParamVector([0, -1, -1, -1]), lam_face={frozenset({axis}): 2})
+
+
+def test_derivative_order_is_an_int():
+    # True == 1, and describe() would print "order": true
+    for order in (True, 1.0):
+        with pytest.raises(ValueError, match="order must lie in"):
+            DerivativeProduct(ParamVector([0, 0, 0]), order)
 
 
 def test_a_bool_is_no_coefficient():

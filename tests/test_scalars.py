@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from sobolex.scalars import as_fraction, factorial, parse_rational, pochhammer, rising
+from sobolex.scalars import (as_fraction, factorial, parse_rational, pochhammer, rising,
+                             zero_set)
 
 from oracles import binomial
 
@@ -72,3 +73,11 @@ def test_as_fraction_rejects_floats():
     for value in (0.5, True, False):
         with pytest.raises(TypeError):
             as_fraction(value)
+
+
+def test_zero_set_takes_only_ints_in_range():
+    # True == 1 == 1.0 == Fraction(1), so each would pass as the index 1
+    assert zero_set([2, 0, 2], 2) == frozenset({0, 2})
+    for zeroed in ([True], [0, 1.0], [Fraction(1)], [-1], [3], ["0"]):
+        with pytest.raises(ValueError, match="bad face index"):
+            zero_set(zeroed, 2)

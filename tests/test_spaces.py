@@ -14,9 +14,9 @@ from sobolex.linalg import poly_rank, spans_equal
 from sobolex.moments import inner_product, vertex_eval
 from sobolex.polynomials import Polynomial, monomials_up_to
 from sobolex.products import SingularProduct
+from sobolex.scalars import ParamVector, face_params
 from sobolex.spaces import (expected_dimension, h_space, u_space,
                             verify_u_space)
-from sobolex.weighted import ParamVector, face_params
 
 from oracles import constrained_indices
 
@@ -69,6 +69,9 @@ def test_h_space_empty_cases():
     assert len(h_space(gamma, [0], -1)) == 0
     with pytest.raises(ValueError):
         h_space(gamma, [5], 1)
+    # a bool index would label the basis "h[True]"
+    with pytest.raises(ValueError, match="bad face index"):
+        h_space(gamma, [True], 2)
 
 
 def test_h_space_restriction_is_orthogonal_on_face():

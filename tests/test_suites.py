@@ -33,7 +33,7 @@ import pytest
 
 from sobolex import suites
 from sobolex.bases import Basis
-from sobolex.weighted import ParamVector
+from sobolex.scalars import ParamVector
 
 # (d, n_max) per suite: every dimension the suite takes, at the smallest n_max
 # at which its checks evaluate something (partial-orthogonality[m=(1,1)]

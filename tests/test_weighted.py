@@ -8,7 +8,8 @@ import pytest
 
 from sobolex.errors import NonPolynomialQuotient
 from sobolex.polynomials import Polynomial
-from sobolex.weighted import ParamVector, WeightedForm, face_params
+from sobolex.scalars import ParamVector, face_params
+from sobolex.weighted import WeightedForm
 
 H = Fraction(1, 2)
 
@@ -71,6 +72,8 @@ def test_face_params_hyperplane():
     assert face_params(g, {0, 3}) == ParamVector([2, 3])
     with pytest.raises(ValueError):
         face_params(g, set())
+    with pytest.raises(ValueError, match="bad face index"):
+        face_params(g, [True])
 
 
 def test_derivative_product_rule():
