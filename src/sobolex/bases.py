@@ -51,7 +51,7 @@ from typing import Iterator, Sequence
 from .errors import NonIntegrableWeight, ZeroDenominator
 from .polynomials import Exponents, Polynomial, monomials_of_degree
 from .scalars import (ParamVector, Rational, as_fraction, clear_denominators, factorial,
-                      pochhammer, rising)
+                      is_index, pochhammer, rising)
 
 
 class Basis:
@@ -99,7 +99,7 @@ def permuted_element(gamma: ParamVector, order: tuple[int, ...], nu: Exponents) 
     holding 1-|x| and d/dx_s - d/dx_c otherwise.
     """
     d = gamma.d
-    if len(order) != d or len(set(order)) != d or not set(order) <= set(range(d + 1)):
+    if len(order) != d or len(set(order)) != d or not all(is_index(o, 0, d) for o in order):
         raise ValueError(f"bad coordinate order {order}")
     (excluded,) = set(range(d + 1)) - set(order)
     return _leibniz_element(gamma, order, excluded, nu)
@@ -124,7 +124,7 @@ def _box_terms(scaled: list[int], D: int, order: Sequence[int], nu: Exponents,
 def _degree(gamma: ParamVector, nu: Exponents) -> int:
     """|nu|, for a multi-index nu of gamma's dimension d; any other nu is a
     ValueError.  The one index guard of every family indexed by nu."""
-    if len(nu) != gamma.d or any(type(k) is not int or k < 0 for k in nu):
+    if len(nu) != gamma.d or not all(is_index(k, 0) for k in nu):
         raise ValueError(f"bad multi-index {nu}")
     return sum(nu)
 
@@ -207,6 +207,8 @@ def biorthogonal_constant(gamma: ParamVector, nu: Exponents) -> Fraction:
 # -- the second-order operator ----------------------------------------------
 
 def eigenvalue(gamma: ParamVector, n: int) -> Fraction:
+    if not is_index(n, 0):
+        raise ValueError(f"bad degree {n!r}")
     return -n * (n + gamma.total + gamma.d)
 
 
@@ -223,8 +225,8 @@ def eigencheck(gamma: ParamVector, f: Polynomial, n: int) -> bool:
     Every factor is scaled to an integer: coefficients by their common
     denominator, parameters by D, the common denominator of the g_i.
     """
-    if gamma.d != f.dim:
-        raise ValueError("dimension mismatch")
+    if gamma.d != f.dim or not is_index(n, 0):
+        raise ValueError(f"eigencheck needs f in {gamma.d} variables and an int degree >= 0")
     scaled, D = clear_denominators(gamma.entries)                       # D g_i
     lows = [s + D for s in scaled[:-1]]                                 # (g_i+1) D
     top = sum(scaled) + (n + f.dim) * D                                 # (n+shift) D

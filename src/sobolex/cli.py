@@ -38,7 +38,7 @@ def _parse_indices(text: str, d: int) -> list[int]:
     out = []
     for part in text.split(","):
         i = int(part)
-        if not 1 <= i <= d + 1:
+        if not scalars.is_index(i, 1, d + 1):
             raise ValueError(f"index {i} out of range 1..{d + 1}")
         if i - 1 in out:
             raise ValueError(f"index {i} repeated")
@@ -246,9 +246,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "n", 0) < 0:
+        if not scalars.is_index(getattr(args, "n", 0), 0):
             raise ValueError(f"--n must be >= 0, not {args.n}")
-        if args.d is not None and args.d < 1:
+        if args.d is not None and not scalars.is_index(args.d, 1):
             raise ValueError(f"--d must be >= 1, not {args.d}")
         payload = COMMANDS[args.command](args)
         style = {"indent": 2} if args.pretty else {"separators": (",", ":")}

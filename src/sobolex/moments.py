@@ -29,7 +29,7 @@ from typing import Iterable
 
 from .errors import NonIntegrableWeight
 from .polynomials import Exponents, Polynomial
-from .scalars import ParamVector, clear_denominators, rising
+from .scalars import ParamVector, clear_denominators, is_index, rising
 
 
 class MomentTable:
@@ -139,7 +139,7 @@ def face_inner_product(f: Polynomial, g: Polynomial, zeroed: Iterable[int],
 
 def vertex_eval(f: Polynomial, j: int) -> Fraction:
     """Evaluate at vertex e_j of T^d; e_0 is the origin."""
-    if not 0 <= j <= f.dim:
+    if not is_index(j, 0, f.dim):
         raise ValueError(f"vertex index {j} out of range")
     # the terms that survive at e_j: the constant for j = 0, else the pure
     # powers of x_{j-1}

@@ -27,17 +27,13 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .scalars import Rational, as_fraction, clear_denominators, zero_set
+from .scalars import Rational, as_fraction, clear_denominators, is_index, zero_set
 
 Exponents = tuple[int, ...]
 
 
 def graded_lex_key(exp: Exponents) -> tuple[int, Exponents]:
     return (sum(exp), exp)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _exact_coefficient(coef: object) -> Fraction:
@@ -53,13 +49,13 @@ class Polynomial:
     __slots__ = ("dim", "_terms", "_den")
 
     def __init__(self, dim: int, terms: Mapping[Exponents, Rational] | Iterable[tuple[Exponents, Rational]] = ()):
-        if not _is_int(dim) or dim < 0:
+        if not is_index(dim, 0):
             raise ValueError(f"dimension must be an integer >= 0, not {dim!r}")
         exps, coefs = [], []
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coef in items:
             exp = tuple(exp)
-            if len(exp) != dim or not all(_is_int(e) and e >= 0 for e in exp):
+            if len(exp) != dim or not all(is_index(e, 0) for e in exp):
                 raise ValueError(f"bad exponent {exp} for dimension {dim}")
             exps.append(exp)
             coefs.append(_exact_coefficient(coef))
@@ -92,7 +88,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, dim: int, axis: int) -> "Polynomial":
-        if not 0 <= axis < dim:
+        if not (is_index(dim, 1) and is_index(axis, 0, dim - 1)):
             raise ValueError(f"axis {axis} out of range for dimension {dim}")
         exp = tuple(1 if i == axis else 0 for i in range(dim))
         return cls(dim, {exp: 1})
@@ -198,8 +194,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power")
+        if not is_index(n, 0):
+            raise ValueError(f"power must be an int >= 0, not {n!r}")
         out = Polynomial.constant(self.dim, 1)
         base = self
         while n:
@@ -213,7 +209,7 @@ class Polynomial:
 
     def partial(self, axis: int) -> "Polynomial":
         """Exact partial derivative with respect to x_axis."""
-        if not 0 <= axis < self.dim:
+        if not is_index(axis, 0, self.dim - 1):
             raise ValueError(f"axis {axis} out of range for dimension {self.dim}")
         return Polynomial._from_ints(self.dim, {
             exp[:axis] + (exp[axis] - 1,) + exp[axis + 1:]: coef * exp[axis]
@@ -246,8 +242,8 @@ class Polynomial:
         self.dim); a None target sets u_i = 0."""
         dim = self.dim if dim is None else dim
         targets = tuple(targets)
-        if (not _is_int(dim) or dim < 0 or len(targets) != self.dim
-                or not all(t is None or type(t) is int and 0 <= t <= dim for t in targets)):
+        if (not is_index(dim, 0) or len(targets) != self.dim
+                or not all(t is None or is_index(t, 0, dim) for t in targets)):
             raise ValueError(f"bad targets {targets} from dimension {self.dim} to {dim}")
         acc: dict[Exponents, int] = {}
         for exp, coef in self._terms.items():
@@ -340,6 +336,8 @@ def complement(dim: int) -> Polynomial:
 def monomials_of_degree(dim: int, degree: int) -> list[Exponents]:
     """All exponent tuples of total degree `degree`, graded-lex sorted: the
     heads ascend and each tail list is lexicographic already."""
+    if not (is_index(dim, 0) and is_index(degree, -math.inf)):
+        raise ValueError(f"bad dimension {dim!r} or degree {degree!r}")
     if degree < 0:
         return []
     if dim == 0:
@@ -349,10 +347,8 @@ def monomials_of_degree(dim: int, degree: int) -> list[Exponents]:
 
 
 def monomials_up_to(dim: int, degree: int) -> list[Exponents]:
-    out: list[Exponents] = []
-    for n in range(degree + 1):
-        out.extend(monomials_of_degree(dim, n))
-    return out
+    top = monomials_of_degree(dim, degree)  # judges dim and degree first
+    return [e for n in range(degree) for e in monomials_of_degree(dim, n)] + top
 
 
 @lru_cache(maxsize=None)

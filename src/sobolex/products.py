@@ -39,7 +39,7 @@ from .errors import NonPositiveForm
 from .linalg import positive_definite
 from .moments import moment_table, vertex_eval
 from .polynomials import Exponents, Polynomial, monomial_polys
-from .scalars import ParamVector, Rational, as_fraction, clear_denominators
+from .scalars import ParamVector, Rational, as_fraction, clear_denominators, is_index
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -58,11 +58,11 @@ def mass_ratio(params: ParamVector) -> str:
 def _subset_keyed(lams: Mapping[frozenset[int], Rational] | None
                   ) -> dict[frozenset[int], Fraction]:
     """Subset-keyed coefficients as exact values; a key axis that is not an
-    int (a bool too: `True` would pass as axis 1) is a ValueError."""
+    int >= 0 (a bool too: `True` would pass as axis 1) is a ValueError."""
     out = {frozenset(s): as_fraction(v) for s, v in (lams or {}).items()}
-    bad = [i for s in out for i in s if type(i) is not int]
+    bad = [i for s in out for i in s if not is_index(i, 0)]
     if bad:
-        raise ValueError(f"a coefficient key axis must be an int, not {bad[0]!r}")
+        raise ValueError(f"a coefficient key axis must be an int >= 0, not {bad[0]!r}")
     return out
 
 
@@ -178,7 +178,7 @@ class DerivativeProduct(TermList):
     def __init__(self, gamma: ParamVector, order: int,
                  lambdas: Mapping[frozenset[int], Rational] | None = None):
         d = gamma.d
-        if type(order) is not int or not 1 <= order <= d:
+        if not is_index(order, 1, d):
             raise ValueError("order must lie in 1..d")
         self.gamma = gamma
         self.order = order

@@ -7,8 +7,9 @@ coefficients are stored as ints over a common denominator (see
 list of rationals into ints over the lcm of their denominators for the
 integer kernels.  `rising` is the one integer rising factorial: the moment
 table, the Leibniz sums of `bases` and `pochhammer` all read it.  Nothing
-here (or anywhere else) rounds.  `zero_set` is the one judge of a face's
-indices.  It imports no sobolex module: parsing a weight loads nothing else.
+here (or anywhere else) rounds.  `is_index` (an int in range, never a bool)
+judges every index, exponent, degree and dimension of the package.  It
+imports no sobolex module: parsing a weight loads nothing else.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
+
+
+def is_index(value: object, low: float, high: float = math.inf) -> bool:
+    """Whether `value` is an int (a bool is not one) with low <= value <= high."""
+    return type(value) is int and low <= value <= high
 
 
 def as_fraction(value: Rational | str) -> Fraction:
@@ -42,8 +48,8 @@ def rising(start: int, step: int, k: int) -> int:
 
 def pochhammer(a: Rational, k: int) -> Fraction:
     """Rising factorial a*(a+1)*...*(a+k-1); equals 1 when k == 0."""
-    if k < 0:
-        raise ValueError("pochhammer needs k >= 0")
+    if not is_index(k, 0):
+        raise ValueError("pochhammer needs an int k >= 0")
     a = as_fraction(a)
     return Fraction(rising(a.numerator, a.denominator, k), a.denominator ** k)
 
@@ -119,10 +125,9 @@ class ParamVector:
         return ParamVector([g + as_fraction(t) for g, t in zip(self.entries, deltas)])
 
     def with_values(self, assignments: Mapping[int, Rational]) -> "ParamVector":
-        vals = list(self.entries)
-        for i, v in assignments.items():
-            vals[i] = as_fraction(v)
-        return ParamVector(vals)
+        if not all(is_index(i, 0, self.d) for i in assignments):
+            raise ValueError(f"bad entry indices {list(assignments)} for dimension {self.d}")
+        return ParamVector([assignments.get(i, g) for i, g in enumerate(self.entries)])
 
     @classmethod
     def parse(cls, text: str) -> "ParamVector":
@@ -154,7 +159,7 @@ def zero_set(zeroed: Iterable[int], d: int) -> frozenset[int]:
     """The zeroed indices of a face of T^d, index d the hyperplane 1-|x| = 0;
     an entry that is not an int in 0..d, a bool too, is a ValueError."""
     zset = frozenset(zeroed)
-    bad = [i for i in zset if type(i) is not int or not 0 <= i <= d]
+    bad = [i for i in zset if not is_index(i, 0, d)]
     if bad:
         raise ValueError(f"bad face index {bad[0]!r} for dimension {d}")
     return zset

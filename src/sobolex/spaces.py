@@ -15,7 +15,7 @@ from .bases import Basis, eigencheck, eigenvalue, permuted_element
 from .linalg import poly_rank
 from .moments import vertex_eval
 from .polynomials import Polynomial, monomials_of_degree
-from .scalars import ParamVector, zero_set
+from .scalars import ParamVector, is_index, zero_set
 
 if TYPE_CHECKING:
     from .products import SingularProduct
@@ -103,6 +103,8 @@ def verify_u_space(product: SingularProduct, n: int) -> dict:
     each failing element, as its own counterexample, and a rank shortfall.
     A check's flag says that it recorded nothing, and `ok` that none did.
     """
+    if not is_index(n, 0):
+        raise ValueError(f"n must be an int >= 0, not {n!r}")
     dim, k, full = product.dim, product.k, product.gamma
     basis = u_space(product, n)
     polys = basis.polys()

@@ -29,7 +29,7 @@ from .linalg import in_span, poly_rank, positive_definite, spans_equal
 from .polynomials import Polynomial, complement, monomial_polys, monomials_of_degree
 from .products import (ONE, ClassicalProduct, DerivativeProduct, SingularProduct, Term,
                        TermList, _derivative, _vertex)
-from .scalars import ParamVector, face_params
+from .scalars import ParamVector, face_params, is_index
 from .spaces import expected_dimension, h_space, u_space, verify_u_space
 
 HALF = Fraction(1, 2)
@@ -658,9 +658,9 @@ def run_suite(name: str, d: int | None = None, n_max: int = 3,
     if row is None:
         raise ValueError(f"unknown suite {name!r}")
     d = (row.d or 2) if d is None else d
-    if d < 1 or row.d not in (None, d):
+    if not is_index(d, 1) or row.d not in (None, d):
         raise ValueError(f"suite {name!r} does not run at d = {d}")
-    if n_max < 0:
+    if not is_index(n_max, 0):
         raise ValueError(f"n_max must be >= 0, not {n_max}")
     if gammas is not None and not row.takes_gammas:
         raise ValueError(f"suite {name!r} takes no weights")

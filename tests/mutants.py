@@ -215,19 +215,29 @@ MUTANTS = [
     # the one index guard of every family; without it a negative entry sums
     # an empty box to 0 and no other test fails
     Mutant("every-family-skips-the-index-guard", "src/sobolex/bases.py",
-           "    if len(nu) != gamma.d or any(type(k) is not int or k < 0 for k in nu):\n"
+           "    if len(nu) != gamma.d or not all(is_index(k, 0) for k in nu):\n"
            "        raise ValueError(f\"bad multi-index {nu}\")\n",
            "",
            ["tests/test_bases.py", "-k", "bad_multi_index"]),
     # True == 1, so without the int test (True, 0) builds the (1, 0) element
     Mutant("multi-index-accepts-a-bool", "src/sobolex/bases.py",
-           "any(type(k) is not int or k < 0 for k in nu)",
+           "not all(is_index(k, 0) for k in nu)",
            "any(k < 0 for k in nu)",
            ["tests/test_bases.py", "-k", "bad_multi_index"]),
     Mutant("zero-set-accepts-a-bool", "src/sobolex/scalars.py",
-           "if type(i) is not int or not 0 <= i <= d]",
+           "if not is_index(i, 0, d)]",
            "if not 0 <= i <= d]",
            ["tests/test_scalars.py", "-k", "zero_set"]),
+    # the one judge of every index: as isinstance it admits True as 1, and
+    # one past its high bound it admits the slot after the last
+    Mutant("index-admits-a-bool", "src/sobolex/scalars.py",
+           "return type(value) is int and",
+           "return isinstance(value, int) and",
+           ["tests/test_scalars.py", "-k", "is_index or index_guard"]),
+    Mutant("index-admits-one-past-the-high-bound", "src/sobolex/scalars.py",
+           "low <= value <= high\n",
+           "low <= value <= high + 1\n",
+           ["tests/test_scalars.py", "-k", "is_index or index_guard"]),
     # the constant alone reads |nu| unchecked: zip truncates a long index
     Mutant("biorthogonal-constant-skips-the-index-guard", "src/sobolex/bases.py",
            "d, n = gamma.d, _degree(gamma, nu)\n    value",

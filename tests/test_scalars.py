@@ -1,10 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from sobolex.scalars import (as_fraction, factorial, parse_rational, pochhammer, rising,
-                             zero_set)
+from sobolex.bases import eigencheck, eigenvalue, permuted_element, rodrigues_element
+from sobolex.moments import vertex_eval
+from sobolex.polynomials import Polynomial, monomials_of_degree, monomials_up_to
+from sobolex.products import DerivativeProduct, SingularProduct
+from sobolex.scalars import (ParamVector, as_fraction, factorial, is_index, parse_rational,
+                             pochhammer, rising, zero_set)
+from sobolex.spaces import verify_u_space
+from sobolex.suites import run_suite
 
 from oracles import binomial
 
@@ -81,3 +88,62 @@ def test_zero_set_takes_only_ints_in_range():
     for zeroed in ([True], [0, 1.0], [Fraction(1)], [-1], [3], ["0"]):
         with pytest.raises(ValueError, match="bad face index"):
             zero_set(zeroed, 2)
+
+
+def test_is_index_takes_exactly_the_ints_in_range():
+    assert [v for v in range(-3, 6) if is_index(v, 0, 2)] == [0, 1, 2]
+    assert is_index(10 ** 30, 1) and is_index(-7, -math.inf)
+    # True == 1 == 1.0 == Fraction(1), yet none of them is an index
+    for value in (True, False, 1.0, Fraction(1), "1", None):
+        assert not is_index(value, 0, 2), value
+
+
+ONE_VAR = Polynomial.variable(2, 0)
+FLAT = ParamVector([0, 0, 0])
+
+# each entry point that takes an index, exponent, degree or dimension (at
+# d = 2), the message of its own guard, and the values it must refuse: a bool
+# and a float always, the low bound - 1 and the high bound + 1 where it has one
+INDEX_GUARDS = [
+    ("Polynomial dim", lambda v: Polynomial(v), "dimension must be", (True, 1.0, -1)),
+    ("Polynomial exponent", lambda v: Polynomial(2, {(v, 0): 1}), "bad exponent",
+     (True, 1.0, -1)),
+    ("variable", lambda v: Polynomial.variable(2, v), "axis", (True, 1.0, -1, 2)),
+    ("partial", lambda v: ONE_VAR.partial(v), "axis", (True, 1.0, -1, 2)),
+    ("pullback dim", lambda v: ONE_VAR.pullback((0, 1), v), "bad targets", (True, 1.0, -1)),
+    ("pullback target", lambda v: ONE_VAR.pullback((v, 0)), "bad targets", (True, 1.0, -1, 3)),
+    ("power", lambda v: ONE_VAR ** v, "power", (True, 1.0, -1)),
+    ("zero_set", lambda v: zero_set([v], 2), "bad face index", (True, 1.0, -1, 3)),
+    ("with_values", lambda v: FLAT.with_values({v: 5}), "bad entry ind", (True, 1.0, -1, 3)),
+    ("multi-index", lambda v: rodrigues_element(FLAT, (v, 0)), "bad multi-index",
+     (True, 1.0, -1)),
+    ("permuted order", lambda v: permuted_element(FLAT, (v, 2), (1, 0)),
+     "bad coordinate order", (True, 1.0, -1, 3)),
+    ("key axis", lambda v: DerivativeProduct(FLAT, 1, {frozenset({v}): 2}), "key",
+     (True, 1.0, -1, 2)),
+    ("derivative order", lambda v: DerivativeProduct(FLAT, v), "order must lie in",
+     (True, 1.0, 0, 3)),
+    ("vertex_eval", lambda v: vertex_eval(ONE_VAR, v), "vertex index", (True, 1.0, -1, 3)),
+    ("eigenvalue", lambda v: eigenvalue(FLAT, v), "degree", (True, 1.0, -1)),
+    ("eigencheck", lambda v: eigencheck(FLAT, ONE_VAR, v), "degree", (True, 1.0, -1)),
+    ("pochhammer", lambda v: pochhammer(Fraction(1, 3), v), "pochhammer", (True, 1.0, -1)),
+    ("monomials_of_degree dim", lambda v: monomials_of_degree(v, 2), "dimension",
+     (True, 1.0, -1)),
+    # a negative degree has no monomials
+    ("monomials_of_degree degree", lambda v: monomials_of_degree(2, v), "degree", (True, 1.0)),
+    ("monomials_up_to dim", lambda v: monomials_up_to(v, 2), "dimension", (True, 1.0, -1)),
+    ("monomials_up_to degree", lambda v: monomials_up_to(2, v), "degree", (True, 1.0)),
+    ("verify_u_space", lambda v: verify_u_space(SingularProduct(ParamVector([0, 0, -1])), v),
+     "n must be", (True, 1.0, -1)),
+    ("run_suite d", lambda v: run_suite("rodrigue", v, 1), "does not run at", (True, 1.0, 0)),
+    ("run_suite n_max", lambda v: run_suite("rodrigue", 2, v), "n_max must be",
+     (True, 1.0, -1)),
+]
+
+
+@pytest.mark.parametrize("call, message, values", [row[1:] for row in INDEX_GUARDS],
+                         ids=[row[0] for row in INDEX_GUARDS])
+def test_every_index_guard_refuses_a_bool_a_float_and_out_of_range(call, message, values):
+    for value in values:
+        with pytest.raises(ValueError, match=message):
+            call(value)
