@@ -14,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+from typing import Callable, NamedTuple
 
 from . import bases, polynomials, products, scalars, spaces, suites
 from .errors import SobolexError
@@ -21,9 +22,6 @@ from .errors import SobolexError
 # the keys of `suites.SUITES` and "all", here so that the parser does not load it
 SUITE_NAMES = ("jacobi", "triangle", "rodrigue", "monomial", "lemmas4",
                "thm31", "thm34", "thm36", "all")
-
-USAGE_EXIT = 2
-MATH_EXIT = 3
 
 
 def _parse_gamma(text: str, d: int) -> scalars.ParamVector:
@@ -58,79 +56,86 @@ def _sobolev_form(gamma: scalars.ParamVector,
     return products.SingularProduct(gamma, lam_vertex=lams)
 
 
-def _check_flags(args: argparse.Namespace, family: str | None = None,
-                 spec: str | None = None) -> None:
-    """A flag given where the family (or gram's --basis) and the spec do not
-    read it is a usage error."""
-    for flag, used, where in (
-            ("lambda-vertex", family == "u" or spec == "sobolev",
-             "the u family and the sobolev spec"),
-            ("order", family == "permuted", "the permuted family"),
-            ("zero-set", family == "h", "the h family"),
-            ("epd-order", spec == "epd", "the epd spec")):
-        if getattr(args, flag.replace("-", "_"), None) is not None and not used:
-            raise ValueError(f"--{flag} applies only to {where}")
+class Choice(NamedTuple):
+    """A family or a spec: the one option it reads, and whether it needs it."""
+    flag: str | None = None
+    needs: bool = False
 
 
-def _build_basis(family: str, args: argparse.Namespace) -> bases.Basis:
-    gamma = _parse_gamma(args.gamma, args.d)
+FAMILIES = {"rodrigue": Choice(), "monomial": Choice(), "permuted": Choice("--order", True),
+            "h": Choice("--zero-set", True), "u": Choice("--lambda-vertex")}
+SPECS = {"classical": Choice(), "epd": Choice("--epd-order"), "sobolev": Choice("--lambda-vertex")}
+
+
+def _given(args: argparse.Namespace, flag: str):
+    return getattr(args, flag[2:].replace("-", "_"), None)
+
+
+def _check_flags(args: argparse.Namespace, *chosen: Choice | None) -> None:
+    """A flag that a family or spec reads, given where none of the `chosen` ones
+    reads it, is a usage error; the first such flag in `OPTIONS` order is named."""
+    read = {choice.flag for choice in chosen if choice}
+    for flag in OPTIONS:
+        readers = [f"the {name} {kind}" for kind, table in (("family", FAMILIES), ("spec", SPECS))
+                   for name, choice in table.items() if choice.flag == flag]
+        if readers and flag not in read and _given(args, flag) is not None:
+            raise ValueError(f"{flag} applies only to {' and '.join(readers)}")
+
+
+def _build_basis(option: str, args: argparse.Namespace, gamma: scalars.ParamVector,
+                 form: products.SingularProduct | None = None) -> bases.Basis:
+    """The family that `option` (--family, or gram's --basis) names; the u
+    family reads `form`, the Sobolev form, if the command has built it."""
+    family = getattr(args, option[2:])
+    flag, needs = FAMILIES[family]
+    if needs and not _given(args, flag):
+        raise ValueError(f"{option} {family} needs {flag}")
     if family == "rodrigue":
         return bases.rodrigues_basis(gamma, args.n)
     if family == "monomial":
         return bases.monomial_basis(gamma, args.n)
     if family == "permuted":
-        if not args.order:
-            raise ValueError("--family permuted needs --order")
         return bases.permuted_basis(gamma, tuple(_parse_indices(args.order, args.d)), args.n)
     if family == "h":
-        if not args.zero_set:
-            raise ValueError("--family h needs --zero-set")
         return spaces.h_space(gamma, _parse_indices(args.zero_set, args.d), args.n)
-    if family == "u":
-        # in its own statement, so that a refused weight does not load `spaces`
-        form = _sobolev_form(gamma, args)
-        return spaces.u_space(form, args.n)
-    raise ValueError(f"unknown family {family!r}")
+    # u, its form in its own statement: a weight refused there does not load `spaces`
+    form = form or _sobolev_form(gamma, args)
+    return spaces.u_space(form, args.n)
 
 
-def _build_product(args: argparse.Namespace):
-    gamma = _parse_gamma(args.gamma, args.d)
+def _build_product(args: argparse.Namespace, gamma: scalars.ParamVector):
     if args.spec == "classical":
         return products.ClassicalProduct(gamma)
     if args.spec == "epd":
         return products.DerivativeProduct(gamma, 1 if args.epd_order is None else args.epd_order)
-    if args.spec == "sobolev":
-        return _sobolev_form(gamma, args)
-    raise ValueError(f"unknown spec {args.spec!r}")
+    return _sobolev_form(gamma, args)
 
 
 def cmd_basis(args: argparse.Namespace) -> dict:
-    _check_flags(args, family=args.family)
-    return _build_basis(args.family, args).to_json()
+    _check_flags(args, FAMILIES[args.family])
+    return _build_basis("--family", args, _parse_gamma(args.gamma, args.d)).to_json()
 
 
 def cmd_inner(args: argparse.Namespace) -> dict:
-    _check_flags(args, spec=args.spec)
-    product = _build_product(args)
+    _check_flags(args, SPECS[args.spec])
+    product = _build_product(args, _parse_gamma(args.gamma, args.d))
     f = polynomials.Polynomial.from_json(json.loads(args.f))
     g = polynomials.Polynomial.from_json(json.loads(args.g))
     return {"spec": product.describe(), "value": str(product.value(f, g))}
 
 
 def cmd_gram(args: argparse.Namespace) -> dict:
-    _check_flags(args, args.basis, args.spec)
-    product = _build_product(args)
+    _check_flags(args, FAMILIES.get(args.basis), SPECS[args.spec])
+    gamma = _parse_gamma(args.gamma, args.d)
+    product = _build_product(args, gamma)
     if args.basis == "monomials":
         rows = products.labeled(polynomials.monomial_polys(args.d, args.n), "m")
     else:
-        # U_n of the sobolev spec belongs to the form just built: not a second one
-        basis = (spaces.u_space(product, args.n) if (args.basis, args.spec) == ("u", "sobolev")
-                 else _build_basis(args.basis, args))
-        rows = [(str(key), p) for key, p in basis.elements]
-    if args.against == "self":
-        return products.gram(product, rows).to_json()
-    lower = products.labeled(polynomials.monomial_polys(args.d, args.n - 1), "m")
-    return products.gram(product, rows, lower).to_json()
+        form = product if args.spec == "sobolev" else None  # the u family's, built once
+        rows = [(str(key), p) for key, p in _build_basis("--basis", args, gamma, form).elements]
+    cols = (None if args.against == "self"
+            else products.labeled(polynomials.monomial_polys(args.d, args.n - 1), "m"))
+    return products.gram(product, rows, cols).to_json()
 
 
 def cmd_eigen(args: argparse.Namespace) -> dict:
@@ -154,112 +159,87 @@ def cmd_report(args: argparse.Namespace) -> dict:
     }
 
 
-class _Parser(argparse.ArgumentParser):
-    # let values like "-1,-1,-1" or "-1/2,0,1" parse as arguments, not flags
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d")
+# each option's add_argument keywords; `_check_flags` names an extra flag in this order
+OPTIONS = {
+    "--d": dict(type=int, default=2, help="ambient dimension"),
+    "--n": dict(type=int, required=True, help="degree of the family, rows or eigenspace"),
+    "--gamma": dict(required=True, help="comma-separated rational exponents, d+1 entries"),
+    "--pretty": dict(action="store_true"),
+    "--lambda-vertex": dict(help="comma-separated vertex coefficients (all exponents -1)"),
+    "--order": dict(help="1-based coordinate order (permuted family); d+1 is the hyperplane"),
+    "--zero-set": dict(help="1-based zeroed coordinates (h family)"),
+    "--epd-order": dict(type=int, help="derivative order for --spec epd (default 1)"),
+    "--family": dict(default="rodrigue", choices=list(FAMILIES)),
+    "--basis": dict(default="monomials", choices=[*FAMILIES, "monomials"]),
+    "--spec": dict(default="classical", choices=list(SPECS)),
+    "--against": dict(default="lower", choices=["lower", "self"]),
+    "--f": dict(required=True, help="polynomial JSON"),
+    "--g": dict(required=True, help="polynomial JSON"),
+    "--suite": dict(required=True, choices=SUITE_NAMES),
+    "--n-max": dict(type=int, default=3),
+}
+
+
+class Command(NamedTuple):
+    run: Callable[[argparse.Namespace], dict]
+    help: str
+    options: str  # the options it takes, in usage order
+    own: dict = {}  # the options whose keywords are its own, not those of OPTIONS
+
+
+COMMANDS = {
+    "basis": Command(cmd_basis, "construct a polynomial family as JSON",
+                     "--d --n --gamma --pretty --family --order --zero-set --lambda-vertex"),
+    "inner": Command(cmd_inner, "evaluate one inner product",
+                     "--d --gamma --spec --epd-order --lambda-vertex --f --g --pretty"),
+    "gram": Command(cmd_gram, "Gram matrix report for a basis",
+                    "--d --n --gamma --pretty --spec --epd-order --basis --against --order "
+                    "--zero-set --lambda-vertex"),
+    "eigen": Command(cmd_eigen, "verify one singular eigenspace",
+                     "--d --n --gamma --pretty --lambda-vertex"),
+    "verify": Command(cmd_verify, "run a named verification suite",
+                      "--suite --d --n-max --gamma --pretty", {
+        "--d": dict(type=int, help="ambient dimension (default 2; jacobi, triangle and thm31 "
+                                   "run at their own d only)"),
+        "--gamma": dict(action="append",
+                        help="override the sampled exponent vectors (repeatable)")}),
+    "report": Command(cmd_report, "run every suite and summarize", "--d --n-max --pretty"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="sobolex",
         description="Exact constructions and verification for classical and "
                     "Sobolev orthogonal polynomials on the simplex.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, n_help: str) -> None:
-        p.add_argument("--d", type=int, default=2, help="ambient dimension")
-        p.add_argument("--n", type=int, required=True, help=n_help)
-        p.add_argument("--gamma", required=True,
-                       help="comma-separated rational exponents, d+1 entries")
-        p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("basis", help="construct a polynomial family as JSON")
-    common(p, "total degree")
-    p.add_argument("--family", default="rodrigue",
-                   choices=["rodrigue", "monomial", "permuted", "h", "u"])
-    p.add_argument("--order", help="1-based coordinate order for --family "
-                                   "permuted; d+1 is the hyperplane")
-    p.add_argument("--zero-set", help="1-based zeroed coordinates for --family h")
-    p.add_argument("--lambda-vertex",
-                   help="comma-separated vertex coefficients (family u, all "
-                        "exponents -1)")
-
-    p = sub.add_parser("inner", help="evaluate one inner product")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--spec", default="classical",
-                   choices=["classical", "epd", "sobolev"])
-    p.add_argument("--epd-order", type=int, help="derivative order for --spec epd (default 1)")
-    p.add_argument("--lambda-vertex")
-    p.add_argument("--f", required=True, help="polynomial JSON")
-    p.add_argument("--g", required=True, help="polynomial JSON")
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("gram", help="Gram matrix report for a basis")
-    common(p, "degree of the row family")
-    p.add_argument("--spec", default="classical",
-                   choices=["classical", "epd", "sobolev"])
-    p.add_argument("--epd-order", type=int, help="derivative order for --spec epd (default 1)")
-    p.add_argument("--basis", default="monomials",
-                   choices=["rodrigue", "monomial", "permuted", "h", "u",
-                            "monomials"])
-    p.add_argument("--against", default="lower", choices=["lower", "self"])
-    p.add_argument("--order")
-    p.add_argument("--zero-set")
-    p.add_argument("--lambda-vertex")
-
-    p = sub.add_parser("eigen", help="verify one singular eigenspace")
-    common(p, "degree of the eigenspace")
-    p.add_argument("--lambda-vertex")
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", required=True, choices=list(SUITE_NAMES))
-    p.add_argument("--d", type=int,
-                   help="ambient dimension (default 2; jacobi, triangle and "
-                        "thm31 run at their own d only)")
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--gamma", action="append",
-                   help="override the sampled exponent vectors (repeatable)")
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("report", help="run every suite and summarize")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--pretty", action="store_true")
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.options.split():
+            p.add_argument(flag, **command.own.get(flag, OPTIONS[flag]))
+    # let values like "-1,-1,-1" or "-1/2,0,1" parse as arguments, not flags
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-\d")
     return parser
 
 
-COMMANDS = {
-    "basis": cmd_basis,
-    "inner": cmd_inner,
-    "gram": cmd_gram,
-    "eigen": cmd_eigen,
-    "verify": cmd_verify,
-    "report": cmd_report,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if not scalars.is_index(getattr(args, "n", 0), 0):
             raise ValueError(f"--n must be >= 0, not {args.n}")
         if args.d is not None and not scalars.is_index(args.d, 1):
             raise ValueError(f"--d must be >= 1, not {args.d}")
-        payload = COMMANDS[args.command](args)
+        payload = COMMANDS[args.command].run(args)
         style = {"indent": 2} if args.pretty else {"separators": (",", ":")}
         sys.stdout.write(json.dumps(payload, sort_keys=True, **style) + "\n")
         return 0 if payload.get("ok", True) else 1
     except SobolexError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
-        return MATH_EXIT
+        return 3
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        return 2
 
 
 if __name__ == "__main__":

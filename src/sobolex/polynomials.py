@@ -223,6 +223,8 @@ class Polynomial:
 
     def substitute(self, axis: int, replacement: "Polynomial") -> "Polynomial":
         """Substitute x_axis := replacement (a polynomial in the same d variables)."""
+        if not is_index(axis, 0, self.dim - 1):
+            raise ValueError(f"axis {axis} out of range for dimension {self.dim}")
         self._check_dim(replacement)
         groups: dict[int, dict[Exponents, int]] = {}
         for exp, coef in self._terms.items():
@@ -320,7 +322,7 @@ def _reduced(acc: dict[Exponents, int], den: int) -> tuple[dict[Exponents, int],
     return acc, den
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def complement_power(dim: int, power: int) -> Polynomial:
     """(1 - x_0 - ... - x_{dim-1}) ** power, multinomially expanded."""
     base = Polynomial.constant(dim, 1)
@@ -351,7 +353,7 @@ def monomials_up_to(dim: int, degree: int) -> list[Exponents]:
     return [e for n in range(degree) for e in monomials_of_degree(dim, n)] + top
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def monomial_polys(dim: int, degree: int) -> tuple[Polynomial, ...]:
     """The monomials x^e of degree <= `degree`, in `monomials_up_to` order:
     one cached tuple per (dim, degree), shared by every caller."""

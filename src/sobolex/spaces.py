@@ -8,7 +8,7 @@ k slots (distinct patterns, not permutation orbits), and a top face block.
 from __future__ import annotations
 
 import itertools
-from math import comb
+from math import comb, inf
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .bases import Basis, eigencheck, eigenvalue, permuted_element
@@ -57,6 +57,8 @@ def u_space(form: SingularProduct, n: int) -> Basis:
     k = d+1 and n = 1 the span is {x_j + c_j} with c_j = -lam_j / sum(lam),
     tied to the form's vertex coefficients lam.
     """
+    if not is_index(n, -inf):
+        raise ValueError(f"n must be an int, not {n!r}")
     d, tail, k = form.dim, form.tail, form.k
     basis = Basis(form.gamma, f"u[k={k}]")
     if n < 0:

@@ -68,9 +68,14 @@ MUTANTS = [
            "v >= 0 if i == j else not v",
            ["tests/test_suites.py", "-k", "positive_diagonal"]),
     Mutant("gram-u-rows-from-default-vertex-coefficients", "src/sobolex/cli.py",
-           "spaces.u_space(product, args.n)",
-           "spaces.u_space(products.SingularProduct(product.gamma), args.n)",
+           'form = product if args.spec == "sobolev" else None',
+           'form = products.SingularProduct(product.gamma) if args.spec == "sobolev" else None',
            ["tests/test_cli.py", "-k", "gram"]),
+    # the permuted family then reads a missing --order, and crashes on it
+    Mutant("permuted-family-does-not-need-its-order", "src/sobolex/cli.py",
+           '"permuted": Choice("--order", True)',
+           '"permuted": Choice("--order")',
+           ["tests/test_cli.py", "-k", "names_the_option"]),
     Mutant("positivity-accepts-all-zero-vertex-coefficients", "src/sobolex/products.py",
            "min(self.lam_vertex) >= 0 < max(self.lam_vertex)",
            "min(self.lam_vertex) >= 0 <= max(self.lam_vertex)",

@@ -104,6 +104,18 @@ def test_gram_u_rows_belong_to_the_sobolev_form_built_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command, option", [("basis", "--family"), ("gram", "--basis")])
+@pytest.mark.parametrize("family, flag", [("permuted", "--order"), ("h", "--zero-set")])
+def test_a_family_without_its_flag_names_the_option_that_chose_it(capsys, command, option,
+                                                                  family, flag):
+    try:
+        code = main([command, "--d", "2", "--n", "1", "--gamma", "0,0,0", option, family])
+    except Exception as exc:  # a traceback is no refusal
+        code = exc
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"usage error: {option} {family} needs {flag}\n")
+
+
 def test_gram_against_lower_has_no_diagonal_even_when_square(capsys):
     # the three degree-2 elements meet the three monomials of degree <= 1: a
     # square matrix, but a cross one, so neither flag has a meaning

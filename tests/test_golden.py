@@ -1,21 +1,23 @@
-"""Golden-output gate: a fixed list of CLI commands whose stdout must not change.
+"""Golden-output gate: fixed lists of CLI commands whose output must not change.
 
-Each command runs in-process; the sha256 digest of its stdout and its exit
-code are compared with `golden/digests.json`.  A refactor is done only when
-every digest still matches.  To record the digests of commands that have none
-yet, run
+Each command runs in-process.  The sha256 digest of its stdout and its exit
+code are compared with `golden/digests.json`; for the refusals, the exit code
+and the whole stderr (argparse's usage lines at 80 columns included) are
+compared with `golden/refusals.json`.  A refactor is done only when every
+record still matches.  To record the commands that have no record yet, run
 
     PYTHONPATH=src python tests/test_golden.py
 
-It never rewrites a recorded digest: when one no longer matches, it names it,
-writes nothing and exits 1.  To change a digest on purpose, after a change of
-output that is intended, delete its entry from the file by hand and run it.
+It never rewrites a record: when one no longer matches, it names it, writes
+nothing and exits 1.  To change a record on purpose, after a change of output
+that is intended, delete its entry from the file by hand and run it.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import sys
 
@@ -24,6 +26,7 @@ import pytest
 from sobolex.cli import main
 
 DIGESTS = pathlib.Path(__file__).with_name("golden") / "digests.json"
+REFUSED = DIGESTS.with_name("refusals.json")
 
 # two polynomials per dimension for `inner`, in the JSON that `--f`/`--g` take
 F1 = '{"d":1,"terms":[{"exp":[3],"coef":"2/3"},{"exp":[1],"coef":"-1"},{"exp":[0],"coef":"1/2"}]}'
@@ -136,6 +139,40 @@ COMMANDS = [
 ]
 
 
+_D2 = ["--d", "2", "--n", "1", "--gamma"]
+
+# commands that the CLI refuses, with the message of each refusal: every flag
+# that only some families and specs read, given where none reads it; both
+# "needs" rules under `basis` and under `gram`; an invalid choice of each
+# option that has choices; a wrong-length --gamma; which of two faults is
+# named first; and a non-integrable weight and a form that is not positive
+REFUSALS = [
+    ["basis", *_D2, "0,0,0", "--lambda-vertex", "1,1,1"],
+    ["basis", *_D2, "0,0,0", "--family", "h", "--zero-set", "3", "--order", "1,2"],
+    ["gram", *_D2, "0,0,0", "--basis", "permuted", "--order", "1,2", "--zero-set", "3"],
+    ["inner", "--d", "2", "--gamma", "0,0,0", "--epd-order", "2", "--f", F2, "--g", G2],
+    ["basis", *_D2, "0,0,0", "--order", "1,2", "--lambda-vertex", "1,1,1"],
+    *([command, *_D2, "0,0,0", option, family]
+      for command, option in (("basis", "--family"), ("gram", "--basis"))
+      for family in ("permuted", "h")),
+    ["basis", *_D2, "0,0,0", "--family", "x"],
+    ["gram", *_D2, "0,0,0", "--basis", "x"],
+    ["inner", "--d", "2", "--gamma", "0,0,0", "--spec", "x", "--f", F2, "--g", G2],
+    ["verify", "--suite", "x"],
+    ["basis", "--d", "2"],
+    ["basis", *_D2, "0,0"],
+    ["verify", "--suite", "rodrigue", "--n-max", "1", "--gamma", "0,0"],
+    ["basis", *_D2, "0,0", "--order", "1,2"],
+    ["basis", *_D2, "0,0", "--family", "permuted"],
+    ["gram", *_D2, "0,0,0", "--spec", "epd", "--epd-order", "0", "--basis", "h"],
+    ["basis", *_D2, "0,0,0", "--family", "permuted", "--order", "1,4"],
+    ["gram", *_D2, "0,0,0", "--basis", "h", "--zero-set", "1,1"],
+    ["gram", *_D2, "0,0,0", "--basis", "u"],
+    ["inner", "--d", "1", "--gamma", "-2,0", "--f", F1, "--g", G1],
+    ["eigen", *_D2, "-1,-1,-1", "--lambda-vertex", "-1,0,0"],
+]
+
+
 def replay(argv: list[str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -143,8 +180,21 @@ def replay(argv: list[str]) -> dict:
     return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
-def _recorded() -> dict:
-    return json.loads(DIGESTS.read_text())
+def refuse(argv: list[str]) -> dict:
+    """The exit code and stderr of a command that prints nothing on stdout;
+    argparse's own refusals exit through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert out.getvalue() == "", argv
+    return {"exit": code, "stderr": err.getvalue()}
+
+
+def _recorded(path: pathlib.Path | None = None) -> dict:
+    return json.loads((path or DIGESTS).read_text())
 
 
 def test_every_command_has_a_digest():
@@ -156,8 +206,20 @@ def test_stdout_matches_the_recorded_digest(argv):
     assert replay(argv) == _recorded()[" ".join(argv)]
 
 
+def test_every_refusal_has_a_record():
+    assert sorted(_recorded(REFUSED)) == sorted(" ".join(argv) for argv in REFUSALS)
+
+
+@pytest.mark.parametrize("argv", REFUSALS, ids=" ".join)
+def test_refusal_matches_the_recorded_message(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert refuse(argv) == _recorded(REFUSED)[" ".join(argv)]
+
+
 def test_recorder_adds_missing_digests_and_rewrites_none(tmp_path, monkeypatch):
     module = sys.modules[__name__]
+    monkeypatch.setattr(module, "REFUSALS", [])
+    monkeypatch.setattr(module, "REFUSED", tmp_path / "refusals.json")
     cheap = [["basis", "--family", "monomial", "--d", "1", "--n", n, "--gamma", "0,0"]
              for n in ("1", "2")]
     first, second = (" ".join(argv) for argv in cheap)
@@ -173,24 +235,27 @@ def test_recorder_adds_missing_digests_and_rewrites_none(tmp_path, monkeypatch):
 
 
 def record() -> list[str]:
-    """Add the digest of every command that has none; return the recorded
-    digests that no longer match, and write nothing if there are any."""
-    recorded = _recorded()
-    stale = []
-    for argv in COMMANDS:
-        key = " ".join(argv)
-        got = replay(argv)
-        if key not in recorded:
-            recorded[key] = got
-        elif recorded[key] != got:
-            stale.append(key)
+    """Add the record of every command that has none; return the records that
+    no longer match, and write nothing if there are any."""
+    stale, files = [], {}
+    for commands, path, run in ((COMMANDS, DIGESTS, replay), (REFUSALS, REFUSED, refuse)):
+        recorded = files[path] = _recorded(path) if path.exists() else {}
+        for argv in commands:
+            key = " ".join(argv)
+            got = run(argv)
+            if key not in recorded:
+                recorded[key] = got
+            elif recorded[key] != got:
+                stale.append(key)
     if not stale:
-        DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+        for path, recorded in files.items():
+            path.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     return stale
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"  # the width of argparse's usage lines in a refusal
     stale = record()
     if stale:
-        sys.exit("recorded digest no longer matches (delete its entry to record it "
+        sys.exit("record no longer matches (delete its entry to record it "
                  "again): " + "; ".join(stale))

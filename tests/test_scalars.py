@@ -6,11 +6,12 @@ import pytest
 
 from sobolex.bases import eigencheck, eigenvalue, permuted_element, rodrigues_element
 from sobolex.moments import vertex_eval
-from sobolex.polynomials import Polynomial, monomials_of_degree, monomials_up_to
+from sobolex.polynomials import (Polynomial, complement_power, monomial_polys, monomials_of_degree,
+                                 monomials_up_to)
 from sobolex.products import DerivativeProduct, SingularProduct
 from sobolex.scalars import (ParamVector, as_fraction, factorial, is_index, parse_rational,
                              pochhammer, rising, zero_set)
-from sobolex.spaces import verify_u_space
+from sobolex.spaces import u_space, verify_u_space
 from sobolex.suites import run_suite
 
 from oracles import binomial
@@ -110,6 +111,7 @@ INDEX_GUARDS = [
      (True, 1.0, -1)),
     ("variable", lambda v: Polynomial.variable(2, v), "axis", (True, 1.0, -1, 2)),
     ("partial", lambda v: ONE_VAR.partial(v), "axis", (True, 1.0, -1, 2)),
+    ("substitute", lambda v: ONE_VAR.substitute(v, ONE_VAR), "axis", (True, 1.0, -1, 2)),
     ("pullback dim", lambda v: ONE_VAR.pullback((0, 1), v), "bad targets", (True, 1.0, -1)),
     ("pullback target", lambda v: ONE_VAR.pullback((v, 0)), "bad targets", (True, 1.0, -1, 3)),
     ("power", lambda v: ONE_VAR ** v, "power", (True, 1.0, -1)),
@@ -135,6 +137,9 @@ INDEX_GUARDS = [
     ("monomials_up_to degree", lambda v: monomials_up_to(2, v), "degree", (True, 1.0)),
     ("verify_u_space", lambda v: verify_u_space(SingularProduct(ParamVector([0, 0, -1])), v),
      "n must be", (True, 1.0, -1)),
+    # a negative degree has an empty eigenspace
+    ("u_space", lambda v: u_space(SingularProduct(ParamVector([0, 0, -1])), v), "n must be",
+     (True, 1.0)),
     ("run_suite d", lambda v: run_suite("rodrigue", v, 1), "does not run at", (True, 1.0, 0)),
     ("run_suite n_max", lambda v: run_suite("rodrigue", 2, v), "n_max must be",
      (True, 1.0, -1)),
@@ -147,3 +152,17 @@ def test_every_index_guard_refuses_a_bool_a_float_and_out_of_range(call, message
     for value in values:
         with pytest.raises(ValueError, match=message):
             call(value)
+
+
+def test_a_negative_degree_has_an_empty_eigenspace():
+    assert u_space(SingularProduct(ParamVector([0, 0, -1])), -1).elements == []
+
+
+def test_a_cache_keyed_by_an_int_refuses_a_bool_or_a_float():
+    # True == 1 == 1.0 and all three hash alike, so a cache warmed with 1 that
+    # keyed them alike would answer True and 1.0 from the entry of 1
+    for cached in (monomial_polys, complement_power):
+        cached(1, 1)
+        for args in ((True, 1), (1, True), (1, 1.0)):
+            with pytest.raises(ValueError):
+                cached(*args)
