@@ -271,6 +271,8 @@ def jacobi_norm(n: int, alpha: Rational, beta: Rational) -> Fraction:
 def jacobi_negative_one_beta(n: int, beta: Rational) -> Polynomial:
     """The alpha = -1 family on [-1,1]: P_0 = 1 and, for n >= 1,
     P_n = ((n+beta)/n) * (x-1)/2 * P_{n-1}^{(1,beta)}."""
+    if not is_index(n, 0):
+        raise ValueError(f"bad degree {n!r}")
     b = as_fraction(beta)
     if n == 0:
         return Polynomial.constant(1, 1)
@@ -281,6 +283,8 @@ def jacobi_negative_one_beta(n: int, beta: Rational) -> Polynomial:
 def jacobi_negative_one_one(n: int, lam1: Rational = 1, lam2: Rational = 1) -> Polynomial:
     """The alpha = beta = -1 family on [-1,1]: P_0 = 1, P_1 = x + mu with
     mu = (lam2-lam1)/(lam1+lam2), and P_n = (x^2-1)/4 * P_{n-2}^{(1,1)}."""
+    if not is_index(n, 0):
+        raise ValueError(f"bad degree {n!r}")
     l1, l2 = as_fraction(lam1), as_fraction(lam2)
     x = Polynomial.variable(1, 0)
     if n == 0:

@@ -84,6 +84,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, dim: int, value: Rational) -> "Polynomial":
+        if not is_index(dim, 0):
+            raise ValueError(f"dimension must be an integer >= 0, not {dim!r}")
         return cls(dim, {(0,) * dim: value})
 
     @classmethod

@@ -55,6 +55,8 @@ def pochhammer(a: Rational, k: int) -> Fraction:
 
 
 def factorial(n: int) -> Fraction:
+    if not is_index(n, 0):
+        raise ValueError(f"factorial needs an int n >= 0, not {n!r}")
     return Fraction(math.factorial(n))
 
 

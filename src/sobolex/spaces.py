@@ -89,6 +89,8 @@ def u_space(form: SingularProduct, n: int) -> Basis:
 
 
 def expected_dimension(dim: int, n: int) -> int:
+    if not (is_index(dim, 1) and is_index(n, 0)):
+        raise ValueError(f"expected_dimension needs dim >= 1 and n >= 0, not {dim!r}, {n!r}")
     return comb(n + dim - 1, n)
 
 

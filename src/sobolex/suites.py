@@ -1,7 +1,10 @@
 """Named verification suites: machine-checkable exact identity batteries.
 
-Every check is an exact rational identity; a suite returns a deterministic
-verdict tree suitable for JSON serialization.  No tolerances exist.
+Every check is an exact rational identity; no tolerances exist.  `run_suite`
+owns a run: it makes the check list, passes the default weights to a suite
+that takes weights and is given none, and writes the deterministic verdict
+tree, whose verdict is the conjunction of the checks.  A suite `suite_<name>`
+only appends its checks to the list it is given and returns its params.
 
 A check is a stream of identities, one bool each, and its verdict is their
 conjunction: `_add` folds the stream with `all`, which evaluates the
@@ -33,11 +36,6 @@ from .scalars import ParamVector, face_params, is_index
 from .spaces import expected_dimension, h_space, u_space, verify_u_space
 
 HALF = Fraction(1, 2)
-
-
-def _result(suite: str, params: dict, checks: list[dict]) -> dict:
-    return {"suite": suite, "params": params, "ok": all(c["ok"] for c in checks),
-            "checks": checks}
 
 
 def _add(checks: list[dict], name: str, identities: Iterable[bool], detail=None) -> None:
@@ -99,9 +97,8 @@ def _positive_diagonal(matrix: list[list[Fraction]]) -> Iterable[bool]:
             for i, line in enumerate(matrix) for j, v in enumerate(line))
 
 
-def suite_jacobi(n_max: int = 5) -> dict:
+def suite_jacobi(checks: list[dict], n_max: int) -> dict:
     n_max = max(n_max, 5)  # the degree used, which `params.n_max` reports
-    checks: list[dict] = []
     degrees = range(n_max + 1)
     pairs = [(Fraction(0), Fraction(0)), (HALF, HALF),
              (Fraction(1), Fraction(0)), (HALF, Fraction(1, 3))]
@@ -145,16 +142,14 @@ def suite_jacobi(n_max: int = 5) -> dict:
         _add(checks, f"neg-both-sobolev[{tag}]",
              _positive_diagonal(SingularProduct(gamma, lam_vertex=(4 * l2, 4 * l1))
                                 .matrix(pulled)))
-    return _result("jacobi", {"n_max": n_max}, checks)
+    return {"n_max": n_max}
 
 
 # ---------------------------------------------------------------------------
 # the triangle: restrictions, permuted closed forms, biorthogonality
 # ---------------------------------------------------------------------------
 
-def suite_triangle(n_max: int = 4, gammas: list[ParamVector] | None = None) -> dict:
-    checks: list[dict] = []
-    gammas = gammas or default_gammas(2)
+def suite_triangle(checks: list[dict], n_max: int, gammas: list[ParamVector]) -> dict:
     indices = [(k, n - k) for n in range(n_max + 1) for k in range(n + 1)]
     for gamma in gammas:
         a, b, c = gamma.entries
@@ -175,18 +170,14 @@ def suite_triangle(n_max: int = 4, gammas: list[ParamVector] | None = None) -> d
         _add(checks, f"reflected-closed-form[{tag}]",
              (rodrigues_element(ParamVector([c, b, a]), nu).pullback((2, 1)) == q
               for nu, q in reflected.items()))
-    return _result("triangle", {"n_max": n_max,
-                                "gammas": [_gamma_tag(g) for g in gammas]}, checks)
+    return {"n_max": n_max, "gammas": [_gamma_tag(g) for g in gammas]}
 
 
 # ---------------------------------------------------------------------------
 # classical bases on T^d: eigenfunctions and orthogonality
 # ---------------------------------------------------------------------------
 
-def suite_rodrigue(d: int = 2, n_max: int = 4,
-                   gammas: list[ParamVector] | None = None) -> dict:
-    checks: list[dict] = []
-    gammas = gammas or default_gammas(d)
+def suite_rodrigue(checks: list[dict], d: int, n_max: int, gammas: list[ParamVector]) -> dict:
     orders = all_orders(d)
     for gamma in gammas:
         tag = _gamma_tag(gamma)
@@ -213,8 +204,7 @@ def suite_rodrigue(d: int = 2, n_max: int = 4,
                  n - m_len)
               for lead in {zeros[: d + 1 - m_len], halves[: d + 1 - m_len]}
               for n in range(m_len + 1, n_max + 1)))
-    return _result("rodrigue", {"d": d, "n_max": n_max,
-                                "gammas": [_gamma_tag(g) for g in gammas]}, checks)
+    return {"d": d, "n_max": n_max, "gammas": [_gamma_tag(g) for g in gammas]}
 
 
 def _monic_partial(gamma: ParamVector, nu: tuple[int, ...], i: int) -> Polynomial:
@@ -236,10 +226,7 @@ def _biorthogonality(gamma: ParamVector, monic: Basis, n: int) -> Iterable[bool]
             for (mu, _), v in zip(monic.elements, line))
 
 
-def suite_monomial(d: int = 2, n_max: int = 4,
-                   gammas: list[ParamVector] | None = None) -> dict:
-    checks: list[dict] = []
-    gammas = gammas or default_gammas(d)
+def suite_monomial(checks: list[dict], d: int, n_max: int, gammas: list[ParamVector]) -> dict:
     for gamma in gammas:
         tag = _gamma_tag(gamma)
         monic = [monomial_basis(gamma, n) for n in range(n_max + 1)]
@@ -264,8 +251,7 @@ def suite_monomial(d: int = 2, n_max: int = 4,
         (v.coefficient(nu) == 1 and eigencheck(sing, v, n)
          for n, basis in enumerate(monic) for nu, v in basis.elements),
         (spro.orthogonal_below(monic[n].polys(), n) for n in range(1, n_max + 1))))
-    return _result("monomial", {"d": d, "n_max": n_max,
-                                "gammas": [_gamma_tag(g) for g in gammas]}, checks)
+    return {"d": d, "n_max": n_max, "gammas": [_gamma_tag(g) for g in gammas]}
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +271,13 @@ def _trailing_block(lead: tuple[Fraction, ...], k: int):
             complement(d) * _product_of_x(d, axes))
 
 
-def suite_lemmas4(d: int = 2, n_max: int = 4,
-                  gammas: list[ParamVector] | None = None) -> dict:
+def suite_lemmas4(checks: list[dict], d: int, n_max: int, gammas: list[ParamVector]) -> dict:
     """The product-rule identities of the Rodrigues elements R(g, nu), |nu| = n:
     dropped (g = entries, -1 on the true axes S; nu >= 1 on S) is R(g, nu) =
       (-1)^|S| prod_{j<|S|} (n + g_{d+1} - j) x^S R(g + 2e_S, nu - e_S);
     summed (g = (lead, -1 x k), S its trailing k-1 true axes; nu >= 1 on `positive`)
       is R(g, nu) = (1-|x|) x^S sum_{c_i != 0} c_i R((lead, 1 x k), nu - e_S - e_i),
       c_i = (-1)^(k-1) prod_{j<k-1} (n - j) nu_i (nu_i + g_i) / n."""
-    checks: list[dict] = []
-    gammas = gammas or default_gammas(d)
     leads = sorted({g.entries[:-1] for g in gammas})
     zero = Polynomial.zero(d)
 
@@ -361,9 +344,7 @@ def suite_lemmas4(d: int = 2, n_max: int = 4,
     _add(checks, "reverse-membership", (ok for *_, ok in spans), detail={"sample_mu": mus})
 
     _add(checks, "homogeneous-face-block", homogeneous_face_block())
-    return _result("lemmas4", {"d": d, "n_max": n_max,
-                               "leads": [",".join(map(str, lead))
-                                         for lead in leads]}, checks)
+    return {"d": d, "n_max": n_max, "leads": [",".join(map(str, lead)) for lead in leads]}
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +393,7 @@ def named_symmetric(c, lam1, lam2, lam00) -> TermList:
         Term(lam00, _vertex(0), None)])
 
 
-def suite_thm31(n_max: int = 4) -> dict:
-    checks: list[dict] = []
+def suite_thm31(checks: list[dict], n_max: int) -> dict:
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
     w = complement(2)
@@ -528,7 +508,7 @@ def suite_thm31(n_max: int = 4) -> dict:
     _add(checks, "named-k1-orthogonality",
          (named_k1(a, b, Fraction(1)).orthogonal_below(k1[a, b][n], n)
           for a, b in samples for n in range(n_max + 1)))
-    return _result("thm31", {"n_max": n_max}, checks)
+    return {"n_max": n_max}
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +534,7 @@ def _solution_space(form: SingularProduct, n_max: int) -> Iterable[bool]:
         yield from (eigencheck(form.gamma, p, n) for p in basis.polys())
 
 
-def suite_thm34(d: int = 2, n_max: int = 4) -> dict:
-    checks: list[dict] = []
+def suite_thm34(checks: list[dict], d: int, n_max: int) -> dict:
     for tag, gamma in _singular_weights(d):
         _add(checks, f"solution-space[{tag}]", _solution_space(SingularProduct(gamma), n_max))
 
@@ -579,7 +558,7 @@ def suite_thm34(d: int = 2, n_max: int = 4) -> dict:
     _add(checks, "face-block-convention-independence",
          (spans_equal(block.polys(), _h_space_alternate(gamma0, zset, n))
           for (zset, n), block in blocks.items() if d in zset and block.elements))
-    return _result("thm34", {"d": d, "n_max": n_max}, checks)
+    return {"d": d, "n_max": n_max}
 
 
 def _h_space_alternate(gamma: ParamVector, zero_axes: Iterable[int],
@@ -599,8 +578,7 @@ def _h_space_alternate(gamma: ParamVector, zero_axes: Iterable[int],
             for part in monomials_of_degree(d - z, n)]
 
 
-def suite_thm36(d: int = 2, n_max: int = 4) -> dict:
-    checks: list[dict] = []
+def suite_thm36(checks: list[dict], d: int, n_max: int) -> dict:
     probes = monomial_polys(d, 3)
     for tag, gamma in _singular_weights(d):
         product = SingularProduct(gamma)
@@ -622,7 +600,7 @@ def suite_thm36(d: int = 2, n_max: int = 4) -> dict:
         _add(checks, "vertex-lambda-variation",
              (verify_u_space(product, n)["ok"]
               for n in range(min(n_max, 3) + 1)))
-    return _result("thm36", {"d": d, "n_max": n_max}, checks)
+    return {"d": d, "n_max": n_max}
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +613,7 @@ class Suite(NamedTuple):
     every_all: bool     # False: only an `all` at its own d runs it
 
 
-# Every suite, in the order `all` runs them.  Suite `name` calls what is bound
+# Every suite, in the order `all` runs them.  `run_suite` calls what is bound
 # to `suite_<name>` in this module when it runs, so that a wrapper bound there
 # (the benchmark's tracer) sees the call.
 SUITES = {
@@ -667,11 +645,13 @@ def run_suite(name: str, d: int | None = None, n_max: int = 3,
     if any(gamma.d != d for gamma in gammas or ()):
         raise ValueError(f"a weight at d = {d} has {d + 1} entries")
     if name == "all":
-        results = [run_suite(other, suite.d or d, n_max) for other, suite in SUITES.items()
-                   if suite.every_all or suite.d == d]
-        return {"suite": "all", "params": {"d": d, "n_max": n_max},
-                "ok": all(r["ok"] for r in results), "suites": results}
-    kwargs: dict = {"gammas": gammas} if row.takes_gammas else {}
-    if row.d is None:
-        kwargs["d"] = d
-    return globals()[f"suite_{name}"](n_max=n_max, **kwargs)
+        key, params = "suites", {"d": d, "n_max": n_max}
+        parts = [run_suite(other, suite.d or d, n_max) for other, suite in SUITES.items()
+                 if suite.every_all or suite.d == d]
+    else:
+        key, parts = "checks", []
+        args = ([d] if row.d is None else []) + [n_max]
+        if row.takes_gammas:
+            args.append(gammas or default_gammas(d))
+        params = globals()[f"suite_{name}"](parts, *args)
+    return {"suite": name, "params": params, "ok": all(p["ok"] for p in parts), key: parts}

@@ -190,6 +190,15 @@ MUTANTS = [
            "if suite.every_all or suite.d == d]",
            "if suite.every_all or suite.d]",
            ["tests/test_suites.py", "-k", "all_runs"]),
+    # one verdict for a suite (its checks) and for `all` (its suites)
+    Mutant("verdict-is-any-part", "src/sobolex/suites.py",
+           'all(p["ok"] for p in parts)',
+           'any(p["ok"] for p in parts)',
+           ["tests/test_suites.py", "-k", "one_failed_check"]),
+    Mutant("suites-get-fewer-default-weights", "src/sobolex/suites.py",
+           "gammas or default_gammas(d)",
+           "gammas or default_gammas(d)[1:]",
+           ["tests/test_suites.py", "-k", "all_runs"]),
     Mutant("eigencheck-off-diagonal-factor", "src/sobolex/bases.py",
            "c * ai * ((ai - 1) * D + lows[i])",
            "c * ai * (ai * D + lows[i])",
@@ -248,6 +257,11 @@ MUTANTS = [
            "d, n = gamma.d, _degree(gamma, nu)\n    value",
            "d, n = gamma.d, sum(nu)\n    value",
            ["tests/test_bases.py", "-k", "bad_multi_index"]),
+    # a dimension 0 has binom(n-1, n) = 0 monomials of degree n, not 1 at n = 0
+    Mutant("expected-dimension-admits-dimension-zero", "src/sobolex/spaces.py",
+           "is_index(dim, 1) and is_index(n, 0)",
+           "is_index(dim, 0) and is_index(n, 0)",
+           ["tests/test_scalars.py", "-k", "expected_dimension"]),
     # the CLI's one verdict: 1 exactly when the printed "ok" is false
     Mutant("a-payload-without-ok-fails", "src/sobolex/cli.py",
            'payload.get("ok", True)',

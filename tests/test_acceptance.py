@@ -4,6 +4,7 @@ Each criterion prints a single PASS line on success; any failure surfaces the
 exact identities that broke.  Nothing here carries a tolerance.
 """
 
+import functools
 import json
 import os
 import random
@@ -13,19 +14,12 @@ from pathlib import Path
 
 import sobolex
 from sobolex.scalars import ParamVector
-from sobolex.suites import (suite_jacobi, suite_lemmas4, suite_monomial,
-                            suite_rodrigue, suite_thm31, suite_thm34,
-                            suite_thm36, suite_triangle)
+from sobolex.suites import run_suite
 
 from oracles import normalized_moment, oracle_normalized_moment
 
-_cache: dict = {}
-
-
-def battery(name, fn, *args, **kwargs):
-    if name not in _cache:
-        _cache[name] = fn(*args, **kwargs)
-    return _cache[name]
+# one run per (suite, d, n_max), shared by the criteria that read it
+battery = functools.cache(run_suite)
 
 
 def checks_named(result, prefix):
@@ -45,14 +39,14 @@ def report(criterion, text):
 
 def test_criterion_01_eigenfunction_identities():
     for d in (1, 2, 3):
-        result = battery(f"rodrigue{d}", suite_rodrigue, d=d, n_max=4)
+        result = battery("rodrigue", d, 4)
         assert_checks(result, "eigenfunctions[", f"criterion 1 d={d}")
     report("C1", "L P + n(n+|g|+d) P = 0 for all families, d in 1..3, n <= 4")
 
 
 def test_criterion_02_classical_orthogonality():
     for d in (1, 2, 3):
-        result = battery(f"rodrigue{d}", suite_rodrigue, d=d, n_max=4)
+        result = battery("rodrigue", d, 4)
         assert_checks(result, "orthogonal-to-lower-degree[", f"criterion 2 d={d}")
         assert_checks(result, "gram-positive-definite[", f"criterion 2 d={d}")
     report("C2", "exact orthogonality to lower degrees; Gram minors positive")
@@ -60,14 +54,14 @@ def test_criterion_02_classical_orthogonality():
 
 def test_criterion_03_singular_eigenspaces():
     for d in (2, 3):
-        result = battery(f"thm34-{d}", suite_thm34, d=d, n_max=4)
+        result = battery("thm34", d, 4)
         assert_checks(result, "solution-space[", f"criterion 3 d={d}")
     report("C3", "rank binom(n+d-1,n) and exact eigenvalue for k = 1..d+1")
 
 
 def test_criterion_04_sobolev_orthogonality():
     for d in (2, 3):
-        result = battery(f"thm36-{d}", suite_thm36, d=d, n_max=4)
+        result = battery("thm36", d, 4)
         assert_checks(result, "sobolev-orthogonality[", f"criterion 4 d={d}")
         assert_checks(result, "positive-definite[", f"criterion 4 d={d}")
         assert_checks(result, "k1-block-orthogonality", f"criterion 4 d={d}")
@@ -75,22 +69,22 @@ def test_criterion_04_sobolev_orthogonality():
 
 
 def test_criterion_05_triangle_specializations():
-    result = battery("thm31", suite_thm31, n_max=4)
+    result = battery("thm31", 2, 4)
     assert result["ok"], [c["name"] for c in result["checks"] if not c["ok"]]
     report("C5", "d=2 decompositions, named forms, degree-one vertex constants")
 
 
 def test_criterion_06_section2_lemmas():
-    tri = battery("triangle", suite_triangle, n_max=4)
+    tri = battery("triangle", 2, 4)
     assert_checks(tri, "edge-restriction", "criterion 6: face restrictions")
     assert_checks(tri, "swapped-closed-form", "criterion 6: closed forms")
     assert_checks(tri, "reflected-closed-form", "criterion 6: closed forms")
     for d in (2, 3):
-        mono = battery(f"monomial{d}", suite_monomial, d=d, n_max=4)
+        mono = battery("monomial", d, 4)
         assert_checks(mono, "derivative-identity[", f"criterion 6 d={d}")
         assert_checks(mono, "derivative-product-orthogonality[",
                       f"criterion 6 d={d}")
-        rod = battery(f"rodrigue{d}", suite_rodrigue, d=d, n_max=4)
+        rod = battery("rodrigue", d, 4)
         assert_checks(rod, "partial-orthogonality[", f"criterion 6 d={d}")
     report("C6", "restrictions = shifted Jacobi; derivative and partial "
                  "orthogonality identities")
@@ -98,13 +92,13 @@ def test_criterion_06_section2_lemmas():
 
 def test_criterion_07_section4_lemmas():
     for d in (2, 3):
-        result = battery(f"lemmas4-{d}", suite_lemmas4, d=d, n_max=4)
+        result = battery("lemmas4", d, 4)
         assert result["ok"], [c["name"] for c in result["checks"] if not c["ok"]]
     report("C7", "product-rule identities, span membership, homogeneous blocks")
 
 
 def test_criterion_08_degenerate_interval_families():
-    result = battery("jacobi", suite_jacobi, n_max=5)
+    result = battery("jacobi", 1, 5)
     assert_checks(result, "neg-beta-", "criterion 8: alpha=-1 family")
     assert_checks(result, "neg-both-", "criterion 8: alpha=beta=-1 family")
     report("C8", "interval Sobolev orthogonality incl. the mu coupling, n <= 5")

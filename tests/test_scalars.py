@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from sobolex.bases import eigencheck, eigenvalue, permuted_element, rodrigues_element
+from sobolex.bases import (eigencheck, eigenvalue, jacobi_negative_one_beta,
+                           jacobi_negative_one_one, permuted_element, rodrigues_element)
 from sobolex.moments import vertex_eval
 from sobolex.polynomials import (Polynomial, complement_power, monomial_polys, monomials_of_degree,
                                  monomials_up_to)
 from sobolex.products import DerivativeProduct, SingularProduct
 from sobolex.scalars import (ParamVector, as_fraction, factorial, is_index, parse_rational,
                              pochhammer, rising, zero_set)
-from sobolex.spaces import u_space, verify_u_space
+from sobolex.spaces import expected_dimension, u_space, verify_u_space
 from sobolex.suites import run_suite
 
 from oracles import binomial
@@ -107,6 +108,7 @@ FLAT = ParamVector([0, 0, 0])
 # and a float always, the low bound - 1 and the high bound + 1 where it has one
 INDEX_GUARDS = [
     ("Polynomial dim", lambda v: Polynomial(v), "dimension must be", (True, 1.0, -1)),
+    ("constant dim", lambda v: Polynomial.constant(v, 1), "dimension must be", (True, 1.0, -1)),
     ("Polynomial exponent", lambda v: Polynomial(2, {(v, 0): 1}), "bad exponent",
      (True, 1.0, -1)),
     ("variable", lambda v: Polynomial.variable(2, v), "axis", (True, 1.0, -1, 2)),
@@ -129,6 +131,15 @@ INDEX_GUARDS = [
     ("eigenvalue", lambda v: eigenvalue(FLAT, v), "degree", (True, 1.0, -1)),
     ("eigencheck", lambda v: eigencheck(FLAT, ONE_VAR, v), "degree", (True, 1.0, -1)),
     ("pochhammer", lambda v: pochhammer(Fraction(1, 3), v), "pochhammer", (True, 1.0, -1)),
+    ("factorial", lambda v: factorial(v), "factorial needs", (True, 1.0, -1)),
+    ("jacobi_negative_one_beta", lambda v: jacobi_negative_one_beta(v, 0), "bad degree",
+     (True, 1.0, -1)),
+    ("jacobi_negative_one_one", lambda v: jacobi_negative_one_one(v), "bad degree",
+     (True, 1.0, 0.0, -1)),
+    ("expected_dimension dim", lambda v: expected_dimension(v, 2), "expected_dimension needs",
+     (True, 1.0, 0)),
+    ("expected_dimension n", lambda v: expected_dimension(2, v), "expected_dimension needs",
+     (True, 1.0, -1)),
     ("monomials_of_degree dim", lambda v: monomials_of_degree(v, 2), "dimension",
      (True, 1.0, -1)),
     # a negative degree has no monomials
@@ -163,6 +174,6 @@ def test_a_cache_keyed_by_an_int_refuses_a_bool_or_a_float():
     # keyed them alike would answer True and 1.0 from the entry of 1
     for cached in (monomial_polys, complement_power):
         cached(1, 1)
-        for args in ((True, 1), (1, True), (1, 1.0)):
+        for args in ((True, 1), (1.0, 1), (1, True), (1, 1.0)):
             with pytest.raises(ValueError):
                 cached(*args)

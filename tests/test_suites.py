@@ -20,8 +20,9 @@ It never rewrites a recorded count: when one no longer matches, it names it,
 writes nothing and exits 1.  To change a count on purpose, delete its entry
 from the file by hand and run it.
 
-The last tests check that `run_suite` reads the suite table and refuses
-what it rules out.
+The last tests check that `run_suite` reads the suite table, refuses what
+it rules out, passes the default weights, and fails a suite, an `all` and
+`verify` on one failed check.
 """
 
 import json
@@ -263,20 +264,44 @@ def test_run_suite_without_d_is_verify_without_d(name, capsys):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_all_runs_the_suites_the_table_allows_at_d(d, monkeypatch):
     # a suite of fixed d runs in `all` at its own d, or at every d when the
-    # table says so: jacobi at d = 1 always, triangle and thm31 only at d = 2
+    # table says so: jacobi at d = 1 always, triangle and thm31 only at d = 2;
+    # each suite that takes weights gets the default ones of its d
     for name in suites.SUITES:
-        monkeypatch.setattr(suites, f"suite_{name}",
-                            lambda n_max, name=name, **kwargs: {"suite": name, "ok": True, **kwargs})
-    got = [(r["suite"], r.get("d")) for r in suites.run_suite("all", d=d, n_max=0)["suites"]]
-    fixed = [("triangle", None), ("thm31", None)] if d == 2 else []
-    assert got == [("jacobi", None), *fixed, *((name, d) for name in
-                                               ("rodrigue", "monomial", "lemmas4", "thm34", "thm36"))]
+        monkeypatch.setattr(suites, f"suite_{name}", lambda checks, *args: {"args": args})
+    got = [(r["suite"], r["params"]["args"])
+           for r in suites.run_suite("all", d=d, n_max=0)["suites"]]
+    fixed = [("triangle", (0, suites.default_gammas(2))), ("thm31", (0,))] if d == 2 else []
+    weighted = [(name, (d, 0, suites.default_gammas(d)))
+                for name in ("rodrigue", "monomial", "lemmas4")]
+    assert got == [("jacobi", (0,)), *fixed, *weighted, ("thm34", (d, 0)), ("thm36", (d, 0))]
 
 
 def test_run_suite_calls_what_is_bound_to_the_suite_name(monkeypatch):
     # so a wrapper bound to suite_<name>, as the benchmark's tracer binds one, sees the call
-    monkeypatch.setattr(suites, "suite_thm36", lambda d, n_max: {"d": d, "n_max": n_max})
-    assert suites.run_suite("thm36", n_max=0) == {"d": 2, "n_max": 0}
+    def fake(checks, d, n_max):
+        checks.append({"name": "fake", "ok": True})
+        return {"d": d, "n_max": n_max}
+
+    monkeypatch.setattr(suites, "suite_thm36", fake)
+    assert suites.run_suite("thm36", n_max=0) == {
+        "suite": "thm36", "params": {"d": 2, "n_max": 0}, "ok": True,
+        "checks": [{"name": "fake", "ok": True}]}
+
+
+def test_one_failed_check_fails_the_suite_all_and_verify(monkeypatch, capsys):
+    # the verdict is the conjunction of the checks, and of the suites in `all`;
+    # rodrigues_element + 1 fails only partial-orthogonality, from degree 2
+    from sobolex import cli
+    tamper, _ = TAMPERS["rodrigues_element"]
+    monkeypatch.setattr(suites, "rodrigues_element", tamper(suites.rodrigues_element))
+    result = suites.run_suite("rodrigue", d=2, n_max=2)
+    assert [c["name"] for c in result["checks"] if not c["ok"]] \
+        == ["partial-orthogonality[m=(1)]"]
+    assert not result["ok"]
+    everything = suites.run_suite("all", d=2, n_max=2)
+    assert any(r["ok"] for r in everything["suites"]) and not everything["ok"]
+    assert cli.main(["verify", "--suite", "rodrigue", "--n-max", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 if __name__ == "__main__":
