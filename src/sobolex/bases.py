@@ -247,7 +247,7 @@ def eigencheck(gamma: ParamVector, f: Polynomial, n: int) -> bool:
 def jacobi_shifted(n: int, alpha: Rational, beta: Rational) -> Polynomial:
     """Jacobi polynomial on [0,1], orthogonal against (1-x)^alpha x^beta,
     normalized as (1-x)^{-a} x^{-b} d^n/dx^n [(1-x)^{n+a} x^{n+b}]."""
-    return rodrigues_element(ParamVector([as_fraction(beta), as_fraction(alpha)]), (n,))
+    return rodrigues_element(ParamVector([beta, alpha]), (n,))
 
 
 def jacobi_p(n: int, alpha: Rational, beta: Rational) -> Polynomial:

@@ -52,7 +52,7 @@ def _sobolev_form(gamma: scalars.ParamVector,
     coefficients that leave it not positive (`NonPositiveForm`)."""
     gamma.singular_split()
     text = args.lambda_vertex
-    lams = None if text is None else [scalars.parse_rational(p) for p in text.split(",")]
+    lams = None if text is None else [scalars.as_fraction(p) for p in text.split(",")]
     return products.SingularProduct(gamma, lam_vertex=lams)
 
 

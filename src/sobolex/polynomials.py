@@ -36,13 +36,6 @@ def graded_lex_key(exp: Exponents) -> tuple[int, Exponents]:
     return (sum(exp), exp)
 
 
-def _exact_coefficient(coef: object) -> Fraction:
-    """An int, Fraction or "p/q" string as a Fraction; anything else is a ValueError."""
-    if isinstance(coef, bool) or not isinstance(coef, (int, Fraction, str)):
-        raise ValueError(f"coefficient {coef!r} is not an exact rational")
-    return as_fraction(coef)
-
-
 class Polynomial:
     """Immutable-by-convention sparse polynomial over the rationals."""
 
@@ -58,7 +51,7 @@ class Polynomial:
             if len(exp) != dim or not all(is_index(e, 0) for e in exp):
                 raise ValueError(f"bad exponent {exp} for dimension {dim}")
             exps.append(exp)
-            coefs.append(_exact_coefficient(coef))
+            coefs.append(as_fraction(coef))
         nums, den = clear_denominators(coefs)
         acc: dict[Exponents, int] = {}
         for exp, c in zip(exps, nums):

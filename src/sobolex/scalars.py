@@ -7,9 +7,11 @@ coefficients are stored as ints over a common denominator (see
 list of rationals into ints over the lcm of their denominators for the
 integer kernels.  `rising` is the one integer rising factorial: the moment
 table, the Leibniz sums of `bases` and `pochhammer` all read it.  Nothing
-here (or anywhere else) rounds.  `is_index` (an int in range, never a bool)
-judges every index, exponent, degree and dimension of the package.  It
-imports no sobolex module: parsing a weight loads nothing else.
+here (or anywhere else) rounds.  `as_fraction` (a Fraction, an int that is
+not a bool, or a "p/q" string) judges every rational the package takes, and
+`is_index` (an int in range, never a bool) every index, exponent, degree and
+dimension; each refusal is a ValueError.  The module imports no sobolex
+module: parsing a weight loads nothing else.
 """
 
 from __future__ import annotations
@@ -26,16 +28,20 @@ def is_index(value: object, low: float, high: float = math.inf) -> bool:
     return type(value) is int and low <= value <= high
 
 
-def as_fraction(value: Rational | str) -> Fraction:
-    """Coerce an int, Fraction or "p/q" string to an exact Fraction; a bool, like
-    a float, is a TypeError."""
+def as_fraction(value: object) -> Fraction:
+    """An int, Fraction or "p/q" string as an exact Fraction; anything else (a
+    float, a bool, None), a malformed string or a zero denominator too, is a
+    ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return parse_rational(value)
-    raise TypeError(f"not an exact rational: {value!r}")
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    raise ValueError(f"{value!r} is not an exact rational")
 
 
 def rising(start: int, step: int, k: int) -> int:
@@ -64,14 +70,6 @@ def clear_denominators(values: Sequence[Rational]) -> tuple[list[int], int]:
     """The values times L, the lcm of their denominators (1 if none), and L."""
     L = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (L // v.denominator) for v in values], L
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p"; malformed input, a zero denominator too, is a ValueError."""
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class ParamVector:
@@ -133,7 +131,7 @@ class ParamVector:
 
     @classmethod
     def parse(cls, text: str) -> "ParamVector":
-        return cls([parse_rational(p) for p in text.split(",")])
+        return cls(text.split(","))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ParamVector) and self.entries == other.entries

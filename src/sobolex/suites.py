@@ -563,12 +563,10 @@ def suite_thm34(checks: list[dict], d: int, n_max: int) -> dict:
 
 def _h_space_alternate(gamma: ParamVector, zero_axes: Iterable[int],
                        n: int) -> list[Polynomial]:
-    """Same face block built with the lowest (not highest) surviving index
-    excluded; confirms the span does not depend on that convention."""
+    """Same face block (d in `zero_axes`) built with the lowest (not highest)
+    surviving index excluded; confirms the span does not depend on that convention."""
     d = gamma.d
     zset = frozenset(zero_axes)
-    if d not in zset or len(zset) >= d:
-        return []
     pinned = gamma.with_values({i: 0 for i in zset})
     true_zeros = sorted(zset - {d})
     free = [i for i in range(d) if i not in true_zeros]

@@ -10,12 +10,14 @@ is opt-in, because each one runs its subset in a fresh copy of the repository:
 
 It exits 0 when every mutant is caught, that is, when its subset fails an
 assertion (a crash of the code under test does not count), and 1 otherwise.
+On SIGTERM it kills the running subset, removes its copy and exits 143.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -238,6 +240,17 @@ MUTANTS = [
            "not all(is_index(k, 0) for k in nu)",
            "any(k < 0 for k in nu)",
            ["tests/test_bases.py", "-k", "bad_multi_index"]),
+    # True == 1, so as an int it would pass as the rational 1
+    Mutant("as-fraction-accepts-a-bool", "src/sobolex/scalars.py",
+           "if isinstance(value, int) and not isinstance(value, bool):",
+           "if isinstance(value, int):",
+           ["tests/test_scalars.py", "-k", "rational_entry"]),
+    # without the guard, the division it stands in front of raises first
+    Mutant("jacobi-neg-one-one-divides-by-zero", "src/sobolex/bases.py",
+           "        if l1 + l2 == 0:\n"
+           "            raise ZeroDenominator(\"lam1 + lam2 must be nonzero\")\n",
+           "",
+           ["tests/test_bases.py", "-k", "sum_to_zero"]),
     Mutant("zero-set-accepts-a-bool", "src/sobolex/scalars.py",
            "if not is_index(i, 0, d)]",
            "if not 0 <= i <= d]",
@@ -319,7 +332,14 @@ def run(mutant: Mutant) -> str:
     return "caught" if summary and asserted else "crashed"
 
 
+def _terminate(signum: int, frame: object) -> None:
+    """SIGTERM as SystemExit: `subprocess.run` then kills the running subset and
+    `TemporaryDirectory` removes its copy of the repository."""
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    signal.signal(signal.SIGTERM, _terminate)
     missed = []
     start = time.perf_counter()
     for mutant in MUTANTS:

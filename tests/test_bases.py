@@ -76,6 +76,14 @@ def test_jacobi_degenerate_both():
         assert jacobi_ode_residual(f, n, Fraction(-1), Fraction(-1)).is_zero
 
 
+def test_jacobi_degenerate_both_refuses_lambdas_that_sum_to_zero():
+    # mu = (lam2 - lam1) / (lam1 + lam2): the refusal is the package's own, not
+    # the ZeroDivisionError of the division it stands in front of
+    with pytest.raises(Exception) as refused:
+        jacobi_negative_one_one(1, 1, -1)
+    assert refused.type is ZeroDenominator
+
+
 def _suite_jacobi_families():
     """(alpha, beta, [P_0..P_5]) for every family that `suite_jacobi` builds."""
     for a, b in ((0, 0), (H, H), (1, 0), (H, Fraction(1, 3))):

@@ -145,7 +145,8 @@ _D2 = ["--d", "2", "--n", "1", "--gamma"]
 # that only some families and specs read, given where none reads it; both
 # "needs" rules under `basis` and under `gram`; an invalid choice of each
 # option that has choices; a wrong-length --gamma; which of two faults is
-# named first; and a non-integrable weight and a form that is not positive
+# named first; a non-integrable weight and a form that is not positive; and a
+# float and a bool JSON coefficient, neither of which is an exact rational
 REFUSALS = [
     ["basis", *_D2, "0,0,0", "--lambda-vertex", "1,1,1"],
     ["basis", *_D2, "0,0,0", "--family", "h", "--zero-set", "3", "--order", "1,2"],
@@ -170,6 +171,9 @@ REFUSALS = [
     ["gram", *_D2, "0,0,0", "--basis", "u"],
     ["inner", "--d", "1", "--gamma", "-2,0", "--f", F1, "--g", G1],
     ["eigen", *_D2, "-1,-1,-1", "--lambda-vertex", "-1,0,0"],
+    *(["inner", "--d", "2", "--gamma", "0,0,0", "--f",
+       '{"d":2,"terms":[{"exp":[1,0],"coef":%s}]}' % coef, "--g", G2]
+      for coef in ("1.5", "true")),
 ]
 
 

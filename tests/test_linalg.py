@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from sobolex import linalg
 from sobolex.linalg import (coefficient_matrix, determinant, in_span, leading_principal_minors,
                             poly_rank, positive_definite, rank, solve_combination, spans_equal)
@@ -140,6 +142,11 @@ def test_solve_combination():
     coeffs = solve_combination(target, [v1, v2])
     assert coeffs == [Fraction(2), Fraction(3)]
     assert solve_combination([Fraction(0), Fraction(0), Fraction(1)], [v1]) is None
+
+
+def test_solve_combination_refuses_vectors_of_another_length():
+    with pytest.raises(ValueError, match="vector lengths disagree"):
+        solve_combination([Fraction(1), Fraction(2)], [[Fraction(1)]])
 
 
 def _random_system(rng, trial):

@@ -32,6 +32,18 @@ def test_ring_basics():
         X + Polynomial.variable(3, 0)
 
 
+def test_a_polynomial_equals_no_number():
+    # __eq__ compares polynomials only: the constant 1 is no int 1
+    assert (Polynomial.constant(2, 1) == 1) is False
+    assert Polynomial.constant(2, 1) != 1
+
+
+def test_repr_lists_the_terms_in_graded_lex_order():
+    assert repr(Polynomial.zero(2)) == "Polynomial(0)"
+    f = 3 * X * X * Y + Y - Fraction(1, 2)
+    assert repr(f) == "Polynomial(-1/2 + 1*x1 + 3*x0^2*x1)"
+
+
 def test_zero_terms_dropped():
     f = X - X
     assert f.is_zero and len(f) == 0 and f.degree() == -1

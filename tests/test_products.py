@@ -252,9 +252,9 @@ def test_derivative_order_is_an_int():
 
 
 def test_a_bool_is_no_coefficient():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         SingularProduct(ParamVector([0, 0, -1]), lam=True)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         DerivativeProduct(ParamVector([0, 0, 0]), 1, {frozenset({0}): False})
 
 

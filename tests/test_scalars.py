@@ -1,16 +1,21 @@
+"""The scalar helpers, their judges of a rational and of an index, and
+`ParamVector` and `face_params`, the weight exponents and their faces."""
+
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from sobolex.bases import (eigencheck, eigenvalue, jacobi_negative_one_beta,
-                           jacobi_negative_one_one, permuted_element, rodrigues_element)
+                           jacobi_negative_one_one, jacobi_norm, jacobi_p, jacobi_shifted,
+                           permuted_element, rodrigues_element)
 from sobolex.moments import vertex_eval
 from sobolex.polynomials import (Polynomial, complement_power, monomial_polys, monomials_of_degree,
                                  monomials_up_to)
 from sobolex.products import DerivativeProduct, SingularProduct
-from sobolex.scalars import (ParamVector, as_fraction, factorial, is_index, parse_rational,
+from sobolex.scalars import (ParamVector, as_fraction, face_params, factorial, is_index,
                              pochhammer, rising, zero_set)
 from sobolex.spaces import expected_dimension, u_space, verify_u_space
 from sobolex.suites import run_suite
@@ -72,16 +77,18 @@ def test_factorial():
 
 
 def test_rational_round_trip():
-    assert parse_rational("-2/4") == Fraction(-1, 2)
+    assert as_fraction(" -2/4") == Fraction(-1, 2)
     # every rational the library prints is str() of a Fraction
-    assert parse_rational(str(Fraction(-22, 7))) == Fraction(-22, 7)
+    assert as_fraction(str(Fraction(-22, 7))) == Fraction(-22, 7)
 
 
 def test_as_fraction_rejects_floats():
     # a bool is an int to Python, but not an exact rational to the library
     for value in (0.5, True, False):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="is not an exact rational"):
             as_fraction(value)
+    with pytest.raises(ValueError, match="^zero denominator in '1/0'$"):
+        as_fraction("1/0")
 
 
 def test_zero_set_takes_only_ints_in_range():
@@ -100,8 +107,121 @@ def test_is_index_takes_exactly_the_ints_in_range():
         assert not is_index(value, 0, 2), value
 
 
+H = Fraction(1, 2)
+
+
+def test_param_vector_basics():
+    g = ParamVector(["1/2", -1, 0])
+    assert g.d == 2
+    assert g.total == -H
+    assert g.entries == (H, -1, 0)
+    assert [i for i, v in enumerate(g.entries) if v == -1] == [1]
+    assert not g.is_integrable
+    assert ParamVector([0, 0]).is_integrable
+    assert g.shifted([0, 2, 1]) == ParamVector([H, 1, 1])
+    assert g.with_values({1: 5}) == ParamVector([H, 5, 0])
+    with pytest.raises(ValueError):
+        ParamVector([1])
+    with pytest.raises(ValueError):  # not ParamVector(1,0,0)
+        ParamVector([True, False, 0])
+
+
+def test_param_vector_shift_has_one_entry_per_exponent():
+    with pytest.raises(ValueError, match="shift has wrong length"):
+        ParamVector([0, 0, 0]).shifted([1, 1])
+
+
+def test_param_vector_is_immutable():
+    g = ParamVector([0, 0])
+    with pytest.raises(AttributeError, match="immutable"):
+        g.entries = (Fraction(1), Fraction(1))
+    assert g.entries == (0, 0)
+
+
+@pytest.mark.parametrize("entries, split", [
+    # a trailing block of k = 1..d+1 entries -1, at d = 1 and d = 3
+    ([H, -1], ((H,), 1)),
+    ([-1, -1], ((), 2)),
+    ([H, 0, 2, -1], ((H, 0, 2), 1)),
+    ([H, 0, -1, -1], ((H, 0), 2)),
+    ([H, -1, -1, -1], ((H,), 3)),
+    ([-1, -1, -1, -1], ((), 4)),
+    # no -1 at all: k = 0 is not a singular weight
+    ([H, 2], "needs a trailing block of -1 entries"),
+    ([H, 0, 2, 1], "needs a trailing block of -1 entries"),
+    # a -1 outside the trailing block
+    ([0, -1, 0], "must form a trailing block"),
+    ([-1, 0, -1], "must form a trailing block"),
+    # an entry below -1, inside or next to a trailing block, or after a -1
+    # that is not trailing: the entry below -1 is the fault named
+    ([0, 0, Fraction(-3, 2)], "below -1"),
+    ([Fraction(-3, 2), -1, -1], "below -1"),
+    ([0, -1, -2], "below -1"),
+])
+def test_singular_split(entries, split):
+    gamma = ParamVector(entries)
+    if isinstance(split, str):
+        with pytest.raises(ValueError, match=split):
+            gamma.singular_split()
+    else:
+        assert gamma.singular_split() == split
+
+
+def test_face_params_plain():
+    g = ParamVector([1, 2, 3, 4])
+    assert face_params(g, {1}) == ParamVector([1, 3, 4])
+    assert face_params(g, {0, 2}) == ParamVector([2, 4])
+
+
+def test_face_params_hyperplane():
+    g = ParamVector([1, 2, 3, 4])
+    # zeroing the hyperplane eliminates the highest surviving coordinate
+    assert face_params(g, {3}) == ParamVector([1, 2, 3])
+    assert face_params(g, {0, 3}) == ParamVector([2, 3])
+    with pytest.raises(ValueError):
+        face_params(g, set())
+    with pytest.raises(ValueError, match="bad face index"):
+        face_params(g, [True])
+
+
 ONE_VAR = Polynomial.variable(2, 0)
 FLAT = ParamVector([0, 0, 0])
+
+# each entry point that takes a rational, called with the value to judge, and
+# the values it must refuse: the one judge `as_fraction` names the value
+# itself, whatever the path to it
+NOT_EXACT = (0.5, True, None)
+RATIONAL_ENTRY_POINTS = [
+    ("ParamVector", lambda v: ParamVector([v, 0]), NOT_EXACT),
+    ("Polynomial", lambda v: Polynomial(2, {(1, 0): v}), NOT_EXACT),
+    ("constant", lambda v: Polynomial.constant(2, v), NOT_EXACT),
+    ("times", lambda v: ONE_VAR * v, NOT_EXACT),
+    ("plus", lambda v: ONE_VAR + v, NOT_EXACT),
+    ("minus", lambda v: ONE_VAR - v, NOT_EXACT),
+    ("pochhammer", lambda v: pochhammer(v, 2), NOT_EXACT),
+    ("jacobi_shifted", lambda v: jacobi_shifted(2, v, 0), NOT_EXACT),
+    ("jacobi_p", lambda v: jacobi_p(2, v, 0), NOT_EXACT),
+    ("jacobi_norm", lambda v: jacobi_norm(2, v, 0), NOT_EXACT),
+    ("jacobi_negative_one_beta", lambda v: jacobi_negative_one_beta(2, v), NOT_EXACT),
+    ("jacobi_negative_one_one", lambda v: jacobi_negative_one_one(2, v), NOT_EXACT),
+    # lam=None is lam's own default, the value 1
+    ("lam", lambda v: SingularProduct(ParamVector([0, 0, -1]), lam=v), NOT_EXACT[:2]),
+    ("lam_axis", lambda v: SingularProduct(ParamVector([0, -1, -1]), lam_axis=[v]), NOT_EXACT),
+    ("lam_face", lambda v: SingularProduct(ParamVector([0, -1, -1, -1]),
+                                           lam_face={frozenset({1}): v}), NOT_EXACT),
+    ("lam_vertex", lambda v: SingularProduct(ParamVector([-1, -1, -1]), lam_vertex=[v, 1, 1]),
+     NOT_EXACT),
+    ("lambdas", lambda v: DerivativeProduct(FLAT, 1, {frozenset({0}): v}), NOT_EXACT),
+]
+
+
+@pytest.mark.parametrize("call, value", [(call, v) for _, call, values in RATIONAL_ENTRY_POINTS
+                                         for v in values],
+                         ids=[f"{name}-{v!r}" for name, _, values in RATIONAL_ENTRY_POINTS
+                              for v in values])
+def test_every_rational_entry_point_refuses_what_is_not_exact(call, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(value))} is not an exact rational$"):
+        call(value)
 
 # each entry point that takes an index, exponent, degree or dimension (at
 # d = 2), the message of its own guard, and the values it must refuse: a bool

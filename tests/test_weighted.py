@@ -1,5 +1,5 @@
-"""ParamVector and face_params, and WeightedForm, the reference construction
-of the Rodrigues and permuted elements that tests/oracles.py builds on."""
+"""WeightedForm, the reference construction of the Rodrigues and permuted
+elements that tests/oracles.py builds on."""
 
 import random
 from fractions import Fraction
@@ -8,72 +8,10 @@ import pytest
 
 from sobolex.errors import NonPolynomialQuotient
 from sobolex.polynomials import Polynomial
-from sobolex.scalars import ParamVector, face_params
+from sobolex.scalars import ParamVector
 from sobolex.weighted import WeightedForm
 
 H = Fraction(1, 2)
-
-
-def test_param_vector_basics():
-    g = ParamVector(["1/2", -1, 0])
-    assert g.d == 2
-    assert g.total == -H
-    assert g.entries == (H, -1, 0)
-    assert [i for i, v in enumerate(g.entries) if v == -1] == [1]
-    assert not g.is_integrable
-    assert ParamVector([0, 0]).is_integrable
-    assert g.shifted([0, 2, 1]) == ParamVector([H, 1, 1])
-    assert g.with_values({1: 5}) == ParamVector([H, 5, 0])
-    with pytest.raises(ValueError):
-        ParamVector([1])
-    with pytest.raises(TypeError):  # not ParamVector(1,0,0)
-        ParamVector([True, False, 0])
-
-
-@pytest.mark.parametrize("entries, split", [
-    # a trailing block of k = 1..d+1 entries -1, at d = 1 and d = 3
-    ([H, -1], ((H,), 1)),
-    ([-1, -1], ((), 2)),
-    ([H, 0, 2, -1], ((H, 0, 2), 1)),
-    ([H, 0, -1, -1], ((H, 0), 2)),
-    ([H, -1, -1, -1], ((H,), 3)),
-    ([-1, -1, -1, -1], ((), 4)),
-    # no -1 at all: k = 0 is not a singular weight
-    ([H, 2], "needs a trailing block of -1 entries"),
-    ([H, 0, 2, 1], "needs a trailing block of -1 entries"),
-    # a -1 outside the trailing block
-    ([0, -1, 0], "must form a trailing block"),
-    ([-1, 0, -1], "must form a trailing block"),
-    # an entry below -1, inside or next to a trailing block, or after a -1
-    # that is not trailing: the entry below -1 is the fault named
-    ([0, 0, Fraction(-3, 2)], "below -1"),
-    ([Fraction(-3, 2), -1, -1], "below -1"),
-    ([0, -1, -2], "below -1"),
-])
-def test_singular_split(entries, split):
-    gamma = ParamVector(entries)
-    if isinstance(split, str):
-        with pytest.raises(ValueError, match=split):
-            gamma.singular_split()
-    else:
-        assert gamma.singular_split() == split
-
-
-def test_face_params_plain():
-    g = ParamVector([1, 2, 3, 4])
-    assert face_params(g, {1}) == ParamVector([1, 3, 4])
-    assert face_params(g, {0, 2}) == ParamVector([2, 4])
-
-
-def test_face_params_hyperplane():
-    g = ParamVector([1, 2, 3, 4])
-    # zeroing the hyperplane eliminates the highest surviving coordinate
-    assert face_params(g, {3}) == ParamVector([1, 2, 3])
-    assert face_params(g, {0, 3}) == ParamVector([2, 3])
-    with pytest.raises(ValueError):
-        face_params(g, set())
-    with pytest.raises(ValueError, match="bad face index"):
-        face_params(g, [True])
 
 
 def test_derivative_product_rule():
