@@ -7,17 +7,17 @@ rational exponents.  The closed form used here is
     (integral of x^a (1-|x|)^{a_{d+1}} dW_g) / (mass of W_g)
         = prod_i (g_i + 1)_{a_i} / (|g| + d + 1)_{|a|}.
 
-Each weight gets one moment table.  Scaling every rising-factorial factor by
+`pairings` is the one moment sum.  Scaling every rising-factorial factor by
 the common denominator D of the exponents makes the numerator
 prod_i D^{a_i} (g_i + 1)_{a_i} and the denominator D^{|a|} (|g| + d + 1)_{|a|}
-integers, both products of `scalars.rising`, so a table entry is an int keyed
-by its integer exponent tuple, and the denominator depends on |a| only and
-divides the one of every higher degree.  Pairings <f_i, g_j x^s> =
-sum_a c_a sum_b d_b m(a+b+s) are computed a matrix at a time in integers over
-that common denominator, without building any product polynomial, and
-returned as int numerators over one denominator, so that a caller summing
-several blocks rescales each by one int and builds one Fraction per entry; an
-integral is the pairing with 1.
+integers, both products of `scalars.rising`, so a numerator is an int keyed
+by its integer exponent tuple (one memo per weight, kept for the process), and
+the denominator depends on |a| only and divides the one of every higher
+degree.  Pairings <f_i, g_j x^s> = sum_a c_a sum_b d_b m(a+b+s) are computed a
+matrix at a time in integers over that common denominator, without building
+any product polynomial, and returned as int numerators over one denominator,
+so that a caller summing several blocks rescales each by one int and builds
+one Fraction per entry; an integral is the pairing with 1.
 """
 
 from __future__ import annotations
@@ -31,84 +31,62 @@ from .errors import NonIntegrableWeight
 from .polynomials import Exponents, Polynomial
 from .scalars import ParamVector, clear_denominators, is_index, rising
 
+# the numerators of each weight, kept across calls: `rodrigue` pairs one
+# form's monomials once per order
+_NUMERATORS: dict[tuple[Fraction, ...], dict[Exponents, int]] = {}
 
-class MomentTable:
-    """Integer moment numerators and per-degree denominators of one weight."""
 
-    __slots__ = ("_starts", "_step", "_nums")
+def pairings(gamma: ParamVector, rows: list[Polynomial], cols: list[Polynomial],
+             shift: Exponents | None = None,
+             upper: bool = False) -> tuple[list[list[int]], int]:
+    """The pairings of rows[i] with cols[j] times x^shift against W_gamma, as
+    (nums, den): entry (i, j) is nums[i][j] / den.  With `upper` (cols is
+    rows) only the entries j >= i are summed, the rest left 0."""
+    if not gamma.is_integrable:
+        raise NonIntegrableWeight(f"weight exponents ({','.join(map(str, gamma.entries))})"
+                                  " are not all > -1")
+    scaled, step = clear_denominators(gamma.entries)
+    # rising(start, D, j) is D^j (g_i+1)_j for start D (g_i+1), and the
+    # denominator D^j (|g|+d+1)_j for start D (|g|+d+1)
+    starts = [g + step for g in scaled[:-1]]
+    last = sum(scaled) + len(scaled) * step
+    memo = _NUMERATORS.setdefault(gamma.entries, {})
 
-    def __init__(self, entries: tuple[Fraction, ...]):
-        scaled, step = clear_denominators(entries)
-        self._step = step
-        # rising(start, D, j) is D^j (g_i+1)_j for start D (g_i+1), and the
-        # denominator D^j (|g|+d+1)_j for the last start, D (|g|+d+1)
-        self._starts = [g + step for g in scaled]
-        self._starts.append(sum(scaled) + len(entries) * step)
-        self._nums: dict[Exponents, int] = {}
-
-    def numerator(self, a: Exponents) -> int:
-        """Scaled numerator of x^a, for a of length d or d+1 (a missing last
-        entry is a zero power of 1-|x|)."""
-        num = self._nums.get(a)
+    def numerator(a: Exponents) -> int:
+        num = memo.get(a)
         if num is None:
-            num = self._nums[a] = prod(rising(start, self._step, e)
-                                       for start, e in zip(self._starts, a))
+            num = memo[a] = prod(rising(start, step, e) for start, e in zip(starts, a))
         return num
 
-    def denominator(self, degree: int) -> int:
-        return rising(self._starts[-1], self._step, degree)
-
-    def pairings(self, rows: list[Polynomial], cols: list[Polynomial],
-                 shift: Exponents | None = None,
-                 upper: bool = False) -> tuple[list[list[int]], int]:
-        """The pairings of rows[i] with cols[j] times x^shift, as (nums, den):
-        entry (i, j) is nums[i][j] / den.  With `upper` (cols is rows) only
-        the entries j >= i are summed, the rest left 0."""
-        rint = [p.scaled_to_integers() for p in rows]
-        cint = rint if cols is rows else [p.scaled_to_integers() for p in cols]
-        at: dict[Exponents, int] = {}
-        for terms, _ in cint:
-            for b in terms:
-                at.setdefault(b, len(at))
-        heads = [(b, sum(b)) for b in at]
-        top = max((sum(a) for terms, _ in rint for a in terms), default=0) \
-            + max((db for _, db in heads), default=0) + sum(shift or ())
-        common = self.denominator(top)
-        lift = [common // self.denominator(k) for k in range(top + 1)]
-        numerator = self.numerator
-        lifted: dict[Exponents, list[int]] = {}
-        rden, cden = (lcm(*(q for _, q in ints)) for ints in (rint, cint))
-        cvecs = [[(at[b], c * (cden // q)) for b, c in terms.items()] for terms, q in cint]
-        out = []
-        for i, (terms, q) in enumerate(rint):
-            u = [0] * len(at)
-            for a, c in terms.items():
-                moments = lifted.get(a)
-                if moments is None:
-                    sa = tuple(map(add, a, shift)) if shift else a
-                    da = sum(sa)
-                    moments = lifted[a] = [numerator(tuple(map(add, sa, b))) * lift[da + db]
-                                           for b, db in heads]
-                u = [x + c * y for x, y in zip(u, moments)]
-            scale, start = rden // q, i if upper else 0
-            out.append([0] * start + [scale * sum(c * u[pos] for pos, c in vec)
-                                      for vec in cvecs[start:]])
-        return out, common * rden * cden
-
-
-_TABLES: dict[tuple[Fraction, ...], MomentTable] = {}
-
-
-def moment_table(gamma: ParamVector) -> MomentTable:
-    """The moment table of an integrable weight, made on first use."""
-    if not gamma.is_integrable:
-        raise NonIntegrableWeight("weight exponents ("
-                                  + ",".join(map(str, gamma.entries))
-                                  + ") are not all > -1")
-    table = _TABLES.get(gamma.entries)
-    if table is None:
-        table = _TABLES[gamma.entries] = MomentTable(gamma.entries)
-    return table
+    rint = [p.scaled_to_integers() for p in rows]
+    cint = rint if cols is rows else [p.scaled_to_integers() for p in cols]
+    at: dict[Exponents, int] = {}
+    for terms, _ in cint:
+        for b in terms:
+            at.setdefault(b, len(at))
+    heads = [(b, sum(b)) for b in at]
+    top = max((sum(a) for terms, _ in rint for a in terms), default=0) \
+        + max((db for _, db in heads), default=0) + sum(shift or ())
+    common = rising(last, step, top)
+    lift = [common // rising(last, step, k) for k in range(top + 1)]
+    lifted: dict[Exponents, list[int]] = {}
+    rden, cden = (lcm(*(q for _, q in ints)) for ints in (rint, cint))
+    cvecs = [[(at[b], c * (cden // q)) for b, c in terms.items()] for terms, q in cint]
+    out = []
+    for i, (terms, q) in enumerate(rint):
+        u = [0] * len(at)
+        for a, c in terms.items():
+            moments = lifted.get(a)
+            if moments is None:
+                sa = tuple(map(add, a, shift)) if shift else a
+                da = sum(sa)
+                moments = lifted[a] = [numerator(tuple(map(add, sa, b))) * lift[da + db]
+                                       for b, db in heads]
+            u = [x + c * y for x, y in zip(u, moments)]
+        scale, start = rden // q, i if upper else 0
+        out.append([0] * start + [scale * sum(c * u[pos] for pos, c in vec)
+                                  for vec in cvecs[start:]])
+    return out, common * rden * cden
 
 
 def integral(f: Polynomial, gamma: ParamVector) -> Fraction:
@@ -122,7 +100,7 @@ def inner_product(f: Polynomial, g: Polynomial, gamma: ParamVector) -> Fraction:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if f.dim != gamma.d:
         raise ValueError("dimension mismatch")
-    ((num,),), den = moment_table(gamma).pairings([f], [g])
+    ((num,),), den = pairings(gamma, [f], [g])
     return Fraction(num, den)
 
 

@@ -15,7 +15,7 @@ all-zero ones through `orthogonal`, and those against every lower degree
 through `orthogonal_below`, the one place that turns a degree into its columns.
 It maps each row and each column polynomial through each term once, keeps the
 images as integer coefficients over a common denominator, and pairs them by
-moment sums (`MomentTable.pairings`), so no polynomial is built per pair.  Each
+moment sums (`moments.pairings`), so no polynomial is built per pair.  Each
 term's block, ints over one denominator, is added with one int rescale to the
 form's running sum; each entry becomes one Fraction at the end; `gram` labels
 it into the printed `GramReport`.
@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import NonPositiveForm
 from .linalg import positive_definite
-from .moments import moment_table, vertex_eval
+from .moments import pairings, vertex_eval
 from .polynomials import Exponents, Polynomial, monomial_polys
 from .scalars import ParamVector, Rational, as_fraction, clear_denominators, is_index
 
@@ -130,7 +130,7 @@ class TermList:
                 (xs, xden), (ys, yden) = clear_denominators(a), clear_denominators(b)
                 block, bden = [[x * y for y in ys] for x in xs], xden * yden
             else:
-                block, bden = moment_table(weight).pairings(a, b, right, upper=same)
+                block, bden = pairings(weight, a, b, right, upper=same)
             # the running sum and the block, each rescaled by one int to their lcm
             common = lcm(den, bden * lam.denominator)
             s, t = common // den, lam.numerator * (common // (bden * lam.denominator))

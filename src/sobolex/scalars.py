@@ -6,17 +6,18 @@ coefficients are stored as ints over a common denominator (see
 `polynomials`) and become Fractions when read; `clear_denominators` turns a
 list of rationals into ints over the lcm of their denominators for the
 integer kernels.  `rising` is the one integer rising factorial: the moment
-table, the Leibniz sums of `bases` and `pochhammer` all read it.  Nothing
-here (or anywhere else) rounds.  `as_fraction` (a Fraction, an int that is
-not a bool, or a "p/q" string) judges every rational the package takes, and
-`is_index` (an int in range, never a bool) every index, exponent, degree and
-dimension; each refusal is a ValueError.  The module imports no sobolex
-module: parsing a weight loads nothing else.
+sum `moments.pairings`, the Leibniz sums of `bases` and `pochhammer` all
+read it.  Nothing here (or anywhere else) rounds.  `as_fraction` (a
+Fraction, an int that is not a bool, or a "p/q" string) judges every
+rational the package takes, and `is_index` (an int in range, never a bool)
+every index, exponent, degree and dimension; each refusal is a ValueError.
+The module imports no sobolex module: parsing a weight loads nothing else.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -28,15 +29,19 @@ def is_index(value: object, low: float, high: float = math.inf) -> bool:
     return type(value) is int and low <= value <= high
 
 
+# "p" or "p/q" in ASCII digits, p signed: no exponent, decimal point or underscore
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
 def as_fraction(value: object) -> Fraction:
     """An int, Fraction or "p/q" string as an exact Fraction; anything else (a
-    float, a bool, None), a malformed string or a zero denominator too, is a
+    float, a bool, None, "0.5", "1e3"), or a zero denominator, is a
     ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

@@ -629,7 +629,8 @@ SUITES = {
 def run_suite(name: str, d: int | None = None, n_max: int = 3,
               gammas: list[ParamVector] | None = None) -> dict:
     """Suite `name` (a key of SUITES, or "all") at d; d=None is the suite's own
-    d, else 2.  A d, weights or a weight length its row rules out is a ValueError."""
+    d, else 2, and gammas=None its default weights.  A d, weights or a weight
+    length its row rules out, or an empty list of weights, is a ValueError."""
     row = Suite(None, False, False) if name == "all" else SUITES.get(name)
     if row is None:
         raise ValueError(f"unknown suite {name!r}")
@@ -640,6 +641,8 @@ def run_suite(name: str, d: int | None = None, n_max: int = 3,
         raise ValueError(f"n_max must be >= 0, not {n_max}")
     if gammas is not None and not row.takes_gammas:
         raise ValueError(f"suite {name!r} takes no weights")
+    if gammas is not None and not gammas:
+        raise ValueError(f"suite {name!r} needs at least one weight (None means the defaults)")
     if any(gamma.d != d for gamma in gammas or ()):
         raise ValueError(f"a weight at d = {d} has {d + 1} entries")
     if name == "all":

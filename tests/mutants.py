@@ -184,6 +184,12 @@ MUTANTS = [
            "c * (cden // q)",
            "c",
            ["tests/test_products.py", "-k", "oracle"]),
+    # one numerator memo for every weight: a monomial met under a second
+    # weight reads the first weight's numerator
+    Mutant("numerators-shared-across-weights", "src/sobolex/moments.py",
+           "_NUMERATORS.setdefault(gamma.entries, {})",
+           "_NUMERATORS.setdefault((), {})",
+           ["tests/test_moments.py", "-k", "own_numerators"]),
     Mutant("leibniz-denominator-one-power-too-high", "src/sobolex/bases.py",
            "slots, D ** n)",
            "slots, D ** (n + 1))",

@@ -26,7 +26,7 @@ from the constructor that applies it.  `constrained_indices` builds the
 multi-indices of a face block from the free axes up, the reference for the
 keys of `sobolex.spaces.h_space`, which filters all indices of the degree.
 `binomial`, `evaluate` (a polynomial's value at a point) and
-`normalized_moment` (one moment read off the library's moment table) are read
+`normalized_moment` (one moment read off the library's moment sum) are read
 only by the tests, so they live here and not in the package.
 """
 
@@ -39,8 +39,8 @@ from math import comb, prod
 from sobolex import products as P
 from sobolex.bases import eigenvalue
 from sobolex.errors import ZeroDenominator
-from sobolex.moments import moment_table, vertex_eval
-from sobolex.polynomials import Polynomial, graded_lex_key, monomials_of_degree
+from sobolex.moments import pairings, vertex_eval
+from sobolex.polynomials import Polynomial, complement_power, graded_lex_key, monomials_of_degree
 from sobolex.scalars import ParamVector, pochhammer
 from sobolex.weighted import WeightedForm
 
@@ -80,11 +80,13 @@ def simplex_integral(exponents: tuple[int, ...]) -> Fraction:
 
 def normalized_moment(gamma: ParamVector, a: tuple[int, ...]) -> Fraction:
     """Normalized moment of x^(a_1..a_d) (1-|x|)^(a_{d+1}) against W_gamma,
-    read off the library's moment table."""
-    table = moment_table(gamma)
+    read off the library's moment sum: x^(a_1..a_d) paired with
+    (1-|x|)^(a_{d+1})."""
     if len(a) != gamma.d + 1 or any(type(e) is not int or e < 0 for e in a):
         raise ValueError(f"bad moment index {a}")
-    return Fraction(table.numerator(a), table.denominator(sum(a)))
+    ((num,),), den = pairings(gamma, [Polynomial.monomial(gamma.d, a[:-1])],
+                              [complement_power(gamma.d, a[-1])])
+    return Fraction(num, den)
 
 
 def oracle_normalized_moment(gamma: tuple[int, ...], a: tuple[int, ...]) -> Fraction:

@@ -146,7 +146,8 @@ _D2 = ["--d", "2", "--n", "1", "--gamma"]
 # "needs" rules under `basis` and under `gram`; an invalid choice of each
 # option that has choices; a wrong-length --gamma; which of two faults is
 # named first; a non-integrable weight and a form that is not positive; and a
-# float and a bool JSON coefficient, neither of which is an exact rational
+# float and a bool JSON coefficient and a --gamma entry in exponent or decimal
+# notation, none of which is an exact rational
 REFUSALS = [
     ["basis", *_D2, "0,0,0", "--lambda-vertex", "1,1,1"],
     ["basis", *_D2, "0,0,0", "--family", "h", "--zero-set", "3", "--order", "1,2"],
@@ -174,6 +175,7 @@ REFUSALS = [
     *(["inner", "--d", "2", "--gamma", "0,0,0", "--f",
        '{"d":2,"terms":[{"exp":[1,0],"coef":%s}]}' % coef, "--g", G2]
       for coef in ("1.5", "true")),
+    *(["basis", "--d", "1", "--n", "1", "--gamma", gamma] for gamma in ("1e1000000,0", "0.5,0")),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from sobolex.errors import NonIntegrableWeight
 from sobolex.linalg import positive_definite
-from sobolex.moments import face_inner_product, inner_product, integral, moment_table, vertex_eval
+from sobolex.moments import face_inner_product, inner_product, integral, pairings, vertex_eval
 from sobolex.polynomials import Polynomial, complement, monomials_up_to
 from sobolex.scalars import ParamVector
 
@@ -81,7 +81,7 @@ def test_moment_matches_brute_force_oracle():
     for _ in range(80):
         d = rng.randint(1, 3)
         gamma = tuple(rng.randint(0, 3) for _ in range(d + 1))
-        for _ in range(3):  # later draws for the same weight hit its moment table
+        for _ in range(3):  # later draws for the same weight hit its numerator memo
             a = tuple(rng.randint(0, 4) for _ in range(d + 1))
             want = oracle_normalized_moment(gamma, a)
             assert normalized_moment(ParamVector(gamma), a) == want
@@ -89,21 +89,28 @@ def test_moment_matches_brute_force_oracle():
                 assert integral(Polynomial.monomial(d, a[:-1]), ParamVector(gamma)) == want
 
 
+def test_each_weight_has_its_own_numerators():
+    # x paired with 1 under two weights in one process; with one numerator
+    # memo for both, the two values would share a numerator over 3 and 4
+    one = Polynomial.constant(2, 1)
+    assert [inner_product(X, one, ParamVector(g)) for g in ([0, 0, 0], [1, 0, 0])] \
+        == [Fraction(1, 3), Fraction(1, 2)]
+
+
 def test_pairings_are_ints_over_one_denominator():
     # pairwise coprime denominators, 3, 5, 7 on the rows and 11, 13 on the
     # columns, so that each is a factor that only its own scale supplies
     gamma = ParamVector([H, Fraction(1, 3), 2])
-    table = moment_table(gamma)
     rows = [Fraction(1, 3) * (1 - 2 * X + Y * Y), Fraction(1, 5) * (X * Y - 4),
             Fraction(2, 7) * (X ** 3 + Y)]
     cols = [Fraction(1, 11) * (X - 3 * Y), Fraction(4, 13) * (1 + X * X)]
     for shift in (None, (1, 2)):
         right = Polynomial.monomial(2, shift or (0, 0))
-        nums, den = table.pairings(rows, cols, shift)
+        nums, den = pairings(gamma, rows, cols, shift)
         assert [[Fraction(n, den) for n in line] for line in nums] \
             == [[oracle_inner_product(f, g * right, gamma) for g in cols] for f in rows]
         # with `upper`, the entries below the diagonal are left 0
-        nums, den = table.pairings(rows, rows, shift, upper=True)
+        nums, den = pairings(gamma, rows, rows, shift, upper=True)
         assert [[Fraction(n, den) for n in line] for line in nums] \
             == [[oracle_inner_product(f, g * right, gamma) if j >= i else 0
                  for j, g in enumerate(rows)] for i, f in enumerate(rows)]

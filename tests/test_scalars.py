@@ -212,6 +212,10 @@ RATIONAL_ENTRY_POINTS = [
     ("lam_vertex", lambda v: SingularProduct(ParamVector([-1, -1, -1]), lam_vertex=[v, 1, 1]),
      NOT_EXACT),
     ("lambdas", lambda v: DerivativeProduct(FLAT, 1, {frozenset({0}): v}), NOT_EXACT),
+    # a string is read only in the form "p/q" of ASCII digits: no exponent
+    # (1e1000000 would build a million-digit int first), decimal point,
+    # underscore or other script's digit
+    ("as_fraction", as_fraction, ("1e3", "0.5", "1_000", "\u0663", "1e1000000")),
 ]
 
 

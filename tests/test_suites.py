@@ -233,6 +233,8 @@ REFUSED = {
                              "d = 3 has 4 entries"),
     "thm34-weights": ("thm34", {"gammas": [ParamVector([0, 0, 0])]}, "takes no weights"),
     "all-weights": ("all", {"gammas": [ParamVector([0, 0, 0])]}, "takes no weights"),
+    # only None means the default weights
+    "rodrigue-no-weights": ("rodrigue", {"gammas": []}, "needs at least one weight"),
     "unknown": ("thm99", {}, "unknown suite"),
     "d-zero": ("all", {"d": 0}, "does not run at d = 0"),
 }
