@@ -260,9 +260,10 @@ def jacobi_p(n: int, alpha: Rational, beta: Rational) -> Polynomial:
 def jacobi_norm(n: int, alpha: Rational, beta: Rational) -> Fraction:
     """Normalized square norm of jacobi_p(n):
     (a+1)_n (b+1)_n (a+b+n+1) / (n! (a+b+2)_n (a+b+2n+1))."""
-    a, b = as_fraction(alpha), as_fraction(beta)
-    if a <= -1 or b <= -1:
+    weight = ParamVector([beta, alpha])
+    if not weight.is_integrable:
         raise NonIntegrableWeight("jacobi_norm needs alpha, beta > -1")
+    b, a = weight.entries
     num = pochhammer(a + 1, n) * pochhammer(b + 1, n) * (a + b + n + 1)
     den = factorial(n) * pochhammer(a + b + 2, n) * (a + b + 2 * n + 1)
     return num / den
@@ -298,4 +299,4 @@ def jacobi_negative_one_one(n: int, lam1: Rational = 1, lam2: Rational = 1) -> P
 
 def all_orders(d: int) -> list[tuple[int, ...]]:
     """Every ordering of d indices out of {0..d}, lexicographically."""
-    return sorted(itertools.permutations(range(d + 1), d))
+    return list(itertools.permutations(range(d + 1), d))

@@ -226,11 +226,8 @@ class Polynomial:
             rest = exp[:axis] + (0,) + exp[axis + 1:]
             groups.setdefault(exp[axis], {})[rest] = coef
         out = Polynomial.zero(self.dim)
-        power = Polynomial.constant(self.dim, 1)
-        for e in range(max(groups, default=0) + 1):
-            if e in groups:
-                out = out + Polynomial._from_ints(self.dim, groups[e], self._den) * power
-            power = power * replacement
+        for e in range(max(groups, default=0), -1, -1):  # Horner, from the top power down
+            out = out * replacement + Polynomial._from_ints(self.dim, groups.get(e, {}), self._den)
         return out
 
     def pullback(self, targets: Sequence[int | None], dim: int | None = None) -> "Polynomial":

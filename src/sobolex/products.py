@@ -290,20 +290,18 @@ class SingularProduct(TermList):
 
 # -- Gram machinery -----------------------------------------------------------
 
-class GramReport:
+class GramReport(NamedTuple):
     """The Gram matrix of `gram`, with its labels and form spec; `separate_columns`
     marks one against columns of its own (the lower-degree monomials).  Every
     flag is derived in `to_json()`; `diagonal` and `positive_definite` are null
     unless the Gram is nonempty and against its own rows (symmetric, since
     `matrix(rows)` mirrors its upper triangle)."""
 
-    def __init__(self, spec: dict, row_labels: list[str], col_labels: list[str],
-                 matrix: list[list[Fraction]], separate_columns: bool = False):
-        self.spec = spec
-        self.row_labels = row_labels
-        self.col_labels = col_labels
-        self.matrix = matrix
-        self.separate_columns = separate_columns
+    spec: dict
+    row_labels: list[str]
+    col_labels: list[str]
+    matrix: list[list[Fraction]]
+    separate_columns: bool = False
 
     def to_json(self) -> dict:
         all_zero = not any(any(row) for row in self.matrix)

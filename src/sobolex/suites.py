@@ -192,8 +192,6 @@ def suite_rodrigue(checks: list[dict], d: int, n_max: int, gammas: list[ParamVec
              (classical.orthogonal_below(polys, n) for n, polys in families))
         _add(checks, f"gram-positive-definite[{tag}]",
              [positive_definite(classical.matrix(monomial_polys(d, n_max)))])
-    zeros = tuple(Fraction(0) for _ in range(d))
-    halves = tuple(HALF for _ in range(d))
     for m_len, label in ((1, "m=(1)"), (2, "m=(1,1)")):
         if d + 1 - m_len < 1:
             continue
@@ -202,7 +200,7 @@ def suite_rodrigue(checks: list[dict], d: int, n_max: int, gammas: list[ParamVec
                  [rodrigues_element(ParamVector(list(lead) + [-1] * m_len), nu)
                   for nu in monomials_of_degree(d, n)],
                  n - m_len)
-              for lead in {zeros[: d + 1 - m_len], halves[: d + 1 - m_len]}
+              for lead in default_tails(d, m_len)[:2]
               for n in range(m_len + 1, n_max + 1)))
     return {"d": d, "n_max": n_max, "gammas": [_gamma_tag(g) for g in gammas]}
 
@@ -243,7 +241,7 @@ def suite_monomial(checks: list[dict], d: int, n_max: int, gammas: list[ParamVec
             _add(checks, f"derivative-product-orthogonality[{tag},m={order}]",
                  (product.orthogonal_below(monic[n].polys(), n)
                   for n in range(1, n_max + 1)))
-    lead = tuple(HALF for _ in range(d)) if d == 1 else tuple(Fraction(0) for _ in range(d))
+    lead = default_tails(d, 1)[1 if d == 1 else 0]
     sing = ParamVector(list(lead) + [-1])
     monic = [monomial_basis(sing, n) for n in range(n_max + 1)]
     spro = SingularProduct(sing)
