@@ -35,7 +35,7 @@ def _parse_indices(text: str, d: int) -> list[int]:
     """1-based coordinate indices, d+1 meaning the hyperplane 1-|x| = 0."""
     out = []
     for part in text.split(","):
-        i = int(part)
+        i = scalars.parse_int(part)
         if not scalars.is_index(i, 1, d + 1):
             raise ValueError(f"index {i} out of range 1..{d + 1}")
         if i - 1 in out:

@@ -18,7 +18,7 @@ images as integer coefficients over a common denominator, and pairs them by
 moment sums (`moments.pairings`), so no polynomial is built per pair.  Each
 term's block, ints over one denominator, is added with one int rescale to the
 form's running sum; each entry becomes one Fraction at the end; `gram` labels
-it into the printed `GramReport`.
+it into a `GramReport`, the record that is printed.
 
 Each integral term is Dirichlet-normalized against its own displayed base
 weight (the monomial factors such as x_i inside a summand belong to the

@@ -7,9 +7,9 @@ coefficients are stored as ints over a common denominator (see
 list of rationals into ints over the lcm of their denominators for the
 integer kernels.  `rising` is the one integer rising factorial: the moment
 sum `moments.pairings`, the Leibniz sums of `bases` and `pochhammer` all
-read it.  Nothing here (or anywhere else) rounds.  `as_fraction` (a
-Fraction, an int that is not a bool, or a "p/q" string) judges every
-rational the package takes, and `is_index` (an int in range, never a bool)
+read it.  Nothing here (or anywhere else) rounds.  `as_fraction` judges
+every rational the package takes, `parse_int` every numeral it reads (ASCII
+digits that int() converts), and `is_index` (an int in range, never a bool)
 every index, exponent, degree and dimension; each refusal is a ValueError.
 The module imports no sobolex module: parsing a weight loads nothing else.
 """
@@ -33,17 +33,28 @@ def is_index(value: object, low: float, high: float = math.inf) -> bool:
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
 
+def parse_int(text: str) -> int:
+    """A numeral "p" of `_RATIONAL` as an int; any other text, or more digits
+    than the interpreter converts, is a ValueError."""
+    if "/" in text or not _RATIONAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer")
+    try:
+        return int(text)
+    except ValueError:  # ASCII digits fail only by their number
+        raise ValueError(f"a {len(text.strip())}-character numeral is too long to read") from None
+
+
 def as_fraction(value: object) -> Fraction:
-    """An int, Fraction or "p/q" string as an exact Fraction; anything else (a
-    float, a bool, None, "0.5", "1e3"), or a zero denominator, is a
-    ValueError."""
+    """An int, Fraction or "p/q" string (p and q read by `parse_int`) as an
+    exact Fraction; anything else (a float, a bool, None, "0.5", "1e3"), or a
+    zero denominator, is a ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
-            return Fraction(value.strip())
+            return Fraction(*map(parse_int, value.split("/")))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"{value!r} is not an exact rational")

@@ -2,7 +2,9 @@
 
 The grid crosses, per command, a few values of each of its options (absent,
 valid, malformed, out of range), so that most lists are refusals and the rest
-are cheap runs at d <= 2.  For each list the record keeps the exit code, the
+are cheap runs at d <= 2.  Malformed numerals (another script's digits, an
+underscore, more digits than int() converts) are given to each option that
+reads numbers, each in one otherwise valid list.  For each list the record keeps the exit code, the
 sha256 of stdout (the whole text for a `--help`) and the whole stderr.
 
     python tests/cli_sweep.py record OUT.json     # the sobolex on the import path
@@ -91,10 +93,24 @@ GRID = {
     },
 }
 HELP = [[], ["--help"], ["x"], *([command, "--help"] for command in GRID)]
+# each given in one list: crossed with the grid they would multiply its size
+MALFORMED = [
+    [*argv, option, numeral]
+    for numeral in ("\u0661,\u0662", "1_0", "1" * 5000 + ",2")
+    for *argv, option in (
+        ["basis", "--n", "1", "--gamma", "0,0,0", "--family", "permuted", "--order"],
+        ["gram", "--n", "1", "--gamma", "0,0,0", "--basis", "permuted", "--order"],
+        ["basis", "--n", "1", "--gamma", "0,0,0", "--family", "h", "--zero-set"],
+        ["gram", "--n", "1", "--gamma", "0,0,0", "--basis", "h", "--zero-set"],
+        ["basis", "--n", "1", "--gamma"],
+        ["eigen", "--n", "1", "--gamma"],
+        ["verify", "--suite", "rodrigue", "--n-max", "1", "--gamma"],
+        ["eigen", "--n", "1", "--gamma", "-1,-1,-1", "--lambda-vertex"],
+    )]
 
 
 def grid() -> list[list[str]]:
-    out = list(HELP)
+    out = HELP + MALFORMED
     for command, options in GRID.items():
         for values in itertools.product(*options.values()):
             argv = [command]

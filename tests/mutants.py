@@ -304,6 +304,48 @@ MUTANTS = [
            "inner_product(f, Polynomial.constant(f.dim, 1), gamma)",
            "inner_product(f, Polynomial.zero(f.dim), gamma)",
            ["tests/test_kernels.py", "-k", "integral"]),
+    # jacobi_norm judges (1-x)^alpha x^beta by the weight's own rule, both exponents
+    Mutant("jacobi-norm-judges-alpha-only", "src/sobolex/bases.py",
+           "if not weight.is_integrable:",
+           "if weight.entries[1] <= -1:",
+           ["tests/test_bases.py", "-k", "jacobi_norm"]),
+    # every identity still holds, so only the count gate sees the missing lead
+    Mutant("partial-orthogonality-drops-the-half-lead", "src/sobolex/suites.py",
+           "default_tails(d, m_len)[:2]",
+           "default_tails(d, m_len)[:1]",
+           ["tests/test_suites.py", "-k", "recorded_number and rodrigue"]),
+    # (the zero lead is the one that needs d > 1: at d = 1, (|g|+d)_{2n} vanishes)
+    Mutant("singular-monic-lead-halves-at-every-d", "src/sobolex/suites.py",
+           "default_tails(d, 1)[1 if d == 1 else 0]",
+           "default_tails(d, 1)[1]",
+           ["tests/test_suites.py", "-k", "recorded_number and monomial"]),
+    # a Gram against the lower-degree monomials prints its labels swapped
+    Mutant("gram-report-swaps-its-labels", "src/sobolex/products.py",
+           "    row_labels: list[str]\n    col_labels: list[str]\n",
+           "    col_labels: list[str]\n    row_labels: list[str]\n",
+           ["tests/test_golden.py", "-k", "digest and gram"]),
+    Mutant("all-orders-in-reverse", "src/sobolex/bases.py",
+           "permutations(range(d + 1), d)",
+           "permutations(range(d, -1, -1), d)",
+           ["tests/test_bases.py", "-k", "all_orders"]),
+    Mutant("substitute-drops-the-top-power", "src/sobolex/polynomials.py",
+           "range(max(groups, default=0), -1, -1)",
+           "range(max(groups, default=0) - 1, -1, -1)",
+           ["tests/test_polynomials.py", "-k", "substitute"]),
+    # the one integer rule: ASCII digits, and a numeral int() cannot convert
+    # refused in the package's words
+    Mutant("numeral-admits-any-script", "src/sobolex/scalars.py",
+           r'_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")',
+           r'_RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")',
+           ["tests/test_scalars.py", "-k", "integer_rule"]),
+    Mutant("numeral-limit-leaks-pythons-advice", "src/sobolex/scalars.py",
+           "except ValueError:  # ASCII digits fail only by their number",
+           "except ZeroDivisionError:",
+           ["tests/test_scalars.py", "-k", "integer_rule"]),
+    Mutant("indices-read-by-int", "src/sobolex/cli.py",
+           "i = scalars.parse_int(part)",
+           "i = int(part)",
+           ["tests/test_golden.py", "-k", "refusal"]),
 ]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 from functools import partial
 
@@ -42,8 +43,10 @@ def test_jacobi_shifted_low_degrees():
 def test_jacobi_norm():
     assert jacobi_norm(0, H, Fraction(7)) == 1
     assert jacobi_norm(1, 0, 0) == Fraction(1, 3)
-    with pytest.raises(NonIntegrableWeight):
-        jacobi_norm(1, -1, 0)
+    # alpha and beta alike: each is one exponent of the weight (1-x)^alpha x^beta
+    for alpha, beta in ((-1, 0), (0, -1), (0, Fraction(-3, 2))):
+        with pytest.raises(NonIntegrableWeight, match="alpha, beta > -1"):
+            jacobi_norm(1, alpha, beta)
 
 
 def test_jacobi_norm_matches_integral():
@@ -196,6 +199,14 @@ def test_operator_examples():
     assert not eigencheck(g, X, 2)
     sing = ParamVector([-1, -1, -1])
     assert apply_operator(sing, X + Fraction(7, 3)).is_zero
+
+
+def test_all_orders_lists_every_order_lexicographically():
+    assert all_orders(1) == [(0,), (1,)]
+    assert all_orders(2) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    for d in (3, 4):
+        orders = all_orders(d)
+        assert orders == sorted(set(orders)) and len(orders) == math.factorial(d + 1)
 
 
 def test_eigenfunctions_all_families_small():

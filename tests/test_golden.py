@@ -176,6 +176,13 @@ REFUSALS = [
        '{"d":2,"terms":[{"exp":[1,0],"coef":%s}]}' % coef, "--g", G2]
       for coef in ("1.5", "true")),
     *(["basis", "--d", "1", "--n", "1", "--gamma", gamma] for gamma in ("1e1000000,0", "0.5,0")),
+    # one integer rule for every numeral the package reads: ASCII digits, and
+    # no more of them than int() converts
+    *(["basis", "--d", "1", "--n", "1", "--gamma", gamma]
+      for gamma in ("1" * 5000 + ",0", "1/" + "1" * 4301 + ",0")),
+    ["basis", *_D2, "0,0,0", "--family", "permuted", "--order", "1" * 5000 + ",2"],
+    ["basis", *_D2, "0,0,0", "--family", "permuted", "--order", "\u0661,\u0662"],
+    ["basis", *_D2, "0,0,0", "--family", "h", "--zero-set", "1_0"],
 ]
 
 

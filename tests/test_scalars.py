@@ -16,7 +16,7 @@ from sobolex.polynomials import (Polynomial, complement_power, monomial_polys, m
                                  monomials_up_to)
 from sobolex.products import DerivativeProduct, SingularProduct
 from sobolex.scalars import (ParamVector, as_fraction, face_params, factorial, is_index,
-                             pochhammer, rising, zero_set)
+                             parse_int, pochhammer, rising, zero_set)
 from sobolex.spaces import expected_dimension, u_space, verify_u_space
 from sobolex.suites import run_suite
 
@@ -89,6 +89,36 @@ def test_as_fraction_rejects_floats():
             as_fraction(value)
     with pytest.raises(ValueError, match="^zero denominator in '1/0'$"):
         as_fraction("1/0")
+
+
+# the one integer rule, that of p and q in "p/q": ASCII digits only, and a
+# numeral with more digits than int() converts refused in the package's own
+# words, not with Python's advice to raise sys.set_int_max_str_digits()
+LONG = "1" * 5000
+NUMERALS = [
+    (parse_int, "\u0661", "^'\u0661' is not an integer$"),
+    (parse_int, "1_0", "^'1_0' is not an integer$"),
+    (parse_int, "1/2", "^'1/2' is not an integer$"),
+    (parse_int, LONG, "^a 5000-character numeral is too long to read$"),
+    (parse_int, f" -{LONG}", "^a 5001-character numeral is too long to read$"),
+    (as_fraction, "\u0661", "^'\u0661' is not an exact rational$"),
+    (as_fraction, "1_0", "^'1_0' is not an exact rational$"),
+    (as_fraction, LONG, "^a 5000-character numeral is too long to read$"),
+    (as_fraction, "1/" + "1" * 4301, "^a 4301-character numeral is too long to read$"),
+]
+
+
+@pytest.mark.parametrize("read, text, message", NUMERALS,
+                         ids=[f"{read.__name__}-{text[:8]!r}-{len(text)}"
+                              for read, text, _ in NUMERALS])
+def test_one_integer_rule_refuses_in_its_own_words(read, text, message):
+    with pytest.raises(ValueError, match=message):
+        read(text)
+
+
+def test_parse_int_reads_a_signed_ascii_numeral():
+    assert [parse_int(t) for t in ("0", " +3", "-12 ", "0007")] == [0, 3, -12, 7]
+    assert as_fraction("9" * 4300 + "/3") == int("3" * 4300)
 
 
 def test_zero_set_takes_only_ints_in_range():
