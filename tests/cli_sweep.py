@@ -3,9 +3,10 @@
 The grid crosses, per command, a few values of each of its options (absent,
 valid, malformed, out of range), so that most lists are refusals and the rest
 are cheap runs at d <= 2.  Malformed numerals (another script's digits, an
-underscore, more digits than int() converts) are given to each option that
-reads numbers, each in one otherwise valid list.  For each list the record keeps the exit code, the
-sha256 of stdout (the whole text for a `--help`) and the whole stderr.
+underscore, more digits than int() converts) are given to each option whose
+numerals the package reads itself, each in one otherwise valid list.  For
+each list the record keeps the exit code, the sha256 of stdout (the whole
+text for a `--help`) and the whole stderr.
 
     python tests/cli_sweep.py record OUT.json     # the sobolex on the import path
     python tests/cli_sweep.py compare OLD NEW     # two checkouts of the repository
