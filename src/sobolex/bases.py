@@ -25,11 +25,12 @@ alone refuses a multi-index of the wrong length or with a negative entry.
 The monic ("monomial") element sums over the same box, with n = |nu| and
 s = |g|+d:
 
-    V_nu = sum_{m <= nu} (-1)^{n+|m|} (s)_{n+|m|} / (s)_{2n}
+    V_nu = sum_{m <= nu} (-1)^{n+|m|} (s+n)_{|m|} / (s+n)_n
                prod_i C(nu_i, m_i) (g_i+m_i+1)_{nu_i-m_i} * x^m.
 
 It shares the slot rows (at the identity order) and differs only in the
-level factor and the term x^m; in integers it is divided by D^{2n} (s)_{2n}.
+level factor and the term x^m; in integers it is divided by D^n (s+n)_n,
+which vanishes exactly when lambda_m = lambda_n for some m < n.
 
 `eigencheck` does not apply the operator to a polynomial.  On monomials the
 operator is upper triangular,
@@ -158,22 +159,16 @@ def permuted_basis(gamma: ParamVector, order: tuple[int, ...], n: int) -> Basis:
 # -- monic (monomial) basis -------------------------------------------------
 
 def monomial_element(gamma: ParamVector, nu: Exponents) -> Polynomial:
-    """The monic orthogonal companion of x^nu: x^nu plus lower-degree terms."""
-    d, n = gamma.d, _degree(gamma, nu)  # the index before the ZeroDenominator checks
+    """The monic eigenfunction x^nu + (lower degree) of eigenvalue lambda_n."""
+    d, n = gamma.d, _degree(gamma, nu)
     scaled, D = clear_denominators(gamma.entries)
-    s = sum(scaled) + d * D  # D (|g|+d)
-    den = rising(s, D, 2 * n)
-    if not den:
-        raise ZeroDenominator(f"({gamma.total + d})_{2 * n} vanishes")
-    # (g_i+1)_m vanishes when its last factor D (g_i+m) does; the first box
-    # index in product order with a vanishing (g_i+1)_{m_i} is m_i e_i for
-    # the last such i
-    for i in reversed(range(d)):
-        for m in range(1, nu[i] + 1):
-            if scaled[i] + m * D == 0:
-                raise ZeroDenominator(f"({gamma.entries[i] + 1})_{m} vanishes")
+    top = sum(scaled) + (d + n) * D  # D (s+n)
+    den = rising(top, D, n)
+    if not den:  # lambda_m = lambda_n for m = -(s+n) < n
+        m = -(gamma.total + d + n)
+        raise ZeroDenominator(f"degrees {m} and {n} share the eigenvalue {eigenvalue(gamma, n)}")
     sign = -1 if den < 0 else 1  # _from_ints needs a positive denominator
-    level = [sign * (-1) ** (n + k) * rising(s, D, n + k) for k in range(n + 1)]
+    level = [sign * (-1) ** (n + k) * rising(top, D, k) for k in range(n + 1)]
     return Polynomial._from_ints(d, dict(_box_terms(scaled, D, range(d), nu, level)), sign * den)
 
 
@@ -184,19 +179,18 @@ def monomial_basis(gamma: ParamVector, n: int) -> Basis:
 
 
 def biorthogonal_constant(gamma: ParamVector, nu: Exponents) -> Fraction:
-    """Normalized pairing of the Rodrigues and monic elements with equal index.
-
-    Convention actually satisfied by the constructions in this package
-    (fixed by integration by parts and verified by brute force in the tests):
+    """The Dirichlet-normalized pairing of the Rodrigues and monic elements
+    of index nu under an integrable weight (by integration by parts):
 
         <P_nu, V_nu> = (-1)^{|nu|} nu! prod_i (g_i+1)_{nu_i} (g_{d+1}+1)_{|nu|}
                         / (|g|+d+1)_{2|nu|}
 
-    with the pairing Dirichlet-normalized.  The sign alternates with the
-    degree because the Rodrigues construction here carries no (-1)^{|nu|}
-    prefactor; off-diagonal pairings vanish identically.
+    The sign alternates with the degree because the Rodrigues construction
+    here carries no (-1)^{|nu|} prefactor; off-diagonal pairings vanish.
     """
     d, n = gamma.d, _degree(gamma, nu)
+    if not gamma.is_integrable:
+        raise NonIntegrableWeight(f"weight exponents ({','.join(gamma.to_json())}) are not all > -1")
     value = Fraction((-1) ** n * math.prod(map(math.factorial, nu)))
     for g, k in zip(gamma.entries[:-1], nu):
         value *= pochhammer(g + 1, k)

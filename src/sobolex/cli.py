@@ -119,8 +119,8 @@ def cmd_basis(args: argparse.Namespace) -> dict:
 def cmd_inner(args: argparse.Namespace) -> dict:
     _check_flags(args, SPECS[args.spec])
     product = _build_product(args, _parse_gamma(args.gamma, args.d))
-    f = polynomials.Polynomial.from_json(json.loads(args.f))
-    g = polynomials.Polynomial.from_json(json.loads(args.g))
+    f, g = (polynomials.Polynomial.from_json(json.loads(text, parse_int=scalars.parse_int))
+            for text in (args.f, args.g))
     return {"spec": product.describe(), "value": str(product.value(f, g))}
 
 
@@ -161,14 +161,14 @@ def cmd_report(args: argparse.Namespace) -> dict:
 
 # each option's add_argument keywords; `_check_flags` names an extra flag in this order
 OPTIONS = {
-    "--d": dict(type=int, default=2, help="ambient dimension"),
-    "--n": dict(type=int, required=True, help="degree of the family, rows or eigenspace"),
+    "--d": dict(default="2", help="ambient dimension"),
+    "--n": dict(required=True, help="degree of the family, rows or eigenspace"),
     "--gamma": dict(required=True, help="comma-separated rational exponents, d+1 entries"),
     "--pretty": dict(action="store_true"),
     "--lambda-vertex": dict(help="comma-separated vertex coefficients (all exponents -1)"),
     "--order": dict(help="1-based coordinate order (permuted family); d+1 is the hyperplane"),
     "--zero-set": dict(help="1-based zeroed coordinates (h family)"),
-    "--epd-order": dict(type=int, help="derivative order for --spec epd (default 1)"),
+    "--epd-order": dict(help="derivative order for --spec epd (default 1)"),
     "--family": dict(default="rodrigue", choices=list(FAMILIES)),
     "--basis": dict(default="monomials", choices=[*FAMILIES, "monomials"]),
     "--spec": dict(default="classical", choices=list(SPECS)),
@@ -176,7 +176,7 @@ OPTIONS = {
     "--f": dict(required=True, help="polynomial JSON"),
     "--g": dict(required=True, help="polynomial JSON"),
     "--suite": dict(required=True, choices=SUITE_NAMES),
-    "--n-max": dict(type=int, default=3),
+    "--n-max": dict(default="3"),
 }
 
 
@@ -199,8 +199,8 @@ COMMANDS = {
                      "--d --n --gamma --pretty --lambda-vertex"),
     "verify": Command(cmd_verify, "run a named verification suite",
                       "--suite --d --n-max --gamma --pretty", {
-        "--d": dict(type=int, help="ambient dimension (default 2; jacobi, triangle and thm31 "
-                                   "run at their own d only)"),
+        "--d": dict(help="ambient dimension (default 2; jacobi, triangle and thm31 "
+                         "run at their own d only)"),
         "--gamma": dict(action="append",
                         help="override the sampled exponent vectors (repeatable)")}),
     "report": Command(cmd_report, "run every suite and summarize", "--d --n-max --pretty"),
@@ -226,6 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in ("d", "n", "n_max", "epd_order"):  # each numeral by the one integer rule
+            if getattr(args, name, None) is not None:
+                setattr(args, name, scalars.parse_int(getattr(args, name)))
         if not scalars.is_index(getattr(args, "n", 0), 0):
             raise ValueError(f"--n must be >= 0, not {args.n}")
         if args.d is not None and not scalars.is_index(args.d, 1):

@@ -241,7 +241,7 @@ def suite_monomial(checks: list[dict], d: int, n_max: int, gammas: list[ParamVec
             _add(checks, f"derivative-product-orthogonality[{tag},m={order}]",
                  (product.orthogonal_below(monic[n].polys(), n)
                   for n in range(1, n_max + 1)))
-    lead = default_tails(d, 1)[1 if d == 1 else 0]
+    lead = default_tails(d, 1)[0]
     sing = ParamVector(list(lead) + [-1])
     monic = [monomial_basis(sing, n) for n in range(n_max + 1)]
     spro = SingularProduct(sing)

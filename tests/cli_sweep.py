@@ -4,9 +4,10 @@ The grid crosses, per command, a few values of each of its options (absent,
 valid, malformed, out of range), so that most lists are refusals and the rest
 are cheap runs at d <= 2.  Malformed numerals (another script's digits, an
 underscore, more digits than int() converts) are given to each option whose
-numerals the package reads itself, each in one otherwise valid list.  For
-each list the record keeps the exit code, the sha256 of stdout (the whole
-text for a `--help`) and the whole stderr.
+numerals the package reads itself, and as a JSON coefficient of `inner`,
+each in one otherwise valid list.  For each list the record keeps the exit
+code, the sha256 of stdout (the whole text for a `--help`) and the whole
+stderr.
 
     python tests/cli_sweep.py record OUT.json     # the sobolex on the import path
     python tests/cli_sweep.py compare OLD NEW     # two checkouts of the repository
@@ -107,7 +108,18 @@ MALFORMED = [
         ["eigen", "--n", "1", "--gamma"],
         ["verify", "--suite", "rodrigue", "--n-max", "1", "--gamma"],
         ["eigen", "--n", "1", "--gamma", "-1,-1,-1", "--lambda-vertex"],
-    )]
+    )] + [
+    [*argv, option, numeral]
+    for numeral in ("\u0663", "1_0", "1" * 5000)
+    for *argv, option in (
+        ["basis", "--gamma", "0,0,0", "--n"],
+        ["basis", "--n", "1", "--gamma", "0,0", "--d"],
+        ["verify", "--suite", "rodrigue", "--n-max"],
+        ["gram", "--n", "1", "--gamma", "0,0,0", "--spec", "epd", "--epd-order"],
+    )] + [
+    ["inner", "--gamma", "0,0,0", "--g", X2, "--f",
+     '{"d":2,"terms":[{"exp":[1,0],"coef":%s}]}' % numeral]
+    for numeral in ("\u0663", "1_0", "1" * 5000)]
 
 
 def grid() -> list[list[str]]:

@@ -273,8 +273,8 @@ MUTANTS = [
            ["tests/test_scalars.py", "-k", "is_index or index_guard"]),
     # the constant alone reads |nu| unchecked: zip truncates a long index
     Mutant("biorthogonal-constant-skips-the-index-guard", "src/sobolex/bases.py",
-           "d, n = gamma.d, _degree(gamma, nu)\n    value",
-           "d, n = gamma.d, sum(nu)\n    value",
+           "d, n = gamma.d, _degree(gamma, nu)\n    if not gamma",
+           "d, n = gamma.d, sum(nu)\n    if not gamma",
            ["tests/test_bases.py", "-k", "bad_multi_index"]),
     # a dimension 0 has binom(n-1, n) = 0 monomials of degree n, not 1 at n = 0
     Mutant("expected-dimension-admits-dimension-zero", "src/sobolex/spaces.py",
@@ -314,11 +314,6 @@ MUTANTS = [
            "default_tails(d, m_len)[:2]",
            "default_tails(d, m_len)[:1]",
            ["tests/test_suites.py", "-k", "recorded_number and rodrigue"]),
-    # (the zero lead is the one that needs d > 1: at d = 1, (|g|+d)_{2n} vanishes)
-    Mutant("singular-monic-lead-halves-at-every-d", "src/sobolex/suites.py",
-           "default_tails(d, 1)[1 if d == 1 else 0]",
-           "default_tails(d, 1)[1]",
-           ["tests/test_suites.py", "-k", "recorded_number and monomial"]),
     # a Gram against the lower-degree monomials prints its labels swapped
     Mutant("gram-report-swaps-its-labels", "src/sobolex/products.py",
            "    row_labels: list[str]\n    col_labels: list[str]\n",
@@ -346,6 +341,25 @@ MUTANTS = [
            "i = scalars.parse_int(part)",
            "i = int(part)",
            ["tests/test_golden.py", "-k", "refusal"]),
+    Mutant("json-ints-read-by-int", "src/sobolex/cli.py",
+           "json.loads(text, parse_int=scalars.parse_int)",
+           "json.loads(text)",
+           ["tests/test_golden.py", "-k", "refusal"]),
+    # the monic element: the level is (s+n)_k over (s+n)_n, and the one
+    # refusal is a vanishing (s+n)_n, where two degrees share an eigenvalue
+    Mutant("monic-level-shifted-by-one", "src/sobolex/bases.py",
+           "(-1) ** (n + k) * rising(top, D, k)",
+           "(-1) ** (n + k) * rising(top + D, D, k)",
+           ["tests/test_kernels.py", "-k", "monomial_element"]),
+    Mutant("monic-refusal-dropped", "src/sobolex/bases.py",
+           "if not den:  # lambda_m = lambda_n",
+           "if den is None:  # lambda_m = lambda_n",
+           ["tests/test_bases.py", "-k", "monomial_examples"]),
+    # a pairing under a weight with no integral: -1, or a ZeroDivisionError
+    Mutant("biorthogonal-accepts-a-nonintegrable-weight", "src/sobolex/bases.py",
+           "_degree(gamma, nu)\n    if not gamma.is_integrable:",
+           "_degree(gamma, nu)\n    if False:",
+           ["tests/test_bases.py", "-k", "not_integrable"]),
 ]
 
 

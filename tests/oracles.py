@@ -4,9 +4,10 @@ The integrators deliberately avoid the Pochhammer-ratio formula under test:
 the one-variable integral expands (1-t)^q binomially, and the simplex
 integral reduces one variable at a time.  The other oracles are the plain
 definitions that the library's fast kernels replace: apply the operator and
-subtract, multiply and then integrate, and sum the monic basis formula one
-Pochhammer symbol at a time.  `oracle_value` is every bilinear form written
-out term by term, pairing each pair of polynomials on its own; the
+subtract, multiply and then integrate, and solve for the monic element
+degree by degree on the operator, apart from its closed form.
+`oracle_value` is every bilinear form written out term by term, pairing
+each pair of polynomials on its own; the
 `oracle_named_*_value` functions are the paper's four d = 2 forms.
 `apply_operator` is the second-order operator applied by its definition, and
 `jacobi_ode_residual` the Jacobi ODE on [-1,1], which the library checks as
@@ -41,7 +42,7 @@ from sobolex.bases import eigenvalue
 from sobolex.errors import ZeroDenominator
 from sobolex.moments import pairings, vertex_eval
 from sobolex.polynomials import Polynomial, complement_power, graded_lex_key, monomials_of_degree
-from sobolex.scalars import ParamVector, pochhammer
+from sobolex.scalars import ParamVector
 from sobolex.weighted import WeightedForm
 
 
@@ -159,26 +160,21 @@ def oracle_inner_product(f: Polynomial, g: Polynomial, gamma) -> Fraction:
 
 
 def oracle_monomial_element(gamma, nu: tuple[int, ...]) -> Polynomial:
-    """The monic basis formula, one Pochhammer symbol per box index."""
-    d = gamma.d
-    n = sum(nu)
-    s = gamma.total + d
-    den = pochhammer(s, 2 * n)
-    if den == 0:
-        raise ZeroDenominator(f"({s})_{2 * n} vanishes")
-    top = [pochhammer(g + 1, k) for g, k in zip(gamma.entries[:-1], nu)]
-    terms = {}
-    for m in itertools.product(*(range(k + 1) for k in nu)):
-        coef = Fraction((-1) ** (n + sum(m)))
-        for i in range(d):
-            low = pochhammer(gamma.entries[i] + 1, m[i])
-            if low == 0:
-                raise ZeroDenominator(
-                    f"({gamma.entries[i] + 1})_{m[i]} vanishes")
-            coef *= binomial(nu[i], m[i]) * top[i] / low
-        coef *= pochhammer(s, n + sum(m)) / den
-        terms[m] = coef
-    return Polynomial(d, terms)
+    """x^nu + (lower degree) with eigenvalue lambda_n, by back substitution on
+    the operator: L x^a is lambda_{|a|} x^a plus lower degree, so from the top
+    degree down each x^b of degree k < n takes the c_b that solves
+    (lambda_k - lambda_n) c_b = -[x^b] (L - lambda_n)(the terms above k),
+    and there is none to take where lambda_k = lambda_n."""
+    d, n = gamma.d, sum(nu)
+    lam = [-k * (k + gamma.total + d) for k in range(n + 1)]
+    v = Polynomial.monomial(d, nu)
+    for k in reversed(range(n)):
+        if lam[k] == lam[n]:
+            raise ZeroDenominator(f"degrees {k} and {n} share the eigenvalue {lam[n]}")
+        residual = apply_operator(gamma, v) - lam[n] * v
+        v = v + Polynomial(d, {b: residual.coefficient(b) / (lam[n] - lam[k])
+                               for b in monomials_of_degree(d, k)})
+    return v
 
 
 # -- polynomials as Fraction dicts -------------------------------------------

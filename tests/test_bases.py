@@ -186,8 +186,13 @@ def test_monomial_examples():
     for nu in ((2, 1), (0, 3)):
         v = monomial_element(ParamVector([H, 1, Fraction(1, 3)]), nu)
         assert v.coefficient(nu) == 1
-    with pytest.raises(ZeroDenominator):
-        monomial_element(ParamVector([-1, 0, 0]), (1, 0))
+    # (g_0+1)_1 = 0 takes no term away: the element is x_0 itself
+    assert monomial_element(ParamVector([-1, 0, 0]), (1, 0)) == X
+    # s = -1: degrees 0 and 1 share the eigenvalue 0, so no monic x_0 + c
+    # exists, whether the closed form's numerator vanishes there or not
+    for entries in ([0, 0, -3], [-1, -1, -1]):
+        with pytest.raises(ZeroDenominator, match="degrees 0 and 1 share the eigenvalue 0"):
+            monomial_element(ParamVector(entries), (1, 0))
 
 
 def test_operator_examples():
@@ -252,6 +257,13 @@ def test_biorthogonality_constant_against_brute_force():
                         for e, c in prod.items())
             assert total / mass == biorthogonal_constant(g, nu)
             assert inner_product(p, v, g) == biorthogonal_constant(g, nu)
+
+
+def test_biorthogonality_constant_refuses_a_weight_that_is_not_integrable():
+    # the first would return -1, the second would divide by (|g|+d+1)_2 = 0
+    for entries in ([-H, -Fraction(3, 2), -Fraction(3, 2)], [-Fraction(3, 2), -Fraction(3, 2), -1]):
+        with pytest.raises(NonIntegrableWeight, match="are not all > -1"):
+            biorthogonal_constant(ParamVector(entries), (1, 0))
 
 
 def test_biorthogonality_diagonal():

@@ -497,8 +497,8 @@ def test_math_precondition_exit_code(capsys):
                                "--spec", "classical", "--f", f, "--g", f])
     assert code == 3
     code, _ = run_cli(capsys, ["basis", "--d", "2", "--n", "1",
-                               "--gamma", "-1,0,0", "--family", "monomial"])
-    assert code == 3  # vanishing shifted-factorial denominator
+                               "--gamma", "-1,-1,-1", "--family", "monomial"])
+    assert code == 3  # degrees 0 and 1 share the eigenvalue 0
 
 
 def test_report_summary(capsys):

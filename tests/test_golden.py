@@ -70,7 +70,7 @@ COMMANDS = [
     ["verify", "--suite", "thm36", "--d", "3", "--n-max", "3"],
     *(["basis", "--family", "monomial", "--d", "3", "--n", "4", "--gamma", gamma]
       for gamma in ("1/2,0,1,1/3", "1/2,1/3,2/3,-1")),
-    # (s)_{2n} < 0 here, and (-1)_2 vanishes in the next one (exit 3)
+    # s < 0 here, and (g_1+1)_2 vanishes in the next one, where V_nu exists all the same
     ["basis", "--family", "monomial", "--d", "2", "--n", "5", "--gamma", "-5/2,1/3,0"],
     ["basis", "--family", "monomial", "--d", "2", "--n", "2", "--gamma", "0,-2,1/2"],
     # face blocks through the hyperplane and through the coordinate faces,
@@ -147,7 +147,9 @@ _D2 = ["--d", "2", "--n", "1", "--gamma"]
 # option that has choices; a wrong-length --gamma; which of two faults is
 # named first; a non-integrable weight and a form that is not positive; and a
 # float and a bool JSON coefficient and a --gamma entry in exponent or decimal
-# notation, none of which is an exact rational
+# notation, none of which is an exact rational; a numeral of each integer
+# option and of JSON that the one integer rule refuses; and a monic element
+# that does not exist
 REFUSALS = [
     ["basis", *_D2, "0,0,0", "--lambda-vertex", "1,1,1"],
     ["basis", *_D2, "0,0,0", "--family", "h", "--zero-set", "3", "--order", "1,2"],
@@ -183,6 +185,14 @@ REFUSALS = [
     ["basis", *_D2, "0,0,0", "--family", "permuted", "--order", "1" * 5000 + ",2"],
     ["basis", *_D2, "0,0,0", "--family", "permuted", "--order", "\u0661,\u0662"],
     ["basis", *_D2, "0,0,0", "--family", "h", "--zero-set", "1_0"],
+    *(["basis", "--d", d, "--n", n, "--gamma", "0,0"]
+      for d, n in (("1", "\u0663"), ("1", "1_0"), ("\u0661", "1"), ("1", "1" * 5000))),
+    ["verify", "--suite", "rodrigue", "--n-max", "1_0"],
+    ["gram", *_D2, "0,0,0", "--spec", "epd", "--epd-order", "\u0661"],
+    ["inner", "--d", "1", "--gamma", "0,0", "--f",
+     '{"d":1,"terms":[{"exp":[1],"coef":%s}]}' % ("1" * 5000), "--g", G1],
+    # a monic element where degrees 0 and 1 share the eigenvalue 0
+    ["basis", "--family", "monomial", *_D2, "-1,-1,-1"],
 ]
 
 

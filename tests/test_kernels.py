@@ -30,15 +30,12 @@ EIGEN_GAMMAS = [
 
 
 def _elements(gamma: ParamVector, n: int):
-    """Every Rodrigues, permuted and constructible monic element of degree n."""
+    """Every Rodrigues, permuted and monic element of degree n."""
     for nu in monomials_of_degree(gamma.d, n):
         yield rodrigues_element(gamma, nu)
         for order in all_orders(gamma.d):
             yield permuted_element(gamma, order, nu)
-        try:
-            yield monomial_element(gamma, nu)
-        except ZeroDenominator:
-            pass
+        yield monomial_element(gamma, nu)
 
 
 @pytest.mark.parametrize("gamma", EIGEN_GAMMAS, ids=repr)
@@ -120,10 +117,14 @@ def test_integral_matches_oracle_moments():
 
 
 def test_monomial_element_matches_oracle():
-    # several vanishing (g_i+1)_{m_i} at once fix which one the error names
+    # weights where (g_i+1)_{m_i} or (s)_{2n} vanishes but no two eigenvalues
+    # of degree <= 4 meet, and weights where lambda_m = lambda_n for some m < n
     gammas = EIGEN_GAMMAS + [ParamVector([0, -1]), ParamVector([-1, 0, 0]),
                              ParamVector([0, -2, 0]), ParamVector([-1, -2, H]),
-                             ParamVector([-3, -2, H]), ParamVector([-1, -2, H, 1])]
+                             ParamVector([-3, -2, H]), ParamVector([-1, -2, H, 1]),
+                             ParamVector([0, -2]), ParamVector([-1, -1]), ParamVector([-1, -1, -1]),
+                             ParamVector([-2, -2, -1]), ParamVector([-3, 0, -1, -1])]
+    refused = 0
     for gamma in gammas:
         for n in range(5):
             for nu in monomials_of_degree(gamma.d, n):
@@ -133,8 +134,10 @@ def test_monomial_element_matches_oracle():
                     with pytest.raises(ZeroDenominator) as got:
                         monomial_element(gamma, nu)
                     assert str(got.value) == str(exc)
+                    refused += 1
                     continue
                 assert monomial_element(gamma, nu) == want
+    assert refused
 
 
 # Weights for the construction grid: generic ones with mixed denominators, and

@@ -53,7 +53,7 @@ HEAVY = {"bases", "linalg", "moments", "products", "spaces", "suites", "weighted
 
 
 @pytest.mark.parametrize("argv, exit_code, unused", [
-    (["--help"], 0, HEAVY),
+    (["--help"], 0, HEAVY | {"scalars"}),
     # a usage error that the benchmark sends as a negative control
     (["basis", "--d", "2", "--n", "1", "--family", "u", "--gamma", "0,-1,0"], 2,
      HEAVY | {"polynomials"}),

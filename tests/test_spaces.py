@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from sobolex import spaces
-from sobolex.bases import eigencheck
+from sobolex.bases import eigencheck, monomial_basis
 from sobolex.cli import main
 from sobolex.errors import NonPositiveForm
 from sobolex.linalg import poly_rank, spans_equal
@@ -17,6 +17,7 @@ from sobolex.products import SingularProduct
 from sobolex.scalars import ParamVector, face_params
 from sobolex.spaces import (expected_dimension, h_space, u_space,
                             verify_u_space)
+from sobolex.suites import _singular_weights
 
 from oracles import constrained_indices
 
@@ -234,3 +235,17 @@ def test_eigenvalue_shift_with_k():
         full = _singular(tail, k)
         for p in u_space(SingularProduct(full), n).polys():
             assert eigencheck(full, p, n)
+
+
+@pytest.mark.parametrize("d,n_max", [(1, 4), (2, 4), (3, 3)])
+def test_monic_basis_spans_every_sampled_singular_eigenspace(d, n_max):
+    # the operator alone fixes V_nu, so it is an independent reference for the
+    # block construction of U_n; k = d+1 with n = 1 is the one collision
+    # (degrees 0 and 1 share the eigenvalue 0)
+    for _, gamma in _singular_weights(d):
+        form = SingularProduct(gamma)
+        for n in range(n_max + 1):
+            if n == 1 and gamma.singular_split()[1] == d + 1:
+                continue
+            assert spans_equal(monomial_basis(gamma, n).polys(), u_space(form, n).polys()), \
+                (gamma, n)
