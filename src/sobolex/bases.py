@@ -47,9 +47,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
-from .errors import NonIntegrableWeight, ZeroDenominator
+from .errors import ZeroDenominator
 from .polynomials import Exponents, Polynomial, monomials_of_degree
 from .scalars import (ParamVector, Rational, as_fraction, clear_denominators, factorial,
                       is_index, pochhammer, rising)
@@ -143,17 +144,19 @@ def _leibniz_element(gamma: ParamVector, order: tuple[int, ...], c: int,
     return Polynomial._from_ints(gamma.d + 1, slots, D ** n).pullback((*order, c), gamma.d)
 
 
+def _family(gamma: ParamVector, label: str, n: int,
+            element: Callable[[Exponents], Polynomial]) -> Basis:
+    """The elements of degree n of one family, keyed by their multi-index."""
+    return Basis(gamma, label, [(nu, element(nu)) for nu in monomials_of_degree(gamma.d, n)])
+
+
 def rodrigues_basis(gamma: ParamVector, n: int) -> Basis:
-    elems = [(nu, rodrigues_element(gamma, nu))
-             for nu in monomials_of_degree(gamma.d, n)]
-    return Basis(gamma, "rodrigue", elems)
+    return _family(gamma, "rodrigue", n, partial(rodrigues_element, gamma))
 
 
 def permuted_basis(gamma: ParamVector, order: tuple[int, ...], n: int) -> Basis:
-    elems = [(nu, permuted_element(gamma, order, nu))
-             for nu in monomials_of_degree(gamma.d, n)]
     label = "permuted[" + ",".join(str(s) for s in order) + "]"
-    return Basis(gamma, label, elems)
+    return _family(gamma, label, n, partial(permuted_element, gamma, order))
 
 
 # -- monic (monomial) basis -------------------------------------------------
@@ -173,9 +176,7 @@ def monomial_element(gamma: ParamVector, nu: Exponents) -> Polynomial:
 
 
 def monomial_basis(gamma: ParamVector, n: int) -> Basis:
-    elems = [(nu, monomial_element(gamma, nu))
-             for nu in monomials_of_degree(gamma.d, n)]
-    return Basis(gamma, "monomial", elems)
+    return _family(gamma, "monomial", n, partial(monomial_element, gamma))
 
 
 def biorthogonal_constant(gamma: ParamVector, nu: Exponents) -> Fraction:
@@ -189,10 +190,8 @@ def biorthogonal_constant(gamma: ParamVector, nu: Exponents) -> Fraction:
     here carries no (-1)^{|nu|} prefactor; off-diagonal pairings vanish.
     """
     d, n = gamma.d, _degree(gamma, nu)
-    if not gamma.is_integrable:
-        raise NonIntegrableWeight(f"weight exponents ({','.join(gamma.to_json())}) are not all > -1")
     value = Fraction((-1) ** n * math.prod(map(math.factorial, nu)))
-    for g, k in zip(gamma.entries[:-1], nu):
+    for g, k in zip(gamma.integrable().entries[:-1], nu):
         value *= pochhammer(g + 1, k)
     value *= pochhammer(gamma.last + 1, n)
     return value / pochhammer(gamma.total + d + 1, 2 * n)
@@ -254,10 +253,7 @@ def jacobi_p(n: int, alpha: Rational, beta: Rational) -> Polynomial:
 def jacobi_norm(n: int, alpha: Rational, beta: Rational) -> Fraction:
     """Normalized square norm of jacobi_p(n):
     (a+1)_n (b+1)_n (a+b+n+1) / (n! (a+b+2)_n (a+b+2n+1))."""
-    weight = ParamVector([beta, alpha])
-    if not weight.is_integrable:
-        raise NonIntegrableWeight("jacobi_norm needs alpha, beta > -1")
-    b, a = weight.entries
+    b, a = ParamVector([beta, alpha]).integrable().entries
     num = pochhammer(a + 1, n) * pochhammer(b + 1, n) * (a + b + n + 1)
     den = factorial(n) * pochhammer(a + b + 2, n) * (a + b + 2 * n + 1)
     return num / den

@@ -225,6 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # `scalars.parse_int` alone bounds what is read, and every result prints
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         for name in ("d", "n", "n_max", "epd_order"):  # each numeral by the one integer rule
             if getattr(args, name, None) is not None:
@@ -243,6 +246,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from math import lcm, prod
 from operator import add
 from typing import Iterable
 
-from .errors import NonIntegrableWeight
 from .polynomials import Exponents, Polynomial
 from .scalars import ParamVector, clear_denominators, is_index, rising
 
@@ -42,10 +41,7 @@ def pairings(gamma: ParamVector, rows: list[Polynomial], cols: list[Polynomial],
     """The pairings of rows[i] with cols[j] times x^shift against W_gamma, as
     (nums, den): entry (i, j) is nums[i][j] / den.  With `upper` (cols is
     rows) only the entries j >= i are summed, the rest left 0."""
-    if not gamma.is_integrable:
-        raise NonIntegrableWeight(f"weight exponents ({','.join(map(str, gamma.entries))})"
-                                  " are not all > -1")
-    scaled, step = clear_denominators(gamma.entries)
+    scaled, step = clear_denominators(gamma.integrable().entries)
     # rising(start, D, j) is D^j (g_i+1)_j for start D (g_i+1), and the
     # denominator D^j (|g|+d+1)_j for start D (|g|+d+1)
     starts = [g + step for g in scaled[:-1]]

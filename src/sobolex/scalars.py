@@ -8,10 +8,11 @@ list of rationals into ints over the lcm of their denominators for the
 integer kernels.  `rising` is the one integer rising factorial: the moment
 sum `moments.pairings`, the Leibniz sums of `bases` and `pochhammer` all
 read it.  Nothing here (or anywhere else) rounds.  `as_fraction` judges
-every rational the package takes, `parse_int` every numeral it reads (ASCII
-digits that int() converts), and `is_index` (an int in range, never a bool)
-every index, exponent, degree and dimension; each refusal is a ValueError.
-The module imports no sobolex module: parsing a weight loads nothing else.
+every rational the package takes, `parse_int` every numeral it reads (at most
+`MAX_DIGITS` ASCII digits), `is_index` (an int in range, never a bool) every
+index, exponent, degree and dimension, and `ParamVector.integrable` every
+weight that must be integrable.  A `ParamVector` prints as "g1,...,gd+1".
+The module imports only `errors`: parsing a weight loads nothing else.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
+
+from .errors import NonIntegrableWeight
 
 Rational = Union[int, Fraction]
 
@@ -31,17 +34,17 @@ def is_index(value: object, low: float, high: float = math.inf) -> bool:
 
 # "p" or "p/q" in ASCII digits, p signed: no exponent, decimal point or underscore
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+MAX_DIGITS = 4300  # the most digits a numeral may have, whatever the interpreter's limit
 
 
 def parse_int(text: str) -> int:
-    """A numeral "p" of `_RATIONAL` as an int; any other text, or more digits
-    than the interpreter converts, is a ValueError."""
+    """A numeral "p" of `_RATIONAL` of at most `MAX_DIGITS` digits as an int,
+    else a ValueError; `cli.main` lifts the interpreter's own limit on int()."""
     if "/" in text or not _RATIONAL.fullmatch(text):
         raise ValueError(f"{text!r} is not an integer")
-    try:
-        return int(text)
-    except ValueError:  # ASCII digits fail only by their number
-        raise ValueError(f"a {len(text.strip())}-character numeral is too long to read") from None
+    if len(text.strip().lstrip("+-")) > MAX_DIGITS:
+        raise ValueError(f"a {len(text.strip())}-character numeral is too long to read")
+    return int(text)
 
 
 def as_fraction(value: object) -> Fraction:
@@ -114,9 +117,11 @@ class ParamVector:
     def total(self) -> Fraction:
         return sum(self.entries, Fraction(0))
 
-    @property
-    def is_integrable(self) -> bool:
-        return all(g > -1 for g in self.entries)
+    def integrable(self) -> "ParamVector":
+        """The weight itself when every exponent is > -1, else NonIntegrableWeight."""
+        if any(g <= -1 for g in self.entries):
+            raise NonIntegrableWeight(f"weight exponents ({self}) are not all > -1")
+        return self
 
     def singular_split(self) -> tuple[tuple[Fraction, ...], int]:
         """(tail, k): the entries before the trailing block of -1 entries, and
@@ -155,8 +160,11 @@ class ParamVector:
     def __hash__(self) -> int:
         return hash(self.entries)
 
+    def __str__(self) -> str:
+        return ",".join(map(str, self.entries))
+
     def __repr__(self) -> str:
-        return "ParamVector(" + ",".join(map(str, self.entries)) + ")"
+        return f"ParamVector({self})"
 
     def to_json(self) -> list[str]:
         return [str(g) for g in self.entries]

@@ -63,10 +63,6 @@ def default_tails(d: int, k: int) -> list[tuple[Fraction, ...]]:
             mixed]
 
 
-def _gamma_tag(gamma: ParamVector) -> str:
-    return ",".join(map(str, gamma.entries))
-
-
 def _scaled(mult: Polynomial, polys: list[Polynomial]) -> list[Polynomial]:
     return [mult * p for p in polys]
 
@@ -153,24 +149,23 @@ def suite_triangle(checks: list[dict], n_max: int, gammas: list[ParamVector]) ->
     indices = [(k, n - k) for n in range(n_max + 1) for k in range(n + 1)]
     for gamma in gammas:
         a, b, c = gamma.entries
-        tag = _gamma_tag(gamma)
         reflected = {nu: permuted_element(gamma, (2, 1), nu) for nu in indices}
-        _add(checks, f"edge-restriction-x=0[{tag}]",
+        _add(checks, f"edge-restriction-x=0[{gamma}]",
              (rodrigues_element(gamma, (0, n)).restrict({0})
               == jacobi_shifted(n, c, b) for n in range(n_max + 1)))
-        _add(checks, f"edge-restriction-y=0[{tag}]",
+        _add(checks, f"edge-restriction-y=0[{gamma}]",
              (rodrigues_element(gamma, (n, 0)).restrict({1})
               == jacobi_shifted(n, c, a) for n in range(n_max + 1)))
-        _add(checks, f"edge-restriction-hyp[{tag}]",
+        _add(checks, f"edge-restriction-hyp[{gamma}]",
              (reflected[0, n].restrict({2}) == jacobi_shifted(n, a, b).pullback((1,))
               for n in range(n_max + 1)))
-        _add(checks, f"swapped-closed-form[{tag}]",
+        _add(checks, f"swapped-closed-form[{gamma}]",
              (rodrigues_element(ParamVector([b, a, c]), nu).pullback((1, 0))
               == permuted_element(gamma, (1, 0), nu) for nu in indices))
-        _add(checks, f"reflected-closed-form[{tag}]",
+        _add(checks, f"reflected-closed-form[{gamma}]",
              (rodrigues_element(ParamVector([c, b, a]), nu).pullback((2, 1)) == q
               for nu, q in reflected.items()))
-    return {"n_max": n_max, "gammas": [_gamma_tag(g) for g in gammas]}
+    return {"n_max": n_max, "gammas": [str(g) for g in gammas]}
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +175,16 @@ def suite_triangle(checks: list[dict], n_max: int, gammas: list[ParamVector]) ->
 def suite_rodrigue(checks: list[dict], d: int, n_max: int, gammas: list[ParamVector]) -> dict:
     orders = all_orders(d)
     for gamma in gammas:
-        tag = _gamma_tag(gamma)
         classical = ClassicalProduct(gamma)
         # all_orders(d) holds the identity order, whose permuted basis is the Rodrigues basis
         families = [(n, family.polys()) for n in range(n_max + 1)
                     for family in [monomial_basis(gamma, n),
                                    *(permuted_basis(gamma, order, n) for order in orders)]]
-        _add(checks, f"eigenfunctions[{tag}]",
+        _add(checks, f"eigenfunctions[{gamma}]",
              (eigencheck(gamma, p, n) for n, polys in families for p in polys))
-        _add(checks, f"orthogonal-to-lower-degree[{tag}]",
+        _add(checks, f"orthogonal-to-lower-degree[{gamma}]",
              (classical.orthogonal_below(polys, n) for n, polys in families))
-        _add(checks, f"gram-positive-definite[{tag}]",
+        _add(checks, f"gram-positive-definite[{gamma}]",
              [positive_definite(classical.matrix(monomial_polys(d, n_max)))])
     for m_len, label in ((1, "m=(1)"), (2, "m=(1,1)")):
         if d + 1 - m_len < 1:
@@ -202,7 +196,7 @@ def suite_rodrigue(checks: list[dict], d: int, n_max: int, gammas: list[ParamVec
                  n - m_len)
               for lead in default_tails(d, m_len)[:2]
               for n in range(m_len + 1, n_max + 1)))
-    return {"d": d, "n_max": n_max, "gammas": [_gamma_tag(g) for g in gammas]}
+    return {"d": d, "n_max": n_max, "gammas": [str(g) for g in gammas]}
 
 
 def _monic_partial(gamma: ParamVector, nu: tuple[int, ...], i: int) -> Polynomial:
@@ -226,30 +220,29 @@ def _biorthogonality(gamma: ParamVector, monic: Basis, n: int) -> Iterable[bool]
 
 def suite_monomial(checks: list[dict], d: int, n_max: int, gammas: list[ParamVector]) -> dict:
     for gamma in gammas:
-        tag = _gamma_tag(gamma)
         monic = [monomial_basis(gamma, n) for n in range(n_max + 1)]
-        _add(checks, f"monic-leading-term[{tag}]",
+        _add(checks, f"monic-leading-term[{gamma}]",
              (v.coefficient(nu) == 1 and v.degree() == n
               for n, basis in enumerate(monic) for nu, v in basis.elements))
-        _add(checks, f"derivative-identity[{tag}]",
+        _add(checks, f"derivative-identity[{gamma}]",
              (v.partial(i) == _monic_partial(gamma, nu, i)
               for basis in monic for nu, v in basis.elements for i in range(d)))
-        _add(checks, f"biorthogonality[{tag}]", itertools.chain.from_iterable(
+        _add(checks, f"biorthogonality[{gamma}]", itertools.chain.from_iterable(
             _biorthogonality(gamma, monic[n], n) for n in range(min(n_max, 3) + 1)))
         for order in range(1, d + 1):
             product = DerivativeProduct(gamma, order)
-            _add(checks, f"derivative-product-orthogonality[{tag},m={order}]",
+            _add(checks, f"derivative-product-orthogonality[{gamma},m={order}]",
                  (product.orthogonal_below(monic[n].polys(), n)
                   for n in range(1, n_max + 1)))
     lead = default_tails(d, 1)[0]
     sing = ParamVector(list(lead) + [-1])
     monic = [monomial_basis(sing, n) for n in range(n_max + 1)]
     spro = SingularProduct(sing)
-    _add(checks, f"last-exponent-singular[{_gamma_tag(sing)}]", itertools.chain(
+    _add(checks, f"last-exponent-singular[{sing}]", itertools.chain(
         (v.coefficient(nu) == 1 and eigencheck(sing, v, n)
          for n, basis in enumerate(monic) for nu, v in basis.elements),
         (spro.orthogonal_below(monic[n].polys(), n) for n in range(1, n_max + 1))))
-    return {"d": d, "n_max": n_max, "gammas": [_gamma_tag(g) for g in gammas]}
+    return {"d": d, "n_max": n_max, "gammas": [str(g) for g in gammas]}
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 The grid crosses, per command, a few values of each of its options (absent,
 valid, malformed, out of range), so that most lists are refusals and the rest
 are cheap runs at d <= 2.  Malformed numerals (another script's digits, an
-underscore, more digits than int() converts) are given to each option whose
+underscore, more than 4,300 digits) are given to each option whose
 numerals the package reads itself, and as a JSON coefficient of `inner`,
-each in one otherwise valid list.  For each list the record keeps the exit
-code, the sha256 of stdout (the whole text for a `--help`) and the whole
-stderr.
+each in one otherwise valid list; and a few lists at the weight
+1/<4,000 ones>,0, whose results pass 4,300 digits in some of them.  For each
+list the record keeps the exit code, the sha256 of stdout (the whole text for
+a `--help`) and the whole stderr.
 
     python tests/cli_sweep.py record OUT.json     # the sobolex on the import path
     python tests/cli_sweep.py compare OLD NEW     # two checkouts of the repository
@@ -120,10 +121,19 @@ MALFORMED = [
     ["inner", "--gamma", "0,0,0", "--g", X2, "--f",
      '{"d":2,"terms":[{"exp":[1,0],"coef":%s}]}' % numeral]
     for numeral in ("\u0663", "1_0", "1" * 5000)]
+BIG = "1/" + "1" * 4000 + ",0"
+BIG_OUTPUT = [
+    *(["basis", "--d", "1", "--n", n, "--gamma", BIG, "--family", family]
+      for n in ("1", "2") for family in ("rodrigue", "monomial")),
+    ["inner", "--d", "1", "--gamma", BIG, "--f", X1, "--g", X1],
+    *(["gram", "--d", "1", "--n", "2", "--gamma", BIG, "--basis", basis, "--against", against]
+      for basis in ("monomials", "rodrigue", "monomial") for against in ("lower", "self")),
+    ["verify", "--suite", "rodrigue", "--d", "1", "--n-max", "2", "--gamma", BIG],
+]
 
 
 def grid() -> list[list[str]]:
-    out = HELP + MALFORMED
+    out = HELP + MALFORMED + BIG_OUTPUT
     for command, options in GRID.items():
         for values in itertools.product(*options.values()):
             argv = [command]

@@ -273,8 +273,8 @@ MUTANTS = [
            ["tests/test_scalars.py", "-k", "is_index or index_guard"]),
     # the constant alone reads |nu| unchecked: zip truncates a long index
     Mutant("biorthogonal-constant-skips-the-index-guard", "src/sobolex/bases.py",
-           "d, n = gamma.d, _degree(gamma, nu)\n    if not gamma",
-           "d, n = gamma.d, sum(nu)\n    if not gamma",
+           "d, n = gamma.d, _degree(gamma, nu)\n    value = Fraction",
+           "d, n = gamma.d, sum(nu)\n    value = Fraction",
            ["tests/test_bases.py", "-k", "bad_multi_index"]),
     # a dimension 0 has binom(n-1, n) = 0 monomials of degree n, not 1 at n = 0
     Mutant("expected-dimension-admits-dimension-zero", "src/sobolex/spaces.py",
@@ -306,8 +306,8 @@ MUTANTS = [
            ["tests/test_kernels.py", "-k", "integral"]),
     # jacobi_norm judges (1-x)^alpha x^beta by the weight's own rule, both exponents
     Mutant("jacobi-norm-judges-alpha-only", "src/sobolex/bases.py",
-           "if not weight.is_integrable:",
-           "if weight.entries[1] <= -1:",
+           "b, a = ParamVector([beta, alpha]).integrable().entries",
+           "b, a = as_fraction(beta), ParamVector([0, alpha]).integrable().entries[1]",
            ["tests/test_bases.py", "-k", "jacobi_norm"]),
     # every identity still holds, so only the count gate sees the missing lead
     Mutant("partial-orthogonality-drops-the-half-lead", "src/sobolex/suites.py",
@@ -327,16 +327,25 @@ MUTANTS = [
            "range(max(groups, default=0), -1, -1)",
            "range(max(groups, default=0) - 1, -1, -1)",
            ["tests/test_polynomials.py", "-k", "substitute"]),
-    # the one integer rule: ASCII digits, and a numeral int() cannot convert
-    # refused in the package's words
+    # the one integer rule: ASCII digits, at most MAX_DIGITS of them, refused
+    # in the package's words whatever the interpreter's own limit
     Mutant("numeral-admits-any-script", "src/sobolex/scalars.py",
            r'_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")',
            r'_RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")',
            ["tests/test_scalars.py", "-k", "integer_rule"]),
     Mutant("numeral-limit-leaks-pythons-advice", "src/sobolex/scalars.py",
-           "except ValueError:  # ASCII digits fail only by their number",
-           "except ZeroDivisionError:",
+           'if len(text.strip().lstrip("+-")) > MAX_DIGITS:',
+           "if False:",
            ["tests/test_scalars.py", "-k", "integer_rule"]),
+    Mutant("numeral-limit-one-digit-short", "src/sobolex/scalars.py",
+           "> MAX_DIGITS:",
+           ">= MAX_DIGITS:",
+           ["tests/test_scalars.py", "-k", "digit_bound"]),
+    # the interpreter's limit then refuses to print a result of an accepted input
+    Mutant("cli-keeps-the-interpreter-limit", "src/sobolex/cli.py",
+           "    sys.set_int_max_str_digits(0)\n",
+           "",
+           ["tests/test_cli.py", "-k", "lifts_the_interpreter_limit"]),
     Mutant("indices-read-by-int", "src/sobolex/cli.py",
            "i = scalars.parse_int(part)",
            "i = int(part)",
@@ -357,8 +366,8 @@ MUTANTS = [
            ["tests/test_bases.py", "-k", "monomial_examples"]),
     # a pairing under a weight with no integral: -1, or a ZeroDivisionError
     Mutant("biorthogonal-accepts-a-nonintegrable-weight", "src/sobolex/bases.py",
-           "_degree(gamma, nu)\n    if not gamma.is_integrable:",
-           "_degree(gamma, nu)\n    if False:",
+           "zip(gamma.integrable().entries[:-1], nu)",
+           "zip(gamma.entries[:-1], nu)",
            ["tests/test_bases.py", "-k", "not_integrable"]),
 ]
 

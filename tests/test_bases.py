@@ -45,7 +45,8 @@ def test_jacobi_norm():
     assert jacobi_norm(1, 0, 0) == Fraction(1, 3)
     # alpha and beta alike: each is one exponent of the weight (1-x)^alpha x^beta
     for alpha, beta in ((-1, 0), (0, -1), (0, Fraction(-3, 2))):
-        with pytest.raises(NonIntegrableWeight, match="alpha, beta > -1"):
+        with pytest.raises(NonIntegrableWeight,
+                           match=rf"^weight exponents \({beta},{alpha}\) are not all > -1$"):
             jacobi_norm(1, alpha, beta)
 
 

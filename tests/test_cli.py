@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sobolex import cli
+from sobolex.bases import rodrigues_basis
 from sobolex.cli import main
 from sobolex.polynomials import Polynomial
 from sobolex.products import SingularProduct
@@ -506,3 +511,48 @@ def test_report_summary(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["ok"] and "suite_verdicts" in data
+
+
+# an accepted weight whose basis prints numbers of about 8,000 digits, and
+# numerals one digit inside and one outside the package's own bound
+BIG_OUTPUT = ["basis", "--d", "1", "--n", "2", "--gamma", "1/" + "1" * 4000 + ",0"]
+LONG_NUMERALS = {
+    "4300-digit": (["basis", "--d", "1", "--n", "1", "--gamma", "9" * 4300 + ",0"], 0, ""),
+    "4301-digit": (["basis", "--d", "1", "--n", "1", "--gamma", "9" * 4301 + ",0"], 2,
+                   "usage error: a 4301-character numeral is too long to read\n"),
+    "big-output": (BIG_OUTPUT, 0, ""),
+    # read under a lifted limit, this --n would never finish monomials_of_degree
+    "5000-digit-n": (["basis", "--d", "1", "--gamma", "0,0", "--n", "1" * 5000], 2,
+                     "usage error: a 5000-character numeral is too long to read\n"),
+    "5000-digit-d": (["basis", "--d", "1" * 5000, "--n", "1", "--gamma", "0,0"], 2,
+                     "usage error: a 5000-character numeral is too long to read\n"),
+}
+
+
+@pytest.mark.parametrize("argv, code, err", LONG_NUMERALS.values(), ids=LONG_NUMERALS)
+def test_no_interpreter_setting_changes_what_the_cli_reads_or_prints(argv, code, err):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    runs = []
+    for setting in ({}, {"PYTHONINTMAXSTRDIGITS": "0"}, {"PYTHONINTMAXSTRDIGITS": "640"}):
+        done = subprocess.run([sys.executable, "-m", "sobolex.cli", *argv], env={**env, **setting},
+                              capture_output=True, text=True, timeout=60)
+        runs.append((done.returncode, done.stdout, done.stderr))
+    assert runs[0][::2] == (code, err)
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_main_lifts_the_interpreter_limit_while_it_runs_and_restores_it(capsys):
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = rodrigues_basis(ParamVector.parse(BIG_OUTPUT[-1]), 2).to_json()
+        for setting in (limit, 0, 640):
+            sys.set_int_max_str_digits(setting)
+            code, out = run_cli(capsys, BIG_OUTPUT)
+            assert (code, sys.get_int_max_str_digits()) == (0, setting)
+            assert json.loads(out) == want
+            code, _ = run_cli(capsys, LONG_NUMERALS["4301-digit"][0])
+            assert (code, sys.get_int_max_str_digits()) == (2, setting)
+    finally:
+        sys.set_int_max_str_digits(limit)

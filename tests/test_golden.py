@@ -136,6 +136,8 @@ COMMANDS = [
                              ("3", "-1,-1,-1,-1", "1,2,3,5"))),
     ["basis", "--family", "u", "--d", "2", "--n", "1", "--gamma", "0,0,0"],
     ["eigen", "--d", "2", "--n", "1", "--gamma", "0,-1,-2"],
+    # an accepted weight whose basis prints numbers of more than 4,300 digits
+    ["basis", "--d", "1", "--n", "2", "--gamma", "1/" + "1" * 4000 + ",0"],
 ]
 
 

@@ -1,22 +1,27 @@
 """The scalar helpers, their judges of a rational and of an index, and
 `ParamVector` and `face_params`, the weight exponents and their faces."""
 
+import contextlib
+import io
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
-from sobolex.bases import (eigencheck, eigenvalue, jacobi_negative_one_beta,
-                           jacobi_negative_one_one, jacobi_norm, jacobi_p, jacobi_shifted,
-                           permuted_element, rodrigues_element)
-from sobolex.moments import vertex_eval
+from sobolex.bases import (biorthogonal_constant, eigencheck, eigenvalue,
+                           jacobi_negative_one_beta, jacobi_negative_one_one, jacobi_norm,
+                           jacobi_p, jacobi_shifted, permuted_element, rodrigues_element)
+from sobolex.cli import main
+from sobolex.errors import NonIntegrableWeight
+from sobolex.moments import inner_product, vertex_eval
 from sobolex.polynomials import (Polynomial, complement_power, monomial_polys, monomials_of_degree,
                                  monomials_up_to)
-from sobolex.products import DerivativeProduct, SingularProduct
-from sobolex.scalars import (ParamVector, as_fraction, face_params, factorial, is_index,
-                             parse_int, pochhammer, rising, zero_set)
+from sobolex.products import ClassicalProduct, DerivativeProduct, SingularProduct
+from sobolex.scalars import (MAX_DIGITS, ParamVector, as_fraction, face_params, factorial,
+                             is_index, parse_int, pochhammer, rising, zero_set)
 from sobolex.spaces import expected_dimension, u_space, verify_u_space
 from sobolex.suites import run_suite
 
@@ -121,6 +126,28 @@ def test_parse_int_reads_a_signed_ascii_numeral():
     assert as_fraction("9" * 4300 + "/3") == int("3" * 4300)
 
 
+def _read(text: str) -> int | str:
+    """What `parse_int` makes of `text`: an int, or the message of its refusal."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_the_digit_bound_is_the_packages_own_not_the_interpreters():
+    # with the interpreter's limit lifted, as `cli.main` lifts it, the bound
+    # still stands, at 4,300 digits whatever the sign and leading zeros
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        got = [_read(lead + "0" * k + "9") for lead in ("", " -") for k in (4299, 4300)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert MAX_DIGITS == 4300
+    assert got == [9, "a 4301-character numeral is too long to read",
+                   -9, "a 4302-character numeral is too long to read"]
+
+
 def test_zero_set_takes_only_ints_in_range():
     # True == 1 == 1.0 == Fraction(1), so each would pass as the index 1
     assert zero_set([2, 0, 2], 2) == frozenset({0, 2})
@@ -146,8 +173,11 @@ def test_param_vector_basics():
     assert g.total == -H
     assert g.entries == (H, -1, 0)
     assert [i for i, v in enumerate(g.entries) if v == -1] == [1]
-    assert not g.is_integrable
-    assert ParamVector([0, 0]).is_integrable
+    assert (str(g), repr(g)) == ("1/2,-1,0", "ParamVector(1/2,-1,0)")
+    with pytest.raises(NonIntegrableWeight, match=r"^weight exponents \(1/2,-1,0\) are not"):
+        g.integrable()
+    flat = ParamVector([0, 0])
+    assert flat.integrable() is flat
     assert g.shifted([0, 2, 1]) == ParamVector([H, 1, 1])
     assert g.with_values({1: 5}) == ParamVector([H, 5, 0])
     with pytest.raises(ValueError):
@@ -331,3 +361,35 @@ def test_a_cache_keyed_by_an_int_refuses_a_bool_or_a_float():
         for args in ((True, 1), (1.0, 1), (1, True), (1, 1.0)):
             with pytest.raises(ValueError):
                 cached(*args)
+
+
+# each entry point that needs an integrable weight, called at a weight of
+# d = 1, and the one message all of them give for one that is not
+T = Polynomial.variable(1, 0)
+INTEGRABLE_ENTRY_POINTS = [
+    ("inner_product", lambda g: inner_product(T, T, g)),
+    ("ClassicalProduct.matrix", lambda g: ClassicalProduct(g).matrix([T, T * T])),
+    ("biorthogonal_constant", lambda g: biorthogonal_constant(g, (1,))),
+    # the weight of jacobi_norm(n, alpha, beta) is (1-x)^alpha x^beta: (beta, alpha)
+    ("jacobi_norm", lambda g: jacobi_norm(1, g.entries[1], g.entries[0])),
+]
+NOT_INTEGRABLE = ["0,-1", "-1,1/2", "-3/2,-2"]
+
+
+@pytest.mark.parametrize("call", [call for _, call in INTEGRABLE_ENTRY_POINTS],
+                         ids=[name for name, _ in INTEGRABLE_ENTRY_POINTS])
+@pytest.mark.parametrize("weight", NOT_INTEGRABLE)
+def test_every_integrable_entry_point_refuses_alike(call, weight):
+    with pytest.raises(NonIntegrableWeight,
+                       match=f"^{re.escape(f'weight exponents ({weight}) are not all > -1')}$"):
+        call(ParamVector.parse(weight))
+
+
+@pytest.mark.parametrize("weight", NOT_INTEGRABLE)
+def test_the_cli_refuses_a_weight_that_is_not_integrable_alike(weight):
+    f = '{"d":1,"terms":[{"exp":[1],"coef":"1"}]}'
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["inner", "--d", "1", "--gamma", weight, "--f", f, "--g", f])
+    assert (code, err.getvalue()) == (
+        3, f"error: NonIntegrableWeight: weight exponents ({weight}) are not all > -1\n")
