@@ -137,7 +137,7 @@ def _leibniz_element(gamma: ParamVector, order: tuple[int, ...], c: int,
     a polynomial in the d+1 slot coordinates (slot d holds y_c), pulled back
     by (*order, c)."""
     n = _degree(gamma, nu)
-    scaled, D = clear_denominators(gamma.entries)
+    scaled, D = clear_denominators(gamma)
     # y_c differentiated by the remaining |m| slot operators, each giving -1
     level = [(-1) ** k * rising(scaled[c] + (n - k + 1) * D, D, k) for k in range(n + 1)]
     slots = {m + (n - sum(m),): coef for m, coef in _box_terms(scaled, D, order, nu, level)}
@@ -164,7 +164,7 @@ def permuted_basis(gamma: ParamVector, order: tuple[int, ...], n: int) -> Basis:
 def monomial_element(gamma: ParamVector, nu: Exponents) -> Polynomial:
     """The monic eigenfunction x^nu + (lower degree) of eigenvalue lambda_n."""
     d, n = gamma.d, _degree(gamma, nu)
-    scaled, D = clear_denominators(gamma.entries)
+    scaled, D = clear_denominators(gamma)
     top = sum(scaled) + (d + n) * D  # D (s+n)
     den = rising(top, D, n)
     if not den:  # lambda_m = lambda_n for m = -(s+n) < n
@@ -191,7 +191,7 @@ def biorthogonal_constant(gamma: ParamVector, nu: Exponents) -> Fraction:
     """
     d, n = gamma.d, _degree(gamma, nu)
     value = Fraction((-1) ** n * math.prod(map(math.factorial, nu)))
-    for g, k in zip(gamma.integrable().entries[:-1], nu):
+    for g, k in zip(gamma.integrable()[:-1], nu):
         value *= pochhammer(g + 1, k)
     value *= pochhammer(gamma.last + 1, n)
     return value / pochhammer(gamma.total + d + 1, 2 * n)
@@ -220,7 +220,7 @@ def eigencheck(gamma: ParamVector, f: Polynomial, n: int) -> bool:
     """
     if gamma.d != f.dim or not is_index(n, 0):
         raise ValueError(f"eigencheck needs f in {gamma.d} variables and an int degree >= 0")
-    scaled, D = clear_denominators(gamma.entries)                       # D g_i
+    scaled, D = clear_denominators(gamma)                               # D g_i
     lows = [s + D for s in scaled[:-1]]                                 # (g_i+1) D
     top = sum(scaled) + (n + f.dim) * D                                 # (n+shift) D
     coef, _ = f.scaled_to_integers()
@@ -253,7 +253,7 @@ def jacobi_p(n: int, alpha: Rational, beta: Rational) -> Polynomial:
 def jacobi_norm(n: int, alpha: Rational, beta: Rational) -> Fraction:
     """Normalized square norm of jacobi_p(n):
     (a+1)_n (b+1)_n (a+b+n+1) / (n! (a+b+2)_n (a+b+2n+1))."""
-    b, a = ParamVector([beta, alpha]).integrable().entries
+    b, a = ParamVector([beta, alpha]).integrable()
     num = pochhammer(a + 1, n) * pochhammer(b + 1, n) * (a + b + n + 1)
     den = factorial(n) * pochhammer(a + b + 2, n) * (a + b + 2 * n + 1)
     return num / den

@@ -41,12 +41,12 @@ def pairings(gamma: ParamVector, rows: list[Polynomial], cols: list[Polynomial],
     """The pairings of rows[i] with cols[j] times x^shift against W_gamma, as
     (nums, den): entry (i, j) is nums[i][j] / den.  With `upper` (cols is
     rows) only the entries j >= i are summed, the rest left 0."""
-    scaled, step = clear_denominators(gamma.integrable().entries)
+    scaled, step = clear_denominators(gamma.integrable())
     # rising(start, D, j) is D^j (g_i+1)_j for start D (g_i+1), and the
     # denominator D^j (|g|+d+1)_j for start D (|g|+d+1)
     starts = [g + step for g in scaled[:-1]]
     last = sum(scaled) + len(scaled) * step
-    memo = _NUMERATORS.setdefault(gamma.entries, {})
+    memo = _NUMERATORS.setdefault(gamma, {})
 
     def numerator(a: Exponents) -> int:
         num = memo.get(a)

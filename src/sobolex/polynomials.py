@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from operator import add
+from functools import lru_cache, reduce
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .scalars import Rational, as_fraction, clear_denominators, is_index, zero_set
@@ -191,14 +191,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if not is_index(n, 0):
             raise ValueError(f"power must be an int >= 0, not {n!r}")
-        out = Polynomial.constant(self.dim, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return reduce(mul, [self] * n, Polynomial.constant(self.dim, 1))
 
     # -- calculus and substitution -----------------------------------------
 

@@ -51,7 +51,7 @@ def mass_ratio(params: ParamVector) -> str:
     Normalized values equal this constant times the plain integral; recording
     it keeps the rescaling of each term auditable even when it is irrational.
     """
-    den = "*".join(f"Gamma({g + 1})" for g in params.entries)
+    den = "*".join(f"Gamma({g + 1})" for g in params)
     return f"Gamma({params.total + params.d + 1})/({den})"
 
 

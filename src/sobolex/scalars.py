@@ -1,5 +1,5 @@
 """Exact rational scalars: rising factorials, factorials, parsing helpers, and
-`ParamVector`, the exponents of the weight x^g (1-|x|)^{g_{d+1}}.
+`ParamVector`, the tuple of the exponents of the weight x^g (1-|x|)^{g_{d+1}}.
 
 Every scalar the package hands out is a ``fractions.Fraction``; polynomial
 coefficients are stored as ints over a common denominator (see
@@ -34,17 +34,23 @@ def is_index(value: object, low: float, high: float = math.inf) -> bool:
 
 # "p" or "p/q" in ASCII digits, p signed: no exponent, decimal point or underscore
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
-MAX_DIGITS = 4300  # the most digits a numeral may have, whatever the interpreter's limit
+# the most digits a numeral may have, whatever the interpreter's limit.  A result may
+# print longer ones, which are not read back: a larger bound lets a 5,000-digit --n run forever
+MAX_DIGITS = 4300
 
 
 def parse_int(text: str) -> int:
-    """A numeral "p" of `_RATIONAL` of at most `MAX_DIGITS` digits as an int,
-    else a ValueError; `cli.main` lifts the interpreter's own limit on int()."""
+    """A numeral "p" of `_RATIONAL` of at most `MAX_DIGITS` digits as an int, else a
+    ValueError, converted 640 digits at a time: the least int() limit the interpreter takes."""
     if "/" in text or not _RATIONAL.fullmatch(text):
         raise ValueError(f"{text!r} is not an integer")
-    if len(text.strip().lstrip("+-")) > MAX_DIGITS:
+    digits = text.strip().lstrip("+-")
+    if len(digits) > MAX_DIGITS:
         raise ValueError(f"a {len(text.strip())}-character numeral is too long to read")
-    return int(text)
+    value = 0
+    for piece in (digits[i:i + 640] for i in range(0, len(digits), 640)):
+        value = value * 10 ** len(piece) + int(piece)
+    return -value if "-" in text else value
 
 
 def as_fraction(value: object) -> Fraction:
@@ -65,10 +71,7 @@ def as_fraction(value: object) -> Fraction:
 
 def rising(start: int, step: int, k: int) -> int:
     """D^k (a)_k for start = D a and step = D: start (start+D) ... (start+(k-1)D)."""
-    out = 1
-    for i in range(k):
-        out *= start + i * step
-    return out
+    return math.prod(range(start, start + k * step, step))
 
 
 def pochhammer(a: Rational, k: int) -> Fraction:
@@ -91,35 +94,32 @@ def clear_denominators(values: Sequence[Rational]) -> tuple[list[int], int]:
     return [v.numerator * (L // v.denominator) for v in values], L
 
 
-class ParamVector:
-    """Weight exponents (g_1, ..., g_d, g_{d+1}) for x^g * (1-|x|)^{g_{d+1}}."""
+class ParamVector(tuple):
+    """Weight exponents (g_1, ..., g_d, g_{d+1}) for x^g * (1-|x|)^{g_{d+1}}, as a tuple of Fractions."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries: Sequence[Rational | str]):
-        vals = tuple(as_fraction(v) for v in entries)
+    def __new__(cls, entries: Iterable[Rational | str]) -> "ParamVector":
+        vals = super().__new__(cls, map(as_fraction, entries))
         if len(vals) < 2:
             raise ValueError("need at least two entries (d >= 1)")
-        object.__setattr__(self, "entries", vals)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("ParamVector is immutable")
+        return vals
 
     @property
     def d(self) -> int:
-        return len(self.entries) - 1
+        return len(self) - 1
 
     @property
     def last(self) -> Fraction:
-        return self.entries[-1]
+        return self[-1]
 
     @property
     def total(self) -> Fraction:
-        return sum(self.entries, Fraction(0))
+        return sum(self, Fraction(0))
 
     def integrable(self) -> "ParamVector":
         """The weight itself when every exponent is > -1, else NonIntegrableWeight."""
-        if any(g <= -1 for g in self.entries):
+        if any(g <= -1 for g in self):
             raise NonIntegrableWeight(f"weight exponents ({self}) are not all > -1")
         return self
 
@@ -127,12 +127,12 @@ class ParamVector:
         """(tail, k): the entries before the trailing block of -1 entries, and
         the size k >= 1 of that block; an entry below -1, a -1 elsewhere, or
         no -1 at all is a ValueError."""
-        if any(g < -1 for g in self.entries):
+        if any(g < -1 for g in self):
             raise ValueError("exponents below -1 are not supported")
         k = 0
-        while k < len(self.entries) and self.entries[-1 - k] == -1:
+        while k < len(self) and self[-1 - k] == -1:
             k += 1
-        tail = self.entries[:len(self.entries) - k]
+        tail = self[:len(self) - k]
         if -1 in tail:
             raise ValueError("-1 entries must form a trailing block; permute the "
                              "coordinates so that they do")
@@ -141,33 +141,27 @@ class ParamVector:
         return tail, k
 
     def shifted(self, deltas: Sequence[Rational]) -> "ParamVector":
-        if len(deltas) != len(self.entries):
+        if len(deltas) != len(self):
             raise ValueError("shift has wrong length")
-        return ParamVector([g + as_fraction(t) for g, t in zip(self.entries, deltas)])
+        return ParamVector([g + as_fraction(t) for g, t in zip(self, deltas)])
 
     def with_values(self, assignments: Mapping[int, Rational]) -> "ParamVector":
         if not all(is_index(i, 0, self.d) for i in assignments):
             raise ValueError(f"bad entry indices {list(assignments)} for dimension {self.d}")
-        return ParamVector([assignments.get(i, g) for i, g in enumerate(self.entries)])
+        return ParamVector([assignments.get(i, g) for i, g in enumerate(self)])
 
     @classmethod
     def parse(cls, text: str) -> "ParamVector":
         return cls(text.split(","))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ParamVector) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
     def __str__(self) -> str:
-        return ",".join(map(str, self.entries))
+        return ",".join(map(str, self))
 
     def __repr__(self) -> str:
         return f"ParamVector({self})"
 
     def to_json(self) -> list[str]:
-        return [str(g) for g in self.entries]
+        return [str(g) for g in self]
 
 
 def face_params(gamma: ParamVector, zeroed: Iterable[int]) -> ParamVector:
@@ -176,7 +170,7 @@ def face_params(gamma: ParamVector, zeroed: Iterable[int]) -> ParamVector:
     zset = zero_set(zeroed, gamma.d)
     if not 0 < len(zset) <= gamma.d - 1:
         raise ValueError(f"bad face {sorted(zset)} for dimension {gamma.d}")
-    return ParamVector([g for i, g in enumerate(gamma.entries) if i not in zset])
+    return ParamVector([g for i, g in enumerate(gamma) if i not in zset])
 
 
 def zero_set(zeroed: Iterable[int], d: int) -> frozenset[int]:

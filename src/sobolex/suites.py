@@ -148,7 +148,7 @@ def suite_jacobi(checks: list[dict], n_max: int) -> dict:
 def suite_triangle(checks: list[dict], n_max: int, gammas: list[ParamVector]) -> dict:
     indices = [(k, n - k) for n in range(n_max + 1) for k in range(n + 1)]
     for gamma in gammas:
-        a, b, c = gamma.entries
+        a, b, c = gamma
         reflected = {nu: permuted_element(gamma, (2, 1), nu) for nu in indices}
         _add(checks, f"edge-restriction-x=0[{gamma}]",
              (rodrigues_element(gamma, (0, n)).restrict({0})
@@ -269,14 +269,14 @@ def suite_lemmas4(checks: list[dict], d: int, n_max: int, gammas: list[ParamVect
     summed (g = (lead, -1 x k), S its trailing k-1 true axes; nu >= 1 on `positive`)
       is R(g, nu) = (1-|x|) x^S sum_{c_i != 0} c_i R((lead, 1 x k), nu - e_S - e_i),
       c_i = (-1)^(k-1) prod_{j<k-1} (n - j) nu_i (nu_i + g_i) / n."""
-    leads = sorted({g.entries[:-1] for g in gammas})
+    leads = sorted({g[:-1] for g in gammas})
     zero = Polynomial.zero(d)
 
     def dropped(entries, axes):
         gamma = ParamVector(entries).with_values({i: -1 for i in axes})
         raised = gamma.shifted([2 * (j in axes) for j in range(d + 1)])
         for n in range(len(axes), n_max + 1):
-            mult = (-1) ** len(axes) * prod(n + gamma.entries[d] - j for j in range(len(axes))) \
+            mult = (-1) ** len(axes) * prod(n + gamma[d] - j for j in range(len(axes))) \
                 * _product_of_x(d, axes)
             for nu in _positive_indices(d, n, axes):
                 yield rodrigues_element(gamma, nu) \
@@ -288,7 +288,7 @@ def suite_lemmas4(checks: list[dict], d: int, n_max: int, gammas: list[ParamVect
             scale = Fraction((-1) ** (k - 1) * prod(n - j for j in range(k - 1)), n)
             for nu in _positive_indices(d, n, positive):
                 terms = [(lam, _lowered(nu, axes + [i])) for i in range(d)
-                         if (lam := scale * nu[i] * (nu[i] + gamma.entries[i]))]
+                         if (lam := scale * nu[i] * (nu[i] + gamma[i]))]
                 # `positive` holds S, so every index m of a nonzero c_i is >= 0
                 yield rodrigues_element(gamma, nu) == factor * sum(
                     (lam * rodrigues_element(raised, m) for lam, m in terms), zero)

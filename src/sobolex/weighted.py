@@ -103,7 +103,7 @@ class WeightedForm:
         out = Polynomial.zero(self.dim)
         for (alpha, beta), coef in self._terms.items():
             exps = []
-            for a, g in zip(alpha, gamma.entries[:-1]):
+            for a, g in zip(alpha, gamma[:-1]):
                 r = a - g
                 if r.denominator != 1 or r < 0:
                     raise NonPolynomialQuotient(

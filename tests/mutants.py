@@ -164,9 +164,18 @@ MUTANTS = [
     # the one integer rising factorial: every moment numerator and denominator
     # is one factor off, and so is every Leibniz coefficient
     Mutant("rising-off-by-one", "src/sobolex/scalars.py",
-           "start + i * step",
-           "start + (i + 1) * step",
+           "math.prod(range(start, start + k * step, step))",
+           "math.prod(range(start + step, start + (k + 1) * step, step))",
            ["tests/test_moments.py", "-k", "brute_force"]),
+    # a weight is the tuple of its exponents and takes no other state
+    Mutant("param-vector-takes-attributes", "src/sobolex/scalars.py",
+           "    __slots__ = ()\n",
+           "",
+           ["tests/test_scalars.py", "-k", "param_vector_is_immutable"]),
+    Mutant("power-one-factor-short", "src/sobolex/polynomials.py",
+           "[self] * n",
+           "[self] * (n - 1)",
+           ["tests/test_polynomials.py", "-k", "repeated_product"]),
     Mutant("pochhammer-scale-one-power-too-high", "src/sobolex/scalars.py",
            "a.denominator ** k)",
            "a.denominator ** (k + 1))",
@@ -187,7 +196,7 @@ MUTANTS = [
     # one numerator memo for every weight: a monomial met under a second
     # weight reads the first weight's numerator
     Mutant("numerators-shared-across-weights", "src/sobolex/moments.py",
-           "_NUMERATORS.setdefault(gamma.entries, {})",
+           "_NUMERATORS.setdefault(gamma, {})",
            "_NUMERATORS.setdefault((), {})",
            ["tests/test_moments.py", "-k", "own_numerators"]),
     Mutant("leibniz-denominator-one-power-too-high", "src/sobolex/bases.py",
@@ -306,8 +315,8 @@ MUTANTS = [
            ["tests/test_kernels.py", "-k", "integral"]),
     # jacobi_norm judges (1-x)^alpha x^beta by the weight's own rule, both exponents
     Mutant("jacobi-norm-judges-alpha-only", "src/sobolex/bases.py",
-           "b, a = ParamVector([beta, alpha]).integrable().entries",
-           "b, a = as_fraction(beta), ParamVector([0, alpha]).integrable().entries[1]",
+           "b, a = ParamVector([beta, alpha]).integrable()",
+           "b, a = as_fraction(beta), ParamVector([0, alpha]).integrable()[1]",
            ["tests/test_bases.py", "-k", "jacobi_norm"]),
     # every identity still holds, so only the count gate sees the missing lead
     Mutant("partial-orthogonality-drops-the-half-lead", "src/sobolex/suites.py",
@@ -334,9 +343,14 @@ MUTANTS = [
            r'_RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")',
            ["tests/test_scalars.py", "-k", "integer_rule"]),
     Mutant("numeral-limit-leaks-pythons-advice", "src/sobolex/scalars.py",
-           'if len(text.strip().lstrip("+-")) > MAX_DIGITS:',
+           "if len(digits) > MAX_DIGITS:",
            "if False:",
            ["tests/test_scalars.py", "-k", "integer_rule"]),
+    # the pieces are read by int() under any interpreter limit, each shifted by its own length
+    Mutant("numeral-pieces-lose-their-place", "src/sobolex/scalars.py",
+           "10 ** len(piece)",
+           "10 ** 640",
+           ["tests/test_scalars.py", "-k", "least_limit"]),
     Mutant("numeral-limit-one-digit-short", "src/sobolex/scalars.py",
            "> MAX_DIGITS:",
            ">= MAX_DIGITS:",
@@ -366,8 +380,8 @@ MUTANTS = [
            ["tests/test_bases.py", "-k", "monomial_examples"]),
     # a pairing under a weight with no integral: -1, or a ZeroDivisionError
     Mutant("biorthogonal-accepts-a-nonintegrable-weight", "src/sobolex/bases.py",
-           "zip(gamma.integrable().entries[:-1], nu)",
-           "zip(gamma.entries[:-1], nu)",
+           "zip(gamma.integrable()[:-1], nu)",
+           "zip(gamma[:-1], nu)",
            ["tests/test_bases.py", "-k", "not_integrable"]),
 ]
 

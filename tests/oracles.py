@@ -127,7 +127,7 @@ def apply_operator(gamma: ParamVector, f: Polynomial) -> Polynomial:
     for i in range(d):
         xi = Polynomial.variable(d, i)
         out = out + xi * (1 - xi) * firsts[i].partial(i)
-        out = out + (gamma.entries[i] + 1 - s * xi) * firsts[i]
+        out = out + (gamma[i] + 1 - s * xi) * firsts[i]
         for j in range(i + 1, d):
             xj = Polynomial.variable(d, j)
             out = out - 2 * xi * xj * firsts[i].partial(j)
@@ -298,7 +298,7 @@ def oracle_rodrigues_element(gamma: ParamVector, nu: tuple[int, ...]) -> Polynom
     """Differentiate the nu-shifted weight and divide the weight back out."""
     d = gamma.d
     n = sum(nu)
-    alpha = [g + k for g, k in zip(gamma.entries[:-1], nu)]
+    alpha = [g + k for g, k in zip(gamma[:-1], nu)]
     form = WeightedForm.single(d, 1, alpha, gamma.last + n)
     for axis, times in enumerate(nu):
         for _ in range(times):
@@ -318,7 +318,7 @@ def oracle_permuted_element(gamma: ParamVector, order: tuple[int, ...],
     for slot, s in enumerate(order):
         shift[s] += nu[slot]
     shift[excluded] += n
-    exps = [g + s for g, s in zip(gamma.entries, shift)]
+    exps = [g + s for g, s in zip(gamma, shift)]
     form = WeightedForm.single(d, 1, exps[:-1], exps[-1])
     for slot, s in enumerate(order):
         if excluded == d:

@@ -156,7 +156,7 @@ def test_permuted_element_is_the_pulled_back_rodrigues_element(d):
     for gamma in weights:
         for order in all_orders(d):
             (c,) = set(range(d + 1)) - set(order)
-            permuted = ParamVector([gamma.entries[o] for o in (*order, c)])
+            permuted = ParamVector([gamma[o] for o in (*order, c)])
             for n in range(4):
                 for nu in monomials_of_degree(d, n):
                     assert (rodrigues_element(permuted, nu).pullback(order)

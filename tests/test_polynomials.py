@@ -32,6 +32,16 @@ def test_ring_basics():
         X + Polynomial.variable(3, 0)
 
 
+def test_power_is_the_repeated_product():
+    f = Polynomial(3, {(1, 0, 2): Fraction(-2, 3), (0, 1, 0): 1, (0, 0, 0): 5})
+    want = Polynomial.constant(3, 1)
+    for n in range(6):
+        assert f ** n == want, n
+        want = want * f
+    with pytest.raises(ValueError, match="power must be an int >= 0"):
+        f ** -1
+
+
 def test_a_polynomial_equals_no_number():
     # __eq__ compares polynomials only: the constant 1 is no int 1
     assert (Polynomial.constant(2, 1) == 1) is False

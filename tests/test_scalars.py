@@ -37,13 +37,15 @@ def test_pochhammer_values():
 
 def test_rising_is_its_definition():
     # a -1 weight entry gives start 0, and start + i * step crosses zero
-    for step in (1, 2, 6):
-        for start in range(-13, 14):
-            for k in range(8):
-                want = 1
-                for i in range(k):
-                    want *= start + i * step
-                assert rising(start, step, k) == want, (start, step, k)
+    rng = random.Random(43)
+    cases = [(start, step) for step in (1, 2, 6) for start in range(-13, 14)]
+    cases += [(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 1000)) for _ in range(200)]
+    for start, step in cases:
+        for k in range(9):
+            want = 1
+            for i in range(k):
+                want *= start + i * step
+            assert rising(start, step, k) == want, (start, step, k)
 
 
 def test_pochhammer_is_a_fraction_product():
@@ -148,6 +150,25 @@ def test_the_digit_bound_is_the_packages_own_not_the_interpreters():
                    -9, "a 4302-character numeral is too long to read"]
 
 
+def test_the_library_reads_past_the_interpreters_least_limit():
+    # 640 is the least limit the interpreter accepts for int(); whatever it is
+    # set to, the package reads up to MAX_DIGITS digits and refuses more itself
+    ones = "1" * 700
+    coef = {"d": 1, "terms": [{"exp": [0], "coef": f" -0{ones}"}]}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = [parse_int(ones), as_fraction("1/" + ones),
+               Polynomial.from_json(coef).coefficient((0,))]
+        refused = [_read("9" * 4301), _read(f"-{'9' * 4301}")]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    value = (10 ** 700 - 1) // 9
+    assert got == [value, Fraction(1, value), -value]
+    assert refused == ["a 4301-character numeral is too long to read",
+                       "a 4302-character numeral is too long to read"]
+
+
 def test_zero_set_takes_only_ints_in_range():
     # True == 1 == 1.0 == Fraction(1), so each would pass as the index 1
     assert zero_set([2, 0, 2], 2) == frozenset({0, 2})
@@ -171,8 +192,8 @@ def test_param_vector_basics():
     g = ParamVector(["1/2", -1, 0])
     assert g.d == 2
     assert g.total == -H
-    assert g.entries == (H, -1, 0)
-    assert [i for i, v in enumerate(g.entries) if v == -1] == [1]
+    assert g == (H, -1, 0)
+    assert [i for i, v in enumerate(g) if v == -1] == [1]
     assert (str(g), repr(g)) == ("1/2,-1,0", "ParamVector(1/2,-1,0)")
     with pytest.raises(NonIntegrableWeight, match=r"^weight exponents \(1/2,-1,0\) are not"):
         g.integrable()
@@ -191,11 +212,22 @@ def test_param_vector_shift_has_one_entry_per_exponent():
         ParamVector([0, 0, 0]).shifted([1, 1])
 
 
+def test_param_vector_is_the_tuple_of_its_fractions():
+    g = ParamVector(["1/2", 0, -1])
+    assert g == (H, Fraction(0), Fraction(-1)) and hash(g) == hash((H, Fraction(0), Fraction(-1)))
+    assert [type(v) for v in g] == [Fraction] * 3
+    assert {(H, 0, -1): "key"}[g] == "key"
+    assert type(g[:-1]) is tuple and g[:-1] == (H, 0)
+    assert len(g) == g.d + 1 == 3
+
+
 def test_param_vector_is_immutable():
     g = ParamVector([0, 0])
-    with pytest.raises(AttributeError, match="immutable"):
-        g.entries = (Fraction(1), Fraction(1))
-    assert g.entries == (0, 0)
+    with pytest.raises(TypeError):
+        g[0] = Fraction(1)
+    with pytest.raises(AttributeError):  # a new attribute: the vector has no other state
+        setattr(g, "entries", (Fraction(1), Fraction(1)))
+    assert g == (0, 0) and not hasattr(g, "entries")
 
 
 @pytest.mark.parametrize("entries, split", [
@@ -371,7 +403,7 @@ INTEGRABLE_ENTRY_POINTS = [
     ("ClassicalProduct.matrix", lambda g: ClassicalProduct(g).matrix([T, T * T])),
     ("biorthogonal_constant", lambda g: biorthogonal_constant(g, (1,))),
     # the weight of jacobi_norm(n, alpha, beta) is (1-x)^alpha x^beta: (beta, alpha)
-    ("jacobi_norm", lambda g: jacobi_norm(1, g.entries[1], g.entries[0])),
+    ("jacobi_norm", lambda g: jacobi_norm(1, g[1], g[0])),
 ]
 NOT_INTEGRABLE = ["0,-1", "-1,1/2", "-3/2,-2"]
 

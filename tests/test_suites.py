@@ -90,7 +90,7 @@ def _not_ok(real):
 def _tail_plus_one(real):
     """A SingularProduct with every exponent but the -1 entries one higher."""
     return lambda gamma, **kwargs: real(
-        ParamVector([g if g == -1 else g + 1 for g in gamma.entries]), **kwargs)
+        ParamVector([g if g == -1 else g + 1 for g in gamma]), **kwargs)
 
 
 def _args_plus_one(real):
