@@ -168,7 +168,7 @@ def monomial_element(gamma: ParamVector, nu: Exponents) -> Polynomial:
     top = sum(scaled) + (d + n) * D  # D (s+n)
     den = rising(top, D, n)
     if not den:  # lambda_m = lambda_n for m = -(s+n) < n
-        m = -(gamma.total + d + n)
+        m = -(sum(gamma) + d + n)
         raise ZeroDenominator(f"degrees {m} and {n} share the eigenvalue {eigenvalue(gamma, n)}")
     sign = -1 if den < 0 else 1  # _from_ints needs a positive denominator
     level = [sign * (-1) ** (n + k) * rising(top, D, k) for k in range(n + 1)]
@@ -193,8 +193,8 @@ def biorthogonal_constant(gamma: ParamVector, nu: Exponents) -> Fraction:
     value = Fraction((-1) ** n * math.prod(map(math.factorial, nu)))
     for g, k in zip(gamma.integrable()[:-1], nu):
         value *= pochhammer(g + 1, k)
-    value *= pochhammer(gamma.last + 1, n)
-    return value / pochhammer(gamma.total + d + 1, 2 * n)
+    value *= pochhammer(gamma[-1] + 1, n)
+    return value / pochhammer(sum(gamma) + d + 1, 2 * n)
 
 
 # -- the second-order operator ----------------------------------------------
@@ -202,7 +202,7 @@ def biorthogonal_constant(gamma: ParamVector, nu: Exponents) -> Fraction:
 def eigenvalue(gamma: ParamVector, n: int) -> Fraction:
     if not is_index(n, 0):
         raise ValueError(f"bad degree {n!r}")
-    return -n * (n + gamma.total + gamma.d)
+    return -n * (n + sum(gamma) + gamma.d)
 
 
 def eigencheck(gamma: ParamVector, f: Polynomial, n: int) -> bool:

@@ -203,12 +203,6 @@ class Polynomial:
             exp[:axis] + (exp[axis] - 1,) + exp[axis + 1:]: coef * exp[axis]
             for exp, coef in self._terms.items() if exp[axis]}, self._den)
 
-    def partials(self, axes: Iterable[int]) -> "Polynomial":
-        out = self
-        for axis in axes:
-            out = out.partial(axis)
-        return out
-
     def substitute(self, axis: int, replacement: "Polynomial") -> "Polynomial":
         """Substitute x_axis := replacement (a polynomial in the same d variables)."""
         if not is_index(axis, 0, self.dim - 1):

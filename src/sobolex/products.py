@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -52,7 +53,7 @@ def mass_ratio(params: ParamVector) -> str:
     it keeps the rescaling of each term auditable even when it is irrational.
     """
     den = "*".join(f"Gamma({g + 1})" for g in params)
-    return f"Gamma({params.total + params.d + 1})/({den})"
+    return f"Gamma({sum(params) + params.d + 1})/({den})"
 
 
 def _subset_keyed(lams: Mapping[frozenset[int], Rational] | None
@@ -92,8 +93,8 @@ def _derivative(axes: Iterable[int], zeroed: Iterable[int] = ()) -> Callable:
     where the coordinates `zeroed` vanish (index d: 1-|x| = 0)."""
     axes, zeroed = tuple(axes), frozenset(zeroed)
     if zeroed:
-        return lambda f: f.partials(axes).restrict(zeroed)
-    return lambda f: f.partials(axes)
+        return lambda f: reduce(Polynomial.partial, axes, f).restrict(zeroed)
+    return lambda f: reduce(Polynomial.partial, axes, f)
 
 
 def _vertex(j: int) -> Callable:

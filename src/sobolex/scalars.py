@@ -109,14 +109,6 @@ class ParamVector(tuple):
     def d(self) -> int:
         return len(self) - 1
 
-    @property
-    def last(self) -> Fraction:
-        return self[-1]
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self, Fraction(0))
-
     def integrable(self) -> "ParamVector":
         """The weight itself when every exponent is > -1, else NonIntegrableWeight."""
         if any(g <= -1 for g in self):

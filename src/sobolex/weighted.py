@@ -109,7 +109,7 @@ class WeightedForm:
                     raise NonPolynomialQuotient(
                         f"residual exponent {r} is not a nonnegative integer")
                 exps.append(int(r))
-            rb = beta - gamma.last
+            rb = beta - gamma[-1]
             if rb.denominator != 1 or rb < 0:
                 raise NonPolynomialQuotient(
                     f"residual exponent {rb} is not a nonnegative integer")

@@ -383,6 +383,30 @@ MUTANTS = [
            "zip(gamma.integrable()[:-1], nu)",
            "zip(gamma[:-1], nu)",
            ["tests/test_bases.py", "-k", "not_integrable"]),
+    # a mixed partial is the fold of one partial per axis
+    Mutant("derivative-takes-the-first-axis-only", "src/sobolex/products.py",
+           "return lambda f: reduce(Polynomial.partial, axes, f)\n",
+           "return lambda f: reduce(Polynomial.partial, axes[:1], f)\n",
+           ["tests/test_products.py", "-k", "oracle"]),
+    # |g| counts g_{d+1}
+    Mutant("eigenvalue-drops-the-last-exponent", "src/sobolex/bases.py",
+           "n + sum(gamma) + gamma.d",
+           "n + sum(gamma[:-1]) + gamma.d",
+           ["tests/test_bases.py", "-k", "jacobi_ode"]),
+    # a benchmark request that compiles a module it does not use: each fails
+    # one row of the load test, and no other
+    Mutant("products-loads-bases", "src/sobolex/products.py",
+           "from .errors import NonPositiveForm\n",
+           "from .bases import eigenvalue\nfrom .errors import NonPositiveForm\n",
+           ["tests/test_package.py", "-k", "loads_only and inner"]),
+    Mutant("eigen-reaches-spaces-through-suites", "src/sobolex/cli.py",
+           "return spaces.verify_u_space(form, args.n)",
+           "return suites.verify_u_space(form, args.n)",
+           ["tests/test_package.py", "-k", "loads_only and eigen"]),
+    Mutant("gram-reaches-monomials-through-suites", "src/sobolex/cli.py",
+           "else products.labeled(polynomials.monomial_polys(args.d, args.n - 1)",
+           "else products.labeled(suites.monomial_polys(args.d, args.n - 1)",
+           ["tests/test_package.py", "-k", "loads_only and gram"]),
 ]
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 from math import comb, prod
 
 from sobolex import products as P
@@ -121,7 +122,7 @@ def apply_operator(gamma: ParamVector, f: Polynomial) -> Polynomial:
     d = f.dim
     if gamma.d != d:
         raise ValueError("dimension mismatch")
-    s = gamma.total + d + 1
+    s = sum(gamma) + d + 1
     out = Polynomial.zero(d)
     firsts = [f.partial(i) for i in range(d)]
     for i in range(d):
@@ -166,7 +167,7 @@ def oracle_monomial_element(gamma, nu: tuple[int, ...]) -> Polynomial:
     (lambda_k - lambda_n) c_b = -[x^b] (L - lambda_n)(the terms above k),
     and there is none to take where lambda_k = lambda_n."""
     d, n = gamma.d, sum(nu)
-    lam = [-k * (k + gamma.total + d) for k in range(n + 1)]
+    lam = [-k * (k + sum(gamma) + d) for k in range(n + 1)]
     v = Polynomial.monomial(d, nu)
     for k in reversed(range(n)):
         if lam[k] == lam[n]:
@@ -299,7 +300,7 @@ def oracle_rodrigues_element(gamma: ParamVector, nu: tuple[int, ...]) -> Polynom
     d = gamma.d
     n = sum(nu)
     alpha = [g + k for g, k in zip(gamma[:-1], nu)]
-    form = WeightedForm.single(d, 1, alpha, gamma.last + n)
+    form = WeightedForm.single(d, 1, alpha, gamma[-1] + n)
     for axis, times in enumerate(nu):
         for _ in range(times):
             form = form.derivative(axis)
@@ -357,14 +358,15 @@ def _singular_mid(p, f, g):
     d, k = p.dim, p.k
     mk = list(range(d - k + 1, d))
     total = oracle_inner_product(
-        f.partials(mk), g.partials(mk),
+        reduce(Polynomial.partial, mk, f), reduce(Polynomial.partial, mk, g),
         ParamVector(p.tail + (Fraction(0),) * (k - 1) + (Fraction(k - 2),)))
     for i in range(1, k - 1):
         for subset in itertools.combinations(mk, i):
             lam = p.lam_face.get(frozenset(subset), Fraction(1))
             face = set(mk) - set(subset)
             fp = ParamVector(p.tail + (Fraction(0),) * i + (Fraction(i - 1),))
-            total += lam * _face_pair(f.partials(subset), g.partials(subset), face, fp)
+            total += lam * _face_pair(reduce(Polynomial.partial, subset, f),
+                                      reduce(Polynomial.partial, subset, g), face, fp)
     fd = d - len(mk)
     grad = Polynomial.zero(fd)
     for i in range(d - k + 1):
@@ -381,14 +383,16 @@ def _singular_mid(p, f, g):
 def _singular_full(p, f, g):
     d = p.dim
     axes = list(range(d))
-    total = oracle_inner_product(f.partials(axes), g.partials(axes),
+    total = oracle_inner_product(reduce(Polynomial.partial, axes, f),
+                                 reduce(Polynomial.partial, axes, g),
                                  ParamVector((Fraction(0),) * d + (Fraction(d - 1),)))
     for i in range(1, d):
         for subset in itertools.combinations(axes, i):
             lam = p.lam_face.get(frozenset(subset), Fraction(1))
             face = set(axes) - set(subset)
             fp = ParamVector((Fraction(0),) * i + (Fraction(i - 1),))
-            total += lam * _face_pair(f.partials(subset), g.partials(subset), face, fp)
+            total += lam * _face_pair(reduce(Polynomial.partial, subset, f),
+                                      reduce(Polynomial.partial, subset, g), face, fp)
     for j in range(d + 1):
         total += p.lam_vertex[j] * vertex_eval(f, j) * vertex_eval(g, j)
     return total
@@ -447,7 +451,7 @@ def oracle_named_k3_value(lam1, lam2, lam10, lam01, lam00,
     """Exponents (-1, -1, -1): <f_xy, g_xy> against (0, 0, 1), the two edge
     pairings of f_x (on y = 0) and f_y (on x = 0), and the three vertex values."""
     edge = ParamVector([0, 0])
-    return oracle_inner_product(f.partials([0, 1]), g.partials([0, 1]),
+    return oracle_inner_product(f.partial(0).partial(1), g.partial(0).partial(1),
                                 ParamVector([0, 0, 1])) \
         + lam1 * _face_pair(f.partial(0), g.partial(0), {1}, edge) \
         + lam2 * _face_pair(f.partial(1), g.partial(1), {0}, edge) \
@@ -483,7 +487,8 @@ def oracle_value(p, f: Polynomial, g: Polynomial) -> Fraction:
                 lam = p.lambdas.get(frozenset(subset), Fraction(1))
                 deltas = [1 if i in subset else 0 for i in range(p.dim)] + [j]
                 total += lam * oracle_inner_product(
-                    f.partials(subset), g.partials(subset), p.gamma.shifted(deltas))
+                    reduce(Polynomial.partial, subset, f), reduce(Polynomial.partial, subset, g),
+                    p.gamma.shifted(deltas))
         return total
     if isinstance(p, P.SingularProduct):
         if p.k == 1:

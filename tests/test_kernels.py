@@ -41,7 +41,7 @@ def _elements(gamma: ParamVector, n: int):
 @pytest.mark.parametrize("gamma", EIGEN_GAMMAS, ids=repr)
 def test_eigencheck_agrees_with_applying_the_operator(gamma):
     rng = random.Random(str(tuple(gamma)))
-    shift = gamma.total + gamma.d
+    shift = sum(gamma) + gamma.d
     checked = rejected = 0
     for n in range(4):
         for p in _elements(gamma, n):

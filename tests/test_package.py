@@ -60,7 +60,16 @@ HEAVY = {"bases", "linalg", "moments", "products", "spaces", "suites", "weighted
     (["basis", "--d", "2", "--n", "3", "--family", "permuted", "--gamma", "1,0,1/2",
       "--order", "3,2"], 0, {"products", "suites", "weighted"}),
     (["verify", "--suite", "thm36", "--d", "2", "--n-max", "1"], 0, {"weighted"}),
-], ids=["help", "usage-error", "permuted", "thm36"])
+    # the benchmark's other requests: the precondition control (a weight that
+    # is not integrable), a Sobolev eigenspace and a Sobolev Gram report
+    (["inner", "--d", "2", "--gamma", "-1,0,0", "--spec", "classical",
+      "--f", '{"d":2,"terms":[{"exp":[1,0],"coef":"1"}]}',
+      "--g", '{"d":2,"terms":[{"exp":[0,1],"coef":"1"}]}'], 3,
+     {"bases", "spaces", "suites", "weighted"}),
+    (["eigen", "--d", "3", "--n", "4", "--gamma", "1,-1,-1,-1"], 0, {"suites", "weighted"}),
+    (["gram", "--d", "3", "--n", "4", "--gamma", "-1,-1,-1,-1", "--spec", "sobolev",
+      "--basis", "u", "--against", "lower"], 0, {"suites", "weighted"}),
+], ids=["help", "usage-error", "permuted", "thm36", "inner-control", "eigen", "gram-sobolev"])
 def test_cli_loads_only_the_modules_its_command_uses(argv, exit_code, unused):
     loaded = _loaded_by(argv, exit_code)
     assert loaded <= set(LIBRARY) | {"cli"}

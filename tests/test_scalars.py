@@ -191,7 +191,6 @@ H = Fraction(1, 2)
 def test_param_vector_basics():
     g = ParamVector(["1/2", -1, 0])
     assert g.d == 2
-    assert g.total == -H
     assert g == (H, -1, 0)
     assert [i for i, v in enumerate(g) if v == -1] == [1]
     assert (str(g), repr(g)) == ("1/2,-1,0", "ParamVector(1/2,-1,0)")
@@ -219,6 +218,8 @@ def test_param_vector_is_the_tuple_of_its_fractions():
     assert {(H, 0, -1): "key"}[g] == "key"
     assert type(g[:-1]) is tuple and g[:-1] == (H, 0)
     assert len(g) == g.d + 1 == 3
+    # |g| and g_{d+1} are read off the tuple: sum(g) and g[-1]
+    assert not any(hasattr(g, name) for name in ("entries", "last", "total"))
 
 
 def test_param_vector_is_immutable():

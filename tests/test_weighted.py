@@ -76,7 +76,7 @@ def test_shift_differentiate_divide_degree():
         nu = tuple(rng.randint(0, 2) for _ in range(d))
         n = sum(nu)
         form = WeightedForm.single(
-            d, 1, [g + k for g, k in zip(gamma, nu)], gamma.last + n)
+            d, 1, [g + k for g, k in zip(gamma, nu)], gamma[-1] + n)
         for axis, times in enumerate(nu):
             for _ in range(times):
                 form = form.derivative(axis)
