@@ -285,8 +285,3 @@ def jacobi_negative_one_one(n: int, lam1: Rational = 1, lam2: Rational = 1) -> P
             raise ZeroDenominator("lam1 + lam2 must be nonzero")
         return x + (l2 - l1) / (l1 + l2)
     return (x * x - 1) * Fraction(1, 4) * jacobi_p(n - 2, 1, 1)
-
-
-def all_orders(d: int) -> list[tuple[int, ...]]:
-    """Every ordering of d indices out of {0..d}, lexicographically."""
-    return list(itertools.permutations(range(d + 1), d))

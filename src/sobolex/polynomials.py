@@ -72,10 +72,6 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, dim: int) -> "Polynomial":
-        return cls(dim)
-
-    @classmethod
     def constant(cls, dim: int, value: Rational) -> "Polynomial":
         if not is_index(dim, 0):
             raise ValueError(f"dimension must be an integer >= 0, not {dim!r}")
@@ -212,7 +208,7 @@ class Polynomial:
         for exp, coef in self._terms.items():
             rest = exp[:axis] + (0,) + exp[axis + 1:]
             groups.setdefault(exp[axis], {})[rest] = coef
-        out = Polynomial.zero(self.dim)
+        out = Polynomial(self.dim)
         for e in range(max(groups, default=0), -1, -1):  # Horner, from the top power down
             out = out * replacement + Polynomial._from_ints(self.dim, groups.get(e, {}), self._den)
         return out
@@ -308,10 +304,6 @@ def complement_power(dim: int, power: int) -> Polynomial:
     for i in range(dim):
         base = base - Polynomial.variable(dim, i)
     return base ** power
-
-
-def complement(dim: int) -> Polynomial:
-    return complement_power(dim, 1)
 
 
 def monomials_of_degree(dim: int, degree: int) -> list[Exponents]:

@@ -23,13 +23,12 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, NamedTuple
 
-from .bases import (Basis, all_orders, biorthogonal_constant, eigencheck,
-                    jacobi_negative_one_beta, jacobi_negative_one_one,
-                    jacobi_norm, jacobi_p, jacobi_shifted,
+from .bases import (Basis, biorthogonal_constant, eigencheck, jacobi_negative_one_beta,
+                    jacobi_negative_one_one, jacobi_norm, jacobi_p, jacobi_shifted,
                     monomial_basis, monomial_element, permuted_basis,
                     permuted_element, rodrigues_basis, rodrigues_element)
 from .linalg import in_span, poly_rank, positive_definite, spans_equal
-from .polynomials import Polynomial, complement, monomial_polys, monomials_of_degree
+from .polynomials import Polynomial, complement_power, monomial_polys, monomials_of_degree
 from .products import (ONE, ClassicalProduct, DerivativeProduct, SingularProduct, Term,
                        TermList, _derivative, _vertex)
 from .scalars import ParamVector, face_params, is_index
@@ -61,10 +60,6 @@ def default_tails(d: int, k: int) -> list[tuple[Fraction, ...]]:
     return [tuple(Fraction(0) for _ in range(m)),
             tuple(HALF for _ in range(m)),
             mixed]
-
-
-def _scaled(mult: Polynomial, polys: list[Polynomial]) -> list[Polynomial]:
-    return [mult * p for p in polys]
 
 
 def _lowered(nu: tuple[int, ...], axes: list[int]) -> tuple[int, ...]:
@@ -173,10 +168,10 @@ def suite_triangle(checks: list[dict], n_max: int, gammas: list[ParamVector]) ->
 # ---------------------------------------------------------------------------
 
 def suite_rodrigue(checks: list[dict], d: int, n_max: int, gammas: list[ParamVector]) -> dict:
-    orders = all_orders(d)
+    orders = list(itertools.permutations(range(d + 1), d))
     for gamma in gammas:
         classical = ClassicalProduct(gamma)
-        # all_orders(d) holds the identity order, whose permuted basis is the Rodrigues basis
+        # the orders hold the identity order, whose permuted basis is the Rodrigues basis
         families = [(n, family.polys()) for n in range(n_max + 1)
                     for family in [monomial_basis(gamma, n),
                                    *(permuted_basis(gamma, order, n) for order in orders)]]
@@ -203,7 +198,7 @@ def _monic_partial(gamma: ParamVector, nu: tuple[int, ...], i: int) -> Polynomia
     """d/dx_i of the monic element V_nu by the derivative identity: nu_i times
     V_{nu - e_i} at the weight with gamma_i and gamma_{d+1} raised by one."""
     if nu[i] == 0:
-        return Polynomial.zero(gamma.d)
+        return Polynomial(gamma.d)
     shifted = gamma.shifted([int(j == i) for j in range(gamma.d)] + [1])
     return nu[i] * monomial_element(shifted, _lowered(nu, [i]))
 
@@ -259,7 +254,7 @@ def _trailing_block(lead: tuple[Fraction, ...], k: int):
     d = len(lead) + k - 1
     axes = list(range(d + 1 - k, d))
     return (ParamVector(list(lead) + [-1] * k), ParamVector(list(lead) + [1] * k), axes,
-            complement(d) * _product_of_x(d, axes))
+            complement_power(d, 1) * _product_of_x(d, axes))
 
 
 def suite_lemmas4(checks: list[dict], d: int, n_max: int, gammas: list[ParamVector]) -> dict:
@@ -270,7 +265,7 @@ def suite_lemmas4(checks: list[dict], d: int, n_max: int, gammas: list[ParamVect
       is R(g, nu) = (1-|x|) x^S sum_{c_i != 0} c_i R((lead, 1 x k), nu - e_S - e_i),
       c_i = (-1)^(k-1) prod_{j<k-1} (n - j) nu_i (nu_i + g_i) / n."""
     leads = sorted({g[:-1] for g in gammas})
-    zero = Polynomial.zero(d)
+    zero = Polynomial(d)
 
     def dropped(entries, axes):
         gamma = ParamVector(entries).with_values({i: -1 for i in axes})
@@ -387,7 +382,8 @@ def named_symmetric(c, lam1, lam2, lam00) -> TermList:
 def suite_thm31(checks: list[dict], n_max: int) -> dict:
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
-    w = complement(2)
+    w = complement_power(2, 1)
+    xy, yw, xyw = x * y, y * w, x * y * w
     samples = [(Fraction(0), Fraction(0)), (HALF, Fraction(1))]
 
     def u(entries, n: int, **lams) -> list[Polynomial]:
@@ -399,7 +395,7 @@ def suite_thm31(checks: list[dict], n_max: int) -> dict:
         tag = f"a={a},b={b}"
         _add(checks, f"decomposition-k1[{tag}]",
              (spans_equal(k1[a, b][n],
-                          _scaled(w, rodrigues_basis(ParamVector([a, b, 1]), n - 1).polys())
+                          [w * p for p in rodrigues_basis(ParamVector([a, b, 1]), n - 1).polys()]
                           + [permuted_element(ParamVector([a, b, 0]), (2, 1), (0, n))])
               for n in range(n_max + 1)))
 
@@ -410,27 +406,27 @@ def suite_thm31(checks: list[dict], n_max: int) -> dict:
                w * rodrigues_element(ParamVector([a, 0, 1]), (n - 1, 0)))
               for n in range(1, n_max + 1)]
         _add(checks, f"decomposition-k2[{tag}]",
-             (spans_equal(space, _scaled(y * w, rodrigues_basis(ParamVector([a, 1, 1]),
-                                                                n - 2).polys())
+             (spans_equal(space, [yw * p for p in rodrigues_basis(ParamVector([a, 1, 1]),
+                                                                  n - 2).polys()]
                           + [y * permuted_element(ParamVector([a, 1, 0]), (2, 1), (0, n - 1)),
                              edge])
               for n, space, edge in k2))
         _add(checks, f"recursion-k2[{tag}]",
-             (spans_equal(space, _scaled(y, u([a, 1, -1], n - 1)) + [edge])
+             (spans_equal(space, [y * p for p in u([a, 1, -1], n - 1)] + [edge])
               for n, space, edge in k2))
 
     k3 = [(n, u([-1, -1, -1], n),
-           y * w * rodrigues_element(ParamVector([0, 1, 1]), (0, n - 2)))
+           yw * rodrigues_element(ParamVector([0, 1, 1]), (0, n - 2)))
           for n in range(2, n_max + 1)]
     _add(checks, "decomposition-k3",
-         (spans_equal(space, _scaled(x * y * w, rodrigues_basis(ParamVector([1, 1, 1]),
-                                                                n - 3).polys())
-                      + [x * y * permuted_element(ParamVector([1, 1, 0]), (2, 1), (0, n - 2)),
+         (spans_equal(space, [xyw * p for p in rodrigues_basis(ParamVector([1, 1, 1]),
+                                                               n - 3).polys()]
+                      + [xy * permuted_element(ParamVector([1, 1, 0]), (2, 1), (0, n - 2)),
                          x * w * rodrigues_element(ParamVector([1, 0, 1]), (n - 2, 0)),
                          edge])
           for n, space, edge in k3))
     _add(checks, "recursion-k3",
-         (spans_equal(space, _scaled(x, u([1, -1, -1], n - 1)) + [edge])
+         (spans_equal(space, [x * p for p in u([1, -1, -1], n - 1)] + [edge])
           for n, space, edge in k3))
 
     lam_choices = [(Fraction(1), Fraction(1), Fraction(1)),
@@ -442,7 +438,7 @@ def suite_thm31(checks: list[dict], n_max: int) -> dict:
           for l00, l10, l01 in lam_choices))
 
     # the (-1,-1,c) eigenspace at degree n, keyed by (c, n)
-    pair = {(c, n): _scaled(x * y, rodrigues_basis(ParamVector([1, 1, c]), n - 2).polys())
+    pair = {(c, n): [xy * p for p in rodrigues_basis(ParamVector([1, 1, c]), n - 2).polys()]
             + [x * rodrigues_element(ParamVector([1, 0, c]), (n - 1, 0)),
                y * rodrigues_element(ParamVector([0, 1, c]), (0, n - 1))]
             for c in (Fraction(0), HALF) for n in range(1, n_max + 1)}
@@ -579,8 +575,8 @@ def suite_thm36(checks: list[dict], d: int, n_max: int) -> dict:
     product = SingularProduct(ParamVector(list(tail0) + [-1]))
     _add(checks, "k1-block-orthogonality",
          (product.orthogonal(
-             _scaled(complement(d),
-                     rodrigues_basis(ParamVector(list(tail0) + [1]), n - 1).polys()),
+             [complement_power(d, 1) * p
+              for p in rodrigues_basis(ParamVector(list(tail0) + [1]), n - 1).polys()],
              h_space(ParamVector(list(tail0) + [0]), [d], n).polys())
           for n in range(1, n_max + 1)))
     if d >= 2:

@@ -100,7 +100,7 @@ class WeightedForm:
         """
         if gamma.d != self.dim:
             raise ValueError("parameter vector has wrong dimension")
-        out = Polynomial.zero(self.dim)
+        out = Polynomial(self.dim)
         for (alpha, beta), coef in self._terms.items():
             exps = []
             for a, g in zip(alpha, gamma[:-1]):

@@ -123,7 +123,7 @@ def apply_operator(gamma: ParamVector, f: Polynomial) -> Polynomial:
     if gamma.d != d:
         raise ValueError("dimension mismatch")
     s = sum(gamma) + d + 1
-    out = Polynomial.zero(d)
+    out = Polynomial(d)
     firsts = [f.partial(i) for i in range(d)]
     for i in range(d):
         xi = Polynomial.variable(d, i)
@@ -342,7 +342,7 @@ def _face_pair(f: Polynomial, g: Polynomial, zeroed, weight) -> Fraction:
 
 def _singular_k1(p, f, g):
     d = p.dim
-    grad = Polynomial.zero(d)
+    grad = Polynomial(d)
     for i in range(d):
         grad = grad + Polynomial.variable(d, i) * f.partial(i) * g.partial(i)
     total = oracle_integral(grad, ParamVector(p.tail + (Fraction(0),)))
@@ -368,7 +368,7 @@ def _singular_mid(p, f, g):
             total += lam * _face_pair(reduce(Polynomial.partial, subset, f),
                                       reduce(Polynomial.partial, subset, g), face, fp)
     fd = d - len(mk)
-    grad = Polynomial.zero(fd)
+    grad = Polynomial(fd)
     for i in range(d - k + 1):
         grad = grad + p.lam_axis[i] * Polynomial.variable(fd, i) \
             * f.partial(i).restrict(mk) * g.partial(i).restrict(mk)

@@ -197,7 +197,7 @@ def test_poly_span_helpers():
     assert spans_equal([x, y], [x + y, x - y])
     assert not spans_equal([x], [x, y])
     # empty lists and zero polynomials span {0}
-    zero = Polynomial.zero(2)
+    zero = Polynomial(2)
     assert [poly_rank(c) for c in ([], [zero], [zero, zero], [x], [x, zero])] == [0, 0, 0, 1, 1]
     pairs = [([], []), ([], [zero]), ([zero], []), ([], [x]), ([x], []), ([zero], [x, zero]),
              ([x, zero], [2 * x])]
@@ -226,7 +226,7 @@ def _vector(p, support):
 
 def test_coefficient_matrix_rows_over_their_denominators():
     rng = random.Random(319)
-    polys = [_random_poly(rng) for _ in range(6)] + [Polynomial.zero(2)]
+    polys = [_random_poly(rng) for _ in range(6)] + [Polynomial(2)]
     rows, dens, support = coefficient_matrix(polys)
     assert support == sorted({e for p in polys for e, _ in p.items()}, key=graded_lex_key)
     assert len(rows) == len(dens) == len(polys)
@@ -241,7 +241,7 @@ def test_in_span_matches_the_fraction_oracle():
     # the Fraction solve on the coefficient vectors: dependent bases, zero
     # targets, members and non-members
     rng = random.Random(318)
-    zero = Polynomial.zero(2)
+    zero = Polynomial(2)
     found = none = zeros = 0
     for trial in range(400):
         basis = [_random_poly(rng) for _ in range(rng.randint(0, 4))]

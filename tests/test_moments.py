@@ -6,7 +6,7 @@ import pytest
 from sobolex.errors import NonIntegrableWeight
 from sobolex.linalg import positive_definite
 from sobolex.moments import face_inner_product, inner_product, integral, pairings, vertex_eval
-from sobolex.polynomials import Polynomial, complement, monomials_up_to
+from sobolex.polynomials import Polynomial, complement_power, monomials_up_to
 from sobolex.scalars import ParamVector
 
 from oracles import (interval_integral, normalized_moment, oracle_inner_product,
@@ -61,7 +61,7 @@ def test_face_inner_product_examples():
 def test_vertex_eval():
     assert vertex_eval(X, 1) == 1
     assert vertex_eval(X, 0) == 0
-    w = complement(2)
+    w = complement_power(2, 1)
     assert vertex_eval(w, 1) == 0 and vertex_eval(w, 2) == 0
     assert vertex_eval(w, 0) == 1
 

@@ -13,7 +13,7 @@ from sobolex.bases import jacobi_negative_one_beta, jacobi_negative_one_one, rod
 from sobolex.errors import NonPositiveForm
 from sobolex.linalg import positive_definite
 from sobolex.moments import inner_product
-from sobolex.polynomials import Polynomial, complement, monomials_up_to
+from sobolex.polynomials import Polynomial, complement_power, monomials_up_to
 from sobolex.products import (ClassicalProduct, DerivativeProduct, SingularProduct, TermList,
                               gram, labeled)
 from sobolex.scalars import ParamVector
@@ -261,7 +261,7 @@ def test_a_bool_is_no_coefficient():
 def test_block_orthogonality_k1():
     spec = SingularProduct(ParamVector([0, 0, -1]))
     for n in range(1, 4):
-        core = [complement(2) * p
+        core = [complement_power(2, 1) * p
                 for p in rodrigues_basis(ParamVector([0, 0, 1]), n - 1).polys()]
         top = h_space(ParamVector([0, 0, 0]), [2], n).polys()
         assert all(spec.value(p, q) == 0 for p in core for q in top)
@@ -359,7 +359,7 @@ def test_value_and_gram_match_oracle(form, oracle):
     d = form.dim
     # the last rows over the pairwise coprime denominators 7, 11 and 13
     rows = [_random_poly(rng, d) for _ in range(3)] + [Polynomial.constant(d, 2),
-                                                       Polynomial.zero(d)]
+                                                       Polynomial(d)]
     cols = [_random_poly(rng, d) for _ in range(3)] + [Polynomial.variable(d, d - 1)]
     rows += [Fraction(1, q) * _random_poly(rng, d) for q in (7, 11, 13)]
     want = [[oracle(f, g) for g in cols] for f in rows]
@@ -396,7 +396,7 @@ def test_orthogonal_is_an_all_zero_matrix(form, oracle):
     p = Polynomial.constant(d, 1)
     for i in range(d):
         p = p * (Polynomial.variable(d, i) + 1)
-    zero = Polynomial.zero(d)
+    zero = Polynomial(d)
     cases = [([zero], [p]), ([zero, p], [p]), ([p], [zero, zero]),
              ([_random_poly(rng, d) for _ in range(3)], [_random_poly(rng, d) for _ in range(2)])]
     got = [form.orthogonal(rows, cols) for rows, cols in cases]
@@ -498,7 +498,7 @@ def test_gram_report_flags():
     assert read([]) == ([True, None, None], None)
     assert read([], labeled([ONE])) == ([True, None, None], True)
     # all_zero reads every row: here the first one is zero and the second is not
-    zero = Polynomial.zero(2)
+    zero = Polynomial(2)
     assert read(labeled([zero, X])) == ([False, True, False], None)
     assert read(labeled([zero, X]), labeled([ONE])) == ([False, None, None], False)
 
