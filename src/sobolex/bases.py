@@ -32,14 +32,15 @@ It shares the slot rows (at the identity order) and differs only in the
 level factor and the term x^m; in integers it is divided by D^n (s+n)_n,
 which vanishes exactly when lambda_m = lambda_n for some m < n.
 
-`eigencheck` does not apply the operator to a polynomial.  On monomials the
-operator is upper triangular,
+`eigen_residual` does not apply the operator to a polynomial.  On monomials
+the operator is upper triangular,
 
     L x^a = -|a|(|a|+|g|+d) x^a + sum_i a_i (a_i + g_i) x^{a-e_i},
 
 so each coefficient of L f - lambda_n f is read off from at most d+1
-coefficients of f, in integers over the common denominator of f and g.
-The tests check it against the operator applied by its definition.
+coefficients of f, in integers over the common denominator of f and g.  At
+n = 0 the residual is L f; `eigencheck` asks whether it vanishes.  The tests
+check it against the operator applied by its definition.
 """
 
 from __future__ import annotations
@@ -205,8 +206,8 @@ def eigenvalue(gamma: ParamVector, n: int) -> Fraction:
     return -n * (n + sum(gamma) + gamma.d)
 
 
-def eigencheck(gamma: ParamVector, f: Polynomial, n: int) -> bool:
-    """True iff L f == -n(n+|g|+d) f exactly.
+def eigen_residual(gamma: ParamVector, f: Polynomial, n: int) -> Polynomial:
+    """L f - lambda_n f, with lambda_n = -n(n+|g|+d); L f at n = 0.
 
     With f = sum_a c_a x^a and shift = |g|+d, the coefficient of x^b in
     L f - lambda_n f is
@@ -223,7 +224,7 @@ def eigencheck(gamma: ParamVector, f: Polynomial, n: int) -> bool:
     scaled, D = clear_denominators(gamma)                               # D g_i
     lows = [s + D for s in scaled[:-1]]                                 # (g_i+1) D
     top = sum(scaled) + (n + f.dim) * D                                 # (n+shift) D
-    coef, _ = f.scaled_to_integers()
+    coef, q = f.scaled_to_integers()
     residual = dict.fromkeys(coef, 0)
     for a, c in coef.items():
         k = sum(a)
@@ -232,7 +233,12 @@ def eigencheck(gamma: ParamVector, f: Polynomial, n: int) -> bool:
             if ai:
                 b = a[:i] + (ai - 1,) + a[i + 1:]
                 residual[b] = residual.get(b, 0) + c * ai * ((ai - 1) * D + lows[i])
-    return not any(residual.values())
+    return Polynomial._from_ints(f.dim, residual, q * D)
+
+
+def eigencheck(gamma: ParamVector, f: Polynomial, n: int) -> bool:
+    """True iff L f == -n(n+|g|+d) f exactly."""
+    return eigen_residual(gamma, f, n).is_zero
 
 
 # -- one-variable Jacobi families --------------------------------------------

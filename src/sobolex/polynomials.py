@@ -81,8 +81,7 @@ class Polynomial:
     def variable(cls, dim: int, axis: int) -> "Polynomial":
         if not (is_index(dim, 1) and is_index(axis, 0, dim - 1)):
             raise ValueError(f"axis {axis} out of range for dimension {dim}")
-        exp = tuple(1 if i == axis else 0 for i in range(dim))
-        return cls(dim, {exp: 1})
+        return cls.monomial(dim, [int(i == axis) for i in range(dim)])
 
     @classmethod
     def monomial(cls, dim: int, exp: Sequence[int], coef: Rational = 1) -> "Polynomial":

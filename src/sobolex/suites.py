@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import prod
+from math import perm, prod
 from typing import Iterable, NamedTuple
 
 from .bases import (Basis, biorthogonal_constant, eigencheck, jacobi_negative_one_beta,
@@ -57,9 +57,7 @@ def default_tails(d: int, k: int) -> list[tuple[Fraction, ...]]:
     if m == 0:
         return [()]
     mixed = tuple(Fraction(1) if j == 0 else Fraction(1, j + 2) for j in range(m))
-    return [tuple(Fraction(0) for _ in range(m)),
-            tuple(HALF for _ in range(m)),
-            mixed]
+    return [(Fraction(0),) * m, (HALF,) * m, mixed]
 
 
 def _lowered(nu: tuple[int, ...], axes: list[int]) -> tuple[int, ...]:
@@ -280,7 +278,7 @@ def suite_lemmas4(checks: list[dict], d: int, n_max: int, gammas: list[ParamVect
     def summed(lead, k, positive):
         gamma, raised, axes, factor = _trailing_block(lead, k)
         for n in range(k, n_max + 1):
-            scale = Fraction((-1) ** (k - 1) * prod(n - j for j in range(k - 1)), n)
+            scale = Fraction((-1) ** (k - 1) * perm(n, k - 1), n)
             for nu in _positive_indices(d, n, positive):
                 terms = [(lam, _lowered(nu, axes + [i])) for i in range(d)
                          if (lam := scale * nu[i] * (nu[i] + gamma[i]))]
@@ -289,15 +287,12 @@ def suite_lemmas4(checks: list[dict], d: int, n_max: int, gammas: list[ParamVect
                     (lam * rodrigues_element(raised, m) for lam, m in terms), zero)
 
     def homogeneous_face_block():
-        xs = [Polynomial.variable(d, i) for i in range(d)]
+        # on a homogeneous p of degree n, L - lambda_n keeps only its lowering part
         for lead in leads:
+            face = ParamVector([*lead, 0])
             for n in range(n_max + 1):
-                for p in h_space(ParamVector(list(lead) + [0]), [d], n).polys():
-                    grad = [p.partial(i) for i in range(d)]
-                    euler = sum((x * g for x, g in zip(xs, grad)), zero)
-                    second = sum((x * g.partial(i) + (lead[i] + 1) * g
-                                  for i, (x, g) in enumerate(zip(xs, grad))), zero)
-                    yield euler == n * p and second.is_zero
+                for p in h_space(face, [d], n).polys():
+                    yield all(sum(a) == n for a, _ in p.items()) and eigencheck(face, p, n)
 
     chain = itertools.chain.from_iterable
     _add(checks, "drop-last-exponent", chain(summed(lead, 1, range(d)) for lead in leads))

@@ -220,6 +220,11 @@ MUTANTS = [
            "c * ai * ((ai - 1) * D + lows[i])",
            "c * ai * (ai * D + lows[i])",
            ["tests/test_kernels.py", "-k", "eigencheck"]),
+    # a zero residual stays zero, so only the residual's value sees the missing D
+    Mutant("eigen-residual-drops-the-weight-denominator", "src/sobolex/bases.py",
+           "residual, q * D)",
+           "residual, q)",
+           ["tests/test_kernels.py", "-k", "eigencheck"]),
     Mutant("matrix-does-not-mirror", "src/sobolex/products.py",
            "out.append([out[j][i] for j in range(start)]",
            "out.append([ZERO for j in range(start)]",

@@ -11,21 +11,22 @@ is.  For each request, the median of R runs (default 5) of each of:
     fresh     the request as the benchmark sends it, `python -m sobolex.cli
               ARGS`, against a copy of src/ with no bytecode cache
               (PYTHONDONTWRITEBYTECODE=1, so every module is compiled)
-    compiled  the same request against a `compileall`ed copy of src/
+    compile   the seconds the same request spends compiling the package's
+              modules, timed in a probe run by a hook on
+              `SourceFileLoader.source_to_code`
     math      `cli.main(argv)` alone, timed in a fresh process after every
-              module of the package is loaded (from the compiled copy)
+              module of the package is loaded
 
-gives start, compile = fresh - compiled, other load = compiled - start - math
-and math, in milliseconds, for each request and summed over the pass.  The
-four kinds of run alternate within each repetition.  Both copies of src/ live
-in a temporary directory; nothing is written in the checkout.  pytest does not
+gives start, compile, other load = fresh - start - compile - math and math,
+in milliseconds, for each request and summed over the pass.  The four kinds
+of run alternate within each repetition.  The copy of src/ lives in a
+temporary directory; nothing is written in the checkout.  pytest does not
 collect this file.
 """
 
 from __future__ import annotations
 
 import argparse
-import compileall
 import os
 import platform
 import shutil
@@ -55,6 +56,29 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
 print(time.perf_counter() - start)
 """
 
+# Runs in the child as `python -m sobolex.cli ARGS` would, with argv[1:] the
+# CLI arguments, and prints the seconds spent compiling the package's sources.
+COMPILE = """\
+import contextlib, io, os, runpy, sys, time
+from importlib.machinery import SourceFileLoader
+src, to_code, spent = os.environ["PYTHONPATH"], SourceFileLoader.source_to_code, []
+def timed(self, data, path, *args, **kwargs):
+    start = time.perf_counter()
+    try:
+        return to_code(self, data, path, *args, **kwargs)
+    finally:
+        if str(path).startswith(src):
+            spent.append(time.perf_counter() - start)
+SourceFileLoader.source_to_code = timed
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+    try:
+        runpy.run_module("sobolex.cli", run_name="__main__", alter_sys=True)
+    except SystemExit:
+        pass
+print(sum(spent))
+"""
+
 
 def _timed(argv: list[str], env: dict, expected_exit: int | None = None) -> float:
     start = time.perf_counter()
@@ -66,18 +90,13 @@ def _timed(argv: list[str], env: dict, expected_exit: int | None = None) -> floa
     return seconds
 
 
-def _copies(tmp: Path) -> tuple[dict, dict]:
-    """The environments of an uncached and of a compiled copy of src/."""
-    envs = []
-    for name in ("fresh", "compiled"):
-        src = tmp / name / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        if name == "compiled" and not compileall.compile_dir(src, quiet=1):
-            raise RuntimeError(f"compileall failed in {src}")
-        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-        env.pop("SOBOLEX_THREADS", None)
-        envs.append(env)
-    return envs[0], envs[1]
+def _copy(tmp: Path) -> dict:
+    """The environment of a copy of src/ with no bytecode cache."""
+    src = tmp / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("SOBOLEX_THREADS", None)
+    return env
 
 
 def split(requests, reps: int) -> list[tuple[str, dict[str, float]]]:
@@ -85,23 +104,23 @@ def split(requests, reps: int) -> list[tuple[str, dict[str, float]]]:
     per request, each from the medians of `reps` runs of each kind."""
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        fresh, compiled = _copies(Path(tmp))
+        env = _copy(Path(tmp))
         for request in requests:
             cli = [sys.executable, "-m", "sobolex.cli", *request.argv]
-            runs: dict[str, list[float]] = {"start": [], "fresh": [], "compiled": [], "math": []}
+            runs: dict[str, list[float]] = {"start": [], "fresh": [], "compile": [], "math": []}
             for _ in range(reps):
-                runs["start"].append(_timed([sys.executable, "-c", "pass"], compiled))
-                runs["fresh"].append(_timed(cli, fresh, request.exit_code))
-                runs["compiled"].append(_timed(cli, compiled, request.exit_code))
-                done = subprocess.run([sys.executable, "-c", MATH, *request.argv], env=compiled,
-                                      stdin=subprocess.DEVNULL, capture_output=True, text=True,
-                                      check=True)
-                runs["math"].append(float(done.stdout))
+                runs["start"].append(_timed([sys.executable, "-c", "pass"], env))
+                runs["fresh"].append(_timed(cli, env, request.exit_code))
+                for kind, probe in (("compile", COMPILE), ("math", MATH)):
+                    done = subprocess.run([sys.executable, "-c", probe, *request.argv], env=env,
+                                          stdin=subprocess.DEVNULL, capture_output=True,
+                                          text=True, check=True)
+                    runs[kind].append(float(done.stdout))
             med = {kind: statistics.median(values) for kind, values in runs.items()}
             rows.append((request.key, {
                 "start": med["start"],
-                "compile": med["fresh"] - med["compiled"],
-                "other load": med["compiled"] - med["start"] - med["math"],
+                "compile": med["compile"],
+                "other load": med["fresh"] - med["start"] - med["compile"] - med["math"],
                 "math": med["math"],
             }))
     return rows

@@ -8,14 +8,15 @@ from functools import lru_cache
 import pytest
 
 from sobolex import bases
-from sobolex.bases import (eigencheck, monomial_element, permuted_basis,
-                           permuted_element, rodrigues_basis, rodrigues_element)
+from sobolex.bases import (eigen_residual, eigencheck, eigenvalue, monomial_element,
+                           permuted_basis, permuted_element, rodrigues_basis,
+                           rodrigues_element)
 from sobolex.errors import NonIntegrableWeight, ZeroDenominator
 from sobolex.moments import inner_product, integral
 from sobolex.polynomials import Polynomial, monomials_of_degree, monomials_up_to
 from sobolex.scalars import ParamVector
 
-from oracles import (oracle_eigencheck, oracle_inner_product,
+from oracles import (apply_operator, oracle_eigencheck, oracle_inner_product,
                      oracle_monomial_element, oracle_normalized_moment,
                      oracle_permuted_element, oracle_rodrigues_element)
 
@@ -62,6 +63,14 @@ def test_eigencheck_agrees_with_applying_the_operator(gamma):
             checked += 1
             rejected += not want
     assert rejected > checked // 2
+    # the residual itself, under random weights of every d <= 4, many not integrable
+    for _ in range(50):
+        g = ParamVector([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                         for _ in range(rng.randint(2, 5))])
+        f, n = _random_poly(rng, g.d, rng.randint(0, 4)), rng.randint(0, 4)
+        image = apply_operator(g, f)
+        assert eigen_residual(g, f, n) == image - eigenvalue(g, n) * f
+        assert eigen_residual(g, f, 0) == image
 
 
 def test_eigencheck_rejects_extra_lower_term():
