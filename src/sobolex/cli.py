@@ -133,8 +133,7 @@ def cmd_gram(args: argparse.Namespace) -> dict:
     else:
         form = product if args.spec == "sobolev" else None  # the u family's, built once
         rows = [(str(key), p) for key, p in _build_basis("--basis", args, gamma, form).elements]
-    cols = (None if args.against == "self"
-            else products.labeled(polynomials.monomial_polys(args.d, args.n - 1), "m"))
+    cols = None if args.against == "self" else products.labeled(product.below(args.n), "m")
     return products.gram(product, rows, cols).to_json()
 
 

@@ -11,8 +11,8 @@ Sobolev form has one derivative term per nonempty subset of its differentiated
 axes, the full subset its main term.  The paper's d = 2 forms in `suites` are
 plain term lists.  One evaluator, `matrix`, computes every value and Gram
 matrix from the terms; every check in `suites` and `spaces` reads it, the
-all-zero ones through `orthogonal`, and those against every lower degree
-through `orthogonal_below`, the one place that turns a degree into its columns.
+all-zero ones through `orthogonal`; `below(n)` is the one place that turns a
+degree into its columns, the polynomials of lower degree.
 It maps each row and each column polynomial through each term once, keeps the
 images as integer coefficients over a common denominator, and pairs them by
 moment sums (`moments.pairings`), so no polynomial is built per pair.  Each
@@ -152,10 +152,13 @@ class TermList:
         """Whether every polynomial in `rows` pairs to zero with every one in `cols`."""
         return not any(any(line) for line in self.matrix(rows, cols))
 
+    def below(self, n: int) -> tuple[Polynomial, ...]:
+        """The polynomials of degree below n: the monomials of degree <= n - 1."""
+        return monomial_polys(self.dim, n - 1)
+
     def orthogonal_below(self, rows: Sequence[Polynomial], n: int) -> bool:
-        """Whether every polynomial in `rows` is orthogonal to every polynomial
-        of degree below n, that is, to the monomials of degree <= n - 1."""
-        return self.orthogonal(rows, monomial_polys(self.dim, n - 1))
+        """Whether every polynomial in `rows` is orthogonal to `below(n)`."""
+        return self.orthogonal(rows, self.below(n))
 
 
 class ClassicalProduct(TermList):

@@ -127,10 +127,7 @@ def verify_u_space(product: SingularProduct, n: int) -> dict:
     rank_ok = rank == expected == len(polys)
     if not rank_ok:
         failures.append({"check": f"rank {rank} of {len(polys)} elements, expected {expected}"})
-    # the failing elements are named one by one, only when some are
-    ortho_ok = (product.orthogonal_below(polys, n)
-                or record("gram-vs-lower-degree",
-                          (not product.orthogonal_below([p], n) for p in polys)))
+    ortho_ok = record("gram-vs-lower-degree", map(any, product.matrix(polys, product.below(n))))
     vertices_ok = None
     if k == dim + 1 and n >= 2:
         vertices_ok = record("vertex-vanishing", (any(vertex_eval(p, j) for j in range(dim + 1))

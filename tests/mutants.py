@@ -144,6 +144,11 @@ MUTANTS = [
            "((1,) * (dim + 1) if lam_vertex is None else lam_vertex)",
            "(lam_vertex or (1,) * (dim + 1))",
            ["tests/test_products.py", "-k", "empty_coefficient"]),
+    # a row then fails only when it pairs nonzero with every lower monomial
+    Mutant("lower-degree-failure-needs-every-column", "src/sobolex/spaces.py",
+           "map(any, product.matrix(polys, product.below(n)))",
+           "map(all, product.matrix(polys, product.below(n)))",
+           ["tests/test_spaces.py", "-k", "recorded_order"]),
     Mutant("u-space-ignores-the-form-vertex-coefficients", "src/sobolex/spaces.py",
            "shift = -form.lam_vertex[j] / total",
            "shift = -total / (d + 1) / total",
@@ -405,8 +410,8 @@ MUTANTS = [
            "return suites.verify_u_space(form, args.n)",
            ["tests/test_package.py", "-k", "loads_only and eigen"]),
     Mutant("gram-reaches-monomials-through-suites", "src/sobolex/cli.py",
-           "else products.labeled(polynomials.monomial_polys(args.d, args.n - 1)",
-           "else products.labeled(suites.monomial_polys(args.d, args.n - 1)",
+           "rows = products.labeled(polynomials.monomial_polys(args.d, args.n)",
+           "rows = products.labeled(suites.monomial_polys(args.d, args.n)",
            ["tests/test_package.py", "-k", "loads_only and gram"]),
 ]
 

@@ -54,6 +54,9 @@ HEAVY = {"bases", "linalg", "moments", "products", "spaces", "suites", "weighted
 
 @pytest.mark.parametrize("argv, exit_code, unused", [
     (["--help"], 0, HEAVY | {"scalars"}),
+    # parsing `verify` names its suites without loading `suites`
+    (["verify", "--help"], 0, HEAVY | {"scalars"}),
+    (["verify", "--suite", "x"], 2, HEAVY | {"scalars"}),
     # a usage error that the benchmark sends as a negative control
     (["basis", "--d", "2", "--n", "1", "--family", "u", "--gamma", "0,-1,0"], 2,
      HEAVY | {"polynomials"}),
@@ -69,7 +72,11 @@ HEAVY = {"bases", "linalg", "moments", "products", "spaces", "suites", "weighted
     (["eigen", "--d", "3", "--n", "4", "--gamma", "1,-1,-1,-1"], 0, {"suites", "weighted"}),
     (["gram", "--d", "3", "--n", "4", "--gamma", "-1,-1,-1,-1", "--spec", "sobolev",
       "--basis", "u", "--against", "lower"], 0, {"suites", "weighted"}),
-], ids=["help", "usage-error", "permuted", "thm36", "inner-control", "eigen", "gram-sobolev"])
+    # `gram`'s default `--basis monomials` rows, which need no basis family
+    (["gram", "--d", "2", "--n", "2", "--gamma", "0,0,0"], 0,
+     {"bases", "spaces", "suites", "weighted"}),
+], ids=["help", "verify-help", "verify-refused", "usage-error", "permuted", "thm36",
+        "inner-control", "eigen", "gram-sobolev", "gram-monomials"])
 def test_cli_loads_only_the_modules_its_command_uses(argv, exit_code, unused):
     loaded = _loaded_by(argv, exit_code)
     assert loaded <= set(LIBRARY) | {"cli"}

@@ -193,8 +193,9 @@ def test_a_report_that_fails_every_check_keeps_the_recorded_order(monkeypatch):
     # U_3 of (-1, -1, -1) with a constant added to one element, x added to
     # another and the first one repeated fails all four checks; the report,
     # canonical as `sobolex eigen` prints it, is the one recorded before its
-    # flags were derived from the failure list
-    real = spaces.u_space
+    # flags were derived from the failure list.  Its lower-degree verdict and
+    # failing elements are read off one Gram, not one more per element.
+    real, real_matrix, grams = spaces.u_space, SingularProduct.matrix, []
 
     def tampered(form, n):
         basis = real(form, n)
@@ -204,8 +205,14 @@ def test_a_report_that_fails_every_check_keeps_the_recorded_order(monkeypatch):
         basis.elements.append(basis.elements[0])
         return basis
 
+    def counted(self, rows, cols=None):
+        grams.append(len(rows))
+        return real_matrix(self, rows, cols)
+
     monkeypatch.setattr(spaces, "u_space", tampered)
+    monkeypatch.setattr(SingularProduct, "matrix", counted)
     report = verify_u_space(_form((), 3), 3)
+    assert grams == [5]
     one, two = "('block', (1, 1, 0), (0, 1))", "('block', (1, 0, 1), (1, 0))"
     assert [(f["check"], f.get("element")) for f in report["failures"]] == [
         ("eigen", one), ("eigen", two), ("rank 4 of 5 elements, expected 4", None),
