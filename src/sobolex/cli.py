@@ -24,9 +24,9 @@ SUITE_NAMES = ("jacobi", "triangle", "rodrigue", "monomial", "lemmas4",
                "thm31", "thm34", "thm36", "all")
 
 
-def _parse_gamma(text: str, d: int) -> scalars.ParamVector:
+def _parse_gamma(text: str, d: int | None) -> scalars.ParamVector:
     gamma = scalars.ParamVector.parse(text)
-    if gamma.d != d:
+    if d not in (None, gamma.d):
         raise ValueError(f"--gamma needs {d + 1} entries for --d {d}")
     return gamma
 
@@ -95,9 +95,9 @@ def _build_basis(option: str, args: argparse.Namespace, gamma: scalars.ParamVect
     if family == "monomial":
         return bases.monomial_basis(gamma, args.n)
     if family == "permuted":
-        return bases.permuted_basis(gamma, tuple(_parse_indices(args.order, args.d)), args.n)
+        return bases.permuted_basis(gamma, tuple(_parse_indices(args.order, gamma.d)), args.n)
     if family == "h":
-        return spaces.h_space(gamma, _parse_indices(args.zero_set, args.d), args.n)
+        return spaces.h_space(gamma, _parse_indices(args.zero_set, gamma.d), args.n)
     # u, its form in its own statement: a weight refused there does not load `spaces`
     form = form or _sobolev_form(gamma, args)
     return spaces.u_space(form, args.n)
@@ -129,7 +129,7 @@ def cmd_gram(args: argparse.Namespace) -> dict:
     gamma = _parse_gamma(args.gamma, args.d)
     product = _build_product(args, gamma)
     if args.basis == "monomials":
-        rows = products.labeled(polynomials.monomial_polys(args.d, args.n), "m")
+        rows = products.labeled(polynomials.monomial_polys(gamma.d, args.n), "m")
     else:
         form = product if args.spec == "sobolev" else None  # the u family's, built once
         rows = [(str(key), p) for key, p in _build_basis("--basis", args, gamma, form).elements]
@@ -160,7 +160,7 @@ def cmd_report(args: argparse.Namespace) -> dict:
 
 # each option's add_argument keywords; `_check_flags` names an extra flag in this order
 OPTIONS = {
-    "--d": dict(default="2", help="ambient dimension"),
+    "--d": dict(help="ambient dimension (default: that of --gamma, else 2)"),
     "--n": dict(required=True, help="degree of the family, rows or eigenspace"),
     "--gamma": dict(required=True, help="comma-separated rational exponents, d+1 entries"),
     "--pretty": dict(action="store_true"),
@@ -174,7 +174,8 @@ OPTIONS = {
     "--against": dict(default="lower", choices=["lower", "self"]),
     "--f": dict(required=True, help="polynomial JSON"),
     "--g": dict(required=True, help="polynomial JSON"),
-    "--suite": dict(required=True, choices=SUITE_NAMES),
+    "--suite": dict(required=True, choices=SUITE_NAMES,
+                    help="jacobi, triangle and thm31 run at their own d only"),
     "--n-max": dict(default="3"),
 }
 
@@ -198,8 +199,6 @@ COMMANDS = {
                      "--d --n --gamma --pretty --lambda-vertex"),
     "verify": Command(cmd_verify, "run a named verification suite",
                       "--suite --d --n-max --gamma --pretty", {
-        "--d": dict(help="ambient dimension (default 2; jacobi, triangle and thm31 "
-                         "run at their own d only)"),
         "--gamma": dict(action="append",
                         help="override the sampled exponent vectors (repeatable)")}),
     "report": Command(cmd_report, "run every suite and summarize", "--d --n-max --pretty"),

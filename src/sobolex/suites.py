@@ -611,12 +611,12 @@ SUITES = {
 def run_suite(name: str, d: int | None = None, n_max: int = 3,
               gammas: list[ParamVector] | None = None) -> dict:
     """Suite `name` (a key of SUITES, or "all") at d; d=None is the suite's own
-    d, else 2, and gammas=None its default weights.  A d, weights or a weight
-    length its row rules out, or an empty list of weights, is a ValueError."""
+    d, else its first weight's, else 2, and gammas=None its default weights.
+    A d, weights or a weight length its row rules out, or gammas=[], is a ValueError."""
     row = Suite(None, False, False) if name == "all" else SUITES.get(name)
     if row is None:
         raise ValueError(f"unknown suite {name!r}")
-    d = (row.d or 2) if d is None else d
+    d = (row.d or (gammas[0].d if gammas else 2)) if d is None else d
     if not is_index(d, 1) or row.d not in (None, d):
         raise ValueError(f"suite {name!r} does not run at d = {d}")
     if not is_index(n_max, 0):

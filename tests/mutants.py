@@ -410,9 +410,18 @@ MUTANTS = [
            "return suites.verify_u_space(form, args.n)",
            ["tests/test_package.py", "-k", "loads_only and eigen"]),
     Mutant("gram-reaches-monomials-through-suites", "src/sobolex/cli.py",
-           "rows = products.labeled(polynomials.monomial_polys(args.d, args.n)",
-           "rows = products.labeled(suites.monomial_polys(args.d, args.n)",
+           "rows = products.labeled(polynomials.monomial_polys(gamma.d, args.n)",
+           "rows = products.labeled(suites.monomial_polys(gamma.d, args.n)",
            ["tests/test_package.py", "-k", "loads_only and gram"]),
+    # a missing --d read as 2 again, so a weight of other than 3 entries needs --d
+    Mutant("missing-d-is-2-for-the-cli", "src/sobolex/cli.py",
+           "if d not in (None, gamma.d):",
+           "if (d := d or 2) != gamma.d:",
+           ["tests/test_cli.py", "-k", "dimension_of_the_weight"]),
+    Mutant("missing-d-is-2-for-run-suite", "src/sobolex/suites.py",
+           "d = (row.d or (gammas[0].d if gammas else 2)) if d is None else d",
+           "d = (row.d or 2) if d is None else d",
+           ["tests/test_suites.py", "-k", "first_weights"]),
 ]
 
 

@@ -17,9 +17,11 @@ is.  For each request, the median of R runs (default 5) of each of:
     math      `cli.main(argv)` alone, timed in a fresh process after every
               module of the package is loaded
 
-gives start, compile, other load = fresh - start - compile - math and math,
-in milliseconds, for each request and summed over the pass.  The four kinds
-of run alternate within each repetition.  The copy of src/ lives in a
+gives start, compile, other load and math, in milliseconds, for each request
+and summed over the pass.  Other load is fresh - start - compile - math of each
+repetition's own four runs, whose median is reported; noise can make it
+negative, and a negative time is printed as it is, marked with a "*".  The four
+kinds of run alternate within each repetition.  The copy of src/ lives in a
 temporary directory; nothing is written in the checkout.  pytest does not
 collect this file.
 """
@@ -99,9 +101,34 @@ def _copy(tmp: Path) -> dict:
     return env
 
 
+KINDS = ["start", "compile", "other load", "math"]
+NEGATIVE = "* below zero: run-to-run noise exceeds this time; printed as measured, not clamped"
+
+
+def parts(runs: dict[str, list[float]]) -> dict[str, float]:
+    """The seconds of each of KINDS: the median over the repetitions of
+    `runs[kind]`, and for other load that of each repetition's
+    fresh - start - compile - math."""
+    other = [f - s - c - m for f, s, c, m
+             in zip(runs["fresh"], runs["start"], runs["compile"], runs["math"])]
+    return {kind: statistics.median(other if kind == "other load" else runs[kind])
+            for kind in KINDS}
+
+
+def table(rows: list[tuple[str, dict[str, float]]]) -> list[str]:
+    """The lines that print `rows` and their sum in milliseconds, a negative
+    time marked with a "*" and explained in a last line."""
+    shown = [*rows, ("(the pass)", {k: sum(times[k] for _, times in rows) for k in KINDS})]
+    lines = ["".join(f"{k:>10} " for k in KINDS) + "  ms, then the request"]
+    lines += ["".join(f"{1000 * times[k]:10.0f}{'*' if times[k] < 0 else ' '}" for k in KINDS)
+              + "  " + key for key, times in shown]
+    if any(t < 0 for _, times in shown for t in times.values()):
+        lines.append(NEGATIVE)
+    return lines
+
+
 def split(requests, reps: int) -> list[tuple[str, dict[str, float]]]:
-    """(request key, {"start", "compile", "other load", "math"} in seconds)
-    per request, each from the medians of `reps` runs of each kind."""
+    """(request key, `parts` of its `reps` repetitions) per request."""
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         env = _copy(Path(tmp))
@@ -116,13 +143,7 @@ def split(requests, reps: int) -> list[tuple[str, dict[str, float]]]:
                                           stdin=subprocess.DEVNULL, capture_output=True,
                                           text=True, check=True)
                     runs[kind].append(float(done.stdout))
-            med = {kind: statistics.median(values) for kind, values in runs.items()}
-            rows.append((request.key, {
-                "start": med["start"],
-                "compile": med["compile"],
-                "other load": med["fresh"] - med["start"] - med["compile"] - med["math"],
-                "math": med["math"],
-            }))
+            rows.append((request.key, parts(runs)))
     return rows
 
 
@@ -142,12 +163,7 @@ def main(argv: list[str]) -> int:
     print(f"{args.workload} seed {args.seed}, pass 0: {len(requests)} requests, "
           f"median of {args.reps} runs each; Python {platform.python_version()}, "
           f"{os.cpu_count()} CPUs")
-    rows = split(requests, args.reps)
-    kinds = ["start", "compile", "other load", "math"]
-    print("".join(f"{k:>11}" for k in kinds) + "   ms, then the request")
-    total = {k: sum(parts[k] for _, parts in rows) for k in kinds}
-    for key, parts in [*rows, ("(the pass)", total)]:
-        print("".join(f"{1000 * parts[k]:11.0f}" for k in kinds) + "   " + key)
+    print(*table(split(requests, args.reps)), sep="\n")
     return 0
 
 

@@ -468,6 +468,58 @@ def test_fixed_dimension_suite_accepts_its_own_d(capsys, suite, d):
         == run_cli(capsys, ["verify", "--suite", suite, "--n-max", "1"])
 
 
+_X3 = json.dumps(Polynomial.variable(3, 2).to_json())
+
+# commands without --d whose weight states d = 1 or 3
+D_FROM_THE_WEIGHT = {
+    "basis-d1": ["basis", "--n", "2", "--gamma", "1/2,0"],
+    "basis-permuted-d3": ["basis", "--n", "2", "--gamma", "1/2,0,1,1/3", "--family", "permuted",
+                          "--order", "4,2,1"],
+    "basis-h-d3": ["basis", "--n", "2", "--gamma", "1/2,0,1,1/3", "--family", "h",
+                   "--zero-set", "4"],
+    "inner-d1": ["inner", "--gamma", "1/2,-1", "--spec", "sobolev", "--f", _X1, "--g", _X1],
+    "inner-d3": ["inner", "--gamma", "0,1/2,1,1/3", "--f", _X3, "--g", _X3],
+    "gram-d1": ["gram", "--n", "3", "--gamma", "-1,-1", "--spec", "sobolev",
+                "--lambda-vertex", "2,3", "--against", "self"],
+    "gram-d3": ["gram", "--n", "2", "--gamma", "1/2,0,1,1/3"],
+    "eigen-d1": ["eigen", "--n", "3", "--gamma", "1/2,-1"],
+    "eigen-d3": ["eigen", "--n", "2", "--gamma", "1/2,1/3,-1,-1"],
+    "verify-rodrigue-d1": ["verify", "--suite", "rodrigue", "--n-max", "2", "--gamma", "1/2,0"],
+    "verify-rodrigue-d3": ["verify", "--suite", "rodrigue", "--n-max", "2",
+                           "--gamma", "0,1/2,1,1/3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(D_FROM_THE_WEIGHT))
+def test_d_defaults_to_the_dimension_of_the_weight(capsys, case):
+    argv = D_FROM_THE_WEIGHT[case]
+    d = argv[argv.index("--gamma") + 1].count(",")
+    code, out = run_cli(capsys, argv)
+    assert code == 0 and out
+    assert (code, out) == run_cli(capsys, [argv[0], "--d", str(d), *argv[1:]])
+
+
+# a --d that is given must agree with every weight, and `verify`'s first weight
+# states the d that its later ones must have
+D_DISAGREES = {
+    "basis": (["basis", "--d", "2", "--n", "1", "--gamma", "0,0,0,0"],
+              "--gamma needs 3 entries for --d 2"),
+    "eigen": (["eigen", "--d", "3", "--n", "1", "--gamma", "0,-1"],
+              "--gamma needs 4 entries for --d 3"),
+    "verify-second-weight": (["verify", "--suite", "rodrigue", "--n-max", "1",
+                              "--gamma", "0,0", "--gamma", "0,0,0"],
+                             "a weight at d = 1 has 2 entries"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(D_DISAGREES))
+def test_a_d_that_disagrees_with_a_weight_is_a_usage_error(capsys, case):
+    argv, message = D_DISAGREES[case]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+
 _ONE = json.dumps(Polynomial.constant(2, 1).to_json())
 
 # Sobolev forms whose --lambda-vertex has a negative entry or no positive one:

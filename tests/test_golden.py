@@ -141,6 +141,9 @@ COMMANDS = [
     ["eigen", "--d", "2", "--n", "1", "--gamma", "0,-1,-2"],
     # an accepted weight whose basis prints numbers of more than 4,300 digits
     ["basis", "--d", "1", "--n", "2", "--gamma", "1/" + "1" * 4000 + ",0"],
+    # d read off a weight of 4 entries, where --d is not given
+    ["eigen", "--n", "3", "--gamma", "1/2,-1,-1,-1"],
+    ["gram", "--n", "2", "--gamma", "0,1/2,1,1/3", "--against", "self"],
 ]
 
 
@@ -170,7 +173,7 @@ REFUSALS = [
     ["verify", "--suite", "x"],
     ["basis", "--d", "2"],
     ["basis", *_D2, "0,0"],
-    ["verify", "--suite", "rodrigue", "--n-max", "1", "--gamma", "0,0"],
+    ["verify", "--suite", "rodrigue", "--d", "2", "--n-max", "1", "--gamma", "0,0"],
     ["basis", *_D2, "0,0", "--order", "1,2"],
     ["basis", *_D2, "0,0", "--family", "permuted"],
     ["gram", *_D2, "0,0,0", "--spec", "epd", "--epd-order", "0", "--basis", "h"],
@@ -240,6 +243,13 @@ def test_every_command_has_a_digest():
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_stdout_matches_the_recorded_digest(argv):
     assert replay(argv) == _recorded()[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in COMMANDS
+                                  if "--gamma" in argv and "--d" not in argv], ids=" ".join)
+def test_a_command_without_d_prints_what_its_weights_d_prints(argv):
+    d = argv[argv.index("--gamma") + 1].count(",")
+    assert replay([argv[0], "--d", str(d), *argv[1:]]) == _recorded()[" ".join(argv)]
 
 
 def test_every_refusal_has_a_record():

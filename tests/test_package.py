@@ -56,6 +56,8 @@ HEAVY = {"bases", "linalg", "moments", "products", "spaces", "suites", "weighted
     (["--help"], 0, HEAVY | {"scalars"}),
     # parsing `verify` names its suites without loading `suites`
     (["verify", "--help"], 0, HEAVY | {"scalars"}),
+    *(([command, "--help"], 0, HEAVY | {"scalars"})
+      for command in ("basis", "inner", "gram", "eigen", "report")),
     (["verify", "--suite", "x"], 2, HEAVY | {"scalars"}),
     # a usage error that the benchmark sends as a negative control
     (["basis", "--d", "2", "--n", "1", "--family", "u", "--gamma", "0,-1,0"], 2,
@@ -75,7 +77,8 @@ HEAVY = {"bases", "linalg", "moments", "products", "spaces", "suites", "weighted
     # `gram`'s default `--basis monomials` rows, which need no basis family
     (["gram", "--d", "2", "--n", "2", "--gamma", "0,0,0"], 0,
      {"bases", "spaces", "suites", "weighted"}),
-], ids=["help", "verify-help", "verify-refused", "usage-error", "permuted", "thm36",
+], ids=["help", "verify-help", "basis-help", "inner-help", "gram-help", "eigen-help",
+        "report-help", "verify-refused", "usage-error", "permuted", "thm36",
         "inner-control", "eigen", "gram-sobolev", "gram-monomials"])
 def test_cli_loads_only_the_modules_its_command_uses(argv, exit_code, unused):
     loaded = _loaded_by(argv, exit_code)

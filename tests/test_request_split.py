@@ -1,0 +1,39 @@
+"""The arithmetic of `tests/request_split.py`, on fixed timings: other load
+from each repetition's own four runs, and a negative time printed as it is,
+marked and explained."""
+
+import pytest
+
+from request_split import NEGATIVE, parts, table
+
+# seconds of each kind of run, three repetitions of two requests
+POSITIVE = {"start": [0.040, 0.060, 0.050], "fresh": [0.200, 0.150, 0.180],
+            "compile": [0.020, 0.020, 0.020], "math": [0.130, 0.060, 0.090]}
+# noise makes two of the three repetitions spend less than start + compile + math
+NEGATIVE_RUNS = {"start": [0.040, 0.040, 0.040], "fresh": [0.130, 0.140, 0.150],
+                 "compile": [0.025, 0.025, 0.025], "math": [0.070, 0.080, 0.075]}
+
+
+def test_other_load_is_the_median_over_the_repetitions_of_their_own_differences():
+    got = parts(POSITIVE)
+    # per repetition 10, 10 and 20 ms; the difference of the medians would be 20
+    assert got == pytest.approx({"start": 0.050, "compile": 0.020, "other load": 0.010,
+                                 "math": 0.090})
+    assert parts(NEGATIVE_RUNS)["other load"] == pytest.approx(-0.005)
+
+
+def test_a_negative_time_prints_as_it_is_with_a_mark_and_a_note():
+    lines = table([("a", parts(POSITIVE)), ("b", parts(NEGATIVE_RUNS))])
+    assert lines == [
+        "     start    compile other load       math   ms, then the request",
+        "        50         20         10         90   a",
+        "        40         25         -5*        75   b",
+        "        90         45          5        165   (the pass)",
+        NEGATIVE,
+    ]
+
+
+def test_no_note_without_a_negative_time():
+    lines = table([("a", parts(POSITIVE))])
+    assert "*" not in "".join(lines)
+    assert lines[-1] == "        50         20         10         90   (the pass)"

@@ -231,6 +231,10 @@ REFUSED = {
                              "d = 2 has 3 entries"),
     "lemmas4-short-weight": ("lemmas4", {"d": 3, "gammas": [ParamVector([0, 0, 0])]},
                              "d = 3 has 4 entries"),
+    # without d, the first weight states it
+    "rodrigue-weights-of-two-d": ("rodrigue", {"gammas": [ParamVector([0, 0]),
+                                                          ParamVector([0, 0, 0])]},
+                                  "d = 1 has 2 entries"),
     "thm34-weights": ("thm34", {"gammas": [ParamVector([0, 0, 0])]}, "takes no weights"),
     "all-weights": ("all", {"gammas": [ParamVector([0, 0, 0])]}, "takes no weights"),
     # only None means the default weights
@@ -288,6 +292,24 @@ def test_run_suite_calls_what_is_bound_to_the_suite_name(monkeypatch):
     assert suites.run_suite("thm36", n_max=0) == {
         "suite": "thm36", "params": {"d": 2, "n_max": 0}, "ok": True,
         "checks": [{"name": "fake", "ok": True}]}
+
+
+def test_d_none_is_the_suites_own_d_else_its_first_weights_else_2(monkeypatch):
+    for name in suites.SUITES:
+        monkeypatch.setattr(suites, f"suite_{name}", lambda checks, *args: {"args": args})
+
+    def args(name, gammas=None):
+        try:
+            return suites.run_suite(name, n_max=0, gammas=gammas)["params"]["args"]
+        except ValueError as exc:  # a refusal is a wrong answer here, not a crash
+            return str(exc)
+
+    one, three = [ParamVector([0, 0])], [ParamVector([0, 0, 0, 0])]
+    assert args("rodrigue", one) == (1, 0, one)
+    assert args("lemmas4", three) == (3, 0, three)
+    assert args("monomial") == (2, 0, suites.default_gammas(2))
+    assert args("triangle", [ParamVector([0, 0, 0])]) == (0, [ParamVector([0, 0, 0])])
+    assert args("jacobi") == (0,)  # at its own d = 1, where d = 2 is refused
 
 
 def test_one_failed_check_fails_the_suite_all_and_verify(monkeypatch, capsys):
