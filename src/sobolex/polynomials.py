@@ -305,6 +305,13 @@ def complement_power(dim: int, power: int) -> Polynomial:
     return base ** power
 
 
+def barycentric_product(dim: int, slots: Iterable[int]) -> Polynomial:
+    """The product of the barycentric coordinates y_s of T^dim over the distinct `slots`."""
+    chosen = zero_set(slots, dim)
+    exp = [int(s in chosen) for s in range(dim + 1)]
+    return Polynomial.monomial(dim + 1, exp).pullback(range(dim + 1), dim)
+
+
 def monomials_of_degree(dim: int, degree: int) -> list[Exponents]:
     """All exponent tuples of total degree `degree`, graded-lex sorted: the
     heads ascend and each tail list is lexicographic already."""

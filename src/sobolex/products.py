@@ -235,17 +235,17 @@ class SingularProduct(TermList):
                  lam_vertex: Sequence[Rational] | None = None):
         tail, k = self.tail, self.k = gamma.singular_split()
         self.gamma = gamma
-        dim = gamma.d
+        dim, free = gamma.d, len(tail)  # free: the size of the part before the -1 block
         for name, given, taken in (("lam", lam, k <= dim), ("lam_axis", lam_axis, 1 < k <= dim),
                                    ("vertex coefficients (lam_vertex)", lam_vertex, k > dim)):
             if given is not None and not taken:
                 raise ValueError(f"the Sobolev form at k = {k}, d = {dim} takes no {name}")
         self.lam = ONE if lam is None else as_fraction(lam)
         self.lam_axis = tuple(as_fraction(v) for v in
-                              ((1,) * (dim - k + 1) if lam_axis is None else lam_axis))
-        if len(self.lam_axis) != dim - k + 1:
+                              ((1,) * free if lam_axis is None else lam_axis))
+        if len(self.lam_axis) != free:
             raise ValueError("lam_axis has wrong length")
-        mk = list(range(dim - k + 1, dim))  # the differentiated axes, zero-based
+        mk = list(range(free, dim))  # the differentiated axes, zero-based
         subsets = [s for i in range(1, k) for s in itertools.combinations(mk, i)]  # mk last
         self.lam_face = _subset_keyed(lam_face)
         if not self.lam_face.keys() <= set(map(frozenset, subsets[:-1])):
@@ -278,10 +278,9 @@ class SingularProduct(TermList):
             # at k = 1 the gradient term is the main one, and the final term the boundary
             gradient_tag, final_tag = ("gradient-face", "final") if k > 1 else ("main", "boundary")
             # gradient term on the face where the trailing k-1 axes vanish
-            fd = dim - k + 1
             gradient = ParamVector(tail + (0,))
             terms += [Term(self.lam_axis[i], _derivative((i,), mk), gradient,
-                           tuple(int(j == i) for j in range(fd)), gradient_tag) for i in range(fd)]
+                           tuple(int(j == i) for j in range(free)), gradient_tag) for i in range(free)]
             final = (_vertex(1), None) if k == dim else (_derivative((), mk + [dim]),
                                                          ParamVector(tail))
             terms.append(Term(self.lam, *final, tag=final_tag))

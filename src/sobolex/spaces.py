@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .bases import Basis, eigencheck, eigenvalue, permuted_element
 from .linalg import poly_rank
 from .moments import vertex_eval
-from .polynomials import Polynomial, monomials_of_degree
+from .polynomials import Polynomial, barycentric_product, monomials_of_degree
 from .scalars import ParamVector, is_index, zero_set
 
 if TYPE_CHECKING:
@@ -74,13 +74,11 @@ def u_space(form: SingularProduct, n: int) -> Basis:
                                    Polynomial.variable(d, j - 1) + shift))
         return basis
 
-    slots = range(d + 1 - k, d + 1)
+    slots = range(len(tail), d + 1)
     for j in range(k, -1, -1):
         for ones in itertools.combinations(slots, j):
             pattern = tuple(int(s in ones) for s in slots)
-            # the product of y_s over the slots with a 1, where y_d = 1-|x|
-            ys = Polynomial.monomial(d + 1, (0,) * (d + 1 - k) + pattern)
-            mult = ys.pullback(range(d + 1), d)
+            mult = barycentric_product(d, ones)
             zeroed = [s for s in slots if s not in ones]
             block = h_space(ParamVector(tail + pattern), zeroed, n - j)
             tag = ("core",) if j == k else ("top",) if j == 0 else ("block", pattern)

@@ -28,7 +28,8 @@ from .bases import (Basis, biorthogonal_constant, eigencheck, jacobi_negative_on
                     monomial_basis, monomial_element, permuted_basis,
                     permuted_element, rodrigues_basis, rodrigues_element)
 from .linalg import in_span, poly_rank, positive_definite, spans_equal
-from .polynomials import Polynomial, complement_power, monomial_polys, monomials_of_degree
+from .polynomials import (Polynomial, barycentric_product, complement_power, monomial_polys,
+                          monomials_of_degree)
 from .products import (ONE, ClassicalProduct, DerivativeProduct, SingularProduct, Term,
                        TermList, _derivative, _vertex)
 from .scalars import ParamVector, face_params, is_index
@@ -63,11 +64,6 @@ def default_tails(d: int, k: int) -> list[tuple[Fraction, ...]]:
 def _lowered(nu: tuple[int, ...], axes: list[int]) -> tuple[int, ...]:
     """nu minus one along each axis in `axes` (twice for an axis listed twice)."""
     return tuple(v - axes.count(j) for j, v in enumerate(nu))
-
-
-def _product_of_x(d: int, axes: list[int]) -> Polynomial:
-    """The product of x_i over the distinct axes i."""
-    return Polynomial.monomial(d, [int(i in axes) for i in range(d)])
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +246,9 @@ def _trailing_block(lead: tuple[Fraction, ...], k: int):
     """For the weight (lead, -1 x k): itself, (lead, 1 x k), the trailing k-1
     true axes S and the factor (1-|x|) x^S."""
     d = len(lead) + k - 1
-    axes = list(range(d + 1 - k, d))
+    axes = list(range(len(lead), d))
     return (ParamVector(list(lead) + [-1] * k), ParamVector(list(lead) + [1] * k), axes,
-            complement_power(d, 1) * _product_of_x(d, axes))
+            barycentric_product(d, axes + [d]))
 
 
 def suite_lemmas4(checks: list[dict], d: int, n_max: int, gammas: list[ParamVector]) -> dict:
@@ -270,7 +266,7 @@ def suite_lemmas4(checks: list[dict], d: int, n_max: int, gammas: list[ParamVect
         raised = gamma.shifted([2 * (j in axes) for j in range(d + 1)])
         for n in range(len(axes), n_max + 1):
             mult = (-1) ** len(axes) * prod(n + gamma[d] - j for j in range(len(axes))) \
-                * _product_of_x(d, axes)
+                * barycentric_product(d, axes)
             for nu in _positive_indices(d, n, axes):
                 yield rodrigues_element(gamma, nu) \
                     == mult * rodrigues_element(raised, _lowered(nu, axes))

@@ -129,6 +129,19 @@ MUTANTS = [
            "range(len(zset))",
            "zset - {d}",
            ["tests/test_spaces.py"]),
+    # the same fault, seen by each test that pulls U_n back or stacks it
+    Mutant("h-space-hyperplane-slots-are-the-zero-set", "src/sobolex/spaces.py",
+           "range(len(zset))",
+           "zset - {d}",
+           ["tests/test_spaces.py", "-k", "every_pattern"]),
+    Mutant("h-space-hyperplane-slots-are-the-zero-set", "src/sobolex/spaces.py",
+           "range(len(zset))",
+           "zset - {d}",
+           ["tests/test_spaces.py", "-k", "swapped_targets"]),
+    Mutant("h-space-hyperplane-slots-are-the-zero-set", "src/sobolex/spaces.py",
+           "range(len(zset))",
+           "zset - {d}",
+           ["tests/test_spaces.py", "-k", "term_by_term"]),
     # each check of a degree-n space then skips the degree n - 1 columns; at the
     # smallest n_max some checks evaluate no column, so no tamper fails them
     Mutant("orthogonal-below-skips-the-top-degree", "src/sobolex/products.py",
@@ -177,6 +190,12 @@ MUTANTS = [
            "    __slots__ = ()\n",
            "",
            ["tests/test_scalars.py", "-k", "param_vector_is_immutable"]),
+    # the product of barycentric coordinates without y_d = 1-|x|: lemmas4's
+    # factor (1-|x|) x^S loses its first factor
+    Mutant("barycentric-product-drops-the-hyperplane", "src/sobolex/polynomials.py",
+           "chosen = zero_set(slots, dim)",
+           "chosen = zero_set(slots, dim) - {dim}",
+           ["tests/test_suites.py", "-k", "lemmas4"]),
     Mutant("power-one-factor-short", "src/sobolex/polynomials.py",
            "[self] * n",
            "[self] * (n - 1)",

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from sobolex.polynomials import (Polynomial, complement_power, monomial_polys,
-                                 monomials_of_degree, monomials_up_to)
+from sobolex.polynomials import (Polynomial, barycentric_product, complement_power,
+                                 monomial_polys, monomials_of_degree, monomials_up_to)
 
 from oracles import evaluate
 
@@ -116,6 +116,18 @@ def test_pullback_to_barycentric_coordinates():
     assert f.pullback((0, 1, 2), 2) == 2 * X - Y + complement_power(2, 1) ** 2
     assert f.pullback((None, None, None), 0) == Polynomial(0)
     assert Polynomial.constant(1, 3).pullback((None,), 2) == Polynomial.constant(2, 3)
+
+
+def test_barycentric_product_multiplies_the_distinct_slots():
+    # y = (x, y, 1-x-y) on the triangle; a repeated slot counts once
+    assert barycentric_product(2, []) == Polynomial.constant(2, 1)
+    assert barycentric_product(2, [1, 0, 1]) == X * Y
+    assert barycentric_product(2, (0, 2)) == X * complement_power(2, 1)
+    assert barycentric_product(3, range(4)) \
+        == Polynomial.monomial(3, (1, 1, 1)) * complement_power(3, 1)
+    for bad in ([3], [-1], [True]):
+        with pytest.raises(ValueError, match="bad face index"):
+            barycentric_product(2, bad)
 
 
 @pytest.mark.parametrize("targets, dim", [

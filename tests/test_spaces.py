@@ -13,7 +13,7 @@ from sobolex.errors import NonPositiveForm
 from sobolex.linalg import poly_rank, spans_equal
 from sobolex.moments import inner_product, vertex_eval
 from sobolex.polynomials import Polynomial, monomials_up_to
-from sobolex.products import SingularProduct
+from sobolex.products import SingularProduct, TermList
 from sobolex.scalars import ParamVector, face_params
 from sobolex.spaces import (expected_dimension, h_space, u_space,
                             verify_u_space)
@@ -256,3 +256,55 @@ def test_monic_basis_spans_every_sampled_singular_eigenspace(d, n_max):
                 continue
             assert spans_equal(monomial_basis(gamma, n).polys(), u_space(form, n).polys()), \
                 (gamma, n)
+
+
+# the exponent that a slot outside the -1 entries takes in the pattern cases
+SLOT_TAILS = (Fraction(0), H, Fraction(1, 3), Fraction(2))
+
+
+@pytest.mark.parametrize("d,n_max", [(2, 4), (3, 3)])
+def test_u_space_reaches_every_pattern_of_minus_one_entries(d, n_max):
+    # "some, or all" of the exponents may be -1: for a set S of -1 slots that
+    # is no trailing block, let pi list the other slots first and then S; then
+    # gamma o pi has a trailing block, and U_n(gamma) is U_n(gamma o pi) pulled
+    # back by pi.  The operator at gamma itself, and the monic basis, judge it.
+    for size in range(1, d + 2):
+        for ones in itertools.combinations(range(d + 1), size):
+            if ones == tuple(range(d + 1 - size, d + 1)):
+                continue
+            gamma = ParamVector([-1 if s in ones else SLOT_TAILS[s] for s in range(d + 1)])
+            pi = [s for s in range(d + 1) if s not in ones] + list(ones)
+            form = SingularProduct(ParamVector([gamma[s] for s in pi]))
+            for n in range(n_max + 1):
+                polys = [p.pullback(pi[:d]) for p in u_space(form, n).polys()]
+                assert len(polys) == poly_rank(polys) == comb(n + d - 1, n), (gamma, n)
+                assert all(eigencheck(gamma, p, n) for p in polys), (gamma, n)
+                assert spans_equal(polys, monomial_basis(gamma, n).polys()), (gamma, n)
+
+
+def test_u_space_pulled_back_by_swapped_targets_leaves_the_eigenspace():
+    # at (-1, 1/2, 1/3) the two free slots carry different exponents, so the
+    # order of the pullback's targets matters
+    gamma = ParamVector([-1, H, Fraction(1, 3)])
+    form = SingularProduct(ParamVector([H, Fraction(1, 3), -1]))
+    for n in (1, 2, 3):
+        polys = u_space(form, n).polys()
+        assert all(eigencheck(gamma, p.pullback((1, 2)), n) for p in polys)
+        assert not all(eigencheck(gamma, p.pullback((2, 1)), n) for p in polys), n
+
+
+@pytest.mark.parametrize("d,n_max", [(1, 4), (2, 4), (3, 3)])
+def test_singular_eigenspaces_are_complete_and_orthogonal_term_by_term(d, n_max):
+    # U_0, ..., U_N span every polynomial of degree <= N, at k = d+1 too, where
+    # U_0 and U_1 share the eigenvalue 0.  Each integral term of the Sobolev
+    # form alone pairs U_n to zero with every lower degree, so U_n is
+    # orthogonal to lower degree for every choice of the form's lambdas.
+    for _, gamma in _singular_weights(d):
+        form = SingularProduct(gamma)
+        eigenspaces = [u_space(form, n).polys() for n in range(n_max + 1)]
+        assert poly_rank([p for polys in eigenspaces for p in polys]) == comb(n_max + d, d), gamma
+        for term in form.terms:
+            if term.weight is not None:
+                alone = TermList(d, {}, [term])
+                for n in range(1, n_max + 1):
+                    assert alone.orthogonal_below(eigenspaces[n], n), (gamma, term.tag, n)

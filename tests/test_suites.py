@@ -37,9 +37,8 @@ from sobolex.bases import Basis
 from sobolex.scalars import ParamVector
 
 # (d, n_max) per suite: every dimension the suite takes, at the smallest n_max
-# at which its checks evaluate something (partial-orthogonality[m=(1,1)]
-# starts at degree 3, drop-last-exponent at degree d).  jacobi raises n_max
-# to 5 itself.
+# at which its checks evaluate something (EMPTY_BELOW lists the checks that
+# evaluate nothing one lower).  jacobi raises n_max to 5 itself.
 RUNS = {
     "jacobi": [(1, 0)],
     "triangle": [(2, 2)],
@@ -58,6 +57,14 @@ EMPTY = {
     ("lemmas4", 1): {"drop-inner-block", "homogeneous-face-block"},
     ("thm34", 1): {"face-restriction-law", "face-block-convention-independence"},
     ("thm36", 1): {"k1-block-orthogonality"},
+}
+
+# Checks that evaluate no identity at an n_max below RUNS', so their `ok`
+# there says nothing: partial-orthogonality[m=(1,1)] starts at degree 3,
+# drop-last-exponent at degree d.
+EMPTY_BELOW = {
+    ("rodrigue", 2, 2): {"partial-orthogonality[m=(1,1)]"},
+    ("lemmas4", 3, 2): {"drop-last-exponent"},
 }
 
 
@@ -179,6 +186,14 @@ def test_every_check_evaluates_the_recorded_number_of_identities(suite):
         got = identity_counts(suite, d, n_max)
         prefix = f"{suite} d={d} n_max={n_max} "
         assert got == {key: n for key, n in recorded.items() if key.startswith(prefix)}
+
+
+@pytest.mark.parametrize("suite,d,n_max", EMPTY_BELOW)
+def test_below_runs_n_max_the_listed_checks_evaluate_nothing(suite, d, n_max):
+    prefix = f"{suite} d={d} n_max={n_max} "
+    empty = {key.removeprefix(prefix) for key, n in identity_counts(suite, d, n_max).items()
+             if not n}
+    assert empty == EMPTY_BELOW[suite, d, n_max]
 
 
 def test_count_recorder_adds_missing_counts_and_rewrites_none(tmp_path, monkeypatch):
