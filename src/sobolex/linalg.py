@@ -116,6 +116,8 @@ def coefficient_matrix(polys: Sequence[Polynomial]
     """(rows, dens, support): row i over dens[i] is the coefficient vector of
     polys[i] over a common graded-lex support.  Scaling a row by its
     denominator keeps the rank, so rank tests can use the rows alone."""
+    if len(dims := {p.dim for p in polys}) > 1:
+        raise ValueError(f"dimension mismatch: polynomials in {sorted(dims)} variables")
     views = [p.scaled_to_integers() for p in polys]
     support = sorted(set().union(*(terms for terms, _ in views)), key=graded_lex_key)
     rows = [[terms.get(exp, 0) for exp in support] for terms, _ in views]

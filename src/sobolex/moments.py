@@ -7,8 +7,9 @@ rational exponents.  The closed form used here is
     (integral of x^a (1-|x|)^{a_{d+1}} dW_g) / (mass of W_g)
         = prod_i (g_i + 1)_{a_i} / (|g| + d + 1)_{|a|}.
 
-`pairings` is the one moment sum.  Scaling every rising-factorial factor by
-the common denominator D of the exponents makes the numerator
+`pairings` is the one moment sum, and the one judge that what it pairs has
+the weight's d variables.  Scaling every rising-factorial factor by the common
+denominator D of the exponents makes the numerator
 prod_i D^{a_i} (g_i + 1)_{a_i} and the denominator D^{|a|} (|g| + d + 1)_{|a|}
 integers, both products of `scalars.rising`, so a numerator is an int keyed
 by its integer exponent tuple (one memo per weight, kept for the process), and
@@ -38,9 +39,11 @@ _NUMERATORS: dict[tuple[Fraction, ...], dict[Exponents, int]] = {}
 def pairings(gamma: ParamVector, rows: list[Polynomial], cols: list[Polynomial],
              shift: Exponents | None = None,
              upper: bool = False) -> tuple[list[list[int]], int]:
-    """The pairings of rows[i] with cols[j] times x^shift against W_gamma, as
-    (nums, den): entry (i, j) is nums[i][j] / den.  With `upper` (cols is
-    rows) only the entries j >= i are summed, the rest left 0."""
+    """The pairings of rows[i] with cols[j] times x^shift against W_gamma, all
+    in gamma's d variables, as (nums, den): entry (i, j) is nums[i][j] / den.
+    With `upper` (cols is rows) only the entries j >= i are summed, the rest 0."""
+    if {p.dim for p in (*rows, *cols)} | {gamma.d if shift is None else len(shift)} != {gamma.d}:
+        raise ValueError(f"dimension mismatch: the weight has {gamma.d} variables")
     scaled, step = clear_denominators(gamma.integrable())
     # rising(start, D, j) is D^j (g_i+1)_j for start D (g_i+1), and the
     # denominator D^j (|g|+d+1)_j for start D (|g|+d+1)
@@ -92,10 +95,6 @@ def integral(f: Polynomial, gamma: ParamVector) -> Fraction:
 
 def inner_product(f: Polynomial, g: Polynomial, gamma: ParamVector) -> Fraction:
     """Normalized L^2(W_gamma) pairing of two polynomials, without forming f*g."""
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    if f.dim != gamma.d:
-        raise ValueError("dimension mismatch")
     ((num,),), den = pairings(gamma, [f], [g])
     return Fraction(num, den)
 
@@ -104,7 +103,7 @@ def face_inner_product(f: Polynomial, g: Polynomial, zeroed: Iterable[int],
                        face_gamma: ParamVector) -> Fraction:
     """Restrict both arguments to the face where the coordinates `zeroed`
     vanish (index d: 1-|x| = 0) and pair them in the face's own weight
-    (`inner_product` refuses a weight of another dimension)."""
+    (`pairings` refuses a weight of another dimension)."""
     zeroed = frozenset(zeroed)
     if len(zeroed) >= f.dim:
         raise ValueError("face must have dimension >= 1; use vertex_eval at points")

@@ -95,9 +95,7 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
+        return max(map(sum, self._terms), default=-1)
 
     def coefficient(self, exp: Sequence[int]) -> Fraction:
         return Fraction(self._terms.get(tuple(exp), 0), self._den)
@@ -313,12 +311,10 @@ def barycentric_product(dim: int, slots: Iterable[int]) -> Polynomial:
 
 
 def monomials_of_degree(dim: int, degree: int) -> list[Exponents]:
-    """All exponent tuples of total degree `degree`, graded-lex sorted: the
-    heads ascend and each tail list is lexicographic already."""
+    """All exponent tuples of total degree `degree`, none for a negative one,
+    graded-lex sorted: the heads ascend and each tail list is lexicographic."""
     if not (is_index(dim, 0) and is_index(degree, -math.inf)):
         raise ValueError(f"bad dimension {dim!r} or degree {degree!r}")
-    if degree < 0:
-        return []
     if dim == 0:
         return [()] if degree == 0 else []
     return [(head,) + tail for head in range(degree + 1)

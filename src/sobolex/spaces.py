@@ -33,7 +33,7 @@ def h_space(gamma: ParamVector, zero_axes: Sequence[int], n: int) -> Basis:
     label = "h[" + ",".join(str(i) for i in sorted(zset)) + "]"
     pinned = gamma.with_values({i: 0 for i in zset})
     basis = Basis(pinned, label)
-    if n < 0 or len(zset) >= d:
+    if len(zset) >= d:
         return basis
     # a coordinate face: its own slots in the identity order (rodrigues_element);
     # through the hyperplane: the first slots, holding 1-|x| and the true zeros
@@ -55,14 +55,12 @@ def u_space(form: SingularProduct, n: int) -> Basis:
     slots zeroed, in degree n - j, times the y_s of the 1 slots.  The j = k
     block is the core block and the j = 0 block the top face block.  For
     k = d+1 and n = 1 the span is {x_j + c_j} with c_j = -lam_j / sum(lam),
-    tied to the form's vertex coefficients lam.
+    tied to the form's vertex coefficients lam.  At n < 0 every block is empty.
     """
     if not is_index(n, -inf):
         raise ValueError(f"n must be an int, not {n!r}")
     d, tail, k = form.dim, form.tail, form.k
     basis = Basis(form.gamma, f"u[k={k}]")
-    if n < 0:
-        return basis
     if n == 0:
         basis.elements.append((("one",), Polynomial.constant(d, 1)))
         return basis

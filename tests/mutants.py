@@ -441,6 +441,25 @@ MUTANTS = [
            "d = (row.d or (gammas[0].d if gammas else 2)) if d is None else d",
            "d = (row.d or 2) if d is None else d",
            ["tests/test_suites.py", "-k", "first_weights"]),
+    # zip would cut the exponents to the weight's d and return a wrong value
+    Mutant("pairings-skip-the-dimension-check", "src/sobolex/moments.py",
+           "    if {p.dim for p in (*rows, *cols)} | {gamma.d if shift is None else len(shift)}"
+           " != {gamma.d}:\n"
+           '        raise ValueError(f"dimension mismatch: the weight has {gamma.d} variables")\n',
+           "",
+           ["tests/test_moments.py", "-k", "dimension"]),
+    # one support merged across dimensions: x_0 in two and in three variables
+    # would count as two independent vectors
+    Mutant("coefficient-matrix-merges-dimensions", "src/sobolex/linalg.py",
+           "    if len(dims := {p.dim for p in polys}) > 1:\n"
+           '        raise ValueError(f"dimension mismatch: polynomials in {sorted(dims)} variables")\n',
+           "",
+           ["tests/test_linalg.py", "-k", "different_dimensions"]),
+    # the same empty lists, reached by walking |degree| + 1 heads and their tails
+    Mutant("negative-degree-walks-its-absolute-value", "src/sobolex/polynomials.py",
+           "for head in range(degree + 1)",
+           "for head in range(abs(degree) + 1)",
+           ["tests/test_polynomials.py", "-k", "negative_degree"]),
 ]
 
 

@@ -210,6 +210,18 @@ def test_poly_span_helpers():
         == [Fraction(2), Fraction(1, 9)]
 
 
+def test_the_span_helpers_refuse_polynomials_of_different_dimensions():
+    # one support merged across dimensions would read x_0 in two and in three
+    # variables as two independent vectors
+    x2, x3 = Polynomial.variable(2, 0), Polynomial.variable(3, 0)
+    calls = [lambda: coefficient_matrix([Polynomial(2), Polynomial(3)]),
+             lambda: poly_rank([x2, x3]), lambda: spans_equal([x2], [x3]),
+             lambda: in_span(x3, [x2])]
+    for call in calls:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call()
+
+
 DENOMINATORS = (3, 5, 7, 11)
 
 

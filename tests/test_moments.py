@@ -7,6 +7,7 @@ from sobolex.errors import NonIntegrableWeight
 from sobolex.linalg import positive_definite
 from sobolex.moments import face_inner_product, inner_product, integral, pairings, vertex_eval
 from sobolex.polynomials import Polynomial, complement_power, monomials_up_to
+from sobolex.products import ONE, Term, TermList, _derivative
 from sobolex.scalars import ParamVector
 
 from oracles import (interval_integral, normalized_moment, oracle_inner_product,
@@ -142,3 +143,25 @@ def test_monomial_gram_positive_definite():
 def test_integral_requires_matching_dimension():
     with pytest.raises(ValueError):
         integral(Polynomial.variable(3, 0), ParamVector([0, 0, 0]))
+
+
+# each pairing whose polynomials or shift are not in the weight's d variables;
+# zip would cut the exponents to the weight's and return a wrong value
+FLAT1, FLAT2 = ParamVector([0, 0]), ParamVector([0, 0, 0])
+MISMATCHED_PAIRINGS = [
+    ("term weight of d = 1 in a form of d = 2",
+     lambda: TermList(2, {}, [Term(ONE, _derivative(()), FLAT1)]).value(Y, Y)),
+    ("rows and columns of d = 2 at d = 1", lambda: pairings(FLAT1, [Y], [Y])),
+    ("rows of d = 1, columns of d = 2, at d = 1",
+     lambda: pairings(FLAT1, [Polynomial.variable(1, 0)], [Y])),
+    ("rows of d = 2, columns of d = 3, at d = 2",
+     lambda: pairings(FLAT2, [X], [Polynomial.variable(3, 0)])),
+    ("a shift of one entry at d = 2", lambda: pairings(FLAT2, [X], [X], shift=(1,))),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in MISMATCHED_PAIRINGS],
+                         ids=[name for name, _ in MISMATCHED_PAIRINGS])
+def test_pairings_refuse_a_polynomial_or_shift_of_another_dimension(call):
+    with pytest.raises(ValueError, match="^dimension mismatch"):
+        call()

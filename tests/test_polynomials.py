@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sobolex import polynomials
 from sobolex.polynomials import (Polynomial, barycentric_product, complement_power,
                                  monomial_polys, monomials_of_degree, monomials_up_to)
 
@@ -203,6 +204,17 @@ def test_monomials_of_degree_are_lexicographic():
         for n in range(-1, 6):
             want = sorted(e for e in itertools.product(range(n + 1), repeat=d) if sum(e) == n)
             assert monomials_of_degree(d, n) == want, (d, n)
+
+
+def test_a_negative_degree_is_empty_by_its_empty_range(monkeypatch):
+    # range(degree + 1) has no head for a negative degree, so no tail list is
+    # built: the recursion, seen through the module name it calls, never runs
+    calls = []
+    enumerate_ = polynomials.monomials_of_degree
+    monkeypatch.setattr(polynomials, "monomials_of_degree",
+                        lambda *args: calls.append(args) or enumerate_(*args))
+    assert [enumerate_(d, n) for d in (0, 1, 3) for n in (-1, -4)] == [[]] * 6
+    assert calls == []
 
 
 def test_monomial_polys_is_one_cached_tuple_of_the_monomials():

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 from sobolex import spaces, suites
-from sobolex.bases import jacobi_negative_one_beta, jacobi_negative_one_one, rodrigues_basis
+from sobolex.bases import (eigen_residual, jacobi_negative_one_beta, jacobi_negative_one_one,
+                           rodrigues_basis)
 from sobolex.errors import NonPositiveForm
 from sobolex.linalg import positive_definite
 from sobolex.moments import inner_product
-from sobolex.polynomials import Polynomial, complement_power, monomials_up_to
+from sobolex.polynomials import Polynomial, complement_power, monomial_polys, monomials_up_to
 from sobolex.products import (ClassicalProduct, DerivativeProduct, SingularProduct, TermList,
                               gram, labeled)
 from sobolex.scalars import ParamVector
@@ -529,3 +530,46 @@ def test_tampered_u_space_element_is_the_gram_witness(monkeypatch):
     witnesses = [f for f in report["failures"] if f["check"] == "gram-vs-lower-degree"]
     assert witnesses == [{"check": "gram-vs-lower-degree", "element": tampered["key"],
                           "counterexample": tampered["poly"]}]
+
+
+# -- every form term alone is symmetric for the operator L of its weight ------
+
+def _terms_with_their_weights(d):
+    """(gamma, term) for each term of the Sobolev form at each sampled singular
+    weight, of the classical and derivative forms (every order) at each
+    default weight, and at d = 2 of thm31's four named forms at theirs."""
+    forms = [(gamma, SingularProduct(gamma)) for _, gamma in suites._singular_weights(d)]
+    for gamma in suites.default_gammas(d):
+        forms += [(gamma, ClassicalProduct(gamma))]
+        forms += [(gamma, DerivativeProduct(gamma, order)) for order in range(1, d + 1)]
+    if d == 2:
+        forms += [(ParamVector([a, b, -1]), suites.named_k1(a, b, 1)) for a, b in ((0, 0), (H, 1))]
+        forms += [(ParamVector([a, -1, -1]), suites.named_k2(a, 1, 1)) for a in (0, H)]
+        forms += [(ALL3, suites.named_k3(1, 1, 1, 1, 1))]
+        forms += [(ParamVector([-1, -1, c]), suites.named_symmetric(c, 1, 1, 1)) for c in (0, H)]
+    return [(gamma, term) for gamma, form in forms for term in form.terms]
+
+
+def _l_symmetric(gamma, term):
+    """Whether the term alone, its lambda 1, pairs L f with g as f with L g,
+    over the monomials of degree <= 3; L f is `eigen_residual(gamma, f, 0)`."""
+    alone = TermList(gamma.d, {}, [term._replace(lam=Fraction(1))])
+    probes = monomial_polys(gamma.d, 3)
+    images = [eigen_residual(gamma, f, 0) for f in probes]
+    return alone.matrix(images, probes) == alone.matrix(probes, images)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_every_form_term_is_symmetric_for_the_operator(d):
+    # eigenfunctions of distinct eigenvalues are then orthogonal for every
+    # choice of the form's lambdas
+    for gamma, term in _terms_with_their_weights(d):
+        assert _l_symmetric(gamma, term), (gamma, term.tag, term.weight)
+
+
+def test_a_main_term_with_a_shifted_weight_is_not_symmetric_for_the_operator():
+    gamma = ParamVector([H, Fraction(1, 3), -1])
+    main = SingularProduct(gamma).terms[0]
+    assert main.tag == "main" and _l_symmetric(gamma, main)
+    w = main.weight
+    assert not _l_symmetric(gamma, main._replace(weight=ParamVector(w[:-1] + (w[-1] + 1,))))

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 from math import comb
 
@@ -10,9 +11,9 @@ from sobolex import spaces
 from sobolex.bases import eigencheck, monomial_basis
 from sobolex.cli import main
 from sobolex.errors import NonPositiveForm
-from sobolex.linalg import poly_rank, spans_equal
+from sobolex.linalg import poly_rank, positive_definite, spans_equal
 from sobolex.moments import inner_product, vertex_eval
-from sobolex.polynomials import Polynomial, monomials_up_to
+from sobolex.polynomials import Polynomial, monomial_polys, monomials_up_to
 from sobolex.products import SingularProduct, TermList
 from sobolex.scalars import ParamVector, face_params
 from sobolex.spaces import (expected_dimension, h_space, u_space,
@@ -308,3 +309,44 @@ def test_singular_eigenspaces_are_complete_and_orthogonal_term_by_term(d, n_max)
                 alone = TermList(d, {}, [term])
                 for n in range(1, n_max + 1):
                     assert alone.orthogonal_below(eigenspaces[n], n), (gamma, term.tag, n)
+
+
+def _random_singular_weights():
+    """Four seeded random tails, entries p/7 in (-1, 3], for each d <= 3 and
+    k <= d, and the all-singular weight at each d: 27 weights."""
+    rng = random.Random(26)
+    for d in (1, 2, 3):
+        for k in range(1, d + 1):
+            for _ in range(4):
+                yield _singular([Fraction(rng.randint(-6, 21), 7) for _ in range(d + 1 - k)], k)
+        yield _singular([], d + 1)
+
+
+# the highest degree checked at each d
+N_TOP = {1: 5, 2: 4, 3: 3}
+
+
+def test_thm34_and_thm36_hold_at_random_singular_weights():
+    # the theorems hold for every tail > -1, not only at the sampled tails of
+    # `_singular_weights`: each U_n is a complete eigenspace orthogonal to
+    # lower degree, and the Sobolev form is positive definite
+    for gamma in _random_singular_weights():
+        form = SingularProduct(gamma)
+        for n in range(N_TOP[gamma.d] + 1):
+            assert verify_u_space(form, n)["ok"], (gamma, n)
+        assert positive_definite(form.matrix(monomial_polys(gamma.d, 3))), gamma
+
+
+def test_a_perturbed_element_fails_at_every_random_singular_weight(monkeypatch):
+    # x_0^(n+1) added to the first element takes it out of U_n at every weight
+    real = spaces.u_space
+
+    def perturbed(form, n):
+        basis = real(form, n)
+        key, p = basis.elements[0]
+        basis.elements[0] = (key, p + Polynomial.monomial(form.dim, [n + 1] + [0] * (form.dim - 1)))
+        return basis
+
+    monkeypatch.setattr(spaces, "u_space", perturbed)
+    for gamma in _random_singular_weights():
+        assert not verify_u_space(SingularProduct(gamma), 2)["ok"], gamma
