@@ -61,10 +61,10 @@ class Basis:
     """A labeled list of polynomials keyed by multi-index (or block tag)."""
 
     def __init__(self, params: ParamVector, label: str,
-                 elements: list[tuple[tuple, Polynomial]] | None = None):
+                 elements: list[tuple[tuple, Polynomial]]):
         self.params = params
         self.label = label
-        self.elements = [] if elements is None else elements
+        self.elements = elements
 
     def polys(self) -> list[Polynomial]:
         return [p for _, p in self.elements]
@@ -101,11 +101,13 @@ def permuted_element(gamma: ParamVector, order: tuple[int, ...], nu: Exponents) 
     and the slot operators are d/dx_s when c == d, else -d/dx_c for the slot
     holding 1-|x| and d/dx_s - d/dx_c otherwise.
     """
-    d = gamma.d
+    return _leibniz_element(gamma, order, _excluded(gamma.d, order), nu)
+
+
+def _excluded(d: int, order: tuple[int, ...]) -> int:
     if len(order) != d or len(set(order)) != d or not all(is_index(o, 0, d) for o in order):
         raise ValueError(f"bad coordinate order {order}")
-    (excluded,) = set(range(d + 1)) - set(order)
-    return _leibniz_element(gamma, order, excluded, nu)
+    return (set(range(d + 1)) - set(order)).pop()
 
 
 def _box_terms(scaled: list[int], D: int, order: Sequence[int], nu: Exponents,
@@ -156,6 +158,7 @@ def rodrigues_basis(gamma: ParamVector, n: int) -> Basis:
 
 
 def permuted_basis(gamma: ParamVector, order: tuple[int, ...], n: int) -> Basis:
+    _excluded(gamma.d, order)  # a bad order is refused at every degree, n < 0 too
     label = "permuted[" + ",".join(str(s) for s in order) + "]"
     return _family(gamma, label, n, partial(permuted_element, gamma, order))
 

@@ -24,26 +24,24 @@ if TYPE_CHECKING:
 def h_space(gamma: ParamVector, zero_axes: Sequence[int], n: int) -> Basis:
     """Span of degree-n Rodrigues-type elements whose indices vanish on a face.
 
-    `zero_axes` may include index d (the hyperplane); parameters on the zeroed
-    slots never appear in the elements, so they are pinned to 0.  Empty when
-    n < 0 or when d or more coordinates are zeroed.
+    `zero_axes` may include index d (the hyperplane); zeroed slots' parameters
+    never appear in the elements, so they are pinned to 0.  Empty when n < 0 or
+    d or more coordinates are zeroed; a non-int degree is refused on any face.
     """
     d = gamma.d
     zset = zero_set(zero_axes, d)
     label = "h[" + ",".join(str(i) for i in sorted(zset)) + "]"
     pinned = gamma.with_values({i: 0 for i in zset})
-    basis = Basis(pinned, label)
-    if len(zset) >= d:
-        return basis
     # a coordinate face: its own slots in the identity order (rodrigues_element);
     # through the hyperplane: the first slots, holding 1-|x| and the true zeros
     order, slots = tuple(range(d)), zset
     if d in zset:
         free = [i for i in range(d) if i not in zset]
         order, slots = (d, *sorted(zset - {d}), *free[:-1]), range(len(zset))
-    basis.elements.extend((nu, permuted_element(pinned, order, nu))
-                          for nu in monomials_of_degree(d, n) if not any(nu[i] for i in slots))
-    return basis
+    # a face of dimension < 1 has no block, at any degree
+    return Basis(pinned, label, [(nu, permuted_element(pinned, order, nu))
+                                 for nu in monomials_of_degree(d, n)
+                                 if len(zset) < d and not any(nu[i] for i in slots)])
 
 
 def u_space(form: SingularProduct, n: int) -> Basis:
@@ -60,28 +58,25 @@ def u_space(form: SingularProduct, n: int) -> Basis:
     if not is_index(n, -inf):
         raise ValueError(f"n must be an int, not {n!r}")
     d, tail, k = form.dim, form.tail, form.k
-    basis = Basis(form.gamma, f"u[k={k}]")
+    elements: list[tuple[tuple, Polynomial]] = []
     if n == 0:
-        basis.elements.append((("one",), Polynomial.constant(d, 1)))
-        return basis
-    if k == d + 1 and n == 1:
+        elements.append((("one",), Polynomial.constant(d, 1)))
+    elif k == d + 1 and n == 1:
         total = sum(form.lam_vertex)  # > 0, since the form is positive
         for j in range(1, d + 1):
             shift = -form.lam_vertex[j] / total
-            basis.elements.append((("linear", j),
-                                   Polynomial.variable(d, j - 1) + shift))
-        return basis
-
-    slots = range(len(tail), d + 1)
-    for j in range(k, -1, -1):
-        for ones in itertools.combinations(slots, j):
-            pattern = tuple(int(s in ones) for s in slots)
-            mult = barycentric_product(d, ones)
-            zeroed = [s for s in slots if s not in ones]
-            block = h_space(ParamVector(tail + pattern), zeroed, n - j)
-            tag = ("core",) if j == k else ("top",) if j == 0 else ("block", pattern)
-            basis.elements.extend((tag + (nu,), mult * p) for nu, p in block.elements)
-    return basis
+            elements.append((("linear", j), Polynomial.variable(d, j - 1) + shift))
+    else:
+        slots = range(len(tail), d + 1)
+        for j in range(k, -1, -1):
+            for ones in itertools.combinations(slots, j):
+                pattern = tuple(int(s in ones) for s in slots)
+                mult = barycentric_product(d, ones)
+                zeroed = [s for s in slots if s not in ones]
+                block = h_space(ParamVector(tail + pattern), zeroed, n - j)
+                tag = ("core",) if j == k else ("top",) if j == 0 else ("block", pattern)
+                elements.extend((tag + (nu,), mult * p) for nu, p in block.elements)
+    return Basis(form.gamma, f"u[k={k}]", elements)
 
 
 def expected_dimension(dim: int, n: int) -> int:

@@ -2,9 +2,9 @@
 
 Every check is an exact rational identity; no tolerances exist.  `run_suite`
 owns a run: it makes the check list, passes the default weights to a suite
-that takes weights and is given none, and writes the deterministic verdict
-tree, whose verdict is the conjunction of the checks.  A suite `suite_<name>`
-only appends its checks to the list it is given and returns its params.
+that takes weights and is given none, and writes the verdict tree: its d and
+n_max as params, the checks' conjunction as verdict.  `suite_<name>` appends
+its checks and returns what it adds: weights, leads read, or the degree used.
 
 A check is a stream of identities, one bool each, and its verdict is their
 conjunction: `_add` folds the stream with `all`, which evaluates the
@@ -154,7 +154,7 @@ def suite_triangle(checks: list[dict], n_max: int, gammas: list[ParamVector]) ->
         _add(checks, f"reflected-closed-form[{gamma}]",
              (rodrigues_element(ParamVector([c, b, a]), nu).pullback((2, 1)) == q
               for nu, q in reflected.items()))
-    return {"n_max": n_max, "gammas": [str(g) for g in gammas]}
+    return {"gammas": [str(g) for g in gammas]}
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def suite_rodrigue(checks: list[dict], d: int, n_max: int, gammas: list[ParamVec
                  n - m_len)
               for lead in default_tails(d, m_len)[:2]
               for n in range(m_len + 1, n_max + 1)))
-    return {"d": d, "n_max": n_max, "gammas": [str(g) for g in gammas]}
+    return {"gammas": [str(g) for g in gammas]}
 
 
 def _monic_partial(gamma: ParamVector, nu: tuple[int, ...], i: int) -> Polynomial:
@@ -231,7 +231,7 @@ def suite_monomial(checks: list[dict], d: int, n_max: int, gammas: list[ParamVec
         (v.coefficient(nu) == 1 and eigencheck(sing, v, n)
          for n, basis in enumerate(monic) for nu, v in basis.elements),
         (spro.orthogonal_below(monic[n].polys(), n) for n in range(1, n_max + 1))))
-    return {"d": d, "n_max": n_max, "gammas": [str(g) for g in gammas]}
+    return {"gammas": [str(g) for g in gammas]}
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def suite_lemmas4(checks: list[dict], d: int, n_max: int, gammas: list[ParamVect
     _add(checks, "reverse-membership", (ok for *_, ok in spans), detail={"sample_mu": mus})
 
     _add(checks, "homogeneous-face-block", homogeneous_face_block())
-    return {"d": d, "n_max": n_max, "leads": [",".join(map(str, lead)) for lead in leads]}
+    return {"leads": [",".join(map(str, lead)) for lead in leads]}
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +370,7 @@ def named_symmetric(c, lam1, lam2, lam00) -> TermList:
         Term(lam00, _vertex(0), None)])
 
 
-def suite_thm31(checks: list[dict], n_max: int) -> dict:
+def suite_thm31(checks: list[dict], n_max: int) -> None:
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
     w = complement_power(2, 1)
@@ -486,7 +486,6 @@ def suite_thm31(checks: list[dict], n_max: int) -> dict:
     _add(checks, "named-k1-orthogonality",
          (named_k1(a, b, Fraction(1)).orthogonal_below(k1[a, b][n], n)
           for a, b in samples for n in range(n_max + 1)))
-    return {"n_max": n_max}
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +511,7 @@ def _solution_space(form: SingularProduct, n_max: int) -> Iterable[bool]:
         yield from (eigencheck(form.gamma, p, n) for p in basis.polys())
 
 
-def suite_thm34(checks: list[dict], d: int, n_max: int) -> dict:
+def suite_thm34(checks: list[dict], d: int, n_max: int) -> None:
     for tag, gamma in _singular_weights(d):
         _add(checks, f"solution-space[{tag}]", _solution_space(SingularProduct(gamma), n_max))
 
@@ -536,7 +535,6 @@ def suite_thm34(checks: list[dict], d: int, n_max: int) -> dict:
     _add(checks, "face-block-convention-independence",
          (spans_equal(block.polys(), _h_space_alternate(gamma0, zset, n))
           for (zset, n), block in blocks.items() if d in zset and block.elements))
-    return {"d": d, "n_max": n_max}
 
 
 def _h_space_alternate(gamma: ParamVector, zero_axes: Iterable[int],
@@ -554,7 +552,7 @@ def _h_space_alternate(gamma: ParamVector, zero_axes: Iterable[int],
             for part in monomials_of_degree(d - z, n)]
 
 
-def suite_thm36(checks: list[dict], d: int, n_max: int) -> dict:
+def suite_thm36(checks: list[dict], d: int, n_max: int) -> None:
     probes = monomial_polys(d, 3)
     for tag, gamma in _singular_weights(d):
         product = SingularProduct(gamma)
@@ -576,7 +574,6 @@ def suite_thm36(checks: list[dict], d: int, n_max: int) -> dict:
         _add(checks, "vertex-lambda-variation",
              (verify_u_space(product, n)["ok"]
               for n in range(min(n_max, 3) + 1)))
-    return {"d": d, "n_max": n_max}
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +620,9 @@ def run_suite(name: str, d: int | None = None, n_max: int = 3,
         raise ValueError(f"suite {name!r} needs at least one weight (None means the defaults)")
     if any(gamma.d != d for gamma in gammas or ()):
         raise ValueError(f"a weight at d = {d} has {d + 1} entries")
+    params = {"n_max": n_max} if row.d else {"d": d, "n_max": n_max}
     if name == "all":
-        key, params = "suites", {"d": d, "n_max": n_max}
+        key = "suites"
         parts = [run_suite(other, suite.d or d, n_max) for other, suite in SUITES.items()
                  if suite.every_all or suite.d == d]
     else:
@@ -632,5 +630,5 @@ def run_suite(name: str, d: int | None = None, n_max: int = 3,
         args = ([d] if row.d is None else []) + [n_max]
         if row.takes_gammas:
             args.append(gammas or default_gammas(d))
-        params = globals()[f"suite_{name}"](parts, *args)
+        params.update(globals()[f"suite_{name}"](parts, *args) or {})
     return {"suite": name, "params": params, "ok": all(p["ok"] for p in parts), key: parts}

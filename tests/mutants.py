@@ -460,6 +460,21 @@ MUTANTS = [
            "for head in range(degree + 1)",
            "for head in range(abs(degree) + 1)",
            ["tests/test_polynomials.py", "-k", "negative_degree"]),
+    # a vertex (d zeroed coordinates) then gets the degree-0 block 1
+    Mutant("h-space-vertex-gets-a-block", "src/sobolex/spaces.py",
+           "if len(zset) < d and not any(nu[i] for i in slots)",
+           "if len(zset) <= d and not any(nu[i] for i in slots)",
+           ["tests/test_spaces.py", "-k", "below_dimension_one"]),
+    # jacobi, triangle and thm31 run at their one d, so their params name none
+    Mutant("run-suite-reports-d-for-a-fixed-d-suite", "src/sobolex/suites.py",
+           'params = {"n_max": n_max} if row.d else {"d": d, "n_max": n_max}',
+           'params = {"d": d, "n_max": n_max}',
+           ["tests/test_suites.py", "-k", "writes_the_d_and_n_max"]),
+    # a negative degree builds no element, so only the up-front check sees the order
+    Mutant("permuted-basis-skips-the-order-check", "src/sobolex/bases.py",
+           "    _excluded(gamma.d, order)  # a bad order is refused at every degree, n < 0 too\n",
+           "",
+           ["tests/test_bases.py", "-k", "bad_order_at_every_degree"]),
 ]
 
 

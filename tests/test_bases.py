@@ -145,6 +145,14 @@ def test_permuted_closed_forms():
         permuted_element(g, (0, 0), (1, 0))
 
 
+@pytest.mark.parametrize("order", [(5, 5), (True, 0), (0, 0), (0, 1, 2)])
+@pytest.mark.parametrize("n", [-1, 0, 2])
+def test_permuted_basis_refuses_a_bad_order_at_every_degree(order, n):
+    # a negative degree has no elements to build, yet its order is judged
+    with pytest.raises(ValueError, match="bad coordinate order"):
+        permuted_basis(ParamVector([0, 0, 0]), order, n)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_permuted_element_is_the_pulled_back_rodrigues_element(d):
     # R(g o s, nu) pulled back by the order is the permuted element, where

@@ -76,6 +76,18 @@ def test_h_space_empty_cases():
         h_space(gamma, [True], 2)
 
 
+@pytest.mark.parametrize("zset", [[0, 1], [0, 1, 2]])
+def test_h_space_of_a_face_below_dimension_one_is_empty_and_judges_its_degree(zset):
+    # a vertex, or all of T^2 zeroed: no block at any degree, and a degree that
+    # is not an int is refused there as on every other face
+    gamma = ParamVector([0, 0, 0])
+    for n in (0, 1, 2):
+        assert h_space(gamma, zset, n).elements == [], n
+    for n in (Fraction(5, 2), True, "x"):
+        with pytest.raises(ValueError, match="degree"):
+            h_space(gamma, zset, n)
+
+
 def test_h_space_restriction_is_orthogonal_on_face():
     gamma = ParamVector([H, 1, Fraction(1, 3), 0])
     for zset in ([3], [0], [1, 3]):

@@ -309,6 +309,18 @@ def test_run_suite_calls_what_is_bound_to_the_suite_name(monkeypatch):
         "checks": [{"name": "fake", "ok": True}]}
 
 
+def test_run_suite_writes_the_d_and_n_max_it_chose_and_what_the_suite_adds(monkeypatch):
+    # a suite that adds nothing still gets its params; a fixed-d suite gets no d
+    def adds_nothing(checks, d, n_max):
+        checks.append({"name": "fake", "ok": True})
+
+    weights = [str(g) for g in suites.default_gammas(2)]
+    monkeypatch.setattr(suites, "suite_thm36", adds_nothing)
+    monkeypatch.setattr(suites, "suite_triangle", lambda checks, n_max, gammas: {"gammas": weights})
+    assert suites.run_suite("thm36", n_max=0)["params"] == {"d": 2, "n_max": 0}
+    assert suites.run_suite("triangle", n_max=0)["params"] == {"n_max": 0, "gammas": weights}
+
+
 def test_d_none_is_the_suites_own_d_else_its_first_weights_else_2(monkeypatch):
     for name in suites.SUITES:
         monkeypatch.setattr(suites, f"suite_{name}", lambda checks, *args: {"args": args})
