@@ -6,9 +6,10 @@ is the term's base weight and x^s an optional monomial multiplier on the
 right-hand factor.  A term without a weight is a scalar product lam * A(f) A(g)
 of point values.  Every form is a `TermList`: its list `terms` and a `spec`
 dict, from which its one `describe()` is built.  The three products are
-subclasses whose constructors check their coefficients and build both; the
-Sobolev form has one derivative term per nonempty subset of its differentiated
-axes, the full subset its main term.  The paper's d = 2 forms in `suites` are
+subclasses whose constructors check their parameters and build both; every
+term of the derivative form has coefficient 1, and the Sobolev form has one
+derivative term per nonempty subset of its differentiated axes, the full
+subset its main term.  The paper's d = 2 forms in `suites` are
 plain term lists.  One evaluator, `matrix`, computes every value and Gram
 matrix from the terms; every check in `suites` and `spaces` reads it, the
 all-zero ones through `orthogonal`; `below(n)` is the one place that turns a
@@ -54,22 +55,6 @@ def mass_ratio(params: ParamVector) -> str:
     """
     den = "*".join(f"Gamma({g + 1})" for g in params)
     return f"Gamma({sum(params) + params.d + 1})/({den})"
-
-
-def _subset_keyed(lams: Mapping[frozenset[int], Rational] | None
-                  ) -> dict[frozenset[int], Fraction]:
-    """Subset-keyed coefficients as exact values; a key axis that is not an
-    int >= 0 (a bool too: `True` would pass as axis 1) is a ValueError."""
-    out = {frozenset(s): as_fraction(v) for s, v in (lams or {}).items()}
-    bad = [i for s in out for i in s if not is_index(i, 0)]
-    if bad:
-        raise ValueError(f"a coefficient key axis must be an int >= 0, not {bad[0]!r}")
-    return out
-
-
-def _by_subset(lams: Mapping[frozenset[int], Rational]) -> dict[str, str]:
-    """Subset-keyed coefficients as describe() writes them: "0+2" for {0, 2}."""
-    return {"+".join(map(str, sorted(s))): str(v) for s, v in lams.items()}
 
 
 class Term(NamedTuple):
@@ -174,33 +159,27 @@ class DerivativeProduct(TermList):
     """Classical pairing plus weighted pairings of order-j mixed derivatives.
 
     For every subset S of coordinates with 1 <= |S| <= order, adds
-    lambda_S <d^S f, d^S g> against the weight shifted by +1 on S and +j on
-    the complement factor.  A lambda key that is no such S is a ValueError, a
-    lambda < 0 a `NonPositiveForm` (0 is allowed: the classical term stays).
+    <d^S f, d^S g> against the weight shifted by +1 on S and +|S| on the
+    complement factor.  Every coefficient is 1, and no other is needed: d^S
+    maps the eigenspace V_n(gamma) into V_{n-|S|} of that shifted weight, so
+    each term alone pairs V_n with every lower degree to zero (as
+    `tests/test_products.py` checks), and so does every nonnegative combination.
     """
 
-    def __init__(self, gamma: ParamVector, order: int,
-                 lambdas: Mapping[frozenset[int], Rational] | None = None):
+    def __init__(self, gamma: ParamVector, order: int):
         d = gamma.d
         if not is_index(order, 1, d):
             raise ValueError("order must lie in 1..d")
         self.gamma = gamma
         self.order = order
-        self.lambdas = _subset_keyed(lambdas)
-        if not all(0 < len(s) <= order and s <= set(range(d)) for s in self.lambdas):
-            raise ValueError(f"lambda keys must be nonempty subsets of 0..{d - 1} "
-                             f"with at most {order} elements")
-        if min(self.lambdas.values(), default=0) < 0:
-            raise NonPositiveForm("the derivative form is not positive: every lambda must be >= 0")
         terms = [Term(ONE, _derivative(()), gamma, tag="main")]
         for j in range(1, order + 1):
             for subset in itertools.combinations(range(d), j):
                 deltas = [1 if i in subset else 0 for i in range(d)] + [j]
-                terms.append(Term(self.lambdas.get(frozenset(subset), ONE), _derivative(subset),
-                                  gamma.shifted(deltas),
+                terms.append(Term(ONE, _derivative(subset), gamma.shifted(deltas),
                                   tag="d" + "".join(str(i) for i in subset)))
         super().__init__(d, {"kind": "derivative", "gamma": gamma.to_json(), "order": order,
-                             "lambda": _by_subset(self.lambdas)}, terms)
+                             "lambda": {}}, terms)
 
 
 class SingularProduct(TermList):
@@ -247,7 +226,11 @@ class SingularProduct(TermList):
             raise ValueError("lam_axis has wrong length")
         mk = list(range(free, dim))  # the differentiated axes, zero-based
         subsets = [s for i in range(1, k) for s in itertools.combinations(mk, i)]  # mk last
-        self.lam_face = _subset_keyed(lam_face)
+        self.lam_face = {frozenset(s): as_fraction(v) for s, v in (lam_face or {}).items()}
+        # a key axis that is not an int >= 0 (a bool too: True would pass as axis 1)
+        bad = [i for s in self.lam_face for i in s if not is_index(i, 0)]
+        if bad:
+            raise ValueError(f"a coefficient key axis must be an int >= 0, not {bad[0]!r}")
         if not self.lam_face.keys() <= set(map(frozenset, subsets[:-1])):
             raise ValueError("lam_face keys must be proper nonempty subsets of the "
                              "differentiated axes, which exist only for k >= 3")
@@ -287,7 +270,8 @@ class SingularProduct(TermList):
             spec["lambda"] = str(self.lam)
             spec["lambda_axis"] = [str(v) for v in self.lam_axis]
         if self.lam_face:
-            spec["lambda_face"] = _by_subset(self.lam_face)
+            spec["lambda_face"] = {"+".join(map(str, sorted(s))): str(v)
+                                   for s, v in self.lam_face.items()}
         super().__init__(dim, spec, terms)
 
 

@@ -148,10 +148,16 @@ MUTANTS = [
            "monomial_polys(self.dim, n - 1)",
            "monomial_polys(self.dim, n - 2)",
            ["tests/test_suites.py", "-k", "tamper and (rodrigue or thm31)"]),
-    Mutant("derivative-product-accepts-a-negative-lambda", "src/sobolex/products.py",
-           "min(self.lambdas.values(), default=0) < 0",
-           "min(self.lambdas.values(), default=0) < -1",
-           ["tests/test_products.py", "-k", "judges_its_lambdas"]),
+    # d^S lands in V_{n-|S|} only of the weight shifted by |S| on its last slot
+    Mutant("derivative-term-loses-a-complement-shift", "src/sobolex/products.py",
+           "for i in range(d)] + [j]",
+           "for i in range(d)] + [j - 1]",
+           ["tests/test_products.py", "-k", "derivative_term_alone"]),
+    # True == 1, so a bool key passes as the differentiated axis 1
+    Mutant("lam-face-key-axis-accepts-a-bool", "src/sobolex/products.py",
+           "not is_index(i, 0)",
+           "not isinstance(i, int)",
+           ["tests/test_products.py", "-k", "key_axis"]),
     # older mutants, re-created against the code as it is
     Mutant("empty-vertex-list-is-the-default", "src/sobolex/products.py",
            "((1,) * (dim + 1) if lam_vertex is None else lam_vertex)",

@@ -484,9 +484,8 @@ def oracle_value(p, f: Polynomial, g: Polynomial) -> Fraction:
         total = oracle_inner_product(f, g, p.gamma)
         for j in range(1, p.order + 1):
             for subset in itertools.combinations(range(p.dim), j):
-                lam = p.lambdas.get(frozenset(subset), Fraction(1))
                 deltas = [1 if i in subset else 0 for i in range(p.dim)] + [j]
-                total += lam * oracle_inner_product(
+                total += oracle_inner_product(
                     reduce(Polynomial.partial, subset, f), reduce(Polynomial.partial, subset, g),
                     p.gamma.shifted(deltas))
         return total

@@ -10,10 +10,9 @@ import pytest
 
 from sobolex import spaces, suites
 from sobolex.bases import (eigen_residual, jacobi_negative_one_beta, jacobi_negative_one_one,
-                           rodrigues_basis)
+                           monomial_basis, rodrigues_basis)
 from sobolex.errors import NonPositiveForm
 from sobolex.linalg import positive_definite
-from sobolex.moments import inner_product
 from sobolex.polynomials import Polynomial, complement_power, monomial_polys, monomials_up_to
 from sobolex.products import (ClassicalProduct, DerivativeProduct, SingularProduct, TermList,
                               gram, labeled)
@@ -208,39 +207,10 @@ def test_gram_single_entry():
     assert rep.to_json()["positive_definite"] is True
 
 
-def test_derivative_product_lambda_weights():
-    gamma = ParamVector([0, 0, 0])
-    lam = {frozenset({0}): Fraction(2), frozenset({1}): Fraction(0)}
-    spec = DerivativeProduct(gamma, 1, lam)
-    f, g = X + Y, X * Y
-    want = inner_product(f, g, gamma) + 2 * inner_product(
-        f.partial(0), g.partial(0), gamma.shifted([1, 0, 1]))
-    assert spec.value(f, g) == want
-
-
-def test_derivative_product_judges_its_lambdas():
-    gamma = ParamVector([0, 0, 0])
-    # every key a term reads, with lambda 0 or more, is accepted
-    DerivativeProduct(gamma, 2, {frozenset({0}): 0, frozenset({1}): 3, frozenset({0, 1}): H})
-    # a key that no term reads: too many axes for the order, no axis, an axis
-    # out of range
-    for key in ({0, 1}, (), {7}, {2}):
-        with pytest.raises(ValueError, match="lambda keys"):
-            DerivativeProduct(gamma, 1, {frozenset(key): 5})
-    # a negative lambda makes <x, x> = -599/6 at lambda_0 = -100
-    for lam in (-100, Fraction(-1, 7)):
-        with pytest.raises(NonPositiveForm, match="not positive"):
-            DerivativeProduct(gamma, 1, {frozenset({0}): lam})
-    with pytest.raises(NonPositiveForm, match="not positive"):
-        DerivativeProduct(gamma, 2, {frozenset({1}): 1, frozenset({0, 1}): -1})
-
-
 def test_a_coefficient_key_axis_is_an_int():
     # True == 1 == Fraction(1) == 1.0, so each would pass as the axis 1, and
     # describe() would print the key as "True", "1" or "1.0"
     for axis in (True, Fraction(1), 1.0):
-        with pytest.raises(ValueError, match="key axis must be an int"):
-            DerivativeProduct(ParamVector([0, 0, 0]), 1, {frozenset({axis}): 2})
         with pytest.raises(ValueError, match="key axis must be an int"):
             SingularProduct(ParamVector([0, -1, -1, -1]), lam_face={frozenset({axis}): 2})
 
@@ -255,8 +225,6 @@ def test_derivative_order_is_an_int():
 def test_a_bool_is_no_coefficient():
     with pytest.raises(ValueError):
         SingularProduct(ParamVector([0, 0, -1]), lam=True)
-    with pytest.raises(ValueError):
-        DerivativeProduct(ParamVector([0, 0, 0]), 1, {frozenset({0}): False})
 
 
 def test_block_orthogonality_k1():
@@ -282,19 +250,16 @@ def _named(form, oracle, *params):
 
 
 def _class_forms():
-    """Each product class at d = 1..3, k = 1..d+1; non-unit lambdas in every
-    family a form takes and a zero vertex coefficient at k = d+1, each next to
-    a case of the same form where every lambda is nonzero."""
+    """Each product class at d = 1..3, the derivative form of every order and
+    the Sobolev form at k = 1..d+1; the derivative form's lambdas are all 1,
+    and the Sobolev form has non-unit lambdas in every family it takes and a
+    zero vertex coefficient at k = d+1, each next to a case of the same form
+    where every lambda is nonzero."""
     out = []
     for d in (1, 2, 3):
         gamma = ParamVector([Fraction(j, 3) for j in range(d + 1)])
         out.append(ClassicalProduct(gamma))
-        for order in range(1, d + 1):
-            # the two-axis key only where a term reads it (it is {0} at d = 1)
-            lams = {frozenset({0}): Fraction(5, 2), frozenset({d - 1, 0}): 0}
-            out.append(DerivativeProduct(gamma, order,
-                                         {s: v for s, v in lams.items() if len(s) <= order}))
-            out.append(DerivativeProduct(gamma, order, {frozenset({d - 1}): Fraction(2, 3)}))
+        out += [DerivativeProduct(gamma, order) for order in range(1, d + 1)]
         for k in range(1, d + 2):
             tail = tuple(Fraction(j + 1, 3) for j in range(d + 1 - k))
             singular = ParamVector(list(tail) + [-1] * k)
@@ -348,9 +313,9 @@ def _ids(forms) -> list[str]:
 
 
 def test_describe_is_the_recorded_payload():
-    # the CLI builds no form with lam_axis, lam_face or derivative lambdas, so
-    # no golden digest pins what describe() prints for them; the payloads were
-    # recorded once and are never rewritten
+    # the CLI builds no form with lam_axis or lam_face, so no golden digest
+    # pins what describe() prints for them; the payloads are recorded, and no
+    # test run rewrites them
     assert [form.describe() for form in _class_forms()] == json.loads(DESCRIBED.read_text())
 
 
@@ -573,3 +538,32 @@ def test_a_main_term_with_a_shifted_weight_is_not_symmetric_for_the_operator():
     assert main.tag == "main" and _l_symmetric(gamma, main)
     w = main.weight
     assert not _l_symmetric(gamma, main._replace(weight=ParamVector(w[:-1] + (w[-1] + 1,))))
+
+
+# -- every derivative term alone is orthogonal to every lower degree ----------
+
+def _orthogonal_alone(gamma, term, n):
+    """Whether the term alone pairs the monic elements V_nu, |nu| = n, of the
+    weight gamma to zero with every polynomial of degree below n."""
+    return TermList(gamma.d, {}, [term]).orthogonal_below(monomial_basis(gamma, n).polys(), n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_every_derivative_term_alone_is_orthogonal_to_lower_degree(d):
+    # d^S maps V_n(gamma) into V_{n-|S|}(gamma + e_S + |S| e_{d+1}); then every
+    # nonnegative combination of the terms is orthogonal too
+    for gamma in suites.default_gammas(d):
+        for order in range(1, d + 1):
+            for term in DerivativeProduct(gamma, order).terms:
+                for n in (1, 2, 3):
+                    assert _orthogonal_alone(gamma, term, n), (gamma, order, term.tag, n)
+
+
+def test_a_derivative_term_with_a_shifted_weight_is_not_orthogonal_alone():
+    gamma = ParamVector([0, 0, 0])
+    term = DerivativeProduct(gamma, 1).terms[1]
+    assert term.tag == "d0" and _orthogonal_alone(gamma, term, 2)
+    w = term.weight
+    shifted = term._replace(weight=ParamVector(w[:-1] + (w[-1] + 1,)))
+    assert not _orthogonal_alone(gamma, shifted, 2)
+    assert not _orthogonal_alone(gamma, shifted, 3)

@@ -304,7 +304,6 @@ RATIONAL_ENTRY_POINTS = [
                                            lam_face={frozenset({1}): v}), NOT_EXACT),
     ("lam_vertex", lambda v: SingularProduct(ParamVector([-1, -1, -1]), lam_vertex=[v, 1, 1]),
      NOT_EXACT),
-    ("lambdas", lambda v: DerivativeProduct(FLAT, 1, {frozenset({0}): v}), NOT_EXACT),
     # a string is read only in the form "p/q" of ASCII digits: no exponent
     # (1e1000000 would build a million-digit int first), decimal point,
     # underscore or other script's digit
@@ -340,8 +339,10 @@ INDEX_GUARDS = [
      (True, 1.0, -1)),
     ("permuted order", lambda v: permuted_element(FLAT, (v, 2), (1, 0)),
      "bad coordinate order", (True, 1.0, -1, 3)),
-    ("key axis", lambda v: DerivativeProduct(FLAT, 1, {frozenset({v}): 2}), "key",
-     (True, 1.0, -1, 2)),
+    # the differentiated axes of (0, -1, -1, -1) are 1 and 2
+    ("key axis", lambda v: SingularProduct(ParamVector([0, -1, -1, -1]),
+                                           lam_face={frozenset({v}): 2}), "key",
+     (True, 1.0, -1, 3)),
     ("derivative order", lambda v: DerivativeProduct(FLAT, v), "order must lie in",
      (True, 1.0, 0, 3)),
     ("vertex_eval", lambda v: vertex_eval(ONE_VAR, v), "vertex index", (True, 1.0, -1, 3)),
