@@ -252,14 +252,17 @@ def _named(form, oracle, *params):
 def _class_forms():
     """Each product class at d = 1..3, the derivative form of every order and
     the Sobolev form at k = 1..d+1; the derivative form's lambdas are all 1,
-    and the Sobolev form has non-unit lambdas in every family it takes and a
-    zero vertex coefficient at k = d+1, each next to a case of the same form
-    where every lambda is nonzero."""
+    so it is taken at two weights, the second with a negative entry; the
+    Sobolev form has non-unit lambdas in every family it takes and a zero
+    vertex coefficient at k = d+1, each next to a case of the same form where
+    every lambda is nonzero."""
     out = []
     for d in (1, 2, 3):
         gamma = ParamVector([Fraction(j, 3) for j in range(d + 1)])
+        negative = ParamVector([Fraction(j - 1, 2) for j in range(d + 1)])
         out.append(ClassicalProduct(gamma))
-        out += [DerivativeProduct(gamma, order) for order in range(1, d + 1)]
+        out += [DerivativeProduct(g, order)
+                for order in range(1, d + 1) for g in (gamma, negative)]
         for k in range(1, d + 2):
             tail = tuple(Fraction(j + 1, 3) for j in range(d + 1 - k))
             singular = ParamVector(list(tail) + [-1] * k)
@@ -548,15 +551,14 @@ def _orthogonal_alone(gamma, term, n):
     return TermList(gamma.d, {}, [term]).orthogonal_below(monomial_basis(gamma, n).polys(), n)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_every_derivative_term_alone_is_orthogonal_to_lower_degree(d):
+@pytest.mark.parametrize("d, order", [(d, order) for d in (1, 2, 3) for order in range(1, d + 1)])
+def test_every_derivative_term_alone_is_orthogonal_to_lower_degree(d, order):
     # d^S maps V_n(gamma) into V_{n-|S|}(gamma + e_S + |S| e_{d+1}); then every
     # nonnegative combination of the terms is orthogonal too
     for gamma in suites.default_gammas(d):
-        for order in range(1, d + 1):
-            for term in DerivativeProduct(gamma, order).terms:
-                for n in (1, 2, 3):
-                    assert _orthogonal_alone(gamma, term, n), (gamma, order, term.tag, n)
+        for term in DerivativeProduct(gamma, order).terms:
+            for n in (1, 2, 3):
+                assert _orthogonal_alone(gamma, term, n), (gamma, term.tag, n)
 
 
 def test_a_derivative_term_with_a_shifted_weight_is_not_orthogonal_alone():
