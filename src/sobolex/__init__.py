@@ -18,7 +18,7 @@ _PUBLIC = {
     "polynomials": ("Polynomial", "monomials_of_degree", "monomials_up_to"),
     "products": ("ClassicalProduct", "DerivativeProduct", "GramReport", "SingularProduct",
                  "gram"),
-    "scalars": ("ParamVector", "face_params", "factorial", "pochhammer"),
+    "scalars": ("ParamVector", "face_params", "pochhammer"),
     "spaces": ("expected_dimension", "h_space", "u_space", "verify_u_space"),
     "weighted": (),
 }

@@ -53,8 +53,8 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import ZeroDenominator
 from .polynomials import Exponents, Polynomial, monomials_of_degree
-from .scalars import (ParamVector, Rational, as_fraction, clear_denominators, factorial,
-                      is_index, pochhammer, rising)
+from .scalars import (ParamVector, Rational, as_fraction, clear_denominators, is_index,
+                      pochhammer, rising)
 
 
 class Basis:
@@ -77,13 +77,10 @@ class Basis:
             "family": self.label,
             "d": self.params.d,
             "gamma": self.params.to_json(),
-            "elements": [{"key": _json_key(key), "poly": poly.to_json()}
+            "elements": [{"key": [list(k) if isinstance(k, tuple) else k for k in key],
+                          "poly": poly.to_json()}
                          for key, poly in self.elements],
         }
-
-
-def _json_key(key: tuple) -> list:
-    return [list(k) if isinstance(k, tuple) else k for k in key]
 
 
 # -- Rodrigues-type constructions ------------------------------------------
@@ -256,7 +253,7 @@ def jacobi_p(n: int, alpha: Rational, beta: Rational) -> Polynomial:
     """Classical Jacobi polynomial on [-1,1] with the standard normalization."""
     shifted = jacobi_shifted(n, alpha, beta)
     half_up = Polynomial(1, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
-    return shifted.substitute(0, half_up) * (Fraction((-1) ** n) / factorial(n))
+    return shifted.substitute(0, half_up) * Fraction((-1) ** n, math.factorial(n))
 
 
 def jacobi_norm(n: int, alpha: Rational, beta: Rational) -> Fraction:
@@ -264,7 +261,7 @@ def jacobi_norm(n: int, alpha: Rational, beta: Rational) -> Fraction:
     (a+1)_n (b+1)_n (a+b+n+1) / (n! (a+b+2)_n (a+b+2n+1))."""
     b, a = ParamVector([beta, alpha]).integrable()
     num = pochhammer(a + 1, n) * pochhammer(b + 1, n) * (a + b + n + 1)
-    den = factorial(n) * pochhammer(a + b + 2, n) * (a + b + 2 * n + 1)
+    den = math.factorial(n) * pochhammer(a + b + 2, n) * (a + b + 2 * n + 1)
     return num / den
 
 

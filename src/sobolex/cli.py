@@ -129,11 +129,11 @@ def cmd_gram(args: argparse.Namespace) -> dict:
     gamma = _parse_gamma(args.gamma, args.d)
     product = _build_product(args, gamma)
     if args.basis == "monomials":
-        rows = products.labeled(polynomials.monomial_polys(gamma.d, args.n), "m")
+        rows = products.labeled(polynomials.monomial_polys(gamma.d, args.n))
     else:
         form = product if args.spec == "sobolev" else None  # the u family's, built once
         rows = [(str(key), p) for key, p in _build_basis("--basis", args, gamma, form).elements]
-    cols = None if args.against == "self" else products.labeled(product.below(args.n), "m")
+    cols = None if args.against == "self" else products.labeled(product.below(args.n))
     return products.gram(product, rows, cols).to_json()
 
 

@@ -320,6 +320,6 @@ def gram(product: TermList, rows: Sequence[tuple[str, Polynomial]],
                       separate_columns=cols is not None)
 
 
-def labeled(polys: Sequence[Polynomial], prefix: str = "p") -> list[tuple[str, Polynomial]]:
-    return [(f"{prefix}{i}", p) for i, p in enumerate(polys)]
+def labeled(polys: Sequence[Polynomial]) -> list[tuple[str, Polynomial]]:
+    return [(f"m{i}", p) for i, p in enumerate(polys)]
 

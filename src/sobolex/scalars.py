@@ -1,5 +1,5 @@
-"""Exact rational scalars: rising factorials, factorials, parsing helpers, and
-`ParamVector`, the tuple of the exponents of the weight x^g (1-|x|)^{g_{d+1}}.
+"""Exact rational scalars: rising factorials, parsing helpers, and `ParamVector`, the
+tuple of the exponents of the weight x^g (1-|x|)^{g_{d+1}}.
 
 Every scalar the package hands out is a ``fractions.Fraction``; polynomial
 coefficients are stored as ints over a common denominator (see
@@ -80,12 +80,6 @@ def pochhammer(a: Rational, k: int) -> Fraction:
         raise ValueError("pochhammer needs an int k >= 0")
     a = as_fraction(a)
     return Fraction(rising(a.numerator, a.denominator, k), a.denominator ** k)
-
-
-def factorial(n: int) -> Fraction:
-    if not is_index(n, 0):
-        raise ValueError(f"factorial needs an int n >= 0, not {n!r}")
-    return Fraction(math.factorial(n))
 
 
 def clear_denominators(values: Sequence[Rational]) -> tuple[list[int], int]:

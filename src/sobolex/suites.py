@@ -437,7 +437,7 @@ def suite_thm31(checks: list[dict], n_max: int) -> None:
     def permuted_singular_pair():
         for (c, n), elems in pair.items():
             yield from (eigencheck(ParamVector([-1, -1, c]), p, n) for p in elems)
-            yield poly_rank(elems) == n + 1 == len(elems)
+            yield poly_rank(elems) == expected_dimension(2, n) == len(elems)
 
     _add(checks, "permuted-singular-pair", permuted_singular_pair())
 

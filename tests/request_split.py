@@ -1,11 +1,16 @@
-"""Split the time of each request of a benchmark workload into interpreter
-start, compile, other load and mathematics.
+"""Split the time of each request of a benchmark workload, or of requests
+given on the command line, into interpreter start, compile, other load and
+mathematics.
 
     python tests/request_split.py WORKLOAD [--seed N] [--reps R]
+    python tests/request_split.py --request "ARGS" [--request "ARGS" ...] [--reps R]
 
 WORKLOAD is a name of `perfbench/workloads.py` (classical-d3, sobolev-d3,
 identities-d2); its pass 0 at seed N (default 1) is read from that file as it
-is.  For each request, the median of R runs (default 5) of each of:
+is.  Each --request is instead one request of its own, its CLI arguments ARGS
+split as a shell would (`shlex`), which must exit 0; the pass is then those
+requests in the order given.  Exactly one of the two is given.  For each
+request, the median of R runs (default 5) of each of:
 
     start     `python -c pass`
     fresh     the request as the benchmark sends it, `python -m sobolex.cli
@@ -31,6 +36,7 @@ from __future__ import annotations
 import argparse
 import os
 import platform
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -148,17 +154,26 @@ def split(requests, reps: int) -> list[tuple[str, dict[str, float]]]:
 def main(argv: list[str]) -> int:
     sys.dont_write_bytecode = True  # no __pycache__ under perfbench/
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS
+    from workloads import WORKLOADS, Request
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workload", choices=sorted(WORKLOADS))
+    parser.add_argument("workload", nargs="?", choices=sorted(WORKLOADS))
+    parser.add_argument("--request", action="append", metavar="ARGS",
+                        help="the CLI arguments of one request that must exit 0; repeatable")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--reps", type=int, default=5)
     args = parser.parse_args(argv)
+    if (args.workload is None) == (args.request is None):
+        parser.error("give exactly one of WORKLOAD or --request")
     if args.reps < 1:
         parser.error("--reps must be >= 1")
-    requests = WORKLOADS[args.workload].passes(args.seed, 1)[0]
-    print(f"{args.workload} seed {args.seed}, pass 0: {len(requests)} requests, "
+    if args.request:
+        requests = [Request(tuple(shlex.split(value))) for value in args.request]
+        source = "--request:"
+    else:
+        requests = WORKLOADS[args.workload].passes(args.seed, 1)[0]
+        source = f"{args.workload} seed {args.seed}, pass 0:"
+    print(f"{source} {len(requests)} requests, "
           f"median of {args.reps} runs each; Python {platform.python_version()}, "
           f"{os.cpu_count()} CPUs")
     print(*table(split(requests, args.reps)), sep="\n")

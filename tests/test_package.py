@@ -108,7 +108,7 @@ PUBLIC_NAMES = [
     "Basis", "ClassicalProduct", "DerivativeProduct", "GramReport",
     "NonIntegrableWeight", "NonPolynomialQuotient", "NonPositiveForm", "ParamVector",
     "Polynomial", "SingularProduct", "SobolexError", "ZeroDenominator", "bases", "biorthogonal_constant", "eigencheck", "errors",
-    "expected_dimension", "face_params", "factorial", "gram", "h_space",
+    "expected_dimension", "face_params", "gram", "h_space",
     "inner_product", "jacobi_negative_one_beta", "jacobi_negative_one_one",
     "jacobi_norm", "jacobi_p", "jacobi_shifted", "linalg", "moments", "monomial_basis",
     "monomial_element", "monomials_of_degree", "monomials_up_to",

@@ -159,9 +159,9 @@ def test_vertex_product_example():
 
 def test_positive_definiteness_flags():
     spec = SingularProduct(ALL3)
-    assert gram(spec, labeled(monoms(2, 3), "m")).to_json()["positive_definite"] is True
+    assert gram(spec, labeled(monoms(2, 3))).to_json()["positive_definite"] is True
     # rows that are linearly dependent give a singular Gram matrix
-    rep = gram(ClassicalProduct(ParamVector([0, 0, 0])), labeled([X, Y, X + 2 * Y], "m"))
+    rep = gram(ClassicalProduct(ParamVector([0, 0, 0])), labeled([X, Y, X + 2 * Y]))
     assert rep.to_json()["positive_definite"] is False
 
 
@@ -194,7 +194,7 @@ def test_gram_all_zero_for_eigenspace():
     spec = SingularProduct(H11)
     basis = u_space(spec, 3)
     rep = gram(spec, [(str(k), p) for k, p in basis.elements],
-               labeled(monoms(2, 2), "m"))
+               labeled(monoms(2, 2)))
     data = rep.to_json()
     assert data["all_zero"] is True
     assert data["orthogonal_to_lower_degree"] is True

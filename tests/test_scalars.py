@@ -20,8 +20,8 @@ from sobolex.moments import inner_product, vertex_eval
 from sobolex.polynomials import (Polynomial, complement_power, monomial_polys, monomials_of_degree,
                                  monomials_up_to)
 from sobolex.products import ClassicalProduct, DerivativeProduct, SingularProduct
-from sobolex.scalars import (MAX_DIGITS, ParamVector, as_fraction, face_params, factorial,
-                             is_index, parse_int, pochhammer, rising, zero_set)
+from sobolex.scalars import (MAX_DIGITS, ParamVector, as_fraction, face_params, is_index,
+                             parse_int, pochhammer, rising, zero_set)
 from sobolex.spaces import expected_dimension, u_space, verify_u_space
 from sobolex.suites import run_suite
 
@@ -76,11 +76,6 @@ def test_binomial():
     assert binomial(2, 3) == 0
     with pytest.raises(ValueError):
         binomial(-1, 0)
-
-
-def test_factorial():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
 
 
 def test_rational_round_trip():
@@ -349,7 +344,6 @@ INDEX_GUARDS = [
     ("eigenvalue", lambda v: eigenvalue(FLAT, v), "degree", (True, 1.0, -1)),
     ("eigencheck", lambda v: eigencheck(FLAT, ONE_VAR, v), "degree", (True, 1.0, -1)),
     ("pochhammer", lambda v: pochhammer(Fraction(1, 3), v), "pochhammer", (True, 1.0, -1)),
-    ("factorial", lambda v: factorial(v), "factorial needs", (True, 1.0, -1)),
     ("jacobi_negative_one_beta", lambda v: jacobi_negative_one_beta(v, 0), "bad degree",
      (True, 1.0, -1)),
     ("jacobi_negative_one_one", lambda v: jacobi_negative_one_one(v), "bad degree",

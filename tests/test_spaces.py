@@ -198,7 +198,7 @@ def test_detectors_flag_tampered_eigenspace():
     tampered[0] = Polynomial.monomial(2, (3, 0))
     assert not all(eigencheck(full, p, 3) for p in tampered)
     lower = [Polynomial.monomial(2, e) for e in monomials_up_to(2, 2)]
-    rep = gram(spec, labeled(tampered), labeled(lower, "m"))
+    rep = gram(spec, labeled(tampered), labeled(lower))
     assert rep.to_json()["all_zero"] is False
 
 

@@ -151,6 +151,19 @@ def test_every_check_fails_under_some_tamper(suite, monkeypatch):
         assert uncaught == EMPTY.get((suite, d), set()), f"{suite} d={d}"
 
 
+def test_every_completeness_identity_reads_the_dimension_formula(monkeypatch):
+    """Each check that compares a rank with dim V_n = C(n+d-1, n) reads that
+    number from `expected_dimension`: with it one too high, each one fails."""
+    monkeypatch.setattr(suites, "expected_dimension", _plus_one(suites.expected_dimension))
+    assert "permuted-singular-pair" in _failed("thm31", 2, 2)
+    for d in (2, 3):
+        checks = suites.run_suite("thm34", d=d, n_max=2)["checks"]
+        reads = [c for c in checks if c["name"].startswith("solution-space[")
+                 or c["name"] == "face-restriction-law"]
+        assert len(reads) == 1 + len(list(suites._singular_weights(d)))
+        assert not any(c["ok"] for c in reads), d
+
+
 COUNTS = pathlib.Path(__file__).with_name("golden") / "identity_counts.json"
 
 
