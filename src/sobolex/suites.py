@@ -10,17 +10,17 @@ A check is a stream of identities, one bool each, and its verdict is their
 conjunction: `_add` folds the stream with `all`, which evaluates the
 identities in order and stops at the first false one.
 
-The one-variable families on [-1,1] are checked on T^1 = [0,1]: pulled back
-by x = 2u-1, they pair under the d = 1 forms of `sobolex.products`, and the
-Jacobi ODE of (alpha, beta) becomes L_(beta,alpha) f = lambda_n f, which
-`eigencheck` reads.
+The one-variable families on [-1,1] are checked on T^1 = [0,1], pulled back
+by x = 2u-1: each pairs under a d = 1 form, its Jacobi ODE is L_(beta,alpha)
+f = lambda_n f, a singular one spans the d = 1 `u_space`, and for beta > -1
+the value (-1)^n (beta+1)_n / n! at x = -1 pins the scale the ODE leaves free.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import perm, prod
+from math import factorial, perm, prod
 from typing import Iterable, NamedTuple
 
 from .bases import (Basis, biorthogonal_constant, eigencheck, jacobi_negative_one_beta,
@@ -28,11 +28,12 @@ from .bases import (Basis, biorthogonal_constant, eigencheck, jacobi_negative_on
                     monomial_basis, monomial_element, permuted_basis,
                     permuted_element, rodrigues_basis, rodrigues_element)
 from .linalg import in_span, poly_rank, positive_definite, spans_equal
+from .moments import vertex_eval
 from .polynomials import (Polynomial, barycentric_product, complement_power, monomial_polys,
                           monomials_of_degree)
 from .products import (ONE, ClassicalProduct, DerivativeProduct, SingularProduct, Term,
                        TermList, _derivative, _vertex)
-from .scalars import ParamVector, face_params, is_index
+from .scalars import ParamVector, face_params, is_index, pochhammer
 from .spaces import expected_dimension, h_space, u_space, verify_u_space
 
 HALF = Fraction(1, 2)
@@ -82,6 +83,19 @@ def _positive_diagonal(matrix: list[list[Fraction]]) -> Iterable[bool]:
             for i, line in enumerate(matrix) for j, v in enumerate(line))
 
 
+def _eigen(gamma: ParamVector, pulled: list[Polynomial], form=None) -> Iterable[bool]:
+    """Each pulled P_n is an eigenfunction of L_gamma for lambda_n; given a
+    Sobolev form, one that spans the form's U_n."""
+    return (eigencheck(gamma, g, n) and (form is None or spans_equal([g], u_space(form, n).polys()))
+            for n, g in enumerate(pulled))
+
+
+def _at_minus_one(pulled: list[Polynomial], b: Fraction) -> Iterable[bool]:
+    """P_n(-1) = (-1)^n (b+1)_n / n!, read at vertex e_0 of T^1, where x = -1."""
+    return (vertex_eval(g, 0) == (-1) ** n * pochhammer(b + 1, n) / factorial(n)
+            for n, g in enumerate(pulled))
+
+
 def suite_jacobi(checks: list[dict], n_max: int) -> dict:
     n_max = max(n_max, 5)  # the degree used, which `params.n_max` reports
     degrees = range(n_max + 1)
@@ -92,41 +106,31 @@ def suite_jacobi(checks: list[dict], n_max: int) -> dict:
         shifted_params = ParamVector([b, a])
         pulled = _on_t1([jacobi_p(n, a, b) for n in degrees])
         _add(checks, f"interval-ode[{tag}]",
-             (eigencheck(shifted_params, g, n) for n, g in enumerate(pulled)))
-        shifted = [jacobi_shifted(n, a, b) for n in degrees]
-        _add(checks, f"shifted-eigen[{tag}]",
-             (eigencheck(shifted_params, p, n) for n, p in enumerate(shifted)))
+             itertools.chain(_eigen(shifted_params, pulled), _at_minus_one(pulled, b)))
         norms = ClassicalProduct(shifted_params).matrix(pulled)
         _add(checks, f"orthogonality+norm[{tag}]",
              (norms[n][m] == (jacobi_norm(n, a, b) if n == m else 0)
               for n in degrees for m in range(n, n_max + 1)))
-        _add(checks, f"shifted-orthogonality[{tag}]",
-             _positive_diagonal(ClassicalProduct(shifted_params).matrix(shifted)))
     # On the families pulled back to T^1, the d = 1 forms of (b, -1) and (-1, -1)
     # are 4(b+1)/(b+2) and 4 times the forms on [-1,1]: x = 2u-1 doubles each
     # derivative, and the T^1 gradient term has the mass of (b, 0), not (b+1, 0).
     # Vertex e_0 is x = -1.  A positive multiple keeps every verdict.
     for b in (Fraction(0), HALF, Fraction(2)):
-        gamma, c = ParamVector([b, -1]), 4 * (b + 1) / (b + 2)
+        gamma, c, tag = ParamVector([b, -1]), 4 * (b + 1) / (b + 2), f"b={b}"
         pulled = _on_t1([jacobi_negative_one_beta(n, b) for n in degrees])
-        tag = f"b={b}"
         _add(checks, f"neg-beta-ode[{tag}]",
-             (eigencheck(gamma, g, n) for n, g in enumerate(pulled)))
+             itertools.chain(_eigen(gamma, pulled, SingularProduct(gamma)),
+                             _at_minus_one(pulled, b)))
         for lam in (Fraction(1), Fraction(2), Fraction(1, 3)):
             _add(checks, f"neg-beta-sobolev[{tag},lam={lam}]",
                  _positive_diagonal(SingularProduct(gamma, lam=c * lam).matrix(pulled)))
-    x, gamma = Polynomial.variable(1, 0), ParamVector([-1, -1])
+    gamma = ParamVector([-1, -1])
     for l1, l2 in ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(1)),
                    (HALF, Fraction(3))):
         pulled = _on_t1([jacobi_negative_one_one(n, l1, l2) for n in degrees])
-        tag = f"l1={l1},l2={l2}"
-        _add(checks, f"neg-both-mu[{tag}]",
-             [jacobi_negative_one_one(1, l1, l2) == x + (l2 - l1) / (l1 + l2)])
-        _add(checks, f"neg-both-ode[{tag}]",
-             (eigencheck(gamma, g, n) for n, g in enumerate(pulled)))
-        _add(checks, f"neg-both-sobolev[{tag}]",
-             _positive_diagonal(SingularProduct(gamma, lam_vertex=(4 * l2, 4 * l1))
-                                .matrix(pulled)))
+        form, tag = SingularProduct(gamma, lam_vertex=(4 * l2, 4 * l1)), f"l1={l1},l2={l2}"
+        _add(checks, f"neg-both-ode[{tag}]", _eigen(gamma, pulled, form))
+        _add(checks, f"neg-both-sobolev[{tag}]", _positive_diagonal(form.matrix(pulled)))
     return {"n_max": n_max}
 
 

@@ -14,9 +14,10 @@ a `--help`) and the whole stderr.
     python tests/cli_sweep.py compare OLD NEW     # two checkouts of the repository
 
 `compare` records each tree in its own process (PYTHONPATH=TREE/src, 80
-columns for argparse), prints the exit-code counts of each, and then every
-list whose exit code, stdout or stderr differs, the `--help` texts as a diff.
-It exits 1 when anything differs.  OLD is typically a `git worktree` or a
+columns for argparse), prints the exit-code counts of each, then every list
+whose exit code, stdout or stderr differs, the `--help` texts as a diff, and
+last how many lists differ per command (per `--suite` for `verify`).  It exits
+1 when anything differs.  OLD is typically a `git worktree` or a
 `git archive` of the parent commit.  pytest does not collect this file.
 """
 
@@ -165,6 +166,13 @@ def record(path: str) -> None:
     Path(path).write_text(json.dumps({json.dumps(argv): run(argv) for argv in grid()}))
 
 
+def kind(argv: list[str]) -> str:
+    """The command of an argument list, with its suite for `verify`."""
+    if argv[:1] == ["verify"] and "--suite" in argv[:-1]:
+        return f"verify --suite {argv[argv.index('--suite') + 1]}"
+    return argv[0] if argv else "(no command)"
+
+
 def compare(old_tree: str, new_tree: str) -> int:
     records = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -178,13 +186,14 @@ def compare(old_tree: str, new_tree: str) -> int:
     for name, rec in (("old", old), ("new", new)):
         counts = collections.Counter(r["exit"] for r in rec.values())
         print(f"{name}: {len(rec)} lists, exit codes {dict(sorted(counts.items()))}")
-    differ = 0
+    differ, changed = 0, set()
     for key in old:
         for field in ("exit", "stdout", "stderr"):
             a, b = old[key][field], new[key][field]
             if a == b:
                 continue
             differ += 1
+            changed.add(key)
             print(f"{field} differs: {' '.join(json.loads(key))}")
             if field == "stdout" and isinstance(a, str) and "\n" in a:
                 sys.stdout.writelines(difflib.unified_diff(
@@ -192,6 +201,9 @@ def compare(old_tree: str, new_tree: str) -> int:
             else:
                 print(f"  old: {a!r}\n  new: {b!r}")
     print(f"{differ} differences")
+    tally = collections.Counter(kind(json.loads(key)) for key in changed)
+    print(f"{len(changed)} lists differ", *(f"  {k}: {n}" for k, n in sorted(tally.items())),
+          sep="\n")
     return 1 if differ else 0
 
 

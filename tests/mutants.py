@@ -261,8 +261,18 @@ MUTANTS = [
            ["tests/test_products.py", "-k", "oracle"]),
     # the interval ODE of (a, b) is the d = 1 operator at (b, a), not at (a, b)
     Mutant("interval-ode-at-the-unswapped-weight", "src/sobolex/suites.py",
-           "(eigencheck(shifted_params, g, n) for n, g in enumerate(pulled))",
-           "(eigencheck(ParamVector([a, b]), g, n) for n, g in enumerate(pulled))",
+           "_eigen(shifted_params, pulled)",
+           "_eigen(ParamVector([a, b]), pulled)",
+           ["tests/test_suites.py", "-k", "jacobi"]),
+    # an eigenfunction stays one under any nonzero scalar; jacobi reads the
+    # standard normalization off the value at x = -1
+    Mutant("jacobi-p-loses-its-sign", "src/sobolex/bases.py",
+           "Fraction((-1) ** n, math.factorial(n))",
+           "Fraction(1, math.factorial(n))",
+           ["tests/test_suites.py", "-k", "jacobi"]),
+    Mutant("negative-one-beta-doubled", "src/sobolex/bases.py",
+           "((b + n) / (2 * n))",
+           "((b + n) / n)",
            ["tests/test_suites.py", "-k", "jacobi"]),
     Mutant("no-jacobi-floor", "src/sobolex/suites.py",
            "n_max = max(n_max, 5)",

@@ -63,6 +63,7 @@ def test_jacobi_norm_matches_integral():
 def test_jacobi_degenerate_beta():
     assert jacobi_negative_one_beta(0, Fraction(2)) == Polynomial.constant(1, 1)
     for b in (Fraction(0), H):
+        assert jacobi_negative_one_beta(1, b) == (b + 1) / 2 * (T - 1)
         for n in range(6):
             f = jacobi_negative_one_beta(n, b)
             assert jacobi_ode_residual(f, n, Fraction(-1), b).is_zero

@@ -119,7 +119,7 @@ TAMPERS = {
     "rodrigues_element": (_plus_one, ["triangle", "rodrigue", "lemmas4", "thm31"]),
     "permuted_element": (_plus_one, ["triangle"]),
     "jacobi_p": (_plus_one, ["jacobi"]),
-    "jacobi_shifted": (_plus_one, ["jacobi"]),
+    "jacobi_shifted": (_plus_one, ["triangle"]),
     "jacobi_negative_one_beta": (_plus_one, ["jacobi"]),
     "jacobi_negative_one_one": (_plus_one, ["jacobi"]),
     "h_space": (_plus_one, ["lemmas4", "thm34"]),
@@ -162,6 +162,28 @@ def test_every_completeness_identity_reads_the_dimension_formula(monkeypatch):
                  or c["name"] == "face-restriction-law"]
         assert len(reads) == 1 + len(list(suites._singular_weights(d)))
         assert not any(c["ok"] for c in reads), d
+
+
+def _times(factor):
+    """Multiplies what `real` returns at degree n by factor(n)."""
+    return lambda real: lambda n, *args: real(n, *args) * factor(n)
+
+
+@pytest.mark.parametrize("name,tamper,failing,count", [
+    ("jacobi_p", _times(lambda n: (-1) ** n), "interval-ode[", 4),
+    ("jacobi_negative_one_beta", _times(lambda n: 2 if n else 1), "neg-beta-ode[", 3),
+    ("u_space", _plus_one, ("neg-beta-ode[", "neg-both-ode["), 6),
+])
+def test_jacobi_pins_its_families_by_scale_and_by_u_space(name, tamper, failing, count,
+                                                          monkeypatch):
+    """Eigen-equations, squared norms and positive diagonals cannot see a
+    nonzero scalar; the value at x = -1 sees a sign flip of the odd degrees of
+    P_n^(a,b) and a doubling of the alpha = -1 family past degree 0.  The
+    singular families must each span the d = 1 U_n, which one check per
+    degree reads together with the eigen-equation."""
+    monkeypatch.setattr(suites, name, tamper(getattr(suites, name)))
+    failed = _failed("jacobi", 1, 0)
+    assert len(failed) == count and all(c.startswith(failing) for c in failed)
 
 
 COUNTS = pathlib.Path(__file__).with_name("golden") / "identity_counts.json"
